@@ -35,7 +35,10 @@ test:
 # reader goroutine per connection racing a window deadline, stale
 # admission, disk-backed spill) is the most concurrent round path, and
 # two seeded runs must stay bit-identical under the race detector —
-# its divergences should fail by name before the full suite. The ingest
+# its divergences should fail by name before the full suite; the same
+# stage holds the degenerate-window identity (a wide-window async
+# federation ends on the sync federation's exact models), the witness
+# that the two modes share one round loop. The ingest
 # tier runs seventh, in two deliberately split stages: the connection
 # flood + junk storm chaos gate (10k garbage connections racing the
 # concurrent accept stage must leave the final model bit-identical)
@@ -53,7 +56,7 @@ verify:
 	$(GO) test -race -run 'TestDistributedMatchesEngineLoss' ./internal/node/
 	$(GO) test -race -run 'TestShardedAggregation' ./internal/aggregate/
 	$(GO) test -race -run 'TestDistributedShardedMatchesEngine|TestDistributedParticipationMatchesEngine' ./internal/node/
-	$(GO) test -race -run 'TestAsyncDeterminismChaos' ./internal/node/
+	$(GO) test -race -run 'TestAsyncDeterminismChaos|TestAsyncWideWindowMatchesSyncDistributed' ./internal/node/
 	$(GO) test -race -run 'TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical' ./internal/core/
 	$(GO) test -race -run 'TestChaosFloodJunkStorm' ./internal/node/
 	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc' ./internal/transport/

@@ -108,7 +108,7 @@ type BenchReport struct {
 	// geometry-only fallback when no oracle is configured.
 	LossRule []BenchEntry `json:"loss_rule,omitempty"`
 	// Scale measures simulated aggregation rounds streamed through the
-	// two-tier shard tree (aggregate.Sharded) at growing client counts
+	// two-tier shard tree (aggregate.Run with Shards set) at growing client counts
 	// K: Inputs=K, Workers=shards, AccBytes the peak per-shard
 	// accumulator. The full curve (K out to 100k, participation
 	// ablation, distributed smoke point) lives in `-exp scale`; this

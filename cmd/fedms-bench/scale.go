@@ -4,10 +4,11 @@ package main
 // curve of the two-tier sharded aggregation tree (DESIGN.md §6). Each
 // point simulates the aggregation round of a federation with K clients
 // — participation sampling, sparse upload assignment and topk payload
-// uploads exactly as the engine derives them — streamed through
-// aggregate.Sharded per parameter server, so the measured quantity is
-// the server-side cost that dominates at scale (local SGD is embarras-
-// singly parallel across edge devices and off the critical path here).
+// uploads exactly as the engine derives them — reduced through
+// aggregate.Run's shard tree per parameter server, so the measured
+// quantity is the server-side cost that dominates at scale (local SGD
+// is embarrassingly parallel across edge devices and off the critical
+// path here).
 // The curve goes out to K = 100k simulated clients; a distributed
 // smoke point runs a small real PS+client federation over loopback TCP
 // with the sharded path enabled. Peak per-shard accumulator bytes are
@@ -102,16 +103,19 @@ func scaleRound(seed uint64, round, k int, f float64, pool []compress.Payload, a
 		if len(assign[i]) == 0 {
 			continue
 		}
-		sa, ok := aggregate.NewSharded(aggregate.Mean{}, scaleDim, scaleShards, len(assign[i]))
-		if !ok {
+		views := make([]compress.Payload, len(assign[i]))
+		for j, c := range assign[i] {
+			views[j] = pool[c%len(pool)]
+		}
+		res := aggregate.Run(aggregate.Request{
+			Rule: aggregate.Mean{}, Views: views, Shards: scaleShards, Dst: aggBufs[i],
+		})
+		if !res.Sharded {
 			panic("scale: mean must be shardable")
 		}
-		for _, c := range assign[i] {
-			sa.Offer(c, pool[c%len(pool)])
-		}
-		aggBufs[i] = sa.Finalize(aggBufs[i])
-		if p := sa.PeakShardBytes(); p > peak {
-			peak = p
+		aggBufs[i] = res.Out
+		if res.PeakBytes > peak {
+			peak = res.PeakBytes
 		}
 	}
 	return peak

@@ -38,42 +38,15 @@ type LossRule interface {
 // runtime's oracle-call counters consume it. With a nil eval or a
 // geometry-only rule this is exactly r.Aggregate.
 func AggregateWithOracle(r Rule, vecs [][]float64, eval LossEval) (out []float64, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		return r.Aggregate(vecs), 0
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), calls
-}
-
-// AggregatePayloadsWithOracle is the payload-view entry point of the
-// oracle dispatch: loss rules score whole candidate models, so the
-// views are densified first (counted as a fallback, not a fused
-// aggregation) and handed to AggregateWithLoss. Geometry-only rules
-// and nil oracles take the ordinary AggregatePayloads path unchanged,
-// fused when available. A NoFuse wrapper hides the loss path along
-// with the fused one.
-func AggregatePayloadsWithOracle(r Rule, ps []compress.Payload, eval LossEval) (out []float64, fused bool, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		out, fused = AggregatePayloads(r, ps)
-		return out, fused, 0
-	}
-	checkPayloads(ps, r.Name())
-	vecs := make([][]float64, len(ps))
-	for i := range ps {
-		vecs[i] = ps[i].DenseView()
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), false, calls
+	return AggregateWithOracleInto(r, nil, vecs, eval)
 }
 
 // AggregateWithOracleInto is AggregateWithOracle with a caller-provided
 // output buffer, reused when the rule supports in-place output (loss
-// rules keep their fresh-vector path). The returned slice holds the
-// aggregate; callers must use it, not dst.
+// rules keep their fresh-vector path: their outputs are retained by
+// construction — the winning prefix average — so in-place writing buys
+// nothing). The returned slice holds the aggregate; callers must use
+// it, not dst.
 func AggregateWithOracleInto(r Rule, dst []float64, vecs [][]float64, eval LossEval) (out []float64, oracleEvals int) {
 	lr, ok := r.(LossRule)
 	if !ok || eval == nil {
@@ -84,26 +57,15 @@ func AggregateWithOracleInto(r Rule, dst []float64, vecs [][]float64, eval LossE
 	return lr.AggregateWithLoss(vecs, counted), calls
 }
 
-// AggregatePayloadsWithOracleInto is AggregatePayloadsWithOracle with a
-// caller-provided output buffer: geometry-only rules route through
-// AggregatePayloadsInto and reuse dst when they can; loss rules keep
-// their fresh-vector path (their outputs are retained by construction —
-// the winning prefix average — so in-place writing buys nothing). The
-// returned slice holds the aggregate; callers must use it, not dst.
-func AggregatePayloadsWithOracleInto(r Rule, dst []float64, ps []compress.Payload, eval LossEval) (out []float64, fused bool, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		out, fused = AggregatePayloadsInto(r, dst, ps)
-		return out, fused, 0
-	}
-	checkPayloads(ps, r.Name())
-	vecs := make([][]float64, len(ps))
-	for i := range ps {
-		vecs[i] = ps[i].DenseView()
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), false, calls
+// AggregatePayloadsWithOracle is the payload-view form of the oracle
+// dispatch — Run without weights, shards or an output buffer: loss
+// rules densify and score whole candidate models (a fallback, not a
+// fused aggregation), geometry-only rules and nil oracles take the
+// ordinary payload path, fused when available. A NoFuse wrapper hides
+// the loss path along with the fused one.
+func AggregatePayloadsWithOracle(r Rule, ps []compress.Payload, eval LossEval) (out []float64, fused bool, oracleEvals int) {
+	res := Run(Request{Rule: r, Views: ps, Oracle: eval})
+	return res.Out, res.Fused, res.OracleEvals
 }
 
 // FedGreed is the greedy lowest-holdout-loss subset average of

@@ -32,11 +32,7 @@ func AggregatePayloads(r Rule, ps []compress.Payload) (out []float64, fused bool
 		return pr.AggregatePayloads(ps), true
 	}
 	checkPayloads(ps, r.Name())
-	vecs := make([][]float64, len(ps))
-	for i := range ps {
-		vecs[i] = ps[i].DenseView()
-	}
-	return r.Aggregate(vecs), false
+	return r.Aggregate(densify(ps)), false
 }
 
 // PayloadRuleInto is the reusable-output counterpart of PayloadRule:
@@ -62,11 +58,7 @@ func AggregatePayloadsInto(r Rule, dst []float64, ps []compress.Payload) (out []
 		return AggregatePayloads(r, ps)
 	}
 	checkPayloads(ps, r.Name())
-	vecs := make([][]float64, len(ps))
-	for i := range ps {
-		vecs[i] = ps[i].DenseView()
-	}
-	return AggregateInto(r, dst, vecs), false
+	return AggregateInto(r, dst, densify(ps)), false
 }
 
 // NoFuse hides a rule's fused path, forcing AggregatePayloads onto

@@ -39,7 +39,7 @@ import (
 // the full K×d matrix.
 
 // shardQueueDepth bounds each shard's ingest queue. A full queue blocks
-// Offer — the router's backpressure — so a slow shard throttles intake
+// offer — the router's backpressure — so a slow shard throttles intake
 // instead of buffering unboundedly.
 const shardQueueDepth = 64
 
@@ -67,22 +67,18 @@ type shardRow struct {
 // the weight).
 const shardRowBytes = 40
 
-// Sharded streams member payloads through a coordinate-sharded
-// aggregation tree for one aggregation (one PS round). Offer may be
-// called from a single goroutine; Finalize (or Abort) completes the
-// tree. A Sharded is one-shot: construct a new one per aggregation.
-type Sharded struct {
+// shardTree streams member payloads through a coordinate-sharded
+// aggregation tree for one aggregation (Run builds one per sharded
+// request). offer is called from a single goroutine; finalize completes
+// the tree. A shardTree is one-shot.
+type shardTree struct {
 	rule     Rule
 	d        int
 	weighted bool
-	shards   []*aggShard
 	queues   []chan shardMsg
 	wg       sync.WaitGroup
 	out      []float64
-	offered  int
-	aborted  atomic.Bool
 	peak     atomic.Int64
-	done     bool
 }
 
 // ShardableRule reports whether rule r has a coordinate-sharded path:
@@ -98,12 +94,14 @@ func ShardableRule(r Rule) bool {
 	return false
 }
 
-// NewSharded builds the shard tree for rule r over dimension d with at
-// most shards shards. rowsHint, when positive, presizes each shard for
-// that many member rows. ok is false — and the caller must use the
-// unsharded path — when the rule is not shardable or the geometry
-// degenerates (shards <= 1 or d == 0).
-func NewSharded(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
+// newShardTree builds the shard tree for rule r over dimension d with
+// at most shards shards (never more than d). rowsHint, when positive,
+// presizes each shard for that many member rows; weighted selects the
+// weighted per-coordinate kernels (bit-identical to the unweighted ones
+// at weight ≡ 1). ok is false — and the caller must use the unsharded
+// path — when the rule is not shardable or the geometry degenerates
+// (shards <= 1 or d == 0).
+func newShardTree(r Rule, d, shards, rowsHint int, weighted bool) (*shardTree, bool) {
 	if !ShardableRule(r) || shards <= 1 || d <= 0 {
 		return nil, false
 	}
@@ -111,7 +109,7 @@ func NewSharded(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
 		shards = d
 	}
 	width := (d + shards - 1) / shards
-	s := &Sharded{rule: r, d: d}
+	s := &shardTree{rule: r, d: d, weighted: weighted}
 	for lo := 0; lo < d; lo += width {
 		hi := lo + width
 		if hi > d {
@@ -119,7 +117,6 @@ func NewSharded(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
 		}
 		sh := &aggShard{parent: s, lo: lo, hi: hi, rowsHint: rowsHint}
 		q := make(chan shardMsg, shardQueueDepth)
-		s.shards = append(s.shards, sh)
 		s.queues = append(s.queues, q)
 		s.wg.Add(1)
 		go sh.run(q)
@@ -127,91 +124,38 @@ func NewSharded(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
 	return s, true
 }
 
-// NewShardedWeighted is NewSharded for a weighted aggregation: rows
-// arrive via OfferWeighted and reduce through the weighted kernels
-// (bit-identical to NewSharded at weight ≡ 1).
-func NewShardedWeighted(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
-	s, ok := NewSharded(r, d, shards, rowsHint)
-	if ok {
-		s.weighted = true
-	}
-	return s, ok
-}
-
-// NumShards returns the number of shards actually built (at most the
-// requested count, never more than d).
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Offer routes one member's payload to every shard. It blocks when a
-// shard's queue is full — backpressure, not loss. The payload view (and
-// its backing buffer) must stay valid until Finalize or Abort returns.
-// Member ids must be unique; rows are ordered by ascending id at reduce
-// time regardless of arrival order.
-func (s *Sharded) Offer(id int, p compress.Payload) {
-	s.OfferWeighted(id, p, 1)
-}
-
-// OfferWeighted is Offer with the row's aggregation weight; the weight
-// only takes effect on a tree built by NewShardedWeighted.
-func (s *Sharded) OfferWeighted(id int, p compress.Payload, w float64) {
-	if p.Dim() != s.d {
-		panic(fmt.Sprintf("aggregate: sharded %s input has dim %d, want %d", s.rule.Name(), p.Dim(), s.d))
-	}
-	if s.weighted && (!(w > 0) || w > 1e300) {
-		panic(fmt.Sprintf("aggregate: sharded %s weight %v, want positive and finite", s.rule.Name(), w))
-	}
+// offer routes one member's payload, with its aggregation weight (1 on
+// an unweighted tree), to every shard. It blocks when a shard's queue
+// is full — backpressure, not loss. The payload view (and its backing
+// buffer) must stay valid until finalize returns. Member ids must be
+// unique; rows are ordered by ascending id at reduce time regardless of
+// arrival order. Run has already validated dimensions and weights.
+func (s *shardTree) offer(id int, p compress.Payload, w float64) {
 	for i := range s.queues {
 		s.queues[i] <- shardMsg{id: id, p: p, w: w}
 	}
-	s.offered++
 }
 
-// Finalize completes the stream: every shard reduces its column range
+// finalize completes the stream: every shard reduces its column range
 // as soon as it drains its queue, and the concatenated result — stored
 // in dst when its capacity suffices — is returned. Bit-identical to the
-// unsharded rule over the same rows in ascending-id order. Panics on an
-// empty input set, like the rules themselves.
-func (s *Sharded) Finalize(dst []float64) []float64 {
-	if s.done {
-		panic("aggregate: Finalize on a completed Sharded")
-	}
-	if s.offered == 0 {
-		panic(fmt.Sprintf("aggregate: %s on empty input", s.rule.Name()))
-	}
+// unsharded rule over the same rows in ascending-id order. After it
+// returns, peak holds the largest accumulator footprint any single
+// shard reached — block, entry arena, row records and gather scratch:
+// the measured side of the O(K·d/S) memory bound.
+func (s *shardTree) finalize(dst []float64) []float64 {
 	out := zeroVec(dst, s.d)
 	s.out = out // published to the shard goroutines by the closes below
 	for i := range s.queues {
 		close(s.queues[i])
 	}
 	s.wg.Wait()
-	s.done = true
 	return out
 }
 
-// Abort tears the tree down without reducing: queues are drained and
-// closed and every shard goroutine exits. Safe after partial Offers,
-// e.g. when a PS round fails mid-barrier.
-func (s *Sharded) Abort() {
-	if s.done {
-		return
-	}
-	s.aborted.Store(true)
-	for i := range s.queues {
-		close(s.queues[i])
-	}
-	s.wg.Wait()
-	s.done = true
-}
-
-// PeakShardBytes returns the largest accumulator footprint any single
-// shard reached — block, entry arena, row records and gather scratch —
-// valid after Finalize or Abort. This is the measured side of the
-// O(K·d/S) memory bound.
-func (s *Sharded) PeakShardBytes() int64 { return s.peak.Load() }
-
 // aggShard owns one contiguous coordinate range [lo, hi).
 type aggShard struct {
-	parent   *Sharded
+	parent   *shardTree
 	lo, hi   int
 	rowsHint int
 
@@ -224,16 +168,14 @@ type aggShard struct {
 	scratch []float64 // width-sized dense gather scratch
 }
 
-// run is the shard goroutine: ingest every routed row, then — unless
-// aborted — reduce the completed column range into the shared output.
+// run is the shard goroutine: ingest every routed row, then reduce the
+// completed column range into the shared output.
 func (sh *aggShard) run(q chan shardMsg) {
 	defer sh.parent.wg.Done()
 	for msg := range q {
 		sh.ingest(msg)
 	}
-	if !sh.parent.aborted.Load() {
-		sh.reduce(sh.parent.out)
-	}
+	sh.reduce(sh.parent.out)
 	// Record this shard's peak accumulator footprint.
 	mem := int64(8*cap(sh.block)) + int64(4*cap(sh.entIdx)) + int64(8*cap(sh.entVal)) +
 		int64(shardRowBytes*cap(sh.rows)) + int64(8*cap(sh.scratch))
@@ -302,9 +244,6 @@ func (sh *aggShard) growBlock(width int) {
 // for bit.
 func (sh *aggShard) reduce(out []float64) {
 	n := len(sh.rows)
-	if n == 0 {
-		return // Finalize already rejected the empty aggregation
-	}
 	sort.Slice(sh.rows, func(a, b int) bool { return sh.rows[a].id < sh.rows[b].id })
 	kernel, winLen := shardKernel(sh.parent.rule, n)
 	width := sh.hi - sh.lo
@@ -439,42 +378,4 @@ func weightedShardKernel(r Rule, wrow []float64, s *chunkScratch) func(col, win 
 		}
 	}
 	panic(fmt.Sprintf("aggregate: weightedShardKernel on unshardable rule %s", r.Name()))
-}
-
-// ShardAggregatePayloads aggregates payload views through the shard
-// tree when the rule and geometry allow it, falling back to
-// AggregatePayloadsInto otherwise. ps must be ordered by ascending
-// member id — the invariant the engine and PS aggregation sites already
-// hold — so the fallback and the sharded path see the same member
-// order. peakBytes reports the largest per-shard accumulator footprint
-// (0 on the unsharded path).
-func ShardAggregatePayloads(r Rule, dst []float64, ps []compress.Payload, shards int) (out []float64, sharded bool, peakBytes int64) {
-	d := checkPayloads(ps, r.Name())
-	sa, ok := NewSharded(r, d, shards, len(ps))
-	if !ok {
-		out, _ = AggregatePayloadsInto(r, dst, ps)
-		return out, false, 0
-	}
-	for i := range ps {
-		sa.Offer(i, ps[i])
-	}
-	return sa.Finalize(dst), true, sa.PeakShardBytes()
-}
-
-// ShardAggregateWeightedPayloads is ShardAggregatePayloads for a
-// weighted row set: ps must be ordered ascending by member id with
-// weights aligned, and the fallback is the fused weighted path. At
-// weight ≡ 1 it is bit-identical to ShardAggregatePayloads.
-func ShardAggregateWeightedPayloads(r Rule, dst []float64, ps []compress.Payload, weights []float64, shards int) (out []float64, sharded bool, peakBytes int64) {
-	d := checkPayloads(ps, r.Name())
-	checkWeights(len(ps), weights, r.Name())
-	sa, ok := NewShardedWeighted(r, d, shards, len(ps))
-	if !ok {
-		out, _ = AggregateWeightedPayloads(r, dst, ps, weights)
-		return out, false, 0
-	}
-	for i := range ps {
-		sa.OfferWeighted(i, ps[i], weights[i])
-	}
-	return sa.Finalize(dst), true, sa.PeakShardBytes()
 }

@@ -18,7 +18,7 @@ var shardSpecs = []string{"dense", "topk:0.25", "topk:0.01", "q8", "ef+topk:0.1"
 // TestShardedAggregationBitIdentical is the differential contract of
 // the two-tier aggregation tree: for every rule in the registry ×
 // shard count × worker count × degraded quorum × payload codec,
-// ShardAggregatePayloads must be bit-identical to the unsharded
+// Run with Shards set must be bit-identical to the unsharded
 // AggregatePayloads over the same member order. Shardable rules
 // (mean, trimmed mean, median) must actually take the sharded path;
 // every other rule must report the unsharded fallback. Dimensions
@@ -51,7 +51,8 @@ func TestShardedAggregationBitIdentical(t *testing.T) {
 						rule := WithWorkers(parsed, w)
 						want, _ := AggregatePayloads(rule, sub)
 						for _, s := range shardCounts {
-							got, sharded, peak := ShardAggregatePayloads(rule, nil, sub, s)
+							res := Run(Request{Rule: rule, Views: sub, Shards: s})
+							got, sharded, peak := res.Out, res.Sharded, res.PeakBytes
 							label := spec + "/" + name + "/d=" + itoa(d) +
 								"/p=" + itoa(p) + "/w=" + itoa(w) + "/s=" + itoa(s)
 							if sharded != ShardableRule(rule) {
@@ -90,18 +91,18 @@ func TestShardedAggregationStreaming(t *testing.T) {
 	for i := range dst {
 		dst[i] = 1e30 // dirt that must be fully overwritten
 	}
-	sa, ok := NewSharded(rule, d, 4, 0) // rowsHint 0 forces block growth
+	sa, ok := newShardTree(rule, d, 4, 0, false) // rowsHint 0 forces block growth
 	if !ok {
-		t.Fatal("NewSharded: trimmed mean must be shardable")
+		t.Fatal("newShardTree: trimmed mean must be shardable")
 	}
 	perm := randx.Perm(randx.New(9), n)
 	for _, id := range perm {
-		sa.Offer(id, views[id])
+		sa.offer(id, views[id], 1)
 	}
-	got := sa.Finalize(dst)
+	got := sa.finalize(dst)
 	assertBitIdentical(t, "streamed/shuffled", got, want)
-	if sa.PeakShardBytes() <= 0 {
-		t.Fatalf("peak shard bytes %d after a dense round", sa.PeakShardBytes())
+	if sa.peak.Load() <= 0 {
+		t.Fatalf("peak shard bytes %d after a dense round", sa.peak.Load())
 	}
 }
 
@@ -122,11 +123,11 @@ func TestShardedAggregationMixedRows(t *testing.T) {
 
 	for _, rule := range []Rule{Mean{}, TrimmedMean{Trim: 2}, CoordinateMedian{}} {
 		want, _ := AggregatePayloads(rule, views)
-		got, sharded, _ := ShardAggregatePayloads(rule, nil, views, 3)
-		if !sharded {
+		res := Run(Request{Rule: rule, Views: views, Shards: 3})
+		if !res.Sharded {
 			t.Fatalf("%s: expected the sharded path", rule.Name())
 		}
-		assertBitIdentical(t, "mixed/"+rule.Name(), got, want)
+		assertBitIdentical(t, "mixed/"+rule.Name(), res.Out, want)
 	}
 }
 
@@ -146,41 +147,22 @@ func TestShardedAggregationMemoryBound(t *testing.T) {
 	denseBound := int64(8 * n * width) // the K·d/S block
 
 	dense, _ := encodeViews(t, "dense", vecs, 11)
-	_, sharded, peak := ShardAggregatePayloads(TrimmedMean{Beta: 0.2}, nil, dense, shards)
-	if !sharded {
+	res := Run(Request{Rule: TrimmedMean{Beta: 0.2}, Views: dense, Shards: shards})
+	if !res.Sharded {
 		t.Fatal("expected the sharded path")
 	}
-	if peak > 2*denseBound {
+	if peak := res.PeakBytes; peak > 2*denseBound {
 		t.Fatalf("dense peak %d bytes exceeds 2× the K·d/S bound %d", peak, denseBound)
 	}
 
 	sparse, _ := encodeViews(t, "topk:0.01", vecs, 11)
-	_, sharded, peak = ShardAggregatePayloads(TrimmedMean{Beta: 0.2}, nil, sparse, shards)
-	if !sharded {
+	res = Run(Request{Rule: TrimmedMean{Beta: 0.2}, Views: sparse, Shards: shards})
+	if !res.Sharded {
 		t.Fatal("expected the sharded path")
 	}
-	if peak <= 0 || peak > denseBound/4 {
+	if peak := res.PeakBytes; peak <= 0 || peak > denseBound/4 {
 		t.Fatalf("topk peak %d bytes not support-sized (dense bound %d)", peak, denseBound)
 	}
-}
-
-// TestShardedAggregationAbort pins the teardown path: a partially
-// streamed round aborts without reducing, without deadlocking and
-// without touching the output buffer again.
-func TestShardedAggregationAbort(t *testing.T) {
-	const d = 256
-	r := randx.New(59)
-	vecs := randomVecs(r, 4, d)
-	views, _ := encodeViews(t, "dense", vecs, 13)
-
-	sa, ok := NewSharded(CoordinateMedian{}, d, 4, 4)
-	if !ok {
-		t.Fatal("NewSharded: median must be shardable")
-	}
-	sa.Offer(0, views[0])
-	sa.Offer(1, views[1])
-	sa.Abort()
-	sa.Abort() // idempotent
 }
 
 // TestShardedAggregationDispatchEscapeHatches pins the fallback edges:
@@ -196,20 +178,20 @@ func TestShardedAggregationDispatchEscapeHatches(t *testing.T) {
 	if ShardableRule(NoFuse{TrimmedMean{Beta: 0.2}}) {
 		t.Fatal("NoFuse must hide the sharded path")
 	}
-	got, sharded, _ := ShardAggregatePayloads(NoFuse{TrimmedMean{Beta: 0.2}}, nil, views, 4)
-	if sharded {
-		t.Fatal("NoFuse: expected the unsharded fallback")
+	res := Run(Request{Rule: NoFuse{TrimmedMean{Beta: 0.2}}, Views: views, Shards: 4})
+	if res.Sharded || res.Fused {
+		t.Fatal("NoFuse: expected the unsharded densify-first fallback")
 	}
 	want, _ := AggregatePayloads(NoFuse{TrimmedMean{Beta: 0.2}}, views)
-	assertBitIdentical(t, "nofuse", got, want)
+	assertBitIdentical(t, "nofuse", res.Out, want)
 
-	if _, ok := NewSharded(Mean{}, d, 1, 5); ok {
+	if _, ok := newShardTree(Mean{}, d, 1, 5, false); ok {
 		t.Fatal("a single shard must fall back to the unsharded path")
 	}
-	got, sharded, _ = ShardAggregatePayloads(Mean{}, nil, views, 1)
-	if sharded {
-		t.Fatal("shards=1: expected the unsharded path")
+	res = Run(Request{Rule: Mean{}, Views: views, Shards: 1})
+	if res.Sharded || !res.Fused {
+		t.Fatal("shards=1: expected the fused unsharded path")
 	}
 	want, _ = AggregatePayloads(Mean{}, views)
-	assertBitIdentical(t, "oneshard", got, want)
+	assertBitIdentical(t, "oneshard", res.Out, want)
 }

@@ -75,11 +75,7 @@ func AggregateWeightedPayloads(r Rule, dst []float64, ps []compress.Payload, wei
 		return wr.AggregateWeightedPayloadsInto(dst, ps, weights), true
 	}
 	checkPayloads(ps, r.Name())
-	vecs := make([][]float64, len(ps))
-	for i := range ps {
-		vecs[i] = ps[i].DenseView()
-	}
-	return AggregateWeighted(r, dst, vecs, weights), false
+	return AggregateWeighted(r, dst, densify(ps), weights), false
 }
 
 func checkWeights(n int, weights []float64, rule string) {

@@ -74,11 +74,14 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 						}
 						assertBitIdentical(t, label+"/payload-kernel", gotP, wantP)
 
-						gotS, sharded, _ := ShardAggregateWeightedPayloads(rule, nil, views, ones, 4)
-						if !sharded {
+						// run (not Run) keeps the ones on the weighted sharded
+						// kernels; Run must then be free to drop them.
+						res := Request{Rule: rule, Views: views, Weights: ones, Shards: 4}.run()
+						if !res.Sharded {
 							t.Fatalf("%s: weighted sharded path not taken", label)
 						}
-						assertBitIdentical(t, label+"/sharded-kernel", gotS, wantP)
+						assertBitIdentical(t, label+"/sharded-kernel", res.Out, wantP)
+						assertBitIdentical(t, label+"/run", Run(Request{Rule: rule, Views: views, Weights: ones}).Out, wantP)
 					}
 				}
 			}
@@ -108,8 +111,12 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 						t.Fatalf("%s: not fused", label)
 					}
 					assertBitIdentical(t, label+"/payload", got, want)
-					gotS, _, _ := ShardAggregateWeightedPayloads(rule, nil, views, weights, 3)
-					assertBitIdentical(t, label+"/sharded", gotS, want)
+					res := Run(Request{Rule: rule, Views: views, Weights: weights, Shards: 3})
+					if !res.Sharded {
+						t.Fatalf("%s: not sharded", label)
+					}
+					assertBitIdentical(t, label+"/sharded", res.Out, want)
+					assertBitIdentical(t, label+"/run", Run(Request{Rule: rule, Views: views, Weights: weights}).Out, want)
 				}
 			}
 		}

@@ -301,3 +301,23 @@ func TestSpecEncodeDecodeMatchesCodec(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseWireRoundTrips pins the one dense-as-bytes helper against the
+// parser it must round-trip with: ParsePayload(EncDense, DenseWire(v))
+// reconstructs v bit for bit, special values included.
+func TestDenseWireRoundTrips(t *testing.T) {
+	v := []float64{1.5, -0.0, math.Inf(-1), math.SmallestNonzeroFloat64, math.NaN(), 3}
+	view, err := ParsePayload(EncDense, DenseWire(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := view.DenseView()
+	if len(got) != len(v) {
+		t.Fatalf("dim %d, want %d", len(got), len(v))
+	}
+	for i := range v {
+		if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
+			t.Fatalf("coord %d: %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(v[i]))
+		}
+	}
+}

@@ -68,6 +68,15 @@ func DensePayload(v []float64) Payload {
 	return Payload{enc: EncDense, dim: len(v), vec: v}
 }
 
+// DenseWire serializes a dense model as an EncDense payload
+// (little-endian float64s), so a dense upload parked as bytes — a spill
+// record, a client's async backlog — round-trips bit-exactly through
+// ParsePayload(EncDense, ·).
+func DenseWire(v []float64) []byte {
+	_, b := denseCodec{}.AppendEncode(make([]byte, 0, 8*len(v)), v)
+	return b
+}
+
 // Encoding returns the payload's wire tag (EncDense for DensePayload
 // wrappers).
 func (p *Payload) Encoding() Encoding { return p.enc }

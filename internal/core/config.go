@@ -124,8 +124,8 @@ type Config struct {
 	// after filtering). Clamped to K.
 	EvalClients int
 	// Shards, when > 1, routes every server-side aggregation through the
-	// two-tier shard tree (aggregate.Sharded): the coordinate space is
-	// partitioned into this many shards, uploads stream through bounded
+	// two-tier shard tree (aggregate.Request.Shards): the coordinate space
+	// is partitioned into this many shards, uploads stream through bounded
 	// per-shard queues, and each shard reduces its column range on its
 	// own goroutine, bounding per-shard accumulator memory at O(K·d/S).
 	// Outputs are bit-identical to the unsharded path for every value,

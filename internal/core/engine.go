@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,10 +46,11 @@ type RoundStats struct {
 	// model and the benign-server mean — a diagnostic of how far the
 	// filter let Byzantine influence leak.
 	ModelSpread float64
-	// Async round accounting, always zero in sync mode: FreshUploads
-	// arrived within their origin round's window, StaleUploads joined
-	// a later round's aggregation with a staleness down-weight, and
-	// DroppedUploads exceeded the staleness bound.
+	// Admission accounting: FreshUploads arrived within their origin
+	// round's window (under the sync barrier that is every upload),
+	// StaleUploads joined a later round's aggregation with a staleness
+	// down-weight, and DroppedUploads exceeded the staleness bound — the
+	// last two are always zero in sync mode.
 	FreshUploads   int
 	StaleUploads   int
 	DroppedUploads int
@@ -252,9 +252,8 @@ func (e *Engine) Run() []RoundStats {
 
 // RunRound executes one full round: local training, model aggregation
 // (with the configured upload strategy), Byzantine dissemination, and
-// the client-side model filter. In async mode the aggregation stage
-// admits whatever the virtual clock delivered within the round's
-// window — see asyncArrivals.
+// the client-side model filter. The aggregation stage admits whatever
+// the round's lifecycle delivered — see arrivals.
 func (e *Engine) RunRound() RoundStats {
 	t := e.sc.Round()
 	start := time.Now()
@@ -347,114 +346,65 @@ func (e *Engine) RunRound() RoundStats {
 	}
 
 	// ---- Model aggregation stage (lines 3-4, 11) ----
+	// One lifecycle for both modes: each server aggregates the member
+	// set its round admitted. Under the sync barrier that is exactly
+	// this round's uploads, all fresh; under the async window it is the
+	// on-time sends plus spill records due now, stale ones down-weighted
+	// before the robust rule. aggregate.Run sees only the set.
 	assign := e.uploadAssignment(t, active)
+	arrivals := e.arrivals(t, assign, views, uploads, &st)
 	aggs := make([][]float64, e.cfg.Servers)
 	var aggFusedN, aggFallbackN, aggShardedN, oracleServerN int
 	var shardPeak int64
 	if e.aggBufs == nil {
 		e.aggBufs = make([][]float64, e.cfg.Servers)
 	}
-	shardable := e.cfg.Shards > 1 && aggregate.ShardableRule(e.cfg.ServerFilter)
-	if e.cfg.Async {
-		// Async lifecycle: the round aggregates what its window
-		// delivered — this round's on-time sends plus spill records due
-		// now, stale ones down-weighted before the robust rule.
-		arrivals := e.asyncArrivals(t, assign, views, uploads, &st)
-		for i := 0; i < e.cfg.Servers; i++ {
-			members := arrivals[i]
-			if len(members) == 0 {
-				aggs[i] = append([]float64(nil), e.lastAgg[i]...)
-			} else {
-				ordered := make([]compress.Payload, len(members))
-				weights := make([]float64, len(members))
-				for j, m := range members {
-					ordered[j], weights[j] = m.view, m.weight
-				}
-				var dst []float64
-				if !e.cfg.IsByzantine(i) {
-					dst = e.aggBufs[i]
-				}
-				if shardable {
-					var peak int64
-					aggs[i], _, peak = aggregate.ShardAggregateWeightedPayloads(e.cfg.ServerFilter, dst, ordered, weights, e.cfg.Shards)
-					aggShardedN++
-					if peak > shardPeak {
-						shardPeak = peak
-					}
-				} else {
-					var fused bool
-					aggs[i], fused = aggregate.AggregateWeightedPayloads(e.cfg.ServerFilter, dst, ordered, weights)
-					if fused {
-						aggFusedN++
-					} else {
-						aggFallbackN++
-					}
-				}
-				if dst != nil {
-					e.aggBufs[i] = aggs[i]
-				}
+	for i, members := range arrivals {
+		if len(members) == 0 {
+			// Nothing admitted this round: the PS re-disseminates its last
+			// aggregate (it has nothing newer). With K >> P this is rare
+			// under sparse upload.
+			aggs[i] = append([]float64(nil), e.lastAgg[i]...)
+		} else {
+			// Benign servers aggregate into their round-persistent
+			// buffer; Byzantine servers get a fresh vector because the
+			// adaptive-adversary history retains theirs.
+			benign := !e.cfg.IsByzantine(i)
+			req := aggregate.Request{Rule: e.cfg.ServerFilter, Oracle: e.oracle, Shards: e.cfg.Shards}
+			req.Views, req.Weights = sched.Members(members)
+			if benign {
+				req.Dst = e.aggBufs[i]
 			}
-			e.lastAgg[i] = aggs[i]
-		}
-		// Communication is counted at send time (the client pays for
-		// the upload whether or not it lands inside a window), so the
-		// paper's cost measure is lifecycle-independent.
-		for _, members := range assign {
-			st.UploadFloats += len(members) * e.dim
-			for _, k := range members {
-				st.UploadBytes += uploadBytes[k]
+			res := aggregate.Run(req)
+			aggs[i] = res.Out
+			if benign {
+				e.aggBufs[i] = res.Out
 			}
+			switch {
+			case res.Sharded:
+				aggShardedN++
+				if res.PeakBytes > shardPeak {
+					shardPeak = res.PeakBytes
+				}
+			case res.Fused:
+				aggFusedN++
+			default:
+				aggFallbackN++
+			}
+			oracleServerN += res.OracleEvals
 		}
+		e.lastAgg[i] = aggs[i]
+		// Communication is counted at send time (the client pays for the
+		// upload whether or not it lands inside a window), so the paper's
+		// cost measure is lifecycle-independent.
+		st.UploadFloats += len(assign[i]) * e.dim
+		for _, k := range assign[i] {
+			st.UploadBytes += uploadBytes[k]
+		}
+	}
+	if e.spill != nil {
 		st.SpillDepth = e.spill.Len()
 		st.SpillBytes = int(e.spill.MemBytes() + e.spill.DiskBytes())
-	} else {
-		for i := 0; i < e.cfg.Servers; i++ {
-			members := assign[i]
-			if len(members) == 0 {
-				// No uploads this round: the PS re-disseminates its last
-				// aggregate (it has nothing newer). With K >> P this is
-				// rare under sparse upload.
-				aggs[i] = append([]float64(nil), e.lastAgg[i]...)
-			} else {
-				ordered := make([]compress.Payload, 0, len(members))
-				for _, k := range members {
-					ordered = append(ordered, views[k])
-				}
-				// Benign servers aggregate into their round-persistent
-				// buffer; Byzantine servers get a fresh vector because the
-				// adaptive-adversary history retains theirs.
-				var dst []float64
-				if !e.cfg.IsByzantine(i) {
-					dst = e.aggBufs[i]
-				}
-				if shardable {
-					var peak int64
-					aggs[i], _, peak = aggregate.ShardAggregatePayloads(e.cfg.ServerFilter, dst, ordered, e.cfg.Shards)
-					aggShardedN++
-					if peak > shardPeak {
-						shardPeak = peak
-					}
-				} else {
-					var fused bool
-					var evals int
-					aggs[i], fused, evals = aggregate.AggregatePayloadsWithOracleInto(e.cfg.ServerFilter, dst, ordered, e.oracle)
-					if fused {
-						aggFusedN++
-					} else {
-						aggFallbackN++
-					}
-					oracleServerN += evals
-				}
-				if dst != nil {
-					e.aggBufs[i] = aggs[i]
-				}
-			}
-			e.lastAgg[i] = aggs[i]
-			st.UploadFloats += len(members) * e.dim
-			for _, k := range members {
-				st.UploadBytes += uploadBytes[k]
-			}
-		}
 	}
 	if e.obsOn {
 		now := time.Now()
@@ -547,6 +497,11 @@ func (e *Engine) RunRound() RoundStats {
 			e.om.winFresh.Add(int64(st.FreshUploads))
 			e.om.winStale.Add(int64(st.StaleUploads))
 			e.om.winDropped.Add(int64(st.DroppedUploads))
+			for _, members := range arrivals {
+				for _, m := range members {
+					e.om.staleHist.Observe(float64(m.Stale))
+				}
+			}
 			e.om.spillDepth.Set(int64(st.SpillDepth))
 			e.om.spillBytes.Set(int64(st.SpillBytes))
 		}
@@ -606,25 +561,57 @@ func (e *Engine) RunRound() RoundStats {
 	return st
 }
 
-// asyncArrival is one upload admitted to the current async round.
-type asyncArrival struct {
-	client, origin, stale int
-	weight                float64
-	view                  compress.Payload
+// arrivals assembles each server's admitted member set for round t, in
+// canonical (client, origin) order so membership — and therefore every
+// aggregate bit — is independent of spill traversal order. This round's
+// sends split three ways on the seeded virtual clock: on-time ones join
+// fresh, late-but-admissible ones spill toward their arrival round, and
+// sends past the staleness bound are dropped; spill records whose
+// virtual arrival lands in this window join as stale entries,
+// down-weighted by sched.Weight. The sync barrier is the degenerate
+// case: no window means no delay and no spill, so every send is fresh.
+func (e *Engine) arrivals(t int, assign [][]int, views []compress.Payload, uploads [][]float64, st *RoundStats) [][]sched.Entry {
+	arrivals := make([][]sched.Entry, e.cfg.Servers)
+	e.replaySpill(t, arrivals, st)
+	// This round's sends, routed by their virtual arrival round.
+	for i, members := range assign {
+		arrivals[i] = slices.Grow(arrivals[i], len(members))
+		for _, k := range members {
+			delay := sched.ArrivalDelay(e.cfg.Seed, t, k, e.cfg.Window, sched.DefaultLatencyScale)
+			if delay == 0 {
+				arrivals[i] = append(arrivals[i], sched.Entry{Client: k, Origin: t, Weight: 1, View: views[k]})
+				st.FreshUploads++
+				continue
+			}
+			if d := sched.DecideAt(sched.Async, t+delay, t, e.cfg.Staleness); d.Outcome != sched.AcceptStale {
+				st.DroppedUploads++
+				continue
+			}
+			rec := spill.Record{Client: k, Server: i, Origin: t, Due: t + delay}
+			if e.codecs != nil {
+				rec.Enc, rec.Data = byte(e.encs[k]), e.encBufs[k]
+			} else {
+				rec.Enc, rec.Data = byte(compress.EncDense), compress.DenseWire(uploads[k])
+			}
+			if err := e.spill.Add(rec); err != nil {
+				panic(fmt.Sprintf("core: spill add: %v", err))
+			}
+		}
+	}
+	for i := range arrivals {
+		sched.Sort(arrivals[i])
+	}
+	return arrivals
 }
 
-// asyncArrivals assembles each server's admitted member set for round
-// t: spill records whose virtual arrival lands in this window join as
-// stale entries (down-weighted by sched.Weight), and this round's
-// sends split three ways on the seeded virtual clock — on-time ones
-// join fresh, late-but-admissible ones spill toward their arrival
-// round, and sends past the staleness bound are dropped. Entries sort
-// by (client, origin) so membership order — and therefore every
-// aggregate bit — is independent of spill traversal order.
-func (e *Engine) asyncArrivals(t int, assign [][]int, views []compress.Payload, uploads [][]float64, st *RoundStats) [][]asyncArrival {
-	arrivals := make([][]asyncArrival, e.cfg.Servers)
-	// Drain the spill: pop exactly Len() records so not-yet-due ones
-	// cycle to the back once, preserving FIFO across rounds.
+// replaySpill moves the spill records due in round t into their
+// servers' member sets; a no-op without a spill buffer (sync mode).
+// Popping exactly Len() records cycles not-yet-due ones to the back
+// once, preserving FIFO across rounds.
+func (e *Engine) replaySpill(t int, arrivals [][]sched.Entry, st *RoundStats) {
+	if e.spill == nil {
+		return
+	}
 	for n := e.spill.Len(); n > 0; n-- {
 		rec, ok, err := e.spill.Pop()
 		if err != nil {
@@ -650,62 +637,11 @@ func (e *Engine) asyncArrivals(t int, assign [][]int, views []compress.Payload, 
 		if err != nil {
 			panic(fmt.Sprintf("core: spill payload: %v", err))
 		}
-		arrivals[rec.Server] = append(arrivals[rec.Server], asyncArrival{
-			client: rec.Client, origin: rec.Origin, stale: d.Staleness, weight: d.Weight, view: v,
+		arrivals[rec.Server] = append(arrivals[rec.Server], sched.Entry{
+			Client: rec.Client, Origin: rec.Origin, Stale: d.Staleness, Weight: d.Weight, View: v,
 		})
 		st.StaleUploads++
-		if e.om != nil {
-			e.om.staleHist.Observe(float64(d.Staleness))
-		}
 	}
-	// This round's sends, routed by their virtual arrival round.
-	for i, members := range assign {
-		for _, k := range members {
-			delay := sched.ArrivalDelay(e.cfg.Seed, t, k, e.cfg.Window, sched.DefaultLatencyScale)
-			if delay == 0 {
-				arrivals[i] = append(arrivals[i], asyncArrival{client: k, origin: t, weight: 1, view: views[k]})
-				st.FreshUploads++
-				if e.om != nil {
-					e.om.staleHist.Observe(0)
-				}
-				continue
-			}
-			if d := sched.DecideAt(sched.Async, t+delay, t, e.cfg.Staleness); d.Outcome != sched.AcceptStale {
-				st.DroppedUploads++
-				continue
-			}
-			rec := spill.Record{Client: k, Server: i, Origin: t, Due: t + delay}
-			if e.codecs != nil {
-				rec.Enc, rec.Data = byte(e.encs[k]), e.encBufs[k]
-			} else {
-				rec.Enc, rec.Data = byte(compress.EncDense), denseWire(uploads[k])
-			}
-			if err := e.spill.Add(rec); err != nil {
-				panic(fmt.Sprintf("core: spill add: %v", err))
-			}
-		}
-	}
-	for i := range arrivals {
-		a := arrivals[i]
-		sort.Slice(a, func(x, y int) bool {
-			if a[x].client != a[y].client {
-				return a[x].client < a[y].client
-			}
-			return a[x].origin < a[y].origin
-		})
-	}
-	return arrivals
-}
-
-// denseWire serializes a dense model to the codec wire format
-// (little-endian float64s), so a spilled dense upload round-trips
-// bit-exactly through compress.ParsePayload(EncDense, ·).
-func denseWire(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
 }
 
 // Close releases the async spill buffer's disk segment; a no-op in

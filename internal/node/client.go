@@ -542,7 +542,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 				if cfg.Codec != nil {
 					b.enc, b.data = uploadEnc, append([]byte(nil), encBuf...)
 				} else {
-					b.enc, b.data = compress.EncDense, denseWire(params)
+					b.enc, b.data = compress.EncDense, compress.DenseWire(params)
 				}
 				backlog = append(backlog, b)
 			}

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"testing"
@@ -140,31 +139,18 @@ func TestPSCorruptSparseFramePayloadDegradesLikeDrop(t *testing.T) {
 	good := []float64{1, 2, 0, 0, 3, 4}
 
 	reg := obs.NewRegistry()
-	p := &PS{cfg: PSConfig{
+	p, conns, cli := pipePS(t, PSConfig{
 		ID: 0, Clients: 2, Rounds: 1,
-		Tolerant:   true,
-		Timeout:    2 * time.Second,
-		ServerRule: aggregate.Mean{},
-	}}
-	p.om = newPSMetrics(reg, 0, "mean")
+		Tolerant: true,
+		Timeout:  2 * time.Second,
+		Obs:      reg,
+	}, nil)
 	p.v2ok = []bool{true, true}
-
-	srv0, cli0 := net.Pipe()
-	srv1, cli1 := net.Pipe()
-	conns := []*transport.Conn{transport.NewConn(srv0), transport.NewConn(srv1)}
-	c0 := transport.NewConn(cli0)
-	c1 := transport.NewConn(cli1)
-	// Asymmetric deadlines. Server-side recv stays short: skipping the
-	// bad frame re-enters Recv, which re-arms the per-frame Timeout and
-	// may clobber the barrier's straggler trim, so this — not the trim —
-	// is what bounds the lying client's stall. Client-side recv is
-	// generous because race-instrumented parallel package runs can
-	// starve this test of CPU for seconds at a time.
-	for _, c := range conns {
-		c.Timeout = 2 * time.Second
-	}
-	c0.Timeout = 30 * time.Second
-	c1.Timeout = 30 * time.Second
+	// Client-side recv is generous (pipePS) because race-instrumented
+	// parallel package runs can starve this test of CPU for seconds at a
+	// time; the server side is bounded by the malformed marker itself,
+	// which is consumed as this round's miss.
+	c0, c1 := cli[0], cli[1]
 
 	// A syntactically well-formed frame whose sparse payload repeats an
 	// index: it passes every transport-layer check (length, checksum)
@@ -216,8 +202,7 @@ func TestPSCorruptSparseFramePayloadDegradesLikeDrop(t *testing.T) {
 		got <- recv{vec: m.Vec}
 	}()
 
-	pending := make([]*transport.Message, 2)
-	if err := p.serveRound(0, conns, pending); err != nil {
+	if err := p.serveRound(0, conns); err != nil {
 		t.Fatalf("serveRound: %v", err)
 	}
 	wg.Wait()

@@ -24,23 +24,13 @@ func TestPSDisseminationAccountingFailedSends(t *testing.T) {
 	const dim = 4
 	vec := []float64{1, 2, 3, 4}
 
-	p := &PS{cfg: PSConfig{
+	p, conns, cli := pipePS(t, PSConfig{
 		ID: 0, Clients: 2, Rounds: 1,
-		Tolerant:   true,
-		Timeout:    2 * time.Second,
-		ServerRule: aggregate.Mean{},
-	}}
-	p.om = newPSMetrics(nil, 0, "mean")
-	p.v2ok = make([]bool, 2)
-
-	srv0, cli0 := net.Pipe()
-	srv1, cli1 := net.Pipe()
-	conns := []*transport.Conn{transport.NewConn(srv0), transport.NewConn(srv1)}
-	c0 := transport.NewConn(cli0)
-	c1 := transport.NewConn(cli1)
-	for _, c := range append(conns, c0, c1) {
-		c.Timeout = 2 * time.Second
-	}
+		Tolerant: true,
+		Timeout:  2 * time.Second,
+	}, nil)
+	c0, c1 := cli[0], cli[1]
+	c0.Timeout, c1.Timeout = 2*time.Second, 2*time.Second
 	upload := func(sender int) *transport.Message {
 		return &transport.Message{
 			Type: transport.TypeUpload, Round: 0,
@@ -75,8 +65,7 @@ func TestPSDisseminationAccountingFailedSends(t *testing.T) {
 		_ = c1.Close()
 	}()
 
-	pending := make([]*transport.Message, 2)
-	if err := p.serveRound(0, conns, pending); err != nil {
+	if err := p.serveRound(0, conns); err != nil {
 		t.Fatalf("serveRound: %v", err)
 	}
 	wg.Wait()

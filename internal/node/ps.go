@@ -25,14 +25,12 @@
 package node
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,10 +109,11 @@ type PSConfig struct {
 	// the contract: deterministic, pure, never mutates the model).
 	// Oracle evals are counted in Obs (fedms_ps_oracle_evals_total).
 	LossOracle aggregate.LossEval
-	// Shards, when > 1, streams uploads through the two-tier sharded
-	// aggregation tree (aggregate.Sharded): each upload is routed to S
-	// column-range shards as it clears the round barrier, so the server
-	// never materialises the K×d matrix — per-shard memory is O(K·d/S).
+	// Shards, when > 1, reduces each round's admitted uploads through the
+	// two-tier sharded aggregation tree (aggregate.Request.Shards): the
+	// payload views are routed to S column-range shards when the round
+	// closes, so beyond the uploads themselves the server never holds a
+	// K×d matrix — per-shard memory is O(K·d/S).
 	// Bit-identical to the unsharded rule for every value (the sharded
 	// differential contract); rules without a sharded kernel, and loss
 	// rules under an oracle, fall back to the unsharded path. 0 or 1
@@ -243,6 +242,9 @@ type PS struct {
 	// v2ok[id] records whether client id's hello advertised v2 codec
 	// frames; only those clients may receive an encoded downlink.
 	v2ok []bool
+	// parked[id] holds a future-round frame read early from client id by
+	// a sync barrier (see recvRound); it never outlives its connection.
+	parked []*transport.Message
 
 	om *psMetrics         // registry mirror of stats (no-op when Obs is nil)
 	tm *transport.Metrics // wire counters shared by this server's conns
@@ -526,9 +528,7 @@ func (p *PS) Serve() error {
 	}()
 
 	conns := make([]*transport.Conn, p.cfg.Clients)
-	// pending[id] parks a future-round upload read early from client id
-	// (see recvUpload); it never outlives its connection.
-	pending := make([]*transport.Message, p.cfg.Clients)
+	p.parked = make([]*transport.Message, p.cfg.Clients)
 	p.v2ok = make([]bool, p.cfg.Clients)
 	defer func() {
 		for _, c := range conns {
@@ -610,7 +610,7 @@ func (p *PS) Serve() error {
 
 	for !p.sc.Done() {
 		round := p.sc.Round()
-		if err := p.serveRound(round, conns, pending); err != nil {
+		if err := p.serveRound(round, conns); err != nil {
 			if p.isCrashed() {
 				return ErrCrashed
 			}
@@ -826,146 +826,283 @@ func (p *PS) drainAccepts(results <-chan acceptResult, stop <-chan struct{}) {
 	}
 }
 
-// upload is one client's contribution to a round barrier.
-type upload struct {
-	client int
-	// model marks a slot that carried a real model; pl is its validated
-	// payload view (never densified here — aggregation consumes views).
-	model  bool
-	pl     compress.Payload
-	bytes  int // model payload bytes on the wire
-	floats int // float64-equivalent wire elements (ModelWireFloats)
-	// missed marks a slot whose frame never arrived (timeout or too
-	// much corruption); the connection stays live.
-	missed bool
-	// dead marks an unrecoverable connection.
+// roundRecv is one connection's contribution to a round: the uploads
+// admitted up to (and including) its round marker — the frame tagged
+// with the current round — plus the spill records of any future-round
+// models that prove the marker lost. Everything fully received before a
+// failure is reported, so a connection that delivers valid stale
+// uploads and then dies still has them admitted and its bytes tallied.
+type roundRecv struct {
+	client   int
+	entries  []sched.Entry
+	deferred []spill.Record
+	bytes    int // model payload bytes on the wire
+	floats   int // float64-equivalent wire elements (ModelWireFloats)
+	dropped  int // models past the staleness bound
+	// missed marks a round whose marker never arrived (timeout, too much
+	// corruption, a malformed marker payload, or a client already a
+	// round ahead); the connection stays live. expired narrows that to a
+	// window-deadline hit.
+	missed, expired bool
+	// dead marks an unrecoverable connection; err says why.
 	dead bool
 	err  error
 }
 
-// recvUpload reads client id's round-r upload, skipping corrupt and
-// stale frames in tolerant mode. When this round's upload was lost and
-// the client has already sent a later round's, the future frame is
-// parked in *pending (consumed first on the next call) instead of
-// condemning a healthy connection.
-func (p *PS) recvUpload(id, round int, conn *transport.Conn, pending **transport.Message) upload {
-	for tries := 0; tries < maxBadFrames; tries++ {
-		var m *transport.Message
+func (r *roundRecv) tally(m *transport.Message) {
+	r.bytes += m.ModelWireBytes()
+	r.floats += m.ModelWireFloats()
+}
+
+// recvRound reads client id's frames for the current round until its
+// round marker arrives, the deadline passes, or the connection fails.
+// The scheduler rules on every frame: stale ones within the bound are
+// admitted down-weighted, a future-round one means this round's marker
+// was lost, and anything older is inadmissible. A zero deadline is the
+// sync barrier — every frame gets the connection's own Timeout, and a
+// timeout is a client fault; a non-zero one is the async window — the
+// reader narrows the per-frame timeout toward it before each Recv
+// (Recv re-arms conn.Timeout itself; see transport.Conn), and hitting
+// it is an expiry, the expected face of a straggler, never a fault.
+func (p *PS) recvRound(id int, conn *transport.Conn, deadline time.Time) roundRecv {
+	out := roundRecv{client: id}
+	windowed := !deadline.IsZero()
+	saved := conn.Timeout
+	defer func() { conn.Timeout = saved }()
+	// skip counts one unreadable or inadmissible frame against
+	// maxBadFrames and reports whether the reader should give up on
+	// this round's marker.
+	bad := 0
+	skip := func() bool {
+		p.om.framesSkipped.Inc()
+		bad++
+		return bad >= maxBadFrames
+	}
+	for {
+		// A frame parked by an earlier barrier (see Defer below) is
+		// consumed before the socket is read again.
+		m := p.parked[id]
+		p.parked[id] = nil
 		var err error
-		if *pending != nil {
-			m, *pending = *pending, nil
-		} else {
+		if m == nil {
+			if windowed {
+				remain := time.Until(deadline)
+				if remain <= 0 {
+					out.missed, out.expired = true, true
+					return out
+				}
+				if saved > 0 {
+					remain = min(remain, saved)
+				}
+				conn.Timeout = remain
+			}
 			m, err = conn.Recv()
 		}
 		if err != nil {
-			if p.cfg.Tolerant {
-				if errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadMAC) ||
-					errors.Is(err, transport.ErrBadPayload) {
-					// The stream is still frame-aligned: skip the
-					// mangled frame and keep reading.
-					p.om.framesSkipped.Inc()
+			unreadable := errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadMAC) ||
+				errors.Is(err, transport.ErrBadPayload)
+			switch {
+			case unreadable && p.cfg.Tolerant:
+				// The stream is still frame-aligned: skip the mangled
+				// frame and keep reading.
+				if !skip() {
 					continue
 				}
-				if isTimeout(err) {
-					return upload{client: id, missed: true, err: err}
+				out.missed = true
+			case isTimeout(err) && windowed:
+				out.missed, out.expired = true, true
+			case isTimeout(err) && p.cfg.Tolerant:
+				out.missed = true
+			default:
+				out.dead, out.err = true, err
+			}
+			return out
+		}
+		d := p.sc.Decide(int(m.Round))
+		// Outside the current round only a window or a tolerant barrier
+		// has a use for the frame; the strict barrier is the paper's
+		// synchronous model, where it is a protocol violation.
+		if m.Type != transport.TypeUpload || (d.Outcome != sched.Accept && !windowed && !p.cfg.Tolerant) {
+			out.dead = true
+			out.err = fmt.Errorf("unexpected %s (round %d) from client %d", m.Type, m.Round, id)
+			return out
+		}
+		model := m.Flag == 1
+		switch d.Outcome {
+		case sched.Accept, sched.AcceptStale:
+			marker := d.Outcome == sched.Accept
+			if model {
+				pl, perr := m.ModelPayload()
+				switch {
+				case perr == nil:
+					out.entries = append(out.entries, sched.Entry{
+						Client: id, Origin: int(m.Round), Stale: d.Staleness, Weight: d.Weight, View: pl,
+					})
+					out.tally(m)
+				case !p.cfg.Tolerant:
+					out.dead, out.err = true, perr
+					return out
+				default:
+					// The frame checksummed, so a malformed codec payload
+					// is a sender lying on the wire, not line noise.
+					// Tolerant mode degrades it to a miss (the marker is
+					// consumed) or one more skipped stale frame.
+					if giveUp := skip(); marker || giveUp {
+						out.missed = true
+						return out
+					}
 				}
 			}
-			return upload{client: id, dead: true, err: err}
-		}
-		if p.cfg.Tolerant && m.Type == transport.TypeUpload {
-			switch sched.DecideAt(sched.Sync, round, int(m.Round), 0).Outcome {
-			case sched.DropStale:
-				// A duplicated or delayed frame from an earlier round.
-				p.om.framesSkipped.Inc()
-				continue
-			case sched.Defer:
-				// This round's upload was dropped and the client moved
-				// on. The frame we hold is a later round's: keep it.
-				*pending = m
-				return upload{client: id, missed: true,
-					err: fmt.Errorf("client %d already at round %d", id, m.Round)}
+			if marker {
+				return out // the marker closes this connection's round
 			}
-		}
-		if m.Type != transport.TypeUpload || int(m.Round) != round {
-			return upload{client: id, dead: true,
-				err: fmt.Errorf("unexpected %s (round %d) from client %d", m.Type, m.Round, id)}
-		}
-		if m.Flag == 1 {
-			pl, err := m.ModelPayload()
-			if err != nil {
-				// The frame checksummed, so a malformed codec payload is
-				// a sender lying on the wire, not line noise. Tolerant
-				// mode degrades it like corruption: skip and keep
-				// reading (the barrier's maxBadFrames bound still
-				// applies); strict mode condemns the connection.
-				if p.cfg.Tolerant {
-					p.om.framesSkipped.Inc()
-					continue
+		case sched.Defer:
+			// This round's marker was lost and the client has moved on.
+			// With a spill buffer the model is parked there for replay
+			// when its round opens; without one the frame itself is kept
+			// — it is the marker of a later barrier.
+			if p.spill == nil {
+				p.parked[id] = m
+			} else if model {
+				rec := spill.Record{Client: id, Server: p.cfg.ID, Origin: int(m.Round), Due: int(m.Round)}
+				if m.Payload != nil {
+					rec.Enc, rec.Data = byte(m.Enc), m.Payload
+				} else {
+					rec.Enc, rec.Data = byte(compress.EncDense), compress.DenseWire(m.Vec)
 				}
-				return upload{client: id, dead: true, err: err}
+				out.deferred = append(out.deferred, rec)
+				out.tally(m)
 			}
-			return upload{client: id, model: true, pl: pl, bytes: m.ModelWireBytes(), floats: m.ModelWireFloats()}
+			out.missed = true
+			return out
+		case sched.DropStale:
+			if windowed {
+				// A late upload the client counted as sent; the window
+				// deadline bounds how many of these a round can read.
+				if model {
+					out.tally(m)
+					out.dropped++
+				}
+			} else if skip() {
+				// Under a barrier a past-round frame is a duplicated or
+				// delayed one, and each re-arms the per-frame timeout —
+				// so it counts against the garbage bound.
+				out.missed = true
+				return out
+			}
 		}
-		return upload{client: id}
 	}
-	return upload{client: id, missed: true, err: errors.New("too many unreadable frames")}
 }
 
-// serveRound implements one aggregation + dissemination round.
-func (p *PS) serveRound(round int, conns []*transport.Conn, pending []*transport.Message) error {
-	if p.cfg.Async {
-		return p.serveRoundAsync(round, conns)
+// replaySpill pops the records parked for this round (or still
+// admissibly stale) into the member set before any socket is read, so
+// a checkpoint restart resumes mid-window instead of dropping the late
+// uploads. Popping exactly Len() records cycles not-yet-due ones to
+// the back once, preserving FIFO across rounds. A no-op without a spill
+// buffer (sync mode).
+func (p *PS) replaySpill() (entries []sched.Entry, dropped int, err error) {
+	if p.spill == nil {
+		return nil, 0, nil
 	}
-	live := 0
-	results := make(chan upload, len(conns))
+	for n := p.spill.Len(); n > 0; n-- {
+		rec, ok, err := p.spill.Pop()
+		if err != nil {
+			return nil, 0, fmt.Errorf("spill: %w", err)
+		}
+		if !ok {
+			break
+		}
+		d := p.sc.Decide(rec.Origin)
+		switch d.Outcome {
+		case sched.Defer:
+			if err := p.spill.Add(rec); err != nil {
+				return nil, 0, fmt.Errorf("spill requeue: %w", err)
+			}
+		case sched.Accept, sched.AcceptStale:
+			pl, perr := compress.ParsePayload(compress.Encoding(rec.Enc), rec.Data)
+			if perr != nil {
+				// The segment frame checksummed, so this payload was
+				// malformed at the sender; drop it like any other
+				// inadmissible upload.
+				dropped++
+				continue
+			}
+			entries = append(entries, sched.Entry{
+				Client: rec.Client, Origin: rec.Origin, Stale: d.Staleness, Weight: d.Weight, View: pl,
+			})
+		case sched.DropStale:
+			dropped++
+		}
+	}
+	return entries, dropped, nil
+}
+
+// serveRound is one round of the lifecycle, the same pipeline in both
+// modes: replay the spill, read every connection up to its round
+// marker (receive), let the scheduler rule on each frame (decide), park
+// future-round models (route), reduce the admitted set (aggregate),
+// checkpoint (commit), broadcast (disseminate). The sync barrier is the
+// degenerate window — staleness 0 and no absolute deadline — so its
+// admitted set is all-fresh and aggregate.Run serves it with the
+// unweighted kernels; what stays mode-specific is data (DESIGN.md §7).
+func (p *PS) serveRound(round int, conns []*transport.Conn) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("node: PS %d round %d: "+format, append([]any{p.cfg.ID, round}, args...)...)
+	}
 	var barrierStart time.Time
 	if p.obsOn {
 		barrierStart = time.Now()
 	}
+	entries, dropped, err := p.replaySpill()
+	if err != nil {
+		return fail("%w", err)
+	}
+
+	// One reader per connection, all bounded by the same deadline when
+	// the round has a window. In a clean run every marker lands well
+	// inside it and the deadline never fires — wall clock only bounds
+	// the faulty case, keeping seeded runs deterministic.
+	var deadline time.Time
+	if w := p.sc.Window(); w > 0 {
+		deadline = time.Now().Add(w)
+	}
+	live := 0
+	results := make(chan roundRecv, len(conns))
+	waiting := make([]bool, len(conns))
 	for id, conn := range conns {
 		if conn == nil {
 			continue
 		}
 		live++
+		waiting[id] = true
 		go func(id int, conn *transport.Conn) {
-			results <- p.recvUpload(id, round, conn, &pending[id])
+			results <- p.recvRound(id, conn, deadline)
 		}(id, conn)
 	}
 	if live == 0 {
-		return fmt.Errorf("node: PS %d round %d: no live clients", p.cfg.ID, round)
+		return fail("no live clients")
 	}
 
-	var members []int
-	var missed, lost, bytesIn, floatsIn int
-	views := make(map[int]compress.Payload)
+	t := roundTally{dropped: dropped}
+	var floatsIn int
+	var deferRecs []spill.Record
 	var firstErr error
-	// The streaming sharded path: uploads are routed into the two-tier
-	// tree as they clear the barrier instead of piling up in views, so
-	// the full K×d matrix never exists on this server. The tree is built
-	// lazily on the first model (which fixes d) and reduces in
-	// ascending-client order regardless of arrival order — bit-identical
-	// to the unsharded rule below by the sharded differential contract.
-	useShard := p.cfg.Shards > 1 && aggregate.ShardableRule(p.cfg.ServerRule)
-	var sa *aggregate.Sharded
-	shardDim := 0
-	waiting := make([]bool, len(conns))
-	for id, conn := range conns {
-		waiting[id] = conn != nil
-	}
 	for i := 0; i < live; i++ {
-		u := <-results
-		waiting[u.client] = false
-		if i == 0 && p.cfg.Tolerant && p.cfg.Timeout > 0 {
-			// Straggler window. The first result proves this round's
-			// uploads are flowing, so holdouts — in practice frames the
-			// fault layer dropped — get only Timeout/2 more before they
-			// count as missed. Without this, a dropped frame stalls the
-			// round by the full Timeout, which is exactly the receive
-			// window the OTHER servers armed for the next round: honest
-			// uploads then land on the deadline to the scheduler's
-			// whim, and seeded reruns diverge. Capping the stall at
-			// half the window restores a Timeout/2 margin, keeping the
-			// injected fault schedule the only source of misses.
+		r := <-results
+		waiting[r.client] = false
+		if i == 0 && p.cfg.Tolerant && deadline.IsZero() {
+			// Straggler cap of the tolerant barrier. The first result
+			// proves this round's uploads are flowing, so holdouts — in
+			// practice frames the fault layer dropped — get only
+			// Timeout/2 more before they count as missed. Without this,
+			// a dropped frame stalls the round by the full Timeout,
+			// which is exactly the receive window the OTHER servers
+			// armed for the next round: honest uploads then land on the
+			// deadline to the scheduler's whim, and seeded reruns
+			// diverge. Capping the stall at half the window restores a
+			// Timeout/2 margin, keeping the injected fault schedule the
+			// only source of misses. (A window needs no cap: its
+			// deadline already bounds every reader.)
 			dl := time.Now().Add(p.cfg.Timeout / 2)
 			for id, w := range waiting {
 				if w {
@@ -974,132 +1111,185 @@ func (p *PS) serveRound(round int, conns []*transport.Conn, pending []*transport
 			}
 		}
 		switch {
-		case u.dead && !p.cfg.Tolerant:
+		case r.dead && !p.cfg.Tolerant:
 			if firstErr == nil {
-				firstErr = fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, u.client, u.err)
+				firstErr = fail("client %d: %w", r.client, r.err)
 			}
-		case u.dead:
-			_ = conns[u.client].Close()
-			conns[u.client] = nil
-			pending[u.client] = nil
-			lost++
-			missed++
-		case u.missed:
-			missed++
-		case u.model:
-			if useShard && sa == nil {
-				shardDim = u.pl.Dim()
-				sa, useShard = aggregate.NewSharded(p.cfg.ServerRule, shardDim, p.cfg.Shards, len(conns))
-			}
-			if sa != nil {
-				if u.pl.Dim() != shardDim {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("node: PS %d round %d: dimension mismatch from client %d", p.cfg.ID, round, u.client)
-					}
-				} else {
-					sa.Offer(u.client, u.pl)
-				}
-			} else {
-				views[u.client] = u.pl
-			}
-			members = append(members, u.client)
-			bytesIn += u.bytes
-			floatsIn += u.floats
+			continue
+		case r.dead:
+			_ = conns[r.client].Close()
+			conns[r.client] = nil
+			p.parked[r.client] = nil
+			t.lost++
+			t.missed++
+		case r.missed:
+			t.missed++
 		}
+		if r.expired {
+			t.expired++
+		}
+		entries = append(entries, r.entries...)
+		deferRecs = append(deferRecs, r.deferred...)
+		t.dropped += r.dropped
+		t.bytesIn += r.bytes
+		floatsIn += r.floats
 	}
-	var barrierWait time.Duration
 	if p.obsOn {
-		barrierWait = time.Since(barrierStart)
+		t.barrierWait = time.Since(barrierStart)
 	}
 	if firstErr != nil {
-		if sa != nil {
-			sa.Abort()
-		}
 		return firstErr
 	}
+	// Deferred records enter the spill in canonical order, not
+	// reader-completion order, so the segment content — and the
+	// mem-vs-disk split under a tight MemLimit — is reproducible.
+	slices.SortFunc(deferRecs, func(a, b spill.Record) int {
+		return sched.Compare(a.Client, a.Origin, b.Client, b.Origin)
+	})
+	for _, rec := range deferRecs {
+		if err := p.spill.Add(rec); err != nil {
+			return fail("spill: %w", err)
+		}
+	}
+	t.deferred = len(deferRecs)
 
-	// Aggregate in ascending client order — the same input order as
-	// the in-process engine, for bitwise parity. The rule consumes the
-	// payload views directly: a fused rule never densifies the codec
-	// uploads, a rule without a payload kernel falls back to
-	// densify-first inside AggregatePayloads (bit-identical either way;
-	// see the aggregate.PayloadRule contract). A benign server writes
-	// into its round-persistent buffer (nothing retains its aggregate
-	// past the round); a Byzantine server allocates fresh — its history
-	// feeds the adaptive attack.
-	sort.Ints(members)
-	var agg []float64
-	aggFused, aggSharded := false, false
-	oracleEvals := 0
-	var shardPeak int64
-	var dst []float64
-	if p.cfg.Attack == nil {
-		dst = p.aggBuf
-	}
-	if len(members) == 0 {
-		if p.lastAgg == nil {
-			return fmt.Errorf("node: PS %d round %d: no uploads and no previous aggregate", p.cfg.ID, round)
+	// The admitted set in canonical order — the same input order as the
+	// in-process engine, for bitwise parity. Every member must have the
+	// dimension this server already knows (hello seed / last aggregate;
+	// with neither, the first member in canonical order fixes it): a
+	// checksummed upload of any other size is a sender lying on the
+	// wire, degraded like a malformed codec payload.
+	sched.Sort(entries)
+	dim := len(p.lastAgg)
+	kept := entries[:0]
+	for _, e := range entries {
+		if dim == 0 {
+			dim = e.View.Dim()
 		}
-		agg = append([]float64(nil), p.lastAgg...)
-	} else if sa != nil {
-		agg = sa.Finalize(dst)
-		aggSharded = true
-		shardPeak = sa.PeakShardBytes()
-	} else {
-		first := views[members[0]]
-		dim := first.Dim()
-		ordered := make([]compress.Payload, 0, len(members))
-		for _, k := range members {
-			v := views[k]
-			if v.Dim() != dim {
-				return fmt.Errorf("node: PS %d round %d: dimension mismatch from client %d", p.cfg.ID, round, k)
+		switch {
+		case e.View.Dim() == dim:
+			kept = append(kept, e)
+			if e.Stale > 0 {
+				t.stale++
 			}
-			ordered = append(ordered, v)
+		case !p.cfg.Tolerant:
+			return fail("dimension mismatch from client %d: got %d, want %d", e.Client, e.View.Dim(), dim)
+		default:
+			p.om.framesSkipped.Inc()
+			if e.Stale == 0 {
+				t.missed++ // its marker carried nothing usable
+			}
 		}
-		agg, aggFused, oracleEvals = aggregate.AggregatePayloadsWithOracleInto(p.cfg.ServerRule, dst, ordered, p.cfg.LossOracle)
 	}
-	if dst != nil && len(members) > 0 {
-		p.aggBuf = agg
+	entries = kept
+	t.members = len(entries)
+
+	// Aggregate. The rule consumes the payload views directly: a fused
+	// rule never densifies the codec uploads, a rule without a payload
+	// kernel falls back to densify-first inside aggregate.Run
+	// (bit-identical either way; see the aggregate.PayloadRule
+	// contract). A benign server writes into its round-persistent
+	// buffer (nothing retains its aggregate past the round); a Byzantine
+	// server allocates fresh — its history feeds the adaptive attack.
+	var res aggregate.Result
+	if len(entries) == 0 {
+		if p.lastAgg == nil {
+			return fail("no uploads and no previous aggregate")
+		}
+		res.Out = append([]float64(nil), p.lastAgg...)
+	} else {
+		benign := p.cfg.Attack == nil
+		req := aggregate.Request{Rule: p.cfg.ServerRule, Oracle: p.cfg.LossOracle, Shards: p.cfg.Shards}
+		req.Views, req.Weights = sched.Members(entries)
+		if benign {
+			req.Dst = p.aggBuf
+		}
+		res = aggregate.Run(req)
+		if benign {
+			p.aggBuf = res.Out
+		}
 	}
+	agg := res.Out
+
 	p.mu.Lock()
 	p.lastAgg = agg
 	p.stats.RoundsServed++
-	p.stats.UploadsReceived += len(members)
-	p.stats.UploadsMissed += missed
-	p.stats.ClientsLost += lost
-	p.stats.BytesIn += bytesIn
+	p.stats.UploadsReceived += t.members
+	p.stats.UploadsMissed += t.missed
+	p.stats.UploadsStale += t.stale
+	p.stats.UploadsDropped += t.dropped
+	p.stats.UploadsDeferred += t.deferred
+	p.stats.WindowExpired += t.expired
+	p.stats.ClientsLost += t.lost
+	p.stats.BytesIn += t.bytesIn
 	p.stats.FloatsIn += floatsIn
-	if shardPeak > p.stats.ShardPeakBytes {
-		p.stats.ShardPeakBytes = shardPeak
+	if res.PeakBytes > p.stats.ShardPeakBytes {
+		p.stats.ShardPeakBytes = res.PeakBytes
 	}
 	p.mu.Unlock()
 	p.om.rounds.Inc()
-	p.om.uploadsRecv.Add(int64(len(members)))
-	p.om.uploadsMissed.Add(int64(missed))
-	p.om.clientsLost.Add(int64(lost))
-	p.om.bytesIn.Add(int64(bytesIn))
+	p.om.uploadsRecv.Add(int64(t.members))
+	p.om.uploadsMissed.Add(int64(t.missed))
+	p.om.clientsLost.Add(int64(t.lost))
+	p.om.bytesIn.Add(int64(t.bytesIn))
 	p.om.floatsIn.Add(int64(floatsIn))
-	if len(members) > 0 {
+	if t.members > 0 {
 		switch {
-		case aggSharded:
+		case res.Sharded:
 			p.om.aggSharded.Inc()
-			if shardPeak > 0 {
-				p.om.shardPeakBytes.Set(shardPeak)
-			}
-		case aggFused:
+			p.om.shardPeakBytes.Set(res.PeakBytes)
+		case res.Fused:
 			p.om.aggFused.Inc()
 		default:
 			p.om.aggFallback.Inc()
 		}
-		p.om.aggDecodeBytes.Add(int64(bytesIn))
-		p.om.oracleEvals.Add(int64(oracleEvals))
+		p.om.aggDecodeBytes.Add(int64(t.bytesIn))
+		p.om.oracleEvals.Add(int64(res.OracleEvals))
 	}
-	p.om.barrierWait.ObserveDuration(barrierWait)
+	p.om.barrierWait.ObserveDuration(t.barrierWait)
+	if p.cfg.Async {
+		p.om.winFresh.Add(int64(t.members - t.stale))
+		p.om.winStale.Add(int64(t.stale))
+		p.om.winDropped.Add(int64(t.dropped))
+		p.om.winDeferred.Add(int64(t.deferred))
+		p.om.windowExpired.Add(int64(t.expired))
+		if p.cfg.Obs != nil {
+			for _, e := range entries {
+				p.om.staleHist.Observe(float64(e.Stale))
+			}
+		}
+		p.om.spillDepth.Set(int64(p.spill.Len()))
+		p.om.spillBytes.Set(p.spill.MemBytes() + p.spill.DiskBytes())
+	}
 
-	return p.disseminate(round, agg, conns, roundTally{
-		members: len(members), missed: missed, lost: lost,
-		bytesIn: bytesIn, barrierWait: barrierWait,
-	})
+	// Window close is the commit point of a checkpointed server: persist
+	// the round horizon, the aggregate and the flushed spill manifest, so
+	// a restart re-enters the protocol exactly here.
+	if p.cfg.CheckpointPath != "" {
+		man, err := p.spill.Flush()
+		if err != nil {
+			return fail("spill flush: %w", err)
+		}
+		st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: agg}
+		checkpoint.WriteAsyncMeta(st, checkpoint.AsyncState{
+			Window: p.cfg.Window, Staleness: p.cfg.Staleness,
+			SpillPath: man.Path, SpillRecords: man.Records, SpillBytes: man.Bytes,
+		})
+		if err := checkpoint.SaveFile(p.cfg.CheckpointPath, st); err != nil {
+			return fail("checkpoint: %w", err)
+		}
+	}
+	if p.spill != nil {
+		// Read after the flush: pushing the in-memory backlog to disk
+		// can move the segment high-water mark.
+		p.mu.Lock()
+		if pd := p.spill.PeakDiskBytes(); pd > p.stats.SpillPeakBytes {
+			p.stats.SpillPeakBytes = pd
+		}
+		p.mu.Unlock()
+	}
+
+	return p.disseminate(round, agg, conns, t)
 }
 
 // roundTally carries the aggregation phase's outcome into disseminate,
@@ -1275,427 +1465,6 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 		p.cfg.Logger.Info("ps round", attrs...)
 	}
 	return nil
-}
-
-// psArrival is one admitted upload of an async round: a payload view
-// plus its staleness down-weight. The member set sorts by (client,
-// origin) before aggregation so membership order — and therefore every
-// aggregate bit — is independent of arrival interleaving.
-type psArrival struct {
-	client, origin, stale int
-	weight                float64
-	view                  compress.Payload
-}
-
-// asyncRecv is one connection's contribution to an async round: the
-// frames admitted up to (and including) the round marker, plus the
-// spill records of any future-round models that prove the marker lost.
-type asyncRecv struct {
-	client   int
-	entries  []psArrival
-	deferred []spill.Record
-	bytes    int
-	floats   int
-	dropped  int
-	missed   bool
-	expired  bool
-	dead     bool
-	err      error
-}
-
-// recvAsyncUploads reads client id's frames for async round `round`
-// until the round marker — a frame tagged with the current round —
-// arrives or the window deadline passes. Stale frames within the bound
-// are admitted down-weighted, frames past it are dropped, and a
-// future-round frame means this round's marker was lost: its model is
-// handed back for the spill buffer and the marker counts as missed.
-// The reader owns the connection for the duration of the barrier, so
-// it narrows the per-frame timeout toward the window deadline before
-// each Recv (Recv re-arms conn.Timeout itself; see transport.Conn).
-func (p *PS) recvAsyncUploads(id, round int, conn *transport.Conn, deadline time.Time) asyncRecv {
-	out := asyncRecv{client: id}
-	saved := conn.Timeout
-	defer func() { conn.Timeout = saved }()
-	bad := 0
-	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			out.missed, out.expired = true, true
-			return out
-		}
-		if saved > 0 && remain > saved {
-			remain = saved
-		}
-		conn.Timeout = remain
-		m, err := conn.Recv()
-		if err != nil {
-			switch {
-			case errors.Is(err, transport.ErrBadChecksum), errors.Is(err, transport.ErrBadMAC),
-				errors.Is(err, transport.ErrBadPayload):
-				if p.cfg.Tolerant {
-					p.om.framesSkipped.Inc()
-					if bad++; bad >= maxBadFrames {
-						out.missed = true
-						out.err = errors.New("too many unreadable frames")
-						return out
-					}
-					continue
-				}
-				out.dead, out.err = true, err
-				return out
-			case isTimeout(err):
-				// The window closed with this marker still outstanding
-				// (in async mode a missing marker is the expected face of
-				// a straggler, not a protocol fault): aggregate without
-				// it.
-				out.missed, out.expired = true, true
-				out.err = err
-				return out
-			default:
-				out.dead, out.err = true, err
-				return out
-			}
-		}
-		if m.Type != transport.TypeUpload {
-			out.dead = true
-			out.err = fmt.Errorf("unexpected %s (round %d) from client %d", m.Type, m.Round, id)
-			return out
-		}
-		d := sched.DecideAt(sched.Async, round, int(m.Round), p.cfg.Staleness)
-		switch d.Outcome {
-		case sched.Accept, sched.AcceptStale:
-			if m.Flag != 1 {
-				if d.Outcome == sched.Accept {
-					return out // skip marker: nothing this round
-				}
-				continue // a stale skip frame carries nothing
-			}
-			pl, perr := m.ModelPayload()
-			if perr != nil {
-				// The frame checksummed, so a malformed payload is a
-				// sender lying on the wire; tolerant mode degrades it to
-				// a miss (the marker is consumed) or a skipped stale
-				// frame, strict mode condemns the connection.
-				if !p.cfg.Tolerant {
-					out.dead, out.err = true, perr
-					return out
-				}
-				p.om.framesSkipped.Inc()
-				if d.Outcome == sched.Accept {
-					out.missed, out.err = true, perr
-					return out
-				}
-				if bad++; bad >= maxBadFrames {
-					out.missed = true
-					return out
-				}
-				continue
-			}
-			out.entries = append(out.entries, psArrival{
-				client: id, origin: int(m.Round), stale: d.Staleness, weight: d.Weight, view: pl,
-			})
-			out.bytes += m.ModelWireBytes()
-			out.floats += m.ModelWireFloats()
-			if d.Outcome == sched.Accept {
-				return out // the marker closes this connection's round
-			}
-		case sched.Defer:
-			// A future-round frame: this round's marker was lost and the
-			// client has moved on. Park the model for replay when its
-			// round opens; the marker counts as missed.
-			if m.Flag == 1 {
-				rec := spill.Record{Client: id, Server: p.cfg.ID, Origin: int(m.Round), Due: int(m.Round)}
-				if m.Payload != nil {
-					rec.Enc, rec.Data = byte(m.Enc), m.Payload
-				} else {
-					rec.Enc, rec.Data = byte(compress.EncDense), denseWire(m.Vec)
-				}
-				out.deferred = append(out.deferred, rec)
-				out.bytes += m.ModelWireBytes()
-				out.floats += m.ModelWireFloats()
-			}
-			out.missed = true
-			return out
-		case sched.DropStale:
-			if m.Flag == 1 {
-				out.bytes += m.ModelWireBytes()
-				out.floats += m.ModelWireFloats()
-				out.dropped++
-			}
-		}
-	}
-}
-
-// serveRoundAsync implements one windowed aggregation + dissemination
-// round: replay the spill, read every connection up to its round
-// marker or the window deadline, admit stale uploads down-weighted,
-// aggregate through the weighted kernels, checkpoint, disseminate.
-func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
-	var barrierStart time.Time
-	if p.obsOn {
-		barrierStart = time.Now()
-	}
-
-	// Spill replay: records parked for this round (or still admissibly
-	// stale) join the member set before any socket is read, so a
-	// checkpoint restart resumes mid-window instead of dropping the
-	// late uploads. Popping exactly Len() records cycles not-yet-due
-	// ones to the back once, preserving FIFO across rounds.
-	var entries []psArrival
-	dropped := 0
-	for n := p.spill.Len(); n > 0; n-- {
-		rec, ok, err := p.spill.Pop()
-		if err != nil {
-			return fmt.Errorf("node: PS %d round %d spill: %w", p.cfg.ID, round, err)
-		}
-		if !ok {
-			break
-		}
-		d := sched.DecideAt(sched.Async, round, rec.Origin, p.cfg.Staleness)
-		switch d.Outcome {
-		case sched.Defer:
-			if err := p.spill.Add(rec); err != nil {
-				return fmt.Errorf("node: PS %d round %d spill requeue: %w", p.cfg.ID, round, err)
-			}
-		case sched.Accept, sched.AcceptStale:
-			pl, perr := compress.ParsePayload(compress.Encoding(rec.Enc), rec.Data)
-			if perr != nil {
-				// The segment frame checksummed, so this payload was
-				// malformed at the sender; drop it like any other
-				// inadmissible upload.
-				dropped++
-				continue
-			}
-			entries = append(entries, psArrival{
-				client: rec.Client, origin: rec.Origin, stale: d.Staleness, weight: d.Weight, view: pl,
-			})
-		case sched.DropStale:
-			dropped++
-		}
-	}
-
-	// Window barrier: one reader per connection, all bounded by the
-	// same deadline. In a clean run every marker lands well inside the
-	// window and the deadline never fires — wall clock only bounds the
-	// faulty case, keeping seeded runs deterministic.
-	deadline := time.Now().Add(p.cfg.Window)
-	live := 0
-	results := make(chan asyncRecv, len(conns))
-	for id, conn := range conns {
-		if conn == nil {
-			continue
-		}
-		live++
-		go func(id int, conn *transport.Conn) {
-			results <- p.recvAsyncUploads(id, round, conn, deadline)
-		}(id, conn)
-	}
-	if live == 0 {
-		return fmt.Errorf("node: PS %d round %d: no live clients", p.cfg.ID, round)
-	}
-
-	var missed, lost, expired, bytesIn, floatsIn int
-	var deferRecs []spill.Record
-	var firstErr error
-	for i := 0; i < live; i++ {
-		r := <-results
-		switch {
-		case r.dead && !p.cfg.Tolerant:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, r.client, r.err)
-			}
-		case r.dead:
-			_ = conns[r.client].Close()
-			conns[r.client] = nil
-			lost++
-			missed++
-		default:
-			if r.missed {
-				missed++
-			}
-			if r.expired {
-				expired++
-			}
-			entries = append(entries, r.entries...)
-			deferRecs = append(deferRecs, r.deferred...)
-			dropped += r.dropped
-			bytesIn += r.bytes
-			floatsIn += r.floats
-		}
-	}
-	var barrierWait time.Duration
-	if p.obsOn {
-		barrierWait = time.Since(barrierStart)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	// Deferred records enter the spill in (client, origin) order, not
-	// reader-completion order, so the segment content — and the
-	// mem-vs-disk split under a tight MemLimit — is reproducible.
-	sort.Slice(deferRecs, func(i, j int) bool {
-		if deferRecs[i].Client != deferRecs[j].Client {
-			return deferRecs[i].Client < deferRecs[j].Client
-		}
-		return deferRecs[i].Origin < deferRecs[j].Origin
-	})
-	for _, rec := range deferRecs {
-		if err := p.spill.Add(rec); err != nil {
-			return fmt.Errorf("node: PS %d round %d spill: %w", p.cfg.ID, round, err)
-		}
-	}
-	deferred := len(deferRecs)
-
-	// Weighted aggregation over the admitted set in (client, origin)
-	// order. The weighted kernels reproduce the unweighted rules bit
-	// for bit at weight 1 (the aggregate.WeightedRule contract), so a
-	// wide window degenerates to the sync barrier's aggregate exactly.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].client != entries[j].client {
-			return entries[i].client < entries[j].client
-		}
-		return entries[i].origin < entries[j].origin
-	})
-	fresh, staleN := 0, 0
-	for _, e := range entries {
-		if e.stale == 0 {
-			fresh++
-		} else {
-			staleN++
-		}
-	}
-	var agg []float64
-	aggFused, aggSharded := false, false
-	var shardPeak int64
-	var dst []float64
-	if p.cfg.Attack == nil {
-		dst = p.aggBuf
-	}
-	if len(entries) == 0 {
-		if p.lastAgg == nil {
-			return fmt.Errorf("node: PS %d round %d: no uploads and no previous aggregate", p.cfg.ID, round)
-		}
-		agg = append([]float64(nil), p.lastAgg...)
-	} else {
-		dim := entries[0].view.Dim()
-		ordered := make([]compress.Payload, len(entries))
-		weights := make([]float64, len(entries))
-		for i, e := range entries {
-			if e.view.Dim() != dim {
-				return fmt.Errorf("node: PS %d round %d: dimension mismatch from client %d", p.cfg.ID, round, e.client)
-			}
-			ordered[i] = e.view
-			weights[i] = e.weight
-		}
-		if p.cfg.Shards > 1 {
-			agg, aggSharded, shardPeak = aggregate.ShardAggregateWeightedPayloads(p.cfg.ServerRule, dst, ordered, weights, p.cfg.Shards)
-			aggFused = aggSharded
-		} else {
-			agg, aggFused = aggregate.AggregateWeightedPayloads(p.cfg.ServerRule, dst, ordered, weights)
-		}
-		if dst != nil {
-			p.aggBuf = agg
-		}
-	}
-
-	p.mu.Lock()
-	p.lastAgg = agg
-	p.stats.RoundsServed++
-	p.stats.UploadsReceived += len(entries)
-	p.stats.UploadsMissed += missed
-	p.stats.UploadsStale += staleN
-	p.stats.UploadsDropped += dropped
-	p.stats.UploadsDeferred += deferred
-	p.stats.WindowExpired += expired
-	p.stats.ClientsLost += lost
-	p.stats.BytesIn += bytesIn
-	p.stats.FloatsIn += floatsIn
-	if shardPeak > p.stats.ShardPeakBytes {
-		p.stats.ShardPeakBytes = shardPeak
-	}
-	if pd := p.spill.PeakDiskBytes(); pd > p.stats.SpillPeakBytes {
-		p.stats.SpillPeakBytes = pd
-	}
-	p.mu.Unlock()
-	p.om.rounds.Inc()
-	p.om.uploadsRecv.Add(int64(len(entries)))
-	p.om.uploadsMissed.Add(int64(missed))
-	p.om.clientsLost.Add(int64(lost))
-	p.om.bytesIn.Add(int64(bytesIn))
-	p.om.floatsIn.Add(int64(floatsIn))
-	p.om.winFresh.Add(int64(fresh))
-	p.om.winStale.Add(int64(staleN))
-	p.om.winDropped.Add(int64(dropped))
-	p.om.winDeferred.Add(int64(deferred))
-	p.om.windowExpired.Add(int64(expired))
-	if p.cfg.Obs != nil {
-		for _, e := range entries {
-			p.om.staleHist.Observe(float64(e.stale))
-		}
-	}
-	p.om.spillDepth.Set(int64(p.spill.Len()))
-	p.om.spillBytes.Set(p.spill.MemBytes() + p.spill.DiskBytes())
-	if len(entries) > 0 {
-		switch {
-		case aggSharded:
-			p.om.aggSharded.Inc()
-			if shardPeak > 0 {
-				p.om.shardPeakBytes.Set(shardPeak)
-			}
-		case aggFused:
-			p.om.aggFused.Inc()
-		default:
-			p.om.aggFallback.Inc()
-		}
-		p.om.aggDecodeBytes.Add(int64(bytesIn))
-	}
-	p.om.barrierWait.ObserveDuration(barrierWait)
-
-	// Window close is the async commit point: persist the round
-	// horizon, the aggregate and the flushed spill manifest, so a
-	// restart re-enters the protocol exactly here.
-	if p.cfg.CheckpointPath != "" {
-		man, err := p.spill.Flush()
-		if err != nil {
-			return fmt.Errorf("node: PS %d round %d spill flush: %w", p.cfg.ID, round, err)
-		}
-		if man.Bytes > 0 {
-			// Flushing pushes the in-memory backlog to disk, so the
-			// segment high-water mark can move after the round's stats
-			// snapshot.
-			p.mu.Lock()
-			if man.Bytes > p.stats.SpillPeakBytes {
-				p.stats.SpillPeakBytes = man.Bytes
-			}
-			p.mu.Unlock()
-		}
-		st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: agg}
-		checkpoint.WriteAsyncMeta(st, checkpoint.AsyncState{
-			Window: p.cfg.Window, Staleness: p.cfg.Staleness,
-			SpillPath: man.Path, SpillRecords: man.Records, SpillBytes: man.Bytes,
-		})
-		if err := checkpoint.SaveFile(p.cfg.CheckpointPath, st); err != nil {
-			return fmt.Errorf("node: PS %d round %d checkpoint: %w", p.cfg.ID, round, err)
-		}
-	}
-
-	return p.disseminate(round, agg, conns, roundTally{
-		members: len(entries), missed: missed, lost: lost,
-		bytesIn: bytesIn, barrierWait: barrierWait,
-		stale: staleN, dropped: dropped, deferred: deferred, expired: expired,
-	})
-}
-
-// denseWire serializes a dense model to the codec wire format
-// (little-endian float64s), so a parked dense upload round-trips
-// bit-exactly through compress.ParsePayload(EncDense, ·). Mirrors the
-// engine's helper of the same name.
-func denseWire(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
 }
 
 // isTimeout reports whether err is a network timeout (deadline

@@ -13,10 +13,11 @@ import (
 
 // runDistributedOpts is runDistributed with config hooks: psMut and
 // clMut edit each node's config after the shared defaults are set, so
-// the sharded and participation tiers reuse one runner.
+// the sharded, participation and degenerate-window tiers reuse one
+// runner. It also returns every server's final stats.
 func runDistributedOpts(t *testing.T, learners []core.Learner, p, rounds int,
 	filter aggregate.Rule, seed uint64,
-	psMut func(*PSConfig), clMut func(*ClientConfig)) ([][]float64, [][]ClientRoundStats) {
+	psMut func(*PSConfig), clMut func(*ClientConfig)) ([][]float64, [][]ClientRoundStats, []PSStats) {
 	t.Helper()
 	k := len(learners)
 
@@ -90,7 +91,11 @@ func runDistributedOpts(t *testing.T, learners []core.Learner, p, rounds int,
 	for i, l := range learners {
 		params[i] = l.Params()
 	}
-	return params, clientStats
+	psStats := make([]PSStats, p)
+	for i, ps := range servers {
+		psStats[i] = ps.Stats()
+	}
+	return params, clientStats, psStats
 }
 
 // runEngineCfg runs the in-process engine under a caller-shaped config
@@ -124,7 +129,7 @@ func TestDistributedShardedMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dist, _ := runDistributedOpts(t, makeLearners(t, k, seed), p, rounds, rule, seed,
+	dist, _, _ := runDistributedOpts(t, makeLearners(t, k, seed), p, rounds, rule, seed,
 		func(c *PSConfig) {
 			c.ServerRule = aggregate.TrimmedMean{Beta: 0.2}
 			c.Shards = 3
@@ -163,7 +168,7 @@ func TestDistributedParticipationMatchesEngine(t *testing.T) {
 	const participation = 0.5
 	rule := aggregate.TrimmedMean{Beta: 0.2}
 
-	dist, clientStats := runDistributedOpts(t, makeLearners(t, k, seed), p, rounds, rule, seed,
+	dist, clientStats, _ := runDistributedOpts(t, makeLearners(t, k, seed), p, rounds, rule, seed,
 		nil,
 		func(c *ClientConfig) {
 			c.Clients = k

@@ -24,9 +24,12 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
+	"fedms/internal/compress"
 	"fedms/internal/randx"
 )
 
@@ -139,14 +142,9 @@ func (s *Scheduler) Advance() bool {
 	return !s.Done()
 }
 
-// Async reports whether the scheduler runs the windowed lifecycle.
-func (s *Scheduler) Async() bool { return s.cfg.Mode == Async }
-
-// Window returns the per-round aggregation window (0 in sync mode).
+// Window returns the per-round aggregation window (0 in sync mode,
+// where the barrier has no absolute deadline).
 func (s *Scheduler) Window() time.Duration { return s.cfg.Window }
-
-// Staleness returns the admission bound S (0 in sync mode).
-func (s *Scheduler) Staleness() int { return s.cfg.Staleness }
 
 // Decide classifies an upload tagged with origin against the current
 // round. Pure in (mode, round, origin, staleness bound).
@@ -168,6 +166,47 @@ func DecideAt(mode Mode, round, origin, staleness int) Decision {
 	default:
 		return Decision{Outcome: DropStale}
 	}
+}
+
+// Entry is one upload admitted to a round's aggregation — the member
+// type both runtimes build, sync and async alike: a payload view plus
+// the staleness the scheduler ruled on and the down-weight it carries
+// into the robust rule (exactly 1 when fresh).
+type Entry struct {
+	Client, Origin int
+	Stale          int     // rounds behind the admitting round; 0 = fresh
+	Weight         float64 // Weight(Stale)
+	View           compress.Payload
+}
+
+// Compare is the canonical member order: ascending client, then origin
+// round. Every admitted set — and every batch of records entering a
+// spill buffer — is put in this order first, so membership order, and
+// therefore every aggregate bit and every segment byte, is independent
+// of arrival interleaving.
+func Compare(clientA, originA, clientB, originB int) int {
+	if c := cmp.Compare(clientA, clientB); c != 0 {
+		return c
+	}
+	return cmp.Compare(originA, originB)
+}
+
+// Sort puts an admitted set in canonical member order.
+func Sort(entries []Entry) {
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return Compare(a.Client, a.Origin, b.Client, b.Origin)
+	})
+}
+
+// Members returns the aligned views and weights the aggregation call
+// consumes, in the order the entries are given (canonical, after Sort).
+func Members(entries []Entry) (views []compress.Payload, weights []float64) {
+	views = make([]compress.Payload, len(entries))
+	weights = make([]float64, len(entries))
+	for i, e := range entries {
+		views[i], weights[i] = e.View, e.Weight
+	}
+	return views, weights
 }
 
 // Weight is the deterministic staleness down-weight applied before the

@@ -135,3 +135,35 @@ func TestArrivalDelayDeterministicAndBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestSortIsCanonicalMemberOrder pins the one definition of member
+// order: ascending client, then origin, whatever order the readers and
+// the spill replay delivered the entries in — and Members keeps views
+// and weights aligned with it.
+func TestSortIsCanonicalMemberOrder(t *testing.T) {
+	entries := []Entry{
+		{Client: 2, Origin: 5, Weight: 1},
+		{Client: 0, Origin: 5, Weight: 1},
+		{Client: 2, Origin: 3, Stale: 2, Weight: Weight(2)},
+		{Client: 1, Origin: 4, Stale: 1, Weight: Weight(1)},
+	}
+	Sort(entries)
+	want := [][2]int{{0, 5}, {1, 4}, {2, 3}, {2, 5}}
+	for i, e := range entries {
+		if e.Client != want[i][0] || e.Origin != want[i][1] {
+			t.Fatalf("entry %d = (client %d, origin %d), want %v", i, e.Client, e.Origin, want[i])
+		}
+	}
+	views, weights := Members(entries)
+	if len(views) != len(entries) || len(weights) != len(entries) {
+		t.Fatalf("Members returned %d views, %d weights for %d entries", len(views), len(weights), len(entries))
+	}
+	for i, e := range entries {
+		if weights[i] != e.Weight {
+			t.Fatalf("weight %d = %v, want %v", i, weights[i], e.Weight)
+		}
+	}
+	if Compare(1, 9, 2, 0) >= 0 || Compare(2, 3, 2, 5) >= 0 || Compare(2, 5, 2, 5) != 0 {
+		t.Fatal("Compare is not (client, origin) lexicographic")
+	}
+}
