@@ -46,7 +46,13 @@ test:
 # the Decode allocation gates run WITHOUT -race because the race
 # runtime's shadow allocations make testing.AllocsPerRun and TotalAlloc
 # deltas meaningless (the gates skip themselves under -race, so this
-# named no-race stage is the only place they actually assert).
+# named no-race stage is the only place they actually assert). The
+# federation-spec tier runs eighth: one spec (fedms.Config resolved to
+# core.Config) is bound to flags once and every node's configuration is
+# derived from it, so the CLI contract (the pinned flag surface, the
+# one table of rejections, both commands surfacing it before any
+# listener binds, `-role client` running the client `-role local`
+# would) and the derived-federation ≡ engine parity fail by name.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race -run 'Gemm' ./internal/tensor/
@@ -60,6 +66,8 @@ verify:
 	$(GO) test -race -run 'TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical' ./internal/core/
 	$(GO) test -race -run 'TestChaosFloodJunkStorm' ./internal/node/
 	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc' ./internal/transport/
+	$(GO) test -race -run 'FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNodeRejectsBadDeploymentFlags|TestNodeClientRoleRunsTheLocalClient' ./cmd/...
+	$(GO) test -race -run 'TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin' ./internal/node/
 	$(GO) test -race ./...
 
 # Just the fault-injection surface under the race detector.

@@ -28,7 +28,6 @@ import (
 	"fedms/internal/aggregate"
 	"fedms/internal/compress"
 	"fedms/internal/core"
-	"fedms/internal/nn"
 	"fedms/internal/node"
 	"fedms/internal/randx"
 )
@@ -159,6 +158,7 @@ func scaleSmoke(out io.Writer, seed uint64, quick bool) (*BenchEntry, error) {
 	}
 	eng, err := fedms.BuildEngine(fedms.Config{
 		Clients: k, Servers: p, Rounds: rounds, LocalSteps: 1,
+		Upload: fedms.FullUpload, TrimBeta: 0.2, Shards: shards,
 		Dataset: fedms.DatasetSpec{Kind: fedms.DatasetBlobs, Samples: 800},
 		Model:   fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{32}},
 		Seed:    seed, EvalEvery: -1,
@@ -166,15 +166,18 @@ func scaleSmoke(out io.Writer, seed uint64, quick bool) (*BenchEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	learners := eng.Learners()
+	// Every node's configuration derives from the engine's resolved spec.
+	cfg := eng.Config()
 
 	servers := make([]*node.PS, p)
 	addrs := make([]string, p)
 	for i := 0; i < p; i++ {
-		ps, err := node.NewPS(node.PSConfig{
-			ID: i, ListenAddr: "127.0.0.1:0", Clients: k, Rounds: rounds,
-			Shards: shards, Seed: seed, Timeout: 30 * time.Second,
-		})
+		pc, err := node.PSConfigFor(cfg, i)
+		if err != nil {
+			return nil, err
+		}
+		pc.ListenAddr, pc.Timeout = "127.0.0.1:0", 30*time.Second
+		ps, err := node.NewPS(pc)
 		if err != nil {
 			return nil, err
 		}
@@ -193,20 +196,19 @@ func scaleSmoke(out io.Writer, seed uint64, quick bool) (*BenchEntry, error) {
 			}
 		}(ps)
 	}
-	for id := 0; id < k; id++ {
+	for id, l := range eng.Learners() {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			_, err := node.RunClient(node.ClientConfig{
-				ID: id, Learner: learners[id], Servers: addrs,
-				Rounds: rounds, LocalSteps: 1, FullUpload: true,
-				Filter: aggregate.TrimmedMean{Beta: 0.2}, Schedule: nn.ConstantLR(0.1),
-				Seed: seed, Timeout: 30 * time.Second,
-			})
+			cc, err := node.ClientConfigFor(cfg, id, l)
+			if err == nil {
+				cc.Servers, cc.Timeout = addrs, 30*time.Second
+				_, err = node.RunClient(cc)
+			}
 			if err != nil {
 				errCh <- err
 			}
-		}(id)
+		}()
 	}
 	wg.Wait()
 	close(errCh)

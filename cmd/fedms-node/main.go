@@ -35,43 +35,29 @@ import (
 	"time"
 
 	"fedms"
+	"fedms/cmd/internal/fedflags"
 	"fedms/internal/aggregate"
 	"fedms/internal/attack"
-	"fedms/internal/compress"
 	"fedms/internal/core"
-	"fedms/internal/nn"
 	"fedms/internal/node"
 	"fedms/internal/obs"
-	"fedms/internal/randx"
 	"fedms/internal/transport"
 )
 
+// options holds the deployment flags — where this node listens and
+// dials, how it authenticates, what it tolerates — beside the shared
+// federation spec every node of the run must agree on.
 type options struct {
+	spec *fedflags.Binding
+
 	role   string
 	id     int
 	listen string
 	peers  string
 
-	clients    int
-	servers    int
-	byzantine  int
-	rounds     int
-	localSteps int
-	batch      int
-	beta       float64
-	attackName string
 	clientAtk  string
-	byzClients int
 	serverBeta float64
-	filterSpec string
-	serverSpec string
 	fullUpload bool
-	partic     float64
-	shards     int
-	lr         float64
-	alpha      float64
-	samples    int
-	seed       uint64
 	key        string
 	timeout    time.Duration
 
@@ -89,32 +75,10 @@ type options struct {
 	faultCrash    int
 	minModels     int
 
-	async        bool
-	window       time.Duration
-	staleness    int
-	spillDir     string
-	spillMem     int
 	ckptPath     string
 	latencyScale time.Duration
 
-	codec     string
-	downCodec string
-	// upSpec and downSpec are the parsed forms of codec and downCodec,
-	// resolved once in run() so every role shares the validation.
-	upSpec   compress.Spec
-	downSpec compress.Spec
-
-	// filterRule and serverRuleObj are the parsed forms of filterSpec
-	// and serverSpec (or the beta-derived defaults when the specs are
-	// empty), resolved once in run() like the codec specs. oracle is
-	// the shared holdout-loss oracle, non-nil only when one of the
-	// rules implements aggregate.LossRule.
-	filterRule    aggregate.Rule
-	serverRuleObj aggregate.Rule
-	oracle        fedms.LossEval
-
 	metricsAddr string
-	tracePath   string
 	logRounds   bool
 }
 
@@ -127,31 +91,26 @@ func main() {
 
 func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("fedms-node", flag.ContinueOnError)
-	o := &options{}
+	o := declareFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// declareFlags declares the shared federation flags (fedflags) and this
+// command's own on fs.
+func declareFlags(fs *flag.FlagSet) *options {
+	o := &options{spec: fedflags.Bind(fs, fedflags.NodeDefaults)}
+	spec := &o.spec.Config
 	fs.StringVar(&o.role, "role", "local", "node role: ps|client|local")
 	fs.IntVar(&o.id, "id", 0, "node id (server index for ps, client index for client)")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "listen address (ps role)")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated PS addresses in server-id order (client role)")
-	fs.IntVar(&o.clients, "clients", 8, "number of clients K")
-	fs.IntVar(&o.servers, "servers", 3, "number of parameter servers P")
-	fs.IntVar(&o.byzantine, "byzantine", 0, "number of Byzantine servers B")
-	fs.IntVar(&o.rounds, "rounds", 10, "training rounds T")
-	fs.IntVar(&o.localSteps, "steps", 3, "local SGD iterations per round E")
-	fs.IntVar(&o.batch, "batch", 32, "mini-batch size")
-	fs.Float64Var(&o.beta, "beta", 0, "trim rate (0 = B/P, negative = vanilla mean)")
-	fs.StringVar(&o.attackName, "attack", "none", "Byzantine server attack")
-	fs.StringVar(&o.clientAtk, "client-attack", "", "Byzantine client upload attack (upload_signflip|upload_noise|upload_random|upload_scaled)")
-	fs.IntVar(&o.byzClients, "byzantine-clients", 0, "number of Byzantine clients")
-	fs.Float64Var(&o.serverBeta, "server-beta", 0, "benign servers' trim rate over client uploads (0 = plain mean)")
-	fs.StringVar(&o.filterSpec, "filter", "", "client filter rule spec ("+aggregate.RuleGrammar+"); empty = trimmed mean at -beta")
-	fs.StringVar(&o.serverSpec, "server-rule", "", "benign servers' aggregation rule spec (same grammar); empty = mean or trimmed mean at -server-beta")
+	fs.StringVar(&o.clientAtk, o.spec.Flag("client-attack", "ClientAttack"), "", "Byzantine client upload attack (upload_signflip|upload_noise|upload_random|upload_scaled)")
+	fs.IntVar(&spec.NumByzantineClients, o.spec.Flag("byzantine-clients", "NumByzantineClients"), 0, "number of Byzantine clients")
+	fs.Float64Var(&o.serverBeta, "server-beta", 0, "benign servers' trim rate over client uploads when no -server-rule is given (0 = plain mean)")
 	fs.BoolVar(&o.fullUpload, "full-upload", false, "upload every client's model to every PS (required for robust server rules)")
-	fs.Float64Var(&o.partic, "participation", 1, "fraction of clients active per round, in (0, 1]; inactive clients send skip frames")
-	fs.IntVar(&o.shards, "shards", 0, "PS-side aggregation shards (>1 streams uploads through the two-tier shard tree; 0/1 unsharded)")
-	fs.Float64Var(&o.lr, "lr", 0.1, "constant learning rate")
-	fs.Float64Var(&o.alpha, "alpha", 10, "Dirichlet D_alpha (<=0 for IID)")
-	fs.IntVar(&o.samples, "samples", 4000, "total dataset samples")
-	fs.Uint64Var(&o.seed, "seed", 1, "shared experiment seed")
 	fs.StringVar(&o.key, "key", "", "shared secret enabling per-frame HMAC authentication")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-frame network timeout")
 	fs.DurationVar(&o.helloDeadline, "hello-deadline", 0, "PS per-frame deadline for a new connection's hello handshake (0 = default; slow-loris sockets are cut here)")
@@ -166,60 +125,76 @@ func parseFlags(args []string) (*options, error) {
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 0, "fault schedule seed (0 = derive from -seed)")
 	fs.IntVar(&o.faultCrash, "fault-crash", 0, "crash this PS after serving N rounds (ps role; local role crashes the last PS)")
 	fs.IntVar(&o.minModels, "min-models", 0, "tolerant client: accept a round with >= this many global models (0 = strict, require all P)")
-	fs.BoolVar(&o.async, "async", false, "bounded-staleness async rounds: each PS aggregates what arrives within -window, admitting uploads up to -staleness rounds late")
-	fs.DurationVar(&o.window, "window", 0, "async per-round aggregation window (0 = default; requires -async)")
-	fs.IntVar(&o.staleness, "staleness", 0, "max rounds an upload may be late and still count, down-weighted 1/(1+s) (requires -async)")
-	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for the PS deferred-upload spill segment (requires -async; empty = OS temp dir)")
-	fs.IntVar(&o.spillMem, "spill-mem", 0, "in-memory byte budget for deferred uploads before spilling to disk (requires -async; 0 = default)")
 	fs.StringVar(&o.ckptPath, "checkpoint", "", "PS checkpoint file persisting the round horizon and spill manifest each window; resumes after restart (requires -async)")
 	fs.DurationVar(&o.latencyScale, "latency-scale", 0, "client virtual upload-latency scale; an upload arrives floor(U[0,scale)/window) rounds after its origin (0 = default; requires -async)")
-	fs.StringVar(&o.codec, "codec", "dense", "upload codec spec: dense, topk:R, randk:R or qN, optionally ef+ prefixed (e.g. ef+topk:0.1)")
-	fs.StringVar(&o.downCodec, "downlink-codec", "dense", "downlink codec spec (same grammar, no ef+; dense keeps the wire byte-identical to v1)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus metrics at /metrics and pprof at /debug/pprof/ on this address (e.g. 127.0.0.1:9090)")
-	fs.StringVar(&o.tracePath, "trace", "", "write the per-round JSONL trace to this file when the run ends")
 	fs.BoolVar(&o.logRounds, "log", false, "structured per-round logging (log/slog) to stderr")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	return o, nil
+	return o
 }
 
-// validateAsync fail-fasts the bounded-staleness knobs before any
-// socket opens, mirroring node.NewPS and node.RunClient validation but
-// reporting the offending flag by name. The async/server-rule
-// compatibility check lives in run() after resolveRules.
-func (o *options) validateAsync() error {
-	if !o.async {
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{o.window != 0, "-window"},
-			{o.staleness != 0, "-staleness"},
-			{o.spillDir != "", "-spill-dir"},
-			{o.spillMem != 0, "-spill-mem"},
-			{o.ckptPath != "", "-checkpoint"},
-			{o.latencyScale != 0, "-latency-scale"},
-		} {
-			if f.set {
-				return fmt.Errorf("%s requires -async", f.name)
-			}
+// resolve turns the parsed flags into the validated federation spec —
+// fedms.Resolve, by way of the binding that names the offending flag —
+// after folding in this command's own spec-shaping flags, and checks
+// the deployment flags against it. It opens no socket; run() calls it
+// before any, the metrics listener included, so a bad flag never leaves
+// a half-started node behind.
+func (o *options) resolve(st *obsState) (core.Config, error) {
+	spec := &o.spec.Config
+	if o.fullUpload {
+		spec.Upload = fedms.FullUpload
+	}
+	if o.serverBeta > 0 && spec.ServerRule == "" {
+		spec.ServerFilter = aggregate.TrimmedMean{Beta: o.serverBeta}
+	}
+	if o.clientAtk != "" {
+		var err error
+		if spec.ClientAttack, err = attack.ByUploadName(o.clientAtk); err != nil {
+			return core.Config{}, fmt.Errorf("-client-attack: %w", err)
 		}
-		return nil
 	}
-	if o.window < 0 {
-		return fmt.Errorf("-window: must be non-negative, got %v", o.window)
+	spec.Obs = st.reg
+	cfg, err := o.spec.Resolve()
+	if err != nil {
+		return cfg, err
 	}
-	if o.staleness < 0 {
-		return fmt.Errorf("-staleness: must be non-negative, got %d", o.staleness)
+	cfg.Logger = st.logger
+
+	// Reject an unsatisfiable quorum before any server starts listening:
+	// a client failing this check after the PSs are up would leave them
+	// blocked in Accept with nobody left to connect.
+	if o.minModels > cfg.Servers {
+		return cfg, fmt.Errorf("-min-models %d exceeds -servers %d", o.minModels, cfg.Servers)
 	}
-	if o.spillMem < 0 {
-		return fmt.Errorf("-spill-mem: must be non-negative, got %d", o.spillMem)
+	if o.faultDrop < 0 || o.faultDrop > 1 || o.faultCorrupt < 0 || o.faultCorrupt > 1 ||
+		o.faultDup < 0 || o.faultDup > 1 || o.faultDelay < 0 || o.faultDelay > 1 {
+		return cfg, fmt.Errorf("fault rates must be in [0, 1]")
+	}
+	if !cfg.Async && o.ckptPath != "" {
+		return cfg, fmt.Errorf("-checkpoint requires -async")
+	}
+	if !cfg.Async && o.latencyScale != 0 {
+		return cfg, fmt.Errorf("-latency-scale requires -async")
 	}
 	if o.latencyScale < 0 {
-		return fmt.Errorf("-latency-scale: must be non-negative, got %v", o.latencyScale)
+		return cfg, fmt.Errorf("-latency-scale: must be non-negative, got %v", o.latencyScale)
 	}
-	return nil
+	// Ingest knobs mirror node.NewPS validation but name the flag.
+	if o.helloDeadline < 0 {
+		return cfg, fmt.Errorf("-hello-deadline: must be non-negative, got %v", o.helloDeadline)
+	}
+	if o.acceptRate < 0 {
+		return cfg, fmt.Errorf("-accept-rate: must be non-negative, got %v", o.acceptRate)
+	}
+	if o.acceptBurst < 0 {
+		return cfg, fmt.Errorf("-accept-burst: must be non-negative, got %d", o.acceptBurst)
+	}
+	if o.acceptBurst > 0 && o.acceptRate == 0 {
+		return cfg, fmt.Errorf("-accept-burst requires -accept-rate")
+	}
+	if o.connectToken && o.key == "" {
+		return cfg, fmt.Errorf("-connect-token requires -key (tokens are derived from the shared secret)")
+	}
+	return cfg, nil
 }
 
 // faultInjector builds the process-wide fault injector, or nil when no
@@ -238,7 +213,7 @@ func (o *options) faultInjector() *transport.FaultInjector {
 		return nil
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = o.seed
+		cfg.Seed = o.spec.Config.Seed
 	}
 	return transport.NewFaultInjector(cfg)
 }
@@ -266,128 +241,67 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Reject an unsatisfiable quorum before any server starts listening:
-	// a client failing this check after the PSs are up would leave them
-	// blocked in Accept with nobody left to connect.
-	if o.minModels > o.servers {
-		return fmt.Errorf("-min-models %d exceeds -servers %d", o.minModels, o.servers)
+	role, ok := map[string]func(*options, core.Config) error{
+		"ps": runPS, "client": runClientRole, "local": runLocal,
+	}[o.role]
+	if !ok {
+		return fmt.Errorf("unknown role %q", o.role)
 	}
-	if o.faultDrop < 0 || o.faultDrop > 1 || o.faultCorrupt < 0 || o.faultCorrupt > 1 ||
-		o.faultDup < 0 || o.faultDup > 1 || o.faultDelay < 0 || o.faultDelay > 1 {
-		return fmt.Errorf("fault rates must be in [0, 1]")
-	}
-	// Participation and shards fail fast here, before any socket opens,
-	// for the same reason as the codec and rule specs below.
-	if o.partic <= 0 || o.partic > 1 {
-		return fmt.Errorf("-participation: must be in (0, 1], got %v", o.partic)
-	}
-	if o.shards < 0 {
-		return fmt.Errorf("-shards: must be non-negative, got %d", o.shards)
-	}
-	// The async knobs fail fast here too; the rule-compatibility half of
-	// the check runs after resolveRules below.
-	if err := o.validateAsync(); err != nil {
-		return err
-	}
-	// Ingest knobs fail fast before any socket opens, mirroring
-	// node.NewPS validation but naming the offending flag.
-	if o.helloDeadline < 0 {
-		return fmt.Errorf("-hello-deadline: must be non-negative, got %v", o.helloDeadline)
-	}
-	if o.acceptRate < 0 {
-		return fmt.Errorf("-accept-rate: must be non-negative, got %v", o.acceptRate)
-	}
-	if o.acceptBurst < 0 {
-		return fmt.Errorf("-accept-burst: must be non-negative, got %d", o.acceptBurst)
-	}
-	if o.acceptBurst > 0 && o.acceptRate == 0 {
-		return fmt.Errorf("-accept-burst requires -accept-rate")
-	}
-	if o.connectToken && o.key == "" {
-		return fmt.Errorf("-connect-token requires -key (tokens are derived from the shared secret)")
-	}
-	// Codec specs are validated here, before any socket opens, so a typo
-	// fails with a usage message instead of a half-started federation.
-	if o.upSpec, err = compress.ParseSpec(o.codec); err != nil {
-		return fmt.Errorf("-codec: %w", err)
-	}
-	if o.downSpec, err = compress.ParseSpec(o.downCodec); err != nil {
-		return fmt.Errorf("-downlink-codec: %w", err)
-	}
-	if o.downSpec.EF {
-		return fmt.Errorf("-downlink-codec %q: error feedback is per-stream state and cannot be used on the broadcast downlink; drop the ef+ prefix", o.downCodec)
-	}
-	// Rule specs go through the same pre-socket validation as codecs:
-	// an unknown rule name fails fast here instead of leaving a
-	// half-started federation behind.
-	if err := o.resolveRules(); err != nil {
-		return err
-	}
-	// Async admission down-weights stale uploads before the robust rule,
-	// so the benign servers' rule must expose a weighted kernel.
-	if o.async && !aggregate.IsWeighted(o.serverRuleObj) {
-		return fmt.Errorf("-async requires a weighted -server-rule (mean, trim:b, median), got %s", o.serverRuleObj.Name())
-	}
-	st, err := o.setupObs()
+	st := o.newObs()
+	cfg, err := o.resolve(st)
 	if err != nil {
+		return err
+	}
+	if err := st.serveMetrics(o.metricsAddr); err != nil {
 		return err
 	}
 	defer st.close()
 
-	switch o.role {
-	case "ps":
-		err = runPS(o, st)
-	case "client":
-		err = runClientRole(o, st)
-	case "local":
-		err = runLocal(o, st)
-	default:
-		return fmt.Errorf("unknown role %q", o.role)
-	}
+	err = role(o, cfg)
 	// The trace is written even when the run failed: a chaos run that
 	// died mid-federation is exactly when the trace matters.
-	if werr := st.writeTrace(o.tracePath); werr != nil && err == nil {
-		err = werr
+	if o.spec.TracePath != "" {
+		if werr := cfg.TraceSink.WriteFile(o.spec.TracePath); werr != nil && err == nil {
+			err = werr
+		} else if werr == nil {
+			fmt.Printf("fedms-node: wrote %d trace events to %s\n", cfg.TraceSink.Len(), o.spec.TracePath)
+		}
 	}
 	return err
 }
 
-// obsState bundles the process-wide observability wiring: one metrics
-// registry (served over HTTP when -metrics-addr is set), one bounded
-// round trace (written as JSONL when -trace is set), and an optional
-// per-round slog logger. All fields may be nil — the runtime treats
-// nil as disabled.
+// obsState bundles the process-wide observability wiring that is not
+// part of the federation spec: the metrics registry and the HTTP server
+// exposing it (when -metrics-addr is set) and an optional per-round
+// slog logger. All fields may be nil — the runtime treats nil as
+// disabled.
 type obsState struct {
 	reg    *obs.Registry
-	trace  *obs.Trace
 	logger *slog.Logger
 	ln     net.Listener
 	srv    *http.Server
 }
 
-// setupObs builds the observability state from the flags and, when
-// requested, starts the metrics server.
-func (o *options) setupObs() (*obsState, error) {
+// newObs builds the observability state from the flags. The metrics
+// server starts later (serveMetrics), once the flags have resolved.
+func (o *options) newObs() *obsState {
 	st := &obsState{}
-	if o.tracePath != "" {
-		st.trace = obs.NewTrace(0)
-	}
 	if o.logRounds {
 		st.logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	if o.metricsAddr != "" {
 		st.reg = obs.NewRegistry()
-		if err := st.serveMetrics(o.metricsAddr); err != nil {
-			return nil, err
-		}
-		fmt.Printf("fedms-node: metrics on http://%s/metrics (pprof at /debug/pprof/)\n", st.addr())
 	}
-	return st, nil
+	return st
 }
 
 // serveMetrics starts the HTTP server exposing the registry in
-// Prometheus text format plus net/http/pprof.
+// Prometheus text format plus net/http/pprof; a no-op without
+// -metrics-addr.
 func (st *obsState) serveMetrics(addr string) error {
+	if st.reg == nil {
+		return nil
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("-metrics-addr %s: %w", addr, err)
@@ -404,6 +318,7 @@ func (st *obsState) serveMetrics(addr string) error {
 	st.ln = ln
 	st.srv = &http.Server{Handler: mux}
 	go func() { _ = st.srv.Serve(ln) }()
+	fmt.Printf("fedms-node: metrics on http://%s/metrics (pprof at /debug/pprof/)\n", st.addr())
 	return nil
 }
 
@@ -415,318 +330,94 @@ func (st *obsState) addr() string {
 	return st.ln.Addr().String()
 }
 
-// writeTrace dumps the round trace as JSONL; a no-op without -trace.
-func (st *obsState) writeTrace(path string) error {
-	if path == "" || st.trace == nil {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := st.trace.WriteJSONL(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("fedms-node: wrote %d trace events to %s\n", st.trace.Len(), path)
-	return nil
-}
-
 func (st *obsState) close() {
 	if st.srv != nil {
 		_ = st.srv.Close()
 	}
 }
 
-// resolved returns the validated shared configuration (Byzantine
-// server and client identity sets) exactly as the in-process engine
-// derives them.
-func (o *options) resolved() (core.Config, error) {
-	cfg := core.Config{
-		Clients:             o.clients,
-		Servers:             o.servers,
-		NumByzantine:        o.byzantine,
-		NumByzantineClients: o.byzClients,
-		Rounds:              o.rounds,
-		LocalSteps:          o.localSteps,
-		Filter:              aggregate.Mean{},
-		Schedule:            nn.ConstantLR(o.lr),
-		Seed:                o.seed,
-	}
-	if o.byzClients > 0 {
-		ca, err := attack.ByUploadName(o.clientAtk)
-		if err != nil {
-			return cfg, fmt.Errorf("byzantine clients need -client-attack: %w", err)
-		}
-		cfg.ClientAttack = ca
-	}
-	return cfg.Validate()
-}
-
-// byzantineIDs resolves the shared Byzantine server identity set.
-func (o *options) byzantineIDs() ([]int, error) {
-	cfg, err := o.resolved()
+// psConfig is server id's configuration: the federation's share derived
+// from cfg, the deployment's from the flags. Where it listens, what it
+// checkpoints to and whether it crashes are the role's to add.
+func (o *options) psConfig(cfg core.Config, id int, fi *transport.FaultInjector) (node.PSConfig, error) {
+	ps, err := node.PSConfigFor(cfg, id)
 	if err != nil {
-		return nil, err
+		return ps, err
 	}
-	return cfg.ByzantineIDs, nil
+	ps.Key = []byte(o.key)
+	ps.Timeout = o.psTimeout()
+	ps.Tolerant = o.tolerant()
+	ps.HelloDeadline = o.helloDeadline
+	ps.AcceptRate = o.acceptRate
+	ps.AcceptBurst = o.acceptBurst
+	ps.RequireToken = o.connectToken
+	ps.Faults = fi
+	return ps, nil
 }
 
-// authKey returns the configured HMAC key, or nil when disabled.
-func (o *options) authKey() []byte {
-	if o.key == "" {
-		return nil
-	}
-	return []byte(o.key)
-}
-
-// resolveRules parses -filter and -server-rule through the shared
-// aggregate registry, falling back to the historical beta-derived
-// defaults when the specs are empty, and builds the holdout-loss
-// oracle when either rule needs one. Called from run() before any
-// socket opens so a typo fails with a usage message.
-func (o *options) resolveRules() error {
-	var err error
-	if o.filterSpec != "" {
-		if o.filterRule, err = aggregate.ParseRule(o.filterSpec); err != nil {
-			return fmt.Errorf("-filter: %w", err)
-		}
-	} else {
-		o.filterRule = o.defaultFilter()
-	}
-	if o.serverSpec != "" {
-		if o.serverRuleObj, err = aggregate.ParseRule(o.serverSpec); err != nil {
-			return fmt.Errorf("-server-rule: %w", err)
-		}
-	} else if o.serverBeta > 0 {
-		o.serverRuleObj = aggregate.TrimmedMean{Beta: o.serverBeta}
-	} else {
-		o.serverRuleObj = aggregate.Mean{}
-	}
-	_, filterLoss := o.filterRule.(aggregate.LossRule)
-	_, serverLoss := o.serverRuleObj.(aggregate.LossRule)
-	if filterLoss || serverLoss {
-		// All nodes derive the oracle from the shared federation flags,
-		// so every process scores candidates bit-identically.
-		if o.oracle, err = fedms.NewHoldoutOracle(o.fedmsConfig()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// serverRule is the aggregation rule benign PSs apply to uploads,
-// resolved by resolveRules.
-func (o *options) serverRule() aggregate.Rule {
-	if o.serverRuleObj == nil {
-		// Direct callers (tests) that skipped run(): resolve lazily.
-		if err := o.resolveRules(); err != nil {
-			panic(err)
-		}
-	}
-	return o.serverRuleObj
-}
-
-// clientUploadAttack returns client id's upload attack, or nil if the
-// client is benign.
-func (o *options) clientUploadAttack(id int) (attack.UploadAttack, error) {
-	if o.byzClients == 0 {
-		return nil, nil
-	}
-	cfg, err := o.resolved()
+// clientConfig is client id's configuration, likewise.
+func (o *options) clientConfig(cfg core.Config, id int, l core.Learner, servers []string, fi *transport.FaultInjector) (node.ClientConfig, error) {
+	cl, err := node.ClientConfigFor(cfg, id, l)
 	if err != nil {
-		return nil, err
+		return cl, err
 	}
-	if !cfg.IsByzantineClient(id) {
-		return nil, nil
-	}
-	return attack.ByUploadName(o.clientAtk)
+	cl.Servers = servers
+	cl.LatencyScale = o.latencyScale
+	cl.Key = []byte(o.key)
+	cl.Timeout = o.timeout
+	cl.EvalEvery = 5
+	cl.MinModels = o.minModels
+	cl.Faults = fi
+	cl.Redial = o.minModels > 0
+	return cl, nil
 }
 
-// clientCodec builds client id's upload codec, or nil for dense. The
-// seed matches core.ClientCodecSeed so the distributed runtime and the
-// in-process engine compress identically round for round.
-func (o *options) clientCodec(id int) compress.Codec {
-	if o.upSpec.IsDense() {
-		return nil
+// runClient is node.RunClient; the tests substitute it to observe the
+// configuration each role runs a client under.
+var runClient = node.RunClient
+
+// psRole describes a server for the start-up line.
+func psRole(ps node.PSConfig) string {
+	if ps.Attack == nil {
+		return "benign"
 	}
-	c, err := o.upSpec.NewCodec(core.ClientCodecSeed(o.seed, id))
-	if err != nil {
-		// Unreachable: upSpec came from ParseSpec in run().
-		panic(err)
-	}
-	return c
+	return "BYZANTINE(" + ps.Attack.Name() + ")"
 }
 
-// downlinkCodec builds PS id's downlink codec, or nil for dense.
-func (o *options) downlinkCodec(id int) compress.Codec {
-	if o.downSpec.IsDense() {
-		return nil
-	}
-	c, err := o.downSpec.NewCodec(randx.Derive(o.seed, fmt.Sprintf("downlink/ps%d", id)))
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// defaultFilter is the historical -beta-derived client filter, used
-// when no -filter spec is given.
-func (o *options) defaultFilter() aggregate.Rule {
-	if o.beta < 0 {
-		return aggregate.Mean{}
-	}
-	beta := o.beta
-	if beta == 0 {
-		beta = float64(o.byzantine) / float64(o.servers)
-	}
-	return aggregate.TrimmedMean{Beta: beta}
-}
-
-// filter is the client-side filter rule, resolved by resolveRules.
-func (o *options) filter() fedms.Rule {
-	if o.filterRule == nil {
-		if err := o.resolveRules(); err != nil {
-			panic(err)
-		}
-	}
-	return o.filterRule
-}
-
-// fedmsConfig is the shared engine configuration every node derives
-// its learner (and, for loss rules, its holdout oracle) from.
-func (o *options) fedmsConfig() fedms.Config {
-	return fedms.Config{
-		Clients:      o.clients,
-		Servers:      o.servers,
-		NumByzantine: o.byzantine,
-		Rounds:       o.rounds,
-		LocalSteps:   o.localSteps,
-		BatchSize:    o.batch,
-		LearningRate: o.lr,
-		Dataset:      fedms.DatasetSpec{Samples: o.samples, Alpha: o.alpha, Noise: 2.0},
-		Seed:         o.seed,
-		EvalEvery:    -1,
-		Ingest: fedms.IngestConfig{
-			HelloDeadline: o.helloDeadline,
-			AcceptRate:    o.acceptRate,
-			AcceptBurst:   o.acceptBurst,
-			RequireToken:  o.connectToken,
-		},
-	}
-}
-
-// learner builds client id's learner from the shared configuration.
-func (o *options) learner(id int) (core.Learner, error) {
-	eng, err := fedms.BuildEngine(o.fedmsConfig())
-	if err != nil {
-		return nil, err
-	}
-	return eng.Learners()[id], nil
-}
-
-func runPS(o *options, st *obsState) error {
-	byzIDs, err := o.byzantineIDs()
+func runPS(o *options, cfg core.Config) error {
+	pc, err := o.psConfig(cfg, o.id, o.faultInjector())
 	if err != nil {
 		return err
 	}
-	var atk attack.Attack
-	for _, b := range byzIDs {
-		if b == o.id {
-			if atk, err = attack.ByName(o.attackName); err != nil {
-				return err
-			}
-		}
-	}
-	ps, err := node.NewPS(node.PSConfig{
-		ID:              o.id,
-		ListenAddr:      o.listen,
-		Clients:         o.clients,
-		Rounds:          o.rounds,
-		Attack:          atk,
-		ServerRule:      o.serverRule(),
-		LossOracle:      o.oracle,
-		Shards:          o.shards,
-		Async:           o.async,
-		Window:          o.window,
-		Staleness:       o.staleness,
-		SpillDir:        o.spillDir,
-		SpillMem:        o.spillMem,
-		CheckpointPath:  o.ckptPath,
-		DownlinkCodec:   o.downlinkCodec(o.id),
-		Seed:            o.seed,
-		Key:             o.authKey(),
-		Timeout:         o.psTimeout(),
-		Tolerant:        o.tolerant(),
-		HelloDeadline:   o.helloDeadline,
-		AcceptRate:      o.acceptRate,
-		AcceptBurst:     o.acceptBurst,
-		RequireToken:    o.connectToken,
-		Faults:          o.faultInjector(),
-		CrashAfterRound: o.faultCrash,
-		Logger:          st.logger,
-		Obs:             st.reg,
-		TraceSink:       st.trace,
-	})
+	pc.ListenAddr, pc.CheckpointPath, pc.CrashAfterRound = o.listen, o.ckptPath, o.faultCrash
+	ps, err := node.NewPS(pc)
 	if err != nil {
 		return err
 	}
-	role := "benign"
-	if atk != nil {
-		role = "BYZANTINE(" + atk.Name() + ")"
-	}
-	fmt.Printf("fedms-node: PS %d (%s) listening on %s\n", o.id, role, ps.Addr())
+	fmt.Printf("fedms-node: PS %d (%s) listening on %s\n", o.id, psRole(pc), ps.Addr())
 	return ps.Serve()
 }
 
-func runClientRole(o *options, st *obsState) error {
+func runClientRole(o *options, cfg core.Config) error {
 	if o.peers == "" {
 		return fmt.Errorf("client role requires -peers")
 	}
 	servers := strings.Split(o.peers, ",")
-	if len(servers) != o.servers {
-		return fmt.Errorf("-peers lists %d addresses, want P=%d", len(servers), o.servers)
+	if len(servers) != cfg.Servers {
+		return fmt.Errorf("-peers lists %d addresses, want P=%d", len(servers), cfg.Servers)
 	}
-	learner, err := o.learner(o.id)
+	if o.id < 0 || o.id >= cfg.Clients {
+		return fmt.Errorf("-id %d is not a client of K=%d", o.id, cfg.Clients)
+	}
+	learners, err := fedms.BuildLearners(o.spec.Config)
 	if err != nil {
 		return err
 	}
-	ua, err := o.clientUploadAttack(o.id)
+	cc, err := o.clientConfig(cfg, o.id, learners[o.id], servers, o.faultInjector())
 	if err != nil {
 		return err
 	}
-	stats, err := node.RunClient(node.ClientConfig{
-		ID:                    o.id,
-		Learner:               learner,
-		Servers:               servers,
-		Rounds:                o.rounds,
-		LocalSteps:            o.localSteps,
-		Clients:               o.clients,
-		Participation:         o.partic,
-		UploadAttack:          ua,
-		Filter:                o.filter(),
-		LossOracle:            o.oracle,
-		Schedule:              nn.ConstantLR(o.lr),
-		Codec:                 o.clientCodec(o.id),
-		AcceptEncodedDownlink: !o.downSpec.IsDense(),
-		Async:                 o.async,
-		Window:                o.window,
-		Staleness:             o.staleness,
-		LatencyScale:          o.latencyScale,
-		Seed:                  o.seed,
-		Key:                   o.authKey(),
-		Timeout:               o.timeout,
-		EvalEvery:             5,
-		MinModels:             o.minModels,
-		Faults:                o.faultInjector(),
-		Redial:                o.minModels > 0,
-		Logger:                st.logger,
-		Obs:                   st.reg,
-		TraceSink:             st.trace,
-	})
+	stats, err := runClient(cc)
 	if err != nil {
 		return err
 	}
@@ -740,83 +431,39 @@ func runClientRole(o *options, st *obsState) error {
 }
 
 // runLocal runs the whole federation in one process over loopback TCP.
-func runLocal(o *options, st *obsState) error {
-	byzIDs, err := o.byzantineIDs()
-	if err != nil {
-		return err
-	}
-	byz := make(map[int]attack.Attack, len(byzIDs))
-	for _, id := range byzIDs {
-		a, err := attack.ByName(o.attackName)
-		if err != nil {
-			return err
-		}
-		byz[id] = a
-	}
-
+func runLocal(o *options, cfg core.Config) error {
 	// One injector serves the whole in-process federation; separate
 	// processes reconstruct the identical schedule from the shared
 	// fault seed.
 	fi := o.faultInjector()
-	tolerant := o.tolerant()
 
-	servers := make([]*node.PS, o.servers)
-	addrs := make([]string, o.servers)
+	servers := make([]*node.PS, cfg.Servers)
+	addrs := make([]string, cfg.Servers)
 	for i := range servers {
-		crash := 0
-		if o.faultCrash > 0 && i == o.servers-1 {
-			crash = o.faultCrash
+		pc, err := o.psConfig(cfg, i, fi)
+		if err != nil {
+			return err
+		}
+		pc.ListenAddr = "127.0.0.1:0"
+		if i == cfg.Servers-1 {
+			pc.CrashAfterRound = o.faultCrash
 		}
 		// Every local PS gets its own checkpoint file: they would
 		// otherwise race on the shared path and spill segment.
-		ckpt := ""
 		if o.ckptPath != "" {
-			ckpt = fmt.Sprintf("%s.ps%d", o.ckptPath, i)
+			pc.CheckpointPath = fmt.Sprintf("%s.ps%d", o.ckptPath, i)
 		}
-		ps, err := node.NewPS(node.PSConfig{
-			ID:              i,
-			ListenAddr:      "127.0.0.1:0",
-			Clients:         o.clients,
-			Rounds:          o.rounds,
-			Attack:          byz[i],
-			ServerRule:      o.serverRule(),
-			LossOracle:      o.oracle,
-			Shards:          o.shards,
-			Async:           o.async,
-			Window:          o.window,
-			Staleness:       o.staleness,
-			SpillDir:        o.spillDir,
-			SpillMem:        o.spillMem,
-			CheckpointPath:  ckpt,
-			DownlinkCodec:   o.downlinkCodec(i),
-			Seed:            o.seed,
-			Key:             o.authKey(),
-			Timeout:         o.psTimeout(),
-			Tolerant:        tolerant,
-			HelloDeadline:   o.helloDeadline,
-			AcceptRate:      o.acceptRate,
-			AcceptBurst:     o.acceptBurst,
-			RequireToken:    o.connectToken,
-			Faults:          fi,
-			CrashAfterRound: crash,
-			Logger:          st.logger,
-			Obs:             st.reg,
-			TraceSink:       st.trace,
-		})
+		ps, err := node.NewPS(pc)
 		if err != nil {
 			return err
 		}
 		servers[i] = ps
 		addrs[i] = ps.Addr()
-		role := "benign"
-		if byz[i] != nil {
-			role = "BYZANTINE(" + byz[i].Name() + ")"
-		}
-		fmt.Printf("fedms-node: PS %d (%s) on %s\n", i, role, ps.Addr())
+		fmt.Printf("fedms-node: PS %d (%s) on %s\n", i, psRole(pc), ps.Addr())
 	}
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, o.servers+o.clients)
+	errCh := make(chan error, cfg.Servers+cfg.Clients)
 	for _, ps := range servers {
 		wg.Add(1)
 		go func(ps *node.PS) {
@@ -832,55 +479,26 @@ func runLocal(o *options, st *obsState) error {
 		}(ps)
 	}
 
+	learners, err := fedms.BuildLearners(o.spec.Config)
+	if err != nil {
+		return err
+	}
 	var mu sync.Mutex
 	var lastEval float64
-	for id := 0; id < o.clients; id++ {
-		learner, err := o.learner(id)
-		if err != nil {
-			return err
-		}
-		ua, err := o.clientUploadAttack(id)
+	for id, l := range learners {
+		cc, err := o.clientConfig(cfg, id, l, addrs, fi)
 		if err != nil {
 			return err
 		}
 		wg.Add(1)
-		go func(id int, l core.Learner, ua attack.UploadAttack) {
+		go func(cc node.ClientConfig) {
 			defer wg.Done()
-			stats, err := node.RunClient(node.ClientConfig{
-				ID:                    id,
-				Learner:               l,
-				Servers:               addrs,
-				Rounds:                o.rounds,
-				LocalSteps:            o.localSteps,
-				Clients:               o.clients,
-				Participation:         o.partic,
-				FullUpload:            o.fullUpload,
-				UploadAttack:          ua,
-				Filter:                o.filter(),
-				LossOracle:            o.oracle,
-				Schedule:              nn.ConstantLR(o.lr),
-				Codec:                 o.clientCodec(id),
-				AcceptEncodedDownlink: !o.downSpec.IsDense(),
-				Async:                 o.async,
-				Window:                o.window,
-				Staleness:             o.staleness,
-				LatencyScale:          o.latencyScale,
-				Seed:                  o.seed,
-				Key:                   o.authKey(),
-				Timeout:               o.timeout,
-				EvalEvery:             5,
-				MinModels:             o.minModels,
-				Faults:                fi,
-				Redial:                o.minModels > 0,
-				Logger:                st.logger,
-				Obs:                   st.reg,
-				TraceSink:             st.trace,
-			})
+			stats, err := runClient(cc)
 			if err != nil {
 				errCh <- err
 				return
 			}
-			if id == 0 {
+			if cc.ID == 0 {
 				for _, st := range stats {
 					if st.Evaluated {
 						fmt.Printf("round %d: client0 train_loss=%.4f test_acc=%.4f\n",
@@ -891,7 +509,7 @@ func runLocal(o *options, st *obsState) error {
 					}
 				}
 			}
-		}(id, learner, ua)
+		}(cc)
 	}
 	wg.Wait()
 	close(errCh)

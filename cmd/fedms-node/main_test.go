@@ -1,9 +1,7 @@
 package main
 
 import (
-	"strings"
 	"testing"
-	"time"
 )
 
 func TestNodeLocalFederation(t *testing.T) {
@@ -148,72 +146,6 @@ func TestNodeLocalCodecFederation(t *testing.T) {
 	}
 }
 
-func TestNodeRejectsBadCodecSpecs(t *testing.T) {
-	// Every spec error must surface at flag validation, before any
-	// listener binds or peer dials.
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"unknown kind", []string{"-codec", "gzip"}, "-codec"},
-		{"ratio out of range", []string{"-codec", "topk:1.5"}, "-codec"},
-		{"bits out of range", []string{"-codec", "q0"}, "-codec"},
-		{"bad downlink", []string{"-downlink-codec", "randk:7"}, "-downlink-codec"},
-		{"ef downlink", []string{"-downlink-codec", "ef+topk:0.1"}, "error feedback"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-role", "local", "-clients", "2", "-servers", "2", "-rounds", "1"}, tc.args...)
-			err := run(args)
-			if err == nil {
-				t.Fatalf("%v accepted, want error", tc.args)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-}
-
-func TestNodeCodecFlagsParsed(t *testing.T) {
-	o, err := parseFlags([]string{"-codec", "EF+TopK:0.1", "-downlink-codec", "q8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.codec != "EF+TopK:0.1" || o.downCodec != "q8" {
-		t.Fatalf("raw specs not captured: %+v", o)
-	}
-}
-
-func TestNodeRejectsBadRuleSpecs(t *testing.T) {
-	// Rule specs get the same pre-socket validation as codec specs: a
-	// typo must fail at flag resolution, never mid-federation.
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"unknown filter", []string{"-filter", "bogus"}, "-filter"},
-		{"filter bad param", []string{"-filter", "trim:0.9"}, "-filter"},
-		{"filter excess args", []string{"-filter", "fedgreed:1"}, "-filter"},
-		{"unknown server rule", []string{"-server-rule", "nope"}, "-server-rule"},
-		{"server rule bad param", []string{"-server-rule", "clip:-1"}, "-server-rule"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-role", "local", "-clients", "2", "-servers", "2", "-rounds", "1"}, tc.args...)
-			err := run(args)
-			if err == nil {
-				t.Fatalf("%v accepted, want error", tc.args)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-}
-
 func TestNodeLocalAsyncFederation(t *testing.T) {
 	// Async local federation: with the default -latency-scale well under
 	// this -window every upload arrives fresh, so the run is
@@ -225,60 +157,6 @@ func TestNodeLocalAsyncFederation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNodeRejectsBadAsyncFlags(t *testing.T) {
-	// The async knobs get the same pre-socket validation as the codec
-	// and rule specs: every rejection fires at flag resolution, naming
-	// the offending flag, before any listener binds.
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"window without async", []string{"-window", "500ms"}, "-window"},
-		{"staleness without async", []string{"-staleness", "2"}, "-staleness"},
-		{"spill dir without async", []string{"-spill-dir", "/tmp"}, "-spill-dir"},
-		{"spill mem without async", []string{"-spill-mem", "1024"}, "-spill-mem"},
-		{"checkpoint without async", []string{"-checkpoint", "ps.ckpt"}, "-checkpoint"},
-		{"latency scale without async", []string{"-latency-scale", "1s"}, "-latency-scale"},
-		{"negative window", []string{"-async", "-window", "-1s"}, "-window"},
-		{"negative staleness", []string{"-async", "-staleness", "-1"}, "-staleness"},
-		{"negative spill mem", []string{"-async", "-spill-mem", "-1"}, "-spill-mem"},
-		{"negative latency scale", []string{"-async", "-latency-scale", "-1s"}, "-latency-scale"},
-		{"unweighted server rule", []string{"-async", "-server-rule", "krum", "-full-upload"}, "weighted"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-role", "local", "-clients", "2", "-servers", "2", "-rounds", "1"}, tc.args...)
-			err := run(args)
-			if err == nil {
-				t.Fatalf("%v accepted, want error", tc.args)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-}
-
-func TestNodeAsyncFlagsParsed(t *testing.T) {
-	o, err := parseFlags([]string{
-		"-async", "-window", "750ms", "-staleness", "3",
-		"-spill-dir", "/tmp/spill", "-spill-mem", "4096",
-		"-checkpoint", "ps.ckpt", "-latency-scale", "3s",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.async || o.window != 750*time.Millisecond || o.staleness != 3 ||
-		o.spillDir != "/tmp/spill" || o.spillMem != 4096 ||
-		o.ckptPath != "ps.ckpt" || o.latencyScale != 3*time.Second {
-		t.Fatalf("async flags not captured: %+v", o)
-	}
-	if err := o.validateAsync(); err != nil {
-		t.Fatalf("valid async flags rejected: %v", err)
 	}
 }
 

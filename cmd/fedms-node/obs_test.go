@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"fedms/internal/compress"
 )
 
 func TestNodeObsFlagsParsed(t *testing.T) {
@@ -21,7 +19,7 @@ func TestNodeObsFlagsParsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.metricsAddr != "127.0.0.1:9090" || o.tracePath != "out.jsonl" || !o.logRounds {
+	if o.metricsAddr != "127.0.0.1:9090" || o.spec.TracePath != "out.jsonl" || !o.logRounds {
 		t.Fatalf("observability flags not captured: %+v", o)
 	}
 }
@@ -39,20 +37,18 @@ func TestNodeMetricsServerLiveFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.upSpec, err = compress.ParseSpec(o.codec); err != nil {
-		t.Fatal(err)
-	}
-	if o.downSpec, err = compress.ParseSpec(o.downCodec); err != nil {
-		t.Fatal(err)
-	}
-	st, err := o.setupObs()
+	st := o.newObs()
+	cfg, err := o.resolve(st)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.serveMetrics(o.metricsAddr); err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
 
 	done := make(chan error, 1)
-	go func() { done <- runLocal(o, st) }()
+	go func() { done <- runLocal(o, cfg) }()
 
 	get := func(path string) (int, string) {
 		t.Helper()

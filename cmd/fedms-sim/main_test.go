@@ -3,10 +3,15 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"fedms/cmd/internal/fedflags"
+	"fedms/cmd/internal/fedflags/flagtest"
 )
 
 func TestRunQuickSimulation(t *testing.T) {
@@ -71,19 +76,6 @@ func TestRunWritesTrace(t *testing.T) {
 	}
 }
 
-func TestRunRejectsUnknownAttack(t *testing.T) {
-	if err := run([]string{"-attack", "nonsense", "-rounds", "1"}); err == nil {
-		t.Fatal("unknown attack must error")
-	}
-}
-
-func TestRunRejectsBadConfig(t *testing.T) {
-	// Byzantine majority.
-	if err := run([]string{"-servers", "4", "-byzantine", "2", "-rounds", "1"}); err == nil {
-		t.Fatal("Byzantine majority must error")
-	}
-}
-
 func TestRunRejectsUnknownDataset(t *testing.T) {
 	if err := run([]string{"-dataset", "nonsense", "-rounds", "1"}); err == nil {
 		t.Fatal("unknown dataset must error")
@@ -98,18 +90,6 @@ func TestRunVanillaMode(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunRejectsBadRuleSpecs(t *testing.T) {
-	if err := run([]string{"-filter", "bogus", "-rounds", "1"}); err == nil {
-		t.Fatal("unknown -filter spec must error")
-	}
-	if err := run([]string{"-filter", "trim:0.7", "-rounds", "1"}); err == nil {
-		t.Fatal("out-of-range -filter parameter must error")
-	}
-	if err := run([]string{"-server-rule", "nonsense", "-rounds", "1"}); err == nil {
-		t.Fatal("unknown -server-rule spec must error")
 	}
 }
 
@@ -141,33 +121,53 @@ func TestRunAsyncSimulation(t *testing.T) {
 	}
 }
 
-func TestSimRejectsBadAsyncFlags(t *testing.T) {
-	// Async knobs fail fast with the flag name before any dataset or
-	// model is built, like the codec and rule specs.
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"window without async", []string{"-window", "500ms"}, "-window"},
-		{"staleness without async", []string{"-staleness", "2"}, "-staleness"},
-		{"spill dir without async", []string{"-spill-dir", "/tmp"}, "-spill-dir"},
-		{"spill mem without async", []string{"-spill-mem", "1024"}, "-spill-mem"},
-		{"negative window", []string{"-async", "-window", "-1s"}, "-window"},
-		{"negative staleness", []string{"-async", "-staleness", "-1"}, "-staleness"},
-		{"negative spill mem", []string{"-async", "-spill-mem", "-1"}, "-spill-mem"},
-		{"unweighted server rule", []string{"-async", "-server-rule", "krum", "-upload", "full"}, "weighted"},
+// TestSimFlagSurface pins every flag fedms-sim registers, by name, and
+// holds README's table to the same list: the shared flags (declared by
+// fedflags, pinned there) plus this command's own. The four ingest
+// flags it once accepted and ignored are gone.
+func TestSimFlagSurface(t *testing.T) {
+	own := []string{"ckpt", "data-dir", "dataset", "eval", "model", "noise", "plot", "upload"}
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	fedflags.Bind(shared, fedflags.SimDefaults)
+	want := append(flagtest.Names(shared), own...)
+	slices.Sort(want)
+
+	fs := flag.NewFlagSet("fedms-sim", flag.ContinueOnError)
+	declareFlags(fs)
+	if got := flagtest.Names(fs); !slices.Equal(got, want) {
+		t.Fatalf("registered flags\n got %v\nwant %v", got, want)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-rounds", "1", "-clients", "2", "-servers", "2", "-byzantine", "0"}, tc.args...)
-			err := run(args)
-			if err == nil {
-				t.Fatalf("%v accepted, want error", tc.args)
+	if got := flagtest.ReadmeFlags(t, "../../README.md", "`fedms-sim` flags"); !slices.Equal(got, own) {
+		t.Fatalf("README fedms-sim table\n got %v\nwant %v", got, own)
+	}
+}
+
+// TestRunSurfacesSpecErrors: run returns the shared binding's rejection
+// unchanged — the table of them lives in fedflags — and rejects its own
+// -upload by name.
+func TestRunSurfacesSpecErrors(t *testing.T) {
+	for name, args := range map[string][]string{
+		"shared flag":        {"-window", "500ms"},
+		"shared spec":        {"-filter", "bogus"},
+		"unknown attack":     {"-attack", "nonsense"},
+		"byzantine majority": {"-servers", "4", "-byzantine", "2"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := flag.NewFlagSet("fedms-sim", flag.ContinueOnError)
+			o := declareFlags(fs)
+			if err := fs.Parse(args); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			_, want := o.spec.Resolve()
+			if want == nil || !strings.HasPrefix(want.Error(), "-") {
+				t.Fatalf("binding accepted %v (or named no flag): %v", args, want)
+			}
+			if got := run(args); got == nil || got.Error() != want.Error() {
+				t.Fatalf("run(%v) = %v, want the binding's error %q", args, got, want)
 			}
 		})
+	}
+	if err := run([]string{"-upload", "nonsense"}); err == nil || !strings.Contains(err.Error(), "-upload") {
+		t.Fatalf("unknown -upload: %v", err)
 	}
 }

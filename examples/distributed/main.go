@@ -21,70 +21,53 @@ import (
 	"time"
 
 	"fedms"
-	"fedms/internal/aggregate"
-	"fedms/internal/core"
-	"fedms/internal/nn"
 	"fedms/internal/node"
 )
 
-const (
-	clients   = 8
-	servers   = 5
-	byzantine = 1 // server 2 runs the backward attack
-	rounds    = 8
-	steps     = 3
-	seed      = 7
-)
+// spec is the one description of the federation. The networked run
+// derives every node's configuration from it (fedms.Resolve, then
+// node.PSConfigFor / node.ClientConfigFor); the reference run hands the
+// same value to the in-process engine.
+var spec = fedms.Config{
+	Clients:      8,
+	Servers:      5,
+	ByzantineIDs: []int{2}, // server 2 runs the backward attack
+	Attack:       fedms.BackwardAttack{},
+	Rounds:       8,
+	LocalSteps:   3,
+	TrimBeta:     0.2,
+	LearningRate: 0.2,
+	Dataset:      fedms.DatasetSpec{Samples: 3000, Alpha: 10, Noise: 2.0},
+	Seed:         7,
+	EvalEvery:    -1,
+}
 
-func buildLearners() []core.Learner {
-	eng, err := fedms.BuildEngine(fedms.Config{
-		Clients:      clients,
-		Servers:      servers,
-		NumByzantine: byzantine,
-		ByzantineIDs: []int{2},
-		Rounds:       rounds,
-		LocalSteps:   steps,
-		LearningRate: 0.2,
-		Dataset:      fedms.DatasetSpec{Samples: 3000, Alpha: 10, Noise: 2.0},
-		Seed:         seed,
-		EvalEvery:    -1,
-	})
+func must[T any](v T, err error) T {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return eng.Learners()
+	return v
 }
 
 func main() {
 	// ---- Networked run ----
-	psNodes := make([]*node.PS, servers)
-	addrs := make([]string, servers)
+	cfg := must(fedms.Resolve(spec))
+	psNodes := make([]*node.PS, cfg.Servers)
+	addrs := make([]string, cfg.Servers)
 	for i := range psNodes {
-		cfg := node.PSConfig{
-			ID:         i,
-			ListenAddr: "127.0.0.1:0",
-			Clients:    clients,
-			Rounds:     rounds,
-			Seed:       seed,
-			Timeout:    10 * time.Second,
-		}
-		if i == 2 {
-			cfg.Attack = fedms.BackwardAttack{}
-		}
-		ps, err := node.NewPS(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+		pc := must(node.PSConfigFor(cfg, i))
+		pc.ListenAddr, pc.Timeout = "127.0.0.1:0", 10*time.Second
+		ps := must(node.NewPS(pc))
 		psNodes[i] = ps
 		addrs[i] = ps.Addr()
 		role := "benign"
-		if cfg.Attack != nil {
-			role = "BYZANTINE " + cfg.Attack.Name()
+		if pc.Attack != nil {
+			role = "BYZANTINE " + pc.Attack.Name()
 		}
 		fmt.Printf("PS %d (%s) listening on %s\n", i, role, ps.Addr())
 	}
 
-	learners := buildLearners()
+	learners := must(fedms.BuildLearners(spec))
 	var wg sync.WaitGroup
 	for _, ps := range psNodes {
 		wg.Add(1)
@@ -96,47 +79,24 @@ func main() {
 		}(ps)
 	}
 	for id, l := range learners {
+		cc := must(node.ClientConfigFor(cfg, id, l))
+		cc.Servers, cc.Timeout = addrs, 10*time.Second
 		wg.Add(1)
-		go func(id int, l core.Learner) {
+		go func(cc node.ClientConfig) {
 			defer wg.Done()
-			_, err := node.RunClient(node.ClientConfig{
-				ID:         id,
-				Learner:    l,
-				Servers:    addrs,
-				Rounds:     rounds,
-				LocalSteps: steps,
-				Filter:     aggregate.TrimmedMean{Beta: 0.2},
-				Schedule:   nn.ConstantLR(0.2),
-				Seed:       seed,
-				Timeout:    10 * time.Second,
-			})
-			if err != nil {
-				log.Fatalf("client %d failed: %v", id, err)
+			if _, err := node.RunClient(cc); err != nil {
+				log.Fatalf("client %d failed: %v", cc.ID, err)
 			}
-		}(id, l)
+		}(cc)
 	}
 	wg.Wait()
 	loss, acc := learners[0].Evaluate()
 	fmt.Printf("networked run done: client0 test_loss=%.4f test_acc=%.4f\n", loss, acc)
 
-	// ---- In-process reference run with identical configuration ----
-	ref := buildLearners()
-	eng, err := core.NewEngine(core.Config{
-		Clients:      clients,
-		Servers:      servers,
-		ByzantineIDs: []int{2},
-		Rounds:       rounds,
-		LocalSteps:   steps,
-		Attack:       fedms.BackwardAttack{},
-		Filter:       aggregate.TrimmedMean{Beta: 0.2},
-		Schedule:     nn.ConstantLR(0.2),
-		Seed:         seed,
-		EvalEvery:    -1,
-	}, ref)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// ---- In-process reference run from the same spec ----
+	eng := must(fedms.BuildEngine(spec))
 	eng.Run()
+	ref := eng.Learners()
 
 	// The two runs must agree bit for bit.
 	for k := range learners {

@@ -110,8 +110,12 @@ type (
 
 	// Engine is the synchronized Fed-MS round engine.
 	Engine = core.Engine
-	// EngineConfig is the low-level engine configuration.
+	// EngineConfig is the low-level engine configuration — validated,
+	// it is the resolved federation spec (see Resolve).
 	EngineConfig = core.Config
+	// FieldError is a configuration rejection naming the field it is
+	// about.
+	FieldError = core.FieldError
 	// RoundStats reports one round's metrics.
 	RoundStats = core.RoundStats
 	// Learner is the trainable state a client holds.
@@ -336,14 +340,6 @@ type Config struct {
 	// per-stream residual.
 	DownlinkCodec string
 
-	// Ingest bounds the distributed runtime's pre-admission ingest path
-	// (hello deadline, per-source accept rate limiting, connect
-	// tokens). The in-process engine opens no sockets, so these knobs
-	// never affect a Run — they are validated here (fail-fast, before
-	// any experiment work) and threaded into each parameter server's
-	// node.PSConfig by fedms-node.
-	Ingest IngestConfig
-
 	// Obs, when non-nil, collects the engine's runtime metrics
 	// (fedms_engine_*). Observation never perturbs training: seeded
 	// runs are bit-identical with or without it.
@@ -352,44 +348,6 @@ type Config struct {
 	// stage timings and round statistics; write it out with
 	// Trace.WriteJSONL.
 	TraceSink *Trace
-}
-
-// IngestConfig is the distributed ingest policy shared by every
-// parameter server of a run: how long a new connection may take to
-// introduce itself, how fast any single source may dial, and whether
-// hellos must carry a connect token derived from the shared auth key.
-// The zero value keeps the node package's defaults.
-type IngestConfig struct {
-	// HelloDeadline bounds each frame of a new connection's hello
-	// handshake (default node.DefaultHelloDeadline).
-	HelloDeadline time.Duration
-	// AcceptRate, when positive, sheds connections from any source
-	// dialing faster than this many connections per second.
-	AcceptRate float64
-	// AcceptBurst is the per-source token-bucket size (requires
-	// AcceptRate; default node.DefaultAcceptBurst).
-	AcceptBurst int
-	// RequireToken admits only hellos presenting a valid connect token
-	// (requires a shared auth key on the node command line).
-	RequireToken bool
-}
-
-// validate fails fast on ingest knobs that NewPS would reject, before
-// any dataset or socket work happens.
-func (c IngestConfig) validate() error {
-	if c.HelloDeadline < 0 {
-		return fmt.Errorf("fedms: Ingest.HelloDeadline must be non-negative, got %v", c.HelloDeadline)
-	}
-	if c.AcceptRate < 0 {
-		return fmt.Errorf("fedms: Ingest.AcceptRate must be non-negative, got %v", c.AcceptRate)
-	}
-	if c.AcceptBurst < 0 {
-		return fmt.Errorf("fedms: Ingest.AcceptBurst must be non-negative, got %d", c.AcceptBurst)
-	}
-	if c.AcceptBurst > 0 && c.AcceptRate == 0 {
-		return fmt.Errorf("fedms: Ingest.AcceptBurst requires Ingest.AcceptRate")
-	}
-	return nil
 }
 
 // Result collects a finished run.
@@ -434,60 +392,70 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// BuildEngine constructs the engine (datasets, partitions, learners)
-// without running it.
+// BuildEngine constructs the engine without running it: Resolve's
+// configuration plus BuildLearners' learners, sharing one dataset build.
 func BuildEngine(cfg Config) (*Engine, error) {
-	cfg = withDefaults(cfg)
-
-	if err := cfg.Ingest.validate(); err != nil {
-		return nil, err
-	}
-	train, test, err := buildDataset(cfg.Dataset, cfg.Seed)
+	s := &split{cfg: withDefaults(cfg)}
+	ecfg, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
-	parts, err := buildPartition(train, cfg.Dataset, cfg.Clients, cfg.Seed)
+	learners, err := s.learners()
 	if err != nil {
 		return nil, err
 	}
+	return core.NewEngine(ecfg, learners)
+}
 
-	learners := make([]Learner, cfg.Clients)
-	for k := 0; k < cfg.Clients; k++ {
-		net, err := buildModel(cfg.Model, cfg.Dataset, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		var aug *data.Augmenter
-		if cfg.Augment && cfg.Dataset.Kind != DatasetBlobs {
-			// Standard CIFAR-style augmentation, padding scaled to the
-			// input resolution.
-			pad := 4
-			if cfg.Dataset.Kind == DatasetSynthImage && cfg.Dataset.Resolution < 32 {
-				pad = cfg.Dataset.Resolution / 8
-			}
-			if pad < 1 {
-				pad = 1
-			}
-			aug = data.NewAugmenter(pad, 0.5, randx.Derive(cfg.Seed, fmt.Sprintf("augment/%d", k)))
-		}
-		learners[k] = core.NewNNLearner(core.NNLearnerConfig{
-			Net:         net,
-			Train:       train.Subset(parts[k]),
-			Test:        test,
-			BatchSize:   cfg.BatchSize,
-			Momentum:    cfg.Momentum,
-			WeightDecay: cfg.WeightDecay,
-			Augment:     aug,
-			ClipNorm:    cfg.ClipNorm,
-			Seed:        randx.Derive(cfg.Seed, fmt.Sprintf("client/%d", k)),
-		})
+// Resolve is the configuration half of BuildEngine: it applies the
+// defaults, parses the rule and codec specs, derives the filter from
+// TrimBeta, builds the holdout oracle when a loss rule needs one, and
+// validates. The result is the one description of the federation that
+// the engine and every distributed node run from (internal/node derives
+// each server's and client's config from it), so everything a run's
+// participants must agree on is decided here and nowhere else.
+//
+// A rejection about one field is a *FieldError naming it, in Config's
+// spelling for the spec fields parsed here and EngineConfig's for the
+// rest.
+func Resolve(cfg Config) (EngineConfig, error) {
+	return (&split{cfg: withDefaults(cfg)}).resolve()
+}
+
+// BuildLearners is the other half: the K client learners (dataset,
+// partition, models) that cfg describes.
+func BuildLearners(cfg Config) ([]Learner, error) {
+	return (&split{cfg: withDefaults(cfg)}).learners()
+}
+
+// split is a Config (defaults applied) with its train/test datasets,
+// built on first use so that resolve — which needs the test split only
+// for a loss rule's oracle — and learners share one build.
+type split struct {
+	cfg         Config
+	train, test *data.Dataset
+}
+
+func (s *split) build() error {
+	if s.train != nil {
+		return nil
 	}
+	var err error
+	s.train, s.test, err = buildDataset(s.cfg.Dataset, s.cfg.Seed)
+	return err
+}
 
+func specErr(field string, err error) error {
+	return &FieldError{Field: field, Err: fmt.Errorf("fedms: %s: %w", field, err)}
+}
+
+func (s *split) resolve() (EngineConfig, error) {
+	cfg := s.cfg
+	var err error
 	filter := cfg.Filter
 	if filter == nil && cfg.FilterRule != "" {
-		filter, err = aggregate.ParseRule(cfg.FilterRule)
-		if err != nil {
-			return nil, fmt.Errorf("fedms: FilterRule: %w", err)
+		if filter, err = aggregate.ParseRule(cfg.FilterRule); err != nil {
+			return EngineConfig{}, specErr("FilterRule", err)
 		}
 	}
 	if filter == nil {
@@ -503,39 +471,23 @@ func BuildEngine(cfg Config) (*Engine, error) {
 	}
 	serverFilter := cfg.ServerFilter
 	if serverFilter == nil && cfg.ServerRule != "" {
-		serverFilter, err = aggregate.ParseRule(cfg.ServerRule)
-		if err != nil {
-			return nil, fmt.Errorf("fedms: ServerRule: %w", err)
-		}
-	}
-	// A loss-based rule without an oracle would silently run its
-	// geometry fallback; build the holdout oracle whenever one is
-	// needed and not explicitly supplied. The holdout split and model
-	// instance derive from Seed alone, so the engine and the
-	// distributed nodes (NewHoldoutOracle from the same Config) score
-	// identically — bit-parity holds through the oracle path.
-	oracle := cfg.LossOracle
-	if oracle == nil && (isLossRule(filter) || isLossRule(serverFilter)) {
-		oracle, err = newHoldoutOracle(test, cfg)
-		if err != nil {
-			return nil, err
+		if serverFilter, err = aggregate.ParseRule(cfg.ServerRule); err != nil {
+			return EngineConfig{}, specErr("ServerRule", err)
 		}
 	}
 	sched := cfg.Schedule
 	if sched == nil {
 		sched = nn.ConstantLR(cfg.LearningRate)
 	}
-
 	uploadSpec, err := compress.ParseSpec(cfg.UploadCodec)
 	if err != nil {
-		return nil, fmt.Errorf("fedms: UploadCodec: %w", err)
+		return EngineConfig{}, specErr("UploadCodec", err)
 	}
 	downlinkSpec, err := compress.ParseSpec(cfg.DownlinkCodec)
 	if err != nil {
-		return nil, fmt.Errorf("fedms: DownlinkCodec: %w", err)
+		return EngineConfig{}, specErr("DownlinkCodec", err)
 	}
-
-	return core.NewEngine(core.Config{
+	ecfg, err := core.Config{
 		Clients:             cfg.Clients,
 		Servers:             cfg.Servers,
 		NumByzantine:        cfg.NumByzantine,
@@ -544,7 +496,7 @@ func BuildEngine(cfg Config) (*Engine, error) {
 		ByzantineClientIDs:  cfg.ByzantineClientIDs,
 		ClientAttack:        cfg.ClientAttack,
 		ServerFilter:        serverFilter,
-		LossOracle:          oracle,
+		LossOracle:          cfg.LossOracle,
 		Rounds:              cfg.Rounds,
 		LocalSteps:          cfg.LocalSteps,
 		Upload:              cfg.Upload,
@@ -566,7 +518,66 @@ func BuildEngine(cfg Config) (*Engine, error) {
 		DownlinkCodec:       downlinkSpec,
 		Obs:                 cfg.Obs,
 		TraceSink:           cfg.TraceSink,
-	}, learners)
+	}.Validate()
+	if err != nil {
+		return ecfg, err
+	}
+	// A loss-based rule without an oracle would silently run its
+	// geometry fallback; build the holdout oracle whenever one is
+	// needed and not explicitly supplied — last, so every cheap
+	// rejection comes before the dataset is built. The holdout split
+	// and model instance derive from Seed alone, so every process that
+	// resolves the same Config scores identically — bit-parity holds
+	// through the oracle path.
+	if ecfg.LossOracle == nil && (isLossRule(filter) || isLossRule(serverFilter)) {
+		if ecfg.LossOracle, err = s.oracle(); err != nil {
+			return ecfg, err
+		}
+	}
+	return ecfg, nil
+}
+
+func (s *split) learners() ([]Learner, error) {
+	if err := s.build(); err != nil {
+		return nil, err
+	}
+	cfg := s.cfg
+	parts, err := buildPartition(s.train, cfg.Dataset, cfg.Clients, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	learners := make([]Learner, cfg.Clients)
+	for k := 0; k < cfg.Clients; k++ {
+		net, err := buildModel(cfg.Model, cfg.Dataset, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		var aug *data.Augmenter
+		if cfg.Augment && cfg.Dataset.Kind != DatasetBlobs {
+			// Standard CIFAR-style augmentation, padding scaled to the
+			// input resolution.
+			pad := 4
+			if cfg.Dataset.Kind == DatasetSynthImage && cfg.Dataset.Resolution < 32 {
+				pad = cfg.Dataset.Resolution / 8
+			}
+			if pad < 1 {
+				pad = 1
+			}
+			aug = data.NewAugmenter(pad, 0.5, randx.Derive(cfg.Seed, fmt.Sprintf("augment/%d", k)))
+		}
+		learners[k] = core.NewNNLearner(core.NNLearnerConfig{
+			Net:         net,
+			Train:       s.train.Subset(parts[k]),
+			Test:        s.test,
+			BatchSize:   cfg.BatchSize,
+			Momentum:    cfg.Momentum,
+			WeightDecay: cfg.WeightDecay,
+			Augment:     aug,
+			ClipNorm:    cfg.ClipNorm,
+			Seed:        randx.Derive(cfg.Seed, fmt.Sprintf("client/%d", k)),
+		})
+	}
+	return learners, nil
 }
 
 func withDefaults(cfg Config) Config {

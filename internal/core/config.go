@@ -200,65 +200,81 @@ type Config struct {
 	TraceSink *obs.Trace
 }
 
+// FieldError is a Validate rejection attributed to the Config field it
+// is about (in the field's own spelling), so a caller that knows where
+// the value came from — a command-line binding — can name that source.
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+func (e *FieldError) Error() string { return e.Err.Error() }
+func (e *FieldError) Unwrap() error { return e.Err }
+
+func fieldErr(field, format string, args ...any) error {
+	return &FieldError{Field: field, Err: fmt.Errorf("core: "+format, args...)}
+}
+
 // Validate checks the configuration and returns a normalized copy with
-// defaults applied and Byzantine identities resolved.
+// defaults applied and Byzantine identities resolved. Every rejection
+// is a *FieldError.
 func (c Config) Validate() (Config, error) {
 	if c.Clients <= 0 {
-		return c, fmt.Errorf("core: Clients must be positive, got %d", c.Clients)
+		return c, fieldErr("Clients", "Clients must be positive, got %d", c.Clients)
 	}
 	if c.Servers <= 0 {
-		return c, fmt.Errorf("core: Servers must be positive, got %d", c.Servers)
+		return c, fieldErr("Servers", "Servers must be positive, got %d", c.Servers)
 	}
 	if c.Rounds <= 0 {
-		return c, fmt.Errorf("core: Rounds must be positive, got %d", c.Rounds)
+		return c, fieldErr("Rounds", "Rounds must be positive, got %d", c.Rounds)
 	}
 	if c.LocalSteps <= 0 {
-		return c, fmt.Errorf("core: LocalSteps must be positive, got %d", c.LocalSteps)
+		return c, fieldErr("LocalSteps", "LocalSteps must be positive, got %d", c.LocalSteps)
 	}
 	if c.Upload == 0 {
 		c.Upload = SparseUpload
 	}
 	if c.Upload != SparseUpload && c.Upload != FullUpload && c.Upload != RoundRobinUpload {
-		return c, fmt.Errorf("core: unknown upload strategy %d", c.Upload)
+		return c, fieldErr("Upload", "unknown upload strategy %d", c.Upload)
 	}
 	if c.Participation == 0 {
 		c.Participation = 1
 	}
 	if c.Participation <= 0 || c.Participation > 1 {
-		return c, fmt.Errorf("core: Participation must be in (0,1], got %v", c.Participation)
+		return c, fieldErr("Participation", "Participation must be in (0,1], got %v", c.Participation)
 	}
 	if int(c.Participation*float64(c.Clients)) < 1 {
-		return c, fmt.Errorf("core: Participation %v activates no clients of %d", c.Participation, c.Clients)
+		return c, fieldErr("Participation", "Participation %v activates no clients of %d", c.Participation, c.Clients)
 	}
 	if c.Attack == nil {
 		c.Attack = attack.None{}
 	}
 	if c.Filter == nil {
-		return c, fmt.Errorf("core: Filter is required (TrimmedMean for Fed-MS, Mean for vanilla)")
+		return c, fieldErr("Filter", "Filter is required (TrimmedMean for Fed-MS, Mean for vanilla)")
 	}
 	if c.Schedule == nil {
-		return c, fmt.Errorf("core: Schedule is required")
+		return c, fieldErr("Schedule", "Schedule is required")
 	}
 	if len(c.ByzantineIDs) > 0 {
 		c.NumByzantine = len(c.ByzantineIDs)
 		seen := make(map[int]bool, len(c.ByzantineIDs))
 		for _, id := range c.ByzantineIDs {
 			if id < 0 || id >= c.Servers {
-				return c, fmt.Errorf("core: Byzantine server id %d out of range [0,%d)", id, c.Servers)
+				return c, fieldErr("ByzantineIDs", "Byzantine server id %d out of range [0,%d)", id, c.Servers)
 			}
 			if seen[id] {
-				return c, fmt.Errorf("core: duplicate Byzantine server id %d", id)
+				return c, fieldErr("ByzantineIDs", "duplicate Byzantine server id %d", id)
 			}
 			seen[id] = true
 		}
 	}
 	if c.NumByzantine < 0 {
-		return c, fmt.Errorf("core: NumByzantine must be non-negative")
+		return c, fieldErr("NumByzantine", "NumByzantine must be non-negative")
 	}
 	if 2*c.NumByzantine >= c.Servers && c.NumByzantine > 0 {
 		// The paper's feasibility condition: Byzantine PSs must be a
 		// strict minority or no filter can help.
-		return c, fmt.Errorf("core: B=%d Byzantine of P=%d servers violates B < P/2", c.NumByzantine, c.Servers)
+		return c, fieldErr("NumByzantine", "B=%d Byzantine of P=%d servers violates B < P/2", c.NumByzantine, c.Servers)
 	}
 	if len(c.ByzantineIDs) == 0 && c.NumByzantine > 0 {
 		perm := randx.Perm(randx.Split(c.Seed, "byzantine-ids"), c.Servers)
@@ -273,22 +289,22 @@ func (c Config) Validate() (Config, error) {
 		seen := make(map[int]bool, len(c.ByzantineClientIDs))
 		for _, id := range c.ByzantineClientIDs {
 			if id < 0 || id >= c.Clients {
-				return c, fmt.Errorf("core: Byzantine client id %d out of range [0,%d)", id, c.Clients)
+				return c, fieldErr("ByzantineClientIDs", "Byzantine client id %d out of range [0,%d)", id, c.Clients)
 			}
 			if seen[id] {
-				return c, fmt.Errorf("core: duplicate Byzantine client id %d", id)
+				return c, fieldErr("ByzantineClientIDs", "duplicate Byzantine client id %d", id)
 			}
 			seen[id] = true
 		}
 	}
 	if c.NumByzantineClients < 0 {
-		return c, fmt.Errorf("core: NumByzantineClients must be non-negative")
+		return c, fieldErr("NumByzantineClients", "NumByzantineClients must be non-negative")
 	}
 	if 2*c.NumByzantineClients >= c.Clients && c.NumByzantineClients > 0 {
-		return c, fmt.Errorf("core: %d Byzantine of %d clients violates the minority condition", c.NumByzantineClients, c.Clients)
+		return c, fieldErr("NumByzantineClients", "%d Byzantine of %d clients violates the minority condition", c.NumByzantineClients, c.Clients)
 	}
 	if c.NumByzantineClients > 0 && c.ClientAttack == nil {
-		return c, fmt.Errorf("core: NumByzantineClients > 0 requires ClientAttack")
+		return c, fieldErr("ClientAttack", "NumByzantineClients > 0 requires ClientAttack")
 	}
 	if len(c.ByzantineClientIDs) == 0 && c.NumByzantineClients > 0 {
 		perm := randx.Perm(randx.Split(c.Seed, "byzantine-client-ids"), c.Clients)
@@ -296,40 +312,29 @@ func (c Config) Validate() (Config, error) {
 		sort.Ints(c.ByzantineClientIDs)
 	}
 	if c.Shards < 0 {
-		return c, fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
+		return c, fieldErr("Shards", "Shards must be non-negative, got %d", c.Shards)
 	}
-	if c.Async {
-		if c.Window == 0 {
-			c.Window = sched.DefaultLatencyScale / 4
-		}
-		if c.Window < 0 {
-			return c, fmt.Errorf("core: Window must be positive, got %v", c.Window)
-		}
-		if c.Staleness < 0 {
-			return c, fmt.Errorf("core: Staleness must be non-negative, got %d", c.Staleness)
-		}
-		if !aggregate.IsWeighted(c.ServerFilter) {
-			return c, fmt.Errorf("core: Async requires a ServerFilter with a weighted kernel (mean, trimmed_mean, median), got %s", c.ServerFilter.Name())
-		}
-	} else {
-		if c.Window != 0 {
-			return c, fmt.Errorf("core: Window requires Async")
-		}
-		if c.Staleness != 0 {
-			return c, fmt.Errorf("core: Staleness requires Async")
-		}
-		if c.SpillDir != "" || c.SpillMem != 0 {
-			return c, fmt.Errorf("core: SpillDir/SpillMem require Async")
-		}
+	var kerr *sched.KnobError
+	if c.Window, kerr = sched.Knobs(c.Async, c.Window, c.Staleness); kerr != nil {
+		return c, fieldErr(kerr.Knob, "%v", kerr)
+	}
+	if c.Async && !aggregate.IsWeighted(c.ServerFilter) {
+		return c, fieldErr("ServerFilter", "Async requires a ServerFilter with a weighted kernel (mean, trimmed_mean, median), got %s", c.ServerFilter.Name())
+	}
+	if !c.Async && c.SpillDir != "" {
+		return c, fieldErr("SpillDir", "SpillDir requires Async")
+	}
+	if !c.Async && c.SpillMem != 0 {
+		return c, fieldErr("SpillMem", "SpillMem requires Async")
 	}
 	if err := c.UploadCodec.Validate(); err != nil {
-		return c, fmt.Errorf("core: UploadCodec: %w", err)
+		return c, fieldErr("UploadCodec", "UploadCodec: %w", err)
 	}
 	if err := c.DownlinkCodec.Validate(); err != nil {
-		return c, fmt.Errorf("core: DownlinkCodec: %w", err)
+		return c, fieldErr("DownlinkCodec", "DownlinkCodec: %w", err)
 	}
 	if c.DownlinkCodec.EF {
-		return c, fmt.Errorf("core: DownlinkCodec %q: error feedback is per-stream state and cannot be used on the broadcast downlink", c.DownlinkCodec)
+		return c, fieldErr("DownlinkCodec", "DownlinkCodec %q: error feedback is per-stream state and cannot be used on the broadcast downlink", c.DownlinkCodec)
 	}
 	if c.EvalEvery == 0 {
 		c.EvalEvery = 1

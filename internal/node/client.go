@@ -377,24 +377,15 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = 50 * time.Millisecond
 	}
-	if cfg.Async {
-		if cfg.Window < 0 {
-			return nil, fmt.Errorf("node: client %d Window must be positive, got %v", cfg.ID, cfg.Window)
-		}
-		if cfg.Window == 0 {
-			cfg.Window = sched.DefaultLatencyScale / 4
-		}
-		if cfg.Staleness < 0 {
-			return nil, fmt.Errorf("node: client %d Staleness must be non-negative, got %d", cfg.ID, cfg.Staleness)
-		}
-		if cfg.LatencyScale < 0 {
-			return nil, fmt.Errorf("node: client %d LatencyScale must be non-negative, got %v", cfg.ID, cfg.LatencyScale)
-		}
-		if cfg.LatencyScale == 0 {
-			cfg.LatencyScale = sched.DefaultLatencyScale
-		}
-	} else if cfg.Window != 0 || cfg.Staleness != 0 || cfg.LatencyScale != 0 {
-		return nil, fmt.Errorf("node: client %d Window/Staleness/LatencyScale require Async mode", cfg.ID)
+	var kerr *sched.KnobError
+	if cfg.Window, kerr = sched.Knobs(cfg.Async, cfg.Window, cfg.Staleness); kerr != nil {
+		return nil, fmt.Errorf("node: client %d: %w", cfg.ID, kerr)
+	}
+	if cfg.LatencyScale < 0 || (!cfg.Async && cfg.LatencyScale != 0) {
+		return nil, fmt.Errorf("node: client %d LatencyScale must be non-negative and requires Async mode, got %v", cfg.ID, cfg.LatencyScale)
+	}
+	if cfg.Async && cfg.LatencyScale == 0 {
+		cfg.LatencyScale = sched.DefaultLatencyScale
 	}
 	tolerant := cfg.MinModels > 0
 	if cfg.Codec != nil && cfg.Codec.Name() == "dense" {

@@ -1,16 +1,12 @@
 package node
 
 import (
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"fedms/internal/aggregate"
 	"fedms/internal/compress"
 	"fedms/internal/core"
 	"fedms/internal/nn"
-	"fedms/internal/randx"
 )
 
 // runDistributedCodec is runDistributed with the codec layer enabled:
@@ -21,95 +17,10 @@ import (
 func runDistributedCodec(t *testing.T, learners []core.Learner, p, rounds int,
 	filter aggregate.Rule, seed uint64, up, down compress.Spec) ([][]float64, []PSStats, [][]ClientRoundStats) {
 	t.Helper()
-	k := len(learners)
-
-	servers := make([]*PS, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		var dc compress.Codec
-		if !down.IsDense() {
-			var err error
-			dc, err = down.NewCodec(randx.Derive(seed, fmt.Sprintf("downlink/ps%d", i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		ps, err := NewPS(PSConfig{
-			ID:            i,
-			ListenAddr:    "127.0.0.1:0",
-			Clients:       k,
-			Rounds:        rounds,
-			Seed:          seed,
-			Timeout:       5 * time.Second,
-			DownlinkCodec: dc,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = ps
-		addrs[i] = ps.Addr()
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, p+k)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				errCh <- err
-			}
-		}(ps)
-	}
-	clientStats := make([][]ClientRoundStats, k)
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			var uc compress.Codec
-			if !up.IsDense() {
-				var err error
-				uc, err = up.NewCodec(core.ClientCodecSeed(seed, id))
-				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-			st, err := RunClient(ClientConfig{
-				ID:                    id,
-				Learner:               l,
-				Servers:               addrs,
-				Rounds:                rounds,
-				LocalSteps:            2,
-				Filter:                filter,
-				Schedule:              nn.ConstantLR(0.3),
-				Seed:                  seed,
-				Timeout:               5 * time.Second,
-				Codec:                 uc,
-				AcceptEncodedDownlink: !down.IsDense(),
-			})
-			if err != nil {
-				errCh <- err
-				return
-			}
-			clientStats[id] = st
-		}(id, l)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("distributed codec run failed: %v", err)
-	}
-
-	params := make([][]float64, k)
-	for i, l := range learners {
-		params[i] = l.Params()
-	}
-	stats := make([]PSStats, p)
-	for i, ps := range servers {
-		stats[i] = ps.Stats()
-	}
-	return params, stats, clientStats
+	cfg := testSpec(len(learners), p, rounds, filter, seed)
+	cfg.UploadCodec, cfg.DownlinkCodec = up, down
+	params, clientStats, psStats := launch(t, cfg, learners, nil, nil)
+	return params, psStats, clientStats
 }
 
 // runEngineCodec runs the in-process engine with the same codec specs

@@ -1,9 +1,7 @@
 package node
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"fedms/internal/aggregate"
 	"fedms/internal/attack"
@@ -30,71 +28,12 @@ func runDistributedLoss(t *testing.T, learners []core.Learner, p, rounds int,
 	byzantine map[int]attack.Attack, serverRule, filter aggregate.Rule,
 	oracle aggregate.LossEval, seed uint64) [][]float64 {
 	t.Helper()
-	k := len(learners)
-
-	servers := make([]*PS, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ps, err := NewPS(PSConfig{
-			ID:         i,
-			ListenAddr: "127.0.0.1:0",
-			Clients:    k,
-			Rounds:     rounds,
-			Attack:     byzantine[i],
-			ServerRule: serverRule,
-			LossOracle: oracle,
-			Seed:       seed,
-			Timeout:    5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = ps
-		addrs[i] = ps.Addr()
+	cfg := testSpec(len(learners), p, rounds, filter, seed)
+	cfg.ServerFilter, cfg.LossOracle = serverRule, oracle
+	for id, atk := range byzantine {
+		cfg.ByzantineIDs, cfg.Attack = append(cfg.ByzantineIDs, id), atk
 	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, p+k)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				errCh <- err
-			}
-		}(ps)
-	}
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			_, err := RunClient(ClientConfig{
-				ID:         id,
-				Learner:    l,
-				Servers:    addrs,
-				Rounds:     rounds,
-				LocalSteps: 2,
-				Filter:     filter,
-				LossOracle: oracle,
-				Schedule:   nn.ConstantLR(0.3),
-				Seed:       seed,
-				Timeout:    5 * time.Second,
-			})
-			if err != nil {
-				errCh <- err
-			}
-		}(id, l)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("distributed loss run failed: %v", err)
-	}
-
-	params := make([][]float64, k)
-	for i, l := range learners {
-		params[i] = l.Params()
-	}
+	params, _, _ := launch(t, cfg, learners, nil, nil)
 	return params
 }
 

@@ -376,29 +376,18 @@ func NewPS(cfg PSConfig) (*PS, error) {
 		}
 	}
 
-	// Async validation mirrors core.Config.Validate: the window knobs
-	// are rejected outside async mode, and the rule must carry a
-	// weighted kernel so staleness down-weights reach the aggregate.
-	if cfg.Async {
-		if cfg.Window == 0 {
-			cfg.Window = sched.DefaultLatencyScale / 4
-		}
-		if cfg.Window < 0 {
-			return nil, fmt.Errorf("node: PS %d Window must be positive, got %v", cfg.ID, cfg.Window)
-		}
-		if cfg.Staleness < 0 {
-			return nil, fmt.Errorf("node: PS %d Staleness must be non-negative, got %d", cfg.ID, cfg.Staleness)
-		}
-		if !aggregate.IsWeighted(cfg.ServerRule) {
-			return nil, fmt.Errorf("node: PS %d: rule %q has no weighted kernel; async staleness down-weighting requires one", cfg.ID, cfg.ServerRule.Name())
-		}
-	} else {
-		if cfg.Window != 0 || cfg.Staleness != 0 {
-			return nil, fmt.Errorf("node: PS %d: Window/Staleness require Async mode", cfg.ID)
-		}
-		if cfg.SpillDir != "" || cfg.SpillMem != 0 || cfg.CheckpointPath != "" {
-			return nil, fmt.Errorf("node: PS %d: spill/checkpoint knobs require Async mode", cfg.ID)
-		}
+	// The window knobs follow the rule core.Config.Validate applies
+	// (sched.Knobs), and the rule must carry a weighted kernel so
+	// staleness down-weights reach the aggregate.
+	var kerr *sched.KnobError
+	if cfg.Window, kerr = sched.Knobs(cfg.Async, cfg.Window, cfg.Staleness); kerr != nil {
+		return nil, fmt.Errorf("node: PS %d: %w", cfg.ID, kerr)
+	}
+	if cfg.Async && !aggregate.IsWeighted(cfg.ServerRule) {
+		return nil, fmt.Errorf("node: PS %d: rule %q has no weighted kernel; async staleness down-weighting requires one", cfg.ID, cfg.ServerRule.Name())
+	}
+	if !cfg.Async && (cfg.SpillDir != "" || cfg.SpillMem != 0 || cfg.CheckpointPath != "") {
+		return nil, fmt.Errorf("node: PS %d: spill/checkpoint knobs require Async mode", cfg.ID)
 	}
 
 	// Checkpoint restore: a restarted async server resumes at the

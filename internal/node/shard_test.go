@@ -1,9 +1,7 @@
 package node
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"fedms/internal/aggregate"
 	"fedms/internal/compress"
@@ -19,83 +17,7 @@ func runDistributedOpts(t *testing.T, learners []core.Learner, p, rounds int,
 	filter aggregate.Rule, seed uint64,
 	psMut func(*PSConfig), clMut func(*ClientConfig)) ([][]float64, [][]ClientRoundStats, []PSStats) {
 	t.Helper()
-	k := len(learners)
-
-	servers := make([]*PS, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		cfg := PSConfig{
-			ID:         i,
-			ListenAddr: "127.0.0.1:0",
-			Clients:    k,
-			Rounds:     rounds,
-			Seed:       seed,
-			Timeout:    5 * time.Second,
-		}
-		if psMut != nil {
-			psMut(&cfg)
-		}
-		ps, err := NewPS(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = ps
-		addrs[i] = ps.Addr()
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, p+k)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				errCh <- err
-			}
-		}(ps)
-	}
-	clientStats := make([][]ClientRoundStats, k)
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			cfg := ClientConfig{
-				ID:         id,
-				Learner:    l,
-				Servers:    addrs,
-				Rounds:     rounds,
-				LocalSteps: 2,
-				Filter:     filter,
-				Schedule:   nn.ConstantLR(0.3),
-				Seed:       seed,
-				Timeout:    5 * time.Second,
-			}
-			if clMut != nil {
-				clMut(&cfg)
-			}
-			st, err := RunClient(cfg)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			clientStats[id] = st
-		}(id, l)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("distributed run failed: %v", err)
-	}
-
-	params := make([][]float64, k)
-	for i, l := range learners {
-		params[i] = l.Params()
-	}
-	psStats := make([]PSStats, p)
-	for i, ps := range servers {
-		psStats[i] = ps.Stats()
-	}
-	return params, clientStats, psStats
+	return launch(t, testSpec(len(learners), p, rounds, filter, seed), learners, psMut, clMut)
 }
 
 // runEngineCfg runs the in-process engine under a caller-shaped config

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"sync"
 )
@@ -133,4 +134,18 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile writes the trace as JSONL (see WriteJSONL) to a new file at
+// path, replacing any file already there.
+func (t *Trace) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSONL(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -102,7 +102,38 @@ type Scheduler struct {
 	round int
 }
 
+// KnobError is a Knobs rejection. Knob is the offending knob's name —
+// "Window" or "Staleness", the spelling every config struct gives the
+// field — so a caller can attribute the error to its own field.
+type KnobError struct{ Knob, Reason string }
+
+func (e *KnobError) Error() string { return e.Knob + " " + e.Reason }
+
+// Knobs is the one statement of the async-knob rule that core.Config,
+// node.PSConfig and node.ClientConfig share: outside async mode both
+// knobs must be zero; in async mode neither may be negative and a zero
+// window means DefaultLatencyScale/4. It returns the effective window,
+// or the rejection — typed, so each caller can attribute it to its own
+// field and add its own prefix.
+func Knobs(async bool, window time.Duration, staleness int) (time.Duration, *KnobError) {
+	switch {
+	case !async && window != 0:
+		return 0, &KnobError{"Window", "requires Async"}
+	case !async && staleness != 0:
+		return 0, &KnobError{"Staleness", "requires Async"}
+	case window < 0:
+		return 0, &KnobError{"Window", fmt.Sprintf("must be non-negative, got %v", window)}
+	case staleness < 0:
+		return 0, &KnobError{"Staleness", fmt.Sprintf("must be non-negative, got %d", staleness)}
+	case async && window == 0:
+		window = DefaultLatencyScale / 4
+	}
+	return window, nil
+}
+
 // New validates cfg and returns a scheduler positioned at StartRound.
+// It takes the effective window (see Knobs), so async mode needs a
+// positive one.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("sched: Rounds must be positive, got %d", cfg.Rounds)
@@ -110,20 +141,14 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.StartRound < 0 || cfg.StartRound > cfg.Rounds {
 		return nil, fmt.Errorf("sched: StartRound %d outside [0,%d]", cfg.StartRound, cfg.Rounds)
 	}
-	if cfg.Staleness < 0 {
-		return nil, fmt.Errorf("sched: Staleness must be >= 0, got %d", cfg.Staleness)
-	}
-	switch cfg.Mode {
-	case Sync:
-		if cfg.Window != 0 || cfg.Staleness != 0 {
-			return nil, fmt.Errorf("sched: Window/Staleness require Async mode")
-		}
-	case Async:
-		if cfg.Window <= 0 {
-			return nil, fmt.Errorf("sched: Async mode requires a positive Window, got %v", cfg.Window)
-		}
-	default:
+	if cfg.Mode != Sync && cfg.Mode != Async {
 		return nil, fmt.Errorf("sched: unknown mode %d", int(cfg.Mode))
+	}
+	if _, kerr := Knobs(cfg.Mode == Async, cfg.Window, cfg.Staleness); kerr != nil {
+		return nil, fmt.Errorf("sched: %w", kerr)
+	}
+	if cfg.Mode == Async && cfg.Window == 0 {
+		return nil, fmt.Errorf("sched: Async mode requires a positive Window")
 	}
 	return &Scheduler{cfg: cfg, round: cfg.StartRound}, nil
 }

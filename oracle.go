@@ -5,14 +5,7 @@ import (
 	"sync"
 
 	"fedms/internal/aggregate"
-	"fedms/internal/data"
 )
-
-// ParseRule resolves an aggregation-rule spec ("mean", "trim:0.2",
-// "krum:2", "fedgreed", ...) through the shared registry; see
-// aggregate.ParseRule for the grammar. CLIs validate specs with it
-// before any socket opens, exactly like the codec specs.
-func ParseRule(spec string) (Rule, error) { return aggregate.ParseRule(spec) }
 
 // DefaultHoldoutSamples is the holdout-split size backing the loss
 // oracle when Config.HoldoutSamples is zero. Small on purpose: the
@@ -36,17 +29,16 @@ const DefaultHoldoutSamples = 256
 // for concurrent use (internally serialized), and every call is
 // counted in obs by the dispatch sites.
 func NewHoldoutOracle(cfg Config) (LossEval, error) {
-	cfg = withDefaults(cfg)
-	_, test, err := buildDataset(cfg.Dataset, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return newHoldoutOracle(test, cfg)
+	return (&split{cfg: withDefaults(cfg)}).oracle()
 }
 
-// newHoldoutOracle is the shared implementation; BuildEngine hands it
-// the test split it already constructed.
-func newHoldoutOracle(test *data.Dataset, cfg Config) (LossEval, error) {
+// oracle is the shared implementation, over the test split BuildEngine
+// also hands its learners.
+func (s *split) oracle() (LossEval, error) {
+	if err := s.build(); err != nil {
+		return nil, err
+	}
+	test, cfg := s.test, s.cfg
 	n := cfg.HoldoutSamples
 	if n <= 0 {
 		n = DefaultHoldoutSamples
