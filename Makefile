@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race chaos trace fuzz bench bench-diff defense scale straggler
+.PHONY: build test verify race chaos trace fuzz defense scale straggler
 
 build:
 	$(GO) build ./...
@@ -91,25 +91,11 @@ trace:
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/transport/
 
-# Performance trajectory: micro-benchmarks over the aggregation rules,
-# the wire encoder and the full round, written to BENCH_fedms.json (see
-# EXPERIMENTS.md "Performance"). Run on an otherwise idle machine.
-bench:
-	$(GO) run ./cmd/fedms-bench -exp perf -benchout BENCH_fedms.json
-
 # Defense-matrix smoke: the rules × attacks table at -quick scale,
 # written to defense_matrix.txt — CI uploads it as a build artifact so
 # every run leaves a browsable copy of the loss-rule acceptance story.
 defense:
 	$(GO) run ./cmd/fedms-bench -exp defense -quick | tee defense_matrix.txt
-
-# Perf regression gate: re-run the perf pass and compare the aggregate
-# and train_step sections against the committed trajectory, failing on
-# any >15% ns/op regression. The fresh report lands in BENCH_check.json
-# (untracked) so the committed baseline is never clobbered. Meaningful
-# only on an otherwise idle machine; CI runs it as a non-blocking step.
-bench-diff:
-	$(GO) run ./cmd/fedms-bench -exp perf -benchout BENCH_check.json -diffbase BENCH_fedms.json
 
 # Scale curve: rounds/sec vs K through the two-tier shard tree, out to
 # K = 100k simulated clients plus a distributed smoke point, written to

@@ -1,6 +1,7 @@
 // Command fedms-bench regenerates the paper's evaluation artifacts.
 //
-// One experiment id per paper figure/table (see DESIGN.md §4):
+// One experiment id per paper figure/table (see DESIGN.md §4), plus the
+// studies beyond the paper:
 //
 //	fedms-bench -exp fig2               # Fig 2(a-d), all four attacks
 //	fedms-bench -exp fig2 -attack noise # a single panel
@@ -13,14 +14,16 @@
 //	fedms-bench -exp codec              # upload-codec bytes vs accuracy
 //	fedms-bench -exp ablation           # filter + upload ablations
 //	fedms-bench -exp defense            # rules x attacks defense matrix
-//	fedms-bench -exp all                # everything
-//	fedms-bench -exp perf               # perf pass -> BENCH_fedms.json
+//	fedms-bench -exp stats              # Fig 2 finals over -seeds seeds
+//	fedms-bench -exp sweep              # trim rate beta x Byzantine share
+//	fedms-bench -exp scale              # rounds/sec vs K -> scale_curve.json
 //	fedms-bench -exp straggler          # sync vs async round time -> straggler_curve.json
+//	fedms-bench -exp all                # everything but scale and straggler
 //
 // -quick shrinks rounds/clients for a fast smoke pass; -csvdir writes
-// each experiment's series as CSV files. The perf pass is not part of
-// "all" (it measures wall-clock and should run on an otherwise idle
-// machine — see `make bench`); -benchout sets its JSON output path.
+// each experiment's series as CSV files. scale and straggler are not
+// part of "all": each writes a JSON curve (-scaleout, -stragglerout)
+// that CI keeps as a build artifact.
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"fedms/internal/experiments"
@@ -42,10 +46,17 @@ func main() {
 	}
 }
 
+// experimentIDs is the one list of -exp values: it drives the flag's
+// help text and its validation.
+var experimentIDs = []string{
+	"fig2", "fig3", "fig4", "fig5", "table2", "theorem1", "commcost", "codec",
+	"ablation", "defense", "stats", "sweep", "scale", "straggler", "all",
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("fedms-bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: fig2|fig3|fig4|fig5|table2|theorem1|commcost|codec|ablation|defense|stats|sweep|perf|scale|straggler|all")
+		exp      = fs.String("exp", "all", "experiment: "+strings.Join(experimentIDs, "|"))
 		attack   = fs.String("attack", "", "restrict fig2 to one attack (noise|random|safeguard|backward)")
 		quick    = fs.Bool("quick", false, "shrink rounds and dataset for a fast smoke pass")
 		seed     = fs.Uint64("seed", 1, "experiment seed")
@@ -54,14 +65,14 @@ func run(args []string) error {
 		asPlot   = fs.Bool("plot", false, "render each experiment as an ASCII chart in addition to the table")
 		evalStr  = fs.Int("eval", 0, "evaluate every N rounds (0 = 5)")
 		seeds    = fs.Int("seeds", 3, "seed repetitions for the stats experiment")
-		benchout = fs.String("benchout", "BENCH_fedms.json", "output path for the perf experiment's JSON report")
-		diffbase = fs.String("diffbase", "", "baseline BENCH_fedms.json to diff the perf run against; exits non-zero on regression")
-		difftol  = fs.Float64("difftol", 0.15, "fractional ns/op regression tolerance for -diffbase")
 		scaleout = fs.String("scaleout", "scale_curve.json", "output path for the scale experiment's JSON curve")
 		stragout = fs.String("stragglerout", "straggler_curve.json", "output path for the straggler experiment's JSON curve")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !slices.Contains(experimentIDs, *exp) {
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
 	opts := experiments.Options{Seed: *seed, Rounds: *rounds, EvalEvery: *evalStr}
@@ -276,32 +287,9 @@ func run(args []string) error {
 		}
 	}
 
-	if *exp == "perf" {
-		// Deliberately excluded from "all": wall-clock measurements want
-		// an idle machine, and the JSON report is a build artifact.
-		var baseline *BenchReport
-		if *diffbase != "" {
-			// Load before runPerf in case -benchout points at the baseline.
-			var err error
-			if baseline, err = loadBenchReport(*diffbase); err != nil {
-				return err
-			}
-		}
-		report, err := runPerf(out, *benchout, *seed, *quick)
-		if err != nil {
-			return err
-		}
-		if baseline != nil {
-			fmt.Fprintf(out, "Perf diff vs %s:\n", *diffbase)
-			if err := diffBenchReports(out, baseline, report, *difftol); err != nil {
-				return err
-			}
-		}
-	}
-
 	if *exp == "scale" {
-		// Like perf, excluded from "all": the K=100k points want an idle
-		// machine and the curve is a build artifact (see `make scale`).
+		// Excluded from "all": the K=100k points want an idle machine and
+		// the curve is a build artifact (see `make scale`).
 		if err := runScale(out, *scaleout, *seed, *quick); err != nil {
 			return err
 		}
@@ -314,10 +302,6 @@ func run(args []string) error {
 			return err
 		}
 	}
-
-	if !anyKnown(*exp) {
-		return fmt.Errorf("unknown experiment %q", *exp)
-	}
 	return nil
 }
 
@@ -328,14 +312,4 @@ func rounded(vals []float64) []string {
 		out[i] = fmt.Sprintf("%.3f", v)
 	}
 	return out
-}
-
-func anyKnown(exp string) bool {
-	known := "all fig2 fig3 fig4 fig5 table2 theorem1 commcost codec ablation defense stats sweep perf scale straggler"
-	for _, k := range strings.Fields(known) {
-		if exp == k {
-			return true
-		}
-	}
-	return false
 }

@@ -47,69 +47,28 @@ func TestBenchPlotFlag(t *testing.T) {
 	}
 }
 
-func TestBenchPerfWritesValidJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_fedms.json")
-	if err := run([]string{"-exp", "perf", "-quick", "-benchout", path}); err != nil {
+// TestBenchScaleWritesCurve pins scale_curve.json's own schema and
+// that the quick pass measures every point plus the distributed smoke
+// round.
+func TestBenchScaleWritesCurve(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scale_curve.json")
+	if err := run([]string{"-exp", "scale", "-quick", "-scaleout", path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report BenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_fedms.json is not valid JSON: %v", err)
+	var curve scaleCurve
+	if err := json.Unmarshal(data, &curve); err != nil {
+		t.Fatalf("scale_curve.json is not valid JSON: %v", err)
 	}
-	if report.Schema != BenchSchema {
-		t.Fatalf("schema = %q, want %q", report.Schema, BenchSchema)
+	if curve.Schema != "fedms-bench/scale/v1" || len(curve.Points) == 0 || curve.Smoke == nil {
+		t.Fatalf("degenerate curve: %+v", curve)
 	}
-	if len(report.Aggregate) == 0 || len(report.Transport) == 0 {
-		t.Fatalf("report is missing sections: %+v", report)
-	}
-	for _, e := range append(report.Aggregate, report.Transport...) {
-		if e.Name == "" || e.Iters <= 0 || e.NsPerOp <= 0 {
-			t.Fatalf("degenerate bench entry: %+v", e)
-		}
-	}
-	if report.Round.Rounds <= 0 || report.Round.NsPerRound <= 0 {
-		t.Fatalf("degenerate round bench: %+v", report.Round)
-	}
-}
-
-func TestBenchPerfReportsAsyncRound(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_fedms.json")
-	if err := run([]string{"-exp", "perf", "-quick", "-benchout", path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report BenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	// v7 gates the async_round section through bench-diff; the three
-	// engine regimes plus the weighted kernels must all be present and
-	// non-degenerate.
-	want := map[string]bool{
-		"async_round/weighted/trimmed_mean": false,
-		"async_round/weighted/median":       false,
-		"async_round/sync_baseline":         false,
-		"async_round/fresh":                 false,
-		"async_round/stale":                 false,
-	}
-	for _, e := range report.AsyncRound {
-		if e.Iters <= 0 || e.NsPerOp <= 0 {
-			t.Fatalf("degenerate async_round entry: %+v", e)
-		}
-		if _, ok := want[e.Name]; ok {
-			want[e.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("async_round section is missing %s: %+v", name, report.AsyncRound)
+	for _, p := range append(curve.Points, *curve.Smoke) {
+		if p.Iters <= 0 || p.NsPerOp <= 0 {
+			t.Fatalf("degenerate point: %+v", p)
 		}
 	}
 }
@@ -127,7 +86,7 @@ func TestBenchStragglerWritesCurve(t *testing.T) {
 	if err := json.Unmarshal(data, &curve); err != nil {
 		t.Fatalf("straggler_curve.json is not valid JSON: %v", err)
 	}
-	if curve.Schema != BenchSchema || len(curve.Points) == 0 {
+	if curve.Schema != "fedms-bench/straggler/v1" || len(curve.Points) == 0 {
 		t.Fatalf("degenerate curve: %+v", curve)
 	}
 	for _, p := range curve.Points {
@@ -171,8 +130,12 @@ func TestBenchStragglerWritesCurve(t *testing.T) {
 }
 
 func TestBenchRejectsUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "nonsense"}); err == nil {
-		t.Fatal("unknown experiment must error")
+	// perf pins that kernel timings stay testing.B benchmarks in their
+	// own packages, not an experiment.
+	for _, exp := range []string{"nonsense", "perf"} {
+		if err := run([]string{"-exp", exp}); err == nil {
+			t.Fatalf("-exp %s: unknown experiment must error", exp)
+		}
 	}
 }
 

@@ -45,6 +45,22 @@ const (
 	scalePool    = 64
 )
 
+// scaleSchema versions the scale_curve.json layout.
+const scaleSchema = "fedms-bench/scale/v1"
+
+// scaleEntry is one measured point of the curve; scaleCurve documents
+// what each field holds. Iters is how many rounds NsPerOp averages.
+type scaleEntry struct {
+	Name     string  `json:"name"`
+	Dim      int     `json:"d"`
+	Inputs   int     `json:"n"`
+	Workers  int     `json:"workers"`
+	Shape    string  `json:"shape"`
+	AccBytes int     `json:"acc_bytes"`
+	Iters    int     `json:"iters"`
+	NsPerOp  float64 `json:"ns_per_op"`
+}
+
 // scaleCurve holds the scale_curve.json artifact.
 type scaleCurve struct {
 	Schema     string `json:"schema"`
@@ -56,10 +72,10 @@ type scaleCurve struct {
 	// "scale/sim_round", Dim=d, Inputs=K, Workers=S, Shape the
 	// participation fraction, AccBytes the peak per-shard accumulator,
 	// NsPerOp ns per full round (all P servers).
-	Points []BenchEntry `json:"points"`
+	Points []scaleEntry `json:"points"`
 	// Smoke is the distributed smoke point: a real PS+client federation
 	// over loopback TCP with Shards enabled, reported as ns per round.
-	Smoke *BenchEntry `json:"smoke,omitempty"`
+	Smoke *scaleEntry `json:"smoke,omitempty"`
 }
 
 // scalePayloadPool pre-encodes the distinct upload payloads outside the
@@ -121,7 +137,7 @@ func scaleRound(seed uint64, round, k int, f float64, pool []compress.Payload, a
 }
 
 // scalePoint measures rounds/sec at one (K, participation) point.
-func scalePoint(out io.Writer, seed uint64, k int, f float64, pool []compress.Payload, minTime time.Duration) BenchEntry {
+func scalePoint(out io.Writer, seed uint64, k int, f float64, pool []compress.Payload, minTime time.Duration) scaleEntry {
 	aggBufs := make([][]float64, scaleServers)
 	var peak int64
 	// Warm-up round: first-touch allocation of the shard blocks and agg
@@ -138,7 +154,7 @@ func scalePoint(out io.Writer, seed uint64, k int, f float64, pool []compress.Pa
 		elapsed = time.Since(start)
 	}
 	ns := float64(elapsed.Nanoseconds()) / float64(iters)
-	e := BenchEntry{
+	e := scaleEntry{
 		Name: "scale/sim_round", Dim: scaleDim, Inputs: k, Workers: scaleShards,
 		Shape: fmt.Sprintf("f=%.2f", f), AccBytes: int(peak),
 		Iters: iters, NsPerOp: ns,
@@ -151,7 +167,7 @@ func scalePoint(out io.Writer, seed uint64, k int, f float64, pool []compress.Pa
 // scaleSmoke runs the distributed smoke point: a real federation (P
 // parameter servers, K client goroutines, loopback TCP) with the
 // streaming sharded path enabled on every PS.
-func scaleSmoke(out io.Writer, seed uint64, quick bool) (*BenchEntry, error) {
+func scaleSmoke(out io.Writer, seed uint64, quick bool) (*scaleEntry, error) {
 	k, p, rounds, shards := 8, 3, 3, 4
 	if quick {
 		k, rounds = 4, 2
@@ -223,33 +239,13 @@ func scaleSmoke(out io.Writer, seed uint64, quick bool) (*BenchEntry, error) {
 		}
 	}
 	ns := float64(elapsed.Nanoseconds()) / float64(rounds)
-	e := &BenchEntry{
+	e := &scaleEntry{
 		Name: "scale/distributed_smoke", Dim: eng.Dim(), Inputs: k, Workers: shards,
 		Shape: "f=1.00", AccBytes: int(peak), Iters: rounds, NsPerOp: ns,
 	}
 	fmt.Fprintf(out, "  %-28s K=%-7d P=%d S=%-3d %12.0f ns/round (real TCP federation, peak shard %d B)\n",
 		e.Name, k, p, shards, ns, peak)
 	return e, nil
-}
-
-// scaleEntries measures the perf-report scale section: the cheap prefix
-// of the curve, diffed by `make bench-diff` like every other section.
-func scaleEntries(out io.Writer, seed uint64, quick bool) ([]BenchEntry, error) {
-	ks := []int{1_000, 10_000}
-	minTime := 200 * time.Millisecond
-	if quick {
-		ks = []int{200}
-		minTime = 2 * time.Millisecond
-	}
-	pool, err := scalePayloadPool(seed, scaleDim)
-	if err != nil {
-		return nil, err
-	}
-	var entries []BenchEntry
-	for _, k := range ks {
-		entries = append(entries, scalePoint(out, seed, k, 1.0, pool, minTime))
-	}
-	return entries, nil
 }
 
 // runScale executes `-exp scale`: the full rounds/sec-vs-K curve with
@@ -264,7 +260,7 @@ func runScale(out io.Writer, path string, seed uint64, quick bool) error {
 		minTime = 5 * time.Millisecond
 	}
 	curve := &scaleCurve{
-		Schema:     BenchSchema,
+		Schema:     scaleSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Quick:      quick,

@@ -34,6 +34,9 @@ const (
 	stragWindow  = 1 * time.Second
 )
 
+// stragglerSchema versions the straggler_curve.json layout.
+const stragglerSchema = "fedms-bench/straggler/v1"
+
 // stragglerPoint is one slowdown factor's measurement.
 type stragglerPoint struct {
 	// Slowdown multiplies the straggler's local compute time.
@@ -80,7 +83,7 @@ func runStraggler(out io.Writer, path string, seed uint64, quick bool) error {
 	modelBytes := stragDim * 8
 	assign := netsim.FullAssignment(stragClients, stragServers)
 	curve := &stragglerCurve{
-		Schema:     BenchSchema,
+		Schema:     stragglerSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Quick:      quick,

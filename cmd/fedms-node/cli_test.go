@@ -68,8 +68,10 @@ func TestNodeRunSurfacesSpecErrorsBeforeListening(t *testing.T) {
 		"byzantine clients unarmed": {"-clients", "5", "-byzantine-clients", "1"},
 	}
 	for name, args := range cases {
-		for _, metrics := range []string{"127.0.0.1:0", occupied(t)} {
-			t.Run(name+"/"+metrics, func(t *testing.T) {
+		// Subtests are named by label, not address: the occupied port
+		// is picked by the kernel and would make the name differ per run.
+		for label, metrics := range map[string]string{"127.0.0.1:0": "127.0.0.1:0", "occupied": occupied(t)} {
+			t.Run(name+"/"+label, func(t *testing.T) {
 				args := append([]string{"-role", "local", "-rounds", "1", "-metrics-addr", metrics}, args...)
 				o, err := parseFlags(args)
 				if err != nil {

@@ -108,7 +108,7 @@ func TestLossRulesDegradedQuorumFallback(t *testing.T) {
 			err := quick.Check(func(seed uint64) bool {
 				r := randx.New(seed)
 				vecs, benign := degradedQuorum(r, pTotal, b, d)
-				got, evals := AggregateWithOracle(rule, vecs, nil)
+				got, evals := AggregateWithOracleInto(rule, nil, vecs, nil)
 				if evals != 0 {
 					t.Fatalf("nil oracle counted %d evals", evals)
 				}

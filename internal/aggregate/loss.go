@@ -32,21 +32,15 @@ type LossRule interface {
 	AggregateWithLoss(vecs [][]float64, eval LossEval) []float64
 }
 
-// AggregateWithOracle aggregates vecs under rule r, routing through
+// AggregateWithOracleInto aggregates vecs under rule r, routing through
 // the loss oracle when r implements LossRule and an oracle is
 // configured. oracleEvals reports how many times eval ran — the
 // runtime's oracle-call counters consume it. With a nil eval or a
-// geometry-only rule this is exactly r.Aggregate.
-func AggregateWithOracle(r Rule, vecs [][]float64, eval LossEval) (out []float64, oracleEvals int) {
-	return AggregateWithOracleInto(r, nil, vecs, eval)
-}
-
-// AggregateWithOracleInto is AggregateWithOracle with a caller-provided
-// output buffer, reused when the rule supports in-place output (loss
-// rules keep their fresh-vector path: their outputs are retained by
-// construction — the winning prefix average — so in-place writing buys
-// nothing). The returned slice holds the aggregate; callers must use
-// it, not dst.
+// geometry-only rule this is exactly AggregateInto. dst is reused when
+// the rule supports in-place output (loss rules keep their fresh-vector
+// path: their outputs are retained by construction — the winning prefix
+// average — so in-place writing buys nothing). The returned slice holds
+// the aggregate; callers must use it, not dst.
 func AggregateWithOracleInto(r Rule, dst []float64, vecs [][]float64, eval LossEval) (out []float64, oracleEvals int) {
 	lr, ok := r.(LossRule)
 	if !ok || eval == nil {

@@ -24,7 +24,7 @@ var payloadSpecs = []string{
 // returns parsed payload views plus the densified reference vectors
 // (decoded through the pre-existing DecodePayload path, which is the
 // oracle the fused kernels are measured against).
-func encodeViews(t *testing.T, spec string, vecs [][]float64, seed uint64) ([]compress.Payload, [][]float64) {
+func encodeViews(t testing.TB, spec string, vecs [][]float64, seed uint64) ([]compress.Payload, [][]float64) {
 	t.Helper()
 	sp, err := compress.ParseSpec(spec)
 	if err != nil {

@@ -56,26 +56,19 @@ func IsWeighted(r Rule) bool {
 	return ok
 }
 
-// AggregateWeighted aggregates the weighted set under rule r,
-// panicking when r has no weighted kernel (config validation rejects
-// such rules before any round runs).
-func AggregateWeighted(r Rule, dst []float64, vecs [][]float64, weights []float64) []float64 {
-	wr, ok := r.(WeightedRule)
-	if !ok {
-		panic(fmt.Sprintf("aggregate: rule %s has no weighted kernel", r.Name()))
-	}
-	return wr.AggregateWeightedInto(dst, vecs, weights)
-}
-
 // AggregateWeightedPayloads aggregates weighted payload views under
 // rule r: the fused weighted path when available, densify-first into
-// the dense weighted kernel otherwise.
+// the dense weighted kernel otherwise. It panics when r has no weighted
+// kernel (config validation rejects such rules before any round runs).
 func AggregateWeightedPayloads(r Rule, dst []float64, ps []compress.Payload, weights []float64) (out []float64, fused bool) {
-	if wr, ok := r.(WeightedPayloadRule); ok {
+	switch wr := r.(type) {
+	case WeightedPayloadRule:
 		return wr.AggregateWeightedPayloadsInto(dst, ps, weights), true
+	case WeightedRule:
+		checkPayloads(ps, r.Name())
+		return wr.AggregateWeightedInto(dst, densify(ps), weights), false
 	}
-	checkPayloads(ps, r.Name())
-	return AggregateWeighted(r, dst, densify(ps), weights), false
+	panic(fmt.Sprintf("aggregate: rule %s has no weighted kernel", r.Name()))
 }
 
 func checkWeights(n int, weights []float64, rule string) {

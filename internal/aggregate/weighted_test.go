@@ -64,7 +64,7 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 						label := spec + "/" + rule.Name() + "/d=" + itoa(d) + "/n=" + itoa(tc.n) + "/w=" + itoa(workers)
 
 						want := AggregateInto(rule, nil, vecs)
-						got := AggregateWeighted(rule, nil, vecs, ones)
+						got := rule.(WeightedRule).AggregateWeightedInto(nil, vecs, ones)
 						assertBitIdentical(t, label+"/dense-kernel", got, want)
 
 						wantP, _ := AggregatePayloadsInto(rule, nil, views)
@@ -105,7 +105,7 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 				rules := []Rule{Mean{}, TrimmedMean{Beta: 0.2, Workers: 2}, CoordinateMedian{Workers: 2}}
 				for _, rule := range rules {
 					label := spec + "/" + rule.Name() + "/n=" + itoa(n) + "/d=" + itoa(d)
-					want := AggregateWeighted(rule, nil, dense, weights)
+					want := rule.(WeightedRule).AggregateWeightedInto(nil, dense, weights)
 					got, fused := AggregateWeightedPayloads(rule, nil, views, weights)
 					if !fused {
 						t.Fatalf("%s: not fused", label)
@@ -128,7 +128,7 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 func TestWeightedMeanMatchesClosedForm(t *testing.T) {
 	vecs := [][]float64{{2, 10}, {4, 20}}
 	weights := []float64{1, 0.5}
-	got := AggregateWeighted(Mean{}, nil, vecs, weights)
+	got := Mean{}.AggregateWeightedInto(nil, vecs, weights)
 	want0 := (1*2 + 0.5*4) / 1.5
 	want1 := (1*10 + 0.5*20) / 1.5
 	// The kernel multiplies by the reciprocal (like VecMean), so allow
@@ -147,13 +147,13 @@ func TestWeightedTrimmedMeanDownWeightsStale(t *testing.T) {
 	vecs := [][]float64{{1}, {2}, {3}, {4}, {5}}
 	fresh := onesWeights(5)
 	rule := TrimmedMean{Beta: 0.2}
-	got := AggregateWeighted(rule, nil, vecs, fresh)
+	got := rule.AggregateWeightedInto(nil, vecs, fresh)
 	if got[0] != 3 {
 		t.Fatalf("weight-1 trimmed mean = %v, want 3", got[0])
 	}
 	// Staling the "4" input halves its pull: (2 + 3 + 0.5*4) / 2.5 = 2.8.
 	stale := []float64{1, 1, 1, 0.5, 1}
-	got = AggregateWeighted(rule, nil, vecs, stale)
+	got = rule.AggregateWeightedInto(nil, vecs, stale)
 	if math.Abs(got[0]-2.8) > 1e-15 {
 		t.Fatalf("stale-weighted trimmed mean = %v, want 2.8", got[0])
 	}
@@ -165,13 +165,13 @@ func TestWeightedTrimmedMeanDownWeightsStale(t *testing.T) {
 func TestWeightedMedianCrossesHalfWeight(t *testing.T) {
 	// Weights 3,1,1 over values 1,2,3: half = 2.5, cum crosses at the
 	// first value.
-	got := AggregateWeighted(CoordinateMedian{}, nil, [][]float64{{1}, {2}, {3}}, []float64{3, 1, 1})
+	got := CoordinateMedian{}.AggregateWeightedInto(nil, [][]float64{{1}, {2}, {3}}, []float64{3, 1, 1})
 	if got[0] != 1 {
 		t.Fatalf("weighted median = %v, want 1", got[0])
 	}
 	// Weights 1,1 over values 1,3: cum hits exactly half at the first
 	// value → midpoint 2, the unweighted even-n behavior.
-	got = AggregateWeighted(CoordinateMedian{}, nil, [][]float64{{1}, {3}}, []float64{1, 1})
+	got = CoordinateMedian{}.AggregateWeightedInto(nil, [][]float64{{1}, {3}}, []float64{1, 1})
 	if got[0] != 2 {
 		t.Fatalf("weighted median tie = %v, want 2", got[0])
 	}
@@ -194,18 +194,20 @@ func TestWeightedRejectsBadWeights(t *testing.T) {
 					t.Errorf("case %d: weights %v accepted, want panic", i, w)
 				}
 			}()
-			AggregateWeighted(Mean{}, nil, vecs, w)
+			Mean{}.AggregateWeightedInto(nil, vecs, w)
 		}()
 	}
 }
 
-// TestIsWeighted pins which rules the async scheduler may use.
+// TestIsWeighted pins which rules the async scheduler may use, and that
+// weighted aggregation under any other rule panics.
 func TestIsWeighted(t *testing.T) {
 	for _, r := range []Rule{Mean{}, TrimmedMean{}, CoordinateMedian{}} {
 		if !IsWeighted(r) {
 			t.Errorf("IsWeighted(%s) = false, want true", r.Name())
 		}
 	}
+	views, _ := encodeViews(t, "dense", [][]float64{{1}, {2}, {3}}, 1)
 	for _, name := range RuleNames() {
 		r, err := ParseRule(name)
 		if err != nil {
@@ -220,6 +222,14 @@ func TestIsWeighted(t *testing.T) {
 			if IsWeighted(r) {
 				t.Errorf("IsWeighted(%s) = true, want false", name)
 			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("weighted %s aggregated, want panic", name)
+					}
+				}()
+				AggregateWeightedPayloads(r, nil, views, onesWeights(3))
+			}()
 		}
 	}
 }

@@ -321,3 +321,39 @@ func TestDenseWireRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCodec times AppendEncode into a reused buffer and
+// DecodePayloadInto a reused vector at d = 1e5, and reports each
+// spec's frame size.
+func BenchmarkCodec(b *testing.B) {
+	const d = 100_000
+	v := make([]float64, d)
+	randx.Normal(randx.New(5), v, 0, 1)
+	dst := make([]float64, d)
+	for _, spec := range []string{"dense", "topk:0.1", "q8", "ef+topk:0.1"} {
+		sp, err := ParseSpec(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := sp.NewCodec(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc, buf := c.AppendEncode(nil, v)
+		b.Run("encode/"+spec, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(buf)), "frame_bytes")
+			for i := 0; i < b.N; i++ {
+				enc, buf = c.AppendEncode(buf[:0], v)
+			}
+		})
+		b.Run("decode/"+spec, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DecodePayloadInto(dst, enc, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -7,9 +7,10 @@ import (
 	"fedms/internal/tensor"
 )
 
-// BenchmarkTrainStep mirrors the fedms-bench train_step entries so the
-// training hot path can be profiled in isolation (go test -bench
-// TrainStep -cpuprofile ...).
+// BenchmarkTrainStep times one ZeroGrads → TrainBatch → SGD step, the
+// local-SGD hot path each client runs E times per round, on an MLP
+// batch and a MobileNet V2 inverted-residual block, so it can be
+// profiled in isolation (go test -bench TrainStep -cpuprofile ...).
 func BenchmarkTrainStep(b *testing.B) {
 	b.Run("mlp", func(b *testing.B) {
 		r := randx.New(11)

@@ -218,15 +218,19 @@ func TestGemmZeroK(t *testing.T) {
 	}
 }
 
-// BenchmarkGemm tracks the kernel on the two layer shapes that dominate
-// the training benchmarks (see cmd/fedms-bench perf.go).
+// BenchmarkGemm tracks the kernel at the GEMM shapes of the internal/nn
+// layers: the MLP's fc1 forward and weight gradient, a SmallCNN-style
+// 3x3 conv lowering and a MobileNet-style 1x1 expansion, both over a
+// batch of 8 16x16 feature maps.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range []struct {
 		name    string
 		m, n, k int
 	}{
 		{"dense_fwd_32x256x784", 32, 256, 784},
+		{"dense_dw_784x256x32", 784, 256, 32},
 		{"conv3x3_32x2048x144", 32, 2048, 144},
+		{"conv_pointwise_96x2048x16", 96, 2048, 16},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			r := randx.New(1)
@@ -236,6 +240,7 @@ func BenchmarkGemm(b *testing.B) {
 			randx.Normal(r, a, 0, 1)
 			randx.Normal(r, bb, 0, 1)
 			b.SetBytes(int64(8 * sh.m * sh.n * sh.k))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Gemm(c, a, bb, sh.m, sh.n, sh.k)

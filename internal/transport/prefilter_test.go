@@ -245,3 +245,45 @@ func TestConnPrefilterHello(t *testing.T) {
 		t.Fatalf("junk prefilter: got %v, want ErrBadMagic", err)
 	}
 }
+
+// BenchmarkHelloPrefilter times the prefilter's three verdicts on the
+// pre-auth accept path: a valid hello, a junk preamble and a forged
+// max-length claim.
+func BenchmarkHelloPrefilter(b *testing.B) {
+	forged := helloFrame(1, "")
+	binary.LittleEndian.PutUint32(forged[20:], uint32(MaxVecLen))
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		admit bool
+	}{
+		{"accept", helloFrame(0, HelloCodecV2), true},
+		{"reject_junk", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), false},
+		{"reject_forged_claim", forged, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := HelloPrefilter(tc.data, HelloMaxBodyLen); (err == nil) != tc.admit {
+					b.Fatalf("verdict %v, want admit=%v", err, tc.admit)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeOversizeReject times DecodeBounded rejecting a
+// well-formed frame over the hello cap: the body is discarded in chunks
+// and CRC-checked, never allocated at its claimed size.
+func BenchmarkDecodeOversizeReject(b *testing.B) {
+	frame := helloFrame(8192, "")
+	r := bytes.NewReader(frame)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	for i := 0; i < b.N; i++ {
+		r.Reset(frame)
+		if _, err := DecodeBounded(r, HelloMaxBodyLen); !errors.Is(err, ErrTooLarge) {
+			b.Fatalf("got %v, want ErrTooLarge", err)
+		}
+	}
+}
