@@ -46,8 +46,10 @@ test:
 # the Decode allocation gates run WITHOUT -race because the race
 # runtime's shadow allocations make testing.AllocsPerRun and TotalAlloc
 # deltas meaningless (the gates skip themselves under -race, so this
-# named no-race stage is the only place they actually assert). The
-# federation-spec tier runs eighth: one spec (fedms.Config resolved to
+# named no-race stage is the only place they actually assert); the
+# top-k encode allocation gate (a steady-state topk/ef+topk encode at
+# d = 1e5 allocates nothing) rides in the same stage for the same
+# reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
 # core.Config) is bound to flags once and every node's configuration is
 # derived from it, so the CLI contract (the pinned flag surface, the
 # one table of rejections, both commands surfacing it before any
@@ -65,7 +67,7 @@ verify:
 	$(GO) test -race -run 'TestAsyncDeterminismChaos|TestAsyncWideWindowMatchesSyncDistributed' ./internal/node/
 	$(GO) test -race -run 'TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical' ./internal/core/
 	$(GO) test -race -run 'TestChaosFloodJunkStorm' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc' ./internal/transport/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc' ./internal/transport/ ./internal/compress/
 	$(GO) test -race -run 'FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNodeRejectsBadDeploymentFlags|TestNodeClientRoleRunsTheLocalClient' ./cmd/...
 	$(GO) test -race -run 'TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin' ./internal/node/
 	$(GO) test -race ./...

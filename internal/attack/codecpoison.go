@@ -3,7 +3,8 @@ package attack
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"fedms/internal/compress"
 )
 
 // CodecPoison is a codec-aware sparse-index poisoning attack: an
@@ -66,19 +67,8 @@ func (a CodecPoison) Tamper(ctx *Context) []float64 {
 		k = d
 	}
 	// Top-k support by |μ|, index tie-break for determinism.
-	idx := make([]int, d)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		ax, ay := math.Abs(mean[idx[x]]), math.Abs(mean[idx[y]])
-		if ax != ay {
-			return ax > ay
-		}
-		return idx[x] < idx[y]
-	})
 	z := a.z()
-	for _, i := range idx[:k] {
+	for _, i := range compress.TopKIndices(mean, k) {
 		s := 1.0
 		if mean[i] < 0 {
 			s = -1

@@ -392,7 +392,8 @@ func (denseCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 type topkCodec struct {
 	name  string
 	ratio float64
-	order []int
+	top   []int
+	keys  []uint64
 	s     Sparse
 }
 
@@ -408,18 +409,13 @@ func (c *topkCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 // already-sorted index set) of v, reusing buffers.
 func (c *topkCodec) sparsify(v []float64, k int, pick []int) {
 	if pick == nil {
-		if cap(c.order) < len(v) {
-			c.order = make([]int, len(v))
+		if cap(c.keys) < len(v) {
+			c.keys = make([]uint64, len(v))
 		}
-		order := c.order[:len(v)]
-		for i := range order {
-			order[i] = i
+		if cap(c.top) < k {
+			c.top = make([]int, k)
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return math.Abs(v[order[a]]) > math.Abs(v[order[b]])
-		})
-		pick = order[:k]
-		sort.Ints(pick)
+		pick = selectTopK(c.top[:k], c.keys[:len(v)], v)
 	}
 	if cap(c.s.Indices) < k {
 		c.s.Indices = make([]uint32, k)

@@ -324,12 +324,30 @@ func TestDenseWireRoundTrips(t *testing.T) {
 
 // BenchmarkCodec times AppendEncode into a reused buffer and
 // DecodePayloadInto a reused vector at d = 1e5, and reports each
-// spec's frame size.
+// spec's frame size. encode/topk:0.1/all-ties encodes a vector of one
+// repeated value, the input that turns a top-k selection without a
+// three-way partition quadratic.
 func BenchmarkCodec(b *testing.B) {
 	const d = 100_000
 	v := make([]float64, d)
 	randx.Normal(randx.New(5), v, 0, 1)
 	dst := make([]float64, d)
+	ties := make([]float64, d)
+	for i := range ties {
+		ties[i] = 1
+	}
+	b.Run("encode/topk:0.1/all-ties", func(b *testing.B) {
+		c, err := Spec{Kind: "topk", Ratio: 0.1}.NewCodec(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, buf := c.AppendEncode(nil, ties)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, buf = c.AppendEncode(buf[:0], ties)
+		}
+	})
 	for _, spec := range []string{"dense", "topk:0.1", "q8", "ef+topk:0.1"} {
 		sp, err := ParseSpec(spec)
 		if err != nil {

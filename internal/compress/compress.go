@@ -122,6 +122,11 @@ func DecodeSparse(buf []byte) (*Sparse, error) {
 // TopK keeps the k entries with the largest magnitude. It is the
 // classic biased sparsifier; combine with ErrorFeedback for
 // convergence across rounds.
+//
+// The kept set follows one total order, shared with the topk codecs:
+// |v| descending, then index ascending, so of equal magnitudes the
+// lower indices are kept (−0 ties +0). NaN ranks above +Inf, and NaNs
+// tie with each other. Selection is O(dim) (see TopKIndices).
 type TopK struct {
 	// K is the number of entries to keep; if zero, Ratio is used.
 	K int
@@ -153,22 +158,9 @@ func (t TopK) k(dim int) int {
 
 // Compress implements Compressor.
 func (t TopK) Compress(v []float64) Compressed {
-	k := t.k(len(v))
-	order := make([]int, len(v))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return math.Abs(v[order[a]]) > math.Abs(v[order[b]])
-	})
-	picked := order[:k]
-	sort.Ints(picked)
-	s := &Sparse{Dim: len(v), Indices: make([]uint32, k), Values: make([]float64, k)}
-	for i, idx := range picked {
-		s.Indices[i] = uint32(idx)
-		s.Values[i] = v[idx]
-	}
-	return s
+	var c topkCodec
+	c.sparsify(v, t.k(len(v)), nil)
+	return &c.s
 }
 
 // RandK keeps k uniformly random entries scaled by dim/k, which makes
