@@ -1,11 +1,13 @@
 // Compression: shrinking what each client uploads.
 //
 // Fed-MS's sparse uploading reduces *how many* uploads cross the edge
-// network (K instead of K×P); the compress package reduces *how large*
-// each upload is. This example takes a real trained model from a
-// Fed-MS run and reports, for each compressor, the wire size and the
+// network (K instead of K×P); a codec reduces *how large* each upload
+// is. This example takes a real trained model from a Fed-MS run and
+// reports, for each codec spec, the payload size and the
 // reconstruction error — then demonstrates why biased sparsifiers need
 // error feedback, using compressed-gradient descent on a toy problem.
+// Every payload takes the path a federation's does: Spec → Codec →
+// AppendEncode out, ParsePayload back in.
 //
 //	go run ./examples/compression
 package main
@@ -43,44 +45,54 @@ func main() {
 	norm := tensor.VecNorm2(model)
 	fmt.Printf("trained model: %d parameters, %d bytes raw, L2 norm %.2f\n\n", len(model), raw, norm)
 
-	compressors := []compress.Compressor{
-		compress.TopK{Ratio: 0.10},
-		compress.TopK{Ratio: 0.01},
-		compress.RandK{Ratio: 0.10, Seed: 7},
-		compress.Uniform{Bits: 8},
-		compress.Uniform{Bits: 4},
-	}
-	fmt.Printf("%-22s  %10s  %8s  %12s\n", "compressor", "bytes", "ratio", "rel. error")
-	for _, c := range compressors {
-		enc := c.Compress(model)
-		rec := enc.Dense()
+	fmt.Printf("%-22s  %10s  %8s  %12s\n", "codec", "bytes", "ratio", "rel. error")
+	for _, spec := range []string{"topk:0.1", "topk:0.01", "randk:0.1", "q8", "q4"} {
+		rec, n := roundTrip(newCodec(spec, 7), model)
 		errNorm := tensor.VecDist2(rec, model) / norm
-		fmt.Printf("%-22s  %10d  %7.1fx  %12.4f\n",
-			c.Name(), enc.WireBytes(), float64(raw)/float64(enc.WireBytes()), errNorm)
+		fmt.Printf("%-22s  %10d  %7.1fx  %12.4f\n", spec, n, float64(raw)/float64(n), errNorm)
 	}
 
 	// Error feedback: why biased sparsifiers still converge over rounds.
-	fmt.Println("\ncompressed gradient descent on ½‖w−c‖² (TopK k=1 of 4 coords, 60 steps):")
+	fmt.Println("\ncompressed gradient descent on ½‖w−c‖² (top-1 of 4 coords, 60 steps):")
 	c := []float64{10, 1, 0.1, 0.01}
-	for _, setup := range []struct {
-		name string
-		comp compress.Compressor
-	}{
-		{"plain TopK(1)", compress.TopK{K: 1}},
-		{"TopK(1) + error feedback", compress.NewErrorFeedback(compress.TopK{K: 1})},
-	} {
+	for _, spec := range []string{"topk:0.25", "ef+topk:0.25"} {
+		codec := newCodec(spec, 0)
 		w := make([]float64, len(c))
+		grad := make([]float64, len(c))
 		for i := 0; i < 60; i++ {
-			grad := make([]float64, len(c))
 			for j := range grad {
 				grad[j] = w[j] - c[j]
 			}
-			update := setup.comp.Compress(grad).Dense()
+			update, _ := roundTrip(codec, grad)
 			tensor.VecAxpy(w, -0.5, update)
 		}
-		fmt.Printf("  %-26s final distance to optimum: %.3e\n", setup.name, tensor.VecDist2(w, c))
+		fmt.Printf("  %-26s final distance to optimum: %.3e\n", spec, tensor.VecDist2(w, c))
 	}
 	fmt.Println("\nReading: plain top-1 starves the small coordinates until the large ones")
 	fmt.Println("have fully converged; the residual accumulator flushes them much earlier,")
 	fmt.Println("converging orders of magnitude faster at any fixed budget.")
+}
+
+// newCodec builds a fresh codec instance for spec.
+func newCodec(spec string, seed uint64) compress.Codec {
+	sp, err := compress.ParseSpec(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	c, err := sp.NewCodec(seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return c
+}
+
+// roundTrip encodes v with c and reads the payload back the way a
+// receiver does, returning the reconstruction and the payload size.
+func roundTrip(c compress.Codec, v []float64) ([]float64, int) {
+	enc, payload := c.AppendEncode(nil, v)
+	view, err := compress.ParsePayload(enc, payload)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return view.DenseView(), len(payload)
 }

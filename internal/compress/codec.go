@@ -1,10 +1,3 @@
-// Codec layer: the pluggable model-exchange encodings shared by the
-// transport framing, the distributed node runtime and the in-process
-// engine. A Codec turns a dense []float64 into a tagged wire payload;
-// the stateless DecodePayload* functions turn tagged payloads back into
-// dense vectors. Stateful codecs (error feedback) keep their residual
-// inside the Codec value, so one instance per client persists the state
-// across rounds.
 package compress
 
 import (
@@ -111,8 +104,7 @@ func PayloadDim(enc Encoding, payload []byte) (int, error) {
 
 // DecodePayloadInto decodes a tagged payload into dst without
 // allocating. The payload's dimension must equal len(dst); sparse
-// payloads additionally must carry strictly increasing, in-range
-// indices (see DecodeSparse).
+// payloads additionally must obey the index rule (see sparseIndexErr).
 func DecodePayloadInto(dst []float64, enc Encoding, payload []byte) error {
 	switch enc {
 	case EncDense:
@@ -148,6 +140,19 @@ func sparseHeader(buf []byte) (dim, n int, err error) {
 	return dim, n, nil
 }
 
+// sparseIndexErr reports a sparse index that breaks the one index rule
+// of the sparse encoding: indices are strictly increasing and below
+// dim, so a Byzantine or corrupted payload cannot double-write a
+// coordinate. Both readers (ParsePayload and DecodePayloadInto) check
+// idx <= prev || idx >= dim inline, in their single pass over the
+// indices, and call this only to word the rejection.
+func sparseIndexErr(idx, prev, dim int) error {
+	if idx <= prev {
+		return fmt.Errorf("%w: sparse index %d after %d (must be strictly increasing)", ErrPayload, idx, prev)
+	}
+	return fmt.Errorf("%w: sparse index %d out of range %d", ErrPayload, idx, dim)
+}
+
 // decodeSparseInto scatters a sparse payload into dst, zeroing the rest.
 func decodeSparseInto(dst []float64, buf []byte) error {
 	dim, n, err := sparseHeader(buf)
@@ -164,11 +169,8 @@ func decodeSparseInto(dst []float64, buf []byte) error {
 	prev := -1
 	for i := 0; i < n; i++ {
 		idx := int(binary.LittleEndian.Uint32(buf[idxOff+4*i:]))
-		if idx <= prev {
-			return fmt.Errorf("%w: sparse index %d after %d (must be strictly increasing)", ErrPayload, idx, prev)
-		}
-		if idx >= dim {
-			return fmt.Errorf("%w: sparse index %d out of range %d", ErrPayload, idx, dim)
+		if idx <= prev || idx >= dim {
+			return sparseIndexErr(idx, prev, dim)
 		}
 		prev = idx
 		dst[idx] = math.Float64frombits(binary.LittleEndian.Uint64(buf[valOff+8*i:]))
@@ -208,7 +210,7 @@ func decodeQuantizedInto(dst []float64, buf []byte) error {
 	if q.Dim != len(dst) {
 		return fmt.Errorf("%w: quantized dim %d, want %d", ErrPayload, q.Dim, len(dst))
 	}
-	q.denseInto(dst)
+	q.denseRange(dst, 0, q.Dim)
 	return nil
 }
 
@@ -228,40 +230,16 @@ type Spec struct {
 	EF bool
 }
 
-// SpecInfo documents one codec family ParseSpec understands.
-type SpecInfo struct {
-	// Kind is the family name as written in a spec.
-	Kind string
-	// Usage is the spec grammar, e.g. "topk:<ratio>".
-	Usage string
-	// Doc is a one-line description for CLI help and errors.
-	Doc string
-}
+// specUsage is the spec grammar ParseSpec accepts, quoted in its errors.
+const specUsage = "dense, topk:<ratio>, randk:<ratio>, q<bits>, or ef+<spec> (e.g. ef+topk:0.1)"
 
-// Registry lists the codec families ParseSpec understands, in display
-// order. CLIs use it for --help text and actionable parse errors.
-func Registry() []SpecInfo {
-	return []SpecInfo{
-		{"dense", "dense", "raw float64 coordinates (identity; the default)"},
-		{"topk", "topk:<ratio>", "keep the ceil(ratio*d) largest-magnitude coordinates, ratio in (0,1]"},
-		{"randk", "randk:<ratio>", "keep ceil(ratio*d) random coordinates scaled d/k (unbiased), ratio in (0,1]"},
-		{"q", "q<bits>", "uniform quantization to <bits> bits per coordinate, bits in [1,16]"},
-	}
-}
-
-// specUsage renders the registry grammar for error messages.
-func specUsage() string {
-	infos := Registry()
-	usages := make([]string, len(infos))
-	for i, in := range infos {
-		usages[i] = in.Usage
-	}
-	return strings.Join(usages, ", ") + ", or ef+<spec> (e.g. ef+topk:0.1)"
-}
-
-// ParseSpec parses a codec specification string. Accepted forms are
-// listed by Registry, optionally prefixed with "ef+" to add error
-// feedback ("" and "none" mean dense).
+// ParseSpec parses a codec specification string:
+//
+//	dense          raw float64 coordinates, the identity ("" and "none" too)
+//	topk:<ratio>   keep the ceil(ratio·d) largest-magnitude coordinates, ratio in (0, 1]
+//	randk:<ratio>  keep ceil(ratio·d) random coordinates scaled d/k (unbiased), ratio in (0, 1]
+//	q<bits>        uniform quantization to <bits> bits per coordinate, bits in [1, 16]
+//	ef+<spec>      a lossy spec wrapped in error feedback
 func ParseSpec(s string) (Spec, error) {
 	raw := s
 	s = strings.ToLower(strings.TrimSpace(s))
@@ -299,7 +277,7 @@ func ParseSpec(s string) (Spec, error) {
 		sp.Kind, sp.Bits = "q", b
 		return sp, nil
 	}
-	return Spec{}, fmt.Errorf("compress: unknown codec spec %q (want %s)", raw, specUsage())
+	return Spec{}, fmt.Errorf("compress: unknown codec spec %q (want %s)", raw, specUsage)
 }
 
 // Validate checks a Spec constructed without ParseSpec.
@@ -387,8 +365,11 @@ func (denseCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 	return EncDense, dst
 }
 
-// topkCodec is TopK with reusable selection and sparse buffers, so the
-// per-round encode allocates only on dimension growth.
+// topkCodec keeps the ceil(ratio·d) largest-magnitude coordinates, the
+// classic biased sparsifier that error feedback makes safe across
+// rounds. The kept set follows the one top-k order (see TopKIndices).
+// Selection and sparse buffers are reused, so the per-round encode
+// allocates only on dimension growth.
 type topkCodec struct {
 	name  string
 	ratio float64
@@ -400,8 +381,7 @@ type topkCodec struct {
 func (c *topkCodec) Name() string { return c.name }
 
 func (c *topkCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
-	k := TopK{Ratio: c.ratio}.k(len(v))
-	c.sparsify(v, k, nil)
+	c.sparsify(v, keepCount(c.ratio, len(v)), nil)
 	return EncSparse, c.s.AppendEncode(dst)
 }
 
@@ -430,8 +410,9 @@ func (c *topkCodec) sparsify(v []float64, k int, pick []int) {
 	}
 }
 
-// randkCodec samples a fresh index set each call from a per-instance
-// stream, scaling kept values by d/k like RandK.
+// randkCodec keeps ceil(ratio·d) uniformly random coordinates scaled by
+// d/k, which makes it unbiased in expectation. Each call samples a
+// fresh index set from a per-instance stream.
 type randkCodec struct {
 	name  string
 	ratio float64
@@ -443,7 +424,7 @@ type randkCodec struct {
 func (c *randkCodec) Name() string { return c.name }
 
 func (c *randkCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
-	k := TopK{Ratio: c.ratio}.k(len(v))
+	k := keepCount(c.ratio, len(v))
 	rng := randx.New(randx.Derive(c.seed, fmt.Sprintf("randk/%d", c.calls)))
 	c.calls++
 	pick := randx.Perm(rng, len(v))[:k]
@@ -456,7 +437,8 @@ func (c *randkCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 	return EncSparse, c.t.s.AppendEncode(dst)
 }
 
-// quantCodec is Uniform quantization with a reusable code buffer.
+// quantCodec quantizes each coordinate to bits bits, uniformly between
+// the vector's min and max, reusing its code buffer.
 type quantCodec struct {
 	name  string
 	bits  int

@@ -127,34 +127,81 @@ func TestCodecRoundTripAllSpecs(t *testing.T) {
 	}
 }
 
+// newTestCodec builds a fresh codec for spec, failing the test on a
+// bad spec.
+func newTestCodec(t testing.TB, spec string, seed uint64) Codec {
+	t.Helper()
+	sp, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sp.NewCodec(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// encodeRead encodes v once with c and reads the payload back through
+// both readers (readBoth).
+func encodeRead(t *testing.T, c Codec, v []float64) []float64 {
+	t.Helper()
+	enc, payload := c.AppendEncode(nil, v)
+	return readBoth(t, enc, payload)
+}
+
+// readBoth reads a payload through both readers — the ParsePayload view
+// and DecodePayloadInto — and returns the dense vector once they agree
+// bit for bit.
+func readBoth(t *testing.T, enc Encoding, payload []byte) []float64 {
+	t.Helper()
+	view, err := ParsePayload(enc, payload)
+	if err != nil {
+		t.Fatalf("ParsePayload: %v", err)
+	}
+	got := view.DenseView()
+	into := make([]float64, view.Dim())
+	if err := DecodePayloadInto(into, enc, payload); err != nil {
+		t.Fatalf("DecodePayloadInto: %v", err)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(into[i]) {
+			t.Fatalf("coord %d: ParsePayload %v, DecodePayloadInto %v", i, got[i], into[i])
+		}
+	}
+	return got
+}
+
+// rejectBoth fails unless both readers reject payload with ErrPayload;
+// dim sizes DecodePayloadInto's target.
+func rejectBoth(t *testing.T, what string, dim int, enc Encoding, payload []byte) {
+	t.Helper()
+	if _, err := ParsePayload(enc, payload); !errors.Is(err, ErrPayload) {
+		t.Errorf("%s: ParsePayload: got %v, want ErrPayload", what, err)
+	}
+	if err := DecodePayloadInto(make([]float64, dim), enc, payload); !errors.Is(err, ErrPayload) {
+		t.Errorf("%s: DecodePayloadInto: got %v, want ErrPayload", what, err)
+	}
+}
+
 func TestDecodeSparseRejectsDuplicateIndices(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{3, 3}, Values: []float64{1, 2}}
-	if _, err := DecodeSparse(s.Encode()); !errors.Is(err, ErrPayload) {
-		t.Fatalf("duplicate indices accepted: %v", err)
-	}
+	rejectBoth(t, "duplicate indices", 10, EncSparse, s.AppendEncode(nil))
 }
 
 func TestDecodeSparseRejectsOutOfOrderIndices(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{5, 2}, Values: []float64{1, 2}}
-	if _, err := DecodeSparse(s.Encode()); !errors.Is(err, ErrPayload) {
-		t.Fatalf("out-of-order indices accepted: %v", err)
-	}
+	rejectBoth(t, "out-of-order indices", 10, EncSparse, s.AppendEncode(nil))
 }
 
 func TestDecodeSparseRejectsOutOfRangeIndex(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{2, 10}, Values: []float64{1, 2}}
-	if _, err := DecodeSparse(s.Encode()); !errors.Is(err, ErrPayload) {
-		t.Fatalf("out-of-range index accepted: %v", err)
-	}
+	rejectBoth(t, "out-of-range index", 10, EncSparse, s.AppendEncode(nil))
 }
 
 func TestDecodeSparseAcceptsStrictlyIncreasing(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{0, 4, 9}, Values: []float64{1, 2, 3}}
-	got, err := DecodeSparse(s.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := got.Dense()
+	dense := readBoth(t, EncSparse, s.AppendEncode(nil))
 	if dense[0] != 1 || dense[4] != 2 || dense[9] != 3 {
 		t.Fatalf("scatter wrong: %v", dense)
 	}
@@ -208,9 +255,9 @@ func TestErrorFeedbackResidualBounded(t *testing.T) {
 }
 
 // TestErrorFeedbackMeanConvergesToDense: recon_t = v + r_{t-1} - r_t
-// telescopes, so the time-average of EF+TopK reconstructions of a fixed
+// telescopes, so the time-average of ef+topk reconstructions of a fixed
 // vector converges to the vector itself — the property that makes EF
-// uploads unbiased in the long run where plain TopK stalls.
+// uploads unbiased in the long run where plain top-k stalls.
 func TestErrorFeedbackMeanConvergesToDense(t *testing.T) {
 	const d, rounds = 64, 400
 	v := codecTestVec(21, d)

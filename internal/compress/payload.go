@@ -46,11 +46,23 @@ func ParsePayload(enc Encoding, payload []byte) (Payload, error) {
 		}
 		return Payload{enc: EncDense, dim: len(payload) / 8, raw: payload}, nil
 	case EncSparse:
-		s, err := DecodeSparse(payload)
+		dim, n, err := sparseHeader(payload)
 		if err != nil {
 			return Payload{}, err
 		}
-		return Payload{enc: EncSparse, dim: s.Dim, idx: s.Indices, val: s.Values}, nil
+		p := Payload{enc: EncSparse, dim: dim, idx: make([]uint32, n), val: make([]float64, n)}
+		vals := payload[8+4*n:]
+		prev := -1
+		for i := range p.idx {
+			idx := int(binary.LittleEndian.Uint32(payload[8+4*i:]))
+			if idx <= prev || idx >= dim {
+				return Payload{}, sparseIndexErr(idx, prev, dim)
+			}
+			prev = idx
+			p.idx[i] = uint32(idx)
+			p.val[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
+		}
+		return p, nil
 	case EncQuantized:
 		q, err := quantizedHeader(payload)
 		if err != nil {
@@ -77,27 +89,8 @@ func DenseWire(v []float64) []byte {
 	return b
 }
 
-// Encoding returns the payload's wire tag (EncDense for DensePayload
-// wrappers).
-func (p *Payload) Encoding() Encoding { return p.enc }
-
 // Dim returns the dense dimension the view decodes to.
 func (p *Payload) Dim() int { return p.dim }
-
-// WireBytes returns the encoded payload size in bytes; DensePayload
-// wrappers report the 8·Dim bytes a dense frame would occupy.
-func (p *Payload) WireBytes() int {
-	switch {
-	case p.vec != nil || p.enc == EncDense && p.raw == nil:
-		return 8 * p.dim
-	case p.enc == EncDense:
-		return len(p.raw)
-	case p.enc == EncSparse:
-		return 8 + len(p.idx)*12
-	default:
-		return 24 + len(p.q.Codes)
-	}
-}
 
 // Sparse exposes the explicit support of a sparse view: strictly
 // increasing in-range indices and their values, with every other
@@ -192,9 +185,8 @@ func (p *Payload) checkDim(n int) {
 	}
 }
 
-// denseRange dequantizes coordinates [lo, hi) into dst[0:hi-lo] with
-// the exact per-coordinate expression of denseInto, so range gathers
-// stay bit-identical to full decodes.
+// denseRange dequantizes coordinates [lo, hi) into dst[0:hi-lo]. Full
+// decodes and range gathers both run it, so they stay bit-identical.
 func (q *Quantized) denseRange(dst []float64, lo, hi int) {
 	levels := (uint64(1) << q.Bits) - 1
 	span := q.Max - q.Min
@@ -207,8 +199,8 @@ func (q *Quantized) denseRange(dst []float64, lo, hi int) {
 	}
 }
 
-// addTo accumulates the dequantized vector into acc using the same
-// per-coordinate expression as denseInto.
+// addTo accumulates the dequantized vector into acc using denseRange's
+// per-coordinate expression.
 func (q *Quantized) addTo(acc []float64) {
 	levels := (uint64(1) << q.Bits) - 1
 	span := q.Max - q.Min

@@ -22,9 +22,12 @@ func magKey(x float64) uint64 {
 }
 
 // TopKIndices returns the indices of the k largest-magnitude coordinates
-// of v in ascending index order, 0 ≤ k ≤ len(v). Magnitude ties are
-// broken by index (the lower index is kept) and NaN ranks above +Inf.
-// It allocates its result and a len(v) scratch; the codecs reuse theirs.
+// of v in ascending index order, 0 ≤ k ≤ len(v). It keeps the one
+// top-k order the topk codecs share: |v| descending, then index
+// ascending, so of equal magnitudes the lower indices are kept (−0
+// ties +0); NaN ranks above +Inf, and NaNs tie with each other.
+// Selection is O(len(v)). It allocates its result and a len(v)
+// scratch; the codecs reuse theirs.
 func TopKIndices(v []float64, k int) []int {
 	return selectTopK(make([]int, k), make([]uint64, len(v)), v)
 }

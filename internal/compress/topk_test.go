@@ -38,19 +38,18 @@ func oracleTopK(order []int, k int) []int {
 	return pick
 }
 
-// checkTopK runs every caller of the selection — TopKIndices, the
-// buffer-reusing codec path (c carries buffers across calls) and
-// TopK.Compress — against the oracle's pick.
+// checkTopK runs both callers of the selection — TopKIndices and the
+// buffer-reusing codec path (c carries buffers across calls) — against
+// the oracle's pick.
 func checkTopK(t *testing.T, c *topkCodec, v []float64, k int, want []int) {
 	t.Helper()
 	if got := TopKIndices(v, k); !slices.Equal(got, want) {
 		t.Fatalf("TopKIndices(d=%d, k=%d) = %v, want %v\nv = %v", len(v), k, got, want, v)
 	}
 	c.sparsify(v, k, nil)
-	s := TopK{K: k}.Compress(v).(*Sparse)
 	for i, idx := range want {
-		if int(c.s.Indices[i]) != idx || int(s.Indices[i]) != idx {
-			t.Fatalf("d=%d k=%d: codec picked %v, TopK.Compress %v, want %v", len(v), k, c.s.Indices, s.Indices, want)
+		if int(c.s.Indices[i]) != idx {
+			t.Fatalf("d=%d k=%d: codec picked %v, want %v", len(v), k, c.s.Indices, want)
 		}
 		if math.Float64bits(c.s.Values[i]) != math.Float64bits(v[idx]) {
 			t.Fatalf("d=%d k=%d: value at %d is %v, want %v", len(v), k, idx, c.s.Values[i], v[idx])

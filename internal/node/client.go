@@ -263,7 +263,7 @@ type recvResult struct {
 // the PS has already broadcast a later round, the future frame is
 // parked in *pending (consumed first on the next call) instead of
 // condemning a healthy connection.
-func recvModel(conn *transport.Conn, pending **transport.Message, psID, round int, tolerant bool, skipped *obs.Counter) recvResult {
+func recvModel(conn *transport.Conn, pending **transport.Message, psID, round, dim int, tolerant bool, skipped *obs.Counter) recvResult {
 	for tries := 0; tries < maxBadFrames; tries++ {
 		var m *transport.Message
 		var err error
@@ -304,9 +304,13 @@ func recvModel(conn *transport.Conn, pending **transport.Message, psID, round in
 				err: fmt.Errorf("unexpected %s (round %d) from PS %d", m.Type, m.Round, psID)}
 		}
 		pl, err := m.ModelPayload()
+		if err == nil && pl.Dim() != dim {
+			err = fmt.Errorf("global model dimension %d, want %d", pl.Dim(), dim)
+		}
 		if err != nil {
-			// A checksummed frame with a malformed codec payload can only
-			// come from a Byzantine PS; treat it like a corrupt frame.
+			// A checksummed frame with a malformed codec payload or a
+			// model of the wrong dimension can only come from a Byzantine
+			// PS; treat it like a corrupt frame.
 			if tolerant {
 				skipped.Inc()
 				continue
@@ -636,7 +640,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			wg.Add(1)
 			go func(i int, conn *transport.Conn) {
 				defer wg.Done()
-				results[i] = recvModel(conn, &pendings[i], i, round, tolerant, cm.framesSkipped)
+				results[i] = recvModel(conn, &pendings[i], i, round, len(w0), tolerant, cm.framesSkipped)
 			}(i, conn)
 		}
 		wg.Wait()

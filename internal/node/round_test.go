@@ -11,6 +11,7 @@ import (
 	"fedms/internal/aggregate"
 	"fedms/internal/compress"
 	"fedms/internal/core"
+	"fedms/internal/nn"
 	"fedms/internal/obs"
 	"fedms/internal/transport"
 )
@@ -204,6 +205,115 @@ func TestPSWrongDimensionUpload(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClientWrongDimensionDownlink is the client twin of
+// TestPSWrongDimensionUpload: a checksummed global model whose
+// dimension differs from the client's own is a PS lying on the wire,
+// as a v1 dense frame or a codec downlink alike. It must never reach
+// the filter, whose payload kernels panic on ragged input. A tolerant
+// client skips it like a malformed payload — counted in frames_skipped
+// — and trims over the honest survivors; a strict client fails the
+// round naming the PS.
+func TestClientWrongDimensionDownlink(t *testing.T) {
+	const p, liar = 4, 3
+	for _, codec := range []bool{false, true} {
+		for _, tolerant := range []bool{true, false} {
+			codec, tolerant := codec, tolerant
+			t.Run(fmt.Sprintf("codec=%v/tolerant=%v", codec, tolerant), func(t *testing.T) {
+				learner := makeLearners(t, 1, 41)[0]
+				dim := len(learner.Params())
+				servers := make([]string, p)
+				var wg sync.WaitGroup
+				for i := range servers {
+					ln, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					servers[i] = ln.Addr().String()
+					model := make([]float64, dim)
+					if i == liar {
+						model = make([]float64, dim+7)
+					}
+					for j := range model {
+						model[j] = float64(i + 1)
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						answerOneRound(t, ln, model, codec)
+					}()
+				}
+				reg := obs.NewRegistry()
+				cfg := ClientConfig{
+					ID: 0, Learner: learner, Servers: servers, Rounds: 1, LocalSteps: 1,
+					Filter: aggregate.TrimmedMean{Beta: 0.25}, Schedule: nn.ConstantLR(0.1),
+					Timeout: 5 * time.Second, AcceptEncodedDownlink: codec, Obs: reg,
+				}
+				if tolerant {
+					cfg.MinModels = p - 1
+				}
+				stats, err := RunClient(cfg)
+				wg.Wait()
+				if !tolerant {
+					want := fmt.Sprintf("recv from PS %d: global model dimension", liar)
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("strict client: err = %v, want one containing %q", err, want)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("tolerant client aborted on one wrong-dimension model: %v", err)
+				}
+				if n := reg.Counter(`fedms_client_frames_skipped_total{client="0"}`).Value(); n != 1 {
+					t.Fatalf("frames_skipped = %d, want 1", n)
+				}
+				if st := stats[0]; st.ModelsReceived != p-1 || !st.Degraded {
+					t.Fatalf("stats = %+v, want %d models received, degraded", st, p-1)
+				}
+				// Trimming one per side of the honest {1, 2, 3} leaves 2.
+				for j, x := range learner.Params() {
+					if x != 2 {
+						t.Fatalf("filtered[%d] = %v, want 2", j, x)
+					}
+				}
+			})
+		}
+	}
+}
+
+// answerOneRound plays one PS for one client and one round: it reads
+// the client's two hello frames and its round-0 upload, answers with
+// model — a v1 dense frame, or a q8 codec downlink — and hangs up.
+func answerOneRound(t *testing.T, ln net.Listener, model []float64, codec bool) {
+	defer ln.Close()
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+	conn.Timeout = 5 * time.Second
+	for i := 0; i < 3; i++ {
+		if _, err := conn.Recv(); err != nil {
+			t.Error(err)
+			return
+		}
+	}
+	msg := &transport.Message{Type: transport.TypeGlobalModel, Vec: model}
+	if codec {
+		c, err := compress.Spec{Kind: "q", Bits: 8}.NewCodec(0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		msg.Vec = nil
+		msg.Enc, msg.Payload = c.AppendEncode(nil, model)
+	}
+	if err := conn.Send(msg); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -60,7 +60,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	sparse := &compress.Sparse{Dim: 5, Indices: []uint32{1, 3}, Values: []float64{2, -2}}
 	baseV2 := Encode(&Message{Type: TypeGlobalModel, Round: 6, Sender: 0,
-		Enc: compress.EncSparse, Payload: sparse.Encode()})
+		Enc: compress.EncSparse, Payload: sparse.AppendEncode(nil)})
 	unknownTag := append([]byte(nil), baseV2...)
 	unknownTag[16] = 200
 	f.Add(unknownTag)

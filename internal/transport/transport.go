@@ -166,29 +166,14 @@ const headerLen = 2 + 1 + 1 + 4 + 4 + 4 + 4 + 4
 // textLen, payLen.
 const headerLenV2 = 2 + 1 + 1 + 4 + 4 + 4 + 1 + 1 + 4 + 4
 
-// ModelVec returns the dense model the frame carries: Vec for v1
-// frames, the decoded codec payload for v2 frames. Decode failures wrap
-// ErrBadPayload.
-func (m *Message) ModelVec() ([]float64, error) {
-	if m.Payload == nil {
-		return m.Vec, nil
-	}
-	v, err := compress.DecodePayload(m.Enc, m.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	return v, nil
-}
-
 // ModelPayload returns a structured no-densify view of the model the
-// frame carries: a compress.DensePayload wrapper around Vec for v1
-// frames, a parsed compress.Payload for v2 frames. It accepts and
-// rejects exactly the payloads ModelVec does — validation failures
-// wrap ErrBadPayload, so tolerant readers degrade a malformed payload
-// the same way on both paths — but skips the dense materialization,
-// feeding the fused aggregation rules directly. The view aliases the
-// message's buffers; callers must not mutate the message while the
-// view is live.
+// frame carries, the one way a frame's model is read: a
+// compress.DensePayload wrapper around Vec for v1 frames, a parsed
+// compress.Payload for v2 frames. Validation failures wrap
+// ErrBadPayload, so tolerant readers degrade a malformed payload like
+// a corrupt frame. The view feeds the fused aggregation rules
+// directly; it aliases the message's buffers, so callers must not
+// mutate the message while the view is live.
 func (m *Message) ModelPayload() (compress.Payload, error) {
 	if m.Payload == nil {
 		return compress.DensePayload(m.Vec), nil

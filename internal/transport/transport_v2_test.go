@@ -47,11 +47,11 @@ func TestV2RoundTripPerEncoding(t *testing.T) {
 			got.Flag != m.Flag || got.Text != m.Text || got.Vec != nil || got.Stale != 2 {
 			t.Fatalf("%s: header fields did not round-trip: %+v", spec, got)
 		}
-		vec, err := got.ModelVec()
+		view, err := got.ModelPayload()
 		if err != nil {
-			t.Fatalf("%s: ModelVec: %v", spec, err)
+			t.Fatalf("%s: ModelPayload: %v", spec, err)
 		}
-		if len(vec) != len(v) {
+		if vec := view.DenseView(); len(vec) != len(v) {
 			t.Fatalf("%s: decoded dim %d, want %d", spec, len(vec), len(v))
 		}
 		if got.ModelWireBytes() != len(payload) {
@@ -80,9 +80,12 @@ func TestDenseMessageStaysV1(t *testing.T) {
 	if got.Payload != nil {
 		t.Fatal("v1 frame decoded with a payload")
 	}
-	vec, err := got.ModelVec()
-	if err != nil || len(vec) != 3 || vec[0] != 1 {
-		t.Fatalf("ModelVec = %v, %v", vec, err)
+	view, err := got.ModelPayload()
+	if err != nil {
+		t.Fatalf("ModelPayload: %v", err)
+	}
+	if vec := view.DenseView(); len(vec) != 3 || vec[0] != 1 {
+		t.Fatalf("ModelPayload dense view = %v", vec)
 	}
 	if got.ModelWireBytes() != 24 {
 		t.Fatalf("ModelWireBytes = %d, want 24", got.ModelWireBytes())
@@ -106,17 +109,17 @@ func TestV2UnknownEncodingKeepsStreamAligned(t *testing.T) {
 	}
 }
 
-// TestV2MalformedPayloadFailsInModelVec: Decode only checks the tag; a
-// structurally bad payload with a valid checksum decodes as a frame and
-// fails in ModelVec, again wrapping ErrBadPayload.
-func TestV2MalformedPayloadFailsInModelVec(t *testing.T) {
+// TestV2MalformedPayloadFailsInModelPayload: Decode only checks the
+// tag; a structurally bad payload with a valid checksum decodes as a
+// frame and fails in ModelPayload, again wrapping ErrBadPayload.
+func TestV2MalformedPayloadFailsInModelPayload(t *testing.T) {
 	m := &Message{Type: TypeUpload, Enc: compress.EncSparse, Payload: []byte{1, 2, 3}}
 	got, err := Decode(bytes.NewReader(Encode(m)))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if _, err := got.ModelVec(); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("ModelVec: got %v, want ErrBadPayload", err)
+	if _, err := got.ModelPayload(); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("ModelPayload: got %v, want ErrBadPayload", err)
 	}
 }
 
