@@ -54,23 +54,39 @@ test:
 # derived from it, so the CLI contract (the pinned flag surface, the
 # one table of rejections, both commands surfacing it before any
 # listener binds, `-role client` running the client `-role local`
-# would) and the derived-federation ≡ engine parity fail by name.
+# would) and the derived-federation ≡ engine parity fail by name. The
+# final full-suite stage skips the union of the named race stages'
+# patterns, so every test runs under -race exactly once.
+RACE_GEMM    = Gemm
+RACE_OBS     = TestObsDeterminism
+RACE_PAYLOAD = TestPayloadAggregation
+RACE_LOSS    = TestLossRule|TestKrumFamilyPartialParticipation
+RACE_LOSSD   = TestDistributedMatchesEngineLoss
+RACE_SHARD   = TestShardedAggregation
+RACE_SHARDD  = TestDistributedShardedMatchesEngine|TestDistributedParticipationMatchesEngine
+RACE_ASYNCD  = TestAsyncDeterminismChaos|TestAsyncWideWindowMatchesSyncDistributed
+RACE_ASYNC   = TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical
+RACE_FLOOD   = TestChaosFloodJunkStorm
+RACE_CLI     = FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNodeRejectsBadDeploymentFlags|TestNodeClientRoleRunsTheLocalClient
+RACE_DERIVE  = TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin
+RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_SHARD)|$(RACE_SHARDD)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)
+
 verify:
 	$(GO) vet ./...
-	$(GO) test -race -run 'Gemm' ./internal/tensor/
-	$(GO) test -race -run 'TestObsDeterminism' ./internal/node/ ./internal/core/
-	$(GO) test -race -run 'TestPayloadAggregation' ./internal/aggregate/
-	$(GO) test -race -run 'TestLossRule|TestKrumFamilyPartialParticipation' ./internal/aggregate/
-	$(GO) test -race -run 'TestDistributedMatchesEngineLoss' ./internal/node/
-	$(GO) test -race -run 'TestShardedAggregation' ./internal/aggregate/
-	$(GO) test -race -run 'TestDistributedShardedMatchesEngine|TestDistributedParticipationMatchesEngine' ./internal/node/
-	$(GO) test -race -run 'TestAsyncDeterminismChaos|TestAsyncWideWindowMatchesSyncDistributed' ./internal/node/
-	$(GO) test -race -run 'TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical' ./internal/core/
-	$(GO) test -race -run 'TestChaosFloodJunkStorm' ./internal/node/
+	$(GO) test -race -run '$(RACE_GEMM)' ./internal/tensor/
+	$(GO) test -race -run '$(RACE_OBS)' ./internal/node/ ./internal/core/
+	$(GO) test -race -run '$(RACE_PAYLOAD)' ./internal/aggregate/
+	$(GO) test -race -run '$(RACE_LOSS)' ./internal/aggregate/
+	$(GO) test -race -run '$(RACE_LOSSD)' ./internal/node/
+	$(GO) test -race -run '$(RACE_SHARD)' ./internal/aggregate/
+	$(GO) test -race -run '$(RACE_SHARDD)' ./internal/node/
+	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
+	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
+	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
 	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc' ./internal/transport/ ./internal/compress/
-	$(GO) test -race -run 'FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNodeRejectsBadDeploymentFlags|TestNodeClientRoleRunsTheLocalClient' ./cmd/...
-	$(GO) test -race -run 'TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin' ./internal/node/
-	$(GO) test -race ./...
+	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
+	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
+	$(GO) test -race -skip '$(RACE_STAGES)' ./...
 
 # Just the fault-injection surface under the race detector.
 race:

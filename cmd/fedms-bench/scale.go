@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"fedms"
@@ -183,60 +182,21 @@ func scaleSmoke(out io.Writer, seed uint64, quick bool) (*scaleEntry, error) {
 		return nil, err
 	}
 	// Every node's configuration derives from the engine's resolved spec.
-	cfg := eng.Config()
-
-	servers := make([]*node.PS, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		pc, err := node.PSConfigFor(cfg, i)
-		if err != nil {
-			return nil, err
-		}
-		pc.ListenAddr, pc.Timeout = "127.0.0.1:0", 30*time.Second
-		ps, err := node.NewPS(pc)
-		if err != nil {
-			return nil, err
-		}
-		servers[i] = ps
-		addrs[i] = ps.Addr()
+	fed, err := node.NewLocal(eng.Config(), eng.Learners(),
+		func(pc *node.PSConfig) { pc.Timeout = 30 * time.Second },
+		func(cc *node.ClientConfig) { cc.Timeout = 30 * time.Second })
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, p+k)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *node.PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				errCh <- err
-			}
-		}(ps)
-	}
-	for id, l := range eng.Learners() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cc, err := node.ClientConfigFor(cfg, id, l)
-			if err == nil {
-				cc.Servers, cc.Timeout = addrs, 30*time.Second
-				_, err = node.RunClient(cc)
-			}
-			if err != nil {
-				errCh <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	_, psStats, err := fed.Run()
+	if err != nil {
 		return nil, fmt.Errorf("scale smoke: %w", err)
 	}
 	elapsed := time.Since(start)
 	var peak int64
-	for _, ps := range servers {
-		if pk := ps.Stats().ShardPeakBytes; pk > peak {
-			peak = pk
-		}
+	for _, st := range psStats {
+		peak = max(peak, st.ShardPeakBytes)
 	}
 	ns := float64(elapsed.Nanoseconds()) / float64(rounds)
 	e := &scaleEntry{

@@ -12,6 +12,7 @@ import (
 
 	"fedms/cmd/internal/fedflags"
 	"fedms/cmd/internal/fedflags/flagtest"
+	"fedms/internal/core"
 	"fedms/internal/node"
 )
 
@@ -157,7 +158,7 @@ func TestNodeClientRoleRunsTheLocalClient(t *testing.T) {
 		"-min-models", "2", "-key", "secret", "-timeout", "10s",
 	}
 	// ran records client id's configuration and its model before any
-	// training, as runClient was handed them.
+	// training, as the role handed them to the runtime.
 	var (
 		mu  sync.Mutex
 		ran []node.ClientConfig
@@ -170,14 +171,17 @@ func TestNodeClientRoleRunsTheLocalClient(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	real := runClient
-	t.Cleanup(func() { runClient = real })
+	realRun, realLocal := runClient, newLocal
+	t.Cleanup(func() { runClient, newLocal = realRun, realLocal })
 
-	// The local role runs its federation for real; the client role, with
-	// no servers to dial, stops at the call.
-	runClient = func(cc node.ClientConfig) ([]node.ClientRoundStats, error) {
-		record(cc)
-		return real(cc)
+	// The local role runs its federation for real, recording each
+	// client's configuration once deployment is applied; the client
+	// role, with no servers to dial, stops at the call.
+	newLocal = func(cfg core.Config, ls []core.Learner, ps func(*node.PSConfig), client func(*node.ClientConfig)) (*node.Local, error) {
+		return realLocal(cfg, ls, ps, func(cc *node.ClientConfig) {
+			client(cc)
+			record(*cc)
+		})
 	}
 	if err := run(append([]string{"-role", "local"}, federation...)); err != nil {
 		t.Fatal(err)

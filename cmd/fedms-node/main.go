@@ -22,7 +22,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -31,7 +30,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"fedms"
@@ -336,14 +334,10 @@ func (st *obsState) close() {
 	}
 }
 
-// psConfig is server id's configuration: the federation's share derived
-// from cfg, the deployment's from the flags. Where it listens, what it
+// deployPS applies the deployment flags to a server's derived
+// configuration (node.PSConfigFor). Where it listens, what it
 // checkpoints to and whether it crashes are the role's to add.
-func (o *options) psConfig(cfg core.Config, id int, fi *transport.FaultInjector) (node.PSConfig, error) {
-	ps, err := node.PSConfigFor(cfg, id)
-	if err != nil {
-		return ps, err
-	}
+func (o *options) deployPS(ps *node.PSConfig, fi *transport.FaultInjector) {
 	ps.Key = []byte(o.key)
 	ps.Timeout = o.psTimeout()
 	ps.Tolerant = o.tolerant()
@@ -352,16 +346,11 @@ func (o *options) psConfig(cfg core.Config, id int, fi *transport.FaultInjector)
 	ps.AcceptBurst = o.acceptBurst
 	ps.RequireToken = o.connectToken
 	ps.Faults = fi
-	return ps, nil
 }
 
-// clientConfig is client id's configuration, likewise.
-func (o *options) clientConfig(cfg core.Config, id int, l core.Learner, servers []string, fi *transport.FaultInjector) (node.ClientConfig, error) {
-	cl, err := node.ClientConfigFor(cfg, id, l)
-	if err != nil {
-		return cl, err
-	}
-	cl.Servers = servers
+// deployClient applies them to a client's (node.ClientConfigFor), in
+// both the client and the local role.
+func (o *options) deployClient(cl *node.ClientConfig, fi *transport.FaultInjector) {
 	cl.LatencyScale = o.latencyScale
 	cl.Key = []byte(o.key)
 	cl.Timeout = o.timeout
@@ -369,12 +358,15 @@ func (o *options) clientConfig(cfg core.Config, id int, l core.Learner, servers 
 	cl.MinModels = o.minModels
 	cl.Faults = fi
 	cl.Redial = o.minModels > 0
-	return cl, nil
 }
 
-// runClient is node.RunClient; the tests substitute it to observe the
-// configuration each role runs a client under.
-var runClient = node.RunClient
+// runClient and newLocal are node.RunClient and node.NewLocal; the tests
+// substitute them to observe the configuration each role runs a client
+// under.
+var (
+	runClient = node.RunClient
+	newLocal  = node.NewLocal
+)
 
 // psRole describes a server for the start-up line.
 func psRole(ps node.PSConfig) string {
@@ -385,10 +377,11 @@ func psRole(ps node.PSConfig) string {
 }
 
 func runPS(o *options, cfg core.Config) error {
-	pc, err := o.psConfig(cfg, o.id, o.faultInjector())
+	pc, err := node.PSConfigFor(cfg, o.id)
 	if err != nil {
 		return err
 	}
+	o.deployPS(&pc, o.faultInjector())
 	pc.ListenAddr, pc.CheckpointPath, pc.CrashAfterRound = o.listen, o.ckptPath, o.faultCrash
 	ps, err := node.NewPS(pc)
 	if err != nil {
@@ -413,10 +406,12 @@ func runClientRole(o *options, cfg core.Config) error {
 	if err != nil {
 		return err
 	}
-	cc, err := o.clientConfig(cfg, o.id, learners[o.id], servers, o.faultInjector())
+	cc, err := node.ClientConfigFor(cfg, o.id, learners[o.id])
 	if err != nil {
 		return err
 	}
+	cc.Servers = servers
+	o.deployClient(&cc, o.faultInjector())
 	stats, err := runClient(cc)
 	if err != nil {
 		return err
@@ -436,85 +431,45 @@ func runLocal(o *options, cfg core.Config) error {
 	// processes reconstruct the identical schedule from the shared
 	// fault seed.
 	fi := o.faultInjector()
-
-	servers := make([]*node.PS, cfg.Servers)
-	addrs := make([]string, cfg.Servers)
-	for i := range servers {
-		pc, err := o.psConfig(cfg, i, fi)
-		if err != nil {
-			return err
-		}
-		pc.ListenAddr = "127.0.0.1:0"
-		if i == cfg.Servers-1 {
+	learners, err := fedms.BuildLearners(o.spec.Config)
+	if err != nil {
+		return err
+	}
+	last := cfg.Servers - 1
+	roles := make([]string, cfg.Servers)
+	l, err := newLocal(cfg, learners, func(pc *node.PSConfig) {
+		o.deployPS(pc, fi)
+		if pc.ID == last {
 			pc.CrashAfterRound = o.faultCrash
 		}
 		// Every local PS gets its own checkpoint file: they would
 		// otherwise race on the shared path and spill segment.
 		if o.ckptPath != "" {
-			pc.CheckpointPath = fmt.Sprintf("%s.ps%d", o.ckptPath, i)
+			pc.CheckpointPath = fmt.Sprintf("%s.ps%d", o.ckptPath, pc.ID)
 		}
-		ps, err := node.NewPS(pc)
-		if err != nil {
-			return err
-		}
-		servers[i] = ps
-		addrs[i] = ps.Addr()
-		fmt.Printf("fedms-node: PS %d (%s) on %s\n", i, psRole(pc), ps.Addr())
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Servers+cfg.Clients)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *node.PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				// A scheduled crash is the experiment, not a failure.
-				if o.faultCrash > 0 && errors.Is(err, node.ErrCrashed) {
-					fmt.Printf("fedms-node: PS crashed after %d rounds (scheduled)\n", o.faultCrash)
-					return
-				}
-				errCh <- err
-			}
-		}(ps)
-	}
-
-	learners, err := fedms.BuildLearners(o.spec.Config)
+		roles[pc.ID] = psRole(*pc)
+	}, func(cc *node.ClientConfig) { o.deployClient(cc, fi) })
 	if err != nil {
 		return err
 	}
-	var mu sync.Mutex
-	var lastEval float64
-	for id, l := range learners {
-		cc, err := o.clientConfig(cfg, id, l, addrs, fi)
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func(cc node.ClientConfig) {
-			defer wg.Done()
-			stats, err := runClient(cc)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if cc.ID == 0 {
-				for _, st := range stats {
-					if st.Evaluated {
-						fmt.Printf("round %d: client0 train_loss=%.4f test_acc=%.4f\n",
-							st.Round, st.TrainLoss, st.TestAcc)
-						mu.Lock()
-						lastEval = st.TestAcc
-						mu.Unlock()
-					}
-				}
-			}
-		}(cc)
+	for i, addr := range l.Addrs {
+		fmt.Printf("fedms-node: PS %d (%s) on %s\n", i, roles[i], addr)
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	clientStats, psStats, err := l.Run()
+	// A scheduled crash is the experiment, not a failure.
+	if o.faultCrash > 0 && psStats[last].RoundsServed == o.faultCrash {
+		fmt.Printf("fedms-node: PS crashed after %d rounds (scheduled)\n", o.faultCrash)
+	}
+	if err != nil {
 		return err
+	}
+	var lastEval float64
+	for _, st := range clientStats[0] {
+		if st.Evaluated {
+			fmt.Printf("round %d: client0 train_loss=%.4f test_acc=%.4f\n",
+				st.Round, st.TrainLoss, st.TestAcc)
+			lastEval = st.TestAcc
+		}
 	}
 	fmt.Printf("fedms-node: distributed run complete, final client0 accuracy %.4f\n", lastEval)
 	return nil

@@ -17,7 +17,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"fedms"
@@ -26,8 +25,8 @@ import (
 
 // spec is the one description of the federation. The networked run
 // derives every node's configuration from it (fedms.Resolve, then
-// node.PSConfigFor / node.ClientConfigFor); the reference run hands the
-// same value to the in-process engine.
+// node.NewLocal); the reference run hands the same value to the
+// in-process engine.
 var spec = fedms.Config{
 	Clients:      8,
 	Servers:      5,
@@ -52,44 +51,21 @@ func must[T any](v T, err error) T {
 func main() {
 	// ---- Networked run ----
 	cfg := must(fedms.Resolve(spec))
-	psNodes := make([]*node.PS, cfg.Servers)
-	addrs := make([]string, cfg.Servers)
-	for i := range psNodes {
-		pc := must(node.PSConfigFor(cfg, i))
-		pc.ListenAddr, pc.Timeout = "127.0.0.1:0", 10*time.Second
-		ps := must(node.NewPS(pc))
-		psNodes[i] = ps
-		addrs[i] = ps.Addr()
-		role := "benign"
-		if pc.Attack != nil {
-			role = "BYZANTINE " + pc.Attack.Name()
-		}
-		fmt.Printf("PS %d (%s) listening on %s\n", i, role, ps.Addr())
-	}
-
 	learners := must(fedms.BuildLearners(spec))
-	var wg sync.WaitGroup
-	for _, ps := range psNodes {
-		wg.Add(1)
-		go func(ps *node.PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				log.Fatalf("PS failed: %v", err)
-			}
-		}(ps)
+	roles := make([]string, cfg.Servers)
+	fed := must(node.NewLocal(cfg, learners, func(pc *node.PSConfig) {
+		pc.Timeout = 10 * time.Second
+		roles[pc.ID] = "benign"
+		if pc.Attack != nil {
+			roles[pc.ID] = "BYZANTINE " + pc.Attack.Name()
+		}
+	}, func(cc *node.ClientConfig) { cc.Timeout = 10 * time.Second }))
+	for i, addr := range fed.Addrs {
+		fmt.Printf("PS %d (%s) listening on %s\n", i, roles[i], addr)
 	}
-	for id, l := range learners {
-		cc := must(node.ClientConfigFor(cfg, id, l))
-		cc.Servers, cc.Timeout = addrs, 10*time.Second
-		wg.Add(1)
-		go func(cc node.ClientConfig) {
-			defer wg.Done()
-			if _, err := node.RunClient(cc); err != nil {
-				log.Fatalf("client %d failed: %v", cc.ID, err)
-			}
-		}(cc)
+	if _, _, err := fed.Run(); err != nil {
+		log.Fatal(err)
 	}
-	wg.Wait()
 	loss, acc := learners[0].Evaluate()
 	fmt.Printf("networked run done: client0 test_loss=%.4f test_acc=%.4f\n", loss, acc)
 

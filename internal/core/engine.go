@@ -488,7 +488,7 @@ func (e *Engine) RunRound() RoundStats {
 		e.om.aggFused.Add(int64(aggFusedN))
 		e.om.aggFallback.Add(int64(aggFallbackN))
 		e.om.aggSharded.Add(int64(aggShardedN))
-		if shardPeak > 0 {
+		if shardPeak > e.om.shardPeakBytes.Value() {
 			e.om.shardPeakBytes.Set(shardPeak)
 		}
 		e.om.aggDecodeBytes.Add(int64(st.UploadBytes))

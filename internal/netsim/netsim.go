@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"fedms/internal/randx"
-	"fedms/internal/transport"
 )
 
 // Link is a directed network path with fixed latency and bandwidth.
@@ -239,160 +238,6 @@ func (t *Topology) AsyncRoundTime(assignment [][]int, modelBytes int, window tim
 	return upload + download, st
 }
 
-// AsyncRoundTimeWithFaults replays AsyncRoundTime under the same fault
-// schedule contract as RoundTimeWithFaults. Fault events stretch each
-// upload's link occupancy exactly as in the sync replay, but the
-// window still caps the phase: a fault can turn a fresh upload late,
-// never extend the round. Lost uploads are tallied both in the fault
-// stats and as Late (the window closes over their absence; the
-// receiver never blocks on a timeout).
-func (t *Topology) AsyncRoundTimeWithFaults(assignment [][]int, modelBytes int, window time.Duration, compute []time.Duration, fi *transport.FaultInjector, timeout time.Duration) (time.Duration, AsyncStats, FaultStats) {
-	if window <= 0 {
-		panic("netsim: non-positive window")
-	}
-	var ast AsyncStats
-	var fst FaultStats
-	var upload time.Duration
-	for k, servers := range assignment {
-		clientTime := computeOf(compute, k)
-		for _, s := range servers {
-			fst.Uploads++
-			ev := fi.Link(fmt.Sprintf("c%d->ps%d", k, s)).Next(modelBytes)
-			base := t.links[k][s].TransferTime(modelBytes)
-			arrived := true
-			switch ev.Kind {
-			case transport.FaultDrop, transport.FaultPartition, transport.FaultTruncate:
-				fst.Lost++
-				clientTime += base
-				arrived = false
-			case transport.FaultCorrupt:
-				fst.Corrupted++
-				clientTime += base
-				arrived = false
-			case transport.FaultDuplicate:
-				fst.Duplicated++
-				clientTime += 2 * base
-			case transport.FaultDelay:
-				fst.ExtraDelay += ev.Delay
-				clientTime += base + ev.Delay
-			default:
-				clientTime += base
-			}
-			if arrived && clientTime <= window {
-				ast.Fresh++
-			} else {
-				ast.Late++
-			}
-		}
-		if clientTime > upload {
-			upload = clientTime
-		}
-	}
-	if upload > window {
-		upload = window
-	}
-	var download time.Duration
-	for s := 0; s < t.Servers; s++ {
-		for k := 0; k < t.Clients; k++ {
-			fst.Downloads++
-			ev := fi.Link(fmt.Sprintf("ps%d->c%d", s, k)).Next(modelBytes)
-			base := t.links[k][s].TransferTime(modelBytes)
-			var d time.Duration
-			switch ev.Kind {
-			case transport.FaultDrop, transport.FaultPartition, transport.FaultTruncate:
-				fst.Lost++
-				d = timeout
-			case transport.FaultCorrupt:
-				fst.Corrupted++
-				d = base
-			case transport.FaultDuplicate:
-				fst.Duplicated++
-				d = 2 * base
-			case transport.FaultDelay:
-				fst.ExtraDelay += ev.Delay
-				d = base + ev.Delay
-			default:
-				d = base
-			}
-			if d > download {
-				download = d
-			}
-		}
-	}
-	return upload + download, ast, fst
-}
-
-// FaultStats tallies the fault events of one simulated round.
-type FaultStats struct {
-	// Uploads and Downloads count the messages attempted per phase.
-	Uploads, Downloads int
-	// Lost counts messages that never arrived (drop, partition,
-	// truncate — the receiver waits out a timeout for each).
-	Lost int
-	// Corrupted counts messages rejected by the checksum (the receiver
-	// skips them; they cost a transfer but deliver nothing).
-	Corrupted int
-	// Duplicated counts messages transferred twice.
-	Duplicated int
-	// ExtraDelay sums the injected latency across all messages.
-	ExtraDelay time.Duration
-}
-
-// RoundTimeWithFaults replays RoundTime under a fault schedule: every
-// message draws one event from the injector link that the wire layer
-// would use for the same transfer (upload links "c<k>->ps<s>",
-// dissemination links "ps<s>->c<k>"), so an analytic rehearsal with the
-// same seed and per-link message order predicts the exact fault
-// sequence a socket run injects. Lost and corrupted messages cost their
-// transfer (plus the receiver's timeout for lost ones, approximated by
-// timeout itself); duplicates and delays stretch the link occupancy.
-func (t *Topology) RoundTimeWithFaults(assignment [][]int, modelBytes int, fi *transport.FaultInjector, timeout time.Duration) (time.Duration, FaultStats) {
-	var st FaultStats
-	msgTime := func(link Link, label string) (time.Duration, bool) {
-		ev := fi.Link(label).Next(modelBytes)
-		base := link.TransferTime(modelBytes)
-		switch ev.Kind {
-		case transport.FaultDrop, transport.FaultPartition, transport.FaultTruncate:
-			st.Lost++
-			return timeout, false
-		case transport.FaultCorrupt:
-			st.Corrupted++
-			return base, false
-		case transport.FaultDuplicate:
-			st.Duplicated++
-			return 2 * base, true
-		case transport.FaultDelay:
-			st.ExtraDelay += ev.Delay
-			return base + ev.Delay, true
-		default:
-			return base, true
-		}
-	}
-	var upload time.Duration
-	for k, servers := range assignment {
-		var clientTime time.Duration
-		for _, s := range servers {
-			st.Uploads++
-			d, _ := msgTime(t.links[k][s], fmt.Sprintf("c%d->ps%d", k, s))
-			clientTime += d
-		}
-		if clientTime > upload {
-			upload = clientTime
-		}
-	}
-	var download time.Duration
-	for s := 0; s < t.Servers; s++ {
-		for k := 0; k < t.Clients; k++ {
-			st.Downloads++
-			d, _ := msgTime(t.links[k][s], fmt.Sprintf("ps%d->c%d", s, k))
-			if d > download {
-				download = d
-			}
-		}
-	}
-	return upload + download, st
-}
-
 // CompareUploads reports the mean round time of sparse vs full
 // uploading over the given number of rounds.
 func (t *Topology) CompareUploads(rounds, modelBytes int, choice func(round, client, servers int) int) (sparse, full time.Duration) {
@@ -403,57 +248,4 @@ func (t *Topology) CompareUploads(rounds, modelBytes int, choice func(round, cli
 		fullTotal += t.RoundTime(fullAssign, modelBytes)
 	}
 	return sparseTotal / time.Duration(rounds), fullTotal / time.Duration(rounds)
-}
-
-// AcceptTime models the accept-phase makespan of one PS admitting its
-// K clients, the analytic counterpart of the concurrent accept stage
-// (DESIGN.md §8 "Ingest contract"). Each client's hello costs its
-// link's transfer time for helloBytes; stalls is the number of
-// silent/slow-loris connections holding the accept path for a full
-// helloDeadline each without ever completing a hello — modelled as
-// dialing first, the adversary's best move. With pool <= 1 the accept
-// loop is serial (the pre-fix path): every stall and every handshake
-// queues behind the previous one, so the makespan is the *sum* of all
-// hold times and one silent socket delays every honest client behind
-// it. With pool > 1, handshakes overlap across pool slots and the
-// makespan is the greedy pool schedule's finish time — a stall costs
-// one slot for one deadline, not the whole phase.
-func (t *Topology) AcceptTime(server, helloBytes, stalls, pool int, helloDeadline time.Duration) time.Duration {
-	if server < 0 || server >= t.Servers {
-		panic(fmt.Sprintf("netsim: server %d out of range", server))
-	}
-	if stalls < 0 {
-		panic("netsim: negative stall count")
-	}
-	conns := make([]time.Duration, 0, stalls+t.Clients)
-	for i := 0; i < stalls; i++ {
-		conns = append(conns, helloDeadline)
-	}
-	for k := 0; k < t.Clients; k++ {
-		conns = append(conns, t.links[k][server].TransferTime(helloBytes))
-	}
-	if pool <= 1 {
-		var total time.Duration
-		for _, d := range conns {
-			total += d
-		}
-		return total
-	}
-	// Greedy FIFO schedule over pool slots: each connection lands on
-	// the earliest-free slot, in arrival order.
-	slots := make([]time.Duration, pool)
-	var makespan time.Duration
-	for _, d := range conns {
-		min := 0
-		for i := 1; i < pool; i++ {
-			if slots[i] < slots[min] {
-				min = i
-			}
-		}
-		slots[min] += d
-		if slots[min] > makespan {
-			makespan = slots[min]
-		}
-	}
-	return makespan
 }

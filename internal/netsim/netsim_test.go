@@ -1,13 +1,10 @@
 package netsim
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
 	"fedms/internal/core"
-	"fedms/internal/transport"
 )
 
 func testTopology(t *testing.T) *Topology {
@@ -122,70 +119,6 @@ func TestCompareUploads(t *testing.T) {
 	}
 }
 
-// TestRoundTimeWithFaultsDeterministic: two simulations from the same
-// fault seed draw the identical schedule (same makespan, same stats),
-// and a faulted round is never faster than a clean one when lost
-// messages cost a timeout.
-func TestRoundTimeWithFaultsDeterministic(t *testing.T) {
-	const modelBytes = 1 << 18
-	const timeout = 2 * time.Second
-	assign := SparseAssignment(10, 4, 0, func(round, client, servers int) int {
-		return core.SparseUploadChoice(1, round, client, servers)
-	})
-	run := func() (time.Duration, FaultStats) {
-		top := testTopology(t)
-		fi := transport.NewFaultInjector(transport.FaultConfig{
-			Seed: 9, Drop: 0.2, Corrupt: 0.1, Duplicate: 0.1,
-			Delay: 0.2, MaxDelay: 5 * time.Millisecond,
-		})
-		return top.RoundTimeWithFaults(assign, modelBytes, fi, timeout)
-	}
-	d1, s1 := run()
-	d2, s2 := run()
-	if d1 != d2 || s1 != s2 {
-		t.Fatalf("same seed diverged: %v/%+v vs %v/%+v", d1, s1, d2, s2)
-	}
-	if s1.Uploads != 10 || s1.Downloads != 40 {
-		t.Fatalf("message counts: %+v", s1)
-	}
-	if s1.Lost == 0 {
-		t.Fatal("no messages lost at drop rate 0.2 over 50 messages")
-	}
-	clean := testTopology(t).RoundTime(assign, modelBytes)
-	if d1 < clean {
-		t.Fatalf("faulted round %v faster than clean round %v", d1, clean)
-	}
-}
-
-// TestRoundTimeWithFaultsMatchesWireSchedule: the simulator consumes
-// the same per-link streams the wire layer uses, so a wire-layer
-// injector built from the same seed draws the identical events for the
-// same link labels.
-func TestRoundTimeWithFaultsMatchesWireSchedule(t *testing.T) {
-	cfg := transport.FaultConfig{Seed: 4, Drop: 0.3, Corrupt: 0.2}
-	simFI := transport.NewFaultInjector(cfg)
-	top := testTopology(t)
-	assign := SparseAssignment(10, 4, 0, func(round, client, servers int) int {
-		return core.SparseUploadChoice(3, round, client, servers)
-	})
-	_, _ = top.RoundTimeWithFaults(assign, 4096, simFI, time.Second)
-
-	wireFI := transport.NewFaultInjector(cfg)
-	for k, servers := range assign {
-		for _, s := range servers {
-			label := fmt.Sprintf("c%d->ps%d", k, s)
-			wireFI.Link(label).Next(4096)
-		}
-	}
-	simTrace := simFI.Trace()
-	wireTrace := wireFI.Trace()
-	for label, events := range wireTrace {
-		if !reflect.DeepEqual(simTrace[label], events) {
-			t.Fatalf("link %s: sim %v vs wire %v", label, simTrace[label], events)
-		}
-	}
-}
-
 // stragglerCompute gives every client instantaneous training except
 // the last, which takes `slow` before its upload starts.
 func stragglerCompute(clients int, slow time.Duration) []time.Duration {
@@ -248,84 +181,5 @@ func TestAsyncRoundTimeWideWindowMatchesSync(t *testing.T) {
 	}
 	if st.Late != 0 || st.Fresh != 10 {
 		t.Fatalf("wide window left uploads late: %+v", st)
-	}
-}
-
-// TestAsyncRoundTimeWithFaultsBounded: the fault replay stays
-// deterministic and the window still caps the upload phase — faults
-// can only turn uploads late, never stretch the round past
-// window + the faulted dissemination fan-out.
-func TestAsyncRoundTimeWithFaultsBounded(t *testing.T) {
-	top := testTopology(t)
-	const modelBytes = 1 << 18
-	const window = time.Second
-	const timeout = 3 * time.Second
-	assign := FullAssignment(10, 4)
-	compute := stragglerCompute(10, 20*time.Second)
-	fc := transport.FaultConfig{Seed: 11, Drop: 0.2, Delay: 0.3, MaxDelay: 50 * time.Millisecond}
-
-	rt1, ast1, fst1 := top.AsyncRoundTimeWithFaults(assign, modelBytes, window, compute, transport.NewFaultInjector(fc), timeout)
-	rt2, ast2, fst2 := top.AsyncRoundTimeWithFaults(assign, modelBytes, window, compute, transport.NewFaultInjector(fc), timeout)
-	if rt1 != rt2 || ast1 != ast2 || !reflect.DeepEqual(fst1, fst2) {
-		t.Fatal("same fault seed must reproduce the async round")
-	}
-	if rt1 > window+timeout {
-		t.Fatalf("faulted async round %v exceeds window %v + timeout %v", rt1, window, timeout)
-	}
-	if ast1.Late < top.Servers {
-		t.Fatalf("straggler uploads not tallied late under faults: %+v", ast1)
-	}
-	if fst1.Lost == 0 || fst1.ExtraDelay == 0 {
-		t.Fatalf("fault schedule drew no events: %+v", fst1)
-	}
-}
-
-// TestAcceptTimeHeadOfLine: the analytic form of the accept-phase
-// head-of-line bug. Serially, each silent connection adds a full hello
-// deadline to every honest client's wait; with a handshake pool, the
-// stall overlaps the honest hellos and the makespan collapses to
-// roughly the slowest single handshake.
-func TestAcceptTimeHeadOfLine(t *testing.T) {
-	top := testTopology(t)
-	const helloBytes = 64
-	const deadline = 2 * time.Second
-	const stalls = 3
-
-	var sumHellos, maxHello time.Duration
-	for k := 0; k < top.Clients; k++ {
-		d := top.Link(k, 0).TransferTime(helloBytes)
-		sumHellos += d
-		if d > maxHello {
-			maxHello = d
-		}
-	}
-
-	serial := top.AcceptTime(0, helloBytes, stalls, 1, deadline)
-	if want := stalls*deadline + sumHellos; serial != want {
-		t.Fatalf("serial accept = %v, want sum of holds %v", serial, want)
-	}
-
-	pooled := top.AcceptTime(0, helloBytes, stalls, 64, deadline)
-	if want := max(deadline, maxHello); pooled != want {
-		t.Fatalf("pooled accept = %v, want slowest handshake %v", pooled, want)
-	}
-	if pooled >= serial {
-		t.Fatalf("pool gained nothing: pooled %v vs serial %v", pooled, serial)
-	}
-
-	// A pool smaller than the connection count still bounds the damage:
-	// monotone non-increasing in pool size.
-	prev := serial
-	for _, pool := range []int{2, 4, 8, 64} {
-		cur := top.AcceptTime(0, helloBytes, stalls, pool, deadline)
-		if cur > prev {
-			t.Fatalf("pool %d makespan %v exceeds smaller pool's %v", pool, cur, prev)
-		}
-		prev = cur
-	}
-
-	// No stalls: pooled accept is just the slowest hello.
-	if got := top.AcceptTime(0, helloBytes, 0, 64, deadline); got != maxHello {
-		t.Fatalf("clean pooled accept = %v, want %v", got, maxHello)
 	}
 }

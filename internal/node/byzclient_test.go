@@ -1,8 +1,7 @@
 package node
 
 import (
-	"fmt"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,190 +17,62 @@ import (
 // with the in-process engine.
 func TestDistributedByzantineClientParity(t *testing.T) {
 	const k, p, rounds, seed = 6, 3, 4, 41
-	byzClient := 4
+	cfg := testSpec(k, p, rounds, aggregate.TrimmedMean{Beta: 1.0 / 3.0}, seed)
+	cfg.Upload, cfg.ServerFilter = core.FullUpload, aggregate.TrimmedMean{Beta: 1.0 / 6.0}
+	cfg.ByzantineClientIDs, cfg.ClientAttack = []int{4}, attack.UploadSignFlip{}
 
-	// ---- Distributed run ----
-	learners := makeLearners(t, k, seed)
-	servers := make([]*PS, p)
-	addrs := make([]string, p)
-	serverRule := aggregate.TrimmedMean{Beta: 1.0 / 6.0}
-	for i := 0; i < p; i++ {
-		ps, err := NewPS(PSConfig{
-			ID: i, ListenAddr: "127.0.0.1:0", Clients: k, Rounds: rounds,
-			ServerRule: serverRule, Seed: seed, Timeout: 5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = ps
-		addrs[i] = ps.Addr()
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, p+k)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				errCh <- err
-			}
-		}(ps)
-	}
-	for id, l := range learners {
-		cfg := ClientConfig{
-			ID: id, Learner: l, Servers: addrs,
-			Rounds: rounds, LocalSteps: 2, FullUpload: true,
-			Filter:   aggregate.TrimmedMean{Beta: 1.0 / 3.0},
-			Schedule: nn.ConstantLR(0.3), Seed: seed, Timeout: 5 * time.Second,
-		}
-		if id == byzClient {
-			cfg.UploadAttack = attack.UploadSignFlip{}
-		}
-		wg.Add(1)
-		go func(cfg ClientConfig) {
-			defer wg.Done()
-			if _, err := RunClient(cfg); err != nil {
-				errCh <- err
-			}
-		}(cfg)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("distributed two-sided run failed: %v", err)
-	}
-	distParams := make([][]float64, k)
-	for i, l := range learners {
-		distParams[i] = l.Params()
-	}
+	dist, _, _ := launch(t, cfg, makeLearners(t, k, seed), nil, nil)
+	eng := runEngineCfg(t, makeLearners(t, k, seed), cfg)
+	assertSameParams(t, dist, eng, "two-sided threat model")
+}
 
-	// ---- In-process reference ----
-	ref := makeLearners(t, k, seed)
-	eng, err := core.NewEngine(core.Config{
-		Clients:            k,
-		Servers:            p,
-		Rounds:             rounds,
-		LocalSteps:         2,
-		Upload:             core.FullUpload,
-		Filter:             aggregate.TrimmedMean{Beta: 1.0 / 3.0},
-		ServerFilter:       serverRule,
-		ByzantineClientIDs: []int{byzClient},
-		ClientAttack:       attack.UploadSignFlip{},
-		Schedule:           nn.ConstantLR(0.3),
-		Seed:               seed,
-		EvalEvery:          -1,
-	}, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	engParams := make([][]float64, k)
-	for i, l := range ref {
-		engParams[i] = l.Params()
-	}
-
-	assertSameParams(t, distParams, engParams, "two-sided threat model")
+// authSpec is the single-PS full-upload federation the HMAC tests run.
+func authSpec(rounds int, seed uint64) core.Config {
+	cfg := testSpec(3, 1, rounds, aggregate.Mean{}, seed)
+	cfg.LocalSteps, cfg.Schedule, cfg.Upload = 1, nn.ConstantLR(0.1), core.FullUpload
+	return cfg
 }
 
 // TestAuthenticatedFederation runs the protocol with per-frame HMAC on
-// and verifies a client holding the wrong key is rejected.
+// and verifies a client holding the wrong key is rejected: the PS must
+// abort with a MAC or protocol error rather than serve rounds, and no
+// client may complete cleanly with a forging participant.
 func TestAuthenticatedFederation(t *testing.T) {
-	const k, rounds, seed = 3, 2, 42
+	const seed = 42
 	key := []byte("fed-pool-secret")
-	learners := makeLearners(t, k, seed)
-	ps, err := NewPS(PSConfig{
-		ID: 0, ListenAddr: "127.0.0.1:0", Clients: k, Rounds: rounds,
-		Seed: seed, Key: key, Timeout: 3 * time.Second,
+	l, err := NewLocal(authSpec(2, seed), makeLearners(t, 3, seed), func(pc *PSConfig) {
+		pc.Key, pc.Timeout = key, 3*time.Second
+	}, func(cc *ClientConfig) {
+		cc.Key, cc.Timeout = key, 3*time.Second
+		if cc.ID == 2 {
+			cc.Key = []byte("wrong-key")
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	psDone := make(chan error, 1)
-	go func() { psDone <- ps.Serve() }()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, k)
-	for id, l := range learners {
-		clientKey := key
-		if id == 2 {
-			clientKey = []byte("wrong-key")
-		}
-		wg.Add(1)
-		go func(id int, l core.Learner, clientKey []byte) {
-			defer wg.Done()
-			_, err := RunClient(ClientConfig{
-				ID: id, Learner: l, Servers: []string{ps.Addr()},
-				Rounds: rounds, LocalSteps: 1, FullUpload: true,
-				Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
-				Seed: seed, Key: clientKey, Timeout: 3 * time.Second,
-			})
-			if id == 2 && err == nil {
-				errCh <- errWrongKeyAccepted
-			}
-			if id != 2 && err == nil {
-				// Benign clients will also fail eventually because the
-				// PS aborts on the forged client — either way is fine;
-				// the requirement is that the run does NOT complete
-				// cleanly with a forging participant.
-				errCh <- errWrongKeyAccepted
-			}
-		}(id, l, clientKey)
-	}
-	wg.Wait()
-	// The PS must abort with a MAC or protocol error, not serve rounds.
-	select {
-	case err := <-psDone:
-		if err == nil {
-			t.Fatal("PS completed despite a client with the wrong key")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("PS hung with a wrong-key client")
-	}
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			t.Fatal(err)
+	_, _, err = l.Run()
+	for _, node := range []string{"ps0: ", "c0: ", "c1: ", "c2: "} {
+		if err == nil || !strings.Contains(err.Error(), node) {
+			t.Fatalf("run with a wrong-key client: want a failure naming %q, got %v", node, err)
 		}
 	}
 }
-
-var errWrongKeyAccepted = fmt.Errorf("node: wrong-key client was accepted")
 
 // TestAuthenticatedFederationHappyPath: all keys match, training
 // completes.
 func TestAuthenticatedFederationHappyPath(t *testing.T) {
-	const k, rounds, seed = 3, 3, 43
+	const seed = 43
 	key := []byte("fed-pool-secret")
-	learners := makeLearners(t, k, seed)
-	ps, err := NewPS(PSConfig{
-		ID: 0, ListenAddr: "127.0.0.1:0", Clients: k, Rounds: rounds,
-		Seed: seed, Key: key, Timeout: 3 * time.Second,
+	l, err := NewLocal(authSpec(3, seed), makeLearners(t, 3, seed), func(pc *PSConfig) {
+		pc.Key, pc.Timeout = key, 3*time.Second
+	}, func(cc *ClientConfig) {
+		cc.Key, cc.Timeout = key, 3*time.Second
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = ps.Serve() }()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, k)
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			_, err := RunClient(ClientConfig{
-				ID: id, Learner: l, Servers: []string{ps.Addr()},
-				Rounds: rounds, LocalSteps: 1, FullUpload: true,
-				Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
-				Seed: seed, Key: key, Timeout: 3 * time.Second,
-			})
-			if err != nil {
-				errCh <- err
-			}
-		}(id, l)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	if _, _, err := l.Run(); err != nil {
 		t.Fatalf("authenticated run failed: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package node
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"log/slog"
 	"math"
 	"net"
@@ -17,7 +16,6 @@ import (
 	"fedms/internal/core"
 	"fedms/internal/nn"
 	"fedms/internal/obs"
-	"fedms/internal/randx"
 	"fedms/internal/transport"
 )
 
@@ -39,7 +37,9 @@ type chaosOpts struct {
 	// crashAfter schedules PS crashes: id -> rounds served before the
 	// crash.
 	crashAfter map[int]int
-	byz        map[int]attack.Attack
+	// byz lists the Byzantine PS ids, all running attack.
+	byz    []int
+	attack attack.Attack
 	// upCodec/downCodec put codec frames on the faulted links; the zero
 	// Spec keeps the wire dense.
 	upCodec   compress.Spec
@@ -79,11 +79,18 @@ type chaosOpts struct {
 
 // runChaos executes a full distributed run under the scenario and
 // returns final client params, per-PS stats and per-client round stats.
+// The federation fields become one core.Config; faults, tolerance,
+// crashes, checkpoints and hooks are the deployment callbacks.
 // Scheduled crashes (ErrCrashed) are part of the scenario, not
 // failures.
 func runChaos(t *testing.T, o chaosOpts) ([][]float64, []PSStats, [][]ClientRoundStats) {
 	t.Helper()
-	learners := makeLearners(t, o.k, o.seed)
+	cfg := testSpec(o.k, o.p, o.rounds, o.filter, o.seed)
+	cfg.ServerFilter, cfg.UploadCodec, cfg.DownlinkCodec = o.serverRule, o.upCodec, o.downCodec
+	cfg.Async, cfg.Window, cfg.Staleness = o.async, o.window, o.staleness
+	cfg.SpillDir, cfg.SpillMem = o.spillDir, o.spillMem
+	cfg.Obs, cfg.TraceSink, cfg.Logger = o.reg, o.traceSink, o.logger
+	cfg.ByzantineIDs, cfg.Attack = o.byz, o.attack
 	var cfi, pfi *transport.FaultInjector
 	if o.clientFaults.Enabled() {
 		cfi = transport.NewFaultInjector(o.clientFaults)
@@ -91,46 +98,22 @@ func runChaos(t *testing.T, o chaosOpts) ([][]float64, []PSStats, [][]ClientRoun
 	if o.psFaults.Enabled() {
 		pfi = transport.NewFaultInjector(o.psFaults)
 	}
-
-	servers := make([]*PS, o.p)
-	addrs := make([]string, o.p)
-	for i := 0; i < o.p; i++ {
-		var dc compress.Codec
-		if !o.downCodec.IsDense() {
-			var err error
-			dc, err = o.downCodec.NewCodec(randx.Derive(o.seed, fmt.Sprintf("downlink/ps%d", i)))
-			if err != nil {
-				t.Fatal(err)
+	learners := makeLearners(t, o.k, o.seed)
+	l, err := NewLocal(cfg, learners, func(pc *PSConfig) {
+		pc.Timeout, pc.Tolerant, pc.Faults = o.psTimeout, o.psTolerant, pfi
+		pc.CrashAfterRound, pc.CheckpointPath = o.crashAfter[pc.ID], o.checkpoint[pc.ID]
+	}, func(cc *ClientConfig) {
+		cc.Timeout, cc.MinModels, cc.Redial, cc.Faults = o.clientTimeout, o.minModels, o.redial, cfi
+		cc.LatencyScale = o.latencyScale
+		if o.onRound != nil {
+			id := cc.ID
+			cc.OnRound = func(round int, received map[int][]float64, filtered []float64) {
+				o.onRound(id, round, received, filtered)
 			}
 		}
-		ps, err := NewPS(PSConfig{
-			ID:              i,
-			ListenAddr:      "127.0.0.1:0",
-			Clients:         o.k,
-			Rounds:          o.rounds,
-			Attack:          o.byz[i],
-			ServerRule:      o.serverRule,
-			Seed:            o.seed,
-			Timeout:         o.psTimeout,
-			Tolerant:        o.psTolerant,
-			Faults:          pfi,
-			CrashAfterRound: o.crashAfter[i],
-			DownlinkCodec:   dc,
-			Async:           o.async,
-			Window:          o.window,
-			Staleness:       o.staleness,
-			SpillDir:        o.spillDir,
-			SpillMem:        o.spillMem,
-			CheckpointPath:  o.checkpoint[i],
-			Logger:          o.logger,
-			Obs:             o.reg,
-			TraceSink:       o.traceSink,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = ps
-		addrs[i] = ps.Addr()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// The junk storm runs concurrently with the entire federation; its
@@ -150,7 +133,7 @@ func runChaos(t *testing.T, o chaosOpts) ([][]float64, []PSStats, [][]ClientRoun
 			go func(w int) {
 				defer floodWG.Done()
 				for i := w; i < o.flood; i += workers {
-					raw, err := net.DialTimeout("tcp", addrs[i%o.p], time.Second)
+					raw, err := net.DialTimeout("tcp", l.Addrs[i%o.p], time.Second)
 					if err != nil {
 						continue
 					}
@@ -161,84 +144,12 @@ func runChaos(t *testing.T, o chaosOpts) ([][]float64, []PSStats, [][]ClientRoun
 		}
 	}
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, o.p+o.k)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil && !errors.Is(err, ErrCrashed) {
-				errCh <- err
-			}
-		}(ps)
-	}
-	clientStats := make([][]ClientRoundStats, o.k)
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			var hook func(round int, received map[int][]float64, filtered []float64)
-			if o.onRound != nil {
-				hook = func(round int, received map[int][]float64, filtered []float64) {
-					o.onRound(id, round, received, filtered)
-				}
-			}
-			var uc compress.Codec
-			if !o.upCodec.IsDense() {
-				var err error
-				uc, err = o.upCodec.NewCodec(core.ClientCodecSeed(o.seed, id))
-				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-			st, err := RunClient(ClientConfig{
-				ID:                    id,
-				Learner:               l,
-				Servers:               addrs,
-				Rounds:                o.rounds,
-				LocalSteps:            2,
-				Filter:                o.filter,
-				Schedule:              nn.ConstantLR(0.3),
-				Seed:                  o.seed,
-				Timeout:               o.clientTimeout,
-				MinModels:             o.minModels,
-				Redial:                o.redial,
-				Faults:                cfi,
-				OnRound:               hook,
-				Codec:                 uc,
-				AcceptEncodedDownlink: !o.downCodec.IsDense(),
-				Async:                 o.async,
-				Window:                o.window,
-				Staleness:             o.staleness,
-				LatencyScale:          o.latencyScale,
-				Logger:                o.logger,
-				Obs:                   o.reg,
-				TraceSink:             o.traceSink,
-			})
-			if err != nil {
-				errCh <- err
-				return
-			}
-			clientStats[id] = st
-		}(id, l)
-	}
-	wg.Wait()
+	clientStats, stats, err := l.Run()
 	floodWG.Wait()
-	close(errCh)
-	for err := range errCh {
+	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}
-
-	params := make([][]float64, o.k)
-	for i, l := range learners {
-		params[i] = l.Params()
-	}
-	stats := make([]PSStats, o.p)
-	for i, ps := range servers {
-		stats[i] = ps.Stats()
-	}
-	return params, stats, clientStats
+	return finalParams(learners), stats, clientStats
 }
 
 // floodForgedFrame builds a hello whose length field claims the
@@ -441,7 +352,8 @@ func TestChaosCrashPlusByzantine(t *testing.T) {
 		filter:        aggregate.TrimmedMean{Beta: 0.2},
 		minModels:     3,
 		crashAfter:    map[int]int{2: 2},
-		byz:           map[int]attack.Attack{byzID: attack.Noise{Sigma: 10}},
+		byz:           []int{byzID},
+		attack:        attack.Noise{Sigma: 10},
 		psTimeout:     5 * time.Second,
 		clientTimeout: 2 * time.Second,
 		onRound: func(client, round int, received map[int][]float64, filtered []float64) {

@@ -208,34 +208,13 @@ func dialPS(cfg *ClientConfig, i int, addr string, hello []float64, tm *transpor
 		}
 		conn.SetKey(cfg.Key)
 		conn.SetMetrics(tm)
-		// Two-frame hello: the first frame stays under the server's
-		// hello-phase body cap (no model, just the codec advertisement
-		// and — when a key is shared — the connect token that lets a
-		// restarted PS re-admit this client statelessly), and the model
-		// seed follows as a second TypeHello frame the server reads
-		// only after admitting the introduction.
+		// The connect token lets a restarted PS re-admit this client
+		// statelessly when a key is shared.
 		info := transport.HelloInfo{CodecV2: cfg.AcceptEncodedDownlink}
 		if len(cfg.Key) > 0 {
 			info.Token = transport.ConnectToken(cfg.Key, cfg.Seed, cfg.ID)
 		}
-		msg := &transport.Message{
-			Type:   transport.TypeHello,
-			Sender: uint32(cfg.ID),
-			Flag:   uint32(cfg.ID) | transport.HelloSeedFlag,
-			Text:   info.Text(),
-		}
-		seedFrame := &transport.Message{
-			Type:   transport.TypeHello,
-			Sender: uint32(cfg.ID),
-			Flag:   uint32(cfg.ID),
-			Vec:    hello,
-		}
-		if err := conn.Send(msg); err != nil {
-			_ = conn.Close()
-			lastErr = err
-			continue
-		}
-		if err := conn.Send(seedFrame); err != nil {
+		if err := sendHello(conn, cfg.ID, info.Text(), hello); err != nil {
 			_ = conn.Close()
 			lastErr = err
 			continue
@@ -246,6 +225,24 @@ func dialPS(cfg *ClientConfig, i int, addr string, hello []float64, tm *transpor
 		return conn, nil
 	}
 	return nil, lastErr
+}
+
+// sendHello introduces client id on conn in two frames: the first stays
+// under the server's hello-phase body cap (the seed flag and text — codec
+// advertisement, connect token — but no model), and the model seed
+// follows as a second TypeHello frame the server reads only after
+// admitting the introduction.
+func sendHello(conn *transport.Conn, id int, text string, seed []float64) error {
+	err := conn.Send(&transport.Message{
+		Type: transport.TypeHello, Sender: uint32(id),
+		Flag: uint32(id) | transport.HelloSeedFlag, Text: text,
+	})
+	if err != nil {
+		return err
+	}
+	return conn.Send(&transport.Message{
+		Type: transport.TypeHello, Sender: uint32(id), Flag: uint32(id), Vec: seed,
+	})
 }
 
 // recvResult is one PS's contribution to the dissemination barrier.

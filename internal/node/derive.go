@@ -1,7 +1,9 @@
 package node
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"fedms/internal/compress"
 	"fedms/internal/core"
@@ -80,6 +82,107 @@ func ClientConfigFor(cfg core.Config, id int, learner core.Learner) (ClientConfi
 	var err error
 	cl.Codec, err = newCodec(cfg.UploadCodec, core.ClientCodecSeed(cfg.Seed, id))
 	return cl, err
+}
+
+// Local is a whole federation in one process over loopback TCP: the P
+// servers and K clients of one core.Config, every node's configuration
+// derived by PSConfigFor / ClientConfigFor.
+type Local struct {
+	// Addrs lists the bound server addresses in server-id order; they
+	// are live from NewLocal on, before Run.
+	Addrs   []string
+	servers []*PS
+	clients []ClientConfig
+}
+
+// NewLocal validates cfg, derives every node's configuration, hands each
+// to the caller's deployment callback (ps, client; either may be nil)
+// and binds every server on 127.0.0.1:0 — before any goroutine starts.
+// learners[k] is client k's. A client callback sees Servers already
+// filled with Addrs. If a server fails to bind, the listeners already
+// bound are closed.
+func NewLocal(cfg core.Config, learners []core.Learner, ps func(*PSConfig), client func(*ClientConfig)) (*Local, error) {
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return nil, err
+	}
+	if len(learners) != cfg.Clients {
+		return nil, fmt.Errorf("node: %d learners for K=%d clients", len(learners), cfg.Clients)
+	}
+	l := &Local{Addrs: make([]string, cfg.Servers)}
+	for i := range l.Addrs {
+		pc, err := PSConfigFor(cfg, i)
+		if err != nil {
+			return nil, l.close(err)
+		}
+		pc.ListenAddr = "127.0.0.1:0"
+		if ps != nil {
+			ps(&pc)
+		}
+		s, err := NewPS(pc)
+		if err != nil {
+			return nil, l.close(err)
+		}
+		l.servers = append(l.servers, s)
+		l.Addrs[i] = s.Addr()
+	}
+	for id, learner := range learners {
+		cc, err := ClientConfigFor(cfg, id, learner)
+		if err != nil {
+			return nil, l.close(err)
+		}
+		cc.Servers = l.Addrs
+		if client != nil {
+			client(&cc)
+		}
+		l.clients = append(l.clients, cc)
+	}
+	return l, nil
+}
+
+// close shuts every bound listener and returns err.
+func (l *Local) close(err error) error {
+	for _, s := range l.servers {
+		_ = s.Close()
+	}
+	return err
+}
+
+// Run serves every server and runs every client to completion. It
+// returns each client's round stats and each server's final stats, with
+// the nodes' errors joined in node order (servers, then clients), each
+// naming its node. A server whose config scheduled a crash
+// (CrashAfterRound) returning ErrCrashed is not an error.
+func (l *Local) Run() ([][]ClientRoundStats, []PSStats, error) {
+	errs := make([]error, len(l.servers)+len(l.clients))
+	clientStats := make([][]ClientRoundStats, len(l.clients))
+	var wg sync.WaitGroup
+	for i, s := range l.servers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := s.Serve()
+			if err != nil && !(s.cfg.CrashAfterRound > 0 && errors.Is(err, ErrCrashed)) {
+				errs[i] = fmt.Errorf("ps%d: %w", i, err)
+			}
+		}()
+	}
+	for id, cc := range l.clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if clientStats[id], err = RunClient(cc); err != nil {
+				errs[len(l.servers)+id] = fmt.Errorf("c%d: %w", id, err)
+			}
+		}()
+	}
+	wg.Wait()
+	psStats := make([]PSStats, len(l.servers))
+	for i, s := range l.servers {
+		psStats[i] = s.Stats()
+	}
+	return clientStats, psStats, errors.Join(errs...)
 }
 
 // distributable rejects the one engine setting the wire protocol has no

@@ -1,7 +1,9 @@
 package node
 
 import (
-	"sync"
+	"errors"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,79 +24,41 @@ func testSpec(k, p, rounds int, filter aggregate.Rule, seed uint64) core.Config 
 	}
 }
 
-// launch runs a loopback federation built only through the derivation:
-// cfg is validated, every node's configuration comes from PSConfigFor /
-// ClientConfigFor, and the launcher adds nothing but addresses and a
-// timeout. psMut and clMut, when non-nil, edit a node's derived config
-// before it starts (the tiers that probe one knob at a time use them).
+// launch runs a loopback federation through NewLocal with nothing but
+// a 5s timeout added to the derivation. psMut and clMut, when non-nil,
+// edit a node's derived config after that (the tiers that probe one
+// knob at a time use them).
 func launch(t *testing.T, cfg core.Config, learners []core.Learner,
 	psMut func(*PSConfig), clMut func(*ClientConfig)) ([][]float64, [][]ClientRoundStats, []PSStats) {
 	t.Helper()
-	cfg, err := cfg.Validate()
+	l, err := NewLocal(cfg, learners, func(pc *PSConfig) {
+		pc.Timeout = 5 * time.Second
+		if psMut != nil {
+			psMut(pc)
+		}
+	}, func(cc *ClientConfig) {
+		cc.Timeout = 5 * time.Second
+		if clMut != nil {
+			clMut(cc)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]*PS, cfg.Servers)
-	addrs := make([]string, cfg.Servers)
-	for i := range servers {
-		pc, err := PSConfigFor(cfg, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc.ListenAddr, pc.Timeout = "127.0.0.1:0", 5*time.Second
-		if psMut != nil {
-			psMut(&pc)
-		}
-		if servers[i], err = NewPS(pc); err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = servers[i].Addr()
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Servers+cfg.Clients)
-	for _, ps := range servers {
-		wg.Add(1)
-		go func(ps *PS) {
-			defer wg.Done()
-			if err := ps.Serve(); err != nil {
-				errCh <- err
-			}
-		}(ps)
-	}
-	clientStats := make([][]ClientRoundStats, cfg.Clients)
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			cc, err := ClientConfigFor(cfg, id, l)
-			if err == nil {
-				cc.Servers, cc.Timeout = addrs, 5*time.Second
-				if clMut != nil {
-					clMut(&cc)
-				}
-				clientStats[id], err = RunClient(cc)
-			}
-			if err != nil {
-				errCh <- err
-			}
-		}(id, l)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	clientStats, psStats, err := l.Run()
+	if err != nil {
 		t.Fatalf("distributed run failed: %v", err)
 	}
+	return finalParams(learners), clientStats, psStats
+}
 
+// finalParams snapshots every learner's parameters.
+func finalParams(learners []core.Learner) [][]float64 {
 	params := make([][]float64, len(learners))
 	for i, l := range learners {
 		params[i] = l.Params()
 	}
-	psStats := make([]PSStats, len(servers))
-	for i, ps := range servers {
-		psStats[i] = ps.Stats()
-	}
-	return params, clientStats, psStats
+	return params
 }
 
 // TestDerivedFederationMatchesEngine is the derivation's contract: one
@@ -144,4 +108,74 @@ func TestDerivationRejectsRoundRobin(t *testing.T) {
 	if _, err := ClientConfigFor(cfg, 0, nil); err == nil {
 		t.Fatal("ClientConfigFor accepted round-robin upload")
 	}
+}
+
+// TestNewLocalScheduledCrashIsNotAnError: a server whose config
+// schedules a crash returns ErrCrashed by design; the run still
+// succeeds and reports the crashed server's rounds.
+func TestNewLocalScheduledCrashIsNotAnError(t *testing.T) {
+	cfg := testSpec(3, 3, 3, aggregate.Mean{}, 61)
+	l, err := NewLocal(cfg, makeLearners(t, 3, 61), func(pc *PSConfig) {
+		pc.Timeout, pc.Tolerant = 5*time.Second, true
+		if pc.ID == 2 {
+			pc.CrashAfterRound = 1
+		}
+	}, func(cc *ClientConfig) { cc.Timeout, cc.MinModels = 2*time.Second, 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientStats, psStats, err := l.Run()
+	if err != nil {
+		t.Fatalf("scheduled crash reported as a failure: %v", err)
+	}
+	if psStats[2].RoundsServed != 1 || len(clientStats[0]) != 3 {
+		t.Fatalf("crashed PS served %d rounds, client 0 finished %d", psStats[2].RoundsServed, len(clientStats[0]))
+	}
+}
+
+// TestNewLocalNamesFailedNodes: an unscheduled server failure and the
+// client failures it causes come back joined, each naming its node.
+func TestNewLocalNamesFailedNodes(t *testing.T) {
+	l, err := NewLocal(testSpec(2, 2, 2, aggregate.Mean{}, 62), makeLearners(t, 2, 62),
+		func(pc *PSConfig) { pc.Timeout = 2 * time.Second },
+		func(cc *ClientConfig) { cc.Timeout, cc.DialAttempts = 2*time.Second, 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.servers[1].Crash()
+	_, _, err = l.Run()
+	if !errors.Is(err, ErrCrashed) || !strings.Contains(err.Error(), "ps1: "+ErrCrashed.Error()) {
+		t.Fatalf("unscheduled crash not reported as ps1's: %v", err)
+	}
+	for _, node := range []string{"c0: ", "c1: "} {
+		if !strings.Contains(err.Error(), node) {
+			t.Fatalf("client failure not named %q: %v", node, err)
+		}
+	}
+}
+
+// TestNewLocalClosesListenersOnBindFailure: when server i cannot be
+// built, the listeners of servers 0..i-1 are closed again.
+func TestNewLocalClosesListenersOnBindFailure(t *testing.T) {
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.Addr().String()
+	_ = probe.Close()
+	_, err = NewLocal(testSpec(2, 2, 1, aggregate.Mean{}, 63), makeLearners(t, 2, 63), func(pc *PSConfig) {
+		if pc.ID == 0 {
+			pc.ListenAddr = addr
+		} else {
+			pc.Shards = -1 // NewPS rejects it
+		}
+	}, nil)
+	if err == nil {
+		t.Fatal("NewLocal accepted a server NewPS rejects")
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("server 0's listener left bound after the failure: %v", err)
+	}
+	_ = ln.Close()
 }

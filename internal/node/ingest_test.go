@@ -10,31 +10,37 @@ import (
 	"fedms/internal/transport"
 )
 
-// slowClient speaks the minimal protocol with generous deadlines so
+// fakeClient speaks just enough of the protocol on conn for the accept
+// tests: the two-frame hello carrying text, one round-0 upload, one
+// global-model receive.
+func fakeClient(conn *transport.Conn, id int, text string, vec []float64) error {
+	defer conn.Close()
+	if err := sendHello(conn, id, text, vec); err != nil {
+		return err
+	}
+	if err := conn.Send(&transport.Message{
+		Type: transport.TypeUpload, Round: 0, Sender: uint32(id), Flag: 1, Vec: vec,
+	}); err != nil {
+		return err
+	}
+	m, err := conn.Recv()
+	if err == nil && m.Type != transport.TypeGlobalModel {
+		err = fmt.Errorf("client %d got %s, want a global model", id, m.Type)
+	}
+	return err
+}
+
+// slowClient runs fakeClient against addr with generous deadlines, so
 // the ingest tests measure the server's accept latency, not a client
-// timeout: hello, one round-0 upload, one global-model receive.
+// timeout.
 func slowClient(addr string, id int, vec []float64, errCh chan<- error) {
 	conn, err := transport.Dial(addr, 10*time.Second)
 	if err != nil {
 		errCh <- err
 		return
 	}
-	defer conn.Close()
 	conn.Timeout = 10 * time.Second
-	if err := conn.Send(&transport.Message{
-		Type: transport.TypeHello, Sender: uint32(id), Flag: uint32(id), Vec: vec,
-	}); err != nil {
-		errCh <- err
-		return
-	}
-	if err := conn.Send(&transport.Message{
-		Type: transport.TypeUpload, Round: 0, Sender: uint32(id), Flag: 1, Vec: vec,
-	}); err != nil {
-		errCh <- err
-		return
-	}
-	_, err = conn.Recv()
-	errCh <- err
+	errCh <- fakeClient(conn, id, "", vec)
 }
 
 // TestPSAcceptSilentConnNoHeadOfLine pins the accept-phase
@@ -237,22 +243,8 @@ func TestPSAcceptRateLimitPerSource(t *testing.T) {
 				return
 			}
 			conn := transport.NewConn(raw)
-			defer conn.Close()
 			conn.Timeout = 5 * time.Second
-			if err := conn.Send(&transport.Message{
-				Type: transport.TypeHello, Sender: uint32(id), Flag: uint32(id), Vec: vec,
-			}); err != nil {
-				errCh <- err
-				return
-			}
-			if err := conn.Send(&transport.Message{
-				Type: transport.TypeUpload, Round: 0, Sender: uint32(id), Flag: 1, Vec: vec,
-			}); err != nil {
-				errCh <- err
-				return
-			}
-			_, err = conn.Recv()
-			errCh <- err
+			errCh <- fakeClient(conn, id, "", vec)
 		}()
 	}
 	for i := 0; i < 2; i++ {
@@ -299,7 +291,7 @@ func TestPSRequireTokenAdmission(t *testing.T) {
 		}
 		conn.Timeout = 5 * time.Second
 		conn.SetKey(key)
-		_ = conn.Send(&transport.Message{Type: transport.TypeHello, Flag: 0, Text: text, Vec: vec})
+		_ = sendHello(conn, 0, text, vec)
 		_ = conn.Close()
 	}
 
@@ -312,31 +304,10 @@ func TestPSRequireTokenAdmission(t *testing.T) {
 				errCh <- err
 				return
 			}
-			defer conn.Close()
 			conn.Timeout = 5 * time.Second
 			conn.SetKey(key)
 			info := transport.HelloInfo{Token: transport.ConnectToken(key, seed, id)}
-			if err := conn.Send(&transport.Message{
-				Type: transport.TypeHello, Sender: uint32(id),
-				Flag: uint32(id) | transport.HelloSeedFlag, Text: info.Text(),
-			}); err != nil {
-				errCh <- err
-				return
-			}
-			if err := conn.Send(&transport.Message{
-				Type: transport.TypeHello, Sender: uint32(id), Flag: uint32(id), Vec: vec,
-			}); err != nil {
-				errCh <- err
-				return
-			}
-			if err := conn.Send(&transport.Message{
-				Type: transport.TypeUpload, Round: 0, Sender: uint32(id), Flag: 1, Vec: vec,
-			}); err != nil {
-				errCh <- err
-				return
-			}
-			_, err = conn.Recv()
-			errCh <- err
+			errCh <- fakeClient(conn, id, info.Text(), vec)
 		}()
 	}
 	for i := 0; i < 2; i++ {

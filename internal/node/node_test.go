@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -73,11 +72,7 @@ func runEngine(t *testing.T, learners []core.Learner, p, rounds, numByz int,
 		t.Fatal(err)
 	}
 	eng.Run()
-	params := make([][]float64, len(learners))
-	for i, l := range learners {
-		params[i] = l.Params()
-	}
-	return params
+	return finalParams(learners)
 }
 
 func assertSameParams(t *testing.T, a, b [][]float64, context string) {
@@ -172,7 +167,7 @@ func TestPSFailsWhenClientDisconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(&transport.Message{Type: transport.TypeHello, Flag: 0, Vec: []float64{1}}); err != nil {
+	if err := sendHello(conn, 0, "", []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	// Disconnect mid-protocol.
@@ -203,7 +198,7 @@ func TestPSTimesOutOnSilentClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(&transport.Message{Type: transport.TypeHello, Flag: 0, Vec: []float64{1}}); err != nil {
+	if err := sendHello(conn, 0, "", []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	// Never send the round-0 upload: PS must time out, not hang.
@@ -266,7 +261,7 @@ func TestPSRejectsDuplicateClientIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := conn.Send(&transport.Message{Type: transport.TypeHello, Flag: 0, Vec: []float64{1}}); err != nil {
+		if err := sendHello(conn, 0, "", []float64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,90 +278,22 @@ func TestPSRejectsDuplicateClientIDs(t *testing.T) {
 func TestDistributedFullUpload(t *testing.T) {
 	// Full upload with a single PS reduces to classical FedAvg; ensure
 	// the path works end to end.
-	const k, rounds, seed = 4, 3, 37
-	learners := makeLearners(t, k, seed)
-	ps, err := NewPS(PSConfig{
-		ID: 0, ListenAddr: "127.0.0.1:0", Clients: k, Rounds: rounds,
-		Timeout: 5 * time.Second, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, k+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := ps.Serve(); err != nil {
-			errCh <- err
-		}
-	}()
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			_, err := RunClient(ClientConfig{
-				ID: id, Learner: l, Servers: []string{ps.Addr()},
-				Rounds: rounds, LocalSteps: 2, FullUpload: true,
-				Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.3),
-				Seed: seed, Timeout: 5 * time.Second,
-			})
-			if err != nil {
-				errCh <- err
-			}
-		}(id, l)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("full upload run failed: %v", err)
-	}
+	cfg := testSpec(4, 1, 3, aggregate.Mean{}, 37)
+	cfg.Upload = core.FullUpload
+	params, _, _ := launch(t, cfg, makeLearners(t, 4, 37), nil, nil)
 	// All clients end with identical models (single PS, mean filter).
-	p0 := learners[0].Params()
-	for i := 1; i < k; i++ {
-		pi := learners[i].Params()
-		for j := range p0 {
-			if p0[j] != pi[j] {
-				t.Fatal("clients diverged under single-PS FedAvg")
-			}
-		}
+	for i := 1; i < len(params); i++ {
+		assertSameParams(t, params[:1], params[i:i+1], "single-PS FedAvg clients")
 	}
 }
 
 func TestClientStatsRecorded(t *testing.T) {
 	const k, rounds, seed = 2, 4, 38
-	learners := makeLearners(t, k, seed)
-	ps, err := NewPS(PSConfig{
-		ID: 0, ListenAddr: "127.0.0.1:0", Clients: k, Rounds: rounds,
-		Timeout: 5 * time.Second, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = ps.Serve() }()
-
-	var wg sync.WaitGroup
-	statsCh := make(chan []ClientRoundStats, k)
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			st, err := RunClient(ClientConfig{
-				ID: id, Learner: l, Servers: []string{ps.Addr()},
-				Rounds: rounds, LocalSteps: 1,
-				Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.2),
-				Seed: seed, Timeout: 5 * time.Second, EvalEvery: 2,
-			})
-			if err != nil {
-				t.Errorf("client %d: %v", id, err)
-				return
-			}
-			statsCh <- st
-		}(id, l)
-	}
-	wg.Wait()
-	close(statsCh)
-	for st := range statsCh {
+	cfg := testSpec(k, 1, rounds, aggregate.Mean{}, seed)
+	cfg.LocalSteps, cfg.Schedule = 1, nn.ConstantLR(0.2)
+	_, clientStats, _ := launch(t, cfg, makeLearners(t, k, seed), nil,
+		func(cc *ClientConfig) { cc.EvalEvery = 2 })
+	for _, st := range clientStats {
 		if len(st) != rounds {
 			t.Fatalf("stats rounds = %d, want %d", len(st), rounds)
 		}
@@ -381,38 +308,11 @@ func TestClientStatsRecorded(t *testing.T) {
 
 func TestPSStatsAccounting(t *testing.T) {
 	const k, rounds, seed = 3, 4, 44
+	cfg := testSpec(k, 1, rounds, aggregate.Mean{}, seed)
+	cfg.LocalSteps, cfg.Schedule, cfg.Upload = 1, nn.ConstantLR(0.1), core.FullUpload
 	learners := makeLearners(t, k, seed)
-	ps, err := NewPS(PSConfig{
-		ID: 0, ListenAddr: "127.0.0.1:0", Clients: k, Rounds: rounds,
-		Seed: seed, Timeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ps.Serve() }()
-
-	var wg sync.WaitGroup
-	for id, l := range learners {
-		wg.Add(1)
-		go func(id int, l core.Learner) {
-			defer wg.Done()
-			_, err := RunClient(ClientConfig{
-				ID: id, Learner: l, Servers: []string{ps.Addr()},
-				Rounds: rounds, LocalSteps: 1, FullUpload: true,
-				Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
-				Seed: seed, Timeout: 5 * time.Second,
-			})
-			if err != nil {
-				t.Errorf("client %d: %v", id, err)
-			}
-		}(id, l)
-	}
-	wg.Wait()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	st := ps.Stats()
+	_, _, psStats := launch(t, cfg, learners, nil, nil)
+	st := psStats[0]
 	dim := learners[0].NumParams()
 	if st.RoundsServed != rounds {
 		t.Fatalf("RoundsServed = %d, want %d", st.RoundsServed, rounds)

@@ -98,41 +98,6 @@ func TestPSDisseminationAccountingFailedSends(t *testing.T) {
 	}
 }
 
-// runHandmadeClient speaks just enough of the protocol for the accept
-// tests: hello, one round-0 upload, one global-model receive.
-func runHandmadeClient(t *testing.T, addr string, id int, vec []float64, errCh chan<- error) {
-	t.Helper()
-	conn, err := transport.Dial(addr, 5*time.Second)
-	if err != nil {
-		errCh <- err
-		return
-	}
-	defer conn.Close()
-	conn.Timeout = 5 * time.Second
-	if err := conn.Send(&transport.Message{
-		Type: transport.TypeHello, Sender: uint32(id), Flag: uint32(id), Vec: vec,
-	}); err != nil {
-		errCh <- err
-		return
-	}
-	if err := conn.Send(&transport.Message{
-		Type: transport.TypeUpload, Round: 0, Sender: uint32(id), Flag: 1, Vec: vec,
-	}); err != nil {
-		errCh <- err
-		return
-	}
-	m, err := conn.Recv()
-	if err != nil {
-		errCh <- err
-		return
-	}
-	if m.Type != transport.TypeGlobalModel {
-		errCh <- io.ErrUnexpectedEOF
-		return
-	}
-	errCh <- nil
-}
-
 // TestPSTolerantAcceptSurvivesGarbage pins the tolerant-accept fix: a
 // tolerant PS must absorb malformed connections during its accept phase
 // — raw garbage, a non-hello first frame, an out-of-range id — and
@@ -170,12 +135,12 @@ func TestPSTolerantAcceptSurvivesGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = badID.Send(&transport.Message{Type: transport.TypeHello, Flag: 99, Vec: vec})
+	_ = sendHello(badID, 99, "", vec)
 	_ = badID.Close()
 
 	errCh := make(chan error, 2)
 	for id := 0; id < 2; id++ {
-		go runHandmadeClient(t, ps.Addr(), id, vec, errCh)
+		go slowClient(ps.Addr(), id, vec, errCh)
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-errCh; err != nil {
@@ -223,7 +188,7 @@ func TestPSTolerantAcceptFloodSurvives(t *testing.T) {
 	}
 	errCh := make(chan error, 2)
 	for id := 0; id < 2; id++ {
-		go runHandmadeClient(t, ps.Addr(), id, vec, errCh)
+		go slowClient(ps.Addr(), id, vec, errCh)
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-errCh; err != nil {

@@ -527,12 +527,11 @@ func (p *PS) Serve() error {
 		}
 	}()
 
-	// Accept phase: each client introduces itself with Hello{flag=id},
-	// either carrying the shared initial model w_0 inline (legacy
-	// single-frame hello) or — with HelloSeedFlag set — as a second
-	// TypeHello seed frame behind a tiny first hello, so the prefilter's
-	// hello-phase body cap stays aggressive. A rejoining client sends
-	// its current model instead, seeding lastAgg for empty rounds.
+	// Accept phase: each client introduces itself with a tiny
+	// Hello{flag=id|HelloSeedFlag}, so the prefilter's hello-phase body
+	// cap stays aggressive, followed by a TypeHello seed frame carrying
+	// the shared initial model w_0. A rejoining client sends its current
+	// model instead, seeding lastAgg for empty rounds.
 	//
 	// Handshakes run concurrently: acceptLoop sheds rate-limited and
 	// post-quota connections at Accept, prefilters the rest from peeked
@@ -714,6 +713,9 @@ func (p *PS) handshake(raw net.Conn) acceptResult {
 	if hello.Type != transport.TypeHello {
 		return acceptResult{conn: conn, err: fmt.Errorf("node: PS %d expected hello, got %s", p.cfg.ID, hello.Type)}
 	}
+	if hello.Flag&uint32(transport.HelloSeedFlag) == 0 {
+		return acceptResult{conn: conn, err: fmt.Errorf("node: PS %d: hello without the seed flag", p.cfg.ID)}
+	}
 	id := int(hello.Flag &^ uint32(transport.HelloSeedFlag))
 	if id < 0 || id >= p.cfg.Clients {
 		return acceptResult{conn: conn, err: fmt.Errorf("node: PS %d invalid client id %d", p.cfg.ID, id)}
@@ -723,23 +725,18 @@ func (p *PS) handshake(raw net.Conn) acceptResult {
 		return acceptResult{conn: conn, id: id, tokenReject: true,
 			err: fmt.Errorf("node: PS %d client %d: connect token rejected", p.cfg.ID, id)}
 	}
-	seed := hello.Vec
-	if hello.Flag&uint32(transport.HelloSeedFlag) != 0 {
-		// Two-frame handshake: the tiny hello is in, so the peer has
-		// earned a full-size read for its model seed frame.
-		conn.SetMaxBodyLen(0)
-		m, err := conn.Recv()
-		if err != nil {
-			return acceptResult{conn: conn, err: fmt.Errorf("node: PS %d client %d hello seed: %w", p.cfg.ID, id, err)}
-		}
-		if m.Type != transport.TypeHello || int(m.Flag) != id {
-			return acceptResult{conn: conn, err: fmt.Errorf("node: PS %d client %d: malformed hello seed frame", p.cfg.ID, id)}
-		}
-		seed = m.Vec
-	}
+	// The tiny hello is in, so the peer has earned a full-size read for
+	// its model seed frame.
 	conn.SetMaxBodyLen(0)
+	m, err := conn.Recv()
+	if err != nil {
+		return acceptResult{conn: conn, err: fmt.Errorf("node: PS %d client %d hello seed: %w", p.cfg.ID, id, err)}
+	}
+	if m.Type != transport.TypeHello || int(m.Flag) != id {
+		return acceptResult{conn: conn, err: fmt.Errorf("node: PS %d client %d: malformed hello seed frame", p.cfg.ID, id)}
+	}
 	conn.Timeout = p.cfg.Timeout
-	return acceptResult{conn: conn, id: id, v2ok: info.CodecV2, seed: seed}
+	return acceptResult{conn: conn, id: id, v2ok: info.CodecV2, seed: m.Vec}
 }
 
 // isPrefilterReject reports whether a PrefilterHello error was a
@@ -1215,6 +1212,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	if res.PeakBytes > p.stats.ShardPeakBytes {
 		p.stats.ShardPeakBytes = res.PeakBytes
 	}
+	shardPeak := p.stats.ShardPeakBytes
 	p.mu.Unlock()
 	p.om.rounds.Inc()
 	p.om.uploadsRecv.Add(int64(t.members))
@@ -1226,7 +1224,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		switch {
 		case res.Sharded:
 			p.om.aggSharded.Inc()
-			p.om.shardPeakBytes.Set(res.PeakBytes)
+			p.om.shardPeakBytes.Set(shardPeak)
 		case res.Fused:
 			p.om.aggFused.Inc()
 		default:

@@ -1,12 +1,15 @@
 package node
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"fedms/internal/aggregate"
 	"fedms/internal/compress"
 	"fedms/internal/core"
 	"fedms/internal/nn"
+	"fedms/internal/obs"
 )
 
 // runDistributedOpts is runDistributed with config hooks: psMut and
@@ -30,11 +33,7 @@ func runEngineCfg(t *testing.T, learners []core.Learner, cfg core.Config) [][]fl
 		t.Fatal(err)
 	}
 	eng.Run()
-	params := make([][]float64, len(learners))
-	for i, l := range learners {
-		params[i] = l.Params()
-	}
-	return params
+	return finalParams(learners)
 }
 
 // TestDistributedShardedMatchesEngine is the distributed leg of the
@@ -142,5 +141,53 @@ func TestClientRejectsBadParticipation(t *testing.T) {
 	bad.Participation = 0.5 // Clients unset: population unknown
 	if _, err := RunClient(bad); err == nil {
 		t.Fatal("expected missing-Clients error")
+	}
+}
+
+// TestShardPeakGaugesTrackTheMaximum: the shard peak gauges are
+// high-water marks. Under sparse upload each server's row count — and
+// with it the shard footprint — varies by round, so in a run whose last
+// round is not its largest the PS gauge must still equal
+// PSStats.ShardPeakBytes, and the engine's gauge the maximum over every
+// server and round.
+func TestShardPeakGaugesTrackTheMaximum(t *testing.T) {
+	const k, p, rounds, seed = 8, 2, 6, 72
+	cfg := testSpec(k, p, rounds, aggregate.Mean{}, seed)
+	cfg.Shards = 2
+	dist := cfg
+	dist.Obs, dist.TraceSink = obs.NewRegistry(), obs.NewTrace(0)
+	_, _, psStats := launch(t, dist, makeLearners(t, k, seed), nil, nil)
+
+	// uploads[ps][round] from the round trace: the footprint's driver.
+	uploads := make([][]float64, p)
+	for i := range uploads {
+		uploads[i] = make([]float64, rounds)
+	}
+	for _, ev := range dist.TraceSink.Events() {
+		if ev.Name == "ps_round" {
+			var ps int
+			fmt.Sscanf(ev.Node, "ps%d", &ps)
+			uploads[ps][ev.Round] = ev.Fields["uploads"]
+		}
+	}
+	var peak int64
+	varied := false
+	for i, st := range psStats {
+		gauge := dist.Obs.Gauge(fmt.Sprintf(`fedms_ps_shard_peak_bytes{ps="%d"}`, i)).Value()
+		if st.ShardPeakBytes == 0 || gauge != st.ShardPeakBytes {
+			t.Fatalf("PS %d: shard peak gauge %d, PSStats.ShardPeakBytes %d", i, gauge, st.ShardPeakBytes)
+		}
+		peak = max(peak, st.ShardPeakBytes)
+		varied = varied || uploads[i][rounds-1] < slices.Max(uploads[i])
+	}
+	if !varied {
+		t.Fatalf("every server's last round was its largest (uploads %v); the test cannot tell peak from last", uploads)
+	}
+
+	eng := cfg
+	eng.Obs = obs.NewRegistry()
+	runEngineCfg(t, makeLearners(t, k, seed), eng)
+	if gauge := eng.Obs.Gauge("fedms_engine_shard_peak_bytes").Value(); gauge != peak {
+		t.Fatalf("engine shard peak gauge %d, want the run's maximum %d", gauge, peak)
 	}
 }

@@ -25,11 +25,11 @@ const connectTokenDomain = "fedms/connect-token/v1"
 // keeping the hello body small.
 const connectTokenBytes = 16
 
-// HelloSeedFlag marks a hello whose model seed follows in a second
-// TypeHello frame rather than riding in the hello itself. The flag
-// lives in the high bit of Flag, leaving the low bits for the client
-// id as before; it keeps the first frame on a new connection tiny so
-// the prefilter's hello-phase body cap can be aggressive.
+// HelloSeedFlag marks a client's introductory hello, whose model seed
+// follows in a second TypeHello frame; a PS rejects a hello without it.
+// The flag lives in the high bit of Flag, leaving the low bits for the
+// client id; it keeps the first frame on a new connection tiny so the
+// prefilter's hello-phase body cap can be aggressive.
 const HelloSeedFlag = 1 << 31
 
 // HelloTokenPrefix introduces a connect token inside a hello Text.
