@@ -9,6 +9,19 @@ import (
 	"fedms/internal/randx"
 )
 
+// aggregateWithOracle is Run over dense vectors with a holdout-loss
+// oracle, returning the aggregate and the oracle's call count.
+func aggregateWithOracle(r Rule, vecs [][]float64, eval LossEval) ([]float64, int) {
+	res := Run(Request{Rule: r, Views: denseViews(vecs), Oracle: eval})
+	return res.Out, res.OracleEvals
+}
+
+// weightedDense runs r's weighted kernel over dense vectors, keeping
+// all-ones weights on the weighted path (run, not Run).
+func weightedDense(r Rule, vecs [][]float64, weights []float64) []float64 {
+	return Request{Rule: r, Views: denseViews(vecs), Weights: weights}.run().Out
+}
+
 func TestMeanSimple(t *testing.T) {
 	got := Mean{}.Aggregate([][]float64{{1, 2}, {3, 6}})
 	if got[0] != 2 || got[1] != 4 {

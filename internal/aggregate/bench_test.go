@@ -132,8 +132,7 @@ func BenchmarkPayloadAggregation(b *testing.B) {
 				rule Rule
 			}{{"fused", rule.rule}, {"densify", NoFuse{rule.rule}}} {
 				benchAggregate(b, benchName(rule.name+"/"+arm.name, d), func() []float64 {
-					out, _ := AggregatePayloads(arm.rule, views)
-					return out
+					return Run(Request{Rule: arm.rule, Views: views}).Out
 				})
 			}
 		}
@@ -154,7 +153,7 @@ func BenchmarkLossRule(b *testing.B) {
 				eval LossEval
 			}{{"oracle", sqDistTo(target)}, {"fallback", nil}} {
 				benchAggregate(b, benchName(rule.Name()+"/"+arm.name, d), func() []float64 {
-					out, _ := AggregateWithOracleInto(rule, nil, vecs, arm.eval)
+					out, _ := aggregateWithOracle(rule, vecs, arm.eval)
 					return out
 				})
 			}
@@ -172,13 +171,14 @@ func BenchmarkWeighted(b *testing.B) {
 		for i := range weights {
 			weights[i] = 1 / float64(1+i%3)
 		}
+		views := denseViews(vecs)
 		dst := make([]float64, d)
 		for _, rule := range []struct {
 			name string
-			rule WeightedRule
+			rule Rule
 		}{{"trimmed_mean", TrimmedMean{Beta: 0.2, Workers: 1}}, {"median", CoordinateMedian{Workers: 1}}} {
 			benchAggregate(b, benchName(rule.name, d), func() []float64 {
-				return rule.rule.AggregateWeightedInto(dst, vecs, weights)
+				return Request{Rule: rule.rule, Views: views, Weights: weights, Dst: dst}.run().Out
 			})
 		}
 	}

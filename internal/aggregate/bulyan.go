@@ -148,7 +148,7 @@ func (b Bulyan) Aggregate(vecs [][]float64) []float64 {
 		for i, idx := range selected {
 			col[i] = vecs[idx][j]
 		}
-		med := medianOf(col)
+		med := medianOf(col, nil, nil)
 		for i, v := range col {
 			closest[i] = kv{dist: math.Abs(v - med), val: v}
 		}
@@ -167,16 +167,6 @@ func (b Bulyan) Aggregate(vecs [][]float64) []float64 {
 		out[j] = s / float64(beta)
 	}
 	return out
-}
-
-// medianOf returns the median, mutating its argument's order.
-func medianOf(col []float64) float64 {
-	sort.Float64s(col)
-	n := len(col)
-	if n%2 == 1 {
-		return col[n/2]
-	}
-	return 0.5 * (col[n/2-1] + col[n/2])
 }
 
 var (

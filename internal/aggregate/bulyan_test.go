@@ -112,10 +112,10 @@ func TestBulyanOutlierMagnitudeIndependent(t *testing.T) {
 }
 
 func TestMedianOf(t *testing.T) {
-	if medianOf([]float64{3, 1, 2}) != 2 {
+	if medianOf([]float64{3, 1, 2}, nil, nil) != 2 {
 		t.Fatal("odd median wrong")
 	}
-	if medianOf([]float64{4, 1, 2, 3}) != 2.5 {
+	if medianOf([]float64{4, 1, 2, 3}, nil, nil) != 2.5 {
 		t.Fatal("even median wrong")
 	}
 }

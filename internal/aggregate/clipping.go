@@ -83,7 +83,7 @@ func medianDistance(vecs [][]float64, v []float64) float64 {
 	for i, x := range vecs {
 		dists[i] = tensor.VecDist2(x, v)
 	}
-	return medianOf(dists)
+	return medianOf(dists, nil, nil)
 }
 
 var _ Rule = CenteredClipping{}

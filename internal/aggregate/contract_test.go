@@ -421,7 +421,7 @@ func TestTrimmedMeanSelectionMatchesSort(t *testing.T) {
 					}
 				}
 				want := ref(col, m)
-				got := trimmedMeanOf(append([]float64(nil), col...), m, make([]float64, 2*m))
+				got := trimmedMeanOf(append([]float64(nil), col...), nil, m, &chunkScratch{win: make([]float64, 2*m)})
 				tol := 1e-12 * math.Max(1, math.Abs(want))
 				if math.Abs(got-want) > tol {
 					t.Fatalf("n=%d m=%d trial %d: selection %v != sort %v", n, m, trial, got, want)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"fedms/internal/compress"
 	"fedms/internal/tensor"
 )
 
@@ -19,9 +18,8 @@ import (
 type LossEval func(model []float64) float64
 
 // LossRule is a Rule that can exploit a holdout-loss oracle. The
-// plain Aggregate method is the geometry-only fallback used when no
-// oracle is configured (mirroring how PayloadRule falls back to
-// densify-first): both paths must satisfy the full Rule contract, so
+// plain Aggregate method is the geometry-only fallback Run takes when
+// no oracle is configured: both paths must satisfy the full Rule contract, so
 // a LossRule is always safe to run oracle-less.
 type LossRule interface {
 	Rule
@@ -30,36 +28,6 @@ type LossRule interface {
 	// be counted by the dispatcher). A nil eval must behave exactly
 	// like Aggregate.
 	AggregateWithLoss(vecs [][]float64, eval LossEval) []float64
-}
-
-// AggregateWithOracleInto aggregates vecs under rule r, routing through
-// the loss oracle when r implements LossRule and an oracle is
-// configured. oracleEvals reports how many times eval ran — the
-// runtime's oracle-call counters consume it. With a nil eval or a
-// geometry-only rule this is exactly AggregateInto. dst is reused when
-// the rule supports in-place output (loss rules keep their fresh-vector
-// path: their outputs are retained by construction — the winning prefix
-// average — so in-place writing buys nothing). The returned slice holds
-// the aggregate; callers must use it, not dst.
-func AggregateWithOracleInto(r Rule, dst []float64, vecs [][]float64, eval LossEval) (out []float64, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		return AggregateInto(r, dst, vecs), 0
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), calls
-}
-
-// AggregatePayloadsWithOracle is the payload-view form of the oracle
-// dispatch — Run without weights, shards or an output buffer: loss
-// rules densify and score whole candidate models (a fallback, not a
-// fused aggregation), geometry-only rules and nil oracles take the
-// ordinary payload path, fused when available. A NoFuse wrapper hides
-// the loss path along with the fused one.
-func AggregatePayloadsWithOracle(r Rule, ps []compress.Payload, eval LossEval) (out []float64, fused bool, oracleEvals int) {
-	res := Run(Request{Rule: r, Views: ps, Oracle: eval})
-	return res.Out, res.Fused, res.OracleEvals
 }
 
 // FedGreed is the greedy lowest-holdout-loss subset average of

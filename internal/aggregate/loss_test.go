@@ -38,7 +38,7 @@ func TestFedGreedOraclePicksBenignPrefix(t *testing.T) {
 	vecs := append(append([][]float64{}, benign...), byz...)
 	target := []float64{0, 0}
 
-	out, evals := AggregateWithOracleInto(FedGreed{}, nil, vecs, sqDistTo(target))
+	out, evals := aggregateWithOracle(FedGreed{}, vecs, sqDistTo(target))
 	if evals != 2*len(vecs) {
 		t.Fatalf("fedgreed made %d oracle evals, want 2n = %d", evals, 2*len(vecs))
 	}
@@ -59,7 +59,7 @@ func TestLossClusterOracleSplitsClusters(t *testing.T) {
 	byz := [][]float64{{50, 50}, {-60, 40}}
 	vecs := append(append([][]float64{}, benign...), byz...)
 
-	out, evals := AggregateWithOracleInto(LossCluster{}, nil, vecs, sqDistTo([]float64{0, 0}))
+	out, evals := aggregateWithOracle(LossCluster{}, vecs, sqDistTo([]float64{0, 0}))
 	if evals != len(vecs) {
 		t.Fatalf("losscluster made %d oracle evals, want n = %d", evals, len(vecs))
 	}
@@ -78,7 +78,7 @@ func TestLossRuleNilOracleIsFallback(t *testing.T) {
 	r := randx.New(41)
 	vecs := randomVecs(r, 7, 5)
 	for _, rule := range lossRules() {
-		out, evals := AggregateWithOracleInto(rule, nil, vecs, nil)
+		out, evals := aggregateWithOracle(rule, vecs, nil)
 		if evals != 0 {
 			t.Fatalf("%s: nil oracle counted %d evals", rule.Name(), evals)
 		}
@@ -99,7 +99,7 @@ func TestGeometryRuleIgnoresOracle(t *testing.T) {
 	r := randx.New(42)
 	vecs := randomVecs(r, 6, 4)
 	poison := func(m []float64) float64 { t.Fatal("geometry rule called the oracle"); return 0 }
-	out, evals := AggregateWithOracleInto(TrimmedMean{Beta: 0.2}, nil, vecs, poison)
+	out, evals := aggregateWithOracle(TrimmedMean{Beta: 0.2}, vecs, poison)
 	if evals != 0 {
 		t.Fatalf("counted %d evals for a geometry rule", evals)
 	}
@@ -122,13 +122,13 @@ func TestLossRuleOraclePermutationInvariant(t *testing.T) {
 				r := randx.New(seed)
 				vecs := randomVecs(r, 8, 5)
 				eval := sqDistTo(vecs[0])
-				a, _ := AggregateWithOracleInto(rule, nil, vecs, eval)
+				a, _ := aggregateWithOracle(rule, vecs, eval)
 				perm := randx.Perm(r, len(vecs))
 				shuffled := make([][]float64, len(vecs))
 				for i, p := range perm {
 					shuffled[i] = vecs[p]
 				}
-				b, _ := AggregateWithOracleInto(rule, nil, shuffled, eval)
+				b, _ := aggregateWithOracle(rule, shuffled, eval)
 				for j := range a {
 					if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
 						return false
@@ -153,7 +153,7 @@ func TestLossRuleOracleFreshOutput(t *testing.T) {
 		for i, v := range vecs {
 			snapshot[i] = append([]float64(nil), v...)
 		}
-		out, _ := AggregateWithOracleInto(rule, nil, vecs, sqDistTo(vecs[1]))
+		out, _ := aggregateWithOracle(rule, vecs, sqDistTo(vecs[1]))
 		for j := range out {
 			out[j] = 1e30
 		}
@@ -172,7 +172,7 @@ func TestLossRuleOracleFreshOutput(t *testing.T) {
 func TestLossRuleSingleInput(t *testing.T) {
 	v := [][]float64{{1.5, -2, 0.25}}
 	for _, rule := range lossRules() {
-		out, _ := AggregateWithOracleInto(rule, nil, v, sqDistTo([]float64{0, 0, 0}))
+		out, _ := aggregateWithOracle(rule, v, sqDistTo([]float64{0, 0, 0}))
 		for j := range v[0] {
 			if out[j] != v[0][j] {
 				t.Fatalf("%s(single input) = %v", rule.Name(), out)
@@ -192,8 +192,9 @@ func TestAggregatePayloadsWithOracleMatchesDense(t *testing.T) {
 		views, dense := encodeViews(t, spec, vecs, 99)
 		eval := sqDistTo(dense[0])
 		for _, rule := range lossRules() {
-			want, wantEvals := AggregateWithOracleInto(rule, nil, dense, eval)
-			got, fused, evals := AggregatePayloadsWithOracle(rule, views, eval)
+			want, wantEvals := aggregateWithOracle(rule, dense, eval)
+			res := Run(Request{Rule: rule, Views: views, Oracle: eval})
+			got, fused, evals := res.Out, res.Fused, res.OracleEvals
 			if fused {
 				t.Fatalf("%s/%s: oracle path reported fused", rule.Name(), spec)
 			}
@@ -212,7 +213,8 @@ func TestNoFuseBlocksOraclePath(t *testing.T) {
 	r := randx.New(45)
 	vecs := randomVecs(r, 5, 64)
 	views, dense := encodeViews(t, "dense", vecs, 7)
-	out, fused, evals := AggregatePayloadsWithOracle(NoFuse{Rule: FedGreed{}}, views, sqDistTo(dense[0]))
+	res := Run(Request{Rule: NoFuse{Rule: FedGreed{}}, Views: views, Oracle: sqDistTo(dense[0])})
+	out, fused, evals := res.Out, res.Fused, res.OracleEvals
 	if evals != 0 || fused {
 		t.Fatalf("NoFuse path: evals=%d fused=%v, want 0/false", evals, fused)
 	}
@@ -304,7 +306,7 @@ func TestLossRulePartialParticipation(t *testing.T) {
 					shuffled[i] = vecs[p]
 				}
 
-				got, _ := AggregateWithOracleInto(rule, nil, shuffled, sqDistTo(center))
+				got, _ := aggregateWithOracle(rule, shuffled, sqDistTo(center))
 				for j := 0; j < d; j++ {
 					lo, hi := math.Inf(1), math.Inf(-1)
 					for _, v := range benign {

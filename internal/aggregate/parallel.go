@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -89,13 +88,14 @@ func forEachCoordChunk(d, n, workers int, fn func(lo, hi int)) {
 // read, so reuse cannot perturb a seeded run.
 type chunkScratch struct {
 	col, win []float64
-	wcol     []float64 // weighted kernels: per-column mutable weight copy
-	pairs    []wpair   // weighted kernels: stable value/weight co-sort
-	rows     []float64 // mixed payload gather: n × tile row buffer
-	entVal   []float64 // sparse payload gather: tile entry values
-	cnt      []int32   // sparse payload gather: per-column entry counts
-	entOwner []int32   // sparse payload gather: tile entry owners
-	cur      []int     // sparse payload gather: per-view cursors
+	wcol     []float64   // weighted kernels: per-column mutable weight copy
+	pairs    []wpair     // weighted kernels: stable value/weight co-sort
+	vecs     [][]float64 // dense payload gather: the wrapped vectors
+	rows     []float64   // mixed payload gather: n × tile row buffer
+	entVal   []float64   // sparse payload gather: tile entry values
+	cnt      []int32     // sparse payload gather: per-column entry counts
+	entOwner []int32     // sparse payload gather: tile entry owners
+	cur      []int       // sparse payload gather: per-view cursors
 }
 
 var chunkScratchPool sync.Pool
@@ -152,119 +152,4 @@ func WithWorkers(r Rule, workers int) Rule {
 		return t
 	}
 	return r
-}
-
-// sortColumn orders one gathered coordinate column. Columns are short
-// (one value per input vector), where insertion sort beats the general
-// sort; longer columns fall back to the library sort.
-func sortColumn(col []float64) {
-	if len(col) > 32 {
-		sort.Float64s(col)
-		return
-	}
-	for i := 1; i < len(col); i++ {
-		v := col[i]
-		j := i - 1
-		for j >= 0 && col[j] > v {
-			col[j+1] = col[j]
-			j--
-		}
-		col[j+1] = v
-	}
-}
-
-// useSelection reports whether trimmedMeanOf takes the partial-selection
-// path for n inputs trimming m per side. The decision depends only on
-// (n, m) — never on worker count — so serial and parallel aggregation
-// stay bit-identical.
-func useSelection(n, m int) bool {
-	return m > 0 && n >= 32 && 8*m <= n
-}
-
-// trimmedMeanOf returns the mean of col after discarding the m smallest
-// and m largest values. col is scratch and may be reordered; win is 2m
-// floats of selection-window scratch, reusable across calls. When 2m is
-// small relative to n it selects the m+m extremes in O(n·m) instead of
-// sorting the whole column; both paths are exact rank statistics, and
-// the path choice is a pure function of (n, m).
-func trimmedMeanOf(col []float64, m int, win []float64) float64 {
-	n := len(col)
-	keep := float64(n - 2*m)
-	if m == 0 {
-		s := 0.0
-		for _, v := range col {
-			s += v
-		}
-		return s / keep
-	}
-	if !useSelection(n, m) {
-		sortColumn(col)
-		s := 0.0
-		for i := m; i < n-m; i++ {
-			s += col[i]
-		}
-		return s / keep
-	}
-	a, b := selectTrimBounds(col, m, win)
-	if a == b {
-		// Every kept rank holds the same value.
-		return a
-	}
-	// Sum the kept ranks without sorting: values strictly inside (a, b)
-	// are all kept; occurrences of the boundary values a and b are kept
-	// except for the ones consumed by the trims.
-	var (
-		midSum                float64
-		cntLessA, cntGreaterB int
-		ca, cb                int
-	)
-	for _, v := range col {
-		switch {
-		case v < a:
-			cntLessA++
-		case v > b:
-			cntGreaterB++
-		case v == a:
-			ca++
-		case v == b:
-			cb++
-		default:
-			midSum += v
-		}
-	}
-	keptA := float64(ca - (m - cntLessA))
-	keptB := float64(cb - (m - cntGreaterB))
-	return (midSum + keptA*a + keptB*b) / keep
-}
-
-// selectTrimBounds returns the rank-(m-1) and rank-(n-m) order
-// statistics of col (0-indexed, ascending) — the largest trimmed-low
-// value and the smallest trimmed-high value — via bounded insertion
-// into two m-element windows carved from the 2m-float win scratch.
-func selectTrimBounds(col []float64, m int, win []float64) (lowMax, highMin float64) {
-	low := win[:m]       // ascending: m smallest seen so far
-	high := win[m : 2*m] // ascending: m largest seen so far
-	copy(low, col[:m])
-	copy(high, col[:m])
-	sortColumn(low)
-	sortColumn(high)
-	for _, v := range col[m:] {
-		if v < low[m-1] {
-			j := m - 2
-			for j >= 0 && low[j] > v {
-				low[j+1] = low[j]
-				j--
-			}
-			low[j+1] = v
-		}
-		if v > high[0] {
-			j := 1
-			for j < m && high[j] < v {
-				high[j-1] = high[j]
-				j++
-			}
-			high[j-1] = v
-		}
-	}
-	return low[m-1], high[0]
 }

@@ -1,155 +1,29 @@
 package aggregate
 
 import (
-	"fmt"
 	"sort"
 
 	"fedms/internal/compress"
-	"fedms/internal/tensor"
 )
 
-// PayloadRule is a Rule that can aggregate codec payload views
-// directly, without densifying each input first. The contract is
-// strict bit-identity: AggregatePayloads(ps) must equal
-// Aggregate([densify(p) for p in ps]) coordinate for coordinate at
-// the float64-bit level, for every mix of encodings, worker count and
-// input count. The differential tier in payload_contract_test.go is
-// the enforcement.
-type PayloadRule interface {
-	Rule
-	// AggregatePayloads returns a fresh vector; it must not retain or
-	// mutate the views. All views have equal Dim and there is at least
-	// one.
-	AggregatePayloads(ps []compress.Payload) []float64
-}
-
-// AggregatePayloads aggregates payload views under rule r: the fused
-// path when r implements PayloadRule, otherwise densify-first through
-// r.Aggregate. fused reports which path ran, for the runtime's
-// fused-vs-fallback counters.
-func AggregatePayloads(r Rule, ps []compress.Payload) (out []float64, fused bool) {
-	if pr, ok := r.(PayloadRule); ok {
-		return pr.AggregatePayloads(ps), true
-	}
-	checkPayloads(ps, r.Name())
-	return r.Aggregate(densify(ps)), false
-}
-
-// PayloadRuleInto is the reusable-output counterpart of PayloadRule:
-// AggregatePayloadsInto(dst, ps) returns exactly the bytes
-// AggregatePayloads(ps) would, stored in dst when its capacity
-// suffices.
-type PayloadRuleInto interface {
-	PayloadRule
-	AggregatePayloadsInto(dst []float64, ps []compress.Payload) []float64
-}
-
-// AggregatePayloadsInto is AggregatePayloads with a caller-provided
-// output buffer: the fused in-place path when r implements
-// PayloadRuleInto, otherwise densify-first through AggregateInto (which
-// still reuses dst for RuleInto rules). The returned slice holds the
-// aggregate; dst is reused when possible but callers must use the
-// return value.
-func AggregatePayloadsInto(r Rule, dst []float64, ps []compress.Payload) (out []float64, fused bool) {
-	if pr, ok := r.(PayloadRuleInto); ok {
-		return pr.AggregatePayloadsInto(dst, ps), true
-	}
-	if _, ok := r.(PayloadRule); ok {
-		return AggregatePayloads(r, ps)
-	}
-	checkPayloads(ps, r.Name())
-	return AggregateInto(r, dst, densify(ps)), false
-}
-
-// NoFuse hides a rule's fused path, forcing AggregatePayloads onto
-// the densify-first fallback. It is the control arm of the
-// differential and chaos-parity tests (and an escape hatch should a
-// fused kernel ever need to be bypassed in production). Note that
-// WithWorkers does not see through the wrapper; set the inner rule's
-// Workers field explicitly if parallelism matters.
+// NoFuse hides a rule's coordinate kernel (and its loss path), forcing
+// Run onto the densify-first fallback through the inner rule's dense
+// Aggregate. It is the control arm of the differential and chaos-parity
+// tests (and an escape hatch should a fused kernel ever need to be
+// bypassed in production). Note that WithWorkers does not see through
+// the wrapper; set the inner rule's Workers field explicitly if
+// parallelism matters.
 type NoFuse struct{ Rule }
-
-func checkPayloads(ps []compress.Payload, rule string) int {
-	if len(ps) == 0 {
-		panic(fmt.Sprintf("aggregate: %s on empty input", rule))
-	}
-	d := ps[0].Dim()
-	for i := range ps {
-		if ps[i].Dim() != d {
-			panic(fmt.Sprintf("aggregate: %s input %d has dim %d, want %d", rule, i, ps[i].Dim(), d))
-		}
-	}
-	return d
-}
-
-// AggregatePayloads implements PayloadRule. It replicates VecMean's
-// exact arithmetic — zeroed accumulator, one AddTo per input in
-// order, then one multiply by 1/n — while sparse inputs touch only
-// their support (see compress.Payload.AddTo for the bit-identity
-// argument).
-func (m Mean) AggregatePayloads(ps []compress.Payload) []float64 {
-	return m.AggregatePayloadsInto(nil, ps)
-}
-
-// AggregatePayloadsInto implements PayloadRuleInto.
-func (Mean) AggregatePayloadsInto(dst []float64, ps []compress.Payload) []float64 {
-	d := checkPayloads(ps, "mean")
-	out := zeroVec(dst, d)
-	for i := range ps {
-		ps[i].AddTo(out)
-	}
-	tensor.VecScale(out, 1/float64(len(ps)))
-	return out
-}
-
-// AggregatePayloads implements PayloadRule via the column-gather
-// path: coordinate chunks are distributed over the same
-// forEachCoordChunk partition as Aggregate, and each chunk gathers
-// its columns straight out of the payload views.
-func (t TrimmedMean) AggregatePayloads(ps []compress.Payload) []float64 {
-	return t.AggregatePayloadsInto(nil, ps)
-}
-
-// AggregatePayloadsInto implements PayloadRuleInto.
-func (t TrimmedMean) AggregatePayloadsInto(dst []float64, ps []compress.Payload) []float64 {
-	d := checkPayloads(ps, "trimmed_mean")
-	m := t.TrimCount(len(ps))
-	out := zeroVec(dst, d)
-	gatherPayloadColumns(ps, d, t.Workers, out, 2*m, func(col, win []float64) float64 {
-		return trimmedMeanOf(col, m, win)
-	})
-	return out
-}
-
-// AggregatePayloads implements PayloadRule (column-gather path, see
-// TrimmedMean.AggregatePayloads).
-func (c CoordinateMedian) AggregatePayloads(ps []compress.Payload) []float64 {
-	return c.AggregatePayloadsInto(nil, ps)
-}
-
-// AggregatePayloadsInto implements PayloadRuleInto.
-func (c CoordinateMedian) AggregatePayloadsInto(dst []float64, ps []compress.Payload) []float64 {
-	d := checkPayloads(ps, "median")
-	n := len(ps)
-	out := zeroVec(dst, d)
-	gatherPayloadColumns(ps, d, c.Workers, out, 0, func(col, _ []float64) float64 {
-		sortColumn(col)
-		if n%2 == 1 {
-			return col[n/2]
-		}
-		return 0.5 * (col[n/2-1] + col[n/2])
-	})
-	return out
-}
 
 // zeroVec returns dst resized to d with every coordinate +0.0 — the
 // accumulator state the payload kernels assume (the all-sparse gather
 // leaves untouched columns at their initial value).
 func zeroVec(dst []float64, d int) []float64 {
-	out := ensureVec(dst, d)
-	for i := range out {
-		out[i] = 0
+	if cap(dst) < d {
+		return make([]float64, d)
 	}
+	out := dst[:d]
+	clear(out)
 	return out
 }
 
@@ -160,44 +34,59 @@ func zeroVec(dst []float64, d int) []float64 {
 // the whole point of the fused path.
 const payloadGatherTile = 256
 
-// gatherPayloadColumns writes reduce(column j) into out[j] for every
-// coordinate j, gathering each column across the payload views. The
-// chunk partition, and therefore the bit pattern of every result, is
-// identical to the dense rules': forEachCoordChunk with the same
-// (d, n, workers).
+// gatherPayloadColumns writes k.reduce(column j) into out[j] for every
+// coordinate j, gathering each column across the payload views in
+// member order. The chunk partition is forEachCoordChunk's over
+// (d, n, k.workers), so the output is bit-identical for every worker
+// count. There are three gather modes:
 //
-// When every view is sparse, columns outside the union support are
-// never materialized: out[j] keeps its +0.0. That requires reduce to
-// map the all-zero column to exactly +0.0 — true for trimmed mean
-// (every sum of +0.0s divided by the kept count) and median (middle
-// of an all-+0.0 column), the two rules on this path.
-func gatherPayloadColumns(ps []compress.Payload, d, workers int, out []float64, winLen int, reduce func(col, win []float64) float64) {
-	gatherPayloadColumnsScratch(ps, d, workers, out, winLen, func(col, win []float64, _ *chunkScratch) float64 {
-		return reduce(col, win)
-	})
-}
-
-// gatherPayloadColumnsScratch is gatherPayloadColumns with the chunk
-// worker's scratch threaded into reduce, for kernels (the weighted
-// variants) that need extra per-worker mutable state beyond col/win.
-func gatherPayloadColumnsScratch(ps []compress.Payload, d, workers int, out []float64, winLen int, reduce func(col, win []float64, s *chunkScratch) float64) {
+//   - all-dense: every view wraps an in-memory vector (DensePayload),
+//     and columns are read straight out of the vectors;
+//   - all-sparse: columns outside the union support are never
+//     materialized and out[j] keeps its +0.0, which every kernel maps
+//     the all-zero column to (see coordinateRule);
+//   - mixed: each tile of every view is gathered into a row buffer
+//     (bounded n·tile, never n·d), and every column reduces.
+func gatherPayloadColumns(ps []compress.Payload, d int, out []float64, k kernel) {
 	n := len(ps)
-	allSparse := true
+	allSparse, allDense := true, true
 	for i := range ps {
-		if _, _, ok := ps[i].Sparse(); !ok {
-			allSparse = false
-			break
-		}
+		_, _, sparse := ps[i].Sparse()
+		_, dense := ps[i].Vec()
+		allSparse = allSparse && sparse
+		allDense = allDense && dense
 	}
-	forEachCoordChunk(d, n, workers, func(lo, hi int) {
-		s := getChunkScratch(n, winLen)
-		if allSparse {
-			gatherSparseChunk(ps, lo, hi, s, out, reduce)
-		} else {
-			gatherMixedChunk(ps, lo, hi, s, out, reduce)
+	forEachCoordChunk(d, n, k.workers, func(lo, hi int) {
+		s := getChunkScratch(n, k.winLen)
+		switch {
+		case allDense:
+			gatherDenseChunk(ps, lo, hi, s, out, k)
+		case allSparse:
+			gatherSparseChunk(ps, lo, hi, s, out, k)
+		default:
+			gatherMixedChunk(ps, lo, hi, s, out, k)
 		}
 		putChunkScratch(s)
 	})
+}
+
+// gatherDenseChunk processes [lo, hi) of an all-DensePayload set: each
+// column is read straight out of the wrapped vectors.
+func gatherDenseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
+	col := s.col
+	vecs := s.vecs[:0]
+	for i := range ps {
+		v, _ := ps[i].Vec()
+		vecs = append(vecs, v)
+	}
+	for j := lo; j < hi; j++ {
+		for i, v := range vecs {
+			col[i] = v[j]
+		}
+		out[j] = k.reduce(col, s)
+	}
+	clear(vecs) // the pool must not pin the caller's vectors
+	s.vecs = vecs
 }
 
 // gatherSparseChunk processes [lo, hi) of an all-sparse payload set
@@ -205,9 +94,9 @@ func gatherPayloadColumnsScratch(ps []compress.Payload, d, workers int, out []fl
 // per-column entry lists (one cursor per view — supports are strictly
 // increasing, so each view is consumed in one forward pass), then
 // reduces only the columns at least one view touched.
-func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, reduce func(col, win []float64, s *chunkScratch) float64) {
+func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
 	n := len(ps)
-	col, win := s.col, s.win
+	col := s.col
 	cnt := grownInt32s(s.cnt, payloadGatherTile)
 	entOwner := grownInt32s(s.entOwner, payloadGatherTile*n)
 	entVal := grownFloats(s.entVal, payloadGatherTile*n)
@@ -250,7 +139,7 @@ func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 			for e := 0; e < int(cnt[j]); e++ {
 				col[entOwner[base+e]] = entVal[base+e]
 			}
-			out[tlo+j] = reduce(col, win, s)
+			out[tlo+j] = k.reduce(col, s)
 		}
 	}
 }
@@ -258,9 +147,9 @@ func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 // gatherMixedChunk processes [lo, hi) when at least one view is dense
 // or quantized: every view gathers its tile slice into a shared row
 // buffer (bounded n·tile, never n·d), and every column reduces.
-func gatherMixedChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, reduce func(col, win []float64, s *chunkScratch) float64) {
+func gatherMixedChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
 	n := len(ps)
-	col, win := s.col, s.win
+	col := s.col
 	rows := grownFloats(s.rows, n*payloadGatherTile)
 	s.rows = rows
 	for tlo := lo; tlo < hi; tlo += payloadGatherTile {
@@ -276,17 +165,7 @@ func gatherMixedChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []
 			for i := 0; i < n; i++ {
 				col[i] = rows[i*payloadGatherTile+j]
 			}
-			out[tlo+j] = reduce(col, win, s)
+			out[tlo+j] = k.reduce(col, s)
 		}
 	}
 }
-
-var (
-	_ PayloadRule = Mean{}
-	_ PayloadRule = TrimmedMean{}
-	_ PayloadRule = CoordinateMedian{}
-
-	_ PayloadRuleInto = Mean{}
-	_ PayloadRuleInto = TrimmedMean{}
-	_ PayloadRuleInto = CoordinateMedian{}
-)

@@ -53,7 +53,7 @@ func encodeViews(t testing.TB, spec string, vecs [][]float64, seed uint64) ([]co
 }
 
 // assertBitIdentical fails unless got and want agree float64-bit for
-// float64-bit — the PayloadRule contract is exact, not approximate.
+// float64-bit — the coordinateRule contract is exact, not approximate.
 func assertBitIdentical(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -90,7 +90,7 @@ func TestPayloadAggregationBitIdentical(t *testing.T) {
 			for _, p := range quorums {
 				sub, subDense := views[:p], dense[:p]
 				for _, w := range workers {
-					rules := []PayloadRule{
+					rules := []Rule{
 						Mean{},
 						TrimmedMean{Beta: 0.2, Workers: w},
 						TrimmedMean{Trim: 2, Workers: w},
@@ -101,7 +101,7 @@ func TestPayloadAggregationBitIdentical(t *testing.T) {
 							continue // infeasible trim for this quorum
 						}
 						want := rule.Aggregate(subDense)
-						got := rule.AggregatePayloads(sub)
+						got := Run(Request{Rule: rule, Views: sub}).Out
 						label := spec + "/" + rule.Name() + "/" +
 							"d=" + itoa(d) + "/p=" + itoa(p) + "/w=" + itoa(w)
 						assertBitIdentical(t, label, got, want)
@@ -122,11 +122,11 @@ func itoa(n int) string {
 	return itoa(n/10) + string(rune('0'+n%10))
 }
 
-// TestPayloadAggregationDispatch pins the AggregatePayloads entry
-// point: fused rules take the fused path (fused == true), rules
-// without a payload kernel — and any rule wrapped in NoFuse — fall
-// back to densify-first, and both paths agree with the dense oracle
-// bit for bit.
+// TestPayloadAggregationDispatch pins Run's payload dispatch: the
+// coordinate rules take the fused path (Fused == true), rules without
+// a coordinate kernel — and any rule wrapped in NoFuse — fall back to
+// densify-first, and both paths agree with the dense oracle bit for
+// bit.
 func TestPayloadAggregationDispatch(t *testing.T) {
 	r := randx.New(33)
 	vecs := randomVecs(r, 7, 64)
@@ -134,13 +134,15 @@ func TestPayloadAggregationDispatch(t *testing.T) {
 
 	fusedRules := []Rule{Mean{}, TrimmedMean{Beta: 0.2}, CoordinateMedian{}}
 	for _, rule := range fusedRules {
-		got, fused := AggregatePayloads(rule, views)
+		res := Run(Request{Rule: rule, Views: views})
+		got, fused := res.Out, res.Fused
 		if !fused {
 			t.Fatalf("%s: expected the fused path", rule.Name())
 		}
 		assertBitIdentical(t, rule.Name(), got, rule.Aggregate(dense))
 
-		wrapped, fused := AggregatePayloads(NoFuse{rule}, views)
+		res = Run(Request{Rule: NoFuse{rule}, Views: views})
+		wrapped, fused := res.Out, res.Fused
 		if fused {
 			t.Fatalf("NoFuse{%s}: fused path must be hidden", rule.Name())
 		}
@@ -148,7 +150,8 @@ func TestPayloadAggregationDispatch(t *testing.T) {
 	}
 
 	for _, rule := range []Rule{Krum{F: 2}, Bulyan{F: 1}, GeoMedian{}} {
-		got, fused := AggregatePayloads(rule, views)
+		res := Run(Request{Rule: rule, Views: views})
+		got, fused := res.Out, res.Fused
 		if fused {
 			t.Fatalf("%s has no payload kernel; expected fallback", rule.Name())
 		}
@@ -237,7 +240,7 @@ func TestPayloadAggregationAdversarialSupports(t *testing.T) {
 		}
 
 		rule := TrimmedMean{Trim: b, Workers: 1 + r.IntN(4)}
-		got := rule.AggregatePayloads(shuffled)
+		got := Run(Request{Rule: rule, Views: shuffled}).Out
 
 		dense := make([][]float64, len(shuffled))
 		for i := range shuffled {
@@ -288,7 +291,7 @@ func TestPayloadAggregationNegativeZero(t *testing.T) {
 	for i := range views {
 		dense[i] = views[i].DenseView()
 	}
-	for _, rule := range []PayloadRule{Mean{}, TrimmedMean{Trim: 1, Workers: 1}, CoordinateMedian{}} {
-		assertBitIdentical(t, rule.Name(), rule.AggregatePayloads(views), rule.Aggregate(dense))
+	for _, rule := range []Rule{Mean{}, TrimmedMean{Trim: 1, Workers: 1}, CoordinateMedian{}} {
+		assertBitIdentical(t, rule.Name(), Run(Request{Rule: rule, Views: views}).Out, rule.Aggregate(dense))
 	}
 }

@@ -155,10 +155,6 @@ func ParseRule(spec string) (Rule, error) {
 	return nil, fmt.Errorf("aggregate: unknown rule %q (known: %s)", spec, RuleGrammar)
 }
 
-// ByName is ParseRule under the registry's conventional name,
-// mirroring attack.ByName.
-func ByName(spec string) (Rule, error) { return ParseRule(spec) }
-
 // RuleNames lists one canonical spec per registered rule — the
 // round-trip test feeds each through ParseRule.
 func RuleNames() []string {

@@ -25,10 +25,6 @@ func TestRuleNamesRoundTrip(t *testing.T) {
 			t.Errorf("duplicate rule head %q in RuleNames()", head)
 		}
 		seen[head] = true
-		// ByName is documented as an alias of ParseRule.
-		if _, err := ByName(spec); err != nil {
-			t.Errorf("ByName(%q): %v", spec, err)
-		}
 	}
 }
 

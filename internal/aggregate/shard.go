@@ -1,7 +1,6 @@
 package aggregate
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,9 +13,8 @@ import (
 // shards, uploads stream through S bounded queues, and each shard
 // incrementally transposes its column range into a bounded column-major
 // block on its own goroutine. When the input set is complete the shard
-// runs the same per-coordinate kernels as the unsharded rules
-// (trimmedMeanOf, sortColumn, the ordered mean sum) over its range, and
-// the root accumulator is simply the shared output vector the shards'
+// runs the rule's one coordinate kernel (coordinateRule) over its
+// range, and the root accumulator is simply the shared output vector the shards'
 // disjoint ranges concatenate into.
 //
 // The contract is strict bit-identity with the unsharded path, by
@@ -25,12 +23,12 @@ import (
 //   - Rows are sorted by member id before reduction, so every
 //     coordinate's column is gathered in exactly the ascending-id order
 //     the engine and PS aggregate in.
-//   - The per-coordinate kernels are the unsharded rules' own: the trim
-//     count, selection-path choice and sort routine are pure functions
-//     of (n, m) and never of the shard geometry.
+//   - The kernel is the flat gather's: the trim count, selection-path
+//     choice and sort routine are pure functions of (n, m) and never of
+//     the shard geometry.
 //   - An all-sparse shard leaves untouched columns at +0.0, matching
-//     gatherSparseChunk; for the shardable rules the kernel of an
-//     all-zero column is exactly +0.0, so skipping is exact.
+//     gatherSparseChunk; every kernel maps the all-zero column to
+//     exactly +0.0, so skipping is exact.
 //
 // Memory per shard is O(K·d/S): a capRows × width column-major block
 // for dense/quantized rows plus an entry arena holding only the
@@ -72,7 +70,7 @@ const shardRowBytes = 40
 // request). offer is called from a single goroutine; finalize completes
 // the tree. A shardTree is one-shot.
 type shardTree struct {
-	rule     Rule
+	rule     coordinateRule
 	d        int
 	weighted bool
 	queues   []chan shardMsg
@@ -81,28 +79,14 @@ type shardTree struct {
 	peak     atomic.Int64
 }
 
-// ShardableRule reports whether rule r has a coordinate-sharded path:
-// the per-coordinate rules Mean, TrimmedMean and CoordinateMedian.
-// Selection and loss rules score whole vectors and fall back to the
-// unsharded path, as does a NoFuse wrapper (sharding is a fused-style
-// path, and NoFuse is the escape hatch that disables those).
-func ShardableRule(r Rule) bool {
-	switch r.(type) {
-	case Mean, TrimmedMean, CoordinateMedian:
-		return true
-	}
-	return false
-}
-
 // newShardTree builds the shard tree for rule r over dimension d with
 // at most shards shards (never more than d). rowsHint, when positive,
-// presizes each shard for that many member rows; weighted selects the
-// weighted per-coordinate kernels (bit-identical to the unweighted ones
-// at weight ≡ 1). ok is false — and the caller must use the unsharded
-// path — when the rule is not shardable or the geometry degenerates
-// (shards <= 1 or d == 0).
-func newShardTree(r Rule, d, shards, rowsHint int, weighted bool) (*shardTree, bool) {
-	if !ShardableRule(r) || shards <= 1 || d <= 0 {
+// presizes each shard for that many member rows; weighted hands the
+// rows' weights to the kernel (bit-identical to the unweighted one at
+// weight ≡ 1). ok is false — and the caller must use the unsharded
+// path — when the geometry degenerates (shards <= 1 or d == 0).
+func newShardTree(r coordinateRule, d, shards, rowsHint int, weighted bool) (*shardTree, bool) {
+	if shards <= 1 || d <= 0 {
 		return nil, false
 	}
 	if shards > d {
@@ -245,19 +229,19 @@ func (sh *aggShard) growBlock(width int) {
 func (sh *aggShard) reduce(out []float64) {
 	n := len(sh.rows)
 	sort.Slice(sh.rows, func(a, b int) bool { return sh.rows[a].id < sh.rows[b].id })
-	kernel, winLen := shardKernel(sh.parent.rule, n)
-	width := sh.hi - sh.lo
-	s := getChunkScratch(n, winLen)
+	var wrow []float64
 	if sh.parent.weighted {
 		// Row weights in sorted order; a fresh slice, not chunk scratch,
 		// because the weighted kernels use s.wcol for their own copies.
-		wrow := make([]float64, n)
+		wrow = make([]float64, n)
 		for i := range sh.rows {
 			wrow[i] = sh.rows[i].w
 		}
-		kernel = weightedShardKernel(sh.parent.rule, wrow, s)
 	}
-	col, win := s.col, s.win
+	k := sh.parent.rule.kernel(n, wrow)
+	width := sh.hi - sh.lo
+	s := getChunkScratch(n, k.winLen)
+	col := s.col
 	curs := grownInts(s.cur, n)
 	s.cur = curs
 	for i := range curs {
@@ -280,12 +264,12 @@ func (sh *aggShard) reduce(out []float64) {
 				continue
 			}
 			sh.gatherColumn(col, curs, jl)
-			out[sh.lo+jl] = kernel(col, win)
+			out[sh.lo+jl] = k.reduce(col, s)
 		}
 	} else {
 		for jl := 0; jl < width; jl++ {
 			sh.gatherColumn(col, curs, jl)
-			out[sh.lo+jl] = kernel(col, win)
+			out[sh.lo+jl] = k.reduce(col, s)
 		}
 	}
 	putChunkScratch(s)
@@ -309,73 +293,4 @@ func (sh *aggShard) gatherColumn(col []float64, curs []int, jl int) {
 		}
 		col[i] = v
 	}
-}
-
-// shardKernel returns the per-coordinate kernel of a shardable rule for
-// n inputs, plus the selection-window scratch length it needs. The
-// kernels are the unsharded rules' own per-coordinate arithmetic:
-// TrimCount, the selection path and the sort are pure functions of
-// (n, m), and the mean multiplies the ascending-order sum by the same
-// 1/n the fused path scales by.
-func shardKernel(r Rule, n int) (kernel func(col, win []float64) float64, winLen int) {
-	switch t := r.(type) {
-	case Mean:
-		inv := 1 / float64(n)
-		return func(col, _ []float64) float64 {
-			s := 0.0
-			for _, v := range col {
-				s += v
-			}
-			return s * inv
-		}, 0
-	case TrimmedMean:
-		m := t.TrimCount(n)
-		return func(col, win []float64) float64 {
-			return trimmedMeanOf(col, m, win)
-		}, 2 * m
-	case CoordinateMedian:
-		return func(col, _ []float64) float64 {
-			sortColumn(col)
-			if n%2 == 1 {
-				return col[n/2]
-			}
-			return 0.5 * (col[n/2-1] + col[n/2])
-		}, 0
-	}
-	panic(fmt.Sprintf("aggregate: shardKernel on unshardable rule %s", r.Name()))
-}
-
-// weightedShardKernel returns the weighted per-coordinate kernel over
-// rows weighted by wrow (sorted-row order). The closures capture the
-// shard goroutine's own scratch, so they are race-free, and they
-// mirror the unweighted kernels' arithmetic exactly at weight ≡ 1
-// (same scan order, same single reciprocal for the mean). The window
-// length matches shardKernel's for the same (rule, n).
-func weightedShardKernel(r Rule, wrow []float64, s *chunkScratch) func(col, win []float64) float64 {
-	n := len(wrow)
-	switch t := r.(type) {
-	case Mean:
-		wsum := 0.0
-		for _, w := range wrow {
-			wsum += w
-		}
-		inv := 1 / wsum
-		return func(col, _ []float64) float64 {
-			sum := 0.0
-			for i, v := range col {
-				sum += wrow[i] * v
-			}
-			return sum * inv
-		}
-	case TrimmedMean:
-		m := t.TrimCount(n)
-		return func(col, win []float64) float64 {
-			return weightedTrimmedMeanOf(col, wrow, m, win, s)
-		}
-	case CoordinateMedian:
-		return func(col, _ []float64) float64 {
-			return weightedMedianOf(col, wrow, s)
-		}
-	}
-	panic(fmt.Sprintf("aggregate: weightedShardKernel on unshardable rule %s", r.Name()))
 }

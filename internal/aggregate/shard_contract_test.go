@@ -18,8 +18,8 @@ var shardSpecs = []string{"dense", "topk:0.25", "topk:0.01", "q8", "ef+topk:0.1"
 // TestShardedAggregationBitIdentical is the differential contract of
 // the two-tier aggregation tree: for every rule in the registry ×
 // shard count × worker count × degraded quorum × payload codec,
-// Run with Shards set must be bit-identical to the unsharded
-// AggregatePayloads over the same member order. Shardable rules
+// Run with Shards set must be bit-identical to the unsharded Run over
+// the same member order. Coordinate-wise rules
 // (mean, trimmed mean, median) must actually take the sharded path;
 // every other rule must report the unsharded fallback. Dimensions
 // cover a sub-tile vector, a multi-tile vector with ragged shard
@@ -42,21 +42,21 @@ func TestShardedAggregationBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ParseRule(%q): %v", name, err)
 				}
-				if d > 1000 && !ShardableRule(parsed) {
+				if d > 1000 && !Coordinatewise(parsed) {
 					continue // the big-dim pass pins the sharded kernels, not the O(n²·d) baselines
 				}
 				for _, p := range quorums {
 					sub := views[:p]
 					for _, w := range workers {
 						rule := WithWorkers(parsed, w)
-						want, _ := AggregatePayloads(rule, sub)
+						want := Run(Request{Rule: rule, Views: sub}).Out
 						for _, s := range shardCounts {
 							res := Run(Request{Rule: rule, Views: sub, Shards: s})
 							got, sharded, peak := res.Out, res.Sharded, res.PeakBytes
 							label := spec + "/" + name + "/d=" + itoa(d) +
 								"/p=" + itoa(p) + "/w=" + itoa(w) + "/s=" + itoa(s)
-							if sharded != ShardableRule(rule) {
-								t.Fatalf("%s: sharded=%v, want %v", label, sharded, ShardableRule(rule))
+							if sharded != Coordinatewise(rule) {
+								t.Fatalf("%s: sharded=%v, want %v", label, sharded, Coordinatewise(rule))
 							}
 							if sharded && peak <= 0 {
 								t.Fatalf("%s: sharded path reported peak %d bytes", label, peak)
@@ -85,7 +85,7 @@ func TestShardedAggregationStreaming(t *testing.T) {
 	views, _ := encodeViews(t, "dense", vecs, 7)
 
 	rule := TrimmedMean{Beta: 0.2}
-	want, _ := AggregatePayloads(rule, views) // member order = ascending id
+	want := Run(Request{Rule: rule, Views: views}).Out // member order = ascending id
 
 	dst := make([]float64, d)
 	for i := range dst {
@@ -122,7 +122,7 @@ func TestShardedAggregationMixedRows(t *testing.T) {
 	views := append(append([]compress.Payload{}, sparseViews...), denseViews...)
 
 	for _, rule := range []Rule{Mean{}, TrimmedMean{Trim: 2}, CoordinateMedian{}} {
-		want, _ := AggregatePayloads(rule, views)
+		want := Run(Request{Rule: rule, Views: views}).Out
 		res := Run(Request{Rule: rule, Views: views, Shards: 3})
 		if !res.Sharded {
 			t.Fatalf("%s: expected the sharded path", rule.Name())
@@ -175,14 +175,14 @@ func TestShardedAggregationDispatchEscapeHatches(t *testing.T) {
 	vecs := randomVecs(r, 5, d)
 	views, _ := encodeViews(t, "topk:0.25", vecs, 17)
 
-	if ShardableRule(NoFuse{TrimmedMean{Beta: 0.2}}) {
+	if Coordinatewise(NoFuse{TrimmedMean{Beta: 0.2}}) {
 		t.Fatal("NoFuse must hide the sharded path")
 	}
 	res := Run(Request{Rule: NoFuse{TrimmedMean{Beta: 0.2}}, Views: views, Shards: 4})
 	if res.Sharded || res.Fused {
 		t.Fatal("NoFuse: expected the unsharded densify-first fallback")
 	}
-	want, _ := AggregatePayloads(NoFuse{TrimmedMean{Beta: 0.2}}, views)
+	want := TrimmedMean{Beta: 0.2}.Aggregate(densify(views))
 	assertBitIdentical(t, "nofuse", res.Out, want)
 
 	if _, ok := newShardTree(Mean{}, d, 1, 5, false); ok {
@@ -192,6 +192,6 @@ func TestShardedAggregationDispatchEscapeHatches(t *testing.T) {
 	if res.Sharded || !res.Fused {
 		t.Fatal("shards=1: expected the fused unsharded path")
 	}
-	want, _ = AggregatePayloads(Mean{}, views)
+	want = Mean{}.Aggregate(densify(views))
 	assertBitIdentical(t, "oneshard", res.Out, want)
 }

@@ -63,12 +63,13 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 						rule := WithWorkers(raw, workers)
 						label := spec + "/" + rule.Name() + "/d=" + itoa(d) + "/n=" + itoa(tc.n) + "/w=" + itoa(workers)
 
-						want := AggregateInto(rule, nil, vecs)
-						got := rule.(WeightedRule).AggregateWeightedInto(nil, vecs, ones)
+						want := rule.Aggregate(vecs)
+						got := weightedDense(rule, vecs, ones)
 						assertBitIdentical(t, label+"/dense-kernel", got, want)
 
-						wantP, _ := AggregatePayloadsInto(rule, nil, views)
-						gotP, fused := AggregateWeightedPayloads(rule, nil, views, ones)
+						wantP := Run(Request{Rule: rule, Views: views}).Out
+						res := Request{Rule: rule, Views: views, Weights: ones}.run()
+						gotP, fused := res.Out, res.Fused
 						if !fused {
 							t.Fatalf("%s: weighted payload path not fused", label)
 						}
@@ -76,7 +77,7 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 
 						// run (not Run) keeps the ones on the weighted sharded
 						// kernels; Run must then be free to drop them.
-						res := Request{Rule: rule, Views: views, Weights: ones, Shards: 4}.run()
+						res = Request{Rule: rule, Views: views, Weights: ones, Shards: 4}.run()
 						if !res.Sharded {
 							t.Fatalf("%s: weighted sharded path not taken", label)
 						}
@@ -105,18 +106,17 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 				rules := []Rule{Mean{}, TrimmedMean{Beta: 0.2, Workers: 2}, CoordinateMedian{Workers: 2}}
 				for _, rule := range rules {
 					label := spec + "/" + rule.Name() + "/n=" + itoa(n) + "/d=" + itoa(d)
-					want := rule.(WeightedRule).AggregateWeightedInto(nil, dense, weights)
-					got, fused := AggregateWeightedPayloads(rule, nil, views, weights)
-					if !fused {
+					want := weightedDense(rule, dense, weights)
+					res := Run(Request{Rule: rule, Views: views, Weights: weights})
+					if !res.Fused {
 						t.Fatalf("%s: not fused", label)
 					}
-					assertBitIdentical(t, label+"/payload", got, want)
-					res := Run(Request{Rule: rule, Views: views, Weights: weights, Shards: 3})
+					assertBitIdentical(t, label+"/payload", res.Out, want)
+					res = Run(Request{Rule: rule, Views: views, Weights: weights, Shards: 3})
 					if !res.Sharded {
 						t.Fatalf("%s: not sharded", label)
 					}
 					assertBitIdentical(t, label+"/sharded", res.Out, want)
-					assertBitIdentical(t, label+"/run", Run(Request{Rule: rule, Views: views, Weights: weights}).Out, want)
 				}
 			}
 		}
@@ -128,7 +128,7 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 func TestWeightedMeanMatchesClosedForm(t *testing.T) {
 	vecs := [][]float64{{2, 10}, {4, 20}}
 	weights := []float64{1, 0.5}
-	got := Mean{}.AggregateWeightedInto(nil, vecs, weights)
+	got := weightedDense(Mean{}, vecs, weights)
 	want0 := (1*2 + 0.5*4) / 1.5
 	want1 := (1*10 + 0.5*20) / 1.5
 	// The kernel multiplies by the reciprocal (like VecMean), so allow
@@ -147,13 +147,13 @@ func TestWeightedTrimmedMeanDownWeightsStale(t *testing.T) {
 	vecs := [][]float64{{1}, {2}, {3}, {4}, {5}}
 	fresh := onesWeights(5)
 	rule := TrimmedMean{Beta: 0.2}
-	got := rule.AggregateWeightedInto(nil, vecs, fresh)
+	got := weightedDense(rule, vecs, fresh)
 	if got[0] != 3 {
 		t.Fatalf("weight-1 trimmed mean = %v, want 3", got[0])
 	}
 	// Staling the "4" input halves its pull: (2 + 3 + 0.5*4) / 2.5 = 2.8.
 	stale := []float64{1, 1, 1, 0.5, 1}
-	got = rule.AggregateWeightedInto(nil, vecs, stale)
+	got = weightedDense(rule, vecs, stale)
 	if math.Abs(got[0]-2.8) > 1e-15 {
 		t.Fatalf("stale-weighted trimmed mean = %v, want 2.8", got[0])
 	}
@@ -165,19 +165,19 @@ func TestWeightedTrimmedMeanDownWeightsStale(t *testing.T) {
 func TestWeightedMedianCrossesHalfWeight(t *testing.T) {
 	// Weights 3,1,1 over values 1,2,3: half = 2.5, cum crosses at the
 	// first value.
-	got := CoordinateMedian{}.AggregateWeightedInto(nil, [][]float64{{1}, {2}, {3}}, []float64{3, 1, 1})
+	got := weightedDense(CoordinateMedian{}, [][]float64{{1}, {2}, {3}}, []float64{3, 1, 1})
 	if got[0] != 1 {
 		t.Fatalf("weighted median = %v, want 1", got[0])
 	}
 	// Weights 1,1 over values 1,3: cum hits exactly half at the first
 	// value → midpoint 2, the unweighted even-n behavior.
-	got = CoordinateMedian{}.AggregateWeightedInto(nil, [][]float64{{1}, {3}}, []float64{1, 1})
+	got = weightedDense(CoordinateMedian{}, [][]float64{{1}, {3}}, []float64{1, 1})
 	if got[0] != 2 {
 		t.Fatalf("weighted median tie = %v, want 2", got[0])
 	}
 }
 
-// TestWeightedRejectsBadWeights pins the checkWeights contract.
+// TestWeightedRejectsBadWeights pins the weight checks of Request.check.
 func TestWeightedRejectsBadWeights(t *testing.T) {
 	vecs := [][]float64{{1}, {2}}
 	bad := [][]float64{
@@ -194,17 +194,21 @@ func TestWeightedRejectsBadWeights(t *testing.T) {
 					t.Errorf("case %d: weights %v accepted, want panic", i, w)
 				}
 			}()
-			Mean{}.AggregateWeightedInto(nil, vecs, w)
+			weightedDense(Mean{}, vecs, w)
 		}()
 	}
 }
 
-// TestIsWeighted pins which rules the async scheduler may use, and that
-// weighted aggregation under any other rule panics.
+// TestIsWeighted pins which rules the async scheduler may use —
+// Coordinatewise, which replaced IsWeighted — and that weighted
+// aggregation under any other rule, or a NoFuse-wrapped one, panics.
 func TestIsWeighted(t *testing.T) {
 	for _, r := range []Rule{Mean{}, TrimmedMean{}, CoordinateMedian{}} {
-		if !IsWeighted(r) {
-			t.Errorf("IsWeighted(%s) = false, want true", r.Name())
+		if !Coordinatewise(r) {
+			t.Errorf("Coordinatewise(%s) = false, want true", r.Name())
+		}
+		if Coordinatewise(NoFuse{r}) {
+			t.Errorf("Coordinatewise(NoFuse{%s}) = true, want false", r.Name())
 		}
 	}
 	views, _ := encodeViews(t, "dense", [][]float64{{1}, {2}, {3}}, 1)
@@ -215,12 +219,12 @@ func TestIsWeighted(t *testing.T) {
 		}
 		switch r.(type) {
 		case Mean, TrimmedMean, CoordinateMedian:
-			if !IsWeighted(r) {
-				t.Errorf("IsWeighted(%s) = false, want true", name)
+			if !Coordinatewise(r) {
+				t.Errorf("Coordinatewise(%s) = false, want true", name)
 			}
 		default:
-			if IsWeighted(r) {
-				t.Errorf("IsWeighted(%s) = true, want false", name)
+			if Coordinatewise(r) {
+				t.Errorf("Coordinatewise(%s) = true, want false", name)
 			}
 			func() {
 				defer func() {
@@ -228,7 +232,7 @@ func TestIsWeighted(t *testing.T) {
 						t.Errorf("weighted %s aggregated, want panic", name)
 					}
 				}()
-				AggregateWeightedPayloads(r, nil, views, onesWeights(3))
+				Request{Rule: r, Views: views, Weights: onesWeights(3)}.run()
 			}()
 		}
 	}

@@ -150,12 +150,12 @@ func checkPayload(t *testing.T, enc compress.Encoding, data []byte) {
 
 	views := []compress.Payload{view, view, view}
 	dense := [][]float64{ref, ref, ref}
-	for _, rule := range []aggregate.PayloadRule{
+	for _, rule := range []aggregate.Rule{
 		aggregate.Mean{},
 		aggregate.TrimmedMean{Trim: 1},
 		aggregate.CoordinateMedian{},
 	} {
-		got := rule.AggregatePayloads(views)
+		got := aggregate.Run(aggregate.Request{Rule: rule, Views: views}).Out
 		want := rule.Aggregate(dense)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {

@@ -8,8 +8,8 @@ import (
 )
 
 // Payload is a validated, structured view of one encoded model: the
-// no-densify access path the fused aggregation rules consume
-// (aggregate.PayloadRule). A view is produced either by ParsePayload
+// no-densify access path the coordinate-wise aggregation rules consume
+// (aggregate.Run). A view is produced either by ParsePayload
 // from tagged wire bytes or by DensePayload from an in-memory vector,
 // and every accessor reconstructs exactly the coordinates
 // DecodePayloadInto would have produced — bit-identical, which is what
@@ -102,6 +102,13 @@ func (p *Payload) Sparse() (indices []uint32, values []float64, ok bool) {
 		return nil, nil, false
 	}
 	return p.idx, p.val, true
+}
+
+// Vec exposes the in-memory vector a DensePayload view wraps, without
+// copying. ok is false for views parsed from wire bytes. The returned
+// slice is read-only.
+func (p *Payload) Vec() (vec []float64, ok bool) {
+	return p.vec, p.vec != nil
 }
 
 // DenseInto reconstructs the full vector into dst, bit-identical to

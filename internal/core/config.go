@@ -145,7 +145,7 @@ type Config struct {
 	// with Window >= sched.DefaultLatencyScale every upload arrives
 	// fresh and the trajectory is bit-identical to Async=false.
 	// Requires a ServerFilter with a weighted kernel
-	// (aggregate.IsWeighted: mean, trimmed_mean, median).
+	// (aggregate.Coordinatewise: mean, trimmed_mean, median).
 	Async bool
 	// Window is the async collection window in virtual time (default
 	// sched.DefaultLatencyScale/4). An upload with virtual latency L
@@ -318,7 +318,7 @@ func (c Config) Validate() (Config, error) {
 	if c.Window, kerr = sched.Knobs(c.Async, c.Window, c.Staleness); kerr != nil {
 		return c, fieldErr(kerr.Knob, "%v", kerr)
 	}
-	if c.Async && !aggregate.IsWeighted(c.ServerFilter) {
+	if c.Async && !aggregate.Coordinatewise(c.ServerFilter) {
 		return c, fieldErr("ServerFilter", "Async requires a ServerFilter with a weighted kernel (mean, trimmed_mean, median), got %s", c.ServerFilter.Name())
 	}
 	if !c.Async && c.SpillDir != "" {

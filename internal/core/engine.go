@@ -87,8 +87,10 @@ type Engine struct {
 	aggBufs [][]float64
 	// filterBufs[k] is client k's round-persistent filter output buffer;
 	// SetParams copies into the layer tensors, so the filtered vector
-	// never outlives the round.
-	filterBufs [][]float64
+	// never outlives the round. filterViews[k] is the payload-view slice
+	// its received models are wrapped in, emptied after each filter.
+	filterBufs  [][]float64
+	filterViews [][]compress.Payload
 
 	// codecs[k] is client k's upload codec instance (nil slice when the
 	// upload codec is dense). Stateful: error-feedback residuals persist
@@ -426,6 +428,7 @@ func (e *Engine) RunRound() RoundStats {
 	oracleFilterN := make([]int, e.cfg.Clients)
 	if e.filterBufs == nil {
 		e.filterBufs = make([][]float64, e.cfg.Clients)
+		e.filterViews = make([][]compress.Payload, e.cfg.Clients)
 	}
 	e.forEachClient(e.cfg.Clients, func(k int) {
 		received := disseminated(k)
@@ -445,9 +448,16 @@ func (e *Engine) RunRound() RoundStats {
 		} else {
 			downBytes[k] = 8 * e.cfg.Servers * e.dim
 		}
-		filtered, evals := aggregate.AggregateWithOracleInto(e.cfg.Filter, e.filterBufs[k], received, e.oracle)
+		views := e.filterViews[k][:0]
+		for _, v := range received {
+			views = append(views, compress.DensePayload(v))
+		}
+		res := aggregate.Run(aggregate.Request{Rule: e.cfg.Filter, Views: views, Oracle: e.oracle, Dst: e.filterBufs[k]})
+		clear(views) // do not pin this round's models past it
+		e.filterViews[k] = views
+		filtered := res.Out
 		e.filterBufs[k] = filtered // SetParams copies, so the buffer is free next round
-		oracleFilterN[k] = evals
+		oracleFilterN[k] = res.OracleEvals
 		e.learners[k].SetParams(filtered)
 		spreads[k] = tensor.VecDist2(filtered, benignMean)
 	})

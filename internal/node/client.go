@@ -682,7 +682,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		// The filter consumes the payload views directly — sparse or
 		// quantized downlinks are never densified per model; the fused
 		// kernels gather coordinates out of the views (bit-identical to
-		// decode-then-aggregate, see aggregate.PayloadRule).
+		// decode-then-aggregate, see aggregate.Run).
 		models := make([]compress.Payload, 0, got)
 		for i := 0; i < p; i++ {
 			if pl, ok := received[i]; ok {
@@ -696,7 +696,8 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 				return stats, fmt.Errorf("node: client %d round %d: %w", cfg.ID, round, err)
 			}
 		}
-		filtered, filterFused, oracleEvals := aggregate.AggregatePayloadsWithOracle(rule, models, cfg.LossOracle)
+		res := aggregate.Run(aggregate.Request{Rule: rule, Views: models, Oracle: cfg.LossOracle})
+		filtered, filterFused, oracleEvals := res.Out, res.Fused, res.OracleEvals
 		cfg.Learner.SetParams(filtered)
 		st.ModelsReceived = got
 		st.Degraded = got < p

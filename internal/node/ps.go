@@ -180,7 +180,7 @@ type PSConfig struct {
 	// expires, whichever is first; uploads up to Staleness rounds old
 	// are admitted with the deterministic down-weight sched.Weight
 	// applied before ServerRule (which must have a weighted kernel —
-	// see aggregate.IsWeighted); future-round frames spill to a
+	// see aggregate.Coordinatewise); future-round frames spill to a
 	// disk-backed buffer and replay when their round opens.
 	Async bool
 	// Window is the async per-round aggregation window. Defaults to
@@ -383,7 +383,7 @@ func NewPS(cfg PSConfig) (*PS, error) {
 	if cfg.Window, kerr = sched.Knobs(cfg.Async, cfg.Window, cfg.Staleness); kerr != nil {
 		return nil, fmt.Errorf("node: PS %d: %w", cfg.ID, kerr)
 	}
-	if cfg.Async && !aggregate.IsWeighted(cfg.ServerRule) {
+	if cfg.Async && !aggregate.Coordinatewise(cfg.ServerRule) {
 		return nil, fmt.Errorf("node: PS %d: rule %q has no weighted kernel; async staleness down-weighting requires one", cfg.ID, cfg.ServerRule.Name())
 	}
 	if !cfg.Async && (cfg.SpillDir != "" || cfg.SpillMem != 0 || cfg.CheckpointPath != "") {
@@ -1173,8 +1173,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	// Aggregate. The rule consumes the payload views directly: a fused
 	// rule never densifies the codec uploads, a rule without a payload
 	// kernel falls back to densify-first inside aggregate.Run
-	// (bit-identical either way; see the aggregate.PayloadRule
-	// contract). A benign server writes into its round-persistent
+	// (bit-identical either way). A benign server writes into its round-persistent
 	// buffer (nothing retains its aggregate past the round); a Byzantine
 	// server allocates fresh — its history feeds the adaptive attack.
 	var res aggregate.Result
