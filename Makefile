@@ -59,7 +59,7 @@ test:
 # patterns, so every test runs under -race exactly once.
 RACE_GEMM    = Gemm
 RACE_OBS     = TestObsDeterminism
-RACE_PAYLOAD = TestPayloadAggregation
+RACE_PAYLOAD = TestPayloadAggregation|FuzzCoordinateKernels
 RACE_LOSS    = TestLossRule|TestKrumFamilyPartialParticipation
 RACE_LOSSD   = TestDistributedMatchesEngineLoss
 RACE_SHARD   = TestShardedAggregation

@@ -163,7 +163,7 @@ func TestTrimmedMeanByzantineBounded(t *testing.T) {
 			}
 			sort.Float64s(col)
 			lo, hi := col[b], col[p-1-b]
-			if got[j] < lo-1e-9 || got[j] > hi+1e-9 {
+			if !(got[j] >= lo-1e-9 && got[j] <= hi+1e-9) {
 				return false
 			}
 		}

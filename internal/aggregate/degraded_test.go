@@ -54,7 +54,7 @@ func inBenignBox(got []float64, benign [][]float64) bool {
 			lo = math.Min(lo, v[j])
 			hi = math.Max(hi, v[j])
 		}
-		if got[j] < lo-1e-9 || got[j] > hi+1e-9 {
+		if !(got[j] >= lo-1e-9 && got[j] <= hi+1e-9) {
 			return false
 		}
 	}

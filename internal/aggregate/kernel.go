@@ -1,6 +1,9 @@
 package aggregate
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // coordinateRule is a rule that aggregates coordinate by coordinate:
 // Mean, TrimmedMean and CoordinateMedian. Each writes its arithmetic
@@ -22,6 +25,12 @@ import "sort"
 //     weights. Trimming stays count-based under weights (Lemma 2 counts
 //     adversarial inputs, not weight mass), ties trim in input order,
 //     and the weighted median is the 50% weighted-rank order statistic.
+//   - NaN ranks above every finite number, level with +Inf: the
+//     trimmed mean and the median read each NaN in a column as +Inf
+//     before ranking it (compress.TopKIndices, too, ranks NaN at the
+//     top). Up to TrimCount(n) NaNs per coordinate are therefore
+//     trimmed like any other extreme instead of landing in the kept
+//     ranks. The mean has no ranks and propagates NaN.
 //
 // NoFuse hides the kernel, so a wrapped rule aggregates densify-first
 // through its dense Aggregate.
@@ -104,12 +113,13 @@ func (c CoordinateMedian) kernel(_ int, weights []float64) kernel {
 
 // trimmedMeanOf returns the weighted mean Σwv/Σw of col after dropping
 // its m smallest and m largest values (count-based, ties in input
-// order); nil weights weigh every value 1. col is scratch and may be
-// reordered; weights is read-only (the sort path co-sorts a copy in
+// order, NaN ranked as +Inf); nil weights weigh every value 1. col is
+// scratch and may be reordered; weights is read-only (the sort path co-sorts a copy in
 // s.wcol). When 2m is small relative to n it selects the m+m extremes
 // in O(n·m) instead of sorting; both paths are exact rank statistics,
 // and the path choice is a pure function of (n, m).
 func trimmedMeanOf(col, weights []float64, m int, s *chunkScratch) float64 {
+	nanAsInf(col)
 	n := len(col)
 	if m == 0 {
 		sum, wsum := 0.0, 0.0
@@ -186,7 +196,25 @@ func trimmedMeanOf(col, weights []float64, m int, s *chunkScratch) float64 {
 			}
 		}
 	}
-	return (midSum + wa*a + wb*b) / (midW + wa + wb)
+	// A fully trimmed boundary adds nothing: 0·(±Inf) would be NaN.
+	sum := midSum
+	if wa > 0 {
+		sum += wa * a
+	}
+	if wb > 0 {
+		sum += wb * b
+	}
+	return sum / (midW + wa + wb)
+}
+
+// nanAsInf rewrites every NaN in col as +Inf, the column order's top
+// (see coordinateRule).
+func nanAsInf(col []float64) {
+	for i, v := range col {
+		if v != v {
+			col[i] = math.Inf(1)
+		}
+	}
 }
 
 // useSelection reports whether trimmedMeanOf takes the partial-selection
@@ -202,8 +230,9 @@ func useSelection(n, m int) bool {
 // landing exactly on half, the midpoint of the straddling pair. nil
 // weights weigh every value 1, which is the plain median (the middle
 // value, or the midpoint of the middle pair), and then s may be nil.
-// col is reordered; weights is read-only.
+// NaN ranks as +Inf. col is reordered; weights is read-only.
 func medianOf(col, weights []float64, s *chunkScratch) float64 {
+	nanAsInf(col)
 	n := len(col)
 	total := float64(n)
 	if weights == nil {
@@ -232,10 +261,25 @@ func medianOf(col, weights []float64, s *chunkScratch) float64 {
 
 // sortColumn orders one gathered coordinate column. Columns are short
 // (one value per input vector), where insertion sort beats the general
-// sort; longer columns fall back to the library sort.
+// sort; longer columns fall back to the library sort, which is not
+// stable: -0 and +0 compare equal and may land in either order, so its
+// run of zeros is rewritten -0s first, the order sortColumnPairs uses.
 func sortColumn(col []float64) {
 	if len(col) > 32 {
 		sort.Float64s(col)
+		lo := sort.SearchFloat64s(col, 0)
+		hi, neg := lo, 0
+		for ; hi < len(col) && col[hi] == 0; hi++ {
+			if math.Signbit(col[hi]) {
+				neg++
+			}
+		}
+		for i := lo; i < hi; i++ {
+			col[i] = 0
+			if i < lo+neg {
+				col[i] = math.Copysign(0, -1)
+			}
+		}
 		return
 	}
 	for i := 1; i < len(col); i++ {
@@ -257,7 +301,9 @@ type wpair struct{ v, w float64 }
 // input order — so tie-trimming is deterministic and matches the
 // selection path's first-occurrence accounting. Short columns use the
 // same insertion sort as sortColumn (which is naturally stable); longer
-// ones stable-sort value/weight pairs in pooled scratch.
+// ones stable-sort value/weight pairs in pooled scratch, -0 before +0
+// like sortColumn, so the values land exactly where sortColumn puts
+// them.
 func sortColumnPairs(col, weights []float64, s *chunkScratch) []float64 {
 	n := len(col)
 	w := grownFloats(s.wcol, n)
@@ -284,7 +330,10 @@ func sortColumnPairs(col, weights []float64, s *chunkScratch) []float64 {
 	for i := range pairs {
 		pairs[i] = wpair{v: col[i], w: w[i]}
 	}
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
+	sort.SliceStable(pairs, func(a, b int) bool {
+		x, y := pairs[a].v, pairs[b].v
+		return x < y || (x == 0 && y == 0 && math.Signbit(x) && !math.Signbit(y))
+	})
 	for i, p := range pairs {
 		col[i], w[i] = p.v, p.w
 	}

@@ -313,7 +313,7 @@ func TestLossRulePartialParticipation(t *testing.T) {
 						lo = math.Min(lo, v[j])
 						hi = math.Max(hi, v[j])
 					}
-					if got[j] < lo-1e-9 || got[j] > hi+1e-9 {
+					if !(got[j] >= lo-1e-9 && got[j] <= hi+1e-9) {
 						t.Logf("%s P'=%d byz=%d coord %d: %v outside benign [%v, %v]",
 							rule.Name(), pPrime, byzCount, j, got[j], lo, hi)
 						return false

@@ -260,7 +260,7 @@ func TestPayloadAggregationAdversarialSupports(t *testing.T) {
 				lo = math.Min(lo, v[j])
 				hi = math.Max(hi, v[j])
 			}
-			if got[j] < lo-1e-9 || got[j] > hi+1e-9 {
+			if !(got[j] >= lo-1e-9 && got[j] <= hi+1e-9) {
 				t.Logf("P'=%d byz=%d coord %d: %v outside benign [%v, %v]",
 					pPrime, byzCount, j, got[j], lo, hi)
 				return false

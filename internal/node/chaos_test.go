@@ -367,7 +367,7 @@ func TestChaosCrashPlusByzantine(t *testing.T) {
 					lo = math.Min(lo, vec[j])
 					hi = math.Max(hi, vec[j])
 				}
-				if filtered[j] < lo-1e-9 || filtered[j] > hi+1e-9 {
+				if !(filtered[j] >= lo-1e-9 && filtered[j] <= hi+1e-9) {
 					mu.Lock()
 					violations++
 					mu.Unlock()
