@@ -114,10 +114,11 @@ func (c CoordinateMedian) kernel(_ int, weights []float64) kernel {
 // trimmedMeanOf returns the weighted mean Σwv/Σw of col after dropping
 // its m smallest and m largest values (count-based, ties in input
 // order, NaN ranked as +Inf); nil weights weigh every value 1. col is
-// scratch and may be reordered; weights is read-only (the sort path co-sorts a copy in
-// s.wcol). When 2m is small relative to n it selects the m+m extremes
-// in O(n·m) instead of sorting; both paths are exact rank statistics,
-// and the path choice is a pure function of (n, m).
+// scratch and may be reordered; weights is read-only (the sort path
+// co-sorts a copy in s.wcol). When 2m is small relative to n it
+// selects the m+m extremes in O(n·m) instead of sorting; both paths
+// are exact rank statistics, and the path choice is a pure function
+// of (n, m).
 func trimmedMeanOf(col, weights []float64, m int, s *chunkScratch) float64 {
 	nanAsInf(col)
 	n := len(col)

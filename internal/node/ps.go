@@ -1173,9 +1173,10 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	// Aggregate. The rule consumes the payload views directly: a fused
 	// rule never densifies the codec uploads, a rule without a payload
 	// kernel falls back to densify-first inside aggregate.Run
-	// (bit-identical either way). A benign server writes into its round-persistent
-	// buffer (nothing retains its aggregate past the round); a Byzantine
-	// server allocates fresh — its history feeds the adaptive attack.
+	// (bit-identical either way). A benign server writes into its
+	// round-persistent buffer (nothing retains its aggregate past the
+	// round); a Byzantine server allocates fresh — its history feeds the
+	// adaptive attack.
 	var res aggregate.Result
 	if len(entries) == 0 {
 		if p.lastAgg == nil {
