@@ -110,6 +110,7 @@ func TestNodeRejectsBadDeploymentFlags(t *testing.T) {
 		{"fault rate above one", []string{"-fault-drop", "1.5"}, "fault rates"},
 		{"negative fault rate", []string{"-fault-delay", "-0.1"}, "fault rates"},
 		{"quorum above P", []string{"-min-models", "3"}, "-min-models"},
+		{"negative quorum", []string{"-min-models", "-1"}, "-min-models"},
 		{"unknown client attack", []string{"-byzantine-clients", "1", "-client-attack", "nonsense"}, "-client-attack"},
 	}
 	for _, tc := range cases {
@@ -122,6 +123,30 @@ func TestNodeRejectsBadDeploymentFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestNodeRejectsOutOfRangeID: -id must name one of the role's P
+// servers or K clients. The derivation rejects any other id before the
+// node binds its (here occupied) listen address, so a mistyped id never
+// starts a node with another node's seeds.
+func TestNodeRejectsOutOfRangeID(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"server id P", []string{"-role", "ps", "-id", "3"}, "server id 3 is outside [0, P=3)"},
+		{"negative server id", []string{"-role", "ps", "-id", "-1"}, "server id -1 is outside [0, P=3)"},
+		{"client id K", []string{"-role", "client", "-id", "2", "-peers", "a:1,b:2,c:3"}, "client id 2 is outside [0, K=2)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(tc.args, "-servers", "3", "-clients", "2", "-rounds", "1", "-listen", occupied(t))
+			if err := run(args); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%v) = %v, want an error containing %q", args, err, tc.want)
 			}
 		})
 	}

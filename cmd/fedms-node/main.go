@@ -160,6 +160,9 @@ func (o *options) resolve(st *obsState) (core.Config, error) {
 	// Reject an unsatisfiable quorum before any server starts listening:
 	// a client failing this check after the PSs are up would leave them
 	// blocked in Accept with nobody left to connect.
+	if o.minModels < 0 {
+		return cfg, fmt.Errorf("-min-models %d is negative", o.minModels)
+	}
 	if o.minModels > cfg.Servers {
 		return cfg, fmt.Errorf("-min-models %d exceeds -servers %d", o.minModels, cfg.Servers)
 	}
@@ -399,18 +402,16 @@ func runClientRole(o *options, cfg core.Config) error {
 	if len(servers) != cfg.Servers {
 		return fmt.Errorf("-peers lists %d addresses, want P=%d", len(servers), cfg.Servers)
 	}
-	if o.id < 0 || o.id >= cfg.Clients {
-		return fmt.Errorf("-id %d is not a client of K=%d", o.id, cfg.Clients)
+	// The derivation checks -id before any learner is built.
+	cc, err := node.ClientConfigFor(cfg, o.id, nil)
+	if err != nil {
+		return err
 	}
 	learners, err := fedms.BuildLearners(o.spec.Config)
 	if err != nil {
 		return err
 	}
-	cc, err := node.ClientConfigFor(cfg, o.id, learners[o.id])
-	if err != nil {
-		return err
-	}
-	cc.Servers = servers
+	cc.Learner, cc.Servers = learners[o.id], servers
 	o.deployClient(&cc, o.faultInjector())
 	stats, err := runClient(cc)
 	if err != nil {

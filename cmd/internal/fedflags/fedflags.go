@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"strings"
 
 	"fedms"
 	"fedms/internal/aggregate"
@@ -59,7 +60,7 @@ func Bind(fs *flag.FlagSet, defaults fedms.Config) *Binding {
 	fs.Float64Var(&c.TrimBeta, b.Flag("beta", "TrimBeta"), 0, "client filter trim rate (0 = B/P, negative = vanilla mean)")
 	fs.StringVar(&c.FilterRule, b.Flag("filter", "FilterRule", "Filter"), "", "client filter rule spec ("+aggregate.RuleGrammar+"); overrides -beta")
 	fs.StringVar(&c.ServerRule, b.Flag("server-rule", "ServerRule", "ServerFilter"), "", "benign servers' aggregation rule spec (same grammar; empty = mean)")
-	fs.StringVar(&b.attack, b.Flag("attack", "Attack"), "none", "Byzantine server attack: none|noise|random|safeguard|backward|signflip|zero|alie|ipm|codecpoison")
+	fs.StringVar(&b.attack, b.Flag("attack", "Attack"), "none", "Byzantine server attack: "+strings.Join(attack.Names(), "|"))
 	fs.Float64Var(&c.LearningRate, b.Flag("lr", "LearningRate"), 0.1, "constant learning rate")
 	fs.Float64Var(&c.Dataset.Alpha, "alpha", 10, "Dirichlet D_alpha (<=0 for an IID split)")
 	fs.IntVar(&c.Dataset.Samples, "samples", c.Dataset.Samples, "total dataset samples")

@@ -284,7 +284,7 @@ func ByName(name string) (Attack, error) {
 }
 
 // Names lists every name ByName accepts, in registration order — the
-// CLI usage strings and the registry round-trip test consume it.
+// -attack usage string and the registry round-trip test consume it.
 func Names() []string {
 	return []string{
 		"none", "noise", "random", "safeguard", "backward",

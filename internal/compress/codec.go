@@ -67,7 +67,10 @@ var ErrPayload = errors.New("compress: bad payload")
 // Stateless payload decoding (shared by transport, node and engine)
 
 // DecodePayload decodes a tagged payload into a freshly allocated dense
-// vector. The dimension is read from the payload itself.
+// vector. The dimension is read from the payload itself. It is the
+// reference decoder: no runtime path calls it, but the fused payload
+// aggregation tests and the payload fuzz targets compare every view and
+// kernel against it.
 func DecodePayload(enc Encoding, payload []byte) ([]float64, error) {
 	dim, err := PayloadDim(enc, payload)
 	if err != nil {
@@ -81,7 +84,8 @@ func DecodePayload(enc Encoding, payload []byte) ([]float64, error) {
 }
 
 // PayloadDim reports the dense dimension a payload decodes to, without
-// decoding the coordinates.
+// decoding the coordinates: the first half of the DecodePayload
+// reference decoder, which the payload fuzz target also checks alone.
 func PayloadDim(enc Encoding, payload []byte) (int, error) {
 	switch enc {
 	case EncDense:

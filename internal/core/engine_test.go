@@ -20,12 +20,7 @@ import (
 // testFixture builds a small Blobs + logistic-regression federation.
 func testFixture(t *testing.T, k int, seed uint64) ([]Learner, *data.Dataset) {
 	t.Helper()
-	return testFixtureDim(t, k, seed, 16)
-}
-
-// testFixtureDim is testFixture with a custom feature dimension.
-func testFixtureDim(t *testing.T, k int, seed uint64, features int) ([]Learner, *data.Dataset) {
-	t.Helper()
+	const features = 16
 	ds := data.Blobs(data.BlobsConfig{Samples: 1200, Features: features, NumClasses: 4, Seed: seed})
 	train, test := ds.Split(0.8)
 	parts := data.IIDPartition(train.Len(), k, seed)

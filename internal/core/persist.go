@@ -1,43 +1,10 @@
 package core
 
-import (
-	"fmt"
-
-	"fedms/internal/checkpoint"
-)
-
-// Checkpoint bridges: persist/restore a learner's model through the
-// internal/checkpoint format, so trained federations can be saved from
-// the engine or CLI and reloaded into a compatible learner later.
-
-// SaveLearner writes the learner's current model to path with round and
-// seed metadata.
-func SaveLearner(path string, l Learner, round int, seed uint64, meta map[string]string) error {
-	st := &checkpoint.State{
-		Round:  round,
-		Seed:   seed,
-		Meta:   meta,
-		Params: l.Params(),
-	}
-	return checkpoint.SaveFile(path, st)
-}
-
-// LoadLearner reads a checkpoint from path into the learner. The
-// learner's parameter dimension must match the saved model.
-func LoadLearner(path string, l Learner) (*checkpoint.State, error) {
-	st, err := checkpoint.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(st.Params) != l.NumParams() {
-		return nil, fmt.Errorf("core: checkpoint has %d params, learner expects %d", len(st.Params), l.NumParams())
-	}
-	l.SetParams(st.Params)
-	return st, nil
-}
+import "fedms/internal/checkpoint"
 
 // SaveConsensus saves the engine's mean client model — the natural
-// "trained global model" artifact of a finished run.
+// "trained global model" artifact of a finished run — in the
+// internal/checkpoint format, with round and seed metadata.
 func (e *Engine) SaveConsensus(path string, meta map[string]string) error {
 	st := &checkpoint.State{
 		Round:  e.sc.Round(),

@@ -64,17 +64,3 @@ func (b *Batcher) Next() (*tensor.Dense, []int) {
 	}
 	return b.ds.Batch(b.scratch)
 }
-
-// Epoch iterates the whole dataset once in shuffled order, calling fn
-// with each batch (the final batch may be smaller).
-func (b *Batcher) Epoch(fn func(x *tensor.Dense, y []int)) {
-	perm := randx.Perm(b.rng, b.ds.Len())
-	for lo := 0; lo < len(perm); lo += b.batchSize {
-		hi := lo + b.batchSize
-		if hi > len(perm) {
-			hi = len(perm)
-		}
-		x, y := b.ds.Batch(perm[lo:hi])
-		fn(x, y)
-	}
-}

@@ -7,7 +7,6 @@ import (
 
 	"fedms/internal/nn"
 	"fedms/internal/randx"
-	"fedms/internal/tensor"
 )
 
 func TestSynthImageShapeAndBalance(t *testing.T) {
@@ -207,27 +206,6 @@ func TestDirichletAlphaControlsHeterogeneity(t *testing.T) {
 	}
 }
 
-func TestShardPartitionExtremeHeterogeneity(t *testing.T) {
-	ds := Blobs(BlobsConfig{Samples: 2000, Features: 4, Seed: 13})
-	parts := ShardPartition(ds.Y, 10, 2, 14)
-	hist := LabelHistogram(parts, ds.Y, 10)
-	// With 2 shards per client, most clients should see <= 3 classes.
-	for c, row := range hist {
-		classes := 0
-		for _, v := range row {
-			if v > 0 {
-				classes++
-			}
-		}
-		if classes > 4 {
-			t.Fatalf("client %d sees %d classes under shard partition", c, classes)
-		}
-	}
-	if parts.TotalSamples() != 2000 {
-		t.Fatalf("total = %d", parts.TotalSamples())
-	}
-}
-
 func TestLabelHistogramCounts(t *testing.T) {
 	labels := []int{0, 0, 1, 2, 1}
 	parts := Partition{{0, 2}, {1, 3, 4}}
@@ -271,18 +249,6 @@ func TestBatcherClampsBatchSize(t *testing.T) {
 	x, _ := b.Next()
 	if x.Dim(0) != 10 {
 		t.Fatalf("batch size %d", x.Dim(0))
-	}
-}
-
-func TestBatcherEpochCoversDataset(t *testing.T) {
-	ds := Blobs(BlobsConfig{Samples: 50, Features: 4, Seed: 19})
-	b := NewBatcher(ds, 16, randx.New(20))
-	total := 0
-	b.Epoch(func(x *tensor.Dense, y []int) {
-		total += len(y)
-	})
-	if total != 50 {
-		t.Fatalf("epoch visited %d samples", total)
 	}
 }
 

@@ -34,9 +34,6 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return d.X.Dim(0) }
 
-// SampleShape returns the per-sample shape (shape without the leading N).
-func (d *Dataset) SampleShape() []int { return d.X.Shape()[1:] }
-
 // SampleLen returns the flattened per-sample element count.
 func (d *Dataset) SampleLen() int { return d.X.Len() / d.Len() }
 

@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 
 	"fedms/internal/randx"
 )
@@ -120,39 +119,6 @@ func rebalanceEmpty(parts Partition, r *randx.RNG) {
 		parts[c] = append(parts[c], parts[donor][last])
 		parts[donor] = parts[donor][:last]
 	}
-}
-
-// ShardPartition implements the pathological split of McMahan et al.
-// (2017): sort by label, cut into k*shardsPerClient shards, deal
-// shardsPerClient shards to each client. Provided as an extreme
-// heterogeneity baseline.
-func ShardPartition(labels []int, k, shardsPerClient int, seed uint64) Partition {
-	n := len(labels)
-	nShards := k * shardsPerClient
-	if nShards > n {
-		panic("data: ShardPartition has more shards than samples")
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return labels[order[a]] < labels[order[b]] })
-
-	shardSize := n / nShards
-	shardIDs := randx.Perm(randx.Split(seed, "shard-partition"), nShards)
-	parts := make(Partition, k)
-	for c := 0; c < k; c++ {
-		for s := 0; s < shardsPerClient; s++ {
-			id := shardIDs[c*shardsPerClient+s]
-			lo := id * shardSize
-			hi := lo + shardSize
-			if id == nShards-1 {
-				hi = n
-			}
-			parts[c] = append(parts[c], order[lo:hi]...)
-		}
-	}
-	return parts
 }
 
 // LabelHistogram returns the [clients × classes] count matrix of a

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fedms/internal/randx"
-	"fedms/internal/tensor"
-)
+import "fedms/internal/tensor"
 
 // ReLU is the rectified linear activation, optionally clipped at a cap
 // (cap = 6 gives the ReLU6 used throughout MobileNet V2; cap <= 0 means
@@ -106,74 +103,6 @@ func (l *ReLU) Backward(grad *tensor.Dense) *tensor.Dense {
 		} else {
 			d[i] = 0
 		}
-	}
-	l.mask = nil
-	return out
-}
-
-// Dropout zeroes a fraction of activations during training and rescales
-// the survivors (inverted dropout). At evaluation time it is the
-// identity.
-type Dropout struct {
-	name string
-	rate float64
-	rng  *randx.RNG
-
-	mask    []float64 // armed for Backward; nil otherwise
-	maskBuf []float64
-	outB    outCache
-	dxB     outCache
-}
-
-// NewDropout constructs a dropout layer with the given drop rate in
-// [0, 1).
-func NewDropout(name string, rate float64, r *randx.RNG) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic("nn: dropout rate must be in [0,1)")
-	}
-	return &Dropout{name: name, rate: rate, rng: r}
-}
-
-// Name implements Layer.
-func (l *Dropout) Name() string { return l.name }
-
-// Params implements Layer.
-func (l *Dropout) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	if !train || l.rate == 0 {
-		l.mask = nil
-		return x
-	}
-	out := l.outB.like(x)
-	d := out.Data()
-	xd := x.Data()
-	keep := 1 - l.rate
-	l.maskBuf = growF(l.maskBuf, len(d))
-	mask := l.maskBuf
-	for i, v := range xd {
-		if l.rng.Float64() < keep {
-			mask[i] = 1 / keep
-		} else {
-			mask[i] = 0
-		}
-		d[i] = v * mask[i]
-	}
-	l.mask = mask
-	return out
-}
-
-// Backward implements Layer.
-func (l *Dropout) Backward(grad *tensor.Dense) *tensor.Dense {
-	if l.mask == nil {
-		return grad
-	}
-	out := l.dxB.like(grad)
-	d := out.Data()
-	gd := grad.Data()
-	for i, g := range gd {
-		d[i] = g * l.mask[i]
 	}
 	l.mask = nil
 	return out

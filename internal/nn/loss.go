@@ -61,57 +61,3 @@ func (SoftmaxCrossEntropy) Forward(output *tensor.Dense, labels []int) (float64,
 	}
 	return loss, grad
 }
-
-// Softmax returns the softmax probabilities of a [N, classes] logits
-// tensor. Used for inference/metrics, not training.
-func Softmax(logits *tensor.Dense) *tensor.Dense {
-	n, classes := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, classes)
-	for i := 0; i < n; i++ {
-		src, dst := logits.Row(i), out.Row(i)
-		maxv := math.Inf(-1)
-		for _, v := range src {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for j, v := range src {
-			dst[j] = math.Exp(v - maxv)
-			sum += dst[j]
-		}
-		for j := range dst {
-			dst[j] /= sum
-		}
-	}
-	return out
-}
-
-// MSE is the mean squared error against one-hot targets; provided for
-// regression-style experiments and gradient checking.
-type MSE struct{}
-
-// Name implements Loss.
-func (MSE) Name() string { return "mse" }
-
-// Forward implements Loss: loss = mean_i ||out_i - onehot(y_i)||² / 2.
-func (MSE) Forward(output *tensor.Dense, labels []int) (float64, *tensor.Dense) {
-	n, classes := output.Dim(0), output.Dim(1)
-	grad := tensor.New(n, classes)
-	gd := grad.Data()
-	loss := 0.0
-	invN := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		row := output.Row(i)
-		for j, v := range row {
-			target := 0.0
-			if j == labels[i] {
-				target = 1
-			}
-			d := v - target
-			loss += 0.5 * d * d * invN
-			gd[i*classes+j] = d * invN
-		}
-	}
-	return loss, grad
-}

@@ -72,24 +72,6 @@ func (n *Network) EvalBatch(x *tensor.Dense, labels []int) (loss float64, correc
 	return loss, correct
 }
 
-// Predict returns the top-1 class per sample.
-func (n *Network) Predict(x *tensor.Dense) []int {
-	out := n.body.Forward(x, false)
-	classes := out.Dim(1)
-	preds := make([]int, out.Dim(0))
-	for i := range preds {
-		row := out.Row(i)
-		best, arg := row[0], 0
-		for j := 1; j < classes; j++ {
-			if row[j] > best {
-				best, arg = row[j], j
-			}
-		}
-		preds[i] = arg
-	}
-	return preds
-}
-
 // FlatParams returns the network parameters as one flat vector.
 func (n *Network) FlatParams() []float64 { return FlattenParams(n.params) }
 

@@ -116,49 +116,6 @@ func TestSoftmaxCrossEntropyGradFiniteDiff(t *testing.T) {
 	}
 }
 
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	r := randx.New(31)
-	logits := tensor.New(4, 6)
-	logits.FillNormal(r, 0, 3)
-	p := Softmax(logits)
-	for i := 0; i < 4; i++ {
-		s := 0.0
-		for _, v := range p.Row(i) {
-			if v < 0 {
-				t.Fatal("negative probability")
-			}
-			s += v
-		}
-		if math.Abs(s-1) > 1e-12 {
-			t.Fatalf("row %d sums to %v", i, s)
-		}
-	}
-}
-
-func TestSoftmaxNumericalStability(t *testing.T) {
-	logits := tensor.FromSlice([]float64{1000, 1001, 999}, 1, 3)
-	p := Softmax(logits)
-	for _, v := range p.Row(0) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("softmax overflow on large logits")
-		}
-	}
-}
-
-func TestMSELoss(t *testing.T) {
-	out := tensor.FromSlice([]float64{1, 0}, 1, 2)
-	loss, grad := MSE{}.Forward(out, []int{0})
-	if loss != 0 {
-		t.Fatalf("perfect prediction loss = %v", loss)
-	}
-	out2 := tensor.FromSlice([]float64{0, 0}, 1, 2)
-	loss2, _ := MSE{}.Forward(out2, []int{0})
-	if math.Abs(loss2-0.5) > 1e-12 {
-		t.Fatalf("MSE loss = %v, want 0.5", loss2)
-	}
-	_ = grad
-}
-
 func TestSGDPlainStep(t *testing.T) {
 	p := newParam("w", tensor.FromSlice([]float64{1, 2}, 2), true)
 	p.Grad.Data()[0] = 0.5
@@ -216,45 +173,6 @@ func TestSchedules(t *testing.T) {
 	s := InverseDecayLR{Phi: 2, Gamma: 8}
 	if math.Abs(s.LR(0)-0.25) > 1e-12 || math.Abs(s.LR(12)-0.1) > 1e-12 {
 		t.Fatalf("InverseDecayLR wrong: %v %v", s.LR(0), s.LR(12))
-	}
-	sd := StepDecayLR{Base: 1, Factor: 0.1, Every: 10}
-	if sd.LR(9) != 1 || math.Abs(sd.LR(10)-0.1) > 1e-12 || math.Abs(sd.LR(25)-0.01) > 1e-12 {
-		t.Fatalf("StepDecayLR wrong: %v %v %v", sd.LR(9), sd.LR(10), sd.LR(25))
-	}
-}
-
-func TestDropoutEvalIdentity(t *testing.T) {
-	r := randx.New(40)
-	layer := NewDropout("drop", 0.5, r)
-	x := randInput(r, 2, 10)
-	y := layer.Forward(x, false)
-	if !y.AllClose(x, 0) {
-		t.Fatal("dropout must be identity at eval time")
-	}
-}
-
-func TestDropoutTrainScalesSurvivors(t *testing.T) {
-	r := randx.New(41)
-	layer := NewDropout("drop", 0.5, r)
-	x := tensor.Full(1, 1, 10000)
-	y := layer.Forward(x, true)
-	zero, scaled := 0, 0
-	for _, v := range y.Data() {
-		switch {
-		case v == 0:
-			zero++
-		case math.Abs(v-2) < 1e-12:
-			scaled++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	if zero < 4500 || zero > 5500 {
-		t.Fatalf("dropout kept %d of 10000 at rate 0.5", 10000-zero)
-	}
-	// Expectation preserved (inverted dropout).
-	if m := y.Mean(); math.Abs(m-1) > 0.05 {
-		t.Fatalf("dropout mean = %v, want ~1", m)
 	}
 }
 
@@ -366,24 +284,6 @@ func TestMLPOverfitsTinyDataset(t *testing.T) {
 	_, correct := net.EvalBatch(x, labels)
 	if correct < 15 {
 		t.Fatalf("MLP failed to overfit: %d/16 correct", correct)
-	}
-}
-
-func TestPredictMatchesEvalBatch(t *testing.T) {
-	net := NewLogistic(6, 3, 5)
-	r := randx.New(54)
-	x := randInput(r, 10, 6)
-	labels := randLabels(r, 10, 3)
-	preds := net.Predict(x)
-	correct := 0
-	for i, p := range preds {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	_, c2 := net.EvalBatch(x, labels)
-	if correct != c2 {
-		t.Fatalf("Predict count %d != EvalBatch count %d", correct, c2)
 	}
 }
 

@@ -27,22 +27,6 @@ func (s InverseDecayLR) LR(step int) float64 {
 	return s.Phi / (s.Gamma + float64(step))
 }
 
-// StepDecayLR multiplies Base by Factor every Every steps.
-type StepDecayLR struct {
-	Base   float64
-	Factor float64
-	Every  int
-}
-
-// LR implements Schedule.
-func (s StepDecayLR) LR(step int) float64 {
-	lr := s.Base
-	for i := s.Every; i <= step; i += s.Every {
-		lr *= s.Factor
-	}
-	return lr
-}
-
 // SGD is stochastic gradient descent with optional momentum and weight
 // decay. Velocity buffers are keyed per parameter, so one optimizer
 // instance must stay attached to one model.

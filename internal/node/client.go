@@ -359,8 +359,8 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		return nil, fmt.Errorf("node: client %d has no servers", cfg.ID)
 	}
 	p := len(cfg.Servers)
-	if cfg.MinModels > p {
-		return nil, fmt.Errorf("node: client %d MinModels %d exceeds P=%d", cfg.ID, cfg.MinModels, p)
+	if cfg.MinModels < 0 || cfg.MinModels > p {
+		return nil, fmt.Errorf("node: client %d MinModels %d is outside [0, P=%d]", cfg.ID, cfg.MinModels, p)
 	}
 	if cfg.Participation < 0 || cfg.Participation > 1 {
 		return nil, fmt.Errorf("node: client %d Participation must be in [0, 1], got %v", cfg.ID, cfg.Participation)

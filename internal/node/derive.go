@@ -20,10 +20,14 @@ import (
 // MinModels, Redial), ingest limits, Faults, crash and checkpoint
 // hooks, EvalEvery and LatencyScale.
 
-// PSConfigFor returns server id's configuration under cfg.
+// PSConfigFor returns server id's configuration under cfg; id must be
+// one of cfg's P servers.
 func PSConfigFor(cfg core.Config, id int) (PSConfig, error) {
 	if err := distributable(cfg); err != nil {
 		return PSConfig{}, err
+	}
+	if id < 0 || id >= cfg.Servers {
+		return PSConfig{}, fmt.Errorf("node: server id %d is outside [0, P=%d)", id, cfg.Servers)
 	}
 	ps := PSConfig{
 		ID:         id,
@@ -51,10 +55,14 @@ func PSConfigFor(cfg core.Config, id int) (PSConfig, error) {
 }
 
 // ClientConfigFor returns client id's configuration under cfg, training
-// learner. Servers is the caller's to fill.
+// learner; id must be one of cfg's K clients. Servers is the caller's
+// to fill.
 func ClientConfigFor(cfg core.Config, id int, learner core.Learner) (ClientConfig, error) {
 	if err := distributable(cfg); err != nil {
 		return ClientConfig{}, err
+	}
+	if id < 0 || id >= cfg.Clients {
+		return ClientConfig{}, fmt.Errorf("node: client id %d is outside [0, K=%d)", id, cfg.Clients)
 	}
 	cl := ClientConfig{
 		ID:                    id,

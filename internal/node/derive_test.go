@@ -110,6 +110,31 @@ func TestDerivationRejectsRoundRobin(t *testing.T) {
 	}
 }
 
+// TestDerivationRejectsOutOfRangeIDs: a node id outside the
+// federation would silently take another node's role and seeds.
+func TestDerivationRejectsOutOfRangeIDs(t *testing.T) {
+	cfg, err := testSpec(2, 3, 1, aggregate.Mean{}, 1).Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, 3} {
+		if _, err := PSConfigFor(cfg, id); err == nil || !strings.Contains(err.Error(), "server id") {
+			t.Errorf("PSConfigFor(id %d) = %v, want a server-id error", id, err)
+		}
+	}
+	for _, id := range []int{-1, 2} {
+		if _, err := ClientConfigFor(cfg, id, nil); err == nil || !strings.Contains(err.Error(), "client id") {
+			t.Errorf("ClientConfigFor(id %d) = %v, want a client-id error", id, err)
+		}
+	}
+	if _, err := PSConfigFor(cfg, 2); err != nil {
+		t.Errorf("PSConfigFor(last server): %v", err)
+	}
+	if _, err := ClientConfigFor(cfg, 1, nil); err != nil {
+		t.Errorf("ClientConfigFor(last client): %v", err)
+	}
+}
+
 // TestNewLocalScheduledCrashIsNotAnError: a server whose config
 // schedules a crash returns ErrCrashed by design; the run still
 // succeeds and reports the crashed server's rounds.

@@ -150,6 +150,13 @@ func TestClientRejectsBadConfig(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "no servers") {
 		t.Fatalf("expected no-servers error, got %v", err)
 	}
+	// A negative quorum is not the strict protocol; it is an error.
+	if _, err := RunClient(ClientConfig{
+		ID: 0, Learner: learners[0], Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
+		Servers: []string{"127.0.0.1:1"}, Timeout: 100 * time.Millisecond, MinModels: -1,
+	}); err == nil || !strings.Contains(err.Error(), "MinModels -1") {
+		t.Fatalf("expected negative-MinModels error, got %v", err)
+	}
 }
 
 func TestPSFailsWhenClientDisconnects(t *testing.T) {

@@ -63,12 +63,12 @@ const maxBadFrames = 8
 // slow client, and its handshake slot should recycle quickly.
 const DefaultHelloDeadline = 2 * time.Second
 
-// DefaultHandshakePool bounds how many hello handshakes may be pending
-// concurrently when PSConfig.HandshakePool is zero. The pool is the
-// server's only per-unadmitted-connection state: each slot costs one
-// goroutine and one hello-capped read buffer, so the worst-case memory
-// an unauthenticated flood can pin is pool × (stack + bufio buffer).
-const DefaultHandshakePool = 64
+// handshakePool bounds how many hello handshakes may be pending
+// concurrently. The pool is the server's only per-unadmitted-connection
+// state: each slot costs one goroutine and one hello-capped read
+// buffer, so the worst-case memory an unauthenticated flood can pin is
+// pool × (stack + bufio buffer).
+const handshakePool = 64
 
 // DefaultAcceptBurst is the per-source token-bucket size when
 // PSConfig.AcceptRate is set but AcceptBurst is zero: enough for a
@@ -137,14 +137,6 @@ type PSConfig struct {
 	// handshake (default min(DefaultHelloDeadline, Timeout)). It is the
 	// most a slow-loris socket can hold a handshake slot.
 	HelloDeadline time.Duration
-	// HelloMaxBody caps the claimed body length of a not-yet-admitted
-	// connection's frames (default transport.HelloMaxBodyLen). The
-	// prefilter rejects larger claims from the peeked header before any
-	// allocation; admitted connections revert to the protocol maxima.
-	HelloMaxBody int
-	// HandshakePool bounds concurrently pending hello handshakes
-	// (default DefaultHandshakePool).
-	HandshakePool int
 	// AcceptRate, when positive, enables per-source token-bucket accept
 	// rate limiting: each remote host may open at most AcceptRate
 	// connections per second (bucket size AcceptBurst) before its
@@ -337,18 +329,6 @@ func NewPS(cfg PSConfig) (*PS, error) {
 		if cfg.Timeout < cfg.HelloDeadline {
 			cfg.HelloDeadline = cfg.Timeout
 		}
-	}
-	if cfg.HelloMaxBody < 0 {
-		return nil, fmt.Errorf("node: PS %d HelloMaxBody must be non-negative, got %d", cfg.ID, cfg.HelloMaxBody)
-	}
-	if cfg.HelloMaxBody == 0 {
-		cfg.HelloMaxBody = transport.HelloMaxBodyLen
-	}
-	if cfg.HandshakePool < 0 {
-		return nil, fmt.Errorf("node: PS %d HandshakePool must be non-negative, got %d", cfg.ID, cfg.HandshakePool)
-	}
-	if cfg.HandshakePool == 0 {
-		cfg.HandshakePool = DefaultHandshakePool
 	}
 	if cfg.AcceptRate < 0 {
 		return nil, fmt.Errorf("node: PS %d AcceptRate must be non-negative, got %v", cfg.ID, cfg.AcceptRate)
@@ -645,7 +625,7 @@ func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quota
 	if p.cfg.AcceptRate > 0 {
 		limiter = newSourceLimiter(p.cfg.AcceptRate, p.cfg.AcceptBurst)
 	}
-	sem := make(chan struct{}, p.cfg.HandshakePool)
+	sem := make(chan struct{}, handshakePool)
 	for {
 		raw, err := p.ln.Accept()
 		if err != nil {
@@ -701,8 +681,8 @@ func (p *PS) handshake(raw net.Conn) acceptResult {
 	conn.Timeout = p.cfg.HelloDeadline
 	conn.SetKey(p.cfg.Key)
 	conn.SetMetrics(p.tm)
-	conn.SetMaxBodyLen(p.cfg.HelloMaxBody)
-	if err := conn.PrefilterHello(p.cfg.HelloMaxBody); err != nil {
+	conn.SetMaxBodyLen(transport.HelloMaxBodyLen)
+	if err := conn.PrefilterHello(transport.HelloMaxBodyLen); err != nil {
 		return acceptResult{conn: conn, prefiltered: isPrefilterReject(err),
 			err: fmt.Errorf("node: PS %d hello prefilter: %w", p.cfg.ID, err)}
 	}
@@ -1460,6 +1440,3 @@ func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
 }
-
-// ErrAborted reports a node shut down by its peer.
-var ErrAborted = errors.New("node: aborted by peer")

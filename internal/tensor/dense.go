@@ -128,13 +128,6 @@ func (t *Dense) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Dense) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // FillNormal fills t with Gaussian samples.
 func (t *Dense) FillNormal(r *randx.RNG, mean, std float64) {
 	randx.Normal(r, t.data, mean, std)

@@ -75,20 +75,10 @@ func Gemm(c, a, b []float64, m, n, k int) {
 	gemmDispatch(c, a, b, m, n, k, opNN, false, 1)
 }
 
-// GemmAcc computes C += A·B (no zeroing of C).
-func GemmAcc(c, a, b []float64, m, n, k int) {
-	gemmDispatch(c, a, b, m, n, k, opNN, true, 1)
-}
-
 // GemmWorkers is Gemm with the row loop spread over up to workers
 // goroutines. Output is bit-identical to Gemm for any worker count.
 func GemmWorkers(c, a, b []float64, m, n, k, workers int) {
 	gemmDispatch(c, a, b, m, n, k, opNN, false, workers)
-}
-
-// GemmAccWorkers is GemmAcc with worker-parallel rows.
-func GemmAccWorkers(c, a, b []float64, m, n, k, workers int) {
-	gemmDispatch(c, a, b, m, n, k, opNN, true, workers)
 }
 
 // GemmTA computes C = Aᵀ·B where a is stored row-major [k×m] (so the

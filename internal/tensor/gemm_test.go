@@ -98,9 +98,7 @@ func TestGemmBitIdenticalToReference(t *testing.T) {
 	}
 	variants := []variant{
 		{"Gemm", opNN, false, func(c, a, b []float64, m, n, k, _ int) { Gemm(c, a, b, m, n, k) }},
-		{"GemmAcc", opNN, true, func(c, a, b []float64, m, n, k, _ int) { GemmAcc(c, a, b, m, n, k) }},
 		{"GemmWorkers", opNN, false, GemmWorkers},
-		{"GemmAccWorkers", opNN, true, GemmAccWorkers},
 		{"GemmTA", opTA, false, GemmTA},
 		{"GemmTAAcc", opTA, true, GemmTAAcc},
 		{"GemmTB", opTB, false, GemmTB},
@@ -201,8 +199,8 @@ func TestGemmTransposedVariantsMatchExplicitTranspose(t *testing.T) {
 	requireBitIdentical(t, got, want, "GemmTB vs explicit transpose")
 }
 
-// TestGemmZeroK preserves the k=0 edge semantics: Gemm zeroes C, the Acc
-// variants leave it untouched.
+// TestGemmZeroK preserves the k=0 edge semantics: Gemm zeroes C, the
+// accumulating variants leave it untouched.
 func TestGemmZeroK(t *testing.T) {
 	c := []float64{1, 2, 3, 4}
 	Gemm(c, nil, nil, 2, 2, 0)
@@ -212,9 +210,9 @@ func TestGemmZeroK(t *testing.T) {
 		}
 	}
 	c = []float64{1, 2, 3, 4}
-	GemmAcc(c, nil, nil, 2, 2, 0)
+	GemmTAAcc(c, nil, nil, 2, 2, 0, 1)
 	if c[0] != 1 || c[3] != 4 {
-		t.Fatalf("GemmAcc k=0 should leave c untouched, got %v", c)
+		t.Fatalf("GemmTAAcc k=0 should leave c untouched, got %v", c)
 	}
 }
 

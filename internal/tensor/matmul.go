@@ -18,16 +18,6 @@ func MatMul(a, b *Dense) *Dense {
 	return out
 }
 
-// MatMulInto computes out = a·b where out has shape [m, n].
-func MatMulInto(out, a, b *Dense) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
-		panic("tensor: MatMulInto shape mismatch")
-	}
-	Gemm(out.data, a.data, b.data, m, n, k)
-}
-
 // Transpose returns a new tensor with the transpose of a rank-2 tensor.
 func Transpose(a *Dense) *Dense {
 	if a.Rank() != 2 {

@@ -58,19 +58,6 @@ func TestMatMulDimMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 2))
 }
 
-func TestGemmAcc(t *testing.T) {
-	c := []float64{1, 1, 1, 1}
-	a := []float64{1, 0, 0, 1}
-	b := []float64{2, 3, 4, 5}
-	GemmAcc(c, a, b, 2, 2, 2)
-	want := []float64{3, 4, 5, 6}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("GemmAcc = %v, want %v", c, want)
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	at := Transpose(a)

@@ -23,15 +23,6 @@ func (t *Dense) Sub(o *Dense) *Dense {
 	return t
 }
 
-// Mul computes t *= o element-wise (Hadamard product).
-func (t *Dense) Mul(o *Dense) *Dense {
-	checkSameVolume(t, o, "Mul")
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
 // Scale computes t *= a.
 func (t *Dense) Scale(a float64) *Dense {
 	for i := range t.data {
@@ -48,40 +39,12 @@ func (t *Dense) AddScalar(a float64) *Dense {
 	return t
 }
 
-// Axpy computes t += a*o element-wise.
-func (t *Dense) Axpy(a float64, o *Dense) *Dense {
-	checkSameVolume(t, o, "Axpy")
-	for i, v := range o.data {
-		t.data[i] += a * v
-	}
-	return t
-}
-
 // Apply replaces each element x with f(x).
 func (t *Dense) Apply(f func(float64) float64) *Dense {
 	for i, v := range t.data {
 		t.data[i] = f(v)
 	}
 	return t
-}
-
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Dense) Dot(o *Dense) float64 {
-	checkSameVolume(t, o, "Dot")
-	s := 0.0
-	for i, v := range t.data {
-		s += v * o.data[i]
-	}
-	return s
-}
-
-// Norm2 returns the L2 norm of t viewed as a flat vector.
-func (t *Dense) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Sum returns the sum of all elements.
@@ -105,17 +68,6 @@ func (t *Dense) Max() float64 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the flat index of the maximum element (first occurrence).
-func (t *Dense) ArgMax() int {
-	best, arg := math.Inf(-1), 0
-	for i, v := range t.data {
-		if v > best {
-			best, arg = v, i
-		}
-	}
-	return arg
 }
 
 func checkSameVolume(a, b *Dense, op string) {

@@ -26,8 +26,6 @@ type FaultKind uint8
 const (
 	// FaultNone delivers the frame untouched.
 	FaultNone FaultKind = iota
-	// FaultPartition blackholes the frame (link administratively cut).
-	FaultPartition
 	// FaultDrop silently discards the frame; the peer sees a timeout.
 	FaultDrop
 	// FaultTruncate writes only a prefix of the frame. This desyncs the
@@ -50,8 +48,6 @@ func (k FaultKind) String() string {
 	switch k {
 	case FaultNone:
 		return "pass"
-	case FaultPartition:
-		return "part"
 	case FaultDrop:
 		return "drop"
 	case FaultTruncate:
@@ -159,12 +155,6 @@ func (fi *FaultInjector) Link(label string) *FaultLink {
 	return l
 }
 
-// Partition blackholes the labelled link until Heal is called.
-func (fi *FaultInjector) Partition(label string) { fi.Link(label).Partition() }
-
-// Heal restores the labelled link.
-func (fi *FaultInjector) Heal(label string) { fi.Link(label).Heal() }
-
 // Trace snapshots every link's event history, keyed by label. Two runs
 // with the same seed, config and frame sequence produce byte-identical
 // traces.
@@ -185,28 +175,13 @@ type FaultLink struct {
 	label string
 	cfg   FaultConfig
 
-	mu          sync.Mutex
-	rng         *randx.RNG
-	partitioned bool
-	trace       []string
+	mu    sync.Mutex
+	rng   *randx.RNG
+	trace []string
 }
 
 // Label returns the link's label.
 func (l *FaultLink) Label() string { return l.label }
-
-// Partition blackholes the link until Heal.
-func (l *FaultLink) Partition() {
-	l.mu.Lock()
-	l.partitioned = true
-	l.mu.Unlock()
-}
-
-// Heal restores a partitioned link.
-func (l *FaultLink) Heal() {
-	l.mu.Lock()
-	l.partitioned = false
-	l.mu.Unlock()
-}
 
 // Trace returns a copy of the link's event history.
 func (l *FaultLink) Trace() []string {
@@ -231,9 +206,6 @@ func (l *FaultLink) Next(frameLen int) FaultEvent {
 // RNG draws, so disabling a fault kind never perturbs the others'
 // schedule.
 func (l *FaultLink) draw(frameLen int) FaultEvent {
-	if l.partitioned {
-		return FaultEvent{Kind: FaultPartition}
-	}
 	if l.cfg.Drop > 0 && l.rng.Float64() < l.cfg.Drop {
 		return FaultEvent{Kind: FaultDrop}
 	}
@@ -277,7 +249,7 @@ func (l *FaultLink) draw(frameLen int) FaultEvent {
 func (l *FaultLink) Mutate(frame []byte) ([]byte, FaultEvent) {
 	ev := l.Next(len(frame))
 	switch ev.Kind {
-	case FaultDrop, FaultPartition:
+	case FaultDrop:
 		return nil, ev
 	case FaultTruncate:
 		return append([]byte(nil), frame[:ev.Offset]...), ev
@@ -306,19 +278,12 @@ type faultConn struct {
 	link *FaultLink
 }
 
-// WrapConn wraps c so that every frame written through it draws one
-// event from the labelled link's schedule.
-func (fi *FaultInjector) WrapConn(label string, c net.Conn) net.Conn {
-	return &faultConn{Conn: c, link: fi.Link(label)}
-}
-
-// Write applies one fault event to the frame. Dropped and partitioned
-// frames report success — the sender cannot tell, exactly like a lossy
-// network.
+// Write applies one fault event to the frame. Dropped frames report
+// success — the sender cannot tell, exactly like a lossy network.
 func (f *faultConn) Write(p []byte) (int, error) {
 	ev := f.link.Next(len(p))
 	switch ev.Kind {
-	case FaultDrop, FaultPartition:
+	case FaultDrop:
 		return len(p), nil
 	case FaultTruncate:
 		if ev.Offset > 0 {

@@ -272,39 +272,10 @@ func TestDuplicateFrameDelivered(t *testing.T) {
 	}
 }
 
-// TestPartitionBlackholes checks Partition/Heal.
-func TestPartitionBlackholes(t *testing.T) {
-	a, b := pipePair(t)
-	b.Timeout = 100 * time.Millisecond
-	fi := NewFaultInjector(FaultConfig{Seed: 5, Drop: 0}) // no random faults
-	a.SetFaults(fi.Link("a->b"))
-
-	fi.Partition("a->b")
-	if err := a.Send(&Message{Type: TypeUpload, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); err == nil {
-		t.Fatal("recv through partition succeeded")
-	}
-
-	fi.Heal("a->b")
-	b.Timeout = 2 * time.Second
-	if err := a.Send(&Message{Type: TypeUpload, Round: 2}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := b.Recv()
-	if err != nil || m.Round != 2 {
-		t.Fatalf("recv after heal: m=%+v err=%v", m, err)
-	}
-	want := []string{"part", "pass"}
-	if got := fi.Link("a->b").Trace(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("trace = %v, want %v", got, want)
-	}
-}
-
-// TestWrapConnLabelsShareSchedule checks that WrapConn and SetFaults
-// hit the same per-label stream.
-func TestWrapConnLabelsShareSchedule(t *testing.T) {
+// TestFaultLinkLabelsShareSchedule checks that one label names one
+// link, so every connection faulted under that label draws from the
+// same stream.
+func TestFaultLinkLabelsShareSchedule(t *testing.T) {
 	fi := NewFaultInjector(chaosConfig(13))
 	l1 := fi.Link("x")
 	l2 := fi.Link("x")
@@ -318,7 +289,7 @@ func TestWrapConnLabelsShareSchedule(t *testing.T) {
 
 func TestFaultKindStrings(t *testing.T) {
 	for k, want := range map[FaultKind]string{
-		FaultNone: "pass", FaultPartition: "part", FaultDrop: "drop",
+		FaultNone: "pass", FaultDrop: "drop",
 		FaultTruncate: "trunc", FaultCorrupt: "corrupt",
 		FaultDuplicate: "dup", FaultDelay: "delay",
 	} {

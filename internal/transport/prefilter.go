@@ -15,8 +15,9 @@ import (
 // This is the udpx-style "basic packet filter" ported to our stream
 // transport (ROADMAP item 2).
 
-// HelloMaxBodyLen is the default body cap (text + model + checksum
-// bytes) for not-yet-admitted connections. Hellos are tiny by
+// HelloMaxBodyLen is the body cap (text + model + checksum bytes) a
+// parameter server applies to not-yet-admitted connections; admitted
+// connections revert to the protocol maxima. Hellos are tiny by
 // contract — a codec advertisement and a connect token in Text, no
 // model — so 4 KiB leaves generous headroom while keeping the worst
 // pre-auth allocation five orders of magnitude under MaxPayloadLen.
