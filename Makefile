@@ -17,8 +17,9 @@ test:
 # parallel kernels underpin every training result, so their races should
 # fail fast and by name before the full suite runs. The observability
 # contract follows for the same reason: metrics, tracing and logging
-# must never perturb a seeded run, so its violations should also fail
-# by name. The payload-aggregation differential tier (fused kernels vs
+# must never perturb a seeded run, and a run's trace, PSStats and
+# exported counters must reconcile exactly (TestObsReconcile), so
+# violations of either should also fail by name. The payload-aggregation differential tier (fused kernels vs
 # decode-then-aggregate, bit for bit, across codecs × rules × workers ×
 # degraded quorums) runs third: the fused path feeds every aggregate,
 # so its divergences should likewise fail by name under the race
@@ -58,7 +59,7 @@ test:
 # final full-suite stage skips the union of the named race stages'
 # patterns, so every test runs under -race exactly once.
 RACE_GEMM    = Gemm
-RACE_OBS     = TestObsDeterminism
+RACE_OBS     = TestObsDeterminism|TestObsReconcile
 RACE_PAYLOAD = TestPayloadAggregation|FuzzCoordinateKernels
 RACE_LOSS    = TestLossRule|TestKrumFamilyPartialParticipation
 RACE_LOSSD   = TestDistributedMatchesEngineLoss

@@ -184,9 +184,9 @@ type Config struct {
 	// aggregates; error feedback is rejected (a broadcast has no
 	// per-stream residual).
 	DownlinkCodec compress.Spec
-	// Logger, when non-nil, receives one structured record per round
-	// (round index, losses, accuracy, communication, spread) — wire it
-	// to log/slog for production observability.
+	// Logger, when non-nil, receives one "fedms round" record per round,
+	// derived from the round's trace event (obs.Publish): node, round
+	// and the same fields TraceSink receives.
 	Logger *slog.Logger
 	// Obs, when non-nil, registers the engine's runtime metrics
 	// (fedms_engine_rounds_total and the per-stage

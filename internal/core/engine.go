@@ -123,8 +123,9 @@ type Engine struct {
 	encs []compress.Encoding
 
 	// om mirrors round progress into the configured registry; obsOn
-	// gates the extra per-stage clock reads so a fully disabled engine
-	// keeps the exact pre-observability timing profile.
+	// (any of Obs, TraceSink, Logger) gates the extra per-stage clock
+	// reads so a fully disabled engine keeps the exact
+	// pre-observability timing profile.
 	om    *engineMetrics
 	obsOn bool
 }
@@ -223,7 +224,7 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 		spill:    spillBuf,
 		encs:     encs,
 		om:       newEngineMetrics(cfg.Obs, cfg.ServerFilter.Name()),
-		obsOn:    cfg.Obs != nil || cfg.TraceSink != nil,
+		obsOn:    cfg.Obs != nil || cfg.TraceSink != nil || cfg.Logger != nil,
 	}, nil
 }
 
@@ -498,9 +499,7 @@ func (e *Engine) RunRound() RoundStats {
 		e.om.aggFused.Add(int64(aggFusedN))
 		e.om.aggFallback.Add(int64(aggFallbackN))
 		e.om.aggSharded.Add(int64(aggShardedN))
-		if shardPeak > e.om.shardPeakBytes.Value() {
-			e.om.shardPeakBytes.Set(shardPeak)
-		}
+		e.om.shardPeakBytes.SetMax(shardPeak)
 		e.om.aggDecodeBytes.Add(int64(st.UploadBytes))
 		e.om.oracleServer.Add(int64(oracleServerN))
 		if e.cfg.Async {
@@ -525,7 +524,7 @@ func (e *Engine) RunRound() RoundStats {
 		e.om.filter.ObserveDuration(tFilter)
 		e.om.eval.ObserveDuration(tEval)
 	}
-	if e.cfg.TraceSink != nil {
+	if e.cfg.TraceSink != nil || e.cfg.Logger != nil {
 		evaluated := 0.0
 		if st.Evaluated {
 			evaluated = 1
@@ -552,20 +551,8 @@ func (e *Engine) RunRound() RoundStats {
 			fields["test_loss"] = st.TestLoss
 			fields["test_acc"] = st.TestAcc
 		}
-		e.cfg.TraceSink.Emit(obs.Event{Round: t, Node: "engine", Name: "engine_round", Fields: fields})
-	}
-	if e.cfg.Logger != nil {
-		attrs := []any{
-			"round", st.Round,
-			"train_loss", st.TrainLoss,
-			"upload_floats", st.UploadFloats,
-			"model_spread", st.ModelSpread,
-			"elapsed", st.Elapsed,
-		}
-		if st.Evaluated {
-			attrs = append(attrs, "test_loss", st.TestLoss, "test_acc", st.TestAcc)
-		}
-		e.cfg.Logger.Info("fedms round", attrs...)
+		obs.Publish(e.cfg.TraceSink, e.cfg.Logger, "fedms round",
+			obs.Event{Round: t, Node: "engine", Name: "engine_round", Fields: fields})
 	}
 	e.sc.Advance()
 	return st

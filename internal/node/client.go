@@ -130,8 +130,9 @@ type ClientConfig struct {
 	// deadline the federation runs under.
 	LatencyScale time.Duration
 
-	// Logger, when non-nil, records one structured line per round (the
-	// engine's slog pattern adopted by the distributed runtime).
+	// Logger, when non-nil, records one "client round" line per round,
+	// derived from the round's trace event (obs.Publish): the same keys
+	// TraceSink receives.
 	Logger *slog.Logger
 	// Obs, when non-nil, registers this client's runtime counters and
 	// the transport counters of its connections (fedms_client_* and
@@ -734,10 +735,9 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		} else {
 			cm.filterFallback.Inc()
 		}
-		cm.filterDecodeBytes.Add(int64(st.DownloadBytes))
 		cm.oracleEvals.Add(int64(oracleEvals))
 		cm.recvWait.ObserveDuration(recvWait)
-		if cfg.TraceSink != nil {
+		if cfg.TraceSink != nil || cfg.Logger != nil {
 			degraded := 0.0
 			if st.Degraded {
 				degraded = 1
@@ -756,28 +756,8 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 				fields["dropped_uploads"] = float64(st.DroppedUploads)
 				fields["backlog_depth"] = float64(st.BacklogDepth)
 			}
-			cfg.TraceSink.Emit(obs.Event{
-				Round:  round,
-				Node:   nodeName,
-				Name:   "client_round",
-				Fields: fields,
-			})
-		}
-		if cfg.Logger != nil {
-			attrs := []any{
-				"client", cfg.ID, "round", round,
-				"models", got, "degraded", st.Degraded, "uploaded_to", st.UploadedTo,
-				"train_loss", st.TrainLoss,
-				"upload_bytes", st.UploadBytes, "download_bytes", st.DownloadBytes,
-				"recv_wait_ms", recvWait.Seconds() * 1e3,
-			}
-			if cfg.Async {
-				attrs = append(attrs,
-					"stale_uploads", st.StaleUploads,
-					"dropped_uploads", st.DroppedUploads,
-					"backlog_depth", st.BacklogDepth)
-			}
-			cfg.Logger.Info("client round", attrs...)
+			obs.Publish(cfg.TraceSink, cfg.Logger, "client round",
+				obs.Event{Round: round, Node: nodeName, Name: "client_round", Fields: fields})
 		}
 	}
 	return stats, nil

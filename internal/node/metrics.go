@@ -6,11 +6,10 @@ import (
 	"fedms/internal/obs"
 )
 
-// psMetrics mirrors PSStats into a live obs.Registry, adding the
-// barrier-wait distribution that lifetime counters cannot express.
-// The constructor always returns a usable value: with a nil registry
-// every collector is nil and every update is a no-op branch, so call
-// sites never guard.
+// psMetrics holds a parameter server's collectors. They are the one
+// place the server counts anything: PS.Stats reads PSStats back from
+// them, and the registry exports the same values, plus the barrier-
+// wait distribution that lifetime counters cannot express.
 type psMetrics struct {
 	rounds         *obs.Counter
 	uploadsRecv    *obs.Counter
@@ -37,7 +36,8 @@ type psMetrics struct {
 	// Async lifecycle collectors (untouched in sync mode): window-close
 	// counters split by admission outcome, the window-expiry count, the
 	// per-admitted-upload staleness distribution, and the deferred-
-	// upload spill buffer's depth and byte footprint.
+	// upload spill buffer's depth, byte footprint and disk high-water
+	// mark.
 	winFresh      *obs.Counter
 	winStale      *obs.Counter
 	winDropped    *obs.Counter
@@ -46,13 +46,20 @@ type psMetrics struct {
 	staleHist     *obs.Histogram
 	spillDepth    *obs.Gauge
 	spillBytes    *obs.Gauge
+	spillPeak     *obs.Gauge
 }
 
-// newPSMetrics takes the aggregation rule's name so the decode-bytes
-// counter carries a per-rule label: aggregate decode volume is a
-// property of the (server, rule) pair, and dashboards comparing fused
-// rules against densify-first fallbacks need the split.
+// newPSMetrics registers the collectors on reg, or on a private
+// registry when reg is nil, so they are always live: without them the
+// server would have nothing to report its stats from. It takes the
+// aggregation rule's name so the decode-bytes counter carries a
+// per-rule label: aggregate decode volume is a property of the
+// (server, rule) pair, and dashboards comparing fused rules against
+// densify-first fallbacks need the split.
 func newPSMetrics(reg *obs.Registry, id int, rule string) *psMetrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	l := `{ps="` + strconv.Itoa(id) + `"}`
 	c := func(name string) *obs.Counter { return reg.Counter("fedms_ps_" + name + "_total" + l) }
 	return &psMetrics{
@@ -92,25 +99,25 @@ func newPSMetrics(reg *obs.Registry, id int, rule string) *psMetrics {
 		staleHist:     reg.Histogram("fedms_ps_upload_staleness_rounds"+l, []float64{0, 1, 2, 3, 5, 8, 13}),
 		spillDepth:    reg.Gauge("fedms_ps_spill_depth" + l),
 		spillBytes:    reg.Gauge("fedms_ps_spill_bytes" + l),
+		spillPeak:     reg.Gauge("fedms_ps_spill_peak_bytes" + l),
 	}
 }
 
 // clientMetrics is the client-side counterpart of psMetrics.
 type clientMetrics struct {
-	rounds            *obs.Counter
-	degraded          *obs.Counter
-	modelsRecv        *obs.Counter
-	modelsMissed      *obs.Counter
-	redialAttempts    *obs.Counter
-	redialsOK         *obs.Counter
-	uploadBytes       *obs.Counter
-	downloadBytes     *obs.Counter
-	framesSkipped     *obs.Counter
-	filterFused       *obs.Counter
-	filterFallback    *obs.Counter
-	filterDecodeBytes *obs.Counter
-	oracleEvals       *obs.Counter
-	recvWait          *obs.Histogram
+	rounds         *obs.Counter
+	degraded       *obs.Counter
+	modelsRecv     *obs.Counter
+	modelsMissed   *obs.Counter
+	redialAttempts *obs.Counter
+	redialsOK      *obs.Counter
+	uploadBytes    *obs.Counter
+	downloadBytes  *obs.Counter
+	framesSkipped  *obs.Counter
+	filterFused    *obs.Counter
+	filterFallback *obs.Counter
+	oracleEvals    *obs.Counter
+	recvWait       *obs.Histogram
 	// Async lifecycle collectors (untouched in sync mode): stale-tagged
 	// backlog sends, due backlog models abandoned because every target
 	// server died, and the local backlog depth after each round's sends.
@@ -119,9 +126,10 @@ type clientMetrics struct {
 	backlogDepth   *obs.Gauge
 }
 
-// newClientMetrics takes the client filter rule's name for the same
-// reason newPSMetrics takes the server rule's: the decode-bytes
-// counter is labelled per rule.
+// newClientMetrics takes the client filter rule's name to label the
+// oracle-eval counter per rule, as newPSMetrics does. A nil registry
+// hands out nil collectors: a client's per-round stats are its own
+// record, so it needs no private registry.
 func newClientMetrics(reg *obs.Registry, id int, rule string) *clientMetrics {
 	l := `{client="` + strconv.Itoa(id) + `"}`
 	c := func(name string) *obs.Counter { return reg.Counter("fedms_client_" + name + "_total" + l) }
@@ -137,8 +145,6 @@ func newClientMetrics(reg *obs.Registry, id int, rule string) *clientMetrics {
 		framesSkipped:  c("frames_skipped"),
 		filterFused:    c("filter_fused"),
 		filterFallback: c("filter_fallback"),
-		filterDecodeBytes: reg.Counter(
-			`fedms_client_filter_decode_bytes_total{client="` + strconv.Itoa(id) + `",rule="` + rule + `"}`),
 		oracleEvals: reg.Counter(
 			`fedms_client_oracle_evals_total{client="` + strconv.Itoa(id) + `",rule="` + rule + `"}`),
 		recvWait:       reg.Histogram("fedms_client_recv_wait_seconds"+l, nil),

@@ -195,14 +195,16 @@ type PSConfig struct {
 	// CheckpointPath + ".spill".
 	CheckpointPath string
 
-	// Logger, when non-nil, records one structured line per round (the
-	// engine's slog pattern adopted by the distributed runtime).
+	// Logger, when non-nil, records one "ps round" line per round,
+	// derived from the round's trace event (obs.Publish): the same keys
+	// TraceSink receives.
 	Logger *slog.Logger
 	// Obs, when non-nil, registers this server's runtime counters and
 	// the transport counters of its connections (fedms_ps_* and
-	// fedms_transport_*, labelled by node). Observation never perturbs
-	// the protocol: seeded runs are bit-identical with or without it
-	// (see TestObsDeterminism*).
+	// fedms_transport_*, labelled by node). When nil the server counts
+	// on a private registry, which Stats still reads. Observation never
+	// perturbs the protocol: seeded runs are bit-identical with or
+	// without it (see TestObsDeterminism*).
 	Obs *obs.Registry
 	// TraceSink, when non-nil, receives one obs.Event per served round
 	// ("ps_round") with the round's barrier outcome and wire totals.
@@ -230,7 +232,6 @@ type PS struct {
 	// path copies), so the rules write in place instead of allocating d
 	// floats per round.
 	aggBuf []float64
-	stats  PSStats
 	// v2ok[id] records whether client id's hello advertised v2 codec
 	// frames; only those clients may receive an encoded downlink.
 	v2ok []bool
@@ -238,15 +239,21 @@ type PS struct {
 	// a sync barrier (see recvRound); it never outlives its connection.
 	parked []*transport.Message
 
-	om *psMetrics         // registry mirror of stats (no-op when Obs is nil)
+	// om is where this server counts: Stats reads every PSStats field
+	// from it. It lives on cfg.Obs, or on a private registry when Obs is
+	// nil, so the counts exist whether or not anyone exports them.
+	om *psMetrics
 	tm *transport.Metrics // wire counters shared by this server's conns
 	// obsOn gates the wall-clock measurements (barrier wait) that feed
 	// histograms and traces; with everything disabled not even
-	// time.Now is called on the protocol path.
+	// time.Now is called on the protocol path. It is set from the
+	// config, never from om, whose registry always exists.
 	obsOn bool
 }
 
-// PSStats reports a server's lifetime counters.
+// PSStats reports a server's lifetime counters. It is a view of the
+// server's collectors, not a second tally: each field reads one
+// exported counter or gauge (see PS.Stats).
 type PSStats struct {
 	// RoundsServed counts completed aggregation/dissemination rounds.
 	RoundsServed int
@@ -302,7 +309,7 @@ type PSStats struct {
 	UploadsDeferred int
 	WindowExpired   int
 	// SpillPeakBytes is the high-water byte size of the spill buffer's
-	// disk segment.
+	// disk segment (gauge fedms_ps_spill_peak_bytes).
 	SpillPeakBytes int64
 }
 
@@ -472,11 +479,35 @@ func (p *PS) isCrashed() bool {
 	return p.crashed
 }
 
-// Stats returns a snapshot of the server's lifetime counters.
+// Stats reads the server's lifetime counters from its collectors. The
+// result is exact once Serve has returned. Mid-round each field is
+// exact on its own, but the fields are not read as one snapshot, so
+// two of them may straddle a round. A registry shared by two
+// incarnations of one ps id (a restart reusing cfg.Obs) makes the
+// stats cumulative across both, as /metrics is.
 func (p *PS) Stats() PSStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	m := p.om
+	n := func(c *obs.Counter) int { return int(c.Value()) }
+	return PSStats{
+		RoundsServed:    n(m.rounds),
+		UploadsReceived: n(m.uploadsRecv),
+		UploadsMissed:   n(m.uploadsMissed),
+		ClientsLost:     n(m.clientsLost),
+		BadAccepts:      n(m.badAccepts),
+		PrefilterDrops:  n(m.prefilterDrops),
+		TokenRejects:    n(m.tokenRejects),
+		RateLimited:     n(m.rateLimited),
+		FloatsIn:        n(m.floatsIn),
+		FloatsOut:       n(m.floatsOut),
+		ShardPeakBytes:  m.shardPeakBytes.Value(),
+		BytesIn:         n(m.bytesIn),
+		BytesOut:        n(m.bytesOut),
+		UploadsStale:    n(m.winStale),
+		UploadsDropped:  n(m.winDropped),
+		UploadsDeferred: n(m.winDeferred),
+		WindowExpired:   n(m.windowExpired),
+		SpillPeakBytes:  m.spillPeak.Value(),
+	}
 }
 
 // Serve runs the full protocol: accept K clients, serve rounds
@@ -641,9 +672,6 @@ func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quota
 		}
 		if limiter != nil && !limiter.allow(remoteHost(raw), time.Now()) {
 			_ = raw.Close()
-			p.mu.Lock()
-			p.stats.RateLimited++
-			p.mu.Unlock()
 			p.om.rateLimited.Inc()
 			continue
 		}
@@ -653,11 +681,13 @@ func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quota
 			_ = raw.Close()
 			return
 		}
-		p.om.handshakePool.Set(int64(len(sem)))
+		// ±1 per slot, never a stored len(sem): two releases may read
+		// len and store in either order, leaving a stale depth.
+		p.om.handshakePool.Add(1)
 		go func() {
 			defer func() {
 				<-sem
-				p.om.handshakePool.Set(int64(len(sem)))
+				p.om.handshakePool.Add(-1)
 			}()
 			r := p.handshake(raw)
 			select {
@@ -743,16 +773,6 @@ func (p *PS) badAccept(r acceptResult) error {
 	if !p.cfg.Tolerant {
 		return r.err
 	}
-	p.mu.Lock()
-	p.stats.BadAccepts++
-	if r.prefiltered {
-		p.stats.PrefilterDrops++
-	}
-	if r.tokenReject {
-		p.stats.TokenRejects++
-	}
-	count := p.stats.BadAccepts
-	p.mu.Unlock()
 	p.om.badAccepts.Inc()
 	if r.prefiltered {
 		p.om.prefilterDrops.Inc()
@@ -761,7 +781,7 @@ func (p *PS) badAccept(r acceptResult) error {
 		p.om.tokenRejects.Inc()
 	}
 	if p.cfg.Logger != nil {
-		p.cfg.Logger.Warn("ps bad accept", "ps", p.cfg.ID, "count", count, "err", r.err)
+		p.cfg.Logger.Warn("ps bad accept", "ps", p.cfg.ID, "count", p.om.badAccepts.Value(), "err", r.err)
 	}
 	return nil
 }
@@ -1179,20 +1199,6 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 
 	p.mu.Lock()
 	p.lastAgg = agg
-	p.stats.RoundsServed++
-	p.stats.UploadsReceived += t.members
-	p.stats.UploadsMissed += t.missed
-	p.stats.UploadsStale += t.stale
-	p.stats.UploadsDropped += t.dropped
-	p.stats.UploadsDeferred += t.deferred
-	p.stats.WindowExpired += t.expired
-	p.stats.ClientsLost += t.lost
-	p.stats.BytesIn += t.bytesIn
-	p.stats.FloatsIn += floatsIn
-	if res.PeakBytes > p.stats.ShardPeakBytes {
-		p.stats.ShardPeakBytes = res.PeakBytes
-	}
-	shardPeak := p.stats.ShardPeakBytes
 	p.mu.Unlock()
 	p.om.rounds.Inc()
 	p.om.uploadsRecv.Add(int64(t.members))
@@ -1204,7 +1210,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		switch {
 		case res.Sharded:
 			p.om.aggSharded.Inc()
-			p.om.shardPeakBytes.Set(shardPeak)
+			p.om.shardPeakBytes.SetMax(res.PeakBytes)
 		case res.Fused:
 			p.om.aggFused.Inc()
 		default:
@@ -1220,10 +1226,8 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		p.om.winDropped.Add(int64(t.dropped))
 		p.om.winDeferred.Add(int64(t.deferred))
 		p.om.windowExpired.Add(int64(t.expired))
-		if p.cfg.Obs != nil {
-			for _, e := range entries {
-				p.om.staleHist.Observe(float64(e.Stale))
-			}
+		for _, e := range entries {
+			p.om.staleHist.Observe(float64(e.Stale))
 		}
 		p.om.spillDepth.Set(int64(p.spill.Len()))
 		p.om.spillBytes.Set(p.spill.MemBytes() + p.spill.DiskBytes())
@@ -1249,11 +1253,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	if p.spill != nil {
 		// Read after the flush: pushing the in-memory backlog to disk
 		// can move the segment high-water mark.
-		p.mu.Lock()
-		if pd := p.spill.PeakDiskBytes(); pd > p.stats.SpillPeakBytes {
-			p.stats.SpillPeakBytes = pd
-		}
-		p.mu.Unlock()
+		p.om.spillPeak.SetMax(p.spill.PeakDiskBytes())
 	}
 
 	return p.disseminate(round, agg, conns, t)
@@ -1361,10 +1361,6 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 		bytesOut += r.msg.ModelWireBytes()
 		floatsOut += r.msg.ModelWireFloats()
 	}
-	p.mu.Lock()
-	p.stats.FloatsOut += floatsOut
-	p.stats.BytesOut += bytesOut
-	p.mu.Unlock()
 	p.om.bytesOut.Add(int64(bytesOut))
 	p.om.floatsOut.Add(int64(floatsOut))
 	p.om.sendsFailed.Add(int64(len(sendErrs)))
@@ -1384,14 +1380,11 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 			_ = conns[e.client].Close()
 			conns[e.client] = nil
 			sendLost++
-			p.mu.Lock()
-			p.stats.ClientsLost++
-			p.mu.Unlock()
 			p.om.clientsLost.Inc()
 		}
 	}
 
-	if p.cfg.TraceSink != nil {
+	if p.cfg.TraceSink != nil || p.cfg.Logger != nil {
 		fields := map[string]float64{
 			"uploads":     float64(t.members),
 			"missed":      float64(t.missed),
@@ -1410,26 +1403,8 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 			fields["spill_depth"] = float64(p.spill.Len())
 			fields["spill_bytes"] = float64(p.spill.MemBytes() + p.spill.DiskBytes())
 		}
-		p.cfg.TraceSink.Emit(obs.Event{
-			Round:  round,
-			Node:   fmt.Sprintf("ps%d", p.cfg.ID),
-			Name:   "ps_round",
-			Fields: fields,
-		})
-	}
-	if p.cfg.Logger != nil {
-		attrs := []any{
-			"ps", p.cfg.ID, "round", round,
-			"uploads", t.members, "missed", t.missed, "lost", t.lost + sendLost,
-			"bytes_in", t.bytesIn, "bytes_out", bytesOut,
-			"barrier_ms", t.barrierWait.Seconds() * 1e3,
-		}
-		if p.cfg.Async {
-			attrs = append(attrs, "stale", t.stale, "dropped", t.dropped,
-				"deferred", t.deferred, "window_expired", t.expired,
-				"spill_depth", p.spill.Len())
-		}
-		p.cfg.Logger.Info("ps round", attrs...)
+		obs.Publish(p.cfg.TraceSink, p.cfg.Logger, "ps round",
+			obs.Event{Round: round, Node: fmt.Sprintf("ps%d", p.cfg.ID), Name: "ps_round", Fields: fields})
 	}
 	return nil
 }

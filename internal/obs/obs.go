@@ -14,8 +14,8 @@
 //     decide. Wall-clock measurements feed histograms and traces but
 //     no branch in the protocol reads them back.
 //   - Hooks stay off the hot path. Counter updates are single atomic
-//     adds placed next to the stats they mirror; trace events are
-//     emitted once per round, not per frame.
+//     adds; trace events (and the log lines derived from them, see
+//     Publish) are emitted once per round, not per frame.
 //   - The disabled path is a branch. Every collector method is a
 //     no-op on a nil receiver, and a nil *Registry hands out nil
 //     collectors, so unconfigured observability costs one predictable
@@ -90,6 +90,20 @@ func (g *Gauge) Add(n int64) {
 		return
 	}
 	g.v.Add(n)
+}
+
+// SetMax raises the gauge to n when n is larger, so the gauge holds a
+// high-water mark however many goroutines report to it.
+func (g *Gauge) SetMax(n int64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.v.Load()
+		if n <= old || g.v.CompareAndSwap(old, n) {
+			return
+		}
+	}
 }
 
 // Value returns the current value (0 on a nil receiver).

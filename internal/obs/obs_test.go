@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -41,6 +42,12 @@ func TestGauge(t *testing.T) {
 	g.Add(-3)
 	if g.Value() != 4 {
 		t.Fatalf("gauge = %d, want 4", g.Value())
+	}
+	g.SetMax(2)
+	g.SetMax(9)
+	g.SetMax(5)
+	if g.Value() != 9 {
+		t.Fatalf("high-water gauge = %d, want 9", g.Value())
 	}
 }
 
@@ -220,5 +227,36 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	}
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPublishLogsTheEvent: the log line Publish derives carries the
+// event's node and round and then exactly its fields, in sorted key
+// order, while the trace receives the event itself. Either output may
+// be absent.
+func TestPublishLogsTheEvent(t *testing.T) {
+	var buf bytes.Buffer
+	l := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			if a.Key == slog.TimeKey {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
+	tr := NewTrace(0)
+	e := Event{Round: 3, Node: "ps1", Name: "ps_round", Fields: map[string]float64{"missed": 1, "bytes_in": 64, "uploads": 2.5}}
+	Publish(tr, l, "ps round", e)
+	want := "level=INFO msg=\"ps round\" node=ps1 round=3 bytes_in=64 missed=1 uploads=2.5\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("log line\n got %q\nwant %q", got, want)
+	}
+	if ev := tr.Events(); len(ev) != 1 || ev[0].Name != "ps_round" || len(ev[0].Fields) != 3 {
+		t.Fatalf("trace got %+v", ev)
+	}
+	Publish(nil, l, "ps round", e)
+	Publish(tr, nil, "ps round", e)
+	if tr.Len() != 2 || strings.Count(buf.String(), "\n") != 2 {
+		t.Fatalf("one output missing must not silence the other: %d events, log %q", tr.Len(), buf.String())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"os"
 	"sort"
@@ -19,6 +20,28 @@ type Event struct {
 	Node   string             `json:"node"`
 	Name   string             `json:"event"`
 	Fields map[string]float64 `json:"fields,omitempty"`
+}
+
+// Publish records one round on both outputs a node may have: e goes to
+// t, and l gets one msg record derived from it — node, round, then the
+// fields in sorted key order — so the log line carries exactly the
+// trace's keys. Either output may be nil; the caller builds e only when
+// one is set.
+func Publish(t *Trace, l *slog.Logger, msg string, e Event) {
+	if l != nil {
+		keys := make([]string, 0, len(e.Fields))
+		for k := range e.Fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		attrs := make([]any, 0, 2+len(keys))
+		attrs = append(attrs, slog.String("node", e.Node), slog.Int("round", e.Round))
+		for _, k := range keys {
+			attrs = append(attrs, slog.Float64(k, e.Fields[k]))
+		}
+		l.Info(msg, attrs...)
+	}
+	t.Emit(e)
 }
 
 // DefaultTraceLimit bounds an unconfigured trace: at one PS event and
