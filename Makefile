@@ -56,6 +56,14 @@ test:
 # one table of rejections, both commands surfacing it before any
 # listener binds, `-role client` running the client `-role local`
 # would) and the derived-federation ≡ engine parity fail by name. The
+# engine-filter tier runs ninth: the engine filters each distinct set of
+# received models once (once a round unless a Byzantine server
+# equivocates) and installs the shared output into every client of the
+# set, so the mechanism test (filter call counts, identical installed
+# bits, Workers=1 ≡ Workers=3) and the engine ≡ distributed parity
+# legs that filter per client on the distributed side (clean, consistent
+# noise, equivocating, compressed downlink) fail by name; the
+# participation leg already runs in the shard stage. The
 # final full-suite stage skips the union of the named race stages'
 # patterns, so every test runs under -race exactly once.
 RACE_GEMM    = Gemm
@@ -70,7 +78,8 @@ RACE_ASYNC   = TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical
 RACE_FLOOD   = TestChaosFloodJunkStorm
 RACE_CLI     = FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNodeRejectsBadDeploymentFlags|TestNodeClientRoleRunsTheLocalClient
 RACE_DERIVE  = TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin
-RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_SHARD)|$(RACE_SHARDD)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)
+RACE_FILTER  = TestDistributedMatchesEngine(Clean|UnderNoiseAttack|EquivocatingAttack)$$|TestDistributedDownlinkCodecMatchesEngine|TestEngineFiltersEachReceivedSetOnce
+RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_SHARD)|$(RACE_SHARDD)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)
 
 verify:
 	$(GO) vet ./...
@@ -87,6 +96,7 @@ verify:
 	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc' ./internal/transport/ ./internal/compress/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
+	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/
 	$(GO) test -race -skip '$(RACE_STAGES)' ./...
 
 # Just the fault-injection surface under the race detector.

@@ -73,7 +73,7 @@ func Bind(fs *flag.FlagSet, defaults fedms.Config) *Binding {
 	fs.StringVar(&c.SpillDir, b.Flag("spill-dir", "SpillDir"), "", "directory for the deferred-upload spill segment (requires -async; empty = OS temp dir)")
 	fs.IntVar(&c.SpillMem, b.Flag("spill-mem", "SpillMem"), 0, "in-memory byte budget for deferred uploads before spilling to disk (requires -async; 0 = default)")
 	fs.StringVar(&c.UploadCodec, b.Flag("codec", "UploadCodec"), "dense", "upload codec spec: dense, topk:R, randk:R or qN, optionally ef+ prefixed (e.g. ef+topk:0.1)")
-	fs.StringVar(&c.DownlinkCodec, b.Flag("downlink-codec", "DownlinkCodec"), "dense", "downlink codec spec (same grammar, no ef+; dense keeps the wire byte-identical to v1)")
+	fs.StringVar(&c.DownlinkCodec, b.Flag("downlink-codec", "DownlinkCodec"), "dense", "downlink codec spec (same grammar, no ef+ or randk; dense keeps the wire byte-identical to v1)")
 	fs.StringVar(&b.TracePath, b.Flag("trace", "TraceSink"), "", "write the per-round JSONL trace to this file when the run ends")
 	return b
 }

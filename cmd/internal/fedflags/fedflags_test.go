@@ -118,6 +118,7 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		{"codec bits out of range", []string{"-codec", "q0"}, []string{"-codec"}},
 		{"bad downlink codec", []string{"-downlink-codec", "randk:7"}, []string{"-downlink-codec"}},
 		{"error-feedback downlink", []string{"-downlink-codec", "ef+topk:0.1"}, []string{"-downlink-codec", "error feedback"}},
+		{"random-support downlink", []string{"-downlink-codec", "randk:0.5"}, []string{"-downlink-codec", "deterministic"}},
 
 		{"unknown filter", []string{"-filter", "bogus"}, []string{"-filter"}},
 		{"filter parameter out of range", []string{"-filter", "trim:0.9"}, []string{"-filter"}},

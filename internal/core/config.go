@@ -110,7 +110,10 @@ type Config struct {
 	// function of the model vector — it never mutates model or
 	// training state — and may be called concurrently from the
 	// parallel filter stage (the engine serializes calls internally).
-	// Calls are counted in Obs (fedms_engine_oracle_evals_total).
+	// Calls are counted in Obs (fedms_engine_oracle_evals_total) as
+	// they are made: the filter site counts one filter's evaluations
+	// per distinct received set, which is one set per round unless a
+	// Byzantine server equivocates and one per client when it does.
 	LossOracle aggregate.LossEval
 	// Seed is the root seed; every random choice in the run derives
 	// from it.
@@ -181,8 +184,9 @@ type Config struct {
 	UploadCodec compress.Spec
 	// DownlinkCodec compresses the disseminated global models the same
 	// way. Dense by default so the trimmed-mean filter sees exact
-	// aggregates; error feedback is rejected (a broadcast has no
-	// per-stream residual).
+	// aggregates. A broadcast codec must be a deterministic function of
+	// the vector, so error feedback (a broadcast has no per-stream
+	// residual) and randk (a random support per call) are rejected.
 	DownlinkCodec compress.Spec
 	// Logger, when non-nil, receives one "fedms round" record per round,
 	// derived from the round's trace event (obs.Publish): node, round
@@ -335,6 +339,9 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.DownlinkCodec.EF {
 		return c, fieldErr("DownlinkCodec", "DownlinkCodec %q: error feedback is per-stream state and cannot be used on the broadcast downlink", c.DownlinkCodec)
+	}
+	if c.DownlinkCodec.Kind == "randk" {
+		return c, fieldErr("DownlinkCodec", "DownlinkCodec %q: a broadcast codec must be a deterministic function of the vector, and randk draws a random support", c.DownlinkCodec)
 	}
 	if c.EvalEvery == 0 {
 		c.EvalEvery = 1

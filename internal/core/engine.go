@@ -85,10 +85,12 @@ type Engine struct {
 	// per round. Byzantine servers aggregate into fresh vectors, which
 	// the history retains.
 	aggBufs [][]float64
-	// filterBufs[k] is client k's round-persistent filter output buffer;
-	// SetParams copies into the layer tensors, so the filtered vector
-	// never outlives the round. filterViews[k] is the payload-view slice
-	// its received models are wrapped in, emptied after each filter.
+	// filterBufs[s] is received set s's round-persistent filter output
+	// buffer (one set, or one per client under an equivocating attack —
+	// see disseminate); SetParams copies into each learner, so the
+	// filtered vector never outlives the round. filterViews[s] is the
+	// payload-view slice the set's models are wrapped in, emptied after
+	// each filter.
 	filterBufs  [][]float64
 	filterViews [][]compress.Payload
 
@@ -105,7 +107,7 @@ type Engine struct {
 
 	// oracle is the holdout-loss eval handed to LossRule dispatch — a
 	// mutex-serialized wrapper of cfg.LossOracle, because the filter
-	// stage calls it from the concurrent per-client pool. The eval is
+	// stage calls it from the concurrent per-set pool. The eval is
 	// a pure function, so serialization order cannot change any
 	// result. nil when no oracle is configured.
 	oracle aggregate.LossEval
@@ -416,59 +418,63 @@ func (e *Engine) RunRound() RoundStats {
 
 	// ---- Model dissemination + filter stage (lines 5, 12-13) ----
 	st.DownloadFloats = e.cfg.Servers * e.cfg.Clients * e.dim
-	disseminated := e.disseminate(t, aggs)
+	sets, setOf := e.disseminate(t, aggs)
 	benignMean := e.benignMean(aggs)
 
-	// Each client's receive→filter→install step is independent, so the
-	// stage runs on the same bounded pool as local training. Per-client
-	// spreads are reduced afterwards: max is order-insensitive, keeping
-	// the round deterministic for any worker count.
+	// Every client filters the P models it received, and clients that
+	// received the same P models get the same filtered model, so the
+	// stage filters each distinct set once and then installs each set's
+	// output into its clients. Both passes run on the same bounded pool
+	// as local training. Every set has at least one client, so the max
+	// over sets is the max over clients, and max is order-insensitive,
+	// keeping the round deterministic for any worker count.
 	downlinkCodec := !e.cfg.DownlinkCodec.IsDense()
-	spreads := make([]float64, e.cfg.Clients)
-	downBytes := make([]int, e.cfg.Clients)
-	oracleFilterN := make([]int, e.cfg.Clients)
-	if e.filterBufs == nil {
-		e.filterBufs = make([][]float64, e.cfg.Clients)
-		e.filterViews = make([][]compress.Payload, e.cfg.Clients)
+	spreads := make([]float64, len(sets))
+	setBytes := make([]int, len(sets))
+	oracleFilterN := make([]int, len(sets))
+	if len(e.filterBufs) != len(sets) {
+		e.filterBufs = make([][]float64, len(sets))
+		e.filterViews = make([][]compress.Payload, len(sets))
 	}
-	e.forEachClient(e.cfg.Clients, func(k int) {
-		received := disseminated(k)
+	e.forEachClient(len(sets), func(s int) {
+		received := sets[s]
 		if downlinkCodec {
-			// The downlink codec is stateless (EF is rejected by
-			// Validate), so the per-client roundtrip is safe on the
-			// concurrent pool and matches the distributed PS encoding
-			// the same vector for this client.
+			// The downlink codec is a deterministic function of the
+			// vector (EF and randk are rejected by Validate), so one
+			// roundtrip per set is what each of its clients would decode,
+			// and matches the distributed PS encoding the same vector.
 			for i := range received {
 				v, n, err := e.cfg.DownlinkCodec.EncodeDecode(received[i])
 				if err != nil {
 					panic(fmt.Sprintf("core: downlink codec: %v", err))
 				}
 				received[i] = v
-				downBytes[k] += n
+				setBytes[s] += n
 			}
 		} else {
-			downBytes[k] = 8 * e.cfg.Servers * e.dim
+			setBytes[s] = 8 * e.cfg.Servers * e.dim
 		}
-		views := e.filterViews[k][:0]
+		views := e.filterViews[s][:0]
 		for _, v := range received {
 			views = append(views, compress.DensePayload(v))
 		}
-		res := aggregate.Run(aggregate.Request{Rule: e.cfg.Filter, Views: views, Oracle: e.oracle, Dst: e.filterBufs[k]})
+		res := aggregate.Run(aggregate.Request{Rule: e.cfg.Filter, Views: views, Oracle: e.oracle, Dst: e.filterBufs[s]})
 		clear(views) // do not pin this round's models past it
-		e.filterViews[k] = views
-		filtered := res.Out
-		e.filterBufs[k] = filtered // SetParams copies, so the buffer is free next round
-		oracleFilterN[k] = res.OracleEvals
-		e.learners[k].SetParams(filtered)
-		spreads[k] = tensor.VecDist2(filtered, benignMean)
+		e.filterViews[s] = views
+		e.filterBufs[s] = res.Out // SetParams copies, so the buffer is free next round
+		oracleFilterN[s] = res.OracleEvals
+		spreads[s] = tensor.VecDist2(res.Out, benignMean)
+	})
+	e.forEachClient(e.cfg.Clients, func(k int) {
+		e.learners[k].SetParams(e.filterBufs[setOf[k]])
 	})
 	for _, d := range spreads {
 		if d > st.ModelSpread {
 			st.ModelSpread = d
 		}
 	}
-	for _, b := range downBytes {
-		st.DownloadBytes += b
+	for _, s := range setOf {
+		st.DownloadBytes += setBytes[s]
 	}
 
 	// Append honest aggregates to the adaptive-adversary history. Only
@@ -776,11 +782,14 @@ func UploadAttackRNG(seed uint64, round, client int) *randx.RNG {
 	return randx.Split(seed, fmt.Sprintf("uattack/r%d/c%d", round, client))
 }
 
-// disseminate returns a function yielding the P model vectors client k
-// receives in round t, applying the Byzantine attack where configured.
-// Consistent attacks are computed once per server; equivocating attacks
-// are recomputed per client with a per-client RNG stream.
-func (e *Engine) disseminate(t int, aggs [][]float64) func(k int) [][]float64 {
+// disseminate returns the distinct sets of P model vectors the clients
+// receive in round t, applying the Byzantine attack where configured,
+// and the index into sets of each client's set. Unless a Byzantine
+// server equivocates, every client receives the same models: one set,
+// each attack computed once per server. An equivocating attack sends
+// each client its own models, recomputed per client with a per-client
+// RNG stream on the worker pool: one set per client, setOf[k] = k.
+func (e *Engine) disseminate(t int, aggs [][]float64) (sets [][][]float64, setOf []int) {
 	atk := e.cfg.Attack
 	// Colluding attackers (the paper's adaptive adversary) see the
 	// benign servers' honest aggregates.
@@ -790,30 +799,13 @@ func (e *Engine) disseminate(t int, aggs [][]float64) func(k int) [][]float64 {
 			benignAggs = append(benignAggs, a)
 		}
 	}
-	consistent := make(map[int][]float64, len(e.cfg.ByzantineIDs))
-	if !atk.Equivocates() {
-		for _, i := range e.cfg.ByzantineIDs {
-			ctx := &attack.Context{
-				Round:      t,
-				Server:     i,
-				Client:     -1,
-				TrueAgg:    aggs[i],
-				History:    e.history[i],
-				BenignAggs: benignAggs,
-				RNG:        AttackRNG(e.cfg.Seed, i, t, -1, false),
-			}
-			consistent[i] = atk.Tamper(ctx)
-		}
-	}
-	return func(k int) [][]float64 {
+	// receive builds the models client k receives; k = -1 stands for
+	// every client under a consistent attack.
+	receive := func(k int) [][]float64 {
 		received := make([][]float64, e.cfg.Servers)
-		for i := 0; i < e.cfg.Servers; i++ {
+		for i := range received {
 			if !e.cfg.IsByzantine(i) {
 				received[i] = aggs[i]
-				continue
-			}
-			if v, ok := consistent[i]; ok {
-				received[i] = v
 				continue
 			}
 			ctx := &attack.Context{
@@ -823,12 +815,21 @@ func (e *Engine) disseminate(t int, aggs [][]float64) func(k int) [][]float64 {
 				TrueAgg:    aggs[i],
 				History:    e.history[i],
 				BenignAggs: benignAggs,
-				RNG:        AttackRNG(e.cfg.Seed, i, t, k, true),
+				RNG:        AttackRNG(e.cfg.Seed, i, t, k, k >= 0),
 			}
 			received[i] = atk.Tamper(ctx)
 		}
 		return received
 	}
+	setOf = make([]int, e.cfg.Clients)
+	if len(e.cfg.ByzantineIDs) == 0 || !atk.Equivocates() {
+		return [][][]float64{receive(-1)}, setOf
+	}
+	sets = make([][][]float64, e.cfg.Clients)
+	e.forEachClient(e.cfg.Clients, func(k int) {
+		sets[k], setOf[k] = receive(k), k
+	})
+	return sets, setOf
 }
 
 // benignMean averages the honest aggregates — the reference point the

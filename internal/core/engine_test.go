@@ -435,10 +435,10 @@ func TestEquivocatingAttackPerClientDiffers(t *testing.T) {
 	for i := range aggs {
 		aggs[i] = make([]float64, eng.Dim())
 	}
-	recv := eng.disseminate(0, aggs)
+	sets, setOf := eng.disseminate(0, aggs)
 	byz := eng.Config().ByzantineIDs[0]
-	a := recv(0)[byz]
-	b := recv(1)[byz]
+	a := sets[setOf[0]][byz]
+	b := sets[setOf[1]][byz]
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

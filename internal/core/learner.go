@@ -24,7 +24,10 @@ type Learner interface {
 	NumParams() int
 	// Params returns a copy of the current flat parameter vector.
 	Params() []float64
-	// SetParams loads a flat parameter vector.
+	// SetParams loads a flat parameter vector. It copies flat and must
+	// neither retain nor modify it: the engine installs one filtered
+	// vector into every client that received the same models, and
+	// reuses its buffer the next round.
 	SetParams(flat []float64)
 	// LocalTrain runs `steps` mini-batch SGD iterations. globalStep is
 	// the index of the first iteration in the global schedule (the

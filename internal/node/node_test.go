@@ -138,6 +138,17 @@ func TestPSRejectsBadConfig(t *testing.T) {
 	if _, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 0}); err == nil {
 		t.Fatal("expected config error")
 	}
+	// A broadcast codec must be a deterministic function of the vector.
+	for _, spec := range []string{"ef+topk:0.1", "randk:0.5"} {
+		c, err := mustSpec(t, spec).NewCodec(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 1, DownlinkCodec: c}); err == nil {
+			_ = ps.Close()
+			t.Fatalf("downlink codec %s accepted", spec)
+		}
+	}
 }
 
 func TestClientRejectsBadConfig(t *testing.T) {

@@ -162,9 +162,11 @@ type PSConfig struct {
 	CrashAfterRound int
 	// DownlinkCodec, when non-nil, compresses global-model frames to
 	// clients that advertised v2 support in their hello; everyone else
-	// keeps dense v1 frames. Error-feedback codecs are rejected by NewPS
-	// — a broadcast shares one codec across clients, so a per-stream
-	// residual would be wrong for all of them.
+	// keeps dense v1 frames. A broadcast codec must be a deterministic
+	// function of the vector, so NewPS rejects error feedback (a
+	// broadcast shares one codec across clients, so a per-stream residual
+	// would be wrong for all of them) and randk (a random support per
+	// send, which the engine's per-set roundtrip cannot reproduce).
 	DownlinkCodec compress.Codec
 	// Async switches this server from the K-frame barrier to the
 	// windowed round lifecycle (DESIGN.md §7): each round closes when
@@ -360,6 +362,8 @@ func NewPS(cfg PSConfig) (*PS, error) {
 			cfg.DownlinkCodec = nil
 		} else if strings.HasPrefix(cfg.DownlinkCodec.Name(), "ef+") {
 			return nil, fmt.Errorf("node: PS %d: error feedback is per-stream state and cannot be used on the broadcast downlink (codec %q)", cfg.ID, cfg.DownlinkCodec.Name())
+		} else if strings.HasPrefix(cfg.DownlinkCodec.Name(), "randk") {
+			return nil, fmt.Errorf("node: PS %d: a broadcast codec must be a deterministic function of the vector, and randk draws a random support (codec %q)", cfg.ID, cfg.DownlinkCodec.Name())
 		}
 	}
 
