@@ -63,7 +63,11 @@ test:
 # bits, Workers=1 ≡ Workers=3) and the engine ≡ distributed parity
 # legs that filter per client on the distributed side (clean, consistent
 # noise, equivocating, compressed downlink) fail by name; the
-# participation leg already runs in the shard stage. The
+# participation leg already runs in the shard stage. The role tier runs
+# tenth: both runtimes run the same core.Server and core.Client, so the
+# role tests and the engine ≡ distributed legs that drive a Byzantine
+# server's history, an idle server, a Byzantine client and an upload
+# codec through them fail by name. The
 # final full-suite stage skips the union of the named race stages'
 # patterns, so every test runs under -race exactly once.
 RACE_GEMM    = Gemm
@@ -79,7 +83,8 @@ RACE_FLOOD   = TestChaosFloodJunkStorm
 RACE_CLI     = FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNodeRejectsBadDeploymentFlags|TestNodeClientRoleRunsTheLocalClient
 RACE_DERIVE  = TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin
 RACE_FILTER  = TestDistributedMatchesEngine(Clean|UnderNoiseAttack|EquivocatingAttack)$$|TestDistributedDownlinkCodecMatchesEngine|TestEngineFiltersEachReceivedSetOnce
-RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_SHARD)|$(RACE_SHARDD)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)
+RACE_ROLES   = TestRole|TestDistributedHistoryAttackParity|TestDistributedIdleServerMatchesEngine|TestDistributedByzantineClientParity|TestDistributedUploadCodecMatchesEngine
+RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_SHARD)|$(RACE_SHARDD)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)|$(RACE_ROLES)
 
 verify:
 	$(GO) vet ./...
@@ -97,6 +102,7 @@ verify:
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/
+	$(GO) test -race -run '$(RACE_ROLES)' ./internal/core/ ./internal/node/
 	$(GO) test -race -skip '$(RACE_STAGES)' ./...
 
 # Just the fault-injection surface under the race detector.

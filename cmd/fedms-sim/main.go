@@ -17,7 +17,6 @@ import (
 
 	"fedms"
 	"fedms/cmd/internal/fedflags"
-	"fedms/internal/checkpoint"
 	"fedms/internal/metrics"
 	"fedms/internal/plot"
 )
@@ -53,7 +52,7 @@ func declareFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("fedms-sim", flag.ContinueOnError)
 	o := declareFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -74,6 +73,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// An async engine keeps a spill segment on disk until closed.
+	defer func() {
+		if cerr := eng.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	ecfg := eng.Config()
 	fmt.Printf("fed-ms: K=%d P=%d B=%d (byzantine ids %v) T=%d E=%d filter=%s attack=%s upload=%s codec=%s dim=%d\n",
 		ecfg.Clients, ecfg.Servers, ecfg.NumByzantine, ecfg.ByzantineIDs,
@@ -113,16 +118,11 @@ func run(args []string) error {
 	}
 
 	if o.ckptPath != "" {
-		st := &checkpoint.State{
-			Round:  ecfg.Rounds,
-			Seed:   ecfg.Seed,
-			Meta:   map[string]string{"model": string(cfg.Model.Kind), "dataset": string(cfg.Dataset.Kind), "attack": ecfg.Attack.Name(), "filter": ecfg.Filter.Name()},
-			Params: eng.MeanClientParams(),
-		}
-		if err := checkpoint.SaveFile(o.ckptPath, st); err != nil {
+		meta := map[string]string{"model": string(cfg.Model.Kind), "dataset": string(cfg.Dataset.Kind), "attack": ecfg.Attack.Name(), "filter": ecfg.Filter.Name()}
+		if err := eng.SaveConsensus(o.ckptPath, meta); err != nil {
 			return fmt.Errorf("save checkpoint: %w", err)
 		}
-		fmt.Printf("saved consensus model (%d params) to %s\n", len(st.Params), o.ckptPath)
+		fmt.Printf("saved consensus model (%d params) to %s\n", eng.Dim(), o.ckptPath)
 	}
 	return nil
 }

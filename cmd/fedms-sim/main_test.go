@@ -121,6 +121,41 @@ func TestRunAsyncSimulation(t *testing.T) {
 	}
 }
 
+// TestRunAsyncClosesSpill: an async run whose spill overflowed to disk
+// (the trace shows a non-empty spill) leaves no segment behind.
+func TestRunAsyncClosesSpill(t *testing.T) {
+	dir, trace := t.TempDir(), filepath.Join(t.TempDir(), "trace.jsonl")
+	err := run([]string{
+		"-clients", "8", "-servers", "5", "-byzantine", "1",
+		"-rounds", "6", "-eval", "6", "-samples", "900",
+		"-async", "-window", "100ms", "-staleness", "3",
+		"-spill-mem", "1", "-spill-dir", dir, "-trace", trace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := false
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var ev struct {
+			Fields map[string]float64 `json:"fields"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		spilled = spilled || ev.Fields["spill_depth"] > 0
+	}
+	if !spilled {
+		t.Fatal("no round spilled: the run never wrote a segment")
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("spill dir after the run: %v %v", left, err)
+	}
+}
+
 // TestSimFlagSurface pins every flag fedms-sim registers, by name, and
 // holds README's table to the same list: the shared flags (declared by
 // fedflags, pinned there) plus this command's own. The four ingest

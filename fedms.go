@@ -358,7 +358,8 @@ type Result struct {
 	// evaluated rounds).
 	Accuracy  *Series
 	TrainLoss *Series
-	// Engine is the finished engine (client models are inspectable).
+	// Engine is the finished engine: its client models are inspectable,
+	// but Run has closed it, so it runs no further rounds.
 	Engine *Engine
 }
 
@@ -388,6 +389,10 @@ func Run(cfg Config) (*Result, error) {
 		if st.Evaluated {
 			res.Accuracy.Append(st.Round, st.TestAcc)
 		}
+	}
+	// An async engine keeps a spill segment on disk until closed.
+	if err := eng.Close(); err != nil {
+		return nil, fmt.Errorf("fedms: %w", err)
 	}
 	return res, nil
 }

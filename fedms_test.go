@@ -1,8 +1,10 @@
 package fedms
 
 import (
+	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // quickCfg is a fast end-to-end configuration for API tests.
@@ -38,6 +40,28 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if res.TrainLoss.Len() != 8 {
 		t.Fatalf("train loss points = %d", res.TrainLoss.Len())
+	}
+}
+
+// TestRunClosesAsyncSpill: an async run whose spill overflowed to disk
+// leaves no segment behind once Run returns.
+func TestRunClosesAsyncSpill(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Async, cfg.Window, cfg.Staleness = true, 100*time.Millisecond, 3
+	cfg.SpillMem, cfg.SpillDir = 1, t.TempDir()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := false
+	for _, st := range res.Stats {
+		spilled = spilled || st.SpillDepth > 0
+	}
+	if !spilled {
+		t.Fatal("no round spilled: the run never wrote a segment")
+	}
+	if left, err := os.ReadDir(cfg.SpillDir); err != nil || len(left) != 0 {
+		t.Fatalf("spill dir after Run: %v %v", left, err)
 	}
 }
 

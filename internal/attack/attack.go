@@ -29,9 +29,11 @@ type Context struct {
 	// TrueAgg is the server's honest aggregate for this round. Attacks
 	// must not mutate it.
 	TrueAgg []float64
-	// History holds the server's honest aggregates for rounds
-	// 0..Round-1 (History[r] = aggregate of round r). Attacks must not
-	// mutate it.
+	// History holds the server's honest aggregates of the earlier
+	// rounds it served, oldest first, ending at round Round-1. A
+	// restarted distributed PS's history starts at its restart round,
+	// so History[r] is not in general round r's aggregate. Attacks must
+	// not mutate it.
 	History [][]float64
 	// BenignAggs holds this round's honest aggregates of the *benign*
 	// servers — the "adaptive knowledge" of the paper's threat model,
@@ -41,10 +43,10 @@ type Context struct {
 	// hungry attacks (ALIE, IPM) fall back to the server's own
 	// aggregate. Attacks must not mutate it.
 	BenignAggs [][]float64
-	// RNG is a deterministic stream. The engine derives it per
-	// (server, round) for consistent attacks and per (server, round,
-	// client) for equivocating attacks, so the same experiment seed
-	// reproduces the same attack trace.
+	// RNG is a deterministic stream. core.Server derives it, in both
+	// runtimes, per (server, round) for consistent attacks and per
+	// (server, round, client) for equivocating attacks, so the same
+	// experiment seed reproduces the same attack trace.
 	RNG *randx.RNG
 }
 

@@ -69,22 +69,11 @@ type Engine struct {
 	learners []Learner
 	dim      int
 
-	// history[i] holds server i's honest aggregates, one per completed
-	// round; Byzantine tampering never enters this history (it feeds
-	// the attack's adaptive knowledge instead). Only Byzantine servers
-	// retain history — they are its only readers — so steady-state
-	// memory is O(T·B·d), not O(T·P·d).
-	history [][][]float64
-	// lastAgg[i] is server i's most recent aggregate, reused when the
-	// sparse upload assigns it no clients in a round.
-	lastAgg [][]float64
-	// aggBufs[i] is benign server i's round-persistent aggregation
-	// output buffer: nothing retains a benign aggregate past its round
-	// (history skips benign servers and the idle-server path copies), so
-	// the rules write in place instead of allocating d floats per server
-	// per round. Byzantine servers aggregate into fresh vectors, which
-	// the history retains.
-	aggBufs [][]float64
+	// servers[i] and clients[k] run the protocol roles, the same code a
+	// distributed PS and client node run; their state (aggregate history,
+	// codec residuals, encode buffers) persists across rounds.
+	servers []*Server
+	clients []*Client
 	// filterBufs[s] is received set s's round-persistent filter output
 	// buffer (one set, or one per client under an equivocating attack —
 	// see disseminate); SetParams copies into each learner, so the
@@ -93,17 +82,6 @@ type Engine struct {
 	// each filter.
 	filterBufs  [][]float64
 	filterViews [][]compress.Payload
-
-	// codecs[k] is client k's upload codec instance (nil slice when the
-	// upload codec is dense). Stateful: error-feedback residuals persist
-	// across rounds, exactly like the distributed clients'.
-	codecs []compress.Codec
-	// encBufs[k] is client k's encode scratch. Per client, not shared:
-	// the aggregation stage holds payload views that alias these
-	// buffers until every server's aggregate is computed, so one
-	// client's encode must not clobber another's payload. Reused across
-	// rounds (a view never outlives its round).
-	encBufs [][]byte
 
 	// oracle is the holdout-loss eval handed to LossRule dispatch — a
 	// mutex-serialized wrapper of cfg.LossOracle, because the filter
@@ -119,10 +97,6 @@ type Engine struct {
 	// spill buffers async uploads still in flight toward a later
 	// round, overflowing to disk past cfg.SpillMem. nil in sync mode.
 	spill *spill.Buffer
-	// encs[k] is the codec tag of client k's latest upload, kept so
-	// deferred payload bytes can be re-parsed when they arrive. Only
-	// maintained in async mode.
-	encs []compress.Encoding
 
 	// om mirrors round progress into the configured registry; obsOn
 	// (any of Obs, TraceSink, Logger) gates the extra per-stage clock
@@ -175,21 +149,6 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 			wl.SetWorkers(perLearner)
 		}
 	}
-	lastAgg := make([][]float64, cfg.Servers)
-	for i := range lastAgg {
-		lastAgg[i] = append([]float64(nil), w0...)
-	}
-	var codecs []compress.Codec
-	if !cfg.UploadCodec.IsDense() {
-		codecs = make([]compress.Codec, cfg.Clients)
-		for k := range codecs {
-			c, err := cfg.UploadCodec.NewCodec(ClientCodecSeed(cfg.Seed, k))
-			if err != nil {
-				return nil, fmt.Errorf("core: UploadCodec: %w", err)
-			}
-			codecs[k] = c
-		}
-	}
 	var oracle aggregate.LossEval
 	if cfg.LossOracle != nil {
 		inner := cfg.LossOracle
@@ -209,22 +168,40 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var spillBuf *spill.Buffer
-	var encs []compress.Encoding
 	if cfg.Async {
 		spillBuf = spill.New(spill.Config{MemLimit: cfg.SpillMem, Dir: cfg.SpillDir})
-		encs = make([]compress.Encoding, cfg.Clients)
+	}
+	servers := make([]*Server, cfg.Servers)
+	for i := range servers {
+		var atk attack.Attack
+		if cfg.IsByzantine(i) {
+			atk = cfg.Attack
+		}
+		servers[i] = NewServer(i, cfg.Seed, cfg.ServerFilter, oracle, cfg.Shards, atk, w0)
+	}
+	clients := make([]*Client, cfg.Clients)
+	for k := range clients {
+		var codec compress.Codec
+		if !cfg.UploadCodec.IsDense() {
+			if codec, err = cfg.UploadCodec.NewCodec(ClientCodecSeed(cfg.Seed, k)); err != nil {
+				return nil, fmt.Errorf("core: UploadCodec: %w", err)
+			}
+		}
+		var atk attack.UploadAttack
+		if cfg.IsByzantineClient(k) {
+			atk = cfg.ClientAttack
+		}
+		clients[k] = NewClient(k, cfg.Seed, learners[k], atk, codec)
 	}
 	return &Engine{
 		cfg:      cfg,
 		learners: learners,
 		dim:      dim,
-		history:  make([][][]float64, cfg.Servers),
-		lastAgg:  lastAgg,
-		codecs:   codecs,
+		servers:  servers,
+		clients:  clients,
 		oracle:   oracle,
 		sc:       sc,
 		spill:    spillBuf,
-		encs:     encs,
 		om:       newEngineMetrics(cfg.Obs, cfg.ServerFilter.Name()),
 		obsOn:    cfg.Obs != nil || cfg.TraceSink != nil || cfg.Logger != nil,
 	}, nil
@@ -273,16 +250,6 @@ func (e *Engine) RunRound() RoundStats {
 		mark = start
 	}
 
-	// Byzantine clients' upload attacks may reference the model the
-	// round started from; snapshot it before training.
-	var startParams map[int][]float64
-	if e.cfg.NumByzantineClients > 0 {
-		startParams = make(map[int][]float64, e.cfg.NumByzantineClients)
-		for _, k := range e.cfg.ByzantineClientIDs {
-			startParams[k] = e.learners[k].Params()
-		}
-	}
-
 	// ---- Local training stage (Algorithm 1, lines 8-10) ----
 	active := e.activeClients(t)
 	losses := e.trainClients(t, active)
@@ -295,59 +262,24 @@ func (e *Engine) RunRound() RoundStats {
 		tTrain, mark = now.Sub(mark), now
 	}
 
-	// Snapshot the uploaded local models w_{k,t,E} of active clients.
-	uploads := make([][]float64, e.cfg.Clients)
-	for _, k := range active {
-		uploads[k] = e.learners[k].Params()
-	}
-
-	// Byzantine clients replace their honest upload with a tampered
-	// one (their local training state is untouched — what they *send*
-	// is the lie).
-	for _, k := range e.cfg.ByzantineClientIDs {
-		if uploads[k] == nil {
-			continue // inactive this round
-		}
-		ctx := &attack.UploadContext{
-			Round:  t,
-			Client: k,
-			Params: uploads[k],
-			Global: startParams[k],
-			RNG:    UploadAttackRNG(e.cfg.Seed, t, k),
-		}
-		uploads[k] = e.cfg.ClientAttack.TamperUpload(ctx)
-	}
-
-	// The upload codec models the lossy wire: encode once per client per
-	// round (exactly like a distributed client, so error-feedback state
-	// advances identically) and hand the servers payload *views* of the
-	// encoded bytes — the same views a distributed PS parses off the
-	// wire, so fused rules aggregate straight out of the codec payloads
-	// without a per-client densify. Dense uploads wrap without copying.
+	// The servers aggregate payload views of what each client uploaded:
+	// views of the encoded bytes under an upload codec — the same views a
+	// distributed PS parses off the wire, so fused rules aggregate
+	// straight out of the codec payloads without a per-client densify —
+	// and the models themselves, wrapped without a copy, when dense.
 	uploadBytes := make([]int, e.cfg.Clients)
 	views := make([]compress.Payload, e.cfg.Clients)
-	if e.codecs != nil {
-		if e.encBufs == nil {
-			e.encBufs = make([][]byte, e.cfg.Clients)
+	for _, k := range active {
+		params, enc, payload := e.clients[k].Upload()
+		if payload == nil {
+			views[k], uploadBytes[k] = compress.DensePayload(params), 8*e.dim
+			continue
 		}
-		for _, k := range active {
-			var enc compress.Encoding
-			enc, e.encBufs[k] = e.codecs[k].AppendEncode(e.encBufs[k][:0], uploads[k])
-			v, err := compress.ParsePayload(enc, e.encBufs[k])
-			if err != nil {
-				panic(fmt.Sprintf("core: upload codec self-parse: %v", err))
-			}
-			views[k] = v
-			uploadBytes[k] = len(e.encBufs[k])
-			if e.encs != nil {
-				e.encs[k] = enc
-			}
+		v, err := compress.ParsePayload(enc, payload)
+		if err != nil {
+			panic(fmt.Sprintf("core: upload codec self-parse: %v", err))
 		}
-	} else {
-		for _, k := range active {
-			views[k] = compress.DensePayload(uploads[k])
-			uploadBytes[k] = 8 * e.dim
-		}
+		views[k], uploadBytes[k] = v, len(payload)
 	}
 
 	// ---- Model aggregation stage (lines 3-4, 11) ----
@@ -357,34 +289,21 @@ func (e *Engine) RunRound() RoundStats {
 	// on-time sends plus spill records due now, stale ones down-weighted
 	// before the robust rule. aggregate.Run sees only the set.
 	assign := e.uploadAssignment(t, active)
-	arrivals := e.arrivals(t, assign, views, uploads, &st)
+	arrivals := e.arrivals(t, assign, views, &st)
 	aggs := make([][]float64, e.cfg.Servers)
 	var aggFusedN, aggFallbackN, aggShardedN, oracleServerN int
 	var shardPeak int64
-	if e.aggBufs == nil {
-		e.aggBufs = make([][]float64, e.cfg.Servers)
-	}
 	for i, members := range arrivals {
-		if len(members) == 0 {
-			// Nothing admitted this round: the PS re-disseminates its last
-			// aggregate (it has nothing newer). With K >> P this is rare
-			// under sparse upload.
-			aggs[i] = append([]float64(nil), e.lastAgg[i]...)
-		} else {
-			// Benign servers aggregate into their round-persistent
-			// buffer; Byzantine servers get a fresh vector because the
-			// adaptive-adversary history retains theirs.
-			benign := !e.cfg.IsByzantine(i)
-			req := aggregate.Request{Rule: e.cfg.ServerFilter, Oracle: e.oracle, Shards: e.cfg.Shards}
-			req.Views, req.Weights = sched.Members(members)
-			if benign {
-				req.Dst = e.aggBufs[i]
-			}
-			res := aggregate.Run(req)
-			aggs[i] = res.Out
-			if benign {
-				e.aggBufs[i] = res.Out
-			}
+		// A server that admitted nothing re-disseminates its last
+		// aggregate (it has nothing newer); with K >> P this is rare under
+		// sparse upload. Every server has one from w_0 on, so this cannot
+		// fail.
+		res, err := e.servers[i].Aggregate(members)
+		if err != nil {
+			panic(fmt.Sprintf("core: server %d: %v", i, err))
+		}
+		aggs[i] = res.Out
+		if len(members) > 0 {
 			switch {
 			case res.Sharded:
 				aggShardedN++
@@ -398,7 +317,6 @@ func (e *Engine) RunRound() RoundStats {
 			}
 			oracleServerN += res.OracleEvals
 		}
-		e.lastAgg[i] = aggs[i]
 		// Communication is counted at send time (the client pays for the
 		// upload whether or not it lands inside a window), so the paper's
 		// cost measure is lifecycle-independent.
@@ -477,13 +395,6 @@ func (e *Engine) RunRound() RoundStats {
 		st.DownloadBytes += setBytes[s]
 	}
 
-	// Append honest aggregates to the adaptive-adversary history. Only
-	// Byzantine servers read it (attack.Context.History), so only they
-	// retain it — a benign history would grow O(T·d) per server unread
-	// and would pin the reused aggregation buffers.
-	for _, i := range e.cfg.ByzantineIDs {
-		e.history[i] = append(e.history[i], aggs[i])
-	}
 	if e.obsOn {
 		now := time.Now()
 		tFilter, mark = now.Sub(mark), now
@@ -573,9 +484,16 @@ func (e *Engine) RunRound() RoundStats {
 // virtual arrival lands in this window join as stale entries,
 // down-weighted by sched.Weight. The sync barrier is the degenerate
 // case: no window means no delay and no spill, so every send is fresh.
-func (e *Engine) arrivals(t int, assign [][]int, views []compress.Payload, uploads [][]float64, st *RoundStats) [][]sched.Entry {
+func (e *Engine) arrivals(t int, assign [][]int, views []compress.Payload, st *RoundStats) [][]sched.Entry {
 	arrivals := make([][]sched.Entry, e.cfg.Servers)
-	e.replaySpill(t, arrivals, st)
+	dropped, err := e.sc.Replay(e.spill, func(server int, m sched.Entry) {
+		arrivals[server] = append(arrivals[server], m)
+		st.StaleUploads++
+	})
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
+	st.DroppedUploads += dropped
 	// This round's sends, routed by their virtual arrival round.
 	for i, members := range assign {
 		arrivals[i] = slices.Grow(arrivals[i], len(members))
@@ -591,10 +509,11 @@ func (e *Engine) arrivals(t int, assign [][]int, views []compress.Payload, uploa
 				continue
 			}
 			rec := spill.Record{Client: k, Server: i, Origin: t, Due: t + delay}
-			if e.codecs != nil {
-				rec.Enc, rec.Data = byte(e.encs[k]), e.encBufs[k]
+			params, enc, payload := e.clients[k].Upload()
+			if payload != nil {
+				rec.Enc, rec.Data = byte(enc), payload
 			} else {
-				rec.Enc, rec.Data = byte(compress.EncDense), compress.DenseWire(uploads[k])
+				rec.Enc, rec.Data = byte(compress.EncDense), compress.DenseWire(params)
 			}
 			if err := e.spill.Add(rec); err != nil {
 				panic(fmt.Sprintf("core: spill add: %v", err))
@@ -605,46 +524,6 @@ func (e *Engine) arrivals(t int, assign [][]int, views []compress.Payload, uploa
 		sched.Sort(arrivals[i])
 	}
 	return arrivals
-}
-
-// replaySpill moves the spill records due in round t into their
-// servers' member sets; a no-op without a spill buffer (sync mode).
-// Popping exactly Len() records cycles not-yet-due ones to the back
-// once, preserving FIFO across rounds.
-func (e *Engine) replaySpill(t int, arrivals [][]sched.Entry, st *RoundStats) {
-	if e.spill == nil {
-		return
-	}
-	for n := e.spill.Len(); n > 0; n-- {
-		rec, ok, err := e.spill.Pop()
-		if err != nil {
-			panic(fmt.Sprintf("core: spill pop: %v", err))
-		}
-		if !ok {
-			break
-		}
-		if rec.Due > t {
-			if err := e.spill.Add(rec); err != nil {
-				panic(fmt.Sprintf("core: spill requeue: %v", err))
-			}
-			continue
-		}
-		d := e.sc.Decide(rec.Origin)
-		if d.Outcome != sched.AcceptStale {
-			// A due record is stale by construction; anything else means
-			// the bound moved (it cannot under a fixed config) — drop.
-			st.DroppedUploads++
-			continue
-		}
-		v, err := compress.ParsePayload(compress.Encoding(rec.Enc), rec.Data)
-		if err != nil {
-			panic(fmt.Sprintf("core: spill payload: %v", err))
-		}
-		arrivals[rec.Server] = append(arrivals[rec.Server], sched.Entry{
-			Client: rec.Client, Origin: rec.Origin, Stale: d.Staleness, Weight: d.Weight, View: v,
-		})
-		st.StaleUploads++
-	}
 }
 
 // Close releases the async spill buffer's disk segment; a no-op in
@@ -719,14 +598,13 @@ func (e *Engine) forEachClient(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// trainClients runs local training for the active clients, bounded by
-// cfg.Workers, and returns their average losses (index-aligned with
-// active).
+// trainClients runs the active clients' round (training, tampering,
+// encoding — see Client.Train), bounded by cfg.Workers, and returns
+// their average losses (index-aligned with active).
 func (e *Engine) trainClients(t int, active []int) []float64 {
 	losses := make([]float64, len(active))
-	globalStep := t * e.cfg.LocalSteps
 	e.forEachClient(len(active), func(i int) {
-		losses[i] = e.learners[active[i]].LocalTrain(e.cfg.LocalSteps, globalStep, e.cfg.Schedule)
+		losses[i] = e.clients[active[i]].Train(t, e.cfg.LocalSteps, e.cfg.Schedule)
 	})
 	return losses
 }
@@ -766,8 +644,9 @@ func SparseUploadChoice(seed uint64, round, client, servers int) int {
 // AttackRNG derives the deterministic randomness stream a Byzantine
 // server uses when tampering in round t. Consistent attacks share one
 // stream per (server, round); equivocating attacks get an independent
-// stream per destination client. Exported so the distributed runtime
-// produces byte-identical attack traces to the in-process engine.
+// stream per destination client. Server.Send derives it for both
+// runtimes; it is exported for benchmark/, which replays attack traces
+// outside this module.
 func AttackRNG(seed uint64, server, round, client int, equivocates bool) *randx.RNG {
 	if equivocates {
 		return randx.Split(seed, fmt.Sprintf("attack/s%d/r%d/c%d", server, round, client))
@@ -775,10 +654,9 @@ func AttackRNG(seed uint64, server, round, client int, equivocates bool) *randx.
 	return randx.Split(seed, fmt.Sprintf("attack/s%d/r%d", server, round))
 }
 
-// UploadAttackRNG derives the randomness stream a Byzantine client uses
-// when tampering its round-t upload. Exported for distributed-runtime
-// parity, like AttackRNG.
-func UploadAttackRNG(seed uint64, round, client int) *randx.RNG {
+// uploadAttackRNG derives the randomness stream a Byzantine client uses
+// when tampering its round-t upload (see Client.Train).
+func uploadAttackRNG(seed uint64, round, client int) *randx.RNG {
 	return randx.Split(seed, fmt.Sprintf("uattack/r%d/c%d", round, client))
 }
 
@@ -790,7 +668,6 @@ func UploadAttackRNG(seed uint64, round, client int) *randx.RNG {
 // each client its own models, recomputed per client with a per-client
 // RNG stream on the worker pool: one set per client, setOf[k] = k.
 func (e *Engine) disseminate(t int, aggs [][]float64) (sets [][][]float64, setOf []int) {
-	atk := e.cfg.Attack
 	// Colluding attackers (the paper's adaptive adversary) see the
 	// benign servers' honest aggregates.
 	var benignAggs [][]float64
@@ -803,26 +680,13 @@ func (e *Engine) disseminate(t int, aggs [][]float64) (sets [][][]float64, setOf
 	// every client under a consistent attack.
 	receive := func(k int) [][]float64 {
 		received := make([][]float64, e.cfg.Servers)
-		for i := range received {
-			if !e.cfg.IsByzantine(i) {
-				received[i] = aggs[i]
-				continue
-			}
-			ctx := &attack.Context{
-				Round:      t,
-				Server:     i,
-				Client:     k,
-				TrueAgg:    aggs[i],
-				History:    e.history[i],
-				BenignAggs: benignAggs,
-				RNG:        AttackRNG(e.cfg.Seed, i, t, k, k >= 0),
-			}
-			received[i] = atk.Tamper(ctx)
+		for i, s := range e.servers {
+			received[i] = s.Send(t, k, benignAggs)
 		}
 		return received
 	}
 	setOf = make([]int, e.cfg.Clients)
-	if len(e.cfg.ByzantineIDs) == 0 || !atk.Equivocates() {
+	if len(e.cfg.ByzantineIDs) == 0 || !e.cfg.Attack.Equivocates() {
 		return [][][]float64{receive(-1)}, setOf
 	}
 	sets = make([][][]float64, e.cfg.Clients)

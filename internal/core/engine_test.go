@@ -432,8 +432,12 @@ func TestEquivocatingAttackPerClientDiffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggs := make([][]float64, 3)
-	for i := range aggs {
-		aggs[i] = make([]float64, eng.Dim())
+	for i, srv := range eng.servers {
+		res, err := srv.Aggregate(nil) // round 0 re-sends w_0
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggs[i] = res.Out
 	}
 	sets, setOf := eng.disseminate(0, aggs)
 	byz := eng.Config().ByzantineIDs[0]

@@ -26,12 +26,12 @@ func outsideSpan(v, lo, hi float64) bool {
 }
 
 // snapshotHonest copies every server's honest aggregate of the round
-// just run. Benign servers reuse their aggregation buffer across rounds,
-// so the engine retains history only for Byzantine servers.
+// just run. Benign servers keep no history and reuse their aggregation
+// buffer across rounds, so the snapshot copies each latest aggregate.
 func snapshotHonest(eng *Engine) [][]float64 {
-	honest := make([][]float64, len(eng.lastAgg))
-	for i := range honest {
-		honest[i] = append([]float64(nil), eng.lastAgg[i]...)
+	honest := make([][]float64, len(eng.servers))
+	for i, s := range eng.servers {
+		honest[i] = append([]float64(nil), s.last...)
 	}
 	return honest
 }

@@ -3,12 +3,15 @@ package node
 import (
 	"errors"
 	"math"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fedms/internal/aggregate"
+	"fedms/internal/checkpoint"
 	"fedms/internal/compress"
 	"fedms/internal/core"
 	"fedms/internal/nn"
@@ -421,6 +424,83 @@ func TestPSAsyncConfigValidation(t *testing.T) {
 		t.Fatalf("default Window = %v", ps.cfg.Window)
 	}
 	_ = ps.Close()
+}
+
+// asyncCheckpoint writes a round-1 async checkpoint of params under
+// seed 1, window 1s and staleness 2, and returns the PS config that
+// resumes from it.
+func asyncCheckpoint(t *testing.T, params []float64, async bool) PSConfig {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ps.ckpt")
+	st := &checkpoint.State{Round: 1, Seed: 1, Params: params}
+	if async {
+		checkpoint.WriteAsyncMeta(st, checkpoint.AsyncState{Window: time.Second, Staleness: 2})
+	}
+	if err := checkpoint.SaveFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	return PSConfig{
+		ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 3, Seed: 1,
+		Tolerant: true, Timeout: 5 * time.Second,
+		Async: true, Window: time.Second, Staleness: 2, CheckpointPath: path,
+	}
+}
+
+// TestPSCheckpointRestoreRejectsMismatch: NewPS resumes only a
+// checkpoint written by the federation it is configured for.
+func TestPSCheckpointRestoreRejectsMismatch(t *testing.T) {
+	tests := []struct {
+		name   string
+		async  bool
+		mutate func(*PSConfig)
+		want   string // error substring; "" resumes
+	}{
+		{"matching", true, func(*PSConfig) {}, ""},
+		{"window", true, func(c *PSConfig) { c.Window = 2 * time.Second }, "window/staleness"},
+		{"staleness", true, func(c *PSConfig) { c.Staleness = 1 }, "window/staleness"},
+		{"seed", true, func(c *PSConfig) { c.Seed = 2 }, "seed"},
+		{"not async", false, func(*PSConfig) {}, "not an async checkpoint"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := asyncCheckpoint(t, []float64{1, 2, 3, 4}, tt.async)
+			tt.mutate(&cfg)
+			ps, err := NewPS(cfg)
+			if err == nil {
+				_ = ps.Close()
+				_ = ps.spill.Close()
+			}
+			switch {
+			case tt.want == "" && err != nil:
+				t.Fatal(err)
+			case tt.want == "" && (ps.cfg.StartRound != 1 || ps.srv.Dim() != 4):
+				t.Fatalf("resumed at round %d with a %d-dim model, want 1 and 4", ps.cfg.StartRound, ps.srv.Dim())
+			case tt.want != "" && (err == nil || !strings.Contains(err.Error(), tt.want)):
+				t.Fatalf("err = %v, want it to mention %q", err, tt.want)
+			}
+		})
+	}
+}
+
+// TestPSCheckpointDimensionMismatch: a checkpoint whose model does not
+// have the clients' dimension is rejected once the hellos are in, by
+// name, before any round measures uploads against it.
+func TestPSCheckpointDimensionMismatch(t *testing.T) {
+	cfg := asyncCheckpoint(t, []float64{1, 2, 3, 4}, true)
+	ps, err := NewPS(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ps.Serve() }()
+	conn, err := dialPS(&ClientConfig{ID: 0, Seed: 1, Timeout: 5 * time.Second, DialAttempts: 1}, 0, ps.Addr(), []float64{1, 2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := <-served; err == nil || !strings.Contains(err.Error(), cfg.CheckpointPath) {
+		t.Fatalf("Serve = %v, want a dimension error naming %s", err, cfg.CheckpointPath)
+	}
 }
 
 // TestClientAsyncConfigValidation is the client-side counterpart.

@@ -395,8 +395,9 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		// frames, bit-identical to the pre-codec wire.
 		cfg.Codec = nil
 	}
-	// encBuf is reused across rounds for the encoded upload payload.
-	var encBuf []byte
+	// role trains, tampers and encodes: the same core.Client the engine
+	// runs per client id.
+	role := core.NewClient(cfg.ID, cfg.Seed, cfg.Learner, cfg.UploadAttack, cfg.Codec)
 
 	cm := newClientMetrics(cfg.Obs, cfg.ID, cfg.Filter.Name())
 	tm := transport.NewMetrics(cfg.Obs, fmt.Sprintf("c%d", cfg.ID))
@@ -485,36 +486,15 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 
 		var params []float64
 		var uploadEnc compress.Encoding
+		var payload []byte // nil: a dense v1 upload
 		choice := -1
 		if st.Active {
-			var roundStart []float64
-			if cfg.UploadAttack != nil {
-				roundStart = cfg.Learner.Params()
-			}
-
-			// Local training stage.
-			st.TrainLoss = cfg.Learner.LocalTrain(cfg.LocalSteps, round*cfg.LocalSteps, cfg.Schedule)
-			params = cfg.Learner.Params()
-
-			// A Byzantine client lies in what it sends, not in how it
-			// trains.
-			if cfg.UploadAttack != nil {
-				params = cfg.UploadAttack.TamperUpload(&attack.UploadContext{
-					Round:  round,
-					Client: cfg.ID,
-					Params: params,
-					Global: roundStart,
-					RNG:    core.UploadAttackRNG(cfg.Seed, round, cfg.ID),
-				})
-			}
-
-			// The codec runs once per round — full upload sends the same
-			// payload to every PS, so error-feedback state advances
-			// exactly once either way; an inactive round advances it not
-			// at all (the engine encodes only active clients).
-			if cfg.Codec != nil {
-				uploadEnc, encBuf = cfg.Codec.AppendEncode(encBuf[:0], params)
-			}
+			// Local training stage. The upload is encoded once — full
+			// upload sends the same payload to every PS, so error-feedback
+			// state advances exactly once either way; an inactive round
+			// advances it not at all.
+			st.TrainLoss = role.Train(round, cfg.LocalSteps, cfg.Schedule)
+			params, uploadEnc, payload = role.Upload()
 			if !cfg.FullUpload {
 				choice = core.SparseUploadChoice(cfg.Seed, round, cfg.ID, p)
 				st.UploadedTo = choice
@@ -532,8 +512,8 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			if delay := sched.ArrivalDelay(cfg.Seed, round, cfg.ID, cfg.Window, cfg.LatencyScale); delay > 0 {
 				modelNow = false
 				b := backlogged{origin: round, due: round + delay, to: choice}
-				if cfg.Codec != nil {
-					b.enc, b.data = uploadEnc, append([]byte(nil), encBuf...)
+				if payload != nil {
+					b.enc, b.data = uploadEnc, append([]byte(nil), payload...)
 				} else {
 					b.enc, b.data = compress.EncDense, compress.DenseWire(params)
 				}
@@ -604,8 +584,8 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			}
 			if st.Active && modelNow && (cfg.FullUpload || i == choice) {
 				msg.Flag = 1
-				if cfg.Codec != nil {
-					msg.Enc, msg.Payload = uploadEnc, encBuf
+				if payload != nil {
+					msg.Enc, msg.Payload = uploadEnc, payload
 				} else {
 					msg.Vec = params
 				}

@@ -131,6 +131,31 @@ func TestDistributedHistoryAttackParity(t *testing.T) {
 	assertSameParams(t, dist, eng, "backward attack")
 }
 
+// TestDistributedIdleServerMatchesEngine: with more servers than
+// clients some server admits nothing in some round, and a Byzantine one
+// then re-sends its last aggregate to its history-replaying attack. The
+// idle rounds must leave both runtimes on the same models.
+func TestDistributedIdleServerMatchesEngine(t *testing.T) {
+	const k, p, rounds, seed = 3, 5, 5, 36
+	byzID := 2
+	idle := false
+	for r := 0; r < rounds && !idle; r++ {
+		idle = true
+		for c := 0; c < k; c++ {
+			idle = idle && core.SparseUploadChoice(seed, r, c, p) != byzID
+		}
+	}
+	if !idle {
+		t.Fatal("the Byzantine server admits an upload every round: pick another seed")
+	}
+	atk := attack.Backward{}
+	dist := runDistributed(t, makeLearners(t, k, seed), p, rounds,
+		map[int]attack.Attack{byzID: atk}, aggregate.TrimmedMean{Beta: 0.2}, seed)
+	eng := runEngine(t, makeLearners(t, k, seed), p, rounds, 0, []int{byzID},
+		atk, aggregate.TrimmedMean{Beta: 0.2}, seed)
+	assertSameParams(t, dist, eng, "idle Byzantine server")
+}
+
 func TestPSRejectsBadConfig(t *testing.T) {
 	if _, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 0, Rounds: 1}); err == nil {
 		t.Fatal("expected config error")

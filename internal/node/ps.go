@@ -222,18 +222,14 @@ type PS struct {
 	// buffer (nil in sync mode).
 	sc    *sched.Scheduler
 	spill *spill.Buffer
+	// srv aggregates and tampers, the same core.Server the engine runs
+	// per server id. Its fallback aggregate is the checkpoint's model or
+	// the lowest client id's hello seed.
+	srv *core.Server
 
 	mu       sync.Mutex
 	crashed  bool
 	accepted []*transport.Conn // every conn ever accepted, for Crash
-	lastAgg  []float64
-	history  [][]float64
-	// aggBuf is a benign server's round-persistent aggregation output
-	// buffer: without an Attack nothing retains the aggregate past the
-	// round (history is only kept for Byzantine servers, the empty-round
-	// path copies), so the rules write in place instead of allocating d
-	// floats per round.
-	aggBuf []float64
 	// v2ok[id] records whether client id's hello advertised v2 codec
 	// frames; only those clients may receive an encoded downlink.
 	v2ok []bool
@@ -385,7 +381,7 @@ func NewPS(cfg PSConfig) (*PS, error) {
 	// persisted round horizon, re-seeds its aggregate from the saved
 	// params, and reopens the flushed spill segment so the uploads
 	// still in flight toward future rounds replay instead of dropping.
-	var restored *checkpoint.State
+	var resume []float64
 	var spillBuf *spill.Buffer
 	if cfg.Async {
 		scfg := spill.Config{MemLimit: cfg.SpillMem, Dir: cfg.SpillDir}
@@ -405,8 +401,12 @@ func NewPS(cfg PSConfig) (*PS, error) {
 					return nil, fmt.Errorf("node: PS %d: checkpoint window/staleness %v/%d disagree with config %v/%d",
 						cfg.ID, a.Window, a.Staleness, cfg.Window, cfg.Staleness)
 				}
+				if st.Seed != cfg.Seed {
+					return nil, fmt.Errorf("node: PS %d: checkpoint %s was written under seed %d, config has %d",
+						cfg.ID, cfg.CheckpointPath, st.Seed, cfg.Seed)
+				}
 				cfg.StartRound = st.Round
-				restored = st
+				resume = st.Params
 				if a.SpillPath != "" {
 					// A torn tail (crash mid-write) truncates away inside
 					// Open; recovering fewer records than the manifest
@@ -447,13 +447,16 @@ func NewPS(cfg PSConfig) (*PS, error) {
 		return nil, fmt.Errorf("node: PS %d listen: %w", cfg.ID, err)
 	}
 	p := &PS{cfg: cfg, ln: ln, sc: sc, spill: spillBuf}
-	if restored != nil && len(restored.Params) > 0 {
-		p.lastAgg = append([]float64(nil), restored.Params...)
-	}
+	p.srv = p.newServer(resume)
 	p.om = newPSMetrics(cfg.Obs, cfg.ID, cfg.ServerRule.Name())
 	p.tm = transport.NewMetrics(cfg.Obs, fmt.Sprintf("ps%d", cfg.ID))
 	p.obsOn = cfg.Obs != nil || cfg.TraceSink != nil || cfg.Logger != nil
 	return p, nil
+}
+
+// newServer builds this PS's core.Server with fallback aggregate last.
+func (p *PS) newServer(last []float64) *core.Server {
+	return core.NewServer(p.cfg.ID, p.cfg.Seed, p.cfg.ServerRule, p.cfg.LossOracle, p.cfg.Shards, p.cfg.Attack, last)
 }
 
 // Addr returns the bound listen address.
@@ -546,7 +549,7 @@ func (p *PS) Serve() error {
 	// Hello{flag=id|HelloSeedFlag}, so the prefilter's hello-phase body
 	// cap stays aggressive, followed by a TypeHello seed frame carrying
 	// the shared initial model w_0. A rejoining client sends its current
-	// model instead, seeding lastAgg for empty rounds.
+	// model instead, seeding the fallback aggregate for empty rounds.
 	//
 	// Handshakes run concurrently: acceptLoop sheds rate-limited and
 	// post-quota connections at Accept, prefilters the rest from peeked
@@ -597,19 +600,25 @@ func (p *PS) Serve() error {
 	}
 	quotaMet.Store(true)
 	go p.drainAccepts(results, stop)
-	// Seed lastAgg (the empty-round fallback aggregate) from the lowest
-	// client id with a non-empty hello seed — a deterministic choice,
-	// where the old arrival-order seeding depended on dial timing.
-	p.mu.Lock()
-	if p.lastAgg == nil {
-		for _, s := range seeds {
-			if len(s) > 0 {
-				p.lastAgg = append([]float64(nil), s...)
-				break
-			}
+	// Without a checkpoint, the empty-round fallback aggregate is the
+	// lowest client id's non-empty hello seed — a deterministic choice,
+	// where arrival-order seeding would depend on dial timing. With one,
+	// the checkpoint's model must have the clients' dimension, or every
+	// upload would be measured against the wrong one.
+	var hello []float64
+	for _, s := range seeds {
+		if len(s) > 0 {
+			hello = s
+			break
 		}
 	}
-	p.mu.Unlock()
+	switch d := p.srv.Dim(); {
+	case d == 0:
+		p.srv = p.newServer(hello)
+	case hello != nil && len(hello) != d:
+		return fmt.Errorf("node: PS %d: checkpoint %s holds a %d-parameter model, the clients' models have %d",
+			p.cfg.ID, p.cfg.CheckpointPath, d, len(hello))
+	}
 
 	for !p.sc.Done() {
 		round := p.sc.Round()
@@ -984,49 +993,6 @@ func (p *PS) recvRound(id int, conn *transport.Conn, deadline time.Time) roundRe
 	}
 }
 
-// replaySpill pops the records parked for this round (or still
-// admissibly stale) into the member set before any socket is read, so
-// a checkpoint restart resumes mid-window instead of dropping the late
-// uploads. Popping exactly Len() records cycles not-yet-due ones to
-// the back once, preserving FIFO across rounds. A no-op without a spill
-// buffer (sync mode).
-func (p *PS) replaySpill() (entries []sched.Entry, dropped int, err error) {
-	if p.spill == nil {
-		return nil, 0, nil
-	}
-	for n := p.spill.Len(); n > 0; n-- {
-		rec, ok, err := p.spill.Pop()
-		if err != nil {
-			return nil, 0, fmt.Errorf("spill: %w", err)
-		}
-		if !ok {
-			break
-		}
-		d := p.sc.Decide(rec.Origin)
-		switch d.Outcome {
-		case sched.Defer:
-			if err := p.spill.Add(rec); err != nil {
-				return nil, 0, fmt.Errorf("spill requeue: %w", err)
-			}
-		case sched.Accept, sched.AcceptStale:
-			pl, perr := compress.ParsePayload(compress.Encoding(rec.Enc), rec.Data)
-			if perr != nil {
-				// The segment frame checksummed, so this payload was
-				// malformed at the sender; drop it like any other
-				// inadmissible upload.
-				dropped++
-				continue
-			}
-			entries = append(entries, sched.Entry{
-				Client: rec.Client, Origin: rec.Origin, Stale: d.Staleness, Weight: d.Weight, View: pl,
-			})
-		case sched.DropStale:
-			dropped++
-		}
-	}
-	return entries, dropped, nil
-}
-
 // serveRound is one round of the lifecycle, the same pipeline in both
 // modes: replay the spill, read every connection up to its round
 // marker (receive), let the scheduler rule on each frame (decide), park
@@ -1043,7 +1009,11 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	if p.obsOn {
 		barrierStart = time.Now()
 	}
-	entries, dropped, err := p.replaySpill()
+	// Spill records due now join before any socket is read, so a
+	// checkpoint restart resumes mid-window instead of dropping the late
+	// uploads.
+	var entries []sched.Entry
+	dropped, err := p.sc.Replay(p.spill, func(_ int, e sched.Entry) { entries = append(entries, e) })
 	if err != nil {
 		return fail("%w", err)
 	}
@@ -1150,7 +1120,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	// checksummed upload of any other size is a sender lying on the
 	// wire, degraded like a malformed codec payload.
 	sched.Sort(entries)
-	dim := len(p.lastAgg)
+	dim := p.srv.Dim()
 	kept := entries[:0]
 	for _, e := range entries {
 		if dim == 0 {
@@ -1177,33 +1147,11 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	// Aggregate. The rule consumes the payload views directly: a fused
 	// rule never densifies the codec uploads, a rule without a payload
 	// kernel falls back to densify-first inside aggregate.Run
-	// (bit-identical either way). A benign server writes into its
-	// round-persistent buffer (nothing retains its aggregate past the
-	// round); a Byzantine server allocates fresh — its history feeds the
-	// adaptive attack.
-	var res aggregate.Result
-	if len(entries) == 0 {
-		if p.lastAgg == nil {
-			return fail("no uploads and no previous aggregate")
-		}
-		res.Out = append([]float64(nil), p.lastAgg...)
-	} else {
-		benign := p.cfg.Attack == nil
-		req := aggregate.Request{Rule: p.cfg.ServerRule, Oracle: p.cfg.LossOracle, Shards: p.cfg.Shards}
-		req.Views, req.Weights = sched.Members(entries)
-		if benign {
-			req.Dst = p.aggBuf
-		}
-		res = aggregate.Run(req)
-		if benign {
-			p.aggBuf = res.Out
-		}
+	// (bit-identical either way).
+	res, err := p.srv.Aggregate(entries)
+	if err != nil {
+		return fail("%w", err)
 	}
-	agg := res.Out
-
-	p.mu.Lock()
-	p.lastAgg = agg
-	p.mu.Unlock()
 	p.om.rounds.Inc()
 	p.om.uploadsRecv.Add(int64(t.members))
 	p.om.uploadsMissed.Add(int64(t.missed))
@@ -1245,7 +1193,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		if err != nil {
 			return fail("spill flush: %w", err)
 		}
-		st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: agg}
+		st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: res.Out}
 		checkpoint.WriteAsyncMeta(st, checkpoint.AsyncState{
 			Window: p.cfg.Window, Staleness: p.cfg.Staleness,
 			SpillPath: man.Path, SpillRecords: man.Records, SpillBytes: man.Bytes,
@@ -1260,7 +1208,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		p.om.spillPeak.SetMax(p.spill.PeakDiskBytes())
 	}
 
-	return p.disseminate(round, agg, conns, t)
+	return p.disseminate(round, conns, t)
 }
 
 // roundTally carries the aggregation phase's outcome into disseminate,
@@ -1278,25 +1226,17 @@ type roundTally struct {
 	expired     int
 }
 
-// disseminate broadcasts the round aggregate to every live client —
-// with Byzantine tampering where configured — then tallies the wire
-// totals from successful sends and emits the round's trace and log
-// line. The history records honest aggregates only (adaptive adversary
-// knowledge), exactly as in the engine. Shared verbatim by the sync
-// barrier and the async window (pure code motion from serveRound; the
-// sync trace stays bit-identical).
-func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t roundTally) error {
-	var consistentTampered []float64
-	if p.cfg.Attack != nil && !p.cfg.Attack.Equivocates() {
-		ctx := &attack.Context{
-			Round:   round,
-			Server:  p.cfg.ID,
-			Client:  -1,
-			TrueAgg: agg,
-			History: p.history,
-			RNG:     core.AttackRNG(p.cfg.Seed, p.cfg.ID, round, -1, false),
-		}
-		consistentTampered = p.cfg.Attack.Tamper(ctx)
+// disseminate sends every live client the round's model from the
+// server (Server.Send: the aggregate, or a Byzantine server's tampered
+// one — computed once unless the attack equivocates), then tallies the
+// wire totals from successful sends and emits the round's trace and log
+// line. A networked PS cannot observe its peers, so no benign
+// aggregates reach the attack. Shared by the sync barrier and the async
+// window.
+func (p *PS) disseminate(round int, conns []*transport.Conn, t roundTally) error {
+	var consistent []float64
+	if p.cfg.Attack == nil || !p.cfg.Attack.Equivocates() {
+		consistent = p.srv.Send(round, -1, nil)
 	}
 
 	// Each send reports its outcome with the message it carried, and
@@ -1316,21 +1256,9 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 		if conn == nil {
 			continue
 		}
-		out := agg
-		switch {
-		case p.cfg.Attack == nil:
-		case consistentTampered != nil:
-			out = consistentTampered
-		default:
-			ctx := &attack.Context{
-				Round:   round,
-				Server:  p.cfg.ID,
-				Client:  id,
-				TrueAgg: agg,
-				History: p.history,
-				RNG:     core.AttackRNG(p.cfg.Seed, p.cfg.ID, round, id, true),
-			}
-			out = p.cfg.Attack.Tamper(ctx)
+		out := consistent
+		if out == nil {
+			out = p.srv.Send(round, id, nil)
 		}
 		msg := &transport.Message{
 			Type:   transport.TypeGlobalModel,
@@ -1368,12 +1296,6 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 	p.om.bytesOut.Add(int64(bytesOut))
 	p.om.floatsOut.Add(int64(floatsOut))
 	p.om.sendsFailed.Add(int64(len(sendErrs)))
-	// Only a Byzantine server reads its history (adaptive-adversary
-	// knowledge); a benign one retaining it would grow O(T·d) unread and
-	// pin the reused aggregation buffer.
-	if p.cfg.Attack != nil {
-		p.history = append(p.history, agg)
-	}
 
 	sendLost := 0
 	for _, e := range sendErrs {

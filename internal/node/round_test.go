@@ -19,9 +19,9 @@ import (
 // pipePS builds a PS whose round loop the test drives directly over
 // in-memory pipes: NewPS does the config → scheduler/spill wiring, the
 // returned connections stand in for what Serve's accept phase would
-// have admitted, and lastAgg plays the hello seed. srv[i] is the
-// server's end of client i's connection, cli[i] the client's.
-func pipePS(t *testing.T, cfg PSConfig, lastAgg []float64) (p *PS, srv, cli []*transport.Conn) {
+// have admitted, and seed plays the hello seed. srv[i] is the server's
+// end of client i's connection, cli[i] the client's.
+func pipePS(t *testing.T, cfg PSConfig, seed []float64) (p *PS, srv, cli []*transport.Conn) {
 	t.Helper()
 	cfg.ListenAddr = "127.0.0.1:0"
 	p, err := NewPS(cfg)
@@ -34,7 +34,7 @@ func pipePS(t *testing.T, cfg PSConfig, lastAgg []float64) (p *PS, srv, cli []*t
 			_ = p.spill.Close()
 		}
 	})
-	p.lastAgg = lastAgg
+	p.srv = p.newServer(seed)
 	p.v2ok = make([]bool, cfg.Clients)
 	p.parked = make([]*transport.Message, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {

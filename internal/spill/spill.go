@@ -26,7 +26,7 @@ import (
 // routing and staleness bookkeeping the scheduler needs to replay it.
 type Record struct {
 	Client int    // uploading client id
-	Server int    // destination server id (engine routing; -1 when unused)
+	Server int    // destination server id (a PS records its own)
 	Origin int    // round the payload was trained for
 	Due    int    // earliest round the record may be delivered in
 	Enc    byte   // compress.Encoding wire tag
