@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race chaos trace fuzz defense scale straggler
+.PHONY: build test verify reproduce race chaos trace fuzz defense scale straggler
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,8 @@ test:
 # so its divergences should likewise fail by name under the race
 # detector before the full suite. The loss-oracle tier runs fourth:
 # the oracle dispatch (loss rules, degraded quorums, engine vs
-# distributed parity) is the newest aggregation surface, and its
+# distributed parity, and the one oracle a loopback federation shares
+# being called serially) is the newest aggregation surface, and its
 # contract violations should fail by name too. The sharded-aggregation
 # differential tier runs fifth: the two-tier shard tree must stay
 # bit-identical to the unsharded rules (every registry rule × shard
@@ -74,7 +75,7 @@ RACE_GEMM    = Gemm
 RACE_OBS     = TestObsDeterminism|TestObsReconcile
 RACE_PAYLOAD = TestPayloadAggregation|FuzzCoordinateKernels
 RACE_LOSS    = TestLossRule|TestKrumFamilyPartialParticipation
-RACE_LOSSD   = TestDistributedMatchesEngineLoss
+RACE_LOSSD   = TestDistributedMatchesEngineLoss|TestLocalSerializesSharedOracle
 RACE_SHARD   = TestShardedAggregation
 RACE_SHARDD  = TestDistributedShardedMatchesEngine|TestDistributedParticipationMatchesEngine
 RACE_ASYNCD  = TestAsyncDeterminismChaos|TestAsyncWideWindowMatchesSyncDistributed
@@ -104,6 +105,14 @@ verify:
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/
 	$(GO) test -race -run '$(RACE_ROLES)' ./internal/core/ ./internal/node/
 	$(GO) test -race -skip '$(RACE_STAGES)' ./...
+
+# The paper's figures as a golden: regenerate every committed file in
+# results/ (the 13 CSVs and the text report) and fail on any drift.
+# Takes about 3 minutes on a 2-vCPU box. TestPaperVerdicts holds
+# EXPERIMENTS.md's verdicts to the same CSVs in tier-1.
+reproduce:
+	$(GO) run ./cmd/fedms-bench -exp all -csvdir results > results/bench_all.txt
+	git diff --exit-code results/
 
 # Just the fault-injection surface under the race detector.
 race:

@@ -304,7 +304,9 @@ type Config struct {
 	// test set). Only consulted when a loss-based rule is selected.
 	HoldoutSamples int
 	// LossOracle overrides the automatically built holdout oracle
-	// (see core.Config.LossOracle for the contract).
+	// (see core.Config.LossOracle for the contract). Both runtimes
+	// serialize its calls: the engine, and a loopback federation
+	// launched through node.NewLocal.
 	LossOracle LossEval
 	// LearningRate is a constant LR (default 0.1); Schedule overrides.
 	LearningRate float64

@@ -59,8 +59,8 @@ type TrimmedMean struct {
 	Beta float64
 	// Trim, when positive, overrides the Beta-derived count and drops
 	// exactly this many values from each side regardless of the input
-	// count. The degraded client path uses it to keep trimming B values
-	// per side when only P' < P global models arrive in a round.
+	// count. core.Filter fixes it at ⌈Beta·P⌉ so a round in which only
+	// P' < P global models arrive still trims B values per side.
 	Trim int
 	// Workers bounds the goroutines of the coordinate-partitioned
 	// parallel aggregation path (0 or 1 = serial). The output is

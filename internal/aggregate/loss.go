@@ -3,6 +3,7 @@ package aggregate
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"fedms/internal/tensor"
 )
@@ -16,6 +17,21 @@ import (
 // NaN is tolerated defensively (ordered after every real loss) but is
 // a bug in the oracle.
 type LossEval func(model []float64) float64
+
+// Serialize returns eval behind a mutex, for a runtime whose concurrent
+// aggregations share one oracle; nil stays nil. Evals are pure, so the
+// order the lock imposes cannot change any result.
+func Serialize(eval LossEval) LossEval {
+	if eval == nil {
+		return nil
+	}
+	var mu sync.Mutex
+	return func(model []float64) float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return eval(model)
+	}
+}
 
 // LossRule is a Rule that can exploit a holdout-loss oracle. The
 // plain Aggregate method is the geometry-only fallback Run takes when

@@ -108,8 +108,10 @@ type Config struct {
 	// through the oracle; otherwise the loss rules run their
 	// geometry-only fallback. The oracle must be a deterministic pure
 	// function of the model vector — it never mutates model or
-	// training state — and may be called concurrently from the
-	// parallel filter stage (the engine serializes calls internally).
+	// training state. The engine and node.NewLocal, whose servers and
+	// filters share it concurrently, serialize its calls
+	// (aggregate.Serialize); a caller handing one oracle to nodes it
+	// runs concurrently itself must do the same.
 	// Calls are counted in Obs (fedms_engine_oracle_evals_total) as
 	// they are made: the filter site counts one filter's evaluations
 	// per distinct received set, which is one set per round unless a

@@ -74,21 +74,10 @@ type Engine struct {
 	// codec residuals, encode buffers) persists across rounds.
 	servers []*Server
 	clients []*Client
-	// filterBufs[s] is received set s's round-persistent filter output
-	// buffer (one set, or one per client under an equivocating attack —
-	// see disseminate); SetParams copies into each learner, so the
-	// filtered vector never outlives the round. filterViews[s] is the
-	// payload-view slice the set's models are wrapped in, emptied after
-	// each filter.
-	filterBufs  [][]float64
-	filterViews [][]compress.Payload
-
-	// oracle is the holdout-loss eval handed to LossRule dispatch — a
-	// mutex-serialized wrapper of cfg.LossOracle, because the filter
-	// stage calls it from the concurrent per-set pool. The eval is
-	// a pure function, so serialization order cannot change any
-	// result. nil when no oracle is configured.
-	oracle aggregate.LossEval
+	// filters[s] filters received set s (one set, or one per client
+	// under an equivocating attack — see disseminate); SetParams copies
+	// into each learner, so its reused output never outlives the round.
+	filters []*Filter
 
 	// sc is the shared round-lifecycle state machine: the engine asks
 	// it for the round cursor and every async admission decision, the
@@ -137,6 +126,8 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 	}
 	cfg.Filter = aggregate.WithWorkers(cfg.Filter, workers)
 	cfg.ServerFilter = aggregate.WithWorkers(cfg.ServerFilter, workers)
+	// The servers and the concurrent per-set filters share the oracle.
+	cfg.LossOracle = aggregate.Serialize(cfg.LossOracle)
 	// Local training shares the same budget: clients train concurrently
 	// (forEachClient), so each learner gets an equal slice of the pool
 	// for its GEMM kernels. Learners with an explicit setting keep it.
@@ -147,16 +138,6 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 	for _, l := range learners {
 		if wl, ok := l.(workerLearner); ok && wl.Workers() == 0 {
 			wl.SetWorkers(perLearner)
-		}
-	}
-	var oracle aggregate.LossEval
-	if cfg.LossOracle != nil {
-		inner := cfg.LossOracle
-		var mu sync.Mutex
-		oracle = func(m []float64) float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return inner(m)
 		}
 	}
 	scfg := sched.Config{Mode: sched.Sync, Rounds: cfg.Rounds}
@@ -177,7 +158,7 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 		if cfg.IsByzantine(i) {
 			atk = cfg.Attack
 		}
-		servers[i] = NewServer(i, cfg.Seed, cfg.ServerFilter, oracle, cfg.Shards, atk, w0)
+		servers[i] = NewServer(i, cfg.Seed, cfg.ServerFilter, cfg.LossOracle, cfg.Shards, atk, w0)
 	}
 	clients := make([]*Client, cfg.Clients)
 	for k := range clients {
@@ -199,7 +180,6 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 		dim:      dim,
 		servers:  servers,
 		clients:  clients,
-		oracle:   oracle,
 		sc:       sc,
 		spill:    spillBuf,
 		om:       newEngineMetrics(cfg.Obs, cfg.ServerFilter.Name()),
@@ -346,45 +326,39 @@ func (e *Engine) RunRound() RoundStats {
 	// as local training. Every set has at least one client, so the max
 	// over sets is the max over clients, and max is order-insensitive,
 	// keeping the round deterministic for any worker count.
-	downlinkCodec := !e.cfg.DownlinkCodec.IsDense()
+	results := make([]aggregate.Result, len(sets))
 	spreads := make([]float64, len(sets))
 	setBytes := make([]int, len(sets))
-	oracleFilterN := make([]int, len(sets))
-	if len(e.filterBufs) != len(sets) {
-		e.filterBufs = make([][]float64, len(sets))
-		e.filterViews = make([][]compress.Payload, len(sets))
+	if len(e.filters) != len(sets) {
+		e.filters = make([]*Filter, len(sets))
+		for s := range e.filters {
+			e.filters[s] = NewFilter(e.cfg.Filter, e.cfg.LossOracle, e.cfg.Servers, e.cfg.Servers)
+		}
 	}
 	e.forEachClient(len(sets), func(s int) {
-		received := sets[s]
-		if downlinkCodec {
-			// The downlink codec is a deterministic function of the
-			// vector (EF and randk are rejected by Validate), so one
-			// roundtrip per set is what each of its clients would decode,
-			// and matches the distributed PS encoding the same vector.
-			for i := range received {
-				v, n, err := e.cfg.DownlinkCodec.EncodeDecode(received[i])
-				if err != nil {
+		views := make([]compress.Payload, len(sets[s]))
+		for i, v := range sets[s] {
+			n := 8 * e.dim
+			if !e.cfg.DownlinkCodec.IsDense() {
+				// The downlink codec is a deterministic function of the
+				// vector (EF and randk are rejected by Validate), so one
+				// roundtrip per set is what each of its clients would decode,
+				// and matches the distributed PS encoding the same vector.
+				var err error
+				if v, n, err = e.cfg.DownlinkCodec.EncodeDecode(v); err != nil {
 					panic(fmt.Sprintf("core: downlink codec: %v", err))
 				}
-				received[i] = v
-				setBytes[s] += n
 			}
-		} else {
-			setBytes[s] = 8 * e.cfg.Servers * e.dim
+			views[i], setBytes[s] = compress.DensePayload(v), setBytes[s]+n
 		}
-		views := e.filterViews[s][:0]
-		for _, v := range received {
-			views = append(views, compress.DensePayload(v))
+		res, err := e.filters[s].Apply(views)
+		if err != nil {
+			panic(fmt.Sprintf("core: filter: %v", err))
 		}
-		res := aggregate.Run(aggregate.Request{Rule: e.cfg.Filter, Views: views, Oracle: e.oracle, Dst: e.filterBufs[s]})
-		clear(views) // do not pin this round's models past it
-		e.filterViews[s] = views
-		e.filterBufs[s] = res.Out // SetParams copies, so the buffer is free next round
-		oracleFilterN[s] = res.OracleEvals
-		spreads[s] = tensor.VecDist2(res.Out, benignMean)
+		results[s], spreads[s] = res, tensor.VecDist2(res.Out, benignMean)
 	})
 	e.forEachClient(e.cfg.Clients, func(k int) {
-		e.learners[k].SetParams(e.filterBufs[setOf[k]])
+		e.learners[k].SetParams(results[setOf[k]].Out)
 	})
 	for _, d := range spreads {
 		if d > st.ModelSpread {
@@ -431,11 +405,9 @@ func (e *Engine) RunRound() RoundStats {
 			e.om.spillDepth.Set(int64(st.SpillDepth))
 			e.om.spillBytes.Set(int64(st.SpillBytes))
 		}
-		var filterEvals int64
-		for _, n := range oracleFilterN {
-			filterEvals += int64(n)
+		for _, res := range results {
+			e.om.oracleFilter.Add(int64(res.OracleEvals))
 		}
-		e.om.oracleFilter.Add(filterEvals)
 		e.om.train.ObserveDuration(tTrain)
 		e.om.upload.ObserveDuration(tUpload)
 		e.om.filter.ObserveDuration(tFilter)

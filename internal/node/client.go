@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -73,11 +74,11 @@ type ClientConfig struct {
 	EvalEvery int
 	// MinModels enables graceful degradation: a round succeeds when at
 	// least MinModels global models arrive, and a short round (P' < P)
-	// falls back to trimming over the survivors with the same per-side
-	// trim count the full filter would use — the paper's β = B/P
-	// semantics, so up to B Byzantine models are still discarded. Keep
-	// it ≥ 2B+1 or the degraded filter loses its guarantee. Zero is the
-	// strict protocol: all P models required, any fault fatal.
+	// filters the survivors under core.Filter's trim rule — the per-side
+	// trim stays ⌈β·P⌉ = B, so up to B Byzantine models are still
+	// discarded. Keep it ≥ 2B+1 or the degraded filter loses its
+	// guarantee. Zero is the strict protocol: all P models required, any
+	// fault fatal.
 	MinModels int
 	// Faults, when non-nil, injects deterministic transport faults into
 	// this client's upload links (labelled "c<ID>->ps<i>"). The hello
@@ -97,6 +98,8 @@ type ClientConfig struct {
 	// models that actually arrived (keyed by PS id) and the filtered
 	// result. The chaos tests use it to check the filter output against
 	// benign coordinate bounds; callers must not mutate the arguments.
+	// filtered is the filter's reused output buffer, valid only during
+	// the call.
 	OnRound func(round int, received map[int][]float64, filtered []float64)
 	// Codec compresses this client's uploads into v2 codec frames (nil
 	// or the dense codec keeps the pre-codec v1 dense frames). Stateful
@@ -320,36 +323,6 @@ func recvModel(conn *transport.Conn, pending **transport.Message, psID, round, d
 	return recvResult{missing: true, err: errors.New("too many unreadable frames")}
 }
 
-// degradedTrim rebuilds the filter for a round where only got < total
-// models arrived. A TrimmedMean keeps its absolute per-side trim count
-// from the full federation (⌈β·P⌉ = B), so the degraded round still
-// discards up to B Byzantine survivors — the paper's filter semantics
-// under partial participation. Other rules apply unchanged.
-func degradedTrim(f aggregate.Rule, total, got int) (aggregate.Rule, error) {
-	if nf, ok := f.(aggregate.NoFuse); ok {
-		// See through the fused-path escape hatch, then restore it: the
-		// degraded round must trim like the inner rule while still
-		// aggregating on the densify-first fallback.
-		inner, err := degradedTrim(nf.Rule, total, got)
-		if err != nil {
-			return nil, err
-		}
-		return aggregate.NoFuse{Rule: inner}, nil
-	}
-	tm, ok := f.(aggregate.TrimmedMean)
-	if !ok {
-		return f, nil
-	}
-	m := tm.TrimCount(total)
-	if m == 0 {
-		return tm, nil
-	}
-	if 2*m >= got {
-		return nil, fmt.Errorf("%d models cannot absorb a trim of %d per side", got, m)
-	}
-	return aggregate.TrimmedMean{Trim: m, Workers: tm.Workers}, nil
-}
-
 // RunClient executes the client side of the protocol to completion and
 // returns per-round statistics.
 func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
@@ -398,6 +371,9 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 	// role trains, tampers and encodes: the same core.Client the engine
 	// runs per client id.
 	role := core.NewClient(cfg.ID, cfg.Seed, cfg.Learner, cfg.UploadAttack, cfg.Codec)
+	// filter is the same core.Filter the engine runs; its quorum is
+	// MinModels, or all P models for a strict client.
+	filter := core.NewFilter(cfg.Filter, cfg.LossOracle, p, cmp.Or(cfg.MinModels, p))
 
 	cm := newClientMetrics(cfg.Obs, cfg.ID, cfg.Filter.Name())
 	tm := transport.NewMetrics(cfg.Obs, fmt.Sprintf("c%d", cfg.ID))
@@ -627,7 +603,13 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			recvWait = time.Since(recvStart)
 		}
 
-		received := make(map[int]compress.Payload, p)
+		// Model filter over the P' ≤ P models that arrived, in ascending
+		// server order (bitwise engine parity when P' = P). The filter
+		// consumes the payload views directly — sparse or quantized
+		// downlinks are never densified per model; the fused kernels
+		// gather coordinates out of the views (bit-identical to
+		// decode-then-aggregate, see aggregate.Run).
+		received := make([]compress.Payload, 0, p)
 		for i := range conns {
 			if conns[i] == nil {
 				continue
@@ -644,52 +626,28 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			case r.missing:
 				// Keep the connection: the frame was lost, not the peer.
 			default:
-				received[i] = r.pl
+				received = append(received, r.pl)
 				st.DownloadBytes += r.bytes
 			}
 		}
-
 		got := len(received)
-		if got < p && !tolerant {
-			return stats, fmt.Errorf("node: client %d round %d: only %d of %d global models", cfg.ID, round, got, p)
+		res, err := filter.Apply(received)
+		if err != nil {
+			return stats, fmt.Errorf("node: client %d round %d: %w", cfg.ID, round, err)
 		}
-		if tolerant && got < cfg.MinModels {
-			return stats, fmt.Errorf("node: client %d round %d: only %d of %d global models (need ≥ %d)",
-				cfg.ID, round, got, p, cfg.MinModels)
-		}
-
-		// Model filter: trmean over the P' ≤ P received models, in
-		// ascending server order (bitwise engine parity when P' = P).
-		// The filter consumes the payload views directly — sparse or
-		// quantized downlinks are never densified per model; the fused
-		// kernels gather coordinates out of the views (bit-identical to
-		// decode-then-aggregate, see aggregate.Run).
-		models := make([]compress.Payload, 0, got)
-		for i := 0; i < p; i++ {
-			if pl, ok := received[i]; ok {
-				models = append(models, pl)
-			}
-		}
-		rule := cfg.Filter
-		if got < p {
-			var err error
-			if rule, err = degradedTrim(cfg.Filter, p, got); err != nil {
-				return stats, fmt.Errorf("node: client %d round %d: %w", cfg.ID, round, err)
-			}
-		}
-		res := aggregate.Run(aggregate.Request{Rule: rule, Views: models, Oracle: cfg.LossOracle})
-		filtered, filterFused, oracleEvals := res.Out, res.Fused, res.OracleEvals
-		cfg.Learner.SetParams(filtered)
+		cfg.Learner.SetParams(res.Out)
 		st.ModelsReceived = got
 		st.Degraded = got < p
 		if cfg.OnRound != nil {
 			// Observers see dense vectors; densify only when someone is
 			// actually watching.
 			dense := make(map[int][]float64, got)
-			for i, pl := range received {
-				dense[i] = pl.DenseView()
+			for i, r := range results {
+				if r.model {
+					dense[i] = r.pl.DenseView()
+				}
 			}
-			cfg.OnRound(round, dense, filtered)
+			cfg.OnRound(round, dense, res.Out)
 		}
 
 		if cfg.EvalEvery > 0 && (round%cfg.EvalEvery == cfg.EvalEvery-1 || round == cfg.Rounds-1) {
@@ -710,12 +668,12 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		}
 		cm.uploadBytes.Add(int64(st.UploadBytes))
 		cm.downloadBytes.Add(int64(st.DownloadBytes))
-		if filterFused {
+		if res.Fused {
 			cm.filterFused.Inc()
 		} else {
 			cm.filterFallback.Inc()
 		}
-		cm.oracleEvals.Add(int64(oracleEvals))
+		cm.oracleEvals.Add(int64(res.OracleEvals))
 		cm.recvWait.ObserveDuration(recvWait)
 		if cfg.TraceSink != nil || cfg.Logger != nil {
 			degraded := 0.0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"fedms/internal/aggregate"
 	"fedms/internal/compress"
 	"fedms/internal/core"
 	"fedms/internal/randx"
@@ -117,6 +118,8 @@ func NewLocal(cfg core.Config, learners []core.Learner, ps func(*PSConfig), clie
 	if len(learners) != cfg.Clients {
 		return nil, fmt.Errorf("node: %d learners for K=%d clients", len(learners), cfg.Clients)
 	}
+	// Every node gets the one oracle, and the nodes run concurrently.
+	cfg.LossOracle = aggregate.Serialize(cfg.LossOracle)
 	l := &Local{Addrs: make([]string, cfg.Servers)}
 	for i := range l.Addrs {
 		pc, err := PSConfigFor(cfg, i)

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fedms/internal/aggregate"
 	"fedms/internal/attack"
@@ -107,4 +109,28 @@ func TestDistributedLossFilterWithoutOracle(t *testing.T) {
 	eng := runEngineLoss(t, makeLearners(t, k, seed), p, rounds,
 		nil, attack.None{}, nil, aggregate.LossCluster{}, nil, seed)
 	assertSameParams(t, dist, eng, "losscluster filter, no oracle")
+}
+
+// TestLocalSerializesSharedOracle: NewLocal hands one oracle to every
+// node of the federation, and the nodes run concurrently, so it must
+// serialize the calls as core.Config.LossOracle promises: no two
+// evaluations may overlap, here across K clients filtering at once.
+func TestLocalSerializesSharedOracle(t *testing.T) {
+	const k, p, rounds, seed = 6, 3, 3, 36
+	var inFlight, peak, calls atomic.Int64
+	oracle := func(m []float64) float64 {
+		calls.Add(1)
+		n := inFlight.Add(1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond)
+		inFlight.Add(-1)
+		return testOracle(m)
+	}
+	cfg := testSpec(k, p, rounds, aggregate.FedGreed{}, seed)
+	cfg.LossOracle = oracle
+	launch(t, cfg, makeLearners(t, k, seed), nil, nil)
+	if n := calls.Load(); n == 0 || peak.Load() != 1 {
+		t.Fatalf("peak of %d concurrent oracle calls over %d; want 1", peak.Load(), n)
+	}
 }
