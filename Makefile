@@ -13,9 +13,10 @@ test:
 	$(GO) test ./...
 
 # Tier-1 plus the race-clean tier: everything must pass with -race.
-# The GEMM determinism contract runs first on its own — the worker-
-# parallel kernels underpin every training result, so their races should
-# fail fast and by name before the full suite runs. The observability
+# The fork-join (par.For's partition) and GEMM determinism contract runs
+# first on its own — every worker-parallel loop goes through par.For
+# and the GEMM kernels underpin every training result, so their races
+# should fail fast and by name before the full suite runs. The observability
 # contract follows for the same reason: metrics, tracing and logging
 # must never perturb a seeded run, and a run's trace, PSStats and
 # exported counters must reconcile exactly (TestObsReconcile), so
@@ -50,8 +51,8 @@ test:
 # deltas meaningless (the gates skip themselves under -race, so this
 # named no-race stage is the only place they actually assert); the
 # top-k encode allocation gate (a steady-state topk/ef+topk encode at
-# d = 1e5 allocates nothing) rides in the same stage for the same
-# reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
+# d = 1e5 allocates nothing) and par.For's (nothing serial, at most two
+# objects per fan-out) ride in the same stage for the same reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
 # core.Config) is bound to flags once and every node's configuration is
 # derived from it, so the CLI contract (the pinned flag surface, the
 # one table of rejections, both commands surfacing it before any
@@ -71,7 +72,7 @@ test:
 # codec through them fail by name. The
 # final full-suite stage skips the union of the named race stages'
 # patterns, so every test runs under -race exactly once.
-RACE_GEMM    = Gemm
+RACE_GEMM    = Gemm|TestFor$$
 RACE_OBS     = TestObsDeterminism|TestObsReconcile
 RACE_PAYLOAD = TestPayloadAggregation|FuzzCoordinateKernels
 RACE_LOSS    = TestLossRule|TestKrumFamilyPartialParticipation
@@ -89,7 +90,7 @@ RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSS
 
 verify:
 	$(GO) vet ./...
-	$(GO) test -race -run '$(RACE_GEMM)' ./internal/tensor/
+	$(GO) test -race -run '$(RACE_GEMM)' ./internal/tensor/ ./internal/par/
 	$(GO) test -race -run '$(RACE_OBS)' ./internal/node/ ./internal/core/
 	$(GO) test -race -run '$(RACE_PAYLOAD)' ./internal/aggregate/
 	$(GO) test -race -run '$(RACE_LOSS)' ./internal/aggregate/
@@ -99,7 +100,7 @@ verify:
 	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
 	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc' ./internal/transport/ ./internal/compress/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/

@@ -329,7 +329,10 @@ type Config struct {
 	// EvalEvery and EvalClients control evaluation (see core.Config).
 	EvalEvery   int
 	EvalClients int
-	// Workers bounds parallel client training.
+	// Workers bounds the engine's parallelism (core.Config.Workers,
+	// default GOMAXPROCS): client training and its GEMM kernels, and the
+	// servers' and client filters' aggregation. Results are
+	// bit-identical for any value.
 	Workers int
 
 	// UploadCodec is the codec spec applied to client uploads, e.g.

@@ -12,7 +12,6 @@ package aggregate
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fedms/internal/tensor"
 )
@@ -62,10 +61,6 @@ type TrimmedMean struct {
 	// count. core.Filter fixes it at ⌈Beta·P⌉ so a round in which only
 	// P' < P global models arrive still trims B values per side.
 	Trim int
-	// Workers bounds the goroutines of the coordinate-partitioned
-	// parallel aggregation path (0 or 1 = serial). The output is
-	// bit-identical for every value of Workers.
-	Workers int
 }
 
 // Name implements Rule.
@@ -107,12 +102,7 @@ func (t TrimmedMean) TrimCount(n int) int {
 func (t TrimmedMean) Aggregate(vecs [][]float64) []float64 { return aggregateDense(t, vecs) }
 
 // CoordinateMedian takes the per-coordinate median (Yin et al., 2018).
-type CoordinateMedian struct {
-	// Workers bounds the goroutines of the coordinate-partitioned
-	// parallel aggregation path (0 or 1 = serial). The output is
-	// bit-identical for every value of Workers.
-	Workers int
-}
+type CoordinateMedian struct{}
 
 // Name implements Rule.
 func (CoordinateMedian) Name() string { return "median" }
@@ -139,55 +129,9 @@ func (k Krum) Aggregate(vecs [][]float64) []float64 {
 	return out
 }
 
-// Select returns the index of the Krum-chosen vector.
-func (k Krum) Select(vecs [][]float64) int {
-	n := len(vecs)
-	nb := n - k.F - 2
-	if nb < 1 {
-		nb = 1
-	}
-	if nb > n-1 {
-		nb = n - 1
-	}
-	if n == 1 {
-		return 0
-	}
-	// Pairwise squared distances.
-	d2 := make([][]float64, n)
-	for i := range d2 {
-		d2[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d2[i][j] = tensor.VecSqDist(vecs[i], vecs[j])
-			d2[j][i] = d2[i][j]
-		}
-	}
-	best, bestScore := 0, 0.0
-	row := make([]float64, 0, n-1)
-	for i := 0; i < n; i++ {
-		row = row[:0]
-		for j := 0; j < n; j++ {
-			if j != i {
-				row = append(row, d2[i][j])
-			}
-		}
-		sort.Float64s(row)
-		score := 0.0
-		for _, v := range row[:nb] {
-			score += v
-		}
-		// Scores can genuinely tie (e.g. with nb = 1 the two mutually
-		// closest vectors share their min distance), so break ties by
-		// vector content — index-based tie-breaking would make the
-		// selection depend on input order.
-		if i == 0 || score < bestScore ||
-			(score == bestScore && lexLess(vecs[i], vecs[best])) {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
+// Select returns the index of the Krum-chosen vector: the first of
+// krumRank's order.
+func (k Krum) Select(vecs [][]float64) int { return krumRank(vecs, k.F)[0] }
 
 // lexLess orders vectors lexicographically — a permutation-invariant
 // tie-breaker for selection rules.

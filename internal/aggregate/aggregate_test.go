@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"fedms/internal/randx"
+	"fedms/internal/tensor"
 )
 
 // aggregateWithOracle is Run over dense vectors with a holdout-loss
@@ -14,6 +15,12 @@ import (
 func aggregateWithOracle(r Rule, vecs [][]float64, eval LossEval) ([]float64, int) {
 	res := Run(Request{Rule: r, Views: denseViews(vecs), Oracle: eval})
 	return res.Out, res.OracleEvals
+}
+
+// aggregateWorkers aggregates dense vectors under r with the flat
+// gather's worker bound set to workers.
+func aggregateWorkers(r Rule, vecs [][]float64, workers int) []float64 {
+	return Run(Request{Rule: r, Views: denseViews(vecs), Workers: workers}).Out
 }
 
 // weightedDense runs r's weighted kernel over dense vectors, keeping
@@ -262,6 +269,50 @@ func TestKrumReturnsExactInput(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("Krum must return one of its inputs")
+	}
+}
+
+// TestKrumSelectTies pins Krum.Select, which takes krumRank's first
+// index, to a direct scan on tie-heavy inputs (a small integer grid
+// with repeated vectors): the lowest score wins, equal scores go to the
+// lexicographically smaller vector, and equal vectors to the first
+// index.
+func TestKrumSelectTies(t *testing.T) {
+	r := randx.New(17)
+	for trial := 0; trial < 500; trial++ {
+		n, d, f := 1+r.IntN(7), 1+r.IntN(3), r.IntN(3)
+		vecs := make([][]float64, n)
+		for i := range vecs {
+			if i > 0 && r.IntN(3) == 0 {
+				vecs[i] = vecs[r.IntN(i)]
+				continue
+			}
+			vecs[i] = make([]float64, d)
+			for j := range vecs[i] {
+				vecs[i][j] = float64(r.IntN(3))
+			}
+		}
+		nb := min(max(n-f-2, 1), n-1)
+		best, bestScore := 0, 0.0
+		for i := range vecs {
+			var dists []float64
+			for j := range vecs {
+				if j != i {
+					dists = append(dists, tensor.VecSqDist(vecs[i], vecs[j]))
+				}
+			}
+			sort.Float64s(dists)
+			score := 0.0
+			for _, v := range dists[:nb] {
+				score += v
+			}
+			if i == 0 || score < bestScore || (score == bestScore && lexLess(vecs[i], vecs[best])) {
+				best, bestScore = i, score
+			}
+		}
+		if got := (Krum{F: f}).Select(vecs); got != best {
+			t.Fatalf("trial %d f=%d %v: Select = %d, want %d", trial, f, vecs, got, best)
+		}
 	}
 }
 

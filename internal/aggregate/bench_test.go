@@ -47,11 +47,10 @@ func BenchmarkTrimmedMean(b *testing.B) {
 			}
 		})
 		for _, workers := range []int{1, 4} {
-			tm := TrimmedMean{Beta: 0.2, Workers: workers}
 			b.Run(benchName(map[int]string{1: "serial", 4: "workers4"}[workers], d), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					tm.Aggregate(vecs)
+					aggregateWorkers(TrimmedMean{Beta: 0.2}, vecs, workers)
 				}
 			})
 		}
@@ -62,11 +61,10 @@ func BenchmarkCoordinateMedian(b *testing.B) {
 	for _, d := range benchDims {
 		vecs := benchInputs(b, 10, d)
 		for _, workers := range []int{1, 4} {
-			med := CoordinateMedian{Workers: workers}
 			b.Run(benchName(map[int]string{1: "serial", 4: "workers4"}[workers], d), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					med.Aggregate(vecs)
+					aggregateWorkers(CoordinateMedian{}, vecs, workers)
 				}
 			})
 		}
@@ -126,7 +124,7 @@ func BenchmarkPayloadAggregation(b *testing.B) {
 		for _, rule := range []struct {
 			name string
 			rule Rule
-		}{{"mean", Mean{}}, {"trimmed_mean", TrimmedMean{Beta: 0.2, Workers: 1}}} {
+		}{{"mean", Mean{}}, {"trimmed_mean", TrimmedMean{Beta: 0.2}}} {
 			for _, arm := range []struct {
 				name string
 				rule Rule
@@ -176,7 +174,7 @@ func BenchmarkWeighted(b *testing.B) {
 		for _, rule := range []struct {
 			name string
 			rule Rule
-		}{{"trimmed_mean", TrimmedMean{Beta: 0.2, Workers: 1}}, {"median", CoordinateMedian{Workers: 1}}} {
+		}{{"trimmed_mean", TrimmedMean{Beta: 0.2}}, {"median", CoordinateMedian{}}} {
 			benchAggregate(b, benchName(rule.name, d), func() []float64 {
 				return Request{Rule: rule.rule, Views: views, Weights: weights, Dst: dst}.run().Out
 			})

@@ -90,7 +90,10 @@ func krumRank(vecs [][]float64, f int) []int {
 		if sa != sb {
 			return sa < sb
 		}
-		// Permutation-invariant tie-break (see Krum.Select).
+		// Scores can genuinely tie (e.g. with nb = 1 the two mutually
+		// closest vectors share their min distance), so break ties by
+		// vector content — index-based tie-breaking would make the
+		// selection depend on input order.
 		return lexLess(vecs[order[a]], vecs[order[b]])
 	})
 	return order

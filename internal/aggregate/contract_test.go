@@ -237,15 +237,13 @@ func TestTrimmedMeanTrimOverrideMatchesBeta(t *testing.T) {
 	(TrimmedMean{Trim: 2}).TrimCount(4)
 }
 
-// coordParallelRules enumerates every (rule, worker-count) pair of the
-// coordinate-parallel aggregation path, for serial-vs-parallel checks.
-func coordParallelRules(workers int) []Rule {
-	return []Rule{
-		TrimmedMean{Beta: 0.2, Workers: workers},
-		TrimmedMean{Beta: 1.0 / 3.0, Workers: workers},
-		TrimmedMean{Trim: 2, Workers: workers},
-		CoordinateMedian{Workers: workers},
-	}
+// coordParallelRules enumerates the rules of the coordinate-parallel
+// aggregation path, for serial-vs-parallel checks.
+var coordParallelRules = []Rule{
+	TrimmedMean{Beta: 0.2},
+	TrimmedMean{Beta: 1.0 / 3.0},
+	TrimmedMean{Trim: 2},
+	CoordinateMedian{},
 }
 
 // TestSerialParallelBitIdentical: the worker-parallel coordinate path
@@ -258,14 +256,14 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 	for _, n := range []int{7, 10} {
 		for _, d := range []int{64, 2048, 5000, minParallelWork/7 + 1} {
 			vecs := randomVecs(r, n, d)
-			for ri, serial := range coordParallelRules(1) {
-				want := serial.Aggregate(vecs)
+			for _, rule := range coordParallelRules {
+				want := aggregateWorkers(rule, vecs, 1)
 				for _, workers := range []int{2, 8, -1} {
-					got := coordParallelRules(workers)[ri].Aggregate(vecs)
+					got := aggregateWorkers(rule, vecs, workers)
 					for j := range want {
 						if got[j] != want[j] {
 							t.Fatalf("%s n=%d d=%d workers=%d coord %d: %v != serial %v",
-								serial.Name(), n, d, workers, j, got[j], want[j])
+								rule.Name(), n, d, workers, j, got[j], want[j])
 						}
 					}
 				}
@@ -328,13 +326,13 @@ func TestCoordChunkWorkGate(t *testing.T) {
 func TestParallelPathFreshOutput(t *testing.T) {
 	r := randx.New(22)
 	const n, d = 9, minParallelWork/9 + 1 // past the work gate: genuinely parallel
-	for _, rule := range coordParallelRules(8) {
+	for _, rule := range coordParallelRules {
 		vecs := randomVecs(r, n, d)
 		snapshot := make([][]float64, n)
 		for i, v := range vecs {
 			snapshot[i] = append([]float64(nil), v...)
 		}
-		out := rule.Aggregate(vecs)
+		out := aggregateWorkers(rule, vecs, 8)
 		for j := range out {
 			out[j] = 1e30 // would corrupt vecs if out aliased an input
 		}
@@ -428,24 +426,6 @@ func TestTrimmedMeanSelectionMatchesSort(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestWithWorkers: the engine's knob-threading helper must set Workers
-// on the coordinate-parallel rules and leave every other rule (and
-// already-configured rules) untouched.
-func TestWithWorkers(t *testing.T) {
-	if got := WithWorkers(TrimmedMean{Beta: 0.2}, 4).(TrimmedMean).Workers; got != 4 {
-		t.Fatalf("WithWorkers(TrimmedMean).Workers = %d", got)
-	}
-	if got := WithWorkers(CoordinateMedian{}, 4).(CoordinateMedian).Workers; got != 4 {
-		t.Fatalf("WithWorkers(CoordinateMedian).Workers = %d", got)
-	}
-	if got := WithWorkers(TrimmedMean{Beta: 0.2, Workers: 2}, 4).(TrimmedMean).Workers; got != 2 {
-		t.Fatalf("WithWorkers must not override an explicit worker count, got %d", got)
-	}
-	if _, ok := WithWorkers(GeoMedian{}, 4).(GeoMedian); !ok {
-		t.Fatal("WithWorkers must pass unrelated rules through unchanged")
 	}
 }
 

@@ -47,9 +47,6 @@ type kernel struct {
 	// floats of selection-window scratch.
 	reduce func(col []float64, s *chunkScratch) float64
 	winLen int
-	// workers bounds the flat gather's coordinate-parallel goroutines
-	// (the rule's Workers field; the shard tree ignores it).
-	workers int
 }
 
 // Coordinatewise reports whether rule r aggregates coordinate by
@@ -96,19 +93,15 @@ func (t TrimmedMean) kernel(n int, weights []float64) kernel {
 		reduce: func(col []float64, s *chunkScratch) float64 {
 			return trimmedMeanOf(col, weights, m, s)
 		},
-		winLen:  2 * m,
-		workers: t.Workers,
+		winLen: 2 * m,
 	}
 }
 
 // kernel implements coordinateRule.
-func (c CoordinateMedian) kernel(_ int, weights []float64) kernel {
-	return kernel{
-		reduce: func(col []float64, s *chunkScratch) float64 {
-			return medianOf(col, weights, s)
-		},
-		workers: c.Workers,
-	}
+func (CoordinateMedian) kernel(_ int, weights []float64) kernel {
+	return kernel{reduce: func(col []float64, s *chunkScratch) float64 {
+		return medianOf(col, weights, s)
+	}}
 }
 
 // trimmedMeanOf returns the weighted mean Σwv/Σw of col after dropping

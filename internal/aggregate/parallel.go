@@ -1,9 +1,9 @@
 package aggregate
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
+
+	"fedms/internal/par"
 )
 
 // minParallelWork is the total work volume (coordinates × inputs, d·n)
@@ -12,73 +12,23 @@ import (
 // volume rather than d alone avoids the small-d regression where a wide
 // worker pool fans out over columns that each cost almost nothing (few
 // inputs), yet still parallelizes genuinely heavy small-d/large-n
-// aggregations. The gate depends only on (d, n), never on Workers, so it
+// aggregations. The gate depends only on (d, n), never on the worker count, so it
 // cannot break the bit-identity contract.
 const minParallelWork = 1 << 18
 
-// coordChunkRun is the shared state of one parallel forEachCoordChunk
-// invocation. Workers claim chunk indices from the atomic counter, so
-// the whole fan-out costs two heap objects (the run state and one bound
-// method value) instead of a closure per spawned goroutine — the
-// parallel path's fixed allocations now match the serial path's to
-// within a couple of objects regardless of worker count.
-type coordChunkRun struct {
-	next     atomic.Int64
-	wg       sync.WaitGroup
-	d, chunk int
-	fn       func(lo, hi int)
-}
-
-// work claims and processes chunks until the partition is exhausted.
-func (r *coordChunkRun) work() {
-	for {
-		lo := int(r.next.Add(1)-1) * r.chunk
-		if lo >= r.d {
-			return
-		}
-		hi := lo + r.chunk
-		if hi > r.d {
-			hi = r.d
-		}
-		r.fn(lo, hi)
-	}
-}
-
-func (r *coordChunkRun) spawned() {
-	r.work()
-	r.wg.Done()
-}
-
-// forEachCoordChunk invokes fn over a partition of [0, d) into
-// contiguous chunks, one per worker. n is the number of input
+// forEachCoordChunk invokes fn over par.For's partition of [0, d)
+// into one contiguous chunk per worker. n is the number of input
 // vectors, used only to size the work-volume gate: workers <= 1 or
 // d·n < minParallelWork runs fn(0, d) on the calling goroutine. Each
 // invocation owns its chunk exclusively, so fn may write disjoint ranges
-// of a shared output without synchronization. The chunk partition is a
-// pure function of (d, workers) — which worker executes a chunk is
-// dynamic, but per-coordinate arithmetic is identical in every chunking,
-// which keeps rule outputs bit-identical for any worker count.
+// of a shared output without synchronization, and per-coordinate
+// arithmetic is identical in every chunking, which keeps rule outputs
+// bit-identical for any worker count.
 func forEachCoordChunk(d, n, workers int, fn func(lo, hi int)) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if d*n < minParallelWork {
+		workers = 1
 	}
-	if workers > d {
-		workers = d
-	}
-	if workers <= 1 || d*n < minParallelWork {
-		fn(0, d)
-		return
-	}
-	chunk := (d + workers - 1) / workers
-	nchunks := (d + chunk - 1) / chunk
-	r := &coordChunkRun{d: d, chunk: chunk, fn: fn}
-	r.wg.Add(nchunks - 1)
-	body := r.spawned
-	for i := 1; i < nchunks; i++ {
-		go body()
-	}
-	r.work() // the caller is a worker too
-	r.wg.Wait()
+	par.For(d, workers, fn)
 }
 
 // chunkScratch is the per-worker scratch of the coordinate-chunked
@@ -131,25 +81,4 @@ func grownInts(buf []int, n int) []int {
 		return make([]int, n)
 	}
 	return buf[:n]
-}
-
-// WithWorkers returns a copy of rule configured to aggregate with the
-// given worker bound, for rules that support coordinate-parallel
-// execution; other rules — and rules whose Workers field is already
-// set — are returned unchanged. Outputs are bit-identical across worker
-// counts, so this is safe to apply unconditionally.
-func WithWorkers(r Rule, workers int) Rule {
-	switch t := r.(type) {
-	case TrimmedMean:
-		if t.Workers == 0 {
-			t.Workers = workers
-		}
-		return t
-	case CoordinateMedian:
-		if t.Workers == 0 {
-			t.Workers = workers
-		}
-		return t
-	}
-	return r
 }

@@ -10,9 +10,7 @@ import (
 // Run onto the densify-first fallback through the inner rule's dense
 // Aggregate. It is the control arm of the differential and chaos-parity
 // tests (and an escape hatch should a fused kernel ever need to be
-// bypassed in production). Note that WithWorkers does not see through
-// the wrapper; set the inner rule's Workers field explicitly if
-// parallelism matters.
+// bypassed in production).
 type NoFuse struct{ Rule }
 
 // zeroVec returns dst resized to d with every coordinate +0.0 — the
@@ -37,7 +35,7 @@ const payloadGatherTile = 256
 // gatherPayloadColumns writes k.reduce(column j) into out[j] for every
 // coordinate j, gathering each column across the payload views in
 // member order. The chunk partition is forEachCoordChunk's over
-// (d, n, k.workers), so the output is bit-identical for every worker
+// (d, n, workers), so the output is bit-identical for every worker
 // count. There are three gather modes:
 //
 //   - all-dense: every view wraps an in-memory vector (DensePayload),
@@ -47,7 +45,7 @@ const payloadGatherTile = 256
 //     the all-zero column to (see coordinateRule);
 //   - mixed: each tile of every view is gathered into a row buffer
 //     (bounded n·tile, never n·d), and every column reduces.
-func gatherPayloadColumns(ps []compress.Payload, d int, out []float64, k kernel) {
+func gatherPayloadColumns(ps []compress.Payload, d int, out []float64, k kernel, workers int) {
 	n := len(ps)
 	allSparse, allDense := true, true
 	for i := range ps {
@@ -56,7 +54,7 @@ func gatherPayloadColumns(ps []compress.Payload, d int, out []float64, k kernel)
 		allSparse = allSparse && sparse
 		allDense = allDense && dense
 	}
-	forEachCoordChunk(d, n, k.workers, func(lo, hi int) {
+	forEachCoordChunk(d, n, workers, func(lo, hi int) {
 		s := getChunkScratch(n, k.winLen)
 		switch {
 		case allDense:

@@ -92,16 +92,16 @@ func TestPayloadAggregationBitIdentical(t *testing.T) {
 				for _, w := range workers {
 					rules := []Rule{
 						Mean{},
-						TrimmedMean{Beta: 0.2, Workers: w},
-						TrimmedMean{Trim: 2, Workers: w},
-						CoordinateMedian{Workers: w},
+						TrimmedMean{Beta: 0.2},
+						TrimmedMean{Trim: 2},
+						CoordinateMedian{},
 					}
 					for _, rule := range rules {
 						if tm, ok := rule.(TrimmedMean); ok && tm.Trim > 0 && 2*tm.Trim >= p {
 							continue // infeasible trim for this quorum
 						}
 						want := rule.Aggregate(subDense)
-						got := Run(Request{Rule: rule, Views: sub}).Out
+						got := Run(Request{Rule: rule, Views: sub, Workers: w}).Out
 						label := spec + "/" + rule.Name() + "/" +
 							"d=" + itoa(d) + "/p=" + itoa(p) + "/w=" + itoa(w)
 						assertBitIdentical(t, label, got, want)
@@ -239,8 +239,8 @@ func TestPayloadAggregationAdversarialSupports(t *testing.T) {
 			shuffled[i] = views[p]
 		}
 
-		rule := TrimmedMean{Trim: b, Workers: 1 + r.IntN(4)}
-		got := Run(Request{Rule: rule, Views: shuffled}).Out
+		rule := TrimmedMean{Trim: b}
+		got := Run(Request{Rule: rule, Views: shuffled, Workers: 1 + r.IntN(4)}).Out
 
 		dense := make([][]float64, len(shuffled))
 		for i := range shuffled {
@@ -291,7 +291,7 @@ func TestPayloadAggregationNegativeZero(t *testing.T) {
 	for i := range views {
 		dense[i] = views[i].DenseView()
 	}
-	for _, rule := range []Rule{Mean{}, TrimmedMean{Trim: 1, Workers: 1}, CoordinateMedian{}} {
+	for _, rule := range []Rule{Mean{}, TrimmedMean{Trim: 1}, CoordinateMedian{}} {
 		assertBitIdentical(t, rule.Name(), Run(Request{Rule: rule, Views: views}).Out, rule.Aggregate(dense))
 	}
 }

@@ -30,6 +30,10 @@ type Request struct {
 	Shards int
 	// Dst, when its capacity suffices, receives the aggregate in place.
 	Dst []float64
+	// Workers bounds the goroutines of the flat coordinate gather
+	// (≤ 1 is serial; the shard tree and the other rules ignore it).
+	// The output is bit-identical for every value.
+	Workers int
 }
 
 // Result is Run's outcome. Callers must use Out, not Request.Dst.
@@ -96,7 +100,7 @@ func (q Request) run() Result {
 		}
 		tensor.VecScale(out, 1/float64(n))
 	} else {
-		gatherPayloadColumns(q.Views, d, out, cr.kernel(n, q.Weights))
+		gatherPayloadColumns(q.Views, d, out, cr.kernel(n, q.Weights), q.Workers)
 	}
 	return Result{Out: out, Fused: true}
 }

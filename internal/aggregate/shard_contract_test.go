@@ -38,20 +38,19 @@ func TestShardedAggregationBitIdentical(t *testing.T) {
 		for _, spec := range shardSpecs {
 			views, _ := encodeViews(t, spec, full, 911+uint64(d))
 			for _, name := range RuleNames() {
-				parsed, err := ParseRule(name)
+				rule, err := ParseRule(name)
 				if err != nil {
 					t.Fatalf("ParseRule(%q): %v", name, err)
 				}
-				if d > 1000 && !Coordinatewise(parsed) {
+				if d > 1000 && !Coordinatewise(rule) {
 					continue // the big-dim pass pins the sharded kernels, not the O(n²·d) baselines
 				}
 				for _, p := range quorums {
 					sub := views[:p]
 					for _, w := range workers {
-						rule := WithWorkers(parsed, w)
-						want := Run(Request{Rule: rule, Views: sub}).Out
+						want := Run(Request{Rule: rule, Views: sub, Workers: w}).Out
 						for _, s := range shardCounts {
-							res := Run(Request{Rule: rule, Views: sub, Shards: s})
+							res := Run(Request{Rule: rule, Views: sub, Shards: s, Workers: w})
 							got, sharded, peak := res.Out, res.Sharded, res.PeakBytes
 							label := spec + "/" + name + "/d=" + itoa(d) +
 								"/p=" + itoa(p) + "/w=" + itoa(w) + "/s=" + itoa(s)

@@ -58,17 +58,16 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 			ones := onesWeights(tc.n)
 			for _, spec := range []string{"dense", "topk:0.25", "q8"} {
 				views, _ := encodeViews(t, spec, vecs, 1234+uint64(d+tc.n))
-				for _, raw := range tc.rules {
+				for _, rule := range tc.rules {
 					for _, workers := range []int{1, 4} {
-						rule := WithWorkers(raw, workers)
 						label := spec + "/" + rule.Name() + "/d=" + itoa(d) + "/n=" + itoa(tc.n) + "/w=" + itoa(workers)
 
-						want := rule.Aggregate(vecs)
-						got := weightedDense(rule, vecs, ones)
+						want := aggregateWorkers(rule, vecs, workers)
+						got := Request{Rule: rule, Views: denseViews(vecs), Weights: ones, Workers: workers}.run().Out
 						assertBitIdentical(t, label+"/dense-kernel", got, want)
 
-						wantP := Run(Request{Rule: rule, Views: views}).Out
-						res := Request{Rule: rule, Views: views, Weights: ones}.run()
+						wantP := Run(Request{Rule: rule, Views: views, Workers: workers}).Out
+						res := Request{Rule: rule, Views: views, Weights: ones, Workers: workers}.run()
 						gotP, fused := res.Out, res.Fused
 						if !fused {
 							t.Fatalf("%s: weighted payload path not fused", label)
@@ -77,12 +76,12 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 
 						// run (not Run) keeps the ones on the weighted sharded
 						// kernels; Run must then be free to drop them.
-						res = Request{Rule: rule, Views: views, Weights: ones, Shards: 4}.run()
+						res = Request{Rule: rule, Views: views, Weights: ones, Shards: 4, Workers: workers}.run()
 						if !res.Sharded {
 							t.Fatalf("%s: weighted sharded path not taken", label)
 						}
 						assertBitIdentical(t, label+"/sharded-kernel", res.Out, wantP)
-						assertBitIdentical(t, label+"/run", Run(Request{Rule: rule, Views: views, Weights: ones}).Out, wantP)
+						assertBitIdentical(t, label+"/run", Run(Request{Rule: rule, Views: views, Weights: ones, Workers: workers}).Out, wantP)
 					}
 				}
 			}
@@ -103,16 +102,16 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 			weights := stalenessWeights(randx.Split(7, "w"), n, 3)
 			for _, spec := range []string{"dense", "topk:0.25", "q8"} {
 				views, dense := encodeViews(t, spec, vecs, 99+uint64(d+n))
-				rules := []Rule{Mean{}, TrimmedMean{Beta: 0.2, Workers: 2}, CoordinateMedian{Workers: 2}}
+				rules := []Rule{Mean{}, TrimmedMean{Beta: 0.2}, CoordinateMedian{}}
 				for _, rule := range rules {
 					label := spec + "/" + rule.Name() + "/n=" + itoa(n) + "/d=" + itoa(d)
 					want := weightedDense(rule, dense, weights)
-					res := Run(Request{Rule: rule, Views: views, Weights: weights})
+					res := Run(Request{Rule: rule, Views: views, Weights: weights, Workers: 2})
 					if !res.Fused {
 						t.Fatalf("%s: not fused", label)
 					}
 					assertBitIdentical(t, label+"/payload", res.Out, want)
-					res = Run(Request{Rule: rule, Views: views, Weights: weights, Shards: 3})
+					res = Run(Request{Rule: rule, Views: views, Weights: weights, Shards: 3, Workers: 2})
 					if !res.Sharded {
 						t.Fatalf("%s: not sharded", label)
 					}

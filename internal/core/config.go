@@ -168,12 +168,13 @@ type Config struct {
 	// spill.DefaultMemLimit; negative forces every record to disk).
 	// Requires Async.
 	SpillMem int
-	// Workers bounds the engine's parallelism (default GOMAXPROCS): the
-	// client training pool, the per-client filter stage, the
-	// coordinate-parallel aggregation path of the filter rules, and the
-	// GEMM kernels inside each client's local SGD steps (each learner
-	// receives an equal slice of the pool) all share this knob. Results
-	// are bit-identical for any value.
+	// Workers bounds the engine's parallelism (default GOMAXPROCS,
+	// resolved once by NewEngine). Every fan-out of a round runs through
+	// par.For under this one bound: client training, the per-set filter
+	// stage, the coordinate-parallel aggregation of every server and
+	// filter (on aggregate.Request.Workers), and the GEMM kernels inside
+	// each client's local SGD steps (each learner receives an equal
+	// slice of the pool). Results are bit-identical for any value.
 	Workers int
 	// UploadCodec compresses client uploads through the shared codec
 	// abstraction (internal/compress): every upload is encoded and

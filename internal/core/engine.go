@@ -6,13 +6,13 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"fedms/internal/aggregate"
 	"fedms/internal/attack"
 	"fedms/internal/compress"
 	"fedms/internal/obs"
+	"fedms/internal/par"
 	"fedms/internal/randx"
 	"fedms/internal/sched"
 	"fedms/internal/spill"
@@ -117,21 +117,15 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 	for _, l := range learners[1:] {
 		l.SetParams(w0)
 	}
-	// Thread the worker bound into the coordinate-parallel aggregation
-	// rules. Rule outputs are bit-identical across worker counts, so
-	// this never perturbs results — only wall-clock.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	cfg.Filter = aggregate.WithWorkers(cfg.Filter, workers)
-	cfg.ServerFilter = aggregate.WithWorkers(cfg.ServerFilter, workers)
 	// The servers and the concurrent per-set filters share the oracle.
 	cfg.LossOracle = aggregate.Serialize(cfg.LossOracle)
-	// Local training shares the same budget: clients train concurrently
-	// (forEachClient), so each learner gets an equal slice of the pool
-	// for its GEMM kernels. Learners with an explicit setting keep it.
-	perLearner := workers / len(learners)
+	// Local training shares the same budget: clients train concurrently,
+	// so each learner gets an equal slice of the pool for its GEMM
+	// kernels. Learners with an explicit setting keep it.
+	perLearner := cfg.Workers / len(learners)
 	if perLearner < 1 {
 		perLearner = 1
 	}
@@ -158,7 +152,7 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 		if cfg.IsByzantine(i) {
 			atk = cfg.Attack
 		}
-		servers[i] = NewServer(i, cfg.Seed, cfg.ServerFilter, cfg.LossOracle, cfg.Shards, atk, w0)
+		servers[i] = NewServer(i, cfg.Seed, cfg.ServerFilter, cfg.LossOracle, cfg.Shards, cfg.Workers, atk, w0)
 	}
 	clients := make([]*Client, cfg.Clients)
 	for k := range clients {
@@ -332,33 +326,38 @@ func (e *Engine) RunRound() RoundStats {
 	if len(e.filters) != len(sets) {
 		e.filters = make([]*Filter, len(sets))
 		for s := range e.filters {
-			e.filters[s] = NewFilter(e.cfg.Filter, e.cfg.LossOracle, e.cfg.Servers, e.cfg.Servers)
+			e.filters[s] = NewFilter(e.cfg.Filter, e.cfg.LossOracle, e.cfg.Servers, e.cfg.Servers, e.cfg.Workers)
 		}
 	}
-	e.forEachClient(len(sets), func(s int) {
-		views := make([]compress.Payload, len(sets[s]))
-		for i, v := range sets[s] {
-			n := 8 * e.dim
-			if !e.cfg.DownlinkCodec.IsDense() {
-				// The downlink codec is a deterministic function of the
-				// vector (EF and randk are rejected by Validate), so one
-				// roundtrip per set is what each of its clients would decode,
-				// and matches the distributed PS encoding the same vector.
-				var err error
-				if v, n, err = e.cfg.DownlinkCodec.EncodeDecode(v); err != nil {
-					panic(fmt.Sprintf("core: downlink codec: %v", err))
+	par.For(len(sets), e.cfg.Workers, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			views := make([]compress.Payload, len(sets[s]))
+			for i, v := range sets[s] {
+				n := 8 * e.dim
+				if !e.cfg.DownlinkCodec.IsDense() {
+					// The downlink codec is a deterministic function of the
+					// vector (EF and randk are rejected by Validate), so one
+					// roundtrip per set is what each of its clients would
+					// decode, and matches the distributed PS encoding the
+					// same vector.
+					var err error
+					if v, n, err = e.cfg.DownlinkCodec.EncodeDecode(v); err != nil {
+						panic(fmt.Sprintf("core: downlink codec: %v", err))
+					}
 				}
+				views[i], setBytes[s] = compress.DensePayload(v), setBytes[s]+n
 			}
-			views[i], setBytes[s] = compress.DensePayload(v), setBytes[s]+n
+			res, err := e.filters[s].Apply(views)
+			if err != nil {
+				panic(fmt.Sprintf("core: filter: %v", err))
+			}
+			results[s], spreads[s] = res, tensor.VecDist2(res.Out, benignMean)
 		}
-		res, err := e.filters[s].Apply(views)
-		if err != nil {
-			panic(fmt.Sprintf("core: filter: %v", err))
-		}
-		results[s], spreads[s] = res, tensor.VecDist2(res.Out, benignMean)
 	})
-	e.forEachClient(e.cfg.Clients, func(k int) {
-		e.learners[k].SetParams(results[setOf[k]].Out)
+	par.For(e.cfg.Clients, e.cfg.Workers, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			e.learners[k].SetParams(results[setOf[k]].Out)
+		}
 	})
 	for _, d := range spreads {
 		if d > st.ModelSpread {
@@ -534,49 +533,15 @@ func ActiveClients(seed uint64, round, clients int, participation float64) []int
 	return active
 }
 
-// forEachClient runs fn(i) for every i in [0, n) on the bounded worker
-// pool (cfg.Workers, default GOMAXPROCS) shared by the training and
-// filter stages. fn must be safe for concurrent invocation on distinct
-// indices; results must not depend on scheduling order.
-func (e *Engine) forEachClient(n int, fn func(i int)) {
-	workers := e.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // trainClients runs the active clients' round (training, tampering,
 // encoding — see Client.Train), bounded by cfg.Workers, and returns
 // their average losses (index-aligned with active).
 func (e *Engine) trainClients(t int, active []int) []float64 {
 	losses := make([]float64, len(active))
-	e.forEachClient(len(active), func(i int) {
-		losses[i] = e.clients[active[i]].Train(t, e.cfg.LocalSteps, e.cfg.Schedule)
+	par.For(len(active), e.cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			losses[i] = e.clients[active[i]].Train(t, e.cfg.LocalSteps, e.cfg.Schedule)
+		}
 	})
 	return losses
 }
@@ -662,8 +627,10 @@ func (e *Engine) disseminate(t int, aggs [][]float64) (sets [][][]float64, setOf
 		return [][][]float64{receive(-1)}, setOf
 	}
 	sets = make([][][]float64, e.cfg.Clients)
-	e.forEachClient(e.cfg.Clients, func(k int) {
-		sets[k], setOf[k] = receive(k), k
+	par.For(e.cfg.Clients, e.cfg.Workers, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			sets[k], setOf[k] = receive(k), k
+		}
 	})
 	return sets, setOf
 }

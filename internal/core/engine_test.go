@@ -567,8 +567,9 @@ func TestWorkerPoolDeterminism(t *testing.T) {
 }
 
 func TestEngineThreadsWorkersIntoFilter(t *testing.T) {
-	// NewEngine must hand the engine's worker bound to the filter rules
-	// so the coordinate-parallel aggregation path shares the one knob.
+	// NewEngine must hand its one worker bound to every server and
+	// every client filter, so their coordinate-parallel aggregation
+	// shares the engine's knob.
 	learners, _ := testFixture(t, 4, 35)
 	cfg := baseConfig(4, 3, 0, attack.None{}, aggregate.TrimmedMean{Beta: 0.2})
 	cfg.Workers = 3
@@ -576,12 +577,19 @@ func TestEngineThreadsWorkersIntoFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, ok := eng.Config().Filter.(aggregate.TrimmedMean)
-	if !ok || tm.Workers != 3 {
-		t.Fatalf("Filter = %#v, want TrimmedMean with Workers=3", eng.Config().Filter)
+	eng.RunRound() // the filters are built by the first round
+	for i, s := range eng.servers {
+		if s.workers != 3 {
+			t.Fatalf("server %d workers = %d, want 3", i, s.workers)
+		}
 	}
-	if _, ok := eng.Config().ServerFilter.(aggregate.Mean); !ok {
-		t.Fatalf("default ServerFilter should stay Mean, got %#v", eng.Config().ServerFilter)
+	if len(eng.filters) == 0 {
+		t.Fatal("no filters after a round")
+	}
+	for i, f := range eng.filters {
+		if f.workers != 3 {
+			t.Fatalf("filter %d workers = %d, want 3", i, f.workers)
+		}
 	}
 }
 

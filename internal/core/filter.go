@@ -16,6 +16,7 @@ type Filter struct {
 	rule    aggregate.Rule
 	oracle  aggregate.LossEval
 	servers int
+	workers int // bound of the rule's aggregation goroutines
 	// need is the fewest models a round may filter: the quorum, and
 	// more than twice the per-side trim.
 	need int
@@ -29,10 +30,11 @@ type Filter struct {
 // TrimCount(servers), ⌈β·P⌉ = B for the paper's β = B/P: a full round
 // trims exactly as the rule would, and a round in which only P' < P
 // models arrive still discards up to B Byzantine ones. Other rules
-// apply unchanged to whatever arrived.
-func NewFilter(rule aggregate.Rule, oracle aggregate.LossEval, servers, quorum int) *Filter {
+// apply unchanged to whatever arrived. The rule aggregates on up to
+// workers goroutines.
+func NewFilter(rule aggregate.Rule, oracle aggregate.LossEval, servers, quorum, workers int) *Filter {
 	rule, trim := fixTrim(rule, servers)
-	return &Filter{rule: rule, oracle: oracle, servers: servers, need: max(quorum, 2*trim+1)}
+	return &Filter{rule: rule, oracle: oracle, servers: servers, workers: workers, need: max(quorum, 2*trim+1)}
 }
 
 // fixTrim resolves a TrimmedMean's trim count against n inputs and
@@ -44,7 +46,7 @@ func fixTrim(rule aggregate.Rule, n int) (aggregate.Rule, int) {
 		return aggregate.NoFuse{Rule: inner}, m
 	case aggregate.TrimmedMean:
 		if m := r.TrimCount(n); m > 0 {
-			return aggregate.TrimmedMean{Trim: m, Workers: r.Workers}, m
+			return aggregate.TrimmedMean{Trim: m}, m
 		}
 	}
 	return rule, 0
@@ -57,7 +59,7 @@ func (f *Filter) Apply(received []compress.Payload) (aggregate.Result, error) {
 	if len(received) < f.need {
 		return aggregate.Result{}, fmt.Errorf("only %d of %d global models (need ≥ %d)", len(received), f.servers, f.need)
 	}
-	res := aggregate.Run(aggregate.Request{Rule: f.rule, Views: received, Oracle: f.oracle, Dst: f.out})
+	res := aggregate.Run(aggregate.Request{Rule: f.rule, Views: received, Oracle: f.oracle, Dst: f.out, Workers: f.workers})
 	f.out = res.Out
 	return res, nil
 }

@@ -38,7 +38,7 @@ func TestFilter(t *testing.T) {
 	tm := aggregate.TrimmedMean{Beta: 0.2}
 
 	t.Run("trim fixed against P", func(t *testing.T) {
-		f := NewFilter(tm, nil, p, 5)
+		f := NewFilter(tm, nil, p, 5, 1)
 		for _, n := range []int{10, 9, 5} {
 			res, err := f.Apply(payloads(models[:n]))
 			if err != nil {
@@ -71,7 +71,7 @@ func TestFilter(t *testing.T) {
 			{"strict, one missing", aggregate.CoordinateMedian{}, p, 9, "only 9 of 10 global models (need ≥ 10)"},
 			{"none arrived", aggregate.Mean{}, 1, 0, "only 0 of 10 global models (need ≥ 1)"},
 		} {
-			_, err := NewFilter(tc.rule, nil, p, tc.quorum).Apply(payloads(models[:tc.n]))
+			_, err := NewFilter(tc.rule, nil, p, tc.quorum, 1).Apply(payloads(models[:tc.n]))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 			}
@@ -79,8 +79,8 @@ func TestFilter(t *testing.T) {
 	})
 
 	t.Run("fused-off arm trims alike", func(t *testing.T) {
-		fused := NewFilter(tm, nil, p, 5)
-		off := NewFilter(aggregate.NoFuse{Rule: tm}, nil, p, 5)
+		fused := NewFilter(tm, nil, p, 5, 1)
+		off := NewFilter(aggregate.NoFuse{Rule: tm}, nil, p, 5, 1)
 		for _, n := range []int{10, 7, 5} {
 			a, err := fused.Apply(payloads(models[:n]))
 			if err != nil {
@@ -97,7 +97,7 @@ func TestFilter(t *testing.T) {
 	})
 
 	t.Run("other rules unchanged", func(t *testing.T) {
-		res, err := NewFilter(aggregate.CoordinateMedian{}, nil, p, 3).Apply(payloads(models[:7]))
+		res, err := NewFilter(aggregate.CoordinateMedian{}, nil, p, 3, 1).Apply(payloads(models[:7]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestFilter(t *testing.T) {
 		}
 		calls := 0
 		oracle := func(m []float64) float64 { calls++; return sq(m) }
-		res, err = NewFilter(aggregate.FedGreed{}, oracle, p, 3).Apply(payloads(models[:7]))
+		res, err = NewFilter(aggregate.FedGreed{}, oracle, p, 3, 1).Apply(payloads(models[:7]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestFilter(t *testing.T) {
 	})
 
 	t.Run("output buffer reused", func(t *testing.T) {
-		f := NewFilter(tm, nil, p, p)
+		f := NewFilter(tm, nil, p, p, 1)
 		a, err := f.Apply(payloads(models))
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestFilter(t *testing.T) {
 				benign = append(benign, got[pos])
 			}
 			for _, rule := range []aggregate.Rule{tm, aggregate.NoFuse{Rule: tm}} {
-				res, err := NewFilter(rule, nil, p, 2*b+1).Apply(payloads(got))
+				res, err := NewFilter(rule, nil, p, 2*b+1, 1).Apply(payloads(got))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,12 +20,13 @@ var ErrNoAggregate = errors.New("core: no uploads and no previous aggregate")
 // distributed PS runs one, so both runtimes share every step that is
 // not transport.
 type Server struct {
-	id     int
-	seed   uint64
-	rule   aggregate.Rule
-	oracle aggregate.LossEval
-	shards int
-	attack attack.Attack // nil: benign
+	id      int
+	seed    uint64
+	rule    aggregate.Rule
+	oracle  aggregate.LossEval
+	shards  int
+	workers int           // bound of the rule's aggregation goroutines
+	attack  attack.Attack // nil: benign
 
 	// last is the latest aggregate, re-sent when a round admits nothing.
 	last []float64
@@ -37,12 +38,12 @@ type Server struct {
 	history [][]float64
 }
 
-// NewServer returns server id of a federation seeded with seed. atk nil
-// makes it benign. last, when non-empty, is copied as the aggregate an
+// NewServer returns server id of a federation seeded with seed, whose
+// rule aggregates on up to workers goroutines. atk nil makes it benign. last, when non-empty, is copied as the aggregate an
 // empty first round falls back to (the shared initial model, or a
 // restarted server's checkpoint).
-func NewServer(id int, seed uint64, rule aggregate.Rule, oracle aggregate.LossEval, shards int, atk attack.Attack, last []float64) *Server {
-	s := &Server{id: id, seed: seed, rule: rule, oracle: oracle, shards: shards, attack: atk}
+func NewServer(id int, seed uint64, rule aggregate.Rule, oracle aggregate.LossEval, shards, workers int, atk attack.Attack, last []float64) *Server {
+	s := &Server{id: id, seed: seed, rule: rule, oracle: oracle, shards: shards, workers: workers, attack: atk}
 	if len(last) > 0 {
 		s.last = slices.Clone(last)
 	}
@@ -65,7 +66,7 @@ func (s *Server) Aggregate(members []sched.Entry) (aggregate.Result, error) {
 		}
 		res.Out = slices.Clone(s.last)
 	} else {
-		req := aggregate.Request{Rule: s.rule, Oracle: s.oracle, Shards: s.shards}
+		req := aggregate.Request{Rule: s.rule, Oracle: s.oracle, Shards: s.shards, Workers: s.workers}
 		req.Views, req.Weights = sched.Members(members)
 		if s.attack == nil {
 			req.Dst = s.buf

@@ -372,8 +372,9 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 	// runs per client id.
 	role := core.NewClient(cfg.ID, cfg.Seed, cfg.Learner, cfg.UploadAttack, cfg.Codec)
 	// filter is the same core.Filter the engine runs; its quorum is
-	// MinModels, or all P models for a strict client.
-	filter := core.NewFilter(cfg.Filter, cfg.LossOracle, p, cmp.Or(cfg.MinModels, p))
+	// MinModels, or all P models for a strict client, and it filters
+	// serially.
+	filter := core.NewFilter(cfg.Filter, cfg.LossOracle, p, cmp.Or(cfg.MinModels, p), 1)
 
 	cm := newClientMetrics(cfg.Obs, cfg.ID, cfg.Filter.Name())
 	tm := transport.NewMetrics(cfg.Obs, fmt.Sprintf("c%d", cfg.ID))

@@ -454,9 +454,10 @@ func NewPS(cfg PSConfig) (*PS, error) {
 	return p, nil
 }
 
-// newServer builds this PS's core.Server with fallback aggregate last.
+// newServer builds this PS's core.Server with fallback aggregate last;
+// it aggregates serially.
 func (p *PS) newServer(last []float64) *core.Server {
-	return core.NewServer(p.cfg.ID, p.cfg.Seed, p.cfg.ServerRule, p.cfg.LossOracle, p.cfg.Shards, p.cfg.Attack, last)
+	return core.NewServer(p.cfg.ID, p.cfg.Seed, p.cfg.ServerRule, p.cfg.LossOracle, p.cfg.Shards, 1, p.cfg.Attack, last)
 }
 
 // Addr returns the bound listen address.
@@ -1239,19 +1240,20 @@ func (p *PS) disseminate(round int, conns []*transport.Conn, t roundTally) error
 		consistent = p.srv.Send(round, -1, nil)
 	}
 
-	// Each send reports its outcome with the message it carried, and
-	// the wire totals are tallied AFTER the barrier from successful
-	// sends only. Counting before conn.Send completes — as this code
-	// once did — inflates BytesOut/FloatsOut on failed sends, and
-	// deriving FloatsOut from sent*len(agg) miscounts both equivocated
-	// downlinks (per-client vectors) and codec-shrunk frames.
+	// Each send reports its outcome with the message it carried in its
+	// client's slot, and the wire totals are tallied AFTER the barrier
+	// from successful sends only. Counting before conn.Send completes —
+	// as this code once did — inflates BytesOut/FloatsOut on failed
+	// sends, and deriving FloatsOut from sent*len(agg) miscounts both
+	// equivocated downlinks (per-client vectors) and codec-shrunk
+	// frames. Failures are then handled in client order, so a strict PS
+	// names the lowest failing client, not the first to fail.
 	type sendResult struct {
-		client int
-		msg    *transport.Message
-		err    error
+		msg *transport.Message
+		err error
 	}
 	var wg sync.WaitGroup
-	outcomes := make(chan sendResult, len(conns))
+	outcomes := make([]sendResult, len(conns))
 	for id, conn := range conns {
 		if conn == nil {
 			continue
@@ -1273,38 +1275,40 @@ func (p *PS) disseminate(round int, conns []*transport.Conn, t roundTally) error
 			enc, payload := p.cfg.DownlinkCodec.AppendEncode(nil, out)
 			msg.Enc, msg.Payload, msg.Vec = enc, payload, nil
 		}
+		outcomes[id].msg = msg
 		wg.Add(1)
-		go func(id int, conn *transport.Conn, msg *transport.Message) {
+		go func(r *sendResult, conn *transport.Conn) {
 			defer wg.Done()
-			outcomes <- sendResult{client: id, msg: msg, err: conn.Send(msg)}
-		}(id, conn, msg)
+			r.err = conn.Send(r.msg)
+		}(&outcomes[id], conn)
 	}
 	wg.Wait()
-	close(outcomes)
 
 	sent, bytesOut, floatsOut := 0, 0, 0
-	var sendErrs []sendResult
-	for r := range outcomes {
-		if r.err != nil {
-			sendErrs = append(sendErrs, r)
-			continue
+	var sendErrs []int
+	for id, r := range outcomes {
+		switch {
+		case r.msg == nil: // no live connection
+		case r.err != nil:
+			sendErrs = append(sendErrs, id)
+		default:
+			sent++
+			bytesOut += r.msg.ModelWireBytes()
+			floatsOut += r.msg.ModelWireFloats()
 		}
-		sent++
-		bytesOut += r.msg.ModelWireBytes()
-		floatsOut += r.msg.ModelWireFloats()
 	}
 	p.om.bytesOut.Add(int64(bytesOut))
 	p.om.floatsOut.Add(int64(floatsOut))
 	p.om.sendsFailed.Add(int64(len(sendErrs)))
 
 	sendLost := 0
-	for _, e := range sendErrs {
+	for _, id := range sendErrs {
 		if !p.cfg.Tolerant {
-			return fmt.Errorf("node: PS %d round %d: send to client %d: %w", p.cfg.ID, round, e.client, e.err)
+			return fmt.Errorf("node: PS %d round %d: send to client %d: %w", p.cfg.ID, round, id, outcomes[id].err)
 		}
-		if conns[e.client] != nil {
-			_ = conns[e.client].Close()
-			conns[e.client] = nil
+		if conns[id] != nil {
+			_ = conns[id].Close()
+			conns[id] = nil
 			sendLost++
 			p.om.clientsLost.Inc()
 		}

@@ -376,3 +376,26 @@ func TestAsyncWideWindowMatchesSyncDistributed(t *testing.T) {
 		}
 	}
 }
+
+// TestPSStrictSendNamesLowestFailingClient: when several downlink sends
+// fail, a strict PS reports the lowest failing client id whatever order
+// the sends finish in.
+func TestPSStrictSendNamesLowestFailingClient(t *testing.T) {
+	p, srv, cli := pipePS(t, PSConfig{
+		ID: 0, Clients: 3, Rounds: 1, Timeout: 5 * time.Second,
+	}, []float64{1, 2, 3})
+	_ = cli[1].Close()
+	_ = cli[2].Close()
+	received := make(chan error, 1)
+	go func() {
+		_, err := cli[0].Recv()
+		received <- err
+	}()
+	err := p.disseminate(0, srv, roundTally{})
+	if err == nil || !strings.Contains(err.Error(), "send to client 1:") {
+		t.Fatalf("disseminate = %v, want the send to client 1 named", err)
+	}
+	if err := <-received; err != nil {
+		t.Fatalf("client 0 missed its model: %v", err)
+	}
+}

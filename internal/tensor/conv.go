@@ -1,6 +1,6 @@
 package tensor
 
-import "sync"
+import "fedms/internal/par"
 
 // Convolution support: im2col/col2im lowering used by the nn package's
 // Conv2D layers. Image layout is CHW for a single image; the batched
@@ -233,31 +233,14 @@ func DepthwiseBackward(x, grad []float64, n, c, h, w int, f []float64, kh, kw, s
 	})
 }
 
-// depthwiseChannels partitions [0, c) channel ranges over up to `workers`
-// goroutines when the per-step work volume justifies the fan-out. The
-// ranges are disjoint, so the split never changes results.
+// depthwiseChannels runs fn over channel ranges of [0, c), spread over
+// up to workers goroutines when the per-step work volume justifies the
+// fan-out. The ranges are disjoint, so the split never changes results.
 func depthwiseChannels(c, volume, workers int, fn func(c0, c1 int)) {
-	if workers > c {
-		workers = c
+	if volume < gemmParallelVolume {
+		workers = 1
 	}
-	if workers <= 1 || volume < gemmParallelVolume {
-		fn(0, c)
-		return
-	}
-	chunk := (c + workers - 1) / workers
-	var wg sync.WaitGroup
-	for c0 := 0; c0 < c; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > c {
-			c1 = c
-		}
-		wg.Add(1)
-		go func(c0, c1 int) {
-			defer wg.Done()
-			fn(c0, c1)
-		}(c0, c1)
-	}
-	wg.Wait()
+	par.For(c, workers, fn)
 }
 
 // depthwisePlaneFwd convolves one channel plane with one filter: dst is

@@ -38,7 +38,7 @@ package tensor
 // value is exact. Only non-finite inputs (0·Inf = NaN) could diverge,
 // and no layer produces those.
 
-import "sync"
+import "fedms/internal/par"
 
 const (
 	// gemmNC is the number of C columns a row pass updates per chunk.
@@ -117,29 +117,15 @@ func gemmDispatch(c, a, b []float64, m, n, k int, op gemmOp, acc bool, workers i
 		}
 		return
 	}
-	if workers > 1 && m*n*k >= gemmParallelVolume {
-		units := (m + gemmRowQuad - 1) / gemmRowQuad
-		if workers > units {
-			workers = units
-		}
-		if workers > 1 {
-			chunk := (units + workers - 1) / workers * gemmRowQuad
-			var wg sync.WaitGroup
-			for r0 := 0; r0 < m; r0 += chunk {
-				r1 := r0 + chunk
-				if r1 > m {
-					r1 = m
-				}
-				wg.Add(1)
-				go func(r0, r1 int) {
-					defer wg.Done()
-					gemmRows(c, a, b, m, n, k, r0, r1, op, acc)
-				}(r0, r1)
-			}
-			wg.Wait()
-			return
-		}
+	units := (m + gemmRowQuad - 1) / gemmRowQuad
+	if workers > 1 && units > 1 && m*n*k >= gemmParallelVolume {
+		par.For(units, workers, func(u0, u1 int) {
+			gemmRows(c, a, b, m, n, k, u0*gemmRowQuad, min(u1*gemmRowQuad, m), op, acc)
+		})
+		return
 	}
+	// Called directly, not through par.For: its fn escapes, and a
+	// serial GEMM must not allocate a closure.
 	gemmRows(c, a, b, m, n, k, 0, m, op, acc)
 }
 
