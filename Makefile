@@ -51,8 +51,11 @@ test:
 # deltas meaningless (the gates skip themselves under -race, so this
 # named no-race stage is the only place they actually assert); the
 # top-k encode allocation gate (a steady-state topk/ef+topk encode at
-# d = 1e5 allocates nothing) and par.For's (nothing serial, at most two
-# objects per fan-out) ride in the same stage for the same reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
+# d = 1e5 allocates nothing), par.For's (nothing serial, at most two
+# objects per fan-out), the client filter's (a steady-state trimmed
+# mean over 5 dense views at d = 1e5 allocates at most 3 objects) and
+# Bulyan's (its allocations do not grow with d) ride in the same stage
+# for the same reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
 # core.Config) is bound to flags once and every node's configuration is
 # derived from it, so the CLI contract (the pinned flag surface, the
 # one table of rejections, both commands surfacing it before any
@@ -100,7 +103,7 @@ verify:
 	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
 	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/

@@ -191,3 +191,45 @@ func benchName(variant string, d int) string {
 	}
 	return variant
 }
+
+// BenchmarkFilter times the client filter — Run under an unweighted
+// trimmed mean with a reused Dst at Workers = 1 — at the shapes the
+// benchmark workloads filter: P = 5, trim 1, d = 1e5 (the dist_wide_*
+// clients) and P = 10, trim 2, d = 13 000 (engine_paper). Each shape
+// runs over two column shapes: "spread" draws every coordinate i.i.d.
+// normal, so each column arrives in random order, and "consensus" has
+// P−1 identical rows plus one outlier, so every column arrives in the
+// same order. Together they show how far the kernel's cost depends on
+// its data.
+func BenchmarkFilter(b *testing.B) {
+	for _, shape := range []struct {
+		name    string
+		p, trim int
+		d       int
+	}{{"P=5/trim=1/d=1e5", 5, 1, 100_000}, {"P=10/trim=2/d=13000", 10, 2, 13_000}} {
+		spread := benchInputs(b, shape.p, shape.d)
+		consensus := make([][]float64, shape.p)
+		for i := range consensus {
+			consensus[i] = spread[0]
+		}
+		outlier := make([]float64, shape.d)
+		for j := range outlier {
+			outlier[j] = 100 + spread[1][j]
+		}
+		consensus[shape.p/2] = outlier
+		for _, cols := range []struct {
+			name string
+			vecs [][]float64
+		}{{"spread", spread}, {"consensus", consensus}} {
+			q := Request{Rule: TrimmedMean{Trim: shape.trim}, Views: denseViews(cols.vecs),
+				Dst: make([]float64, shape.d), Workers: 1}
+			b.Run(shape.name+"/"+cols.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = Run(q).Out
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.d), "ns/coord")
+			})
+		}
+	}
+}

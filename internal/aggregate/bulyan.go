@@ -3,6 +3,7 @@ package aggregate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fedms/internal/tensor"
@@ -155,13 +156,15 @@ func (b Bulyan) Aggregate(vecs [][]float64) []float64 {
 		for i, v := range col {
 			closest[i] = kv{dist: math.Abs(v - med), val: v}
 		}
-		sort.Slice(closest, func(a, b int) bool {
-			if closest[a].dist != closest[b].dist {
-				return closest[a].dist < closest[b].dist
-			}
+		slices.SortFunc(closest, func(x, y kv) int {
 			// Values symmetric around the median tie in distance;
 			// order by value so the cut is permutation invariant.
-			return closest[a].val < closest[b].val
+			// The sort reads only cmp < 0, so -1 where x ranks first
+			// is the whole order.
+			if x.dist < y.dist || (x.dist == y.dist && x.val < y.val) {
+				return -1
+			}
+			return 1
 		})
 		s := 0.0
 		for i := 0; i < beta; i++ {

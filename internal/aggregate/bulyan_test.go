@@ -119,3 +119,19 @@ func TestMedianOf(t *testing.T) {
 		t.Fatal("even median wrong")
 	}
 }
+
+// TestBulyanAllocs: Bulyan's allocations do not grow with d — stage 2
+// sorts each coordinate's closest-to-median values in place instead of
+// allocating a sort.Slice closure and swapper per coordinate.
+func TestBulyanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	allocs := func(d int) float64 {
+		vecs := randomVecs(randx.New(3), 10, d)
+		return testing.AllocsPerRun(5, func() { Bulyan{F: 2}.Aggregate(vecs) })
+	}
+	if small, large := allocs(100), allocs(10_000); large > small {
+		t.Fatalf("Bulyan allocates %v objects at d = 1e4 but %v at d = 100", large, small)
+	}
+}

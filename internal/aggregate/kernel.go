@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -13,10 +14,21 @@ import (
 //
 //   - Bit-identity across gathers and shards. A column is gathered in
 //     member order whatever its source, and the kernel sees the same
-//     floats in the same order, so every gather mode, worker count and
-//     shard count returns the same bits. An all-sparse gather never
-//     reduces a column no view touches: it keeps +0.0, which is what
-//     every kernel returns for an all-zero column.
+//     floats in the same order, so both gather modes (sparse and
+//     staged), every worker count and every shard count return the
+//     same bits. An all-sparse gather never reduces a column no view
+//     touches: it keeps +0.0, which is what every kernel returns for
+//     an all-zero column.
+//   - One permutation per column. The unweighted trimmed mean and
+//     median of up to networkMaxN members reduce a staged tile at once
+//     (kernel.tile): an insertion network of adjacent compare-exchanges
+//     sorts every lane of the tile without a data-dependent branch,
+//     swapping only on a strict >, so each lane ends in exactly the
+//     permutation the per-column insertion sort produces — ties and ±0
+//     in input order — and the row-by-row reduction repeats the
+//     per-column operation order. The tile form is therefore
+//     bit-identical to reduce, and the path choice is a pure function
+//     of (n, m, weighted).
 //   - Weight ≡ 1 identity. nil weights weigh every member 1, and the
 //     weighted arithmetic is the unweighted arithmetic with explicit
 //     weights: same scan and summation order, same path choice (a pure
@@ -47,6 +59,10 @@ type kernel struct {
 	// floats of selection-window scratch.
 	reduce func(col []float64, s *chunkScratch) float64
 	winLen int
+	// tile, when tile.n > 0, is the kernel's tile form: it reduces a
+	// whole staged gather tile at once, bit-identical to reduce over
+	// each of its columns.
+	tile tileForm
 }
 
 // Coordinatewise reports whether rule r aggregates coordinate by
@@ -89,19 +105,27 @@ func (Mean) kernel(n int, weights []float64) kernel {
 // kernel implements coordinateRule.
 func (t TrimmedMean) kernel(n int, weights []float64) kernel {
 	m := t.TrimCount(n)
-	return kernel{
+	k := kernel{
 		reduce: func(col []float64, s *chunkScratch) float64 {
 			return trimmedMeanOf(col, weights, m, s)
 		},
 		winLen: 2 * m,
 	}
+	if weights == nil && m > 0 && !useSelection(n, m) && n <= networkMaxN {
+		k.tile = tileForm{n: n, m: m}
+	}
+	return k
 }
 
 // kernel implements coordinateRule.
-func (CoordinateMedian) kernel(_ int, weights []float64) kernel {
-	return kernel{reduce: func(col []float64, s *chunkScratch) float64 {
+func (CoordinateMedian) kernel(n int, weights []float64) kernel {
+	k := kernel{reduce: func(col []float64, s *chunkScratch) float64 {
 		return medianOf(col, weights, s)
 	}}
+	if weights == nil && n <= networkMaxN {
+		k.tile = tileForm{n: n, median: true}
+	}
+	return k
 }
 
 // trimmedMeanOf returns the weighted mean Σwv/Σw of col after dropping
@@ -253,11 +277,15 @@ func medianOf(col, weights []float64, s *chunkScratch) float64 {
 	return col[n-1] // unreachable for positive weights; FP safety net
 }
 
-// sortColumn orders one gathered coordinate column. Columns are short
-// (one value per input vector), where insertion sort beats the general
-// sort; longer columns fall back to the library sort, which is not
-// stable: -0 and +0 compare equal and may land in either order, so its
-// run of zeros is rewritten -0s first, the order sortColumnPairs uses.
+// sortColumn orders one gathered coordinate column: the per-column
+// fallback behind the tile form's network (see sortTile), which takes
+// the unweighted trimmed mean's and median's short columns of staged
+// tiles. Columns are short (one value per input vector), where
+// insertion sort beats the general sort, and it is the permutation the
+// network reproduces; longer columns fall back to the library sort,
+// which is not stable: -0 and +0 compare equal and may land in either
+// order, so its run of zeros is rewritten -0s first, the order
+// sortColumnPairs uses.
 func sortColumn(col []float64) {
 	if len(col) > 32 {
 		sort.Float64s(col)
@@ -287,6 +315,102 @@ func sortColumn(col []float64) {
 	}
 }
 
+// networkMaxN is the largest member count whose tile form sorts with
+// the insertion network. The network always does n(n−1)/2
+// compare-exchanges per lane, while insertion sort pays per move and
+// per mispredicted branch. Sweeping BenchmarkFilter's two column
+// shapes over n on a 2-vCPU 2.1 GHz Xeon (median ns/coord, insertion
+// → network): on "spread" columns, which arrive in random order, the
+// network wins at every n swept (n = 6: 144 → 56, 10: 277 → 155,
+// 16: 490 → 374); on "consensus" columns, whose order insertion sort
+// predicts perfectly, it keeps up only through n = 6 (63 → 55) and
+// falls behind from n = 7 (69 → 71) and n = 8 (84 → 100) on. Like
+// useSelection, the gate depends on n alone, never on the data or the
+// worker count.
+const networkMaxN = 6
+
+// tileForm is an unweighted trimmed mean's (m > 0, outside the
+// selection path) or median's reduction of one staged gather tile.
+type tileForm struct {
+	n      int  // members: rows in the tile; 0 means no tile form
+	m      int  // trimmed mean: rows trimmed per side
+	median bool // CoordinateMedian instead of TrimmedMean
+}
+
+// reduce writes the aggregates of a tile's columns into out: rows[i]
+// holds member i's values for them, len(out) of each, and is scratch.
+// It sorts every lane with sortTile, then reduces row by row in the
+// per-column kernel's exact operation order — the kept ranks
+// m … n−m−1 added in rank order to +0.0 and divided by their count, or
+// row (n−1)/2, or 0.5·(row n/2−1 + row n/2).
+func (f tileForm) reduce(rows [][]float64, out []float64) {
+	n := f.n
+	sortTile(rows)
+	switch {
+	case f.median && n%2 == 1:
+		copy(out, rows[(n-1)/2])
+	case f.median:
+		lo, hi := rows[n/2-1][:len(out)], rows[n/2][:len(out)]
+		for j := range out {
+			out[j] = 0.5 * (lo[j] + hi[j])
+		}
+	default:
+		clear(out)
+		for _, r := range rows[f.m : n-f.m] {
+			for j, v := range r[:len(out)] {
+				out[j] += v
+			}
+		}
+		c := float64(n - 2*f.m)
+		for j := range out {
+			out[j] /= c
+		}
+	}
+}
+
+// sortTile sorts every lane j of a tile — the column rows[0][j],
+// rows[1][j], … — reading each NaN as +Inf, with the insertion network:
+// compare-exchanges of adjacent rows (q−1, q) for q = i … 1, for
+// i = 1 … n−1. Insertion sort moves value i left past exactly the
+// prefix values greater than it; the network's exchange (q−1, q) swaps
+// only when row q−1 is strictly greater, and once it stops, the prefix
+// is already in order, so its remaining exchanges are no-ops. Every
+// lane therefore ends in insertion sort's permutation — ties, and ±0,
+// keep their input order — but without a data-dependent branch, and
+// the lanes are independent. Row i is first read by step i's first
+// exchange, which maps its NaNs on the way, so no separate pass does.
+func sortTile(rows [][]float64) {
+	nanAsInf(rows[0])
+	for i := 1; i < len(rows); i++ {
+		compareExchange(rows[i-1], rows[i], true)
+		for q := i - 1; q > 0; q-- {
+			compareExchange(rows[q-1], rows[q], false)
+		}
+	}
+}
+
+// compareExchange swaps a[j] and b[j] wherever a[j] > b[j]; with fresh
+// set it first reads each NaN in b as +Inf (a must hold none). The swap
+// selects between the two bit patterns, which the compiler lowers to
+// conditional moves, not a branch. It is not min/max, which would put
+// −0 before +0 whatever their input order. On BenchmarkFilter's
+// 5-member shape (2-vCPU Xeon) it measured about 12 % faster than an
+// XOR bit-mask swap.
+func compareExchange(a, b []float64, fresh bool) {
+	b = b[:len(a)]
+	for j, x := range a {
+		y := b[j]
+		if fresh && y != y {
+			y = math.Inf(1)
+		}
+		lo, hi := math.Float64bits(x), math.Float64bits(y)
+		if x > y {
+			lo, hi = hi, lo
+		}
+		a[j], b[j] = math.Float64frombits(lo), math.Float64frombits(hi)
+	}
+}
+
 // wpair carries one column value and its weight through a stable sort.
 type wpair struct{ v, w float64 }
 
@@ -300,7 +424,7 @@ type wpair struct{ v, w float64 }
 // them.
 func sortColumnPairs(col, weights []float64, s *chunkScratch) []float64 {
 	n := len(col)
-	w := grownFloats(s.wcol, n)
+	w := grown(s.wcol, n)
 	s.wcol = w
 	copy(w, weights)
 	if n <= 32 {
@@ -315,18 +439,19 @@ func sortColumnPairs(col, weights []float64, s *chunkScratch) []float64 {
 		}
 		return w
 	}
-	pairs := s.pairs
-	if cap(pairs) < n {
-		pairs = make([]wpair, n)
-	}
-	pairs = pairs[:n]
+	pairs := grown(s.pairs, n)
 	s.pairs = pairs
 	for i := range pairs {
 		pairs[i] = wpair{v: col[i], w: w[i]}
 	}
-	sort.SliceStable(pairs, func(a, b int) bool {
-		x, y := pairs[a].v, pairs[b].v
-		return x < y || (x == 0 && y == 0 && math.Signbit(x) && !math.Signbit(y))
+	// The sort reads only the sign test cmp < 0, so returning -1
+	// exactly where x ranks below y is the whole order.
+	slices.SortStableFunc(pairs, func(p, q wpair) int {
+		x, y := p.v, q.v
+		if x < y || (x == 0 && y == 0 && math.Signbit(x) && !math.Signbit(y)) {
+			return -1
+		}
+		return 1
 	})
 	for i, p := range pairs {
 		col[i], w[i] = p.v, p.w

@@ -40,8 +40,8 @@ type chunkScratch struct {
 	col, win []float64
 	wcol     []float64   // weighted kernels: per-column mutable weight copy
 	pairs    []wpair     // weighted kernels: stable value/weight co-sort
-	vecs     [][]float64 // dense payload gather: the wrapped vectors
-	rows     []float64   // mixed payload gather: n × tile row buffer
+	rows     [][]float64 // staged payload gather: each member's tile
+	rowBuf   []float64   // staged payload gather: n × tile row buffer
 	entVal   []float64   // sparse payload gather: tile entry values
 	cnt      []int32     // sparse payload gather: per-column entry counts
 	entOwner []int32     // sparse payload gather: tile entry owners
@@ -55,30 +55,18 @@ func getChunkScratch(n, winLen int) *chunkScratch {
 	if s == nil {
 		s = new(chunkScratch)
 	}
-	s.col = grownFloats(s.col, n)
-	s.win = grownFloats(s.win, winLen)
+	s.col = grown(s.col, n)
+	s.win = grown(s.win, winLen)
 	return s
 }
 
 func putChunkScratch(s *chunkScratch) { chunkScratchPool.Put(s) }
 
-func grownFloats(buf []float64, n int) []float64 {
+// grown returns buf resized to n, reallocated only when its capacity
+// falls short; the contents are not cleared.
+func grown[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func grownInt32s(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-func grownInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

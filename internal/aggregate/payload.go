@@ -27,64 +27,42 @@ func zeroVec(dst []float64, d int) []float64 {
 
 // payloadGatherTile is how many consecutive coordinates a gather
 // worker stages at once. The tile keeps the per-worker scratch —
-// entry lists in the all-sparse mode, a row buffer in the mixed mode
+// entry lists in the all-sparse mode, a row buffer in the staged mode
 // — cache-resident instead of allocating d-sized vectors, which is
 // the whole point of the fused path.
 const payloadGatherTile = 256
 
-// gatherPayloadColumns writes k.reduce(column j) into out[j] for every
-// coordinate j, gathering each column across the payload views in
-// member order. The chunk partition is forEachCoordChunk's over
-// (d, n, workers), so the output is bit-identical for every worker
-// count. There are three gather modes:
+// gatherPayloadColumns writes the kernel's aggregate of every
+// coordinate j into out[j], gathering each column across the payload
+// views in member order. The chunk partition is forEachCoordChunk's
+// over (d, n, workers), so the output is bit-identical for every worker
+// count. There are two gather modes:
 //
-//   - all-dense: every view wraps an in-memory vector (DensePayload),
-//     and columns are read straight out of the vectors;
 //   - all-sparse: columns outside the union support are never
 //     materialized and out[j] keeps its +0.0, which every kernel maps
 //     the all-zero column to (see coordinateRule);
-//   - mixed: each tile of every view is gathered into a row buffer
-//     (bounded n·tile, never n·d), and every column reduces.
+//   - staged: every other set — dense, EncDense bytes, quantized or
+//     mixed — stages each tile of every view as one row (copied into a
+//     row buffer bounded by n·tile, never n·d), and every column
+//     reduces: the whole tile at once through the kernel's tile form
+//     (the insertion network across the tile's lanes) when it has one,
+//     column by column otherwise.
 func gatherPayloadColumns(ps []compress.Payload, d int, out []float64, k kernel, workers int) {
 	n := len(ps)
-	allSparse, allDense := true, true
+	allSparse := true
 	for i := range ps {
 		_, _, sparse := ps[i].Sparse()
-		_, dense := ps[i].Vec()
 		allSparse = allSparse && sparse
-		allDense = allDense && dense
 	}
 	forEachCoordChunk(d, n, workers, func(lo, hi int) {
 		s := getChunkScratch(n, k.winLen)
-		switch {
-		case allDense:
-			gatherDenseChunk(ps, lo, hi, s, out, k)
-		case allSparse:
+		if allSparse {
 			gatherSparseChunk(ps, lo, hi, s, out, k)
-		default:
-			gatherMixedChunk(ps, lo, hi, s, out, k)
+		} else {
+			gatherStagedChunk(ps, lo, hi, s, out, k)
 		}
 		putChunkScratch(s)
 	})
-}
-
-// gatherDenseChunk processes [lo, hi) of an all-DensePayload set: each
-// column is read straight out of the wrapped vectors.
-func gatherDenseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
-	col := s.col
-	vecs := s.vecs[:0]
-	for i := range ps {
-		v, _ := ps[i].Vec()
-		vecs = append(vecs, v)
-	}
-	for j := lo; j < hi; j++ {
-		for i, v := range vecs {
-			col[i] = v[j]
-		}
-		out[j] = k.reduce(col, s)
-	}
-	clear(vecs) // the pool must not pin the caller's vectors
-	s.vecs = vecs
 }
 
 // gatherSparseChunk processes [lo, hi) of an all-sparse payload set
@@ -95,10 +73,10 @@ func gatherDenseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []
 func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
 	n := len(ps)
 	col := s.col
-	cnt := grownInt32s(s.cnt, payloadGatherTile)
-	entOwner := grownInt32s(s.entOwner, payloadGatherTile*n)
-	entVal := grownFloats(s.entVal, payloadGatherTile*n)
-	cur := grownInts(s.cur, n)
+	cnt := grown(s.cnt, payloadGatherTile)
+	entOwner := grown(s.entOwner, payloadGatherTile*n)
+	entVal := grown(s.entVal, payloadGatherTile*n)
+	cur := grown(s.cur, n)
 	s.cnt, s.entOwner, s.entVal, s.cur = cnt, entOwner, entVal, cur
 	for i := range ps {
 		idx, _, _ := ps[i].Sparse()
@@ -142,28 +120,37 @@ func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 	}
 }
 
-// gatherMixedChunk processes [lo, hi) when at least one view is dense
-// or quantized: every view gathers its tile slice into a shared row
-// buffer (bounded n·tile, never n·d), and every column reduces.
-func gatherMixedChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
+// gatherStagedChunk processes [lo, hi) of a set that is not all
+// sparse, one tile at a time: rows[i] holds member i's tile. A kernel
+// with a tile form reorders its rows, so every view is copied into the
+// row buffer (bounded n·tile, never n·d) with Payload.GatherInto. The
+// per-column fallback only reads them, so a DensePayload's row aliases
+// its vector and only the other views are copied.
+func gatherStagedChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
 	n := len(ps)
 	col := s.col
-	rows := grownFloats(s.rows, n*payloadGatherTile)
-	s.rows = rows
+	buf, rows := grown(s.rowBuf, n*payloadGatherTile), grown(s.rows, n)
+	s.rowBuf, s.rows = buf, rows
 	for tlo := lo; tlo < hi; tlo += payloadGatherTile {
-		thi := tlo + payloadGatherTile
-		if thi > hi {
-			thi = hi
-		}
-		w := thi - tlo
+		thi := min(tlo+payloadGatherTile, hi)
 		for i := range ps {
-			ps[i].GatherInto(rows[i*payloadGatherTile:i*payloadGatherTile+w], tlo, thi)
-		}
-		for j := 0; j < w; j++ {
-			for i := 0; i < n; i++ {
-				col[i] = rows[i*payloadGatherTile+j]
+			if v, ok := ps[i].Vec(); ok && k.tile.n == 0 {
+				rows[i] = v[tlo:thi]
+				continue
 			}
-			out[tlo+j] = k.reduce(col, s)
+			rows[i] = buf[i*payloadGatherTile : i*payloadGatherTile+thi-tlo]
+			ps[i].GatherInto(rows[i], tlo, thi)
+		}
+		if k.tile.n > 0 {
+			k.tile.reduce(rows, out[tlo:thi])
+			continue
+		}
+		for j := tlo; j < thi; j++ {
+			for i, r := range rows {
+				col[i] = r[j-tlo]
+			}
+			out[j] = k.reduce(col, s)
 		}
 	}
+	clear(rows) // the pool must not pin the caller's vectors
 }

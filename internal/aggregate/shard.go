@@ -242,7 +242,7 @@ func (sh *aggShard) reduce(out []float64) {
 	width := sh.hi - sh.lo
 	s := getChunkScratch(n, k.winLen)
 	col := s.col
-	curs := grownInts(s.cur, n)
+	curs := grown(s.cur, n)
 	s.cur = curs
 	for i := range curs {
 		curs[i] = 0
@@ -251,7 +251,7 @@ func (sh *aggShard) reduce(out []float64) {
 		// All-sparse: count per-column entries once, reduce only touched
 		// columns; untouched columns keep the output's +0.0, exactly as
 		// the unsharded sparse gather leaves them.
-		cnt := grownInt32s(s.cnt, width)
+		cnt := grown(s.cnt, width)
 		s.cnt = cnt
 		for j := range cnt {
 			cnt[j] = 0
