@@ -19,8 +19,8 @@ import (
 //     same bits. An all-sparse gather never reduces a column no view
 //     touches: it keeps +0.0, which is what every kernel returns for
 //     an all-zero column.
-//   - One permutation per column. The unweighted trimmed mean and
-//     median of up to networkMaxN members reduce a staged tile at once
+//   - One permutation per column. The unweighted trimmed mean of up
+//     to networkMaxN members reduces a staged tile at once
 //     (kernel.tile): an insertion network of adjacent compare-exchanges
 //     sorts every lane of the tile without a data-dependent branch,
 //     swapping only on a strict >, so each lane ends in exactly the
@@ -119,13 +119,9 @@ func (t TrimmedMean) kernel(n int, weights []float64) kernel {
 
 // kernel implements coordinateRule.
 func (CoordinateMedian) kernel(n int, weights []float64) kernel {
-	k := kernel{reduce: func(col []float64, s *chunkScratch) float64 {
+	return kernel{reduce: func(col []float64, s *chunkScratch) float64 {
 		return medianOf(col, weights, s)
 	}}
-	if weights == nil && n <= networkMaxN {
-		k.tile = tileForm{n: n, median: true}
-	}
-	return k
 }
 
 // trimmedMeanOf returns the weighted mean Σwv/Σw of col after dropping
@@ -279,8 +275,7 @@ func medianOf(col, weights []float64, s *chunkScratch) float64 {
 
 // sortColumn orders one gathered coordinate column: the per-column
 // fallback behind the tile form's network (see sortTile), which takes
-// the unweighted trimmed mean's and median's short columns of staged
-// tiles. Columns are short (one value per input vector), where
+// the unweighted trimmed mean's short columns of staged tiles. Columns are short (one value per input vector), where
 // insertion sort beats the general sort, and it is the permutation the
 // network reproduces; longer columns fall back to the library sort,
 // which is not stable: -0 and +0 compare equal and may land in either
@@ -330,41 +325,28 @@ func sortColumn(col []float64) {
 const networkMaxN = 6
 
 // tileForm is an unweighted trimmed mean's (m > 0, outside the
-// selection path) or median's reduction of one staged gather tile.
+// selection path) reduction of one staged gather tile.
 type tileForm struct {
-	n      int  // members: rows in the tile; 0 means no tile form
-	m      int  // trimmed mean: rows trimmed per side
-	median bool // CoordinateMedian instead of TrimmedMean
+	n int // members: rows in the tile; 0 means no tile form
+	m int // rows trimmed per side
 }
 
 // reduce writes the aggregates of a tile's columns into out: rows[i]
 // holds member i's values for them, len(out) of each, and is scratch.
 // It sorts every lane with sortTile, then reduces row by row in the
-// per-column kernel's exact operation order — the kept ranks
-// m … n−m−1 added in rank order to +0.0 and divided by their count, or
-// row (n−1)/2, or 0.5·(row n/2−1 + row n/2).
+// per-column kernel's exact operation order: the kept ranks m … n−m−1
+// added in rank order to +0.0 and divided by their count.
 func (f tileForm) reduce(rows [][]float64, out []float64) {
-	n := f.n
 	sortTile(rows)
-	switch {
-	case f.median && n%2 == 1:
-		copy(out, rows[(n-1)/2])
-	case f.median:
-		lo, hi := rows[n/2-1][:len(out)], rows[n/2][:len(out)]
-		for j := range out {
-			out[j] = 0.5 * (lo[j] + hi[j])
+	clear(out)
+	for _, r := range rows[f.m : f.n-f.m] {
+		for j, v := range r[:len(out)] {
+			out[j] += v
 		}
-	default:
-		clear(out)
-		for _, r := range rows[f.m : n-f.m] {
-			for j, v := range r[:len(out)] {
-				out[j] += v
-			}
-		}
-		c := float64(n - 2*f.m)
-		for j := range out {
-			out[j] /= c
-		}
+	}
+	c := float64(f.n - 2*f.m)
+	for j := range out {
+		out[j] /= c
 	}
 }
 

@@ -164,10 +164,10 @@ func benignSpan(vecs [][]float64, byz map[int]bool, j int) (lo, hi float64) {
 // with B ≤ TrimCount(n) Byzantine members sending NaN, +Inf or -Inf,
 // the trimmed mean and the median stay inside the benign span on every
 // path — flat dense, sparse and mixed gathers, the shard tree, the
-// weighted kernels — across the insertion network over staged tiles,
-// the per-column insertion sort, the library sort past 32 inputs and
-// the selection path. Byzantine members sit mid-column, where a NaN
-// left in place by the sort would land in the kept ranks.
+// weighted kernels — across the trimmed mean's insertion network over
+// staged tiles, the per-column insertion sort, the library sort past
+// 32 inputs and the selection path. Byzantine members sit mid-column,
+// where a NaN left in place by the sort would land in the kept ranks.
 func TestByzantineNaNStaysTrimmed(t *testing.T) {
 	const d = 64
 	nan, inf := math.NaN(), math.Inf(1)
@@ -323,9 +323,10 @@ func FuzzCoordinateKernels(f *testing.F) {
 
 // TestMedianKeepsStableZeroOrder: the median of the column [+0, −0, 1]
 // is −0 on every path, the stable order's middle rank; so is that of
-// [+0, 1, −0], and [−0, 1, +0]'s is +0. A min/max compare-exchange
-// would put −0 first, and one that swaps on ≥ would move the later
-// zero ahead of the earlier one.
+// [+0, 1, −0], and [−0, 1, +0]'s is +0. A sort that ranks −0 below
+// +0 would put −0 first, and one that moves a value past an equal one
+// (a ≥ in the insertion sort) would put the later zero ahead of the
+// earlier one.
 func TestMedianKeepsStableZeroOrder(t *testing.T) {
 	const d = 300 // two gather tiles
 	negZero := math.Copysign(0, -1)
