@@ -28,13 +28,10 @@ test:
 # the oracle dispatch (loss rules, degraded quorums, engine vs
 # distributed parity, and the one oracle a loopback federation shares
 # being called serially) is the newest aggregation surface, and its
-# contract violations should fail by name too. The sharded-aggregation
-# differential tier runs fifth: the two-tier shard tree must stay
-# bit-identical to the unsharded rules (every registry rule × shard
-# count × workers × degraded quorum × payload codec), and its streaming
-# accumulators are the most concurrent code in the tree, so they run by
-# name under the race detector before the full suite. The async
-# determinism tier runs sixth: the bounded-staleness lifecycle (one
+# contract violations should fail by name too. The participation
+# parity tier runs fifth: distributed clients sampling their rounds
+# from core.ActiveClients must train bit-identically to the engine, so
+# its divergences fail by name. The async determinism tier runs sixth: the bounded-staleness lifecycle (one
 # reader goroutine per connection racing a window deadline, stale
 # admission, disk-backed spill) is the most concurrent round path, and
 # two seeded runs must stay bit-identical under the race detector —
@@ -53,9 +50,11 @@ test:
 # top-k encode allocation gate (a steady-state topk/ef+topk encode at
 # d = 1e5 allocates nothing), par.For's (nothing serial, at most two
 # objects per fan-out), the client filter's (a steady-state trimmed
-# mean over 5 dense views at d = 1e5 allocates at most 3 objects) and
-# Bulyan's (its allocations do not grow with d) ride in the same stage
-# for the same reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
+# mean over 5 dense views at d = 1e5 allocates at most 3 objects),
+# Bulyan's (its allocations do not grow with d) and the flat gather's
+# memory bound (a cold aggregation of n views stages n·tile values per
+# worker, never the n·d matrix) ride in the same stage for the same
+# reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
 # core.Config) is bound to flags once and every node's configuration is
 # derived from it, so the CLI contract (the pinned flag surface, the
 # one table of rejections, both commands surfacing it before any
@@ -68,7 +67,7 @@ test:
 # bits, Workers=1 ≡ Workers=3) and the engine ≡ distributed parity
 # legs that filter per client on the distributed side (clean, consistent
 # noise, equivocating, compressed downlink) fail by name; the
-# participation leg already runs in the shard stage. The role tier runs
+# participation leg runs in the participation stage. The role tier runs
 # tenth: both runtimes run the same core.Server and core.Client, so the
 # role tests and the engine ≡ distributed legs that drive a Byzantine
 # server's history, an idle server, a Byzantine client and an upload
@@ -80,8 +79,7 @@ RACE_OBS     = TestObsDeterminism|TestObsReconcile
 RACE_PAYLOAD = TestPayloadAggregation|FuzzCoordinateKernels
 RACE_LOSS    = TestLossRule|TestKrumFamilyPartialParticipation
 RACE_LOSSD   = TestDistributedMatchesEngineLoss|TestLocalSerializesSharedOracle
-RACE_SHARD   = TestShardedAggregation
-RACE_SHARDD  = TestDistributedShardedMatchesEngine|TestDistributedParticipationMatchesEngine
+RACE_PART    = TestDistributedParticipationMatchesEngine
 RACE_ASYNCD  = TestAsyncDeterminismChaos|TestAsyncWideWindowMatchesSyncDistributed
 RACE_ASYNC   = TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical
 RACE_FLOOD   = TestChaosFloodJunkStorm
@@ -89,7 +87,7 @@ RACE_CLI     = FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNode
 RACE_DERIVE  = TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin
 RACE_FILTER  = TestDistributedMatchesEngine(Clean|UnderNoiseAttack|EquivocatingAttack)$$|TestDistributedDownlinkCodecMatchesEngine|TestEngineFiltersEachReceivedSetOnce
 RACE_ROLES   = TestRole|TestDistributedHistoryAttackParity|TestDistributedIdleServerMatchesEngine|TestDistributedByzantineClientParity|TestDistributedUploadCodecMatchesEngine
-RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_SHARD)|$(RACE_SHARDD)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)|$(RACE_ROLES)
+RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_PART)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)|$(RACE_ROLES)
 
 verify:
 	$(GO) vet ./...
@@ -98,12 +96,11 @@ verify:
 	$(GO) test -race -run '$(RACE_PAYLOAD)' ./internal/aggregate/
 	$(GO) test -race -run '$(RACE_LOSS)' ./internal/aggregate/
 	$(GO) test -race -run '$(RACE_LOSSD)' ./internal/node/
-	$(GO) test -race -run '$(RACE_SHARD)' ./internal/aggregate/
-	$(GO) test -race -run '$(RACE_SHARDD)' ./internal/node/
+	$(GO) test -race -run '$(RACE_PART)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
 	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/
@@ -145,7 +142,7 @@ fuzz:
 defense:
 	$(GO) run ./cmd/fedms-bench -exp defense -quick | tee defense_matrix.txt
 
-# Scale curve: rounds/sec vs K through the two-tier shard tree, out to
+# Scale curve: rounds/sec vs K through the flat fused aggregation, out to
 # K = 100k simulated clients plus a distributed smoke point, written to
 # scale_curve.json (see EXPERIMENTS.md "Scale") — CI uploads it as a
 # build artifact. Run on an otherwise idle machine.

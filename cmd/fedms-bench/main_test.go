@@ -63,7 +63,7 @@ func TestBenchScaleWritesCurve(t *testing.T) {
 	if err := json.Unmarshal(data, &curve); err != nil {
 		t.Fatalf("scale_curve.json is not valid JSON: %v", err)
 	}
-	if curve.Schema != "fedms-bench/scale/v1" || len(curve.Points) == 0 || curve.Smoke == nil {
+	if curve.Schema != "fedms-bench/scale/v2" || len(curve.Points) == 0 || curve.Smoke == nil {
 		t.Fatalf("degenerate curve: %+v", curve)
 	}
 	for _, p := range append(curve.Points, *curve.Smoke) {

@@ -25,7 +25,7 @@ func TestNodeFlagSurface(t *testing.T) {
 		"connect-token", "fault-corrupt", "fault-crash", "fault-delay", "fault-drop",
 		"fault-duplicate", "fault-max-delay", "fault-seed", "full-upload", "hello-deadline",
 		"id", "key", "latency-scale", "listen", "log", "metrics-addr", "min-models", "peers",
-		"role", "server-beta", "timeout",
+		"role", "timeout",
 	}
 	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
 	fedflags.Bind(shared, fedflags.NodeDefaults)

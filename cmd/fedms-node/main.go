@@ -34,7 +34,6 @@ import (
 
 	"fedms"
 	"fedms/cmd/internal/fedflags"
-	"fedms/internal/aggregate"
 	"fedms/internal/attack"
 	"fedms/internal/core"
 	"fedms/internal/node"
@@ -54,7 +53,6 @@ type options struct {
 	peers  string
 
 	clientAtk  string
-	serverBeta float64
 	fullUpload bool
 	key        string
 	timeout    time.Duration
@@ -107,7 +105,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.peers, "peers", "", "comma-separated PS addresses in server-id order (client role)")
 	fs.StringVar(&o.clientAtk, o.spec.Flag("client-attack", "ClientAttack"), "", "Byzantine client upload attack (upload_signflip|upload_noise|upload_random|upload_scaled)")
 	fs.IntVar(&spec.NumByzantineClients, o.spec.Flag("byzantine-clients", "NumByzantineClients"), 0, "number of Byzantine clients")
-	fs.Float64Var(&o.serverBeta, "server-beta", 0, "benign servers' trim rate over client uploads when no -server-rule is given (0 = plain mean)")
 	fs.BoolVar(&o.fullUpload, "full-upload", false, "upload every client's model to every PS (required for robust server rules)")
 	fs.StringVar(&o.key, "key", "", "shared secret enabling per-frame HMAC authentication")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-frame network timeout")
@@ -140,9 +137,6 @@ func (o *options) resolve(st *obsState) (core.Config, error) {
 	spec := &o.spec.Config
 	if o.fullUpload {
 		spec.Upload = fedms.FullUpload
-	}
-	if o.serverBeta > 0 && spec.ServerRule == "" {
-		spec.ServerFilter = aggregate.TrimmedMean{Beta: o.serverBeta}
 	}
 	if o.clientAtk != "" {
 		var err error

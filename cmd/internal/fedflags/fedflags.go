@@ -66,7 +66,6 @@ func Bind(fs *flag.FlagSet, defaults fedms.Config) *Binding {
 	fs.IntVar(&c.Dataset.Samples, "samples", c.Dataset.Samples, "total dataset samples")
 	fs.Uint64Var(&c.Seed, b.Flag("seed", "Seed"), 1, "experiment seed; every node of a federation must share it")
 	fs.Float64Var(&c.Participation, b.Flag("participation", "Participation"), 1, "fraction of clients active per round, in (0, 1]; inactive clients send skip frames")
-	fs.IntVar(&c.Shards, b.Flag("shards", "Shards"), 0, "server-side aggregation shards (>1 streams uploads through the two-tier shard tree; 0/1 unsharded)")
 	fs.BoolVar(&c.Async, b.Flag("async", "Async"), false, "bounded-staleness async rounds: each server aggregates what arrives within -window, admitting uploads up to -staleness rounds late")
 	fs.DurationVar(&c.Window, b.Flag("window", "Window"), 0, "async per-round aggregation window (0 = default; requires -async)")
 	fs.IntVar(&c.Staleness, b.Flag("staleness", "Staleness"), 0, "max rounds an upload may be late and still count, down-weighted 1/(1+s) (requires -async)")

@@ -33,7 +33,7 @@ func TestSharedFlagSurface(t *testing.T) {
 	want := []string{
 		"alpha", "async", "attack", "batch", "beta", "byzantine", "clients", "codec",
 		"downlink-codec", "filter", "lr", "participation", "rounds", "samples", "seed",
-		"server-rule", "servers", "shards", "spill-dir", "spill-mem", "staleness",
+		"server-rule", "servers", "spill-dir", "spill-mem", "staleness",
 		"steps", "trace", "window",
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -58,7 +58,7 @@ func TestDefaults(t *testing.T) {
 	}
 	for name, c := range map[string]fedms.Config{"fedms-node": node, "fedms-sim": sim} {
 		if c.LocalSteps != 3 || c.BatchSize != 32 || c.TrimBeta != 0 || c.LearningRate != 0.1 ||
-			c.Dataset.Alpha != 10 || c.Seed != 1 || c.Participation != 1 || c.Shards != 0 || c.Async ||
+			c.Dataset.Alpha != 10 || c.Seed != 1 || c.Participation != 1 || c.Async ||
 			c.UploadCodec != "dense" || c.DownlinkCodec != "dense" || c.FilterRule != "" || c.ServerRule != "" {
 			t.Fatalf("%s shared defaults: %+v", name, c)
 		}
@@ -72,14 +72,14 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		"-clients", "6", "-servers", "5", "-byzantine", "2", "-rounds", "7", "-steps", "4",
 		"-batch", "16", "-beta", "0.3", "-filter", "median", "-server-rule", "trim:0.2",
 		"-attack", "signflip", "-lr", "0.05", "-alpha", "0.5", "-samples", "900", "-seed", "42",
-		"-participation", "0.5", "-shards", "4", "-async", "-window", "750ms", "-staleness", "3",
+		"-participation", "0.5", "-async", "-window", "750ms", "-staleness", "3",
 		"-spill-dir", "/tmp/spill", "-spill-mem", "4096", "-codec", "EF+TopK:0.1",
 		"-downlink-codec", "q8", "-trace", "out.jsonl")
 	c := b.Config
 	if c.Clients != 6 || c.Servers != 5 || c.NumByzantine != 2 || c.Rounds != 7 || c.LocalSteps != 4 ||
 		c.BatchSize != 16 || c.TrimBeta != 0.3 || c.FilterRule != "median" || c.ServerRule != "trim:0.2" ||
 		c.LearningRate != 0.05 || c.Dataset.Alpha != 0.5 || c.Dataset.Samples != 900 || c.Seed != 42 ||
-		c.Participation != 0.5 || c.Shards != 4 || !c.Async || c.Window != 750*time.Millisecond ||
+		c.Participation != 0.5 || !c.Async || c.Window != 750*time.Millisecond ||
 		c.Staleness != 3 || c.SpillDir != "/tmp/spill" || c.SpillMem != 4096 ||
 		c.UploadCodec != "EF+TopK:0.1" || c.DownlinkCodec != "q8" || b.TracePath != "out.jsonl" {
 		t.Fatalf("flags not captured: %+v", c)
@@ -120,6 +120,8 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		{"error-feedback downlink", []string{"-downlink-codec", "ef+topk:0.1"}, []string{"-downlink-codec", "error feedback"}},
 		{"random-support downlink", []string{"-downlink-codec", "randk:0.5"}, []string{"-downlink-codec", "deterministic"}},
 
+		{"trim rate one half", []string{"-beta", "0.5"}, []string{"-beta", "below 0.5"}},
+		{"trim rate above one half", []string{"-beta", "0.7"}, []string{"-beta", "leaves no values"}},
 		{"unknown filter", []string{"-filter", "bogus"}, []string{"-filter"}},
 		{"filter parameter out of range", []string{"-filter", "trim:0.9"}, []string{"-filter"}},
 		{"filter excess arguments", []string{"-filter", "fedgreed:1"}, []string{"-filter"}},
@@ -130,7 +132,6 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		{"negative participation", []string{"-participation", "-0.5"}, []string{"-participation"}},
 		{"participation above one", []string{"-participation", "1.5"}, []string{"-participation"}},
 		{"participation activating nobody", []string{"-participation", "0.1"}, []string{"-participation"}},
-		{"negative shards", []string{"-shards", "-1"}, []string{"-shards"}},
 		{"Byzantine majority", []string{"-servers", "4", "-byzantine", "2"}, []string{"-byzantine", "B < P/2"}},
 		{"unknown attack", []string{"-attack", "nonsense"}, []string{"-attack"}},
 		{"negative rounds", []string{"-rounds", "-1"}, []string{"-rounds"}},

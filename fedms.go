@@ -242,7 +242,8 @@ type Config struct {
 	BatchSize int
 	// TrimBeta is the filter's trim rate β. Negative selects the
 	// vanilla mean filter (the paper's "Vanilla FL" baseline). Zero
-	// defaults to B/P (the Fed-MS rule).
+	// defaults to B/P (the Fed-MS rule). 0.5 or more trims every value
+	// and is rejected.
 	TrimBeta float64
 	// FilterRule selects the client-side filter by registry spec —
 	// "trim:0.2", "krum:2", "fedgreed", ... (see aggregate.ParseRule
@@ -259,13 +260,6 @@ type Config struct {
 	// Participation is the fraction of clients active per round in
 	// (0, 1]; zero means full participation.
 	Participation float64
-	// Shards, when > 1, routes server-side aggregation through the
-	// two-tier sharded tree (see core.Config.Shards): uploads stream
-	// into S column-range shards, so no server materialises the full
-	// K×d matrix. Bit-identical to the unsharded rules for every
-	// value; rules without a sharded kernel fall back. 0 or 1 disables
-	// sharding.
-	Shards int
 	// Async switches the round lifecycle from the synchronous barrier
 	// to bounded-staleness windowed aggregation (see core.Config.Async):
 	// each round a PS aggregates what arrived inside Window, admits
@@ -473,6 +467,9 @@ func (s *split) resolve() (EngineConfig, error) {
 			filter = MeanRule{}
 		} else {
 			beta := cfg.TrimBeta
+			if !(beta < 0.5) {
+				return EngineConfig{}, specErr("TrimBeta", fmt.Errorf("trim rate %g leaves no values; want it below 0.5", beta))
+			}
 			if beta == 0 && cfg.Servers > 0 {
 				beta = float64(cfg.NumByzantine) / float64(cfg.Servers)
 			}
@@ -511,7 +508,6 @@ func (s *split) resolve() (EngineConfig, error) {
 		LocalSteps:          cfg.LocalSteps,
 		Upload:              cfg.Upload,
 		Participation:       cfg.Participation,
-		Shards:              cfg.Shards,
 		Async:               cfg.Async,
 		Window:              cfg.Window,
 		Staleness:           cfg.Staleness,

@@ -9,16 +9,15 @@ import (
 // coordinateRule is a rule that aggregates coordinate by coordinate:
 // Mean, TrimmedMean and CoordinateMedian. Each writes its arithmetic
 // once, as the kernel below, and every path drives that one kernel —
-// the flat gather over dense, sparse or mixed views, the shard tree,
-// and the dense Aggregate method. The contract:
+// the flat gather over dense, sparse or mixed views, and the dense
+// Aggregate method. The contract:
 //
-//   - Bit-identity across gathers and shards. A column is gathered in
-//     member order whatever its source, and the kernel sees the same
-//     floats in the same order, so both gather modes (sparse and
-//     staged), every worker count and every shard count return the
-//     same bits. An all-sparse gather never reduces a column no view
-//     touches: it keeps +0.0, which is what every kernel returns for
-//     an all-zero column.
+//   - Bit-identity across gathers. A column is gathered in member order
+//     whatever its source, and the kernel sees the same floats in the
+//     same order, so both gather modes (sparse and staged) and every
+//     worker count return the same bits. An all-sparse gather never
+//     reduces a column no view touches: it keeps +0.0, which is what
+//     every kernel returns for an all-zero column.
 //   - One permutation per column. The unweighted trimmed mean of up
 //     to networkMaxN members reduces a staged tile at once
 //     (kernel.tile): an insertion network of adjacent compare-exchanges
@@ -67,8 +66,8 @@ type kernel struct {
 
 // Coordinatewise reports whether rule r aggregates coordinate by
 // coordinate (Mean, TrimmedMean, CoordinateMedian): only those rules
-// shard, and only those have the weighted kernel async staleness
-// down-weighting requires. A NoFuse wrapper reports false.
+// have the weighted kernel async staleness down-weighting requires. A
+// NoFuse wrapper reports false.
 func Coordinatewise(r Rule) bool {
 	_, ok := r.(coordinateRule)
 	return ok

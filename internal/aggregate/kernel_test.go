@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -42,8 +43,7 @@ func wireView(t testing.TB, v []float64) compress.Payload {
 // kernelPaths aggregates vecs under a coordinate rule along every path
 // that drives its kernel: the flat gather over DensePayload views
 // ("dense"), EncDense bytes, sparse views and a sparse/EncDense mix;
-// the shard tree at 2 and 3 shards over EncDense and sparse rows; and
-// the weighted kernels at weight ≡ 1 over dense and sparse views (run,
+// and the weighted kernels at weight ≡ 1 over dense and sparse views (run,
 // not Run, so the ones are not dropped). A "reference" arm, computed by
 // referenceAggregate without any kernel code, joins them wherever the
 // reduction is a rank statistic.
@@ -63,16 +63,12 @@ func kernelPaths(t testing.TB, rule Rule, vecs [][]float64) map[string][]float64
 	dense := denseViews(vecs)
 	ones := onesWeights(n)
 	paths := map[string][]float64{
-		"dense":             Run(Request{Rule: rule, Views: dense}).Out,
-		"encdense":          Run(Request{Rule: rule, Views: wire}).Out,
-		"sparse":            Run(Request{Rule: rule, Views: sparse}).Out,
-		"mixed":             Run(Request{Rule: rule, Views: mixed}).Out,
-		"shards=2/encdense": Run(Request{Rule: rule, Views: wire, Shards: 2}).Out,
-		"shards=3/encdense": Run(Request{Rule: rule, Views: wire, Shards: 3}).Out,
-		"shards=2/sparse":   Run(Request{Rule: rule, Views: sparse, Shards: 2}).Out,
-		"shards=3/mixed":    Run(Request{Rule: rule, Views: mixed, Shards: 3}).Out,
-		"weighted/dense":    Request{Rule: rule, Views: dense, Weights: ones}.run().Out,
-		"weighted/sparse":   Request{Rule: rule, Views: sparse, Weights: ones}.run().Out,
+		"dense":           Run(Request{Rule: rule, Views: dense}).Out,
+		"encdense":        Run(Request{Rule: rule, Views: wire}).Out,
+		"sparse":          Run(Request{Rule: rule, Views: sparse}).Out,
+		"mixed":           Run(Request{Rule: rule, Views: mixed}).Out,
+		"weighted/dense":  Request{Rule: rule, Views: dense, Weights: ones}.run().Out,
+		"weighted/sparse": Request{Rule: rule, Views: sparse, Weights: ones}.run().Out,
 	}
 	if ref := referenceAggregate(rule, vecs); ref != nil {
 		paths["reference"] = ref
@@ -163,8 +159,7 @@ func benignSpan(vecs [][]float64, byz map[int]bool, j int) (lo, hi float64) {
 // TestByzantineNaNStaysTrimmed is Lemma 2 against arbitrary values:
 // with B ≤ TrimCount(n) Byzantine members sending NaN, +Inf or -Inf,
 // the trimmed mean and the median stay inside the benign span on every
-// path — flat dense, sparse and mixed gathers, the shard tree, the
-// weighted kernels — across the trimmed mean's insertion network over
+// path — flat dense, sparse and mixed gathers, the weighted kernels — across the trimmed mean's insertion network over
 // staged tiles, the per-column insertion sort, the library sort past
 // 32 inputs and the selection path. Byzantine members sit mid-column,
 // where a NaN left in place by the sort would land in the kept ranks.
@@ -392,5 +387,41 @@ func TestFilterAllocs(t *testing.T) {
 	Run(q) // fill the chunk pool
 	if a := testing.AllocsPerRun(20, func() { Run(q) }); a > 3 {
 		t.Fatalf("filter allocates %v objects per Run, want <= 3", a)
+	}
+}
+
+// TestGatherMemoryBound pins the flat gather's memory bound (DESIGN.md
+// §6): beyond the uploads themselves, a cold Run — chunk pool emptied
+// by two collections — over n views of dimension d allocates at most
+// 16·n·tile bytes of staged scratch per worker plus the 8·d output,
+// far below the 8·n·d of a K×d matrix. Dense views take the staged
+// gather, topk views the sparse one, and the trimmed mean (n past
+// networkMaxN) and the median reduce column by column.
+func TestGatherMemoryBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const n, d, workers = 100, 20_000, 2
+	bound := uint64(workers*16*n*payloadGatherTile + 8*d + 1<<14)
+	if matrix := uint64(8 * n * d); bound > matrix/10 {
+		t.Fatalf("bound %d B is not far below the K×d matrix's %d B", bound, matrix)
+	}
+	vecs := randomVecs(randx.New(13), n, d)
+	for _, spec := range []string{"dense", "topk:0.01"} {
+		views, _ := encodeViews(t, spec, vecs, 21)
+		for _, rule := range []Rule{TrimmedMean{Beta: 0.2}, CoordinateMedian{}} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res := Run(Request{Rule: rule, Views: views, Workers: workers})
+			runtime.ReadMemStats(&after)
+			if !res.Fused {
+				t.Fatalf("%s/%s: expected the fused path", spec, rule.Name())
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+				t.Fatalf("%s/%s: a cold Run allocated %d B, want <= %d B", spec, rule.Name(), got, bound)
+			}
+		}
 	}
 }

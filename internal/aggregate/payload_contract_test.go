@@ -143,7 +143,7 @@ func TestPayloadAggregationDispatch(t *testing.T) {
 
 		res = Run(Request{Rule: NoFuse{rule}, Views: views})
 		wrapped, fused := res.Out, res.Fused
-		if fused {
+		if fused || Coordinatewise(NoFuse{rule}) {
 			t.Fatalf("NoFuse{%s}: fused path must be hidden", rule.Name())
 		}
 		assertBitIdentical(t, "nofuse/"+rule.Name(), wrapped, got)

@@ -10,8 +10,8 @@ import (
 
 // Request is one server-side aggregation: the round's admitted member
 // set and everything that selects how it is reduced. It is the single
-// place the shard / weighted / oracle / fused dispatch lives — the
-// engine and the PS, sync and async, all build a Request and call Run.
+// place the weighted / oracle / fused dispatch lives — the engine and
+// the PS, sync and async, all build a Request and call Run.
 type Request struct {
 	Rule Rule
 	// Views are the members' payload views in canonical member order
@@ -25,13 +25,10 @@ type Request struct {
 	// Oracle, when non-nil, routes a LossRule through its holdout-loss
 	// path; geometry-only rules ignore it.
 	Oracle LossEval
-	// Shards > 1 reduces through the coordinate-sharded tree when Rule
-	// is Coordinatewise; other rules, and Shards ≤ 1, take the flat path.
-	Shards int
 	// Dst, when its capacity suffices, receives the aggregate in place.
 	Dst []float64
 	// Workers bounds the goroutines of the flat coordinate gather
-	// (≤ 1 is serial; the shard tree and the other rules ignore it).
+	// (≤ 1 is serial; the other rules ignore it).
 	// The output is bit-identical for every value.
 	Workers int
 }
@@ -39,16 +36,12 @@ type Request struct {
 // Result is Run's outcome. Callers must use Out, not Request.Dst.
 type Result struct {
 	Out []float64
-	// Sharded and Fused report which path ran, for the runtimes'
-	// sharded / fused / fallback counters: Sharded is the shard tree,
-	// Fused a flat payload kernel that never densified its inputs, and
-	// neither means densify-first.
-	Sharded, Fused bool
+	// Fused reports which path ran, for the runtimes' fused / fallback
+	// counters: a payload kernel that never densified its inputs, or
+	// densify-first.
+	Fused bool
 	// OracleEvals counts holdout-loss evaluations.
 	OracleEvals int
-	// PeakBytes is the largest per-shard accumulator footprint (0 on
-	// the flat paths).
-	PeakBytes int64
 }
 
 // Run aggregates q.Views under q.Rule. A member set whose weights are
@@ -83,12 +76,6 @@ func (q Request) run() Result {
 			return Result{Out: lr.AggregateWithLoss(densify(q.Views), counted), OracleEvals: calls}
 		}
 		return Result{Out: q.Rule.Aggregate(densify(q.Views))}
-	}
-	if tree, ok := newShardTree(cr, d, q.Shards, n, q.Weights != nil); ok {
-		for i := range q.Views {
-			tree.offer(i, q.Views[i], weightAt(q.Weights, i))
-		}
-		return Result{Out: tree.finalize(q.Dst), Sharded: true, PeakBytes: tree.peak.Load()}
 	}
 	out := zeroVec(q.Dst, d)
 	if _, mean := cr.(Mean); mean && q.Weights == nil {

@@ -28,8 +28,8 @@ func stalenessWeights(r *randx.RNG, n, maxStale int) []float64 {
 }
 
 // TestWeightedAggregationIdentityAtWeightOne is the weighted tier's
-// core contract: at weight ≡ 1 every weighted kernel — dense, fused
-// payload, and sharded — is bit-identical to its unweighted rule. The
+// core contract: at weight ≡ 1 every weighted kernel — dense and fused
+// payload — is bit-identical to its unweighted rule. The
 // input-count sweep covers every kernel path: the m = 0 sum, the
 // short-column insertion sort, the stable pair sort past 32 inputs,
 // and the selection path (n ≥ 32 with 8m ≤ n). make verify runs this
@@ -74,13 +74,7 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 						}
 						assertBitIdentical(t, label+"/payload-kernel", gotP, wantP)
 
-						// run (not Run) keeps the ones on the weighted sharded
-						// kernels; Run must then be free to drop them.
-						res = Request{Rule: rule, Views: views, Weights: ones, Shards: 4, Workers: workers}.run()
-						if !res.Sharded {
-							t.Fatalf("%s: weighted sharded path not taken", label)
-						}
-						assertBitIdentical(t, label+"/sharded-kernel", res.Out, wantP)
+						// Run must then be free to drop the ones.
 						assertBitIdentical(t, label+"/run", Run(Request{Rule: rule, Views: views, Weights: ones, Workers: workers}).Out, wantP)
 					}
 				}
@@ -90,8 +84,8 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 }
 
 // TestWeightedAggregationPathsAgree pins cross-path consistency at
-// genuine staleness weights: the dense kernel, the fused payload
-// kernel and the sharded kernel must produce bit-identical results for
+// genuine staleness weights: the dense kernel and the fused payload
+// kernel must produce bit-identical results for
 // the same weighted member set (they share scan order and arithmetic
 // by construction).
 func TestWeightedAggregationPathsAgree(t *testing.T) {
@@ -111,11 +105,6 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 						t.Fatalf("%s: not fused", label)
 					}
 					assertBitIdentical(t, label+"/payload", res.Out, want)
-					res = Run(Request{Rule: rule, Views: views, Weights: weights, Shards: 3, Workers: 2})
-					if !res.Sharded {
-						t.Fatalf("%s: not sharded", label)
-					}
-					assertBitIdentical(t, label+"/sharded", res.Out, want)
 				}
 			}
 		}

@@ -162,26 +162,34 @@ func TestAsyncSpillPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAsyncWithCodecAndShards runs the windowed lifecycle through the
-// upload codec and the sharded weighted tree: sharding must not change
-// a single bit of the async trajectory (the weighted shard kernels
-// share arithmetic with the flat weighted path), and codec payloads
-// must survive the spill byte round-trip.
-func TestAsyncWithCodecAndShards(t *testing.T) {
-	flat := asyncConfig(10, 3, 1, aggregate.TrimmedMean{Beta: 0.34})
-	flat.Rounds = 8
+// TestAsyncWithCodecThroughDiskSpill runs the windowed lifecycle
+// through the upload codec: codec payloads deferred straight to disk
+// (SpillMem < 0) must survive the spill byte round-trip and reproduce
+// the in-memory run bit for bit.
+func TestAsyncWithCodecThroughDiskSpill(t *testing.T) {
+	mem := asyncConfig(10, 3, 1, aggregate.TrimmedMean{Beta: 0.34})
+	mem.Rounds = 8
 	spec, err := compress.ParseSpec("topk:0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat.UploadCodec = spec
+	mem.UploadCodec = spec
+	mem.SpillDir = t.TempDir()
 
-	sharded := flat
-	sharded.Shards = 4
+	disk := mem
+	disk.SpillMem = -1
+	disk.SpillDir = t.TempDir()
 
-	_, pFlat := runAsync(t, flat)
-	_, pSharded := runAsync(t, sharded)
-	assertSameParams(t, "async-sharded", pSharded, pFlat)
+	_, pMem := runAsync(t, mem)
+	sDisk, pDisk := runAsync(t, disk)
+	assertSameParams(t, "async-codec-disk-spill", pDisk, pMem)
+	diskBytes := 0
+	for _, st := range sDisk {
+		diskBytes += st.SpillBytes
+	}
+	if diskBytes == 0 {
+		t.Fatal("forced-disk run reported no spill bytes; codec spill path untested")
+	}
 }
 
 // TestAsyncConfigValidation pins the fail-fast contract around the

@@ -128,16 +128,6 @@ type Config struct {
 	// default 5 approximates that cheaply — models are near-identical
 	// after filtering). Clamped to K.
 	EvalClients int
-	// Shards, when > 1, routes every server-side aggregation through the
-	// two-tier shard tree (aggregate.Request.Shards): the coordinate space
-	// is partitioned into this many shards, uploads stream through bounded
-	// per-shard queues, and each shard reduces its column range on its
-	// own goroutine, bounding per-shard accumulator memory at O(K·d/S).
-	// Outputs are bit-identical to the unsharded path for every value,
-	// so the knob trades only memory and wall-clock. Rules without a
-	// per-coordinate kernel (Krum, Bulyan, the loss rules, …) fall back
-	// to the unsharded path unchanged. 0 or 1 disables sharding.
-	Shards int
 	// Async switches the round lifecycle from the K-frame barrier to
 	// bounded-staleness windowed rounds (sched.Async): each round
 	// aggregates the uploads that arrive within Window of virtual
@@ -291,6 +281,12 @@ func (c Config) Validate() (Config, error) {
 	if c.ServerFilter == nil {
 		c.ServerFilter = aggregate.Mean{}
 	}
+	if err := checkTrimRate("Filter", c.Filter); err != nil {
+		return c, err
+	}
+	if err := checkTrimRate("ServerFilter", c.ServerFilter); err != nil {
+		return c, err
+	}
 	if len(c.ByzantineClientIDs) > 0 {
 		c.NumByzantineClients = len(c.ByzantineClientIDs)
 		seen := make(map[int]bool, len(c.ByzantineClientIDs))
@@ -317,9 +313,6 @@ func (c Config) Validate() (Config, error) {
 		perm := randx.Perm(randx.Split(c.Seed, "byzantine-client-ids"), c.Clients)
 		c.ByzantineClientIDs = append([]int(nil), perm[:c.NumByzantineClients]...)
 		sort.Ints(c.ByzantineClientIDs)
-	}
-	if c.Shards < 0 {
-		return c, fieldErr("Shards", "Shards must be non-negative, got %d", c.Shards)
 	}
 	var kerr *sched.KnobError
 	if c.Window, kerr = sched.Knobs(c.Async, c.Window, c.Staleness); kerr != nil {
@@ -356,6 +349,19 @@ func (c Config) Validate() (Config, error) {
 		c.EvalClients = c.Clients
 	}
 	return c, nil
+}
+
+// checkTrimRate rejects a trimmed mean, bare or inside NoFuse, whose
+// trim count derives from a rate outside [0, 0.5): such a rate leaves
+// no values, and TrimCount would panic on the first round.
+func checkTrimRate(field string, r aggregate.Rule) error {
+	if nf, ok := r.(aggregate.NoFuse); ok {
+		r = nf.Rule
+	}
+	if tm, ok := r.(aggregate.TrimmedMean); ok && tm.Trim <= 0 && !(tm.Beta >= 0 && tm.Beta < 0.5) {
+		return fieldErr(field, "%s trim rate %g out of [0, 0.5)", field, tm.Beta)
+	}
+	return nil
 }
 
 // IsByzantine reports whether server id is Byzantine under the resolved

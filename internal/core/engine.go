@@ -152,7 +152,7 @@ func NewEngine(cfg Config, learners []Learner) (*Engine, error) {
 		if cfg.IsByzantine(i) {
 			atk = cfg.Attack
 		}
-		servers[i] = NewServer(i, cfg.Seed, cfg.ServerFilter, cfg.LossOracle, cfg.Shards, cfg.Workers, atk, w0)
+		servers[i] = NewServer(i, cfg.Seed, cfg.ServerFilter, cfg.LossOracle, cfg.Workers, atk, w0)
 	}
 	clients := make([]*Client, cfg.Clients)
 	for k := range clients {
@@ -265,8 +265,7 @@ func (e *Engine) RunRound() RoundStats {
 	assign := e.uploadAssignment(t, active)
 	arrivals := e.arrivals(t, assign, views, &st)
 	aggs := make([][]float64, e.cfg.Servers)
-	var aggFusedN, aggFallbackN, aggShardedN, oracleServerN int
-	var shardPeak int64
+	var aggFusedN, aggFallbackN, oracleServerN int
 	for i, members := range arrivals {
 		// A server that admitted nothing re-disseminates its last
 		// aggregate (it has nothing newer); with K >> P this is rare under
@@ -278,15 +277,9 @@ func (e *Engine) RunRound() RoundStats {
 		}
 		aggs[i] = res.Out
 		if len(members) > 0 {
-			switch {
-			case res.Sharded:
-				aggShardedN++
-				if res.PeakBytes > shardPeak {
-					shardPeak = res.PeakBytes
-				}
-			case res.Fused:
+			if res.Fused {
 				aggFusedN++
-			default:
+			} else {
 				aggFallbackN++
 			}
 			oracleServerN += res.OracleEvals
@@ -388,8 +381,6 @@ func (e *Engine) RunRound() RoundStats {
 		e.om.rounds.Inc()
 		e.om.aggFused.Add(int64(aggFusedN))
 		e.om.aggFallback.Add(int64(aggFallbackN))
-		e.om.aggSharded.Add(int64(aggShardedN))
-		e.om.shardPeakBytes.SetMax(shardPeak)
 		e.om.aggDecodeBytes.Add(int64(st.UploadBytes))
 		e.om.oracleServer.Add(int64(oracleServerN))
 		if e.cfg.Async {

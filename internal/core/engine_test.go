@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -81,6 +82,11 @@ func TestConfigValidation(t *testing.T) {
 		{"byzantine exactly half", func(c *Config) { c.Servers = 4; c.NumByzantine = 2 }},
 		{"byzantine id out of range", func(c *Config) { c.ByzantineIDs = []int{5} }},
 		{"duplicate byzantine ids", func(c *Config) { c.ByzantineIDs = []int{1, 1} }},
+		{"filter trim rate one half", func(c *Config) { c.Filter = aggregate.TrimmedMean{Beta: 0.5} }},
+		{"negative filter trim rate", func(c *Config) { c.Filter = aggregate.TrimmedMean{Beta: -0.1} }},
+		{"no-fuse filter trim rate", func(c *Config) { c.Filter = aggregate.NoFuse{Rule: aggregate.TrimmedMean{Beta: 0.7}} }},
+		{"server filter trim rate", func(c *Config) { c.ServerFilter = aggregate.TrimmedMean{Beta: 0.7} }},
+		{"no-fuse server filter trim rate", func(c *Config) { c.ServerFilter = aggregate.NoFuse{Rule: aggregate.TrimmedMean{Beta: 0.5}} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -90,6 +96,27 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatal("expected validation error")
 			}
 		})
+	}
+}
+
+// TestConfigRejectsInfeasibleTrimRate: a trimmed mean whose rate
+// leaves no values is rejected under the field that holds it, before
+// TrimCount can panic in a round; an explicit Trim overrides the rate
+// and is not the rate's to reject.
+func TestConfigRejectsInfeasibleTrimRate(t *testing.T) {
+	c := baseConfig(10, 5, 2, attack.None{}, aggregate.TrimmedMean{Beta: 0.7})
+	var fe *FieldError
+	if _, err := c.Validate(); !errors.As(err, &fe) || fe.Field != "Filter" {
+		t.Fatalf("Filter trim rate 0.7: got %v, want a FieldError on Filter", err)
+	}
+	c = baseConfig(10, 5, 2, attack.None{}, aggregate.Mean{})
+	c.ServerFilter = aggregate.NoFuse{Rule: aggregate.TrimmedMean{Beta: 0.7}}
+	if _, err := c.Validate(); !errors.As(err, &fe) || fe.Field != "ServerFilter" {
+		t.Fatalf("ServerFilter trim rate 0.7: got %v, want a FieldError on ServerFilter", err)
+	}
+	c.ServerFilter = aggregate.TrimmedMean{Beta: 0.7, Trim: 1}
+	if _, err := c.Validate(); err != nil {
+		t.Fatalf("explicit Trim rejected: %v", err)
 	}
 }
 

@@ -14,12 +14,6 @@ type engineMetrics struct {
 	aggFused       *obs.Counter
 	aggFallback    *obs.Counter
 	aggDecodeBytes *obs.Counter
-	// aggSharded counts per-server aggregations that ran the two-tier
-	// shard tree; shardPeakBytes tracks the largest per-shard
-	// accumulator any of them reached — the observable side of the
-	// O(K·d/S) memory bound.
-	aggSharded     *obs.Counter
-	shardPeakBytes *obs.Gauge
 	// oracleServer / oracleFilter count holdout-loss oracle
 	// evaluations at the two dispatch sites (server aggregation vs
 	// the client-side filter). Zero unless a LossRule and a
@@ -55,8 +49,6 @@ func newEngineMetrics(reg *obs.Registry, rule string) *engineMetrics {
 		aggFused:       reg.Counter("fedms_engine_agg_fused_total"),
 		aggFallback:    reg.Counter("fedms_engine_agg_fallback_total"),
 		aggDecodeBytes: reg.Counter(`fedms_engine_agg_decode_bytes_total{rule="` + rule + `"}`),
-		aggSharded:     reg.Counter("fedms_engine_agg_sharded_total"),
-		shardPeakBytes: reg.Gauge("fedms_engine_shard_peak_bytes"),
 		oracleServer:   reg.Counter(`fedms_engine_oracle_evals_total{site="server"}`),
 		oracleFilter:   reg.Counter(`fedms_engine_oracle_evals_total{site="filter"}`),
 		staleHist:      reg.Histogram("fedms_engine_upload_staleness_rounds", []float64{0, 1, 2, 3, 5, 8, 13}),

@@ -39,7 +39,7 @@ func TestRoleServer(t *testing.T) {
 
 	t.Run("empty round returns an unaliased copy", func(t *testing.T) {
 		seed := slices.Clone(w0)
-		s := NewServer(0, 1, aggregate.Mean{}, nil, 0, 1, nil, seed)
+		s := NewServer(0, 1, aggregate.Mean{}, nil, 1, nil, seed)
 		seed[0] = 99
 		if res, err := s.Aggregate(nil); err != nil || !slices.Equal(res.Out, w0) {
 			t.Fatalf("Aggregate(nil) = %v, %v; want w_0", res.Out, err)
@@ -53,14 +53,14 @@ func TestRoleServer(t *testing.T) {
 	})
 
 	t.Run("no seed", func(t *testing.T) {
-		s := NewServer(0, 1, aggregate.Mean{}, nil, 0, 1, nil, nil)
+		s := NewServer(0, 1, aggregate.Mean{}, nil, 1, nil, nil)
 		if _, err := s.Aggregate(nil); !errors.Is(err, ErrNoAggregate) {
 			t.Fatalf("err = %v, want ErrNoAggregate", err)
 		}
 	})
 
 	t.Run("benign server reuses its buffer", func(t *testing.T) {
-		s := NewServer(0, 1, aggregate.Mean{}, nil, 0, 1, nil, w0)
+		s := NewServer(0, 1, aggregate.Mean{}, nil, 1, nil, w0)
 		a, _ := s.Aggregate(members(0, up...))
 		b, _ := s.Aggregate(members(1, up...))
 		if &a.Out[0] != &b.Out[0] || !slices.Equal(b.Out, []float64{1, 2, 3}) {
@@ -73,7 +73,7 @@ func TestRoleServer(t *testing.T) {
 
 	t.Run("byzantine history", func(t *testing.T) {
 		var seen []int
-		s := NewServer(2, 1, aggregate.Mean{}, nil, 0, 1, historyProbe{&seen}, w0)
+		s := NewServer(2, 1, aggregate.Mean{}, nil, 1, historyProbe{&seen}, w0)
 		rounds := [][]sched.Entry{members(0, up...), nil, members(2, up[1]), nil}
 		for r, m := range rounds {
 			res, err := s.Aggregate(m)
@@ -92,7 +92,7 @@ func TestRoleServer(t *testing.T) {
 
 	t.Run("attack streams", func(t *testing.T) {
 		consistent := attack.Random{}
-		s := NewServer(1, 7, aggregate.Mean{}, nil, 0, 1, consistent, w0)
+		s := NewServer(1, 7, aggregate.Mean{}, nil, 1, consistent, w0)
 		s.Aggregate(members(0, up...))
 		s.Aggregate(members(1, up...))
 		want := consistent.Tamper(&attack.Context{
@@ -103,7 +103,7 @@ func TestRoleServer(t *testing.T) {
 			t.Fatalf("Send(-1) = %v, want the consistent stream's %v", got, want)
 		}
 
-		e := NewServer(1, 7, aggregate.Mean{}, nil, 0, 1, attack.Random{PerClient: true}, w0)
+		e := NewServer(1, 7, aggregate.Mean{}, nil, 1, attack.Random{PerClient: true}, w0)
 		e.Aggregate(members(0, up...))
 		if a, b := e.Send(0, 0, nil), e.Send(0, 1, nil); slices.Equal(a, b) {
 			t.Fatal("an equivocating attack sent two clients the same model")

@@ -24,7 +24,6 @@ type Server struct {
 	seed    uint64
 	rule    aggregate.Rule
 	oracle  aggregate.LossEval
-	shards  int
 	workers int           // bound of the rule's aggregation goroutines
 	attack  attack.Attack // nil: benign
 
@@ -42,8 +41,8 @@ type Server struct {
 // rule aggregates on up to workers goroutines. atk nil makes it benign. last, when non-empty, is copied as the aggregate an
 // empty first round falls back to (the shared initial model, or a
 // restarted server's checkpoint).
-func NewServer(id int, seed uint64, rule aggregate.Rule, oracle aggregate.LossEval, shards, workers int, atk attack.Attack, last []float64) *Server {
-	s := &Server{id: id, seed: seed, rule: rule, oracle: oracle, shards: shards, workers: workers, attack: atk}
+func NewServer(id int, seed uint64, rule aggregate.Rule, oracle aggregate.LossEval, workers int, atk attack.Attack, last []float64) *Server {
+	s := &Server{id: id, seed: seed, rule: rule, oracle: oracle, workers: workers, attack: atk}
 	if len(last) > 0 {
 		s.last = slices.Clone(last)
 	}
@@ -66,7 +65,7 @@ func (s *Server) Aggregate(members []sched.Entry) (aggregate.Result, error) {
 		}
 		res.Out = slices.Clone(s.last)
 	} else {
-		req := aggregate.Request{Rule: s.rule, Oracle: s.oracle, Shards: s.shards, Workers: s.workers}
+		req := aggregate.Request{Rule: s.rule, Oracle: s.oracle, Workers: s.workers}
 		req.Views, req.Weights = sched.Members(members)
 		if s.attack == nil {
 			req.Dst = s.buf

@@ -36,7 +36,6 @@ func PSConfigFor(cfg core.Config, id int) (PSConfig, error) {
 		Rounds:     cfg.Rounds,
 		ServerRule: cfg.ServerFilter,
 		LossOracle: cfg.LossOracle,
-		Shards:     cfg.Shards,
 		Async:      cfg.Async,
 		Window:     cfg.Window,
 		Staleness:  cfg.Staleness,

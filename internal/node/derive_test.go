@@ -61,6 +61,30 @@ func finalParams(learners []core.Learner) [][]float64 {
 	return params
 }
 
+// runDistributedOpts is runDistributed with config hooks: psMut and
+// clMut edit each node's config after the shared defaults are set, so
+// the participation and degenerate-window tiers reuse one runner. It
+// also returns every server's final stats.
+func runDistributedOpts(t *testing.T, learners []core.Learner, p, rounds int,
+	filter aggregate.Rule, seed uint64,
+	psMut func(*PSConfig), clMut func(*ClientConfig)) ([][]float64, [][]ClientRoundStats, []PSStats) {
+	t.Helper()
+	return launch(t, testSpec(len(learners), p, rounds, filter, seed), learners, psMut, clMut)
+}
+
+// runEngineCfg runs the in-process engine under a caller-shaped config
+// and returns the final client params.
+func runEngineCfg(t *testing.T, learners []core.Learner, cfg core.Config) [][]float64 {
+	t.Helper()
+	cfg.EvalEvery = -1
+	eng, err := core.NewEngine(cfg, learners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	return finalParams(learners)
+}
+
 // TestDerivedFederationMatchesEngine is the derivation's contract: one
 // core.Config value, handed to core.NewEngine and to a loopback
 // federation that knows nothing else, leaves every client on the same
@@ -74,8 +98,8 @@ func TestDerivedFederationMatchesEngine(t *testing.T) {
 	}
 	cases := map[string]func(*core.Config){
 		"dense sparse upload": func(*core.Config) {},
-		"ef+topk full upload, sharded trim server rule, partial participation": func(c *core.Config) {
-			c.UploadCodec, c.Upload, c.Shards = up, core.FullUpload, 3
+		"ef+topk full upload and trim server rule": func(c *core.Config) {
+			c.UploadCodec, c.Upload = up, core.FullUpload
 			c.ServerFilter, c.Participation = aggregate.TrimmedMean{Beta: 0.2}, 0.67
 			c.NumByzantineClients, c.ClientAttack = 1, attack.UploadSignFlip{}
 		},
@@ -192,7 +216,7 @@ func TestNewLocalClosesListenersOnBindFailure(t *testing.T) {
 		if pc.ID == 0 {
 			pc.ListenAddr = addr
 		} else {
-			pc.Shards = -1 // NewPS rejects it
+			pc.CrashAfterRound = -1 // NewPS rejects it
 		}
 	}, nil)
 	if err == nil {

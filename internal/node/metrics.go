@@ -28,10 +28,8 @@ type psMetrics struct {
 	floatsOut      *obs.Counter
 	aggFused       *obs.Counter
 	aggFallback    *obs.Counter
-	aggSharded     *obs.Counter
 	aggDecodeBytes *obs.Counter
 	oracleEvals    *obs.Counter
-	shardPeakBytes *obs.Gauge
 	barrierWait    *obs.Histogram
 	// Async lifecycle collectors (untouched in sync mode): window-close
 	// counters split by admission outcome, the window-expiry count, the
@@ -80,13 +78,11 @@ func newPSMetrics(reg *obs.Registry, id int, rule string) *psMetrics {
 		floatsOut:      c("floats_out"),
 		aggFused:       c("agg_fused"),
 		aggFallback:    c("agg_fallback"),
-		aggSharded:     c("agg_sharded"),
 		aggDecodeBytes: reg.Counter(
 			`fedms_ps_agg_decode_bytes_total{ps="` + strconv.Itoa(id) + `",rule="` + rule + `"}`),
 		oracleEvals: reg.Counter(
 			`fedms_ps_oracle_evals_total{ps="` + strconv.Itoa(id) + `",rule="` + rule + `"}`),
-		shardPeakBytes: reg.Gauge("fedms_ps_shard_peak_bytes" + l),
-		barrierWait:    reg.Histogram("fedms_ps_barrier_wait_seconds"+l, nil),
+		barrierWait: reg.Histogram("fedms_ps_barrier_wait_seconds"+l, nil),
 		winFresh: reg.Counter(
 			`fedms_ps_window_uploads_total{ps="` + strconv.Itoa(id) + `",result="fresh"}`),
 		winStale: reg.Counter(

@@ -195,6 +195,71 @@ func TestClientRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestDistributedParticipationMatchesEngine pins the partial-
+// participation parity contract: distributed clients sampling their
+// rounds from core.ActiveClients train bit-identically to the engine
+// under the same Participation, and the per-round active sets the
+// clients report are exactly the engine's sampled index sets.
+func TestDistributedParticipationMatchesEngine(t *testing.T) {
+	const k, p, rounds, seed = 6, 3, 5, 73
+	const participation = 0.5
+	rule := aggregate.TrimmedMean{Beta: 0.2}
+
+	dist, clientStats, _ := runDistributedOpts(t, makeLearners(t, k, seed), p, rounds, rule, seed,
+		nil,
+		func(c *ClientConfig) {
+			c.Clients = k
+			c.Participation = participation
+		})
+
+	// The active flags each client recorded must reproduce the pure
+	// sampled index sets, round for round.
+	for round := 0; round < rounds; round++ {
+		want := make(map[int]bool, k)
+		for _, id := range core.ActiveClients(seed, round, k, participation) {
+			want[id] = true
+		}
+		for id := 0; id < k; id++ {
+			if got := clientStats[id][round].Active; got != want[id] {
+				t.Fatalf("round %d client %d: Active=%v, engine samples %v", round, id, got, want[id])
+			}
+			if !want[id] && clientStats[id][round].UploadBytes != 0 {
+				t.Fatalf("round %d client %d: inactive client put %d upload bytes on the wire",
+					round, id, clientStats[id][round].UploadBytes)
+			}
+		}
+	}
+
+	eng := runEngineCfg(t, makeLearners(t, k, seed), core.Config{
+		Clients: k, Servers: p, Rounds: rounds, LocalSteps: 2,
+		Participation: participation,
+		Filter:        rule, Schedule: nn.ConstantLR(0.3), Seed: seed,
+	})
+	assertSameParams(t, dist, eng, "participation 0.5")
+}
+
+// TestClientRejectsBadParticipation pins the client-side fail-fast
+// validation: an out-of-range fraction or a missing population size is
+// rejected before any socket is dialed.
+func TestClientRejectsBadParticipation(t *testing.T) {
+	learners := makeLearners(t, 1, 79)
+	base := ClientConfig{
+		ID: 0, Learner: learners[0], Servers: []string{"127.0.0.1:1"},
+		Rounds: 1, Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
+	}
+
+	bad := base
+	bad.Participation = 1.5
+	if _, err := RunClient(bad); err == nil {
+		t.Fatal("expected participation range error")
+	}
+	bad = base
+	bad.Participation = 0.5 // Clients unset: population unknown
+	if _, err := RunClient(bad); err == nil {
+		t.Fatal("expected missing-Clients error")
+	}
+}
+
 func TestPSFailsWhenClientDisconnects(t *testing.T) {
 	ps, err := NewPS(PSConfig{
 		ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 3,

@@ -109,16 +109,6 @@ type PSConfig struct {
 	// the contract: deterministic, pure, never mutates the model).
 	// Oracle evals are counted in Obs (fedms_ps_oracle_evals_total).
 	LossOracle aggregate.LossEval
-	// Shards, when > 1, reduces each round's admitted uploads through the
-	// two-tier sharded aggregation tree (aggregate.Request.Shards): the
-	// payload views are routed to S column-range shards when the round
-	// closes, so beyond the uploads themselves the server never holds a
-	// K×d matrix — per-shard memory is O(K·d/S).
-	// Bit-identical to the unsharded rule for every value (the sharded
-	// differential contract); rules without a sharded kernel, and loss
-	// rules under an oracle, fall back to the unsharded path. 0 or 1
-	// disables sharding.
-	Shards int
 	// Seed is the shared experiment seed (drives attack RNG streams).
 	Seed uint64
 	// Key, when non-empty, enables per-frame HMAC authentication; all
@@ -285,10 +275,6 @@ type PSStats struct {
 	// counts nothing.
 	FloatsIn  int
 	FloatsOut int
-	// ShardPeakBytes is the largest per-shard accumulator footprint any
-	// sharded aggregation round reached (0 when Shards is disabled) —
-	// the observable side of the O(K·d/S) memory contract.
-	ShardPeakBytes int64
 	// BytesIn and BytesOut count model payload bytes on the wire (dense
 	// models count 8 bytes per element, codec payloads their encoded
 	// size). Only successful sends count toward BytesOut, so under
@@ -319,9 +305,6 @@ func NewPS(cfg PSConfig) (*PS, error) {
 	}
 	if cfg.CrashAfterRound < 0 {
 		return nil, fmt.Errorf("node: PS %d CrashAfterRound must be non-negative", cfg.ID)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("node: PS %d Shards must be non-negative, got %d", cfg.ID, cfg.Shards)
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = DefaultTimeout
@@ -457,7 +440,7 @@ func NewPS(cfg PSConfig) (*PS, error) {
 // newServer builds this PS's core.Server with fallback aggregate last;
 // it aggregates serially.
 func (p *PS) newServer(last []float64) *core.Server {
-	return core.NewServer(p.cfg.ID, p.cfg.Seed, p.cfg.ServerRule, p.cfg.LossOracle, p.cfg.Shards, 1, p.cfg.Attack, last)
+	return core.NewServer(p.cfg.ID, p.cfg.Seed, p.cfg.ServerRule, p.cfg.LossOracle, 1, p.cfg.Attack, last)
 }
 
 // Addr returns the bound listen address.
@@ -507,7 +490,6 @@ func (p *PS) Stats() PSStats {
 		RateLimited:     n(m.rateLimited),
 		FloatsIn:        n(m.floatsIn),
 		FloatsOut:       n(m.floatsOut),
-		ShardPeakBytes:  m.shardPeakBytes.Value(),
 		BytesIn:         n(m.bytesIn),
 		BytesOut:        n(m.bytesOut),
 		UploadsStale:    n(m.winStale),
@@ -1160,13 +1142,9 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	p.om.bytesIn.Add(int64(t.bytesIn))
 	p.om.floatsIn.Add(int64(floatsIn))
 	if t.members > 0 {
-		switch {
-		case res.Sharded:
-			p.om.aggSharded.Inc()
-			p.om.shardPeakBytes.SetMax(res.PeakBytes)
-		case res.Fused:
+		if res.Fused {
 			p.om.aggFused.Inc()
-		default:
+		} else {
 			p.om.aggFallback.Inc()
 		}
 		p.om.aggDecodeBytes.Add(int64(t.bytesIn))

@@ -322,58 +322,55 @@ func answerOneRound(t *testing.T, ln net.Listener, model []float64, codec bool) 
 // sync barrier really is the degenerate window: an async federation
 // whose window outlasts any round and whose traffic is all fresh must
 // end on the bit-identical client models of the sync federation — dense
-// and ef+topk uploads, flat and sharded server aggregation — without
+// and ef+topk uploads under a trimmed-mean server rule — without
 // ever expiring a window or admitting a stale upload.
 func TestAsyncWideWindowMatchesSyncDistributed(t *testing.T) {
 	const k, p, rounds, seed = 6, 3, 4, 83
 	filter := aggregate.TrimmedMean{Beta: 0.34}
 	for _, codec := range []string{"dense", "ef+topk:0.25"} {
-		for _, shards := range []int{1, 3} {
-			codec, shards := codec, shards
-			t.Run(fmt.Sprintf("%s/shards=%d", codec, shards), func(t *testing.T) {
-				spec, err := compress.ParseSpec(codec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run := func(async bool) ([][]float64, []PSStats) {
-					params, _, stats := runDistributedOpts(t, makeLearners(t, k, seed), p, rounds, filter, seed,
-						func(c *PSConfig) {
-							c.ServerRule = aggregate.TrimmedMean{Beta: 0.2}
-							c.Shards = shards
-							if async {
-								c.Async, c.Window, c.Staleness = true, 30*time.Second, 2
+		codec := codec
+		t.Run(codec, func(t *testing.T) {
+			spec, err := compress.ParseSpec(codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(async bool) ([][]float64, []PSStats) {
+				params, _, stats := runDistributedOpts(t, makeLearners(t, k, seed), p, rounds, filter, seed,
+					func(c *PSConfig) {
+						c.ServerRule = aggregate.TrimmedMean{Beta: 0.2}
+						if async {
+							c.Async, c.Window, c.Staleness = true, 30*time.Second, 2
+						}
+					},
+					func(c *ClientConfig) {
+						c.FullUpload = true
+						if !spec.IsDense() {
+							uc, err := spec.NewCodec(core.ClientCodecSeed(seed, c.ID))
+							if err != nil {
+								t.Error(err)
+								return
 							}
-						},
-						func(c *ClientConfig) {
-							c.FullUpload = true
-							if !spec.IsDense() {
-								uc, err := spec.NewCodec(core.ClientCodecSeed(seed, c.ID))
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								c.Codec = uc
-							}
-							if async {
-								c.Async, c.Window, c.Staleness = true, 30*time.Second, 2
-								c.LatencyScale = time.Millisecond // every virtual latency is inside the window
-							}
-						})
-					return params, stats
+							c.Codec = uc
+						}
+						if async {
+							c.Async, c.Window, c.Staleness = true, 30*time.Second, 2
+							c.LatencyScale = time.Millisecond // every virtual latency is inside the window
+						}
+					})
+				return params, stats
+			}
+			syncParams, _ := run(false)
+			asyncParams, asyncStats := run(true)
+			assertSameParams(t, asyncParams, syncParams, "wide-window async vs sync")
+			for i, st := range asyncStats {
+				if st.WindowExpired != 0 || st.UploadsStale != 0 || st.UploadsDropped != 0 || st.UploadsDeferred != 0 {
+					t.Fatalf("PS %d: wide window produced non-fresh traffic: %+v", i, st)
 				}
-				syncParams, _ := run(false)
-				asyncParams, asyncStats := run(true)
-				assertSameParams(t, asyncParams, syncParams, "wide-window async vs sync")
-				for i, st := range asyncStats {
-					if st.WindowExpired != 0 || st.UploadsStale != 0 || st.UploadsDropped != 0 || st.UploadsDeferred != 0 {
-						t.Fatalf("PS %d: wide window produced non-fresh traffic: %+v", i, st)
-					}
-					if st.UploadsReceived != k*rounds || st.UploadsMissed != 0 {
-						t.Fatalf("PS %d: received %d uploads (%d missed), want %d", i, st.UploadsReceived, st.UploadsMissed, k*rounds)
-					}
+				if st.UploadsReceived != k*rounds || st.UploadsMissed != 0 {
+					t.Fatalf("PS %d: received %d uploads (%d missed), want %d", i, st.UploadsReceived, st.UploadsMissed, k*rounds)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

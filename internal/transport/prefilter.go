@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"encoding/binary"
-	"time"
-)
+import "time"
 
 // Hello prefilter: the first line of defence on a parameter server's
 // listener. Before an unauthenticated connection is allowed to cost
@@ -37,16 +34,9 @@ func HelloPrefilter(hdr []byte, maxBody int) (need int, err error) {
 	if len(hdr) < prefixLen {
 		return prefixLen, nil
 	}
-	if binary.LittleEndian.Uint16(hdr) != Magic {
-		return 0, ErrBadMagic
-	}
-	full := headerLen
-	switch hdr[2] {
-	case Version:
-	case Version2:
-		full = headerLenV2
-	default:
-		return 0, ErrBadVersion
+	full, err := frameHeaderLen(hdr)
+	if err != nil {
+		return 0, err
 	}
 	if Type(hdr[3]) != TypeHello {
 		return 0, ErrNotHello
@@ -54,25 +44,11 @@ func HelloPrefilter(hdr []byte, maxBody int) (need int, err error) {
 	if len(hdr) < full {
 		return full, nil
 	}
-	var textLen, modelBytes int
-	if hdr[2] == Version {
-		textLen = int(binary.LittleEndian.Uint32(hdr[16:]))
-		vecLen := int(binary.LittleEndian.Uint32(hdr[20:]))
-		if textLen > MaxTextLen || vecLen > MaxVecLen {
-			return 0, ErrTooLarge
-		}
-		modelBytes = 8 * vecLen
-	} else {
-		textLen = int(binary.LittleEndian.Uint32(hdr[18:]))
-		modelBytes = int(binary.LittleEndian.Uint32(hdr[22:]))
-		if textLen > MaxTextLen || modelBytes > MaxPayloadLen {
-			return 0, ErrTooLarge
-		}
+	_, _, oversize, err := bodyLens(hdr[:full], maxBody)
+	if err == nil && oversize {
+		err = ErrOversizeFrame
 	}
-	if maxBody > 0 && textLen+modelBytes+4 > maxBody {
-		return 0, ErrOversizeFrame
-	}
-	return 0, nil
+	return 0, err
 }
 
 // PrefilterHello peeks the next frame's header from the connection's

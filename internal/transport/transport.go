@@ -322,37 +322,19 @@ func decodeFrame(r io.Reader, hdr *[headerLenV2]byte, maxBody int) (*Message, er
 	if _, err := io.ReadFull(r, header[:prefixLen]); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint16(header[0:]) != Magic {
-		return nil, ErrBadMagic
+	full, err := frameHeaderLen(header)
+	if err != nil {
+		return nil, err
 	}
-	switch header[2] {
-	case Version:
-		header = header[:headerLen]
-	case Version2:
-	default:
-		return nil, ErrBadVersion
-	}
+	header = header[:full]
 	if _, err := io.ReadFull(r, header[prefixLen:]); err != nil {
 		return nil, err
 	}
-	var textLen, modelBytes int
-	var enc compress.Encoding
-	if header[2] == Version {
-		textLen = int(binary.LittleEndian.Uint32(header[16:]))
-		vecLen := int(binary.LittleEndian.Uint32(header[20:]))
-		if textLen > MaxTextLen || vecLen > MaxVecLen {
-			return nil, ErrTooLarge
-		}
-		modelBytes = 8 * vecLen
-	} else {
-		enc = compress.Encoding(header[16])
-		textLen = int(binary.LittleEndian.Uint32(header[18:]))
-		modelBytes = int(binary.LittleEndian.Uint32(header[22:]))
-		if textLen > MaxTextLen || modelBytes > MaxPayloadLen {
-			return nil, ErrTooLarge
-		}
+	textLen, modelBytes, oversize, err := bodyLens(header, maxBody)
+	if err != nil {
+		return nil, err
 	}
-	if maxBody > 0 && textLen+modelBytes+4 > maxBody {
+	if oversize {
 		return nil, discardBody(r, header, textLen+modelBytes)
 	}
 	body := make([]byte, textLen+modelBytes+4)
@@ -378,6 +360,7 @@ func decodeFrame(r io.Reader, hdr *[headerLenV2]byte, maxBody int) (*Message, er
 	if header[2] == Version2 {
 		// The full frame is consumed and checksummed: payload errors from
 		// here leave the stream frame-aligned for tolerant readers.
+		enc := compress.Encoding(header[16])
 		if !compress.KnownEncoding(enc) {
 			return nil, fmt.Errorf("%w: unknown encoding tag %d", ErrBadPayload, uint8(enc))
 		}
@@ -398,6 +381,45 @@ func decodeFrame(r io.Reader, hdr *[headerLenV2]byte, maxBody int) (*Message, er
 		}
 	}
 	return m, nil
+}
+
+// frameHeaderLen checks a frame's 4-byte prefix — magic and version —
+// and returns the length of its full header. Decode and HelloPrefilter
+// share it, so both read the wire the same way.
+func frameHeaderLen(prefix []byte) (int, error) {
+	if binary.LittleEndian.Uint16(prefix) != Magic {
+		return 0, ErrBadMagic
+	}
+	switch prefix[2] {
+	case Version:
+		return headerLen, nil
+	case Version2:
+		return headerLenV2, nil
+	}
+	return 0, ErrBadVersion
+}
+
+// bodyLens reads the text and model byte lengths from a full v1 or v2
+// header (v1 counts the model in float64 elements, v2 in payload
+// bytes) and checks them against the protocol maxima (ErrTooLarge).
+// oversize reports a body — text, model and checksum — over maxBody
+// (0 = no cap).
+func bodyLens(header []byte, maxBody int) (textLen, modelBytes int, oversize bool, err error) {
+	if header[2] == Version {
+		textLen = int(binary.LittleEndian.Uint32(header[16:]))
+		vecLen := int(binary.LittleEndian.Uint32(header[20:]))
+		if textLen > MaxTextLen || vecLen > MaxVecLen {
+			return 0, 0, false, ErrTooLarge
+		}
+		modelBytes = 8 * vecLen
+	} else {
+		textLen = int(binary.LittleEndian.Uint32(header[18:]))
+		modelBytes = int(binary.LittleEndian.Uint32(header[22:]))
+		if textLen > MaxTextLen || modelBytes > MaxPayloadLen {
+			return 0, 0, false, ErrTooLarge
+		}
+	}
+	return textLen, modelBytes, maxBody > 0 && textLen+modelBytes+4 > maxBody, nil
 }
 
 // discardBody consumes an over-cap frame body (payloadLen bytes plus
