@@ -143,7 +143,7 @@ func TestPayloadAggregationDispatch(t *testing.T) {
 
 		res = Run(Request{Rule: NoFuse{rule}, Views: views})
 		wrapped, fused := res.Out, res.Fused
-		if fused || Coordinatewise(NoFuse{rule}) {
+		if fused {
 			t.Fatalf("NoFuse{%s}: fused path must be hidden", rule.Name())
 		}
 		assertBitIdentical(t, "nofuse/"+rule.Name(), wrapped, got)
@@ -157,6 +157,33 @@ func TestPayloadAggregationDispatch(t *testing.T) {
 		}
 		assertBitIdentical(t, rule.Name(), got, rule.Aggregate(dense))
 	}
+}
+
+// TestShardedAggregationDispatchEscapeHatches pins the dispatch edges
+// a caller can force: NoFuse hides the coordinate kernel
+// (Coordinatewise false, Fused false) and falls back to densify-first,
+// while the bare rule over the same views takes the one flat fused
+// gather; both agree with the dense oracle bit for bit.
+func TestShardedAggregationDispatchEscapeHatches(t *testing.T) {
+	const d = 128
+	r := randx.New(61)
+	vecs := randomVecs(r, 5, d)
+	views, dense := encodeViews(t, "topk:0.25", vecs, 17)
+
+	if Coordinatewise(NoFuse{TrimmedMean{Beta: 0.2}}) {
+		t.Fatal("NoFuse must hide the coordinate kernel")
+	}
+	res := Run(Request{Rule: NoFuse{TrimmedMean{Beta: 0.2}}, Views: views})
+	if res.Fused {
+		t.Fatal("NoFuse: expected the densify-first fallback")
+	}
+	assertBitIdentical(t, "nofuse", res.Out, TrimmedMean{Beta: 0.2}.Aggregate(dense))
+
+	res = Run(Request{Rule: Mean{}, Views: views})
+	if !res.Fused {
+		t.Fatal("Mean: expected the fused flat gather")
+	}
+	assertBitIdentical(t, "mean", res.Out, Mean{}.Aggregate(dense))
 }
 
 // sparsePayload builds a parsed view straight from an index/value

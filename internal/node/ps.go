@@ -1030,6 +1030,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	var floatsIn int
 	var deferRecs []spill.Record
 	var firstErr error
+	capped := make([]bool, len(conns))
 	for i := 0; i < live; i++ {
 		r := <-results
 		waiting[r.client] = false
@@ -1045,11 +1046,15 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 			// diverge. Capping the stall at half the window restores a
 			// Timeout/2 margin, keeping the injected fault schedule the
 			// only source of misses. (A window needs no cap: its
-			// deadline already bounds every reader.)
+			// deadline already bounds every reader.) The cap holds for
+			// every Recv until it is dropped below, so a reader that
+			// has not reached Recv yet cannot re-arm the full Timeout
+			// over it.
 			dl := time.Now().Add(p.cfg.Timeout / 2)
 			for id, w := range waiting {
 				if w {
 					_ = conns[id].SetRecvDeadline(dl)
+					capped[id] = true
 				}
 			}
 		}
@@ -1076,6 +1081,13 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		t.dropped += r.dropped
 		t.bytesIn += r.bytes
 		floatsIn += r.floats
+	}
+	// Every reader has returned: next round's Recvs arm the per-frame
+	// Timeout again.
+	for id, c := range capped {
+		if c && conns[id] != nil {
+			_ = conns[id].SetRecvDeadline(time.Time{})
+		}
 	}
 	if p.obsOn {
 		t.barrierWait = time.Since(barrierStart)

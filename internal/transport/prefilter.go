@@ -1,7 +1,5 @@
 package transport
 
-import "time"
-
 // Hello prefilter: the first line of defence on a parameter server's
 // listener. Before an unauthenticated connection is allowed to cost
 // anything — heap, a handshake slot's patience, per-client state — its
@@ -62,10 +60,8 @@ func HelloPrefilter(hdr []byte, maxBody int) (need int, err error) {
 func (c *Conn) PrefilterHello(maxBody int) error {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	if c.Timeout > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
-			return err
-		}
+	if err := c.armRecv(); err != nil {
+		return err
 	}
 	need := 4
 	for {

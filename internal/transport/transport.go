@@ -466,6 +466,12 @@ type Conn struct {
 	sendMu sync.Mutex
 	recvMu sync.Mutex
 
+	// dlMu makes arming a Recv's read deadline and SetRecvDeadline's
+	// override atomic with respect to each other; recvDL is the override
+	// (zero = none).
+	dlMu   sync.Mutex
+	recvDL time.Time
+
 	// Timeout applies per frame to both reads and writes (0 = none).
 	Timeout time.Duration
 }
@@ -512,10 +518,8 @@ func (c *Conn) Send(m *Message) error {
 func (c *Conn) Recv() (*Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	if c.Timeout > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
-			return nil, err
-		}
+	if err := c.armRecv(); err != nil {
+		return nil, err
 	}
 	var m *Message
 	var err error
@@ -546,14 +550,37 @@ func (c *Conn) Recv() (*Message, error) {
 // Must not be called concurrently with Recv.
 func (c *Conn) SetMaxBodyLen(n int) { c.maxBody = n }
 
-// SetRecvDeadline overrides the read deadline of an in-flight (or the
-// next) Recv. net.Conn guarantees a deadline update interrupts a
-// blocked Read, so a peer waiting on a frame that will never arrive can
-// be cut short without closing the connection. The override lasts until
-// the next Recv call re-arms the per-frame Timeout.
+// SetRecvDeadline overrides the read deadline of an in-flight Recv and
+// of every later one: while the override is set, Recv arms t instead of
+// its per-frame Timeout. net.Conn guarantees a deadline update
+// interrupts a blocked Read, so a peer waiting on a frame that will
+// never arrive can be cut short without closing the connection, and a
+// reader that has not yet entered Recv cannot re-arm past t. A zero t
+// drops the override; later Recvs arm the per-frame Timeout again.
 func (c *Conn) SetRecvDeadline(t time.Time) error {
+	c.dlMu.Lock()
+	defer c.dlMu.Unlock()
+	c.recvDL = t
+	if t.IsZero() {
+		return nil
+	}
 	c.metrics.onDeadlineTrim()
 	return c.conn.SetReadDeadline(t)
+}
+
+// armRecv sets the read deadline of one receive: the SetRecvDeadline
+// override while one is set, else now plus the per-frame Timeout (none
+// when Timeout is 0).
+func (c *Conn) armRecv() error {
+	c.dlMu.Lock()
+	defer c.dlMu.Unlock()
+	switch {
+	case !c.recvDL.IsZero():
+		return c.conn.SetReadDeadline(c.recvDL)
+	case c.Timeout > 0:
+		return c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
+	}
+	return nil
 }
 
 // Close closes the underlying connection.

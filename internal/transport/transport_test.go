@@ -299,6 +299,45 @@ func TestConnRecvTimeout(t *testing.T) {
 	}
 }
 
+// TestRecvDeadlineOverrideHoldsForLaterRecv pins SetRecvDeadline's
+// override: a Recv that starts after the override was set arms the
+// override, not its own per-frame Timeout — a straggler cap set just
+// before a reader reaches Recv is not lost — and a zero override
+// restores the Timeout.
+func TestRecvDeadlineOverrideHoldsForLaterRecv(t *testing.T) {
+	a, b := pipePair(t)
+	b.Timeout = 10 * time.Second
+	if err := b.SetRecvDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	var ne interface{ Timeout() bool }
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, err := b.Recv()
+		if err == nil || !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("recv %d: err = %v, want a timeout", i, err)
+		}
+		if el := time.Since(start); el >= b.Timeout/2 {
+			t.Fatalf("recv %d waited %v: it re-armed the %v Timeout over the override", i, el, b.Timeout)
+		}
+	}
+
+	if err := b.SetRecvDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		_ = a.Send(&Message{Type: TypeUpload, Round: 3})
+	}()
+	m, err := b.Recv()
+	if err != nil {
+		t.Fatalf("recv after dropping the override: %v", err)
+	}
+	if m.Round != 3 {
+		t.Fatalf("round = %d, want 3", m.Round)
+	}
+}
+
 func TestTypeString(t *testing.T) {
 	if TypeUpload.String() != "upload" || Type(200).String() != "Type(200)" {
 		t.Fatalf("Type.String broken: %s %s", TypeUpload, Type(200))
