@@ -143,9 +143,9 @@ defense:
 	$(GO) run ./cmd/fedms-bench -exp defense -quick | tee defense_matrix.txt
 
 # Scale curve: rounds/sec vs K through the flat fused aggregation, out to
-# K = 100k simulated clients plus a distributed smoke point, written to
-# scale_curve.json (see EXPERIMENTS.md "Scale") — CI uploads it as a
-# build artifact. Run on an otherwise idle machine.
+# K = 100k simulated clients, written to scale_curve.json (see
+# EXPERIMENTS.md "Scale") — CI uploads it as a build artifact. Run on an
+# otherwise idle machine.
 scale:
 	$(GO) run ./cmd/fedms-bench -exp scale -scaleout scale_curve.json
 

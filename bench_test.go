@@ -396,7 +396,7 @@ func BenchmarkAttackNoise(b *testing.B) {
 func BenchmarkFullRoundK50P10(b *testing.B) {
 	eng, err := fedms.BuildEngine(fedms.Config{
 		Clients: 50, Servers: 10, NumByzantine: 2,
-		Rounds: 1 << 20, LocalSteps: 3, TrimBeta: 0.2,
+		Rounds: 1 << 20, LocalSteps: 3, FilterRule: "trim:0.2",
 		Attack:  fedms.NoiseAttack{},
 		Dataset: fedms.DatasetSpec{Samples: 10000, Alpha: 10, Noise: 2.0},
 		Seed:    1, EvalEvery: -1,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -48,8 +49,7 @@ func TestBenchPlotFlag(t *testing.T) {
 }
 
 // TestBenchScaleWritesCurve pins scale_curve.json's own schema and
-// that the quick pass measures every point plus the distributed smoke
-// round.
+// that the quick pass measures every point, and nothing else.
 func TestBenchScaleWritesCurve(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scale_curve.json")
 	if err := run([]string{"-exp", "scale", "-quick", "-scaleout", path}); err != nil {
@@ -63,10 +63,10 @@ func TestBenchScaleWritesCurve(t *testing.T) {
 	if err := json.Unmarshal(data, &curve); err != nil {
 		t.Fatalf("scale_curve.json is not valid JSON: %v", err)
 	}
-	if curve.Schema != "fedms-bench/scale/v2" || len(curve.Points) == 0 || curve.Smoke == nil {
-		t.Fatalf("degenerate curve: %+v", curve)
+	if curve.Schema != "fedms-bench/scale/v3" || len(curve.Points) == 0 || strings.Contains(string(data), `"smoke"`) {
+		t.Fatalf("degenerate curve: %s", data)
 	}
-	for _, p := range append(curve.Points, *curve.Smoke) {
+	for _, p := range curve.Points {
 		if p.Iters <= 0 || p.NsPerOp <= 0 {
 			t.Fatalf("degenerate point: %+v", p)
 		}

@@ -8,10 +8,7 @@ package main
 // on one goroutine per parameter server, so the measured quantity is
 // the server-side cost that dominates at scale (local SGD is
 // embarrassingly parallel across edge devices and off the critical
-// path here).
-// The curve goes out to K = 100k simulated clients; a distributed
-// smoke point runs a small real PS+client federation over loopback TCP
-// with a trimmed-mean server rule.
+// path here). The curve goes out to K = 100k simulated clients.
 
 import (
 	"encoding/json"
@@ -21,11 +18,9 @@ import (
 	"runtime"
 	"time"
 
-	"fedms"
 	"fedms/internal/aggregate"
 	"fedms/internal/compress"
 	"fedms/internal/core"
-	"fedms/internal/node"
 	"fedms/internal/randx"
 )
 
@@ -42,7 +37,7 @@ const (
 )
 
 // scaleSchema versions the scale_curve.json layout.
-const scaleSchema = "fedms-bench/scale/v2"
+const scaleSchema = "fedms-bench/scale/v3"
 
 // scaleEntry is one measured point of the curve; scaleCurve documents
 // what each field holds. Iters is how many rounds NsPerOp averages.
@@ -68,9 +63,6 @@ type scaleCurve struct {
 	// aggregates serially), Shape the participation fraction, NsPerOp
 	// ns per full round (all P servers).
 	Points []scaleEntry `json:"points"`
-	// Smoke is the distributed smoke point: a real PS+client federation
-	// over loopback TCP, reported as ns per round.
-	Smoke *scaleEntry `json:"smoke,omitempty"`
 }
 
 // scalePayloadPool pre-encodes the distinct upload payloads outside the
@@ -149,49 +141,9 @@ func scalePoint(out io.Writer, seed uint64, k int, f float64, pool []compress.Pa
 	return e
 }
 
-// scaleSmoke runs the distributed smoke point: a real federation (P
-// parameter servers, K client goroutines, loopback TCP) whose servers
-// reduce full uploads under a trimmed mean.
-func scaleSmoke(out io.Writer, seed uint64, quick bool) (*scaleEntry, error) {
-	k, p, rounds := 8, 3, 3
-	if quick {
-		k, rounds = 4, 2
-	}
-	eng, err := fedms.BuildEngine(fedms.Config{
-		Clients: k, Servers: p, Rounds: rounds, LocalSteps: 1,
-		Upload: fedms.FullUpload, TrimBeta: 0.2,
-		Dataset: fedms.DatasetSpec{Kind: fedms.DatasetBlobs, Samples: 800},
-		Model:   fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{32}},
-		Seed:    seed, EvalEvery: -1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Every node's configuration derives from the engine's resolved spec.
-	fed, err := node.NewLocal(eng.Config(), eng.Learners(),
-		func(pc *node.PSConfig) { pc.Timeout = 30 * time.Second },
-		func(cc *node.ClientConfig) { cc.Timeout = 30 * time.Second })
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if _, _, err := fed.Run(); err != nil {
-		return nil, fmt.Errorf("scale smoke: %w", err)
-	}
-	elapsed := time.Since(start)
-	ns := float64(elapsed.Nanoseconds()) / float64(rounds)
-	e := &scaleEntry{
-		Name: "scale/distributed_smoke", Dim: eng.Dim(), Inputs: k, Workers: 1,
-		Shape: "f=1.00", Iters: rounds, NsPerOp: ns,
-	}
-	fmt.Fprintf(out, "  %-28s K=%-7d P=%d %12.0f ns/round (real TCP federation)\n",
-		e.Name, k, p, ns)
-	return e, nil
-}
-
 // runScale executes `-exp scale`: the full rounds/sec-vs-K curve with
-// the participation-subsampling ablation and the distributed smoke
-// point, written to path as scale_curve.json.
+// the participation-subsampling ablation, written to path as
+// scale_curve.json.
 func runScale(out io.Writer, path string, seed uint64, quick bool) error {
 	ks := []int{1_000, 10_000, 100_000}
 	fs := []float64{1.0, 0.1}
@@ -217,9 +169,6 @@ func runScale(out io.Writer, path string, seed uint64, quick bool) error {
 		for _, f := range fs {
 			curve.Points = append(curve.Points, scalePoint(out, seed, k, f, pool, minTime))
 		}
-	}
-	if curve.Smoke, err = scaleSmoke(out, seed, quick); err != nil {
-		return err
 	}
 	data, err := json.MarshalIndent(curve, "", "  ")
 	if err != nil {

@@ -23,7 +23,7 @@ func TestNodeFlagSurface(t *testing.T) {
 	own := []string{
 		"accept-burst", "accept-rate", "byzantine-clients", "checkpoint", "client-attack",
 		"connect-token", "fault-corrupt", "fault-crash", "fault-delay", "fault-drop",
-		"fault-duplicate", "fault-max-delay", "fault-seed", "full-upload", "hello-deadline",
+		"fault-duplicate", "fault-max-delay", "fault-seed", "hello-deadline",
 		"id", "key", "latency-scale", "listen", "log", "metrics-addr", "min-models", "peers",
 		"role", "timeout",
 	}
@@ -112,6 +112,7 @@ func TestNodeRejectsBadDeploymentFlags(t *testing.T) {
 		{"quorum above P", []string{"-min-models", "3"}, "-min-models"},
 		{"negative quorum", []string{"-min-models", "-1"}, "-min-models"},
 		{"unknown client attack", []string{"-byzantine-clients", "1", "-client-attack", "nonsense"}, "-client-attack"},
+		{"round-robin upload", []string{"-upload", "round_robin"}, "no round_robin upload"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,13 +173,13 @@ func TestNodeDeploymentFlagsParsed(t *testing.T) {
 // TestNodeClientRoleRunsTheLocalClient: `-role client` must run client
 // id under exactly the configuration `-role local` gives that client —
 // the two used to be separate hand-written literals, and the client
-// role's had lost -full-upload, so a multi-process federation uploaded
-// sparsely into a robust server rule.
+// role's had lost the full upload, so a multi-process federation
+// uploaded sparsely into a robust server rule.
 func TestNodeClientRoleRunsTheLocalClient(t *testing.T) {
 	const id = 1
 	federation := []string{
 		"-clients", "3", "-servers", "2", "-rounds", "1", "-samples", "600", "-seed", "9",
-		"-full-upload", "-codec", "ef+topk:0.1", "-server-rule", "trim:0.2", "-downlink-codec", "q8",
+		"-upload", "full", "-codec", "ef+topk:0.1", "-server-rule", "trim:0.2", "-downlink-codec", "q8",
 		"-participation", "0.7", "-byzantine-clients", "1", "-client-attack", "upload_signflip",
 		"-min-models", "2", "-key", "secret", "-timeout", "10s",
 	}
@@ -224,7 +225,7 @@ func TestNodeClientRoleRunsTheLocalClient(t *testing.T) {
 	local, remote := ran[0], ran[1]
 
 	if !remote.FullUpload || !local.FullUpload {
-		t.Fatalf("-full-upload lost: client role %v, local role %v", remote.FullUpload, local.FullUpload)
+		t.Fatalf("-upload full lost: client role %v, local role %v", remote.FullUpload, local.FullUpload)
 	}
 	lv, rv := reflect.ValueOf(local), reflect.ValueOf(remote)
 	for i := 0; i < lv.NumField(); i++ {

@@ -52,10 +52,9 @@ type options struct {
 	listen string
 	peers  string
 
-	clientAtk  string
-	fullUpload bool
-	key        string
-	timeout    time.Duration
+	clientAtk string
+	key       string
+	timeout   time.Duration
 
 	helloDeadline time.Duration
 	acceptRate    float64
@@ -105,7 +104,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.peers, "peers", "", "comma-separated PS addresses in server-id order (client role)")
 	fs.StringVar(&o.clientAtk, o.spec.Flag("client-attack", "ClientAttack"), "", "Byzantine client upload attack (upload_signflip|upload_noise|upload_random|upload_scaled)")
 	fs.IntVar(&spec.NumByzantineClients, o.spec.Flag("byzantine-clients", "NumByzantineClients"), 0, "number of Byzantine clients")
-	fs.BoolVar(&o.fullUpload, "full-upload", false, "upload every client's model to every PS (required for robust server rules)")
 	fs.StringVar(&o.key, "key", "", "shared secret enabling per-frame HMAC authentication")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-frame network timeout")
 	fs.DurationVar(&o.helloDeadline, "hello-deadline", 0, "PS per-frame deadline for a new connection's hello handshake (0 = default; slow-loris sockets are cut here)")
@@ -135,9 +133,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 // a half-started node behind.
 func (o *options) resolve(st *obsState) (core.Config, error) {
 	spec := &o.spec.Config
-	if o.fullUpload {
-		spec.Upload = fedms.FullUpload
-	}
 	if o.clientAtk != "" {
 		var err error
 		if spec.ClientAttack, err = attack.ByUploadName(o.clientAtk); err != nil {
@@ -150,6 +145,12 @@ func (o *options) resolve(st *obsState) (core.Config, error) {
 		return cfg, err
 	}
 	cfg.Logger = st.logger
+	// The wire protocol has no round-robin upload. The derivation
+	// rejects it; asking here, not in the role, keeps that rejection
+	// before the metrics listener binds.
+	if _, err := node.PSConfigFor(cfg, 0); err != nil {
+		return cfg, fmt.Errorf("-upload: %w", err)
+	}
 
 	// Reject an unsatisfiable quorum before any server starts listening:
 	// a client failing this check after the PSs are up would leave them

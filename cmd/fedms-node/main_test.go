@@ -28,7 +28,7 @@ func TestNodeLocalTwoSidedWithAuth(t *testing.T) {
 	err := run([]string{
 		"-role", "local", "-clients", "5", "-servers", "2",
 		"-byzantine-clients", "1", "-client-attack", "upload_signflip",
-		"-server-rule", "trim:0.2", "-full-upload", "-key", "secret",
+		"-server-rule", "trim:0.2", "-upload", "full", "-key", "secret",
 		"-rounds", "3", "-samples", "800", "-timeout", "10s",
 	})
 	if err != nil {

@@ -4,9 +4,9 @@
 // Example (the paper's headline setting, scaled to this machine):
 //
 //	fedms-sim -clients 50 -servers 10 -byzantine 2 -rounds 60 \
-//	          -attack random -beta 0.2 -alpha 10
+//	          -attack random -filter trim:0.2 -alpha 10
 //
-// Use -beta -1 for the vanilla-FL baseline (plain averaging, no
+// Use -filter mean for the vanilla-FL baseline (plain averaging, no
 // Byzantine defence).
 package main
 
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"fedms"
 	"fedms/cmd/internal/fedflags"
 	"fedms/internal/metrics"
 	"fedms/internal/plot"
@@ -31,7 +30,6 @@ func main() {
 // options is the shared federation spec plus this command's own flags.
 type options struct {
 	spec     *fedflags.Binding
-	upload   string
 	ckptPath string
 	plot     bool
 }
@@ -46,7 +44,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&cfg.Dataset.Noise, "noise", 0, "within-class noise level (0 = dataset default)")
 	fs.StringVar((*string)(&cfg.Model.Kind), "model", "mlp", "model: logistic|mlp|smallcnn|mobilenetv2")
 	fs.IntVar(&cfg.EvalEvery, "eval", 5, "evaluate every N rounds")
-	fs.StringVar(&o.upload, "upload", "sparse", "upload strategy: sparse|full|round_robin")
 	fs.StringVar(&o.ckptPath, "ckpt", "", "save the final consensus model to this checkpoint file")
 	fs.BoolVar(&o.plot, "plot", false, "render the accuracy curve as an ASCII chart at the end")
 	return o
@@ -59,16 +56,6 @@ func run(args []string) (err error) {
 		return err
 	}
 	spec, cfg := o.spec, &o.spec.Config
-	switch o.upload {
-	case "sparse":
-		cfg.Upload = fedms.SparseUpload
-	case "full":
-		cfg.Upload = fedms.FullUpload
-	case "round_robin":
-		cfg.Upload = fedms.RoundRobinUpload
-	default:
-		return fmt.Errorf("-upload: unknown upload strategy %q", o.upload)
-	}
 	eng, err := spec.BuildEngine()
 	if err != nil {
 		return err

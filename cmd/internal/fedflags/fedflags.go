@@ -43,8 +43,8 @@ type Binding struct {
 	// Resolve creates when the path is set) once the run ends.
 	TracePath string
 
-	attack string
-	flagOf map[string]string // Config / EngineConfig field → flag name
+	attack, upload string
+	flagOf         map[string]string // Config / EngineConfig field → flag name
 }
 
 // Bind declares the shared federation flags on fs.
@@ -57,10 +57,10 @@ func Bind(fs *flag.FlagSet, defaults fedms.Config) *Binding {
 	fs.IntVar(&c.Rounds, b.Flag("rounds", "Rounds"), c.Rounds, "training rounds T")
 	fs.IntVar(&c.LocalSteps, b.Flag("steps", "LocalSteps"), 3, "local SGD iterations per round E")
 	fs.IntVar(&c.BatchSize, b.Flag("batch", "BatchSize"), 32, "mini-batch size")
-	fs.Float64Var(&c.TrimBeta, b.Flag("beta", "TrimBeta"), 0, "client filter trim rate (0 = B/P, negative = vanilla mean)")
-	fs.StringVar(&c.FilterRule, b.Flag("filter", "FilterRule", "Filter"), "", "client filter rule spec ("+aggregate.RuleGrammar+"); overrides -beta")
+	fs.StringVar(&c.FilterRule, b.Flag("filter", "FilterRule", "Filter"), "", "client filter rule spec ("+aggregate.RuleGrammar+"); empty = trim:B/P, mean = vanilla FL")
 	fs.StringVar(&c.ServerRule, b.Flag("server-rule", "ServerRule", "ServerFilter"), "", "benign servers' aggregation rule spec (same grammar; empty = mean)")
 	fs.StringVar(&b.attack, b.Flag("attack", "Attack"), "none", "Byzantine server attack: "+strings.Join(attack.Names(), "|"))
+	fs.StringVar(&b.upload, b.Flag("upload", "Upload"), "sparse", "upload strategy: sparse|full|round_robin")
 	fs.Float64Var(&c.LearningRate, b.Flag("lr", "LearningRate"), 0.1, "constant learning rate")
 	fs.Float64Var(&c.Dataset.Alpha, "alpha", 10, "Dirichlet D_alpha (<=0 for an IID split)")
 	fs.IntVar(&c.Dataset.Samples, "samples", c.Dataset.Samples, "total dataset samples")
@@ -119,6 +119,9 @@ func (b *Binding) finish() error {
 	if c.Attack, err = attack.ByName(b.attack); err != nil {
 		return fmt.Errorf("-attack: %w", err)
 	}
+	if c.Upload = uploads[b.upload]; c.Upload == 0 {
+		return fmt.Errorf("-upload: unknown upload strategy %q", b.upload)
+	}
 	if c.Participation == 0 {
 		return fmt.Errorf("-participation: must be in (0, 1], got 0")
 	}
@@ -129,6 +132,11 @@ func (b *Binding) finish() error {
 		c.TraceSink = obs.NewTrace(0)
 	}
 	return nil
+}
+
+// uploads maps each -upload value to its strategy (its String).
+var uploads = map[string]fedms.UploadStrategy{
+	"sparse": fedms.SparseUpload, "full": fedms.FullUpload, "round_robin": fedms.RoundRobinUpload,
 }
 
 func (b *Binding) underFlag(err error) error {

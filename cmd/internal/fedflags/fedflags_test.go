@@ -31,10 +31,10 @@ func bind(t *testing.T, defaults fedms.Config, args ...string) *Binding {
 // the same list.
 func TestSharedFlagSurface(t *testing.T) {
 	want := []string{
-		"alpha", "async", "attack", "batch", "beta", "byzantine", "clients", "codec",
+		"alpha", "async", "attack", "batch", "byzantine", "clients", "codec",
 		"downlink-codec", "filter", "lr", "participation", "rounds", "samples", "seed",
 		"server-rule", "servers", "spill-dir", "spill-mem", "staleness",
-		"steps", "trace", "window",
+		"steps", "trace", "upload", "window",
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Bind(fs, NodeDefaults)
@@ -57,7 +57,7 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("fedms-sim size defaults: %+v", sim)
 	}
 	for name, c := range map[string]fedms.Config{"fedms-node": node, "fedms-sim": sim} {
-		if c.LocalSteps != 3 || c.BatchSize != 32 || c.TrimBeta != 0 || c.LearningRate != 0.1 ||
+		if c.LocalSteps != 3 || c.BatchSize != 32 || c.LearningRate != 0.1 ||
 			c.Dataset.Alpha != 10 || c.Seed != 1 || c.Participation != 1 || c.Async ||
 			c.UploadCodec != "dense" || c.DownlinkCodec != "dense" || c.FilterRule != "" || c.ServerRule != "" {
 			t.Fatalf("%s shared defaults: %+v", name, c)
@@ -70,14 +70,14 @@ func TestDefaults(t *testing.T) {
 func TestFlagsReachTheirFields(t *testing.T) {
 	b := bind(t, NodeDefaults,
 		"-clients", "6", "-servers", "5", "-byzantine", "2", "-rounds", "7", "-steps", "4",
-		"-batch", "16", "-beta", "0.3", "-filter", "median", "-server-rule", "trim:0.2",
+		"-batch", "16", "-filter", "median", "-server-rule", "trim:0.2", "-upload", "full",
 		"-attack", "signflip", "-lr", "0.05", "-alpha", "0.5", "-samples", "900", "-seed", "42",
 		"-participation", "0.5", "-async", "-window", "750ms", "-staleness", "3",
 		"-spill-dir", "/tmp/spill", "-spill-mem", "4096", "-codec", "EF+TopK:0.1",
 		"-downlink-codec", "q8", "-trace", "out.jsonl")
 	c := b.Config
 	if c.Clients != 6 || c.Servers != 5 || c.NumByzantine != 2 || c.Rounds != 7 || c.LocalSteps != 4 ||
-		c.BatchSize != 16 || c.TrimBeta != 0.3 || c.FilterRule != "median" || c.ServerRule != "trim:0.2" ||
+		c.BatchSize != 16 || c.FilterRule != "median" || c.ServerRule != "trim:0.2" ||
 		c.LearningRate != 0.05 || c.Dataset.Alpha != 0.5 || c.Dataset.Samples != 900 || c.Seed != 42 ||
 		c.Participation != 0.5 || !c.Async || c.Window != 750*time.Millisecond ||
 		c.Staleness != 3 || c.SpillDir != "/tmp/spill" || c.SpillMem != 4096 ||
@@ -89,7 +89,7 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(ecfg.Attack.Name(), "signflip") || ecfg.TraceSink == nil || ecfg.Filter.Name() != "median" ||
-		ecfg.UploadCodec.String() != "ef+topk:0.1" || len(ecfg.ByzantineIDs) != 2 {
+		ecfg.Upload != fedms.FullUpload || ecfg.UploadCodec.String() != "ef+topk:0.1" || len(ecfg.ByzantineIDs) != 2 {
 		t.Fatalf("resolved spec: %+v", ecfg)
 	}
 }
@@ -120,8 +120,9 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		{"error-feedback downlink", []string{"-downlink-codec", "ef+topk:0.1"}, []string{"-downlink-codec", "error feedback"}},
 		{"random-support downlink", []string{"-downlink-codec", "randk:0.5"}, []string{"-downlink-codec", "deterministic"}},
 
-		{"trim rate one half", []string{"-beta", "0.5"}, []string{"-beta", "below 0.5"}},
-		{"trim rate above one half", []string{"-beta", "0.7"}, []string{"-beta", "leaves no values"}},
+		{"trim rate one half", []string{"-filter", "trim:0.5"}, []string{"-filter", "out of [0, 0.5)"}},
+		{"trim rate above one half", []string{"-filter", "trim:0.7"}, []string{"-filter", "out of [0, 0.5)"}},
+		{"non-finite filter parameter", []string{"-filter", "clip:NaN"}, []string{"-filter", "finite"}},
 		{"unknown filter", []string{"-filter", "bogus"}, []string{"-filter"}},
 		{"filter parameter out of range", []string{"-filter", "trim:0.9"}, []string{"-filter"}},
 		{"filter excess arguments", []string{"-filter", "fedgreed:1"}, []string{"-filter"}},
@@ -134,6 +135,7 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		{"participation activating nobody", []string{"-participation", "0.1"}, []string{"-participation"}},
 		{"Byzantine majority", []string{"-servers", "4", "-byzantine", "2"}, []string{"-byzantine", "B < P/2"}},
 		{"unknown attack", []string{"-attack", "nonsense"}, []string{"-attack"}},
+		{"unknown upload", []string{"-upload", "nonsense"}, []string{"-upload", "unknown upload strategy"}},
 		{"negative rounds", []string{"-rounds", "-1"}, []string{"-rounds"}},
 	}
 	for cmd, defaults := range commands {

@@ -6,33 +6,41 @@ import (
 	"fedms"
 )
 
-// ExampleTrimmedMean reproduces the paper's §IV-B worked example:
-// trmean_0.2{1,2,3,4,5} drops the smallest and largest 20% (1 and 5)
-// and averages the rest.
-func ExampleTrimmedMean() {
-	filter := fedms.TrimmedMean{Beta: 0.2}
-	result := filter.Aggregate([][]float64{{1}, {2}, {3}, {4}, {5}})
-	fmt.Println(result[0])
-	// Output: 3
+// ExampleResolve reproduces the paper's §IV-B worked example with the
+// filter Resolve selects by default, the trimmed mean at β = B/P: with
+// P = 5 servers and B = 1, trmean_0.2{1,2,3,4,5} drops the smallest
+// and largest 20% (1 and 5) and averages the rest.
+func ExampleResolve() {
+	cfg, err := fedms.Resolve(fedms.Config{Servers: 5, NumByzantine: 1})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(cfg.Filter.Name())
+	fmt.Println(cfg.Filter.Aggregate([][]float64{{1}, {2}, {3}, {4}, {5}})[0])
+	// Output:
+	// trimmed_mean(beta=0.2)
+	// 3
 }
 
-// ExampleTrimmedMean_byzantine shows the filter discarding arbitrary
+// ExampleResolve_byzantine shows the filter discarding arbitrary
 // Byzantine values: with P = 5 models and B = 1 attacker, β = B/P = 0.2
 // trims one value from each side, so the poisoned extreme never enters
-// the average.
-func ExampleTrimmedMean_byzantine() {
+// the average. The "mean" rule, Vanilla FL, lets it through.
+func ExampleResolve_byzantine() {
 	honest := [][]float64{{0.9}, {1.0}, {1.1}, {1.0}}
 	byzantine := []float64{1e9} // a Byzantine PS's "global model"
 	models := append(honest, byzantine)
 
-	filter := fedms.TrimmedMean{Beta: 0.2}
-	fmt.Printf("%.2f\n", filter.Aggregate(models)[0])
-
-	vanilla := fedms.MeanRule{}
-	fmt.Printf("%.0f\n", vanilla.Aggregate(models)[0])
+	for _, rule := range []string{"", "mean"} {
+		cfg, err := fedms.Resolve(fedms.Config{Servers: 5, NumByzantine: 1, FilterRule: rule})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%s: %.2f\n", cfg.Filter.Name(), cfg.Filter.Aggregate(models)[0])
+	}
 	// Output:
-	// 1.03
-	// 200000001
+	// trimmed_mean(beta=0.2): 1.03
+	// mean: 200000000.80
 }
 
 // ExampleRun trains a tiny federation with one Byzantine server running
@@ -46,7 +54,7 @@ func ExampleRun() {
 		Rounds:       10,
 		LocalSteps:   2,
 		BatchSize:    16,
-		TrimBeta:     0.2,
+		FilterRule:   "trim:0.2",
 		Attack:       fedms.RandomAttack{},
 		LearningRate: 0.2,
 		Dataset:      fedms.DatasetSpec{Samples: 1500, Features: 16, NumClasses: 4},
@@ -71,7 +79,7 @@ func ExampleConfig_vanilla() {
 		Rounds:       10,
 		LocalSteps:   2,
 		BatchSize:    16,
-		TrimBeta:     -1, // vanilla FL: no trimming
+		FilterRule:   "mean", // vanilla FL: no trimming
 		Attack:       fedms.RandomAttack{},
 		LearningRate: 0.2,
 		Dataset:      fedms.DatasetSpec{Samples: 1500, Features: 16, NumClasses: 4},

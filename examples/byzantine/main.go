@@ -27,13 +27,10 @@ func main() {
 		{"safeguard", fedms.SafeguardAttack{}},
 		{"backward", fedms.BackwardAttack{}},
 	}
-	methods := []struct {
-		name string
-		beta float64
-	}{
-		{"Fed-MS (b=0.2)", 0.2},
-		{"Fed-MS- (b=0.1)", 0.1},
-		{"Vanilla FL", -1},
+	methods := []struct{ name, rule string }{
+		{"Fed-MS (b=0.2)", "trim:0.2"},
+		{"Fed-MS- (b=0.1)", "trim:0.1"},
+		{"Vanilla FL", "mean"},
 	}
 
 	fmt.Println("Byzantine attacks vs defences: 50 clients, 10 servers, 2 Byzantine, 30 epochs")
@@ -52,7 +49,7 @@ func main() {
 				NumByzantine: 2,
 				Rounds:       30,
 				LocalSteps:   3,
-				TrimBeta:     m.beta,
+				FilterRule:   m.rule,
 				Attack:       a.atk,
 				LearningRate: 0.1,
 				Dataset: fedms.DatasetSpec{

@@ -29,7 +29,7 @@ func main() {
 		NumByzantine: 1,
 		Rounds:       15,
 		LocalSteps:   3,
-		TrimBeta:     0.2,
+		FilterRule:   "trim:0.2",
 		Attack:       fedms.NoiseAttack{},
 		LearningRate: 0.2,
 		Dataset:      fedms.DatasetSpec{Samples: 4000, Alpha: 10, Noise: 2.0},

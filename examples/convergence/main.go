@@ -18,6 +18,7 @@ import (
 	"log"
 
 	"fedms"
+	"fedms/internal/aggregate"
 	"fedms/internal/core"
 	"fedms/internal/theory"
 )
@@ -42,7 +43,7 @@ func run(byzantine int, rounds int, seed uint64) float64 {
 		Rounds:       rounds,
 		LocalSteps:   2,
 		Attack:       atk,
-		Filter:       fedms.TrimmedMean{Beta: beta},
+		Filter:       aggregate.TrimmedMean{Beta: beta},
 		Schedule:     p.TheorySchedule(2),
 		Seed:         seed,
 		EvalEvery:    -1,

@@ -34,7 +34,7 @@ var spec = fedms.Config{
 	Attack:       fedms.BackwardAttack{},
 	Rounds:       8,
 	LocalSteps:   3,
-	TrimBeta:     0.2,
+	FilterRule:   "trim:0.2",
 	LearningRate: 0.2,
 	Dataset:      fedms.DatasetSpec{Samples: 3000, Alpha: 10, Noise: 2.0},
 	Seed:         7,

@@ -41,7 +41,7 @@ func main() {
 			NumByzantine: 2,
 			Rounds:       30,
 			LocalSteps:   3,
-			TrimBeta:     0.2,
+			FilterRule:   "trim:0.2",
 			Attack:       fedms.NoiseAttack{},
 			LearningRate: 0.1,
 			Dataset: fedms.DatasetSpec{

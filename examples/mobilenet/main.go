@@ -24,7 +24,7 @@ import (
 	"fedms"
 )
 
-func run(trimBeta float64, label string) float64 {
+func run(filterRule, label string) float64 {
 	start := time.Now()
 	res, err := fedms.Run(fedms.Config{
 		Clients:      4,
@@ -33,7 +33,7 @@ func run(trimBeta float64, label string) float64 {
 		Rounds:       15,
 		LocalSteps:   10,
 		BatchSize:    16,
-		TrimBeta:     trimBeta,
+		FilterRule:   filterRule,
 		Attack:       fedms.NoiseAttack{},
 		LearningRate: 0.1,
 		Momentum:     0.9,
@@ -62,8 +62,8 @@ func run(trimBeta float64, label string) float64 {
 func main() {
 	fmt.Println("MobileNet V2 (width 0.25) on SynthImage (4 classes, chance = 0.25)")
 	fmt.Println("4 clients / 5 servers / 1 Byzantine noise-attacker")
-	fedmsAcc := run(0.2, "Fed-MS (beta=0.2)")
-	vanillaAcc := run(-1, "Vanilla FL       ")
+	fedmsAcc := run("trim:0.2", "Fed-MS (beta=0.2)")
+	vanillaAcc := run("mean", "Vanilla FL       ")
 	fmt.Printf("\nFed-MS %.3f vs Vanilla %.3f — the Gaussian-noise PS dominates the\n", fedmsAcc, vanillaAcc)
 	fmt.Println("unfiltered average while the trimmed-mean filter trains through it.")
 }

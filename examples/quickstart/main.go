@@ -3,7 +3,7 @@
 // Ten clients train a classifier through five parameter servers, one of
 // which is Byzantine and replaces its aggregate with random values.
 // The trimmed-mean model filter (β = B/P = 0.2) keeps training on
-// track; swap TrimBeta for -1 to watch vanilla averaging fail.
+// track; set FilterRule to "mean" to watch vanilla averaging fail.
 //
 //	go run ./examples/quickstart
 package main
@@ -22,7 +22,7 @@ func main() {
 		NumByzantine: 1,
 		Rounds:       20,
 		LocalSteps:   3,
-		TrimBeta:     0.2, // Fed-MS filter; set to -1 for vanilla FL
+		FilterRule:   "trim:0.2", // Fed-MS filter; "mean" for vanilla FL
 		Attack:       fedms.RandomAttack{},
 		LearningRate: 0.2,
 		Dataset: fedms.DatasetSpec{

@@ -19,7 +19,7 @@ import (
 	"fedms"
 )
 
-func run(serverFilter fedms.Rule, clientBeta float64, label string) {
+func run(serverRule, filterRule, label string) {
 	cfg := fedms.Config{
 		Clients:      20,
 		Servers:      5,
@@ -31,12 +31,12 @@ func run(serverFilter fedms.Rule, clientBeta float64, label string) {
 		// Server-side threat: one Byzantine PS running the Noise attack.
 		NumByzantine: 1,
 		Attack:       fedms.NoiseAttack{},
-		TrimBeta:     clientBeta,
+		FilterRule:   filterRule,
 
 		// Client-side threat: 4 of 20 clients upload random models.
 		NumByzantineClients: 4,
 		ClientAttack:        fedms.UploadRandom{},
-		ServerFilter:        serverFilter,
+		ServerRule:          serverRule,
 
 		Dataset:   fedms.DatasetSpec{Samples: 6000, Alpha: 10, Noise: 2.0},
 		Model:     fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{64}},
@@ -58,9 +58,9 @@ func main() {
 	fmt.Println("Two-sided Byzantine FEEL: 4/20 clients upload random models,")
 	fmt.Println("1/5 servers runs the noise attack. Chance = 0.100.")
 	fmt.Println()
-	run(fedms.MeanRule{}, 0.2, "averaging servers + trimmed clients")
-	run(fedms.TrimmedMean{Beta: 0.2}, 0.2, "trimmed servers + trimmed clients")
-	run(fedms.TrimmedMean{Beta: 0.2}, -1, "trimmed servers + averaging clients")
+	run("mean", "trim:0.2", "averaging servers + trimmed clients")
+	run("trim:0.2", "trim:0.2", "trimmed servers + trimmed clients")
+	run("trim:0.2", "mean", "trimmed servers + averaging clients")
 	fmt.Println()
 	fmt.Println("Reading: each side's filter defeats its side's attackers. Only the")
 	fmt.Println("configuration with robust aggregation at BOTH layers reaches the")

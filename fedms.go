@@ -14,7 +14,7 @@
 //
 //	res, err := fedms.Run(fedms.Config{
 //	    Clients: 50, Servers: 10, NumByzantine: 2,
-//	    Rounds: 60, LocalSteps: 3, TrimBeta: 0.2,
+//	    Rounds: 60, LocalSteps: 3, FilterRule: "trim:0.2",
 //	    Attack: fedms.NoiseAttack{},
 //	    Dataset: fedms.DatasetSpec{Kind: fedms.DatasetBlobs, Samples: 10000, Alpha: 10},
 //	    Model:   fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{64}},
@@ -80,30 +80,9 @@ type (
 	// UploadScaled amplifies the local update (model replacement).
 	UploadScaled = attack.UploadScaled
 
-	// Rule is a model filter / aggregation rule.
+	// Rule is a model filter / aggregation rule, as Resolve selects it
+	// from a registry spec (see Config.FilterRule).
 	Rule = aggregate.Rule
-	// TrimmedMean is the Fed-MS client-side model filter.
-	TrimmedMean = aggregate.TrimmedMean
-	// MeanRule is vanilla averaging (no Byzantine tolerance).
-	MeanRule = aggregate.Mean
-	// MedianRule is the coordinate-wise median baseline.
-	MedianRule = aggregate.CoordinateMedian
-	// KrumRule is the Krum selection baseline.
-	KrumRule = aggregate.Krum
-	// GeoMedianRule is the Weiszfeld geometric-median baseline.
-	GeoMedianRule = aggregate.GeoMedian
-	// MultiKrumRule averages the best-scored Krum selections.
-	MultiKrumRule = aggregate.MultiKrum
-	// BulyanRule is the two-stage Krum + trimmed-median defence.
-	BulyanRule = aggregate.Bulyan
-	// ClippingRule is iterative centered clipping.
-	ClippingRule = aggregate.CenteredClipping
-	// FedGreedRule is the greedy lowest-holdout-loss prefix average
-	// (needs a loss oracle; falls back to the coordinate median).
-	FedGreedRule = aggregate.FedGreed
-	// LossClusterRule is the two-cluster holdout-loss split (needs a
-	// loss oracle; falls back to the coordinate median).
-	LossClusterRule = aggregate.LossCluster
 	// LossEval is a holdout-loss oracle: a deterministic pure function
 	// scoring a candidate model vector (see NewHoldoutOracle).
 	LossEval = aggregate.LossEval
@@ -123,8 +102,6 @@ type (
 	// UploadStrategy selects sparse (Fed-MS) or full uploading.
 	UploadStrategy = core.UploadStrategy
 
-	// Schedule yields per-step learning rates.
-	Schedule = nn.Schedule
 	// Series is a recorded metric curve.
 	Series = metrics.Series
 	// Table is a collection of metric curves.
@@ -240,21 +217,13 @@ type Config struct {
 	LocalSteps int
 	// BatchSize for local SGD (default 32).
 	BatchSize int
-	// TrimBeta is the filter's trim rate β. Negative selects the
-	// vanilla mean filter (the paper's "Vanilla FL" baseline). Zero
-	// defaults to B/P (the Fed-MS rule). 0.5 or more trims every value
-	// and is rejected.
-	TrimBeta float64
-	// FilterRule selects the client-side filter by registry spec —
-	// "trim:0.2", "krum:2", "fedgreed", ... (see aggregate.ParseRule
-	// for the grammar). It overrides TrimBeta; the Filter field
-	// overrides both. Selecting a loss-based rule (fedgreed,
-	// losscluster) makes BuildEngine construct a holdout-loss oracle
-	// automatically (see HoldoutSamples).
+	// FilterRule selects the client-side model filter by registry spec —
+	// "trim:0.2", "median", "krum:2", "fedgreed", ... (see
+	// aggregate.ParseRule for the grammar). Empty selects the Fed-MS
+	// rule, the trimmed mean at β = B/P; "mean" is the paper's "Vanilla
+	// FL" baseline. A loss-based rule (fedgreed, losscluster) makes
+	// Resolve build the holdout-loss oracle (see NewHoldoutOracle).
 	FilterRule string
-	// Filter, when non-nil, overrides TrimBeta and FilterRule with an
-	// arbitrary rule (median, Krum, ...).
-	Filter Rule
 	// Upload defaults to SparseUpload.
 	Upload UploadStrategy
 	// Participation is the fraction of clients active per round in
@@ -280,31 +249,16 @@ type Config struct {
 	// Attack is the Byzantine behaviour (default NoAttack).
 	Attack Attack
 	// NumByzantineClients and ClientAttack enable the two-sided threat
-	// model: that many clients upload tampered models. ServerFilter
-	// sets the benign parameter servers' aggregation rule (default
+	// model: that many clients, chosen from Seed, upload tampered
+	// models. ServerRule selects the benign parameter servers'
+	// aggregation rule by registry spec, like FilterRule (empty is the
 	// plain mean, the paper's behaviour; use a robust rule to defend
 	// against Byzantine clients).
 	NumByzantineClients int
-	ByzantineClientIDs  []int
 	ClientAttack        UploadAttack
-	ServerFilter        Rule
-	// ServerRule selects the servers' aggregation rule by registry
-	// spec, like FilterRule does for the client filter; the
-	// ServerFilter field overrides it.
-	ServerRule string
-	// HoldoutSamples sizes the server-held holdout split backing the
-	// loss oracle: the first HoldoutSamples examples of the test
-	// split, deterministically per Seed (default 256, clamped to the
-	// test set). Only consulted when a loss-based rule is selected.
-	HoldoutSamples int
-	// LossOracle overrides the automatically built holdout oracle
-	// (see core.Config.LossOracle for the contract). Both runtimes
-	// serialize its calls: the engine, and a loopback federation
-	// launched through node.NewLocal.
-	LossOracle LossEval
-	// LearningRate is a constant LR (default 0.1); Schedule overrides.
+	ServerRule          string
+	// LearningRate is the clients' constant learning rate (default 0.1).
 	LearningRate float64
-	Schedule     Schedule
 	// Momentum and WeightDecay configure the clients' local SGD.
 	Momentum    float64
 	WeightDecay float64
@@ -412,8 +366,8 @@ func BuildEngine(cfg Config) (*Engine, error) {
 }
 
 // Resolve is the configuration half of BuildEngine: it applies the
-// defaults, parses the rule and codec specs, derives the filter from
-// TrimBeta, builds the holdout oracle when a loss rule needs one, and
+// defaults, parses the rule and codec specs (an empty FilterRule is
+// trim:B/P), builds the holdout oracle when a loss rule needs one, and
 // validates. The result is the one description of the federation that
 // the engine and every distributed node run from (internal/node derives
 // each server's and client's config from it), so everything a run's
@@ -455,36 +409,22 @@ func specErr(field string, err error) error {
 
 func (s *split) resolve() (EngineConfig, error) {
 	cfg := s.cfg
-	var err error
-	filter := cfg.Filter
-	if filter == nil && cfg.FilterRule != "" {
-		if filter, err = aggregate.ParseRule(cfg.FilterRule); err != nil {
-			return EngineConfig{}, specErr("FilterRule", err)
-		}
+	filter, err := ruleOf("FilterRule", cfg.FilterRule)
+	if err != nil {
+		return EngineConfig{}, err
 	}
-	if filter == nil {
-		if cfg.TrimBeta < 0 {
-			filter = MeanRule{}
-		} else {
-			beta := cfg.TrimBeta
-			if !(beta < 0.5) {
-				return EngineConfig{}, specErr("TrimBeta", fmt.Errorf("trim rate %g leaves no values; want it below 0.5", beta))
-			}
-			if beta == 0 && cfg.Servers > 0 {
-				beta = float64(cfg.NumByzantine) / float64(cfg.Servers)
-			}
-			filter = TrimmedMean{Beta: beta}
+	if filter == nil && cfg.Servers > 0 {
+		// The Fed-MS rule trims the Byzantine share, B/P: B counts the
+		// pinned ids when there are any, as Validate will.
+		b := cfg.NumByzantine
+		if len(cfg.ByzantineIDs) > 0 {
+			b = len(cfg.ByzantineIDs)
 		}
+		filter = aggregate.TrimmedMean{Beta: float64(b) / float64(cfg.Servers)}
 	}
-	serverFilter := cfg.ServerFilter
-	if serverFilter == nil && cfg.ServerRule != "" {
-		if serverFilter, err = aggregate.ParseRule(cfg.ServerRule); err != nil {
-			return EngineConfig{}, specErr("ServerRule", err)
-		}
-	}
-	sched := cfg.Schedule
-	if sched == nil {
-		sched = nn.ConstantLR(cfg.LearningRate)
+	serverFilter, err := ruleOf("ServerRule", cfg.ServerRule)
+	if err != nil {
+		return EngineConfig{}, err
 	}
 	uploadSpec, err := compress.ParseSpec(cfg.UploadCodec)
 	if err != nil {
@@ -500,10 +440,8 @@ func (s *split) resolve() (EngineConfig, error) {
 		NumByzantine:        cfg.NumByzantine,
 		ByzantineIDs:        cfg.ByzantineIDs,
 		NumByzantineClients: cfg.NumByzantineClients,
-		ByzantineClientIDs:  cfg.ByzantineClientIDs,
 		ClientAttack:        cfg.ClientAttack,
 		ServerFilter:        serverFilter,
-		LossOracle:          cfg.LossOracle,
 		Rounds:              cfg.Rounds,
 		LocalSteps:          cfg.LocalSteps,
 		Upload:              cfg.Upload,
@@ -515,7 +453,7 @@ func (s *split) resolve() (EngineConfig, error) {
 		SpillMem:            cfg.SpillMem,
 		Attack:              cfg.Attack,
 		Filter:              filter,
-		Schedule:            sched,
+		Schedule:            nn.ConstantLR(cfg.LearningRate),
 		Seed:                cfg.Seed,
 		EvalEvery:           cfg.EvalEvery,
 		EvalClients:         cfg.EvalClients,
@@ -530,17 +468,29 @@ func (s *split) resolve() (EngineConfig, error) {
 	}
 	// A loss-based rule without an oracle would silently run its
 	// geometry fallback; build the holdout oracle whenever one is
-	// needed and not explicitly supplied — last, so every cheap
-	// rejection comes before the dataset is built. The holdout split
-	// and model instance derive from Seed alone, so every process that
-	// resolves the same Config scores identically — bit-parity holds
-	// through the oracle path.
-	if ecfg.LossOracle == nil && (isLossRule(filter) || isLossRule(serverFilter)) {
+	// needed — last, so every cheap rejection comes before the dataset
+	// is built. The holdout split and model instance derive from Seed
+	// alone, so every process that resolves the same Config scores
+	// identically — bit-parity holds through the oracle path.
+	if isLossRule(filter) || isLossRule(serverFilter) {
 		if ecfg.LossOracle, err = s.oracle(); err != nil {
 			return ecfg, err
 		}
 	}
 	return ecfg, nil
+}
+
+// ruleOf parses the rule spec of the named field; an empty spec is no
+// rule, for the caller's default.
+func ruleOf(field, spec string) (Rule, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	r, err := aggregate.ParseRule(spec)
+	if err != nil {
+		return nil, specErr(field, err)
+	}
+	return r, nil
 }
 
 func (s *split) learners() ([]Learner, error) {

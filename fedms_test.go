@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fedms/internal/aggregate"
 )
 
 // quickCfg is a fast end-to-end configuration for API tests.
@@ -65,13 +67,13 @@ func TestRunClosesAsyncSpill(t *testing.T) {
 	}
 }
 
-func TestRunDefaultsTrimBetaToBOverP(t *testing.T) {
+func TestRunDefaultsFilterToTrimBOverP(t *testing.T) {
 	cfg := quickCfg()
 	eng, err := BuildEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	filter, ok := eng.Config().Filter.(TrimmedMean)
+	filter, ok := eng.Config().Filter.(aggregate.TrimmedMean)
 	if !ok {
 		t.Fatalf("filter = %T, want TrimmedMean", eng.Config().Filter)
 	}
@@ -80,27 +82,45 @@ func TestRunDefaultsTrimBetaToBOverP(t *testing.T) {
 	}
 }
 
+// TestResolveDefaultFilterCountsPinnedByzantineIDs: pinning the
+// Byzantine servers by id sets B as NumByzantine does, so the default
+// trim rate is the same B/P either way.
+func TestResolveDefaultFilterCountsPinnedByzantineIDs(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"counted": {Servers: 10, NumByzantine: 2},
+		"pinned":  {Servers: 10, ByzantineIDs: []int{3, 7}},
+	} {
+		ecfg, err := Resolve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ecfg.NumByzantine != 2 || ecfg.Filter != (aggregate.TrimmedMean{Beta: 0.2}) {
+			t.Errorf("%s: B = %d, filter %s; want 2 and trim 0.2", name, ecfg.NumByzantine, ecfg.Filter.Name())
+		}
+	}
+}
+
 func TestRunVanillaFilter(t *testing.T) {
 	cfg := quickCfg()
-	cfg.TrimBeta = -1
+	cfg.FilterRule = "mean"
 	eng, err := BuildEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.Config().Filter.(MeanRule); !ok {
-		t.Fatalf("filter = %T, want MeanRule", eng.Config().Filter)
+	if _, ok := eng.Config().Filter.(aggregate.Mean); !ok {
+		t.Fatalf("filter = %T, want Mean", eng.Config().Filter)
 	}
 }
 
 func TestRunCustomFilter(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Filter = MedianRule{}
+	cfg.FilterRule = "median"
 	eng, err := BuildEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.Config().Filter.(MedianRule); !ok {
-		t.Fatalf("filter = %T, want MedianRule", eng.Config().Filter)
+	if _, ok := eng.Config().Filter.(aggregate.CoordinateMedian); !ok {
+		t.Fatalf("filter = %T, want CoordinateMedian", eng.Config().Filter)
 	}
 }
 
@@ -255,7 +275,7 @@ func TestTwoSidedAPI(t *testing.T) {
 	cfg.Upload = FullUpload
 	cfg.NumByzantineClients = 2
 	cfg.ClientAttack = UploadSignFlip{}
-	cfg.ServerFilter = TrimmedMean{Beta: 0.2}
+	cfg.ServerRule = "trim:0.2"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

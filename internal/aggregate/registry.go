@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,8 +46,8 @@ func ParseRule(spec string) (Rule, error) {
 	}
 	floatArg := func(i int) (float64, error) {
 		v, err := strconv.ParseFloat(args[i], 64)
-		if err != nil {
-			return 0, fmt.Errorf("aggregate: bad parameter %q in rule spec %q", args[i], spec)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("aggregate: bad parameter %q in rule spec %q (want a finite number)", args[i], spec)
 		}
 		return v, nil
 	}

@@ -74,6 +74,9 @@ func TestParseRuleRejects(t *testing.T) {
 		"trim:0.6",  // beta must be < 0.5
 		"trim:-0.1", // and non-negative
 		"trim:x",
+		"trim:NaN", // NaN passes every range comparison
+		"clip:NaN",
+		"clip:Inf",
 		"krum:-1",
 		"krum:1:2", // too many args
 		"multikrum:1:2:3",

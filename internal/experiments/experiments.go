@@ -99,6 +99,14 @@ func runCurve(tbl *metrics.Table, name string, cfg fedms.Config) (*metrics.Serie
 	return s, nil
 }
 
+// fig2Methods are the defences Fig. 2 compares, by curve name and
+// client filter spec.
+var fig2Methods = []struct{ name, rule string }{
+	{"fedms(b=0.2)", "trim:0.2"},
+	{"fedms-(b=0.1)", "trim:0.1"},
+	{"vanilla", "mean"},
+}
+
 // Fig2 reproduces Fig. 2(a-d): test accuracy versus epochs under one of
 // the four attacks (noise, random, safeguard, backward) with ε = 20%
 // Byzantine PSs and D_alpha = 10, comparing Fed-MS (β = 0.2), Fed-MS⁻
@@ -110,20 +118,12 @@ func Fig2(attackName string, o Options) (*metrics.Table, error) {
 		return nil, err
 	}
 	tbl := metrics.NewTable(fmt.Sprintf("Fig 2: accuracy vs epochs under %s attack (eps=20%%, D_alpha=10)", attackName))
-	methods := []struct {
-		name string
-		beta float64
-	}{
-		{"fedms(b=0.2)", 0.2},
-		{"fedms-(b=0.1)", 0.1},
-		{"vanilla", -1},
-	}
 	b := o.Servers / 5 // ε = 20%
-	for _, m := range methods {
+	for _, m := range fig2Methods {
 		cfg := baseConfig(o, 10)
 		cfg.NumByzantine = b
 		cfg.Attack = atk
-		cfg.TrimBeta = m.beta
+		cfg.FilterRule = m.rule
 		if _, err := runCurve(tbl, m.name, cfg); err != nil {
 			return nil, err
 		}
@@ -150,18 +150,19 @@ func Fig3(epsilonPct int, o Options) (*metrics.Table, error) {
 	cfg := baseConfig(o, 10)
 	cfg.NumByzantine = b
 	cfg.Attack = atk
-	cfg.TrimBeta = float64(epsilonPct) / 100
+	beta := float64(epsilonPct) / 100
 	if b == 0 {
-		cfg.TrimBeta = 0.1 // trmean needs a positive trim to differ from mean; paper keeps Fed-MS's filter on
+		beta = 0.1 // trmean needs a positive trim to differ from mean; paper keeps Fed-MS's filter on
 	}
-	if _, err := runCurve(tbl, fmt.Sprintf("fedms(b=%.2f)", cfg.TrimBeta), cfg); err != nil {
+	cfg.FilterRule = fmt.Sprintf("trim:%g", beta)
+	if _, err := runCurve(tbl, fmt.Sprintf("fedms(b=%.2f)", beta), cfg); err != nil {
 		return nil, err
 	}
 
 	cfg = baseConfig(o, 10)
 	cfg.NumByzantine = b
 	cfg.Attack = atk
-	cfg.TrimBeta = -1
+	cfg.FilterRule = "mean"
 	if _, err := runCurve(tbl, "vanilla", cfg); err != nil {
 		return nil, err
 	}
@@ -240,7 +241,7 @@ func Fig5(o Options) (*metrics.Table, error) {
 		cfg := baseConfig(o, alpha)
 		cfg.NumByzantine = b
 		cfg.Attack = attack.Noise{}
-		cfg.TrimBeta = 0.2
+		cfg.FilterRule = "trim:0.2"
 		if _, err := runCurve(tbl, fmt.Sprintf("fedms(Da=%g)", alpha), cfg); err != nil {
 			return nil, err
 		}
@@ -250,7 +251,7 @@ func Fig5(o Options) (*metrics.Table, error) {
 		cfg := baseConfig(o, alpha)
 		cfg.NumByzantine = b
 		cfg.Attack = attack.Noise{}
-		cfg.TrimBeta = -1
+		cfg.FilterRule = "mean"
 		if _, err := runCurve(tbl, fmt.Sprintf("vanilla(Da=%g)", alpha), cfg); err != nil {
 			return nil, err
 		}
@@ -394,7 +395,7 @@ func CodecCommCost(codecs []string, o Options) ([]CodecCommCostRow, error) {
 		cfg := baseConfig(o, 10)
 		cfg.NumByzantine = o.Servers / 5
 		cfg.Attack = attack.Noise{}
-		cfg.TrimBeta = 0.2
+		cfg.FilterRule = "trim:0.2"
 		cfg.UploadCodec = spec
 		res, err := fedms.Run(cfg)
 		if err != nil {
@@ -440,19 +441,16 @@ func FilterAblation(o Options) (*metrics.Table, error) {
 	o = o.withDefaults()
 	tbl := metrics.NewTable("Ablation: client-side filter under random attack (eps=20%)")
 	b := o.Servers / 5
-	filters := []fedms.Rule{
-		aggregate.TrimmedMean{Beta: 0.2},
-		aggregate.CoordinateMedian{},
-		aggregate.Krum{F: b},
-		aggregate.GeoMedian{},
-		aggregate.Mean{},
-	}
-	for _, f := range filters {
+	for _, spec := range []string{"trim:0.2", "median", fmt.Sprintf("krum:%d", b), "geomedian", "mean"} {
+		rule, err := aggregate.ParseRule(spec)
+		if err != nil {
+			return nil, err
+		}
 		cfg := baseConfig(o, 10)
 		cfg.NumByzantine = b
 		cfg.Attack = attack.Random{}
-		cfg.Filter = f
-		if _, err := runCurve(tbl, f.Name(), cfg); err != nil {
+		cfg.FilterRule = spec
+		if _, err := runCurve(tbl, rule.Name(), cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -469,7 +467,7 @@ func UploadAblation(o Options) (*metrics.Table, error) {
 		cfg := baseConfig(o, 10)
 		cfg.NumByzantine = b
 		cfg.Attack = attack.Noise{}
-		cfg.TrimBeta = 0.2
+		cfg.FilterRule = "trim:0.2"
 		cfg.Upload = up
 		if _, err := runCurve(tbl, up.String(), cfg); err != nil {
 			return nil, err
@@ -536,26 +534,27 @@ func TwoSidedAblation(o Options) (*metrics.Table, error) {
 	byzClients := o.Clients / 5
 	byzServers := o.Servers / 5
 
+	trim := fmt.Sprintf("trim:%g", float64(byzClients)/float64(o.Clients))
 	type variant struct {
-		name         string
-		serverFilter fedms.Rule
-		byzServers   int
-		attack       fedms.Attack
+		name       string
+		serverRule string
+		byzServers int
+		attack     fedms.Attack
 	}
 	variants := []variant{
-		{"mean_servers", aggregate.Mean{}, 0, attack.None{}},
-		{"trimmed_servers", aggregate.TrimmedMean{Beta: float64(byzClients) / float64(o.Clients)}, 0, attack.None{}},
-		{"both_sides_defended", aggregate.TrimmedMean{Beta: float64(byzClients) / float64(o.Clients)}, byzServers, attack.Noise{}},
+		{"mean_servers", "mean", 0, attack.None{}},
+		{"trimmed_servers", trim, 0, attack.None{}},
+		{"both_sides_defended", trim, byzServers, attack.Noise{}},
 	}
 	for _, v := range variants {
 		cfg := baseConfig(o, 10)
 		cfg.NumByzantine = v.byzServers
 		cfg.Attack = v.attack
-		cfg.TrimBeta = 0.2
+		cfg.FilterRule = "trim:0.2"
 		cfg.Upload = fedms.FullUpload // robust server rules need to see all clients
 		cfg.NumByzantineClients = byzClients
 		cfg.ClientAttack = attack.UploadRandom{}
-		cfg.ServerFilter = v.serverFilter
+		cfg.ServerRule = v.serverRule
 		if _, err := runCurve(tbl, v.name, cfg); err != nil {
 			return nil, err
 		}
@@ -571,19 +570,17 @@ func ColludingAblation(o Options) (*metrics.Table, error) {
 	tbl := metrics.NewTable("Extension: colluding attacks (eps=20%) vs filters")
 	b := o.Servers / 5
 	attacks := []fedms.Attack{attack.ALIE{}, attack.IPM{}}
-	filters := []fedms.Rule{
-		aggregate.TrimmedMean{Beta: 0.2},
-		aggregate.CoordinateMedian{},
-		aggregate.Mean{},
-	}
 	for _, atk := range attacks {
-		for _, f := range filters {
+		for _, spec := range []string{"trim:0.2", "median", "mean"} {
+			rule, err := aggregate.ParseRule(spec)
+			if err != nil {
+				return nil, err
+			}
 			cfg := baseConfig(o, 10)
 			cfg.NumByzantine = b
 			cfg.Attack = atk
-			cfg.Filter = f
-			name := atk.Name() + "/" + f.Name()
-			if _, err := runCurve(tbl, name, cfg); err != nil {
+			cfg.FilterRule = spec
+			if _, err := runCurve(tbl, atk.Name()+"/"+rule.Name(), cfg); err != nil {
 				return nil, err
 			}
 		}

@@ -265,7 +265,7 @@ func TestUploadStrategiesComparable(t *testing.T) {
 	for _, up := range []fedms.UploadStrategy{fedms.SparseUpload, fedms.FullUpload, fedms.RoundRobinUpload} {
 		cfg := baseConfig(quick(), 10)
 		cfg.Rounds = 10
-		cfg.TrimBeta = 0.2
+		cfg.FilterRule = "trim:0.2"
 		cfg.Upload = up
 		res, err := fedms.Run(cfg)
 		if err != nil {

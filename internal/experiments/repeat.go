@@ -58,21 +58,13 @@ func Fig2Stats(attackName string, seeds int, o Options) ([]MethodStats, error) {
 	for i := range seedList {
 		seedList[i] = o.Seed + uint64(i)
 	}
-	methods := []struct {
-		name string
-		beta float64
-	}{
-		{"fedms(b=0.2)", 0.2},
-		{"fedms-(b=0.1)", 0.1},
-		{"vanilla", -1},
-	}
-	out := make([]MethodStats, 0, len(methods))
+	out := make([]MethodStats, 0, len(fig2Methods))
 	b := o.Servers / 5
-	for _, m := range methods {
+	for _, m := range fig2Methods {
 		cfg := baseConfig(o, 10)
 		cfg.NumByzantine = b
 		cfg.Attack = atk
-		cfg.TrimBeta = m.beta
+		cfg.FilterRule = m.rule
 		res, err := Repeated(cfg, seedList)
 		if err != nil {
 			return nil, err

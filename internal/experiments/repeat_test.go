@@ -14,7 +14,7 @@ func repeatCfg() fedms.Config {
 		Rounds:       6,
 		LocalSteps:   2,
 		BatchSize:    16,
-		TrimBeta:     0.2,
+		FilterRule:   "trim:0.2",
 		Attack:       fedms.NoiseAttack{},
 		LearningRate: 0.2,
 		Dataset:      fedms.DatasetSpec{Samples: 1500, Features: 16, NumClasses: 4},

@@ -177,9 +177,9 @@ func BetaEpsilonSweep(o Options) (*SweepResult, error) {
 			Label: label,
 			Apply: func(c *fedms.Config) {
 				if b == 0 {
-					c.TrimBeta = -1 // vanilla mean
+					c.FilterRule = "mean"
 				} else {
-					c.TrimBeta = b
+					c.FilterRule = fmt.Sprintf("trim:%g", b)
 				}
 			},
 		})

@@ -20,9 +20,9 @@ func TestSweepCartesianProduct(t *testing.T) {
 			{Label: "0.3", Apply: func(c *fedms.Config) { c.LearningRate = 0.3 }},
 		}},
 		{Name: "beta", Values: []AxisValue{
-			{Label: "0.2", Apply: func(c *fedms.Config) { c.TrimBeta = 0.2 }},
-			{Label: "mean", Apply: func(c *fedms.Config) { c.TrimBeta = -1 }},
-			{Label: "median", Apply: func(c *fedms.Config) { c.Filter = fedms.MedianRule{} }},
+			{Label: "0.2", Apply: func(c *fedms.Config) { c.FilterRule = "trim:0.2" }},
+			{Label: "mean", Apply: func(c *fedms.Config) { c.FilterRule = "mean" }},
+			{Label: "median", Apply: func(c *fedms.Config) { c.FilterRule = "median" }},
 		}},
 	}
 	res, err := Sweep(sweepBase(), axes)

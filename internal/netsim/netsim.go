@@ -92,42 +92,6 @@ func (t *Topology) Link(client, server int) Link {
 	return t.links[client][server]
 }
 
-// RoundTime computes the makespan of one synchronous Fed-MS round:
-//
-//   - upload phase: every client transfers modelBytes to each server in
-//     its assignment row (assignment[k] lists the servers client k
-//     uploads to); a client's uploads are serialized on its uplink, and
-//     the phase ends when the slowest client finishes;
-//   - dissemination phase: every server sends the aggregate to every
-//     client; a client's downloads arrive in parallel from different
-//     servers but share no bottleneck in this model, so the phase ends
-//     at the slowest single link.
-//
-// Aggregation compute is taken as zero (edge servers are fast relative
-// to WAN transfers); local training time is out of scope (identical
-// across strategies).
-func (t *Topology) RoundTime(assignment [][]int, modelBytes int) time.Duration {
-	var upload time.Duration
-	for k, servers := range assignment {
-		var clientTime time.Duration
-		for _, s := range servers {
-			clientTime += t.links[k][s].TransferTime(modelBytes)
-		}
-		if clientTime > upload {
-			upload = clientTime
-		}
-	}
-	var download time.Duration
-	for k := 0; k < t.Clients; k++ {
-		for s := 0; s < t.Servers; s++ {
-			if d := t.links[k][s].TransferTime(modelBytes); d > download {
-				download = d
-			}
-		}
-	}
-	return upload + download
-}
-
 // SparseAssignment builds the Fed-MS upload assignment for round t:
 // each client uploads to one uniformly random server. choice derives
 // the per-client server exactly like the engine (pass
@@ -154,8 +118,7 @@ func FullAssignment(clients, servers int) [][]int {
 }
 
 // computeOf reads the per-client local compute time from an optional
-// schedule (nil means instantaneous training, the classic RoundTime
-// assumption).
+// schedule (nil means instantaneous training).
 func computeOf(compute []time.Duration, k int) time.Duration {
 	if k < len(compute) {
 		return compute[k]
@@ -163,10 +126,20 @@ func computeOf(compute []time.Duration, k int) time.Duration {
 	return 0
 }
 
-// RoundTimeWithCompute is RoundTime with a per-client local compute
-// schedule in front of the upload phase: client k starts transferring
-// only after compute[k] of training, so one slow trainer stretches the
-// synchronous barrier by its full compute time.
+// RoundTimeWithCompute computes the makespan of one synchronous Fed-MS
+// round:
+//
+//   - upload phase: client k trains for compute[k] (nil compute means
+//     instantaneous training), then transfers modelBytes to each server
+//     in its assignment row (assignment[k] lists the servers client k
+//     uploads to); a client's uploads are serialized on its uplink, and
+//     the phase ends when the slowest client finishes, so one slow
+//     trainer stretches the synchronous barrier by its full compute
+//     time;
+//   - dissemination phase (see download).
+//
+// Aggregation compute is taken as zero (edge servers are fast relative
+// to WAN transfers).
 func (t *Topology) RoundTimeWithCompute(assignment [][]int, modelBytes int, compute []time.Duration) time.Duration {
 	var upload time.Duration
 	for k, servers := range assignment {
@@ -174,19 +147,23 @@ func (t *Topology) RoundTimeWithCompute(assignment [][]int, modelBytes int, comp
 		for _, s := range servers {
 			clientTime += t.links[k][s].TransferTime(modelBytes)
 		}
-		if clientTime > upload {
-			upload = clientTime
-		}
+		upload = max(upload, clientTime)
 	}
-	var download time.Duration
+	return upload + t.download(modelBytes)
+}
+
+// download is the dissemination phase of a round: every server sends
+// the aggregate to every client; a client's downloads arrive in
+// parallel from different servers but share no bottleneck in this
+// model, so the phase ends at the slowest single link.
+func (t *Topology) download(modelBytes int) time.Duration {
+	var d time.Duration
 	for k := 0; k < t.Clients; k++ {
 		for s := 0; s < t.Servers; s++ {
-			if d := t.links[k][s].TransferTime(modelBytes); d > download {
-				download = d
-			}
+			d = max(d, t.links[k][s].TransferTime(modelBytes))
 		}
 	}
-	return upload + download
+	return d
 }
 
 // AsyncStats tallies the admission outcome of one windowed round.
@@ -220,22 +197,9 @@ func (t *Topology) AsyncRoundTime(assignment [][]int, modelBytes int, window tim
 				st.Late++
 			}
 		}
-		if clientTime > upload {
-			upload = clientTime
-		}
+		upload = max(upload, clientTime)
 	}
-	if upload > window {
-		upload = window
-	}
-	var download time.Duration
-	for k := 0; k < t.Clients; k++ {
-		for s := 0; s < t.Servers; s++ {
-			if d := t.links[k][s].TransferTime(modelBytes); d > download {
-				download = d
-			}
-		}
-	}
-	return upload + download, st
+	return min(upload, window) + t.download(modelBytes), st
 }
 
 // CompareUploads reports the mean round time of sparse vs full
@@ -244,8 +208,8 @@ func (t *Topology) CompareUploads(rounds, modelBytes int, choice func(round, cli
 	var sparseTotal, fullTotal time.Duration
 	fullAssign := FullAssignment(t.Clients, t.Servers)
 	for round := 0; round < rounds; round++ {
-		sparseTotal += t.RoundTime(SparseAssignment(t.Clients, t.Servers, round, choice), modelBytes)
-		fullTotal += t.RoundTime(fullAssign, modelBytes)
+		sparseTotal += t.RoundTimeWithCompute(SparseAssignment(t.Clients, t.Servers, round, choice), modelBytes, nil)
+		fullTotal += t.RoundTimeWithCompute(fullAssign, modelBytes, nil)
 	}
 	return sparseTotal / time.Duration(rounds), fullTotal / time.Duration(rounds)
 }

@@ -78,10 +78,10 @@ func TestTopologyHeterogeneous(t *testing.T) {
 func TestRoundTimeSparseVsFull(t *testing.T) {
 	top := testTopology(t)
 	const modelBytes = 1 << 20 // ~1s per transfer at base bandwidth
-	sparse := top.RoundTime(SparseAssignment(10, 4, 0, func(round, client, servers int) int {
+	sparse := top.RoundTimeWithCompute(SparseAssignment(10, 4, 0, func(round, client, servers int) int {
 		return core.SparseUploadChoice(1, round, client, servers)
-	}), modelBytes)
-	full := top.RoundTime(FullAssignment(10, 4), modelBytes)
+	}), modelBytes, nil)
+	full := top.RoundTimeWithCompute(FullAssignment(10, 4), modelBytes, nil)
 	if full <= sparse {
 		t.Fatalf("full upload (%v) should be slower than sparse (%v)", full, sparse)
 	}
@@ -103,9 +103,9 @@ func TestRoundTimeIsMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := top.RoundTime([][]int{{0}, {0}}, 1000) // 1s per transfer
+	rt := top.RoundTimeWithCompute([][]int{{0}, {0}}, 1000, nil) // 1s per transfer
 	if rt != 2*time.Second {
-		t.Fatalf("RoundTime = %v, want 2s", rt)
+		t.Fatalf("RoundTimeWithCompute = %v, want 2s", rt)
 	}
 }
 
@@ -172,9 +172,6 @@ func TestAsyncRoundTimeWideWindowMatchesSync(t *testing.T) {
 		return core.SparseUploadChoice(1, round, client, servers)
 	})
 	syncRT := top.RoundTimeWithCompute(assign, modelBytes, nil)
-	if syncRT != top.RoundTime(assign, modelBytes) {
-		t.Fatal("nil compute schedule must not change RoundTime")
-	}
 	asyncRT, st := top.AsyncRoundTime(assign, modelBytes, time.Hour, nil)
 	if asyncRT != syncRT {
 		t.Fatalf("wide-window async %v != sync %v", asyncRT, syncRT)

@@ -275,8 +275,7 @@ func recvModel(conn *transport.Conn, pending **transport.Message, psID, round, d
 		}
 		if err != nil {
 			if tolerant {
-				if errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadMAC) ||
-					errors.Is(err, transport.ErrBadPayload) {
+				if isUnreadable(err) {
 					skipped.Inc()
 					continue
 				}

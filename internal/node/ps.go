@@ -881,10 +881,8 @@ func (p *PS) recvRound(id int, conn *transport.Conn, deadline time.Time) roundRe
 			m, err = conn.Recv()
 		}
 		if err != nil {
-			unreadable := errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadMAC) ||
-				errors.Is(err, transport.ErrBadPayload)
 			switch {
-			case unreadable && p.cfg.Tolerant:
+			case isUnreadable(err) && p.cfg.Tolerant:
 				// The stream is still frame-aligned: skip the mangled
 				// frame and keep reading.
 				if !skip() {
@@ -1327,6 +1325,14 @@ func (p *PS) disseminate(round int, conns []*transport.Conn, t roundTally) error
 			obs.Event{Round: round, Node: fmt.Sprintf("ps%d", p.cfg.ID), Name: "ps_round", Fields: fields})
 	}
 	return nil
+}
+
+// isUnreadable reports whether err rejected one mangled frame (bad
+// checksum, MAC or payload) on a stream that is still frame-aligned,
+// so a tolerant reader can skip the frame and keep reading.
+func isUnreadable(err error) bool {
+	return errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadMAC) ||
+		errors.Is(err, transport.ErrBadPayload)
 }
 
 // isTimeout reports whether err is a network timeout (deadline

@@ -84,7 +84,7 @@ func TestKeyMismatchRejected(t *testing.T) {
 	a, b := pipePair(t)
 	a.SetKey([]byte("key-one"))
 	b.SetKey([]byte("key-two"))
-	if err := a.Send(&Message{Type: TypeDone}); err != nil {
+	if err := a.Send(&Message{Type: TypeUpload}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Recv(); !errors.Is(err, ErrBadMAC) {
@@ -97,7 +97,7 @@ func TestUnauthenticatedSenderRejected(t *testing.T) {
 	b.SetKey([]byte("secret"))
 	// a sends without a MAC; b expects frame+MAC and must fail (either
 	// short read or bad MAC depending on framing).
-	if err := a.Send(&Message{Type: TypeDone}); err != nil {
+	if err := a.Send(&Message{Type: TypeUpload}); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
@@ -110,7 +110,7 @@ func TestEmptyKeyDisablesAuth(t *testing.T) {
 	a, b := pipePair(t)
 	a.SetKey(nil)
 	b.SetKey([]byte{})
-	if err := a.Send(&Message{Type: TypeDone, Round: 9}); err != nil {
+	if err := a.Send(&Message{Type: TypeUpload, Round: 9}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := b.Recv()
@@ -128,7 +128,7 @@ func TestSetKeyCopiesSecret(t *testing.T) {
 	a.SetKey(key)
 	b.SetKey([]byte("mutate-me"))
 	key[0] = 'X' // caller mutation must not affect the connection
-	if err := a.Send(&Message{Type: TypeDone}); err != nil {
+	if err := a.Send(&Message{Type: TypeUpload}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Recv(); err != nil {

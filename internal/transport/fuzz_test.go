@@ -11,7 +11,7 @@ import (
 // FuzzDecode asserts the wire decoder never panics and never returns a
 // frame that fails invariants, no matter what bytes arrive.
 func FuzzDecode(f *testing.F) {
-	f.Add(Encode(&Message{Type: TypeDone}))
+	f.Add(Encode(&Message{Type: TypeUpload}))
 	f.Add(Encode(&Message{Type: TypeUpload, Round: 3, Sender: 1, Flag: 1, Vec: []float64{1, 2, 3}}))
 	f.Add(Encode(&Message{Type: TypeGlobalModel, Text: "hello", Vec: []float64{0.5}}))
 	f.Add([]byte{})

@@ -99,7 +99,7 @@ func TestConnMetricsSendErrorAndTrim(t *testing.T) {
 	m := NewMetrics(reg, "a")
 	conn.SetMetrics(m)
 	b.Close()
-	if err := conn.Send(&Message{Type: TypeDone}); err == nil {
+	if err := conn.Send(&Message{Type: TypeUpload}); err == nil {
 		t.Fatal("send to closed pipe succeeded")
 	}
 	if m.SendErrors.Value() != 1 || m.FramesSent.Value() != 0 {

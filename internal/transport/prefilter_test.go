@@ -175,7 +175,7 @@ func TestDecodeOversizeClaimBounded(t *testing.T) {
 // the property that lets a tolerant reader skip and keep going.
 func TestDecodeBoundedStreamAlignment(t *testing.T) {
 	big := Encode(&Message{Type: TypeUpload, Flag: 1, Vec: make([]float64, 2048)})
-	next := Encode(&Message{Type: TypeDone, Round: 7})
+	next := Encode(&Message{Type: TypeUpload, Round: 7})
 	r := bytes.NewReader(append(append([]byte(nil), big...), next...))
 	if _, err := DecodeBounded(r, HelloMaxBodyLen); !errors.Is(err, ErrOversizeFrame) {
 		t.Fatalf("oversize frame: got %v, want ErrOversizeFrame", err)
@@ -184,7 +184,7 @@ func TestDecodeBoundedStreamAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream misaligned after oversize rejection: %v", err)
 	}
-	if m.Type != TypeDone || m.Round != 7 {
+	if m.Type != TypeUpload || m.Round != 7 {
 		t.Fatalf("wrong frame after rejection: %+v", m)
 	}
 }

@@ -91,10 +91,6 @@ const (
 	// TypeGlobalModel carries a PS's (possibly tampered) global model
 	// to one client.
 	TypeGlobalModel
-	// TypeDone signals protocol completion.
-	TypeDone
-	// TypeError carries a failure description in Text.
-	TypeError
 )
 
 // String implements fmt.Stringer.
@@ -106,10 +102,6 @@ func (t Type) String() string {
 		return "upload"
 	case TypeGlobalModel:
 		return "global_model"
-	case TypeDone:
-		return "done"
-	case TypeError:
-		return "error"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}

@@ -146,18 +146,18 @@ func TestEncodeDecodeQuick(t *testing.T) {
 }
 
 func TestDecodeEmptyMessage(t *testing.T) {
-	m := &Message{Type: TypeDone}
+	m := &Message{Type: TypeUpload}
 	got, err := Decode(bytes.NewReader(Encode(m)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != TypeDone || got.Text != "" || len(got.Vec) != 0 {
+	if got.Type != TypeUpload || got.Text != "" || len(got.Vec) != 0 {
 		t.Fatalf("empty message round trip: %+v", got)
 	}
 }
 
 func TestDecodeRejectsBadMagic(t *testing.T) {
-	buf := Encode(&Message{Type: TypeDone})
+	buf := Encode(&Message{Type: TypeUpload})
 	buf[0] = 0x00
 	if _, err := Decode(bytes.NewReader(buf)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
@@ -165,7 +165,7 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 }
 
 func TestDecodeRejectsBadVersion(t *testing.T) {
-	buf := Encode(&Message{Type: TypeDone})
+	buf := Encode(&Message{Type: TypeUpload})
 	buf[2] = 99
 	if _, err := Decode(bytes.NewReader(buf)); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)

@@ -97,14 +97,14 @@ func TestDenseMessageStaysV1(t *testing.T) {
 // consumed, so the next frame on the stream still decodes.
 func TestV2UnknownEncodingKeepsStreamAligned(t *testing.T) {
 	bad := Encode(&Message{Type: TypeUpload, Round: 1, Enc: compress.Encoding(9), Payload: []byte{1, 2, 3}})
-	good := Encode(&Message{Type: TypeDone, Round: 2})
+	good := Encode(&Message{Type: TypeUpload, Round: 2})
 	r := bytes.NewReader(append(append([]byte(nil), bad...), good...))
 
 	if _, err := Decode(r); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("unknown tag: got %v, want ErrBadPayload", err)
 	}
 	m, err := Decode(r)
-	if err != nil || m.Type != TypeDone || m.Round != 2 {
+	if err != nil || m.Type != TypeUpload || m.Round != 2 {
 		t.Fatalf("stream misaligned after bad payload: %+v, %v", m, err)
 	}
 }
@@ -186,7 +186,7 @@ func TestV2AuthenticatedBadPayloadSkippable(t *testing.T) {
 		if err := a.Send(&Message{Type: TypeUpload, Round: 1, Enc: compress.Encoding(9), Payload: []byte{1}}); err != nil {
 			t.Error(err)
 		}
-		if err := a.Send(&Message{Type: TypeDone, Round: 2}); err != nil {
+		if err := a.Send(&Message{Type: TypeUpload, Round: 2}); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -194,7 +194,7 @@ func TestV2AuthenticatedBadPayloadSkippable(t *testing.T) {
 		t.Fatalf("got %v, want ErrBadPayload", err)
 	}
 	m, err := b.Recv()
-	if err != nil || m.Type != TypeDone {
+	if err != nil || m.Type != TypeUpload {
 		t.Fatalf("authenticated stream misaligned after bad payload: %+v, %v", m, err)
 	}
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // DefaultHoldoutSamples is the holdout-split size backing the loss
-// oracle when Config.HoldoutSamples is zero. Small on purpose: the
-// oracle runs up to 2(P+1) forward passes per aggregation under
-// FedGreed, and a few hundred samples already rank a poisoned average
-// far above a benign one.
+// oracle, clamped to the test split. Small on purpose: the oracle runs
+// up to 2(P+1) forward passes per aggregation under FedGreed, and a
+// few hundred samples already rank a poisoned average far above a
+// benign one.
 const DefaultHoldoutSamples = 256
 
 // NewHoldoutOracle builds the holdout-loss oracle for cfg: candidate
-// models are scored by cross-entropy on the first HoldoutSamples
+// models are scored by cross-entropy on the first DefaultHoldoutSamples
 // examples of the test split, using a dedicated model instance. The
 // dataset, split and model all derive from cfg.Seed alone, so every
 // process that calls this with the same Config — the in-process
@@ -39,13 +39,7 @@ func (s *split) oracle() (LossEval, error) {
 		return nil, err
 	}
 	test, cfg := s.test, s.cfg
-	n := cfg.HoldoutSamples
-	if n <= 0 {
-		n = DefaultHoldoutSamples
-	}
-	if t := test.Len(); n > t {
-		n = t
-	}
+	n := min(DefaultHoldoutSamples, test.Len())
 	if n == 0 {
 		return nil, fmt.Errorf("fedms: holdout oracle needs a non-empty test split")
 	}

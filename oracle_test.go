@@ -88,14 +88,3 @@ func TestNewHoldoutOracleContract(t *testing.T) {
 		t.Fatalf("independently built oracles disagree: %v vs %v", l3, l1)
 	}
 }
-
-func TestFilterOverridesFilterRule(t *testing.T) {
-	// Precedence: an explicit Filter object wins over the FilterRule
-	// spec, mirroring Filter > TrimBeta.
-	cfg := quickCfg()
-	cfg.FilterRule = "bogus-but-ignored"
-	cfg.Filter = MeanRule{}
-	if _, err := BuildEngine(cfg); err != nil {
-		t.Fatalf("explicit Filter should shadow FilterRule: %v", err)
-	}
-}
