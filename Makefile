@@ -47,7 +47,9 @@ test:
 # runtime's shadow allocations make testing.AllocsPerRun and TotalAlloc
 # deltas meaningless (the gates skip themselves under -race, so this
 # named no-race stage is the only place they actually assert); the
-# top-k encode allocation gate (a steady-state topk/ef+topk encode at
+# Recv allocation gate (a released d = 1e5 dense model is decoded into
+# again, so a steady-state frame allocates nothing that scales with d),
+# the top-k encode allocation gate (a steady-state topk/ef+topk encode at
 # d = 1e5 allocates nothing), par.For's (nothing serial, at most two
 # objects per fan-out), the client filter's (a steady-state trimmed
 # mean over 5 dense views at d = 1e5 allocates at most 3 objects),
@@ -100,7 +102,7 @@ verify:
 	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
 	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestConnRecvSteadyStateAllocs|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/

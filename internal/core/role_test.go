@@ -52,6 +52,35 @@ func TestRoleServer(t *testing.T) {
 		}
 	})
 
+	t.Run("one-member round never aliases the member", func(t *testing.T) {
+		// A runtime hands a member's buffer back for the next round's
+		// upload once Aggregate returns, so the aggregate — which the
+		// server keeps and re-sends — must be its own memory under every
+		// rule, even when it equals its only input.
+		for _, spec := range []string{"mean", "trim:0.2", "median", "krum:0", "multikrum:0", "bulyan:0", "geomedian", "clip", "fedgreed", "losscluster"} {
+			rule, err := aggregate.ParseRule(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, atk := range []attack.Attack{nil, historyProbe{new([]int)}} {
+				s := NewServer(0, 1, rule, nil, 1, atk, w0)
+				member := slices.Clone(up[1])
+				res, err := s.Aggregate(members(0, member))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &res.Out[0] == &member[0] {
+					t.Fatalf("%s (attack %v): the aggregate aliases its one member", spec, atk)
+				}
+				want := slices.Clone(res.Out)
+				copy(member, up[0]) // the next upload lands in the released buffer
+				if got := s.Send(1, -1, nil); !slices.Equal(got, want) {
+					t.Fatalf("%s (attack %v): sent %v after the member's buffer was reused, want %v", spec, atk, got, want)
+				}
+			}
+		}
+	})
+
 	t.Run("no seed", func(t *testing.T) {
 		s := NewServer(0, 1, aggregate.Mean{}, nil, 1, nil, nil)
 		if _, err := s.Aggregate(nil); !errors.Is(err, ErrNoAggregate) {

@@ -98,8 +98,9 @@ type ClientConfig struct {
 	// models that actually arrived (keyed by PS id) and the filtered
 	// result. The chaos tests use it to check the filter output against
 	// benign coordinate bounds; callers must not mutate the arguments.
-	// filtered is the filter's reused output buffer, valid only during
-	// the call.
+	// Both are valid only during the call: received views the frames
+	// the models arrived in, whose buffers the next round's models are
+	// decoded into, and filtered is the filter's reused output buffer.
 	OnRound func(round int, received map[int][]float64, filtered []float64)
 	// Codec compresses this client's uploads into v2 codec frames (nil
 	// or the dense codec keeps the pre-codec v1 dense frames). Stateful
@@ -251,8 +252,10 @@ func sendHello(conn *transport.Conn, id int, text string, seed []float64) error 
 
 // recvResult is one PS's contribution to the dissemination barrier.
 type recvResult struct {
-	model   bool // a global model arrived; pl holds its payload view
-	pl      compress.Payload
+	model bool // a global model arrived; pl holds its payload view
+	pl    compress.Payload
+	// msg is the frame pl views, released after the round's filter.
+	msg     *transport.Message
 	bytes   int // model payload bytes on the wire
 	missing bool
 	dead    bool
@@ -289,6 +292,7 @@ func recvModel(conn *transport.Conn, pending **transport.Message, psID, round, d
 			if int(m.Round) < round {
 				// A duplicated or delayed model from an earlier round.
 				skipped.Inc()
+				conn.Release(m)
 				continue
 			}
 			if int(m.Round) > round {
@@ -313,11 +317,12 @@ func recvModel(conn *transport.Conn, pending **transport.Message, psID, round, d
 			// PS; treat it like a corrupt frame.
 			if tolerant {
 				skipped.Inc()
+				conn.Release(m)
 				continue
 			}
 			return recvResult{dead: true, err: err}
 		}
-		return recvResult{model: true, pl: pl, bytes: m.ModelWireBytes()}
+		return recvResult{model: true, pl: pl, msg: m, bytes: m.ModelWireBytes()}
 	}
 	return recvResult{missing: true, err: errors.New("too many unreadable frames")}
 }
@@ -648,6 +653,14 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 				}
 			}
 			cfg.OnRound(round, dense, res.Out)
+		}
+		// The models are dead: the filter's output is its own buffer and
+		// SetParams copied it. Their frames' buffers go back to the
+		// connections for the next round's models.
+		for i, r := range results {
+			if r.model {
+				conns[i].Release(r.msg)
+			}
 		}
 
 		if cfg.EvalEvery > 0 && (round%cfg.EvalEvery == cfg.EvalEvery-1 || round == cfg.Rounds-1) {

@@ -544,9 +544,21 @@ func (p *PS) Serve() error {
 	// absorbed — there is no lifetime budget that junk can exhaust.
 	results := make(chan acceptResult)
 	stop := make(chan struct{})
-	defer close(stop)
+	// drained, once the quota is met, closes when drainAccepts has
+	// settled every handshake still in flight as Serve ends (bounded by
+	// HelloDeadline), so the accept counters are final when Serve
+	// returns.
+	var drained chan struct{}
+	defer func() {
+		if drained != nil {
+			_ = p.ln.Close() // ends acceptLoop; drainAccepts then settles
+			<-drained
+		}
+		close(stop)
+	}()
 	var quotaMet atomic.Bool
-	go p.acceptLoop(results, stop, &quotaMet)
+	var handshakes sync.WaitGroup
+	go p.acceptLoop(results, stop, &quotaMet, &handshakes)
 
 	seeds := make([][]float64, p.cfg.Clients)
 	for admitted := 0; admitted < p.cfg.Clients; {
@@ -582,7 +594,11 @@ func (p *PS) Serve() error {
 		admitted++
 	}
 	quotaMet.Store(true)
-	go p.drainAccepts(results, stop)
+	drained = make(chan struct{})
+	go func() {
+		defer close(drained)
+		p.drainAccepts(results, &handshakes)
+	}()
 	// Without a checkpoint, the empty-round fallback aggregate is the
 	// lowest client id's non-empty hello seed — a deterministic choice,
 	// where arrival-order seeding would depend on dial timing. With one,
@@ -646,8 +662,10 @@ type acceptResult struct {
 // per-source rate limiting (one Accept and a map lookup per shed
 // conn), post-quota shedding (once all K clients are admitted every
 // newcomer is junk by definition), and the handshake pool that bounds
-// how much memory unauthenticated peers can pin.
-func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quotaMet *atomic.Bool) {
+// how much memory unauthenticated peers can pin. handshakes counts the
+// handshakes whose result is not yet delivered; the listener error,
+// its last send, follows every Add.
+func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quotaMet *atomic.Bool, handshakes *sync.WaitGroup) {
 	var limiter *sourceLimiter
 	if p.cfg.AcceptRate > 0 {
 		limiter = newSourceLimiter(p.cfg.AcceptRate, p.cfg.AcceptBurst)
@@ -680,10 +698,12 @@ func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quota
 		// ±1 per slot, never a stored len(sem): two releases may read
 		// len and store in either order, leaving a stale depth.
 		p.om.handshakePool.Add(1)
+		handshakes.Add(1)
 		go func() {
 			defer func() {
 				<-sem
 				p.om.handshakePool.Add(-1)
+				handshakes.Done()
 			}()
 			r := p.handshake(raw)
 			select {
@@ -786,13 +806,26 @@ func (p *PS) badAccept(r acceptResult) error {
 // met so in-flight handshake slots recycle while rounds are served.
 // Everything arriving here is junk by definition — all K clients are
 // admitted — and is absorbed like any other bad accept, never fatally
-// (even in strict mode: the accept phase it polices is over).
-func (p *PS) drainAccepts(results <-chan acceptResult, stop <-chan struct{}) {
+// (even in strict mode: the accept phase it polices is over). Once the
+// listener closes, no handshake starts any more: it absorbs the ones
+// still in flight, waiting at most HelloDeadline, and returns.
+func (p *PS) drainAccepts(results <-chan acceptResult, handshakes *sync.WaitGroup) {
+	var settled <-chan struct{}
+	var deadline <-chan time.Time
 	for {
 		select {
 		case r := <-results:
 			if r.listenerErr != nil {
-				return
+				// acceptLoop has returned, so no Add can race this Wait.
+				// Past the deadline the waiter outlives drainAccepts
+				// until the last handshake's own hello deadline ends it.
+				idle := make(chan struct{})
+				go func() {
+					handshakes.Wait()
+					close(idle)
+				}()
+				settled, deadline = idle, time.After(p.cfg.HelloDeadline)
+				continue
 			}
 			if r.err == nil {
 				r.err = fmt.Errorf("node: PS %d: connection after accept quota", p.cfg.ID)
@@ -802,7 +835,9 @@ func (p *PS) drainAccepts(results <-chan acceptResult, stop <-chan struct{}) {
 			} else if r.conn != nil {
 				_ = r.conn.Close()
 			}
-		case <-stop:
+		case <-settled:
+			return
+		case <-deadline:
 			return
 		}
 	}
@@ -815,8 +850,12 @@ func (p *PS) drainAccepts(results <-chan acceptResult, stop <-chan struct{}) {
 // failure is reported, so a connection that delivers valid stale
 // uploads and then dies still has them admitted and its bytes tallied.
 type roundRecv struct {
-	client   int
-	entries  []sched.Entry
+	client  int
+	conn    *transport.Conn
+	entries []sched.Entry
+	// frames are the messages entries view, released to conn once the
+	// round's aggregate is computed.
+	frames   []*transport.Message
 	deferred []spill.Record
 	bytes    int // model payload bytes on the wire
 	floats   int // float64-equivalent wire elements (ModelWireFloats)
@@ -847,7 +886,7 @@ func (r *roundRecv) tally(m *transport.Message) {
 // (Recv re-arms conn.Timeout itself; see transport.Conn), and hitting
 // it is an expiry, the expected face of a straggler, never a fault.
 func (p *PS) recvRound(id int, conn *transport.Conn, deadline time.Time) roundRecv {
-	out := roundRecv{client: id}
+	out := roundRecv{client: id, conn: conn}
 	windowed := !deadline.IsZero()
 	saved := conn.Timeout
 	defer func() { conn.Timeout = saved }()
@@ -918,6 +957,7 @@ func (p *PS) recvRound(id int, conn *transport.Conn, deadline time.Time) roundRe
 					out.entries = append(out.entries, sched.Entry{
 						Client: id, Origin: int(m.Round), Stale: d.Staleness, Weight: d.Weight, View: pl,
 					})
+					out.frames = append(out.frames, m)
 					out.tally(m)
 				case !p.cfg.Tolerant:
 					out.dead, out.err = true, perr
@@ -956,6 +996,7 @@ func (p *PS) recvRound(id int, conn *transport.Conn, deadline time.Time) roundRe
 			out.missed = true
 			return out
 		case sched.DropStale:
+			conn.Release(m) // only counted, never read
 			if windowed {
 				// A late upload the client counted as sent; the window
 				// deadline bounds how many of these a round can read.
@@ -1025,6 +1066,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	}
 
 	t := roundTally{dropped: dropped}
+	recvs := make([]roundRecv, 0, live)
 	var floatsIn int
 	var deferRecs []spill.Record
 	var firstErr error
@@ -1074,6 +1116,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		if r.expired {
 			t.expired++
 		}
+		recvs = append(recvs, r)
 		entries = append(entries, r.entries...)
 		deferRecs = append(deferRecs, r.deferred...)
 		t.dropped += r.dropped
@@ -1144,6 +1187,14 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	res, err := p.srv.Aggregate(entries)
 	if err != nil {
 		return fail("%w", err)
+	}
+	// The uploads are dead: the aggregate is the server's own buffer,
+	// never a member view. Their frames' buffers go back to the
+	// connections for the next round's uploads.
+	for _, r := range recvs {
+		for _, m := range r.frames {
+			r.conn.Release(m)
+		}
 	}
 	p.om.rounds.Inc()
 	p.om.uploadsRecv.Add(int64(t.members))

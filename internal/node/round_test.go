@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -394,5 +395,67 @@ func TestPSStrictSendNamesLowestFailingClient(t *testing.T) {
 	}
 	if err := <-received; err != nil {
 		t.Fatalf("client 0 missed its model: %v", err)
+	}
+}
+
+// TestPSOneMemberAggregateSurvivesBufferReuse: the PS hands a round's
+// upload buffers back to their connections once the aggregate is
+// computed, so the next frame on that connection is decoded into the
+// very memory the round's only member lived in. The aggregate — which
+// the server keeps and re-sends when a round admits nothing — must not
+// notice: a duplicated round-0 upload carrying other values lands in
+// the released buffer, round 1 admits nothing, and the client must
+// still get round 0's model.
+func TestPSOneMemberAggregateSurvivesBufferReuse(t *testing.T) {
+	first := []float64{1, 2, 3, 4}
+	later := []float64{-7, 8, -9, 10}
+	p, srv, cli := pipePS(t, PSConfig{
+		ID: 0, Clients: 1, Rounds: 3, Tolerant: true, Timeout: 5 * time.Second,
+	}, make([]float64, len(first)))
+
+	// round drives one round: the client sends ups, the PS serves the
+	// round, and the client's global model is returned.
+	round := func(r int, ups ...*transport.Message) []float64 {
+		t.Helper()
+		got := make(chan []float64, 1)
+		go func() {
+			for _, m := range ups {
+				if err := cli[0].Send(m); err != nil {
+					got <- nil
+					return
+				}
+			}
+			m, err := cli[0].Recv()
+			if err != nil || m.Round != uint32(r) {
+				got <- nil
+				return
+			}
+			got <- m.Vec
+		}()
+		if err := p.serveRound(r, srv); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		p.sc.Advance()
+		return <-got
+	}
+	upload := func(r int, vec []float64) *transport.Message {
+		m := &transport.Message{Type: transport.TypeUpload, Round: uint32(r), Vec: vec}
+		if vec != nil {
+			m.Flag = 1
+		}
+		return m
+	}
+
+	if got := round(0, upload(0, first)); !slices.Equal(got, first) {
+		t.Fatalf("round 0 sent %v, want the one member %v", got, first)
+	}
+	if got := round(1, upload(0, later), upload(1, nil)); !slices.Equal(got, first) {
+		t.Fatalf("round 1 re-sent %v, want round 0's aggregate %v: it aliased the reused upload buffer", got, first)
+	}
+	if got := round(2, upload(2, later)); !slices.Equal(got, later) {
+		t.Fatalf("round 2 sent %v, want the one member %v", got, later)
+	}
+	if st := p.Stats(); st.UploadsReceived != 2 || st.UploadsMissed != 0 {
+		t.Fatalf("stats = %+v, want 2 uploads received and none missed", st)
 	}
 }

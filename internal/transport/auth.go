@@ -26,10 +26,11 @@ var ErrBadMAC = errors.New("transport: bad frame MAC")
 // disables authentication. Must be called before the first Send/Recv.
 func (c *Conn) SetKey(key []byte) {
 	if len(key) == 0 {
-		c.key = nil
+		c.key, c.recvMAC = nil, nil
 		return
 	}
 	c.key = append([]byte(nil), key...)
+	c.recvMAC = hmac.New(sha256.New, c.key)
 }
 
 // seal computes the tag for a frame.
@@ -39,11 +40,6 @@ func seal(key, frame []byte) []byte {
 	return mac.Sum(nil)
 }
 
-// verify checks a frame tag in constant time.
-func verify(key, frame, tag []byte) bool {
-	return hmac.Equal(seal(key, frame), tag)
-}
-
 // sendBytes writes raw bytes honoring the write deadline.
 func (c *Conn) sendBytes(buf []byte) error {
 	_, err := c.conn.Write(buf)
@@ -51,17 +47,13 @@ func (c *Conn) sendBytes(buf []byte) error {
 }
 
 // recvAuthenticated reads one frame plus its MAC, verifying the tag.
+// The frame's bytes stream through the connection's HMAC as they are
+// decoded, so the tag is computed over exactly what was parsed without
+// a copy of the frame. Frames over the body cap are chunk-discarded by
+// the decoder and never verified.
 func (c *Conn) recvAuthenticated() (*Message, error) {
-	// Tee the frame bytes so the tag can be computed over exactly what
-	// was parsed. The capture honors the connection's body cap: an
-	// over-cap frame is chunk-discarded by the decoder and never
-	// verified, so there is no point (and real danger, pre-auth) in
-	// accumulating its bytes here.
-	var frame capture
-	if c.maxBody > 0 {
-		frame.limit = headerLenV2 + c.maxBody
-	}
-	m, err := decodeFrame(io.TeeReader(c.br, &frame), &c.hdr, c.maxBody)
+	c.recvMAC.Reset()
+	m, err := decodeFrame(c.br, &c.scratch, c.maxBody, &c.vecs, c.recvMAC)
 	if err != nil {
 		if errors.Is(err, ErrBadChecksum) || errors.Is(err, ErrBadPayload) ||
 			errors.Is(err, ErrOversizeFrame) {
@@ -72,29 +64,13 @@ func (c *Conn) recvAuthenticated() (*Message, error) {
 		}
 		return nil, err
 	}
-	tag := make([]byte, MACSize)
-	if _, err := io.ReadFull(c.br, tag); err != nil {
+	if _, err := io.ReadFull(c.br, c.tag[:]); err != nil {
+		c.Release(m)
 		return nil, err
 	}
-	if !verify(c.key, frame.buf, tag) {
+	if !hmac.Equal(c.recvMAC.Sum(c.sum[:0]), c.tag[:]) {
+		c.Release(m)
 		return nil, ErrBadMAC
 	}
 	return m, nil
-}
-
-// capture accumulates written bytes, up to an optional limit (0 =
-// unlimited) past which writes are counted but dropped — frames that
-// large are rejected before their tag is ever verified.
-type capture struct {
-	buf   []byte
-	limit int
-}
-
-func (c *capture) Write(p []byte) (int, error) {
-	keep := p
-	if c.limit > 0 && len(c.buf)+len(keep) > c.limit {
-		keep = keep[:max(0, c.limit-len(c.buf))]
-	}
-	c.buf = append(c.buf, keep...)
-	return len(p), nil
 }

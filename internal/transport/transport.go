@@ -39,9 +39,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -229,10 +229,8 @@ func AppendEncode(dst []byte, m *Message) []byte {
 	binary.LittleEndian.PutUint32(buf[20:], uint32(vecLen))
 	copy(buf[headerLen:], m.Text)
 	off := headerLen + textLen
-	for _, v := range m.Vec {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
+	putFloatsLE(buf[off:], m.Vec)
+	off += 8 * vecLen
 	crc := crc32.ChecksumIEEE(buf[2:off])
 	binary.LittleEndian.PutUint32(buf[off:], crc)
 	return dst
@@ -286,8 +284,7 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // maxima (MaxTextLen, MaxPayloadLen); receivers of unauthenticated
 // traffic should use DecodeBounded with a small cap instead.
 func Decode(r io.Reader) (*Message, error) {
-	var hdr [headerLenV2]byte
-	return decodeFrame(r, &hdr, 0)
+	return decodeFrame(r, new(frameScratch), 0, nil, nil)
 }
 
 // DecodeBounded reads one frame like Decode but additionally caps the
@@ -299,27 +296,37 @@ func Decode(r io.Reader) (*Message, error) {
 // This is the pre-authentication ingest contract: a forged length
 // field costs the receiver at most maxBody bytes, not MaxPayloadLen.
 func DecodeBounded(r io.Reader, maxBody int) (*Message, error) {
-	var hdr [headerLenV2]byte
-	return decodeFrame(r, &hdr, maxBody)
+	return decodeFrame(r, new(frameScratch), maxBody, nil, nil)
 }
 
-// decodeFrame is the shared decoder core. hdr is caller-supplied
-// header scratch so connection hot paths reuse one buffer per conn
-// instead of allocating per frame.
-func decodeFrame(r io.Reader, hdr *[headerLenV2]byte, maxBody int) (*Message, error) {
+// frameScratch holds a frame's header and, after it, its trailing
+// checksum, so connection hot paths reuse one buffer per conn instead
+// of allocating per frame.
+type frameScratch [headerLenV2 + 4]byte
+
+// decodeFrame is the one decoder behind Decode, DecodeBounded and
+// Conn.Recv. A v1 model is read straight into its []float64 — through
+// the vector's byte view, so there is no intermediate body buffer —
+// and checksummed over those same bytes. The vector comes from vecs
+// (nil: a fresh allocation) and goes back to it when the frame is
+// rejected. When mac is non-nil every frame byte read is also written
+// to it (an over-cap body is discarded unhashed: it is rejected
+// anyway), so a keyed reader can verify the trailing tag without
+// keeping a copy of the frame.
+func decodeFrame(r io.Reader, s *frameScratch, maxBody int, vecs *vecPool, mac hash.Hash) (*Message, error) {
+	in := frameReader{r: r, mac: mac}
 	// The two versions have different header lengths, so read the common
 	// prefix (magic, version, type) before the rest of the header.
 	const prefixLen = 4
-	header := hdr[:]
-	if _, err := io.ReadFull(r, header[:prefixLen]); err != nil {
+	if err := in.read(s[:prefixLen]); err != nil {
 		return nil, err
 	}
-	full, err := frameHeaderLen(header)
+	full, err := frameHeaderLen(s[:prefixLen])
 	if err != nil {
 		return nil, err
 	}
-	header = header[:full]
-	if _, err := io.ReadFull(r, header[prefixLen:]); err != nil {
+	header := s[:full]
+	if err := in.read(header[prefixLen:]); err != nil {
 		return nil, err
 	}
 	textLen, modelBytes, oversize, err := bodyLens(header, maxBody)
@@ -329,50 +336,89 @@ func decodeFrame(r io.Reader, hdr *[headerLenV2]byte, maxBody int) (*Message, er
 	if oversize {
 		return nil, discardBody(r, header, textLen+modelBytes)
 	}
-	body := make([]byte, textLen+modelBytes+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	payload := body[:len(body)-4]
-	wantCRC := binary.LittleEndian.Uint32(body[len(body)-4:])
-	crc := crc32.ChecksumIEEE(header[2:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != wantCRC {
-		return nil, ErrBadChecksum
-	}
 	m := &Message{
 		Type:   Type(header[3]),
 		Round:  binary.LittleEndian.Uint32(header[4:]),
 		Sender: binary.LittleEndian.Uint32(header[8:]),
 		Flag:   binary.LittleEndian.Uint32(header[12:]),
 	}
-	if textLen > 0 {
-		m.Text = string(payload[:textLen])
+	v2 := header[2] == Version2
+	if v2 {
+		m.Enc = compress.Encoding(header[16])
+		m.Stale = header[17]
 	}
-	if header[2] == Version2 {
+	crc := crc32.ChecksumIEEE(header[2:])
+
+	// The body: text, model, checksum.
+	var text []byte
+	if textLen > 0 {
+		text = make([]byte, textLen)
+		if err := in.read(text); err != nil {
+			return nil, err
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, text)
+	}
+	var model []byte
+	switch {
+	case v2:
+		// make (not nil) so an empty payload stays non-nil and the
+		// message re-encodes as v2. Never pooled: a spill record may
+		// alias it.
+		m.Payload = make([]byte, modelBytes)
+		model = m.Payload
+	case modelBytes > 0:
+		m.Vec = vecs.get(modelBytes / 8)
+		model = floatBytes(m.Vec)
+	}
+	sum := s[full : full+4]
+	err = in.read(model)
+	if err == nil {
+		crc = crc32.Update(crc, crc32.IEEETable, model)
+		err = in.read(sum)
+	}
+	if err == nil && crc != binary.LittleEndian.Uint32(sum) {
+		err = ErrBadChecksum
+	}
+	if err == nil && v2 && !compress.KnownEncoding(m.Enc) {
 		// The full frame is consumed and checksummed: payload errors from
 		// here leave the stream frame-aligned for tolerant readers.
-		enc := compress.Encoding(header[16])
-		if !compress.KnownEncoding(enc) {
-			return nil, fmt.Errorf("%w: unknown encoding tag %d", ErrBadPayload, uint8(enc))
-		}
-		m.Enc = enc
-		m.Stale = header[17]
-		// make (not append) so an empty payload stays non-nil and the
-		// message re-encodes as v2.
-		m.Payload = make([]byte, modelBytes)
-		copy(m.Payload, payload[textLen:])
-		return m, nil
+		err = fmt.Errorf("%w: unknown encoding tag %d", ErrBadPayload, uint8(m.Enc))
 	}
-	if modelBytes > 0 {
-		m.Vec = make([]float64, modelBytes/8)
-		off := textLen
-		for i := range m.Vec {
-			m.Vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-			off += 8
-		}
+	if err != nil {
+		vecs.put(m.Vec)
+		return nil, err
+	}
+	floatsFromLE(m.Vec)
+	if textLen > 0 {
+		m.Text = string(text)
 	}
 	return m, nil
+}
+
+// frameReader reads one frame's bytes, feeding each to mac when set.
+// io.EOF means the stream ended cleanly between frames; once a frame
+// has begun, running out of bytes is io.ErrUnexpectedEOF.
+type frameReader struct {
+	r       io.Reader
+	mac     hash.Hash
+	started bool
+}
+
+func (f *frameReader) read(p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	if _, err := io.ReadFull(f.r, p); err != nil {
+		if err == io.EOF && f.started {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	f.started = true
+	if f.mac != nil {
+		f.mac.Write(p)
+	}
+	return nil
 }
 
 // frameHeaderLen checks a frame's 4-byte prefix — magic and version —
@@ -450,10 +496,14 @@ func discardBody(r io.Reader, header []byte, payloadLen int) error {
 type Conn struct {
 	conn    net.Conn
 	br      *bufio.Reader
-	key     []byte            // optional shared secret for per-frame HMAC (see SetKey)
-	metrics *Metrics          // optional wire counters (see SetMetrics)
-	maxBody int               // per-frame body cap for Recv (see SetMaxBodyLen)
-	hdr     [headerLenV2]byte // per-conn header scratch (one alloc/frame saved)
+	key     []byte        // optional shared secret for per-frame HMAC (see SetKey)
+	recvMAC hash.Hash     // HMAC under key that Recv streams each frame through
+	tag     [MACSize]byte // the received frame's tag
+	sum     [MACSize]byte // the tag recvMAC computed
+	metrics *Metrics      // optional wire counters (see SetMetrics)
+	maxBody int           // per-frame body cap for Recv (see SetMaxBodyLen)
+	scratch frameScratch  // per-conn header and checksum scratch (one alloc/frame saved)
+	vecs    vecPool       // dense model buffers handed back by Release
 
 	sendMu sync.Mutex
 	recvMu sync.Mutex
@@ -506,7 +556,9 @@ func (c *Conn) Send(m *Message) error {
 }
 
 // Recv reads one frame (verifying its HMAC tag when a key is
-// configured).
+// configured). A dense model may be decoded into a buffer an earlier
+// message handed back through Release; a message that is never
+// released keeps its buffer for good.
 func (c *Conn) Recv() (*Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
@@ -518,7 +570,7 @@ func (c *Conn) Recv() (*Message, error) {
 	if c.key != nil {
 		m, err = c.recvAuthenticated()
 	} else {
-		m, err = decodeFrame(c.br, &c.hdr, c.maxBody)
+		m, err = decodeFrame(c.br, &c.scratch, c.maxBody, &c.vecs, nil)
 	}
 	if c.metrics != nil {
 		n := 0
@@ -531,6 +583,20 @@ func (c *Conn) Recv() (*Message, error) {
 		c.metrics.onRecv(n, err)
 	}
 	return m, err
+}
+
+// Release hands the dense model of m, a message Recv returned on c,
+// back for a later Recv to decode into, and clears m.Vec. After it,
+// nothing may read the old m.Vec or any view of it (ModelPayload), so
+// call it only once the model is dead. Releasing is an optimization:
+// an unreleased message is simply garbage-collected. Codec (v2)
+// payloads are never reused. Safe for concurrent use with Recv.
+func (c *Conn) Release(m *Message) {
+	if m.Payload != nil {
+		return
+	}
+	c.vecs.put(m.Vec)
+	m.Vec = nil
 }
 
 // SetMaxBodyLen caps the body bytes (text + model + checksum) a single
