@@ -2,7 +2,6 @@ package node
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -124,9 +123,11 @@ type ClientConfig struct {
 	// Window is the servers' aggregation window (defaults like
 	// PSConfig.Window); it sets the virtual-delay quantum.
 	Window time.Duration
-	// Staleness is the servers' admission bound S, for observability
-	// only — the client sends every due backlog entry and lets the PS
-	// rule on admission, exactly as the engine accounts drops.
+	// Staleness is the servers' admission bound S. The client only
+	// validates it with Window (sched.Knobs: non-negative, and zero
+	// outside Async mode); it sends every due backlog entry regardless
+	// and lets the PS rule on admission, exactly as the engine accounts
+	// drops.
 	Staleness int
 	// LatencyScale overrides the virtual upload-latency scale (0 means
 	// sched.DefaultLatencyScale). Tests use a scale much larger than
@@ -250,83 +251,6 @@ func sendHello(conn *transport.Conn, id int, text string, seed []float64) error 
 	})
 }
 
-// recvResult is one PS's contribution to the dissemination barrier.
-type recvResult struct {
-	model bool // a global model arrived; pl holds its payload view
-	pl    compress.Payload
-	// msg is the frame pl views, released after the round's filter.
-	msg     *transport.Message
-	bytes   int // model payload bytes on the wire
-	missing bool
-	dead    bool
-	err     error
-}
-
-// recvModel reads PS i's round-r global model, skipping corrupt and
-// stale frames in tolerant mode. When this round's model was lost and
-// the PS has already broadcast a later round, the future frame is
-// parked in *pending (consumed first on the next call) instead of
-// condemning a healthy connection.
-func recvModel(conn *transport.Conn, pending **transport.Message, psID, round, dim int, tolerant bool, skipped *obs.Counter) recvResult {
-	for tries := 0; tries < maxBadFrames; tries++ {
-		var m *transport.Message
-		var err error
-		if *pending != nil {
-			m, *pending = *pending, nil
-		} else {
-			m, err = conn.Recv()
-		}
-		if err != nil {
-			if tolerant {
-				if isUnreadable(err) {
-					skipped.Inc()
-					continue
-				}
-				if isTimeout(err) {
-					return recvResult{missing: true, err: err}
-				}
-			}
-			return recvResult{dead: true, err: err}
-		}
-		if tolerant && m.Type == transport.TypeGlobalModel {
-			if int(m.Round) < round {
-				// A duplicated or delayed model from an earlier round.
-				skipped.Inc()
-				conn.Release(m)
-				continue
-			}
-			if int(m.Round) > round {
-				// This round's model was dropped and the PS moved on.
-				// The frame we hold is next round's model: keep it.
-				*pending = m
-				return recvResult{missing: true,
-					err: fmt.Errorf("PS %d already broadcast round %d", psID, m.Round)}
-			}
-		}
-		if m.Type != transport.TypeGlobalModel || int(m.Round) != round {
-			return recvResult{dead: true,
-				err: fmt.Errorf("unexpected %s (round %d) from PS %d", m.Type, m.Round, psID)}
-		}
-		pl, err := m.ModelPayload()
-		if err == nil && pl.Dim() != dim {
-			err = fmt.Errorf("global model dimension %d, want %d", pl.Dim(), dim)
-		}
-		if err != nil {
-			// A checksummed frame with a malformed codec payload or a
-			// model of the wrong dimension can only come from a Byzantine
-			// PS; treat it like a corrupt frame.
-			if tolerant {
-				skipped.Inc()
-				conn.Release(m)
-				continue
-			}
-			return recvResult{dead: true, err: err}
-		}
-		return recvResult{model: true, pl: pl, msg: m, bytes: m.ModelWireBytes()}
-	}
-	return recvResult{missing: true, err: errors.New("too many unreadable frames")}
-}
-
 // RunClient executes the client side of the protocol to completion and
 // returns per-round statistics.
 func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
@@ -389,9 +313,6 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 	nodeName := fmt.Sprintf("c%d", cfg.ID)
 
 	conns := make([]*transport.Conn, p)
-	// pendings[i] parks a future-round model read early from PS i (see
-	// recvModel); it never outlives the connection it was read from.
-	pendings := make([]*transport.Message, p)
 	defer func() {
 		for _, c := range conns {
 			if c != nil {
@@ -404,7 +325,6 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			_ = conns[i].Close()
 			conns[i] = nil
 		}
-		pendings[i] = nil
 	}
 
 	w0 := cfg.Learner.Params()
@@ -441,7 +361,6 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 				cm.redialAttempts.Inc()
 				if c, err := dialPS(&cfg, i, cfg.Servers[i], cfg.Learner.Params(), tm); err == nil {
 					conns[i] = c
-					pendings[i] = nil
 					cm.redialsOK.Inc()
 					if cfg.Logger != nil {
 						cfg.Logger.Info("client redial", "client", cfg.ID, "round", round, "ps", i)
@@ -585,8 +504,16 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 
 		// Model dissemination stage: receive one global model per live
 		// PS, in parallel so a slow or silent server costs one timeout,
-		// not P of them.
-		results := make([]recvResult, p)
+		// not P of them. Each PS's model is its round marker, read by the
+		// barrier reader a PS runs on its uploads, under the sync rules: a
+		// past-round frame is skipped, a future-round one stays on its
+		// connection for the next round, and a strict client fails on
+		// either.
+		rr := &roundReader{
+			want: transport.TypeGlobalModel, tolerant: tolerant, skipped: cm.framesSkipped,
+			decide: func(origin int) sched.Decision { return sched.DecideAt(sched.Sync, round, origin, 0) },
+		}
+		results := make([]roundRecv, p)
 		var recvStart time.Time
 		if obsOn {
 			recvStart = time.Now()
@@ -599,7 +526,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			wg.Add(1)
 			go func(i int, conn *transport.Conn) {
 				defer wg.Done()
-				results[i] = recvModel(conn, &pendings[i], i, round, len(w0), tolerant, cm.framesSkipped)
+				results[i] = readRound(rr, i, conn, time.Time{})
 			}(i, conn)
 		}
 		wg.Wait()
@@ -609,30 +536,36 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		}
 
 		// Model filter over the P' ≤ P models that arrived, in ascending
-		// server order (bitwise engine parity when P' = P). The filter
-		// consumes the payload views directly — sparse or quantized
-		// downlinks are never densified per model; the fused kernels
-		// gather coordinates out of the views (bit-identical to
-		// decode-then-aggregate, see aggregate.Run).
+		// server order (bitwise engine parity when P' = P). Every model
+		// must have the client's own dimension: a checksummed model of
+		// any other size is a PS lying on the wire, degraded like a
+		// malformed payload — it used up that PS's round — by a tolerant
+		// client and fatal on a strict one. The filter consumes the
+		// payload views directly — sparse or quantized downlinks are
+		// never densified per model; the fused kernels gather coordinates
+		// out of the views (bit-identical to decode-then-aggregate, see
+		// aggregate.Run).
 		received := make([]compress.Payload, 0, p)
-		for i := range conns {
-			if conns[i] == nil {
-				continue
+		from := make([]int, 0, p) // the PS each received model came from
+		for i, r := range results {
+			if conns[i] == nil || (!r.dead && len(r.entries) == 0) {
+				continue // no connection, or a missed model: the frame was lost, not the peer
 			}
-			r := results[i]
+			err := r.err
+			if err == nil && r.entries[0].View.Dim() != len(w0) {
+				err = fmt.Errorf("global model dimension %d, want %d", r.entries[0].View.Dim(), len(w0))
+			}
 			switch {
-			case r.dead || (r.missing && !tolerant):
-				if !tolerant {
-					return stats, fmt.Errorf("node: client %d round %d recv from PS %d: %w", cfg.ID, round, i, r.err)
-				}
-				if r.dead {
-					markDead(i)
-				}
-			case r.missing:
-				// Keep the connection: the frame was lost, not the peer.
-			default:
-				received = append(received, r.pl)
+			case err == nil:
+				received = append(received, r.entries[0].View)
+				from = append(from, i)
 				st.DownloadBytes += r.bytes
+			case !tolerant:
+				return stats, fmt.Errorf("node: client %d round %d recv from PS %d: %w", cfg.ID, round, i, err)
+			case r.dead:
+				markDead(i)
+			default:
+				cm.framesSkipped.Inc()
 			}
 		}
 		got := len(received)
@@ -647,19 +580,17 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			// Observers see dense vectors; densify only when someone is
 			// actually watching.
 			dense := make(map[int][]float64, got)
-			for i, r := range results {
-				if r.model {
-					dense[i] = r.pl.DenseView()
-				}
+			for j, pl := range received {
+				dense[from[j]] = pl.DenseView()
 			}
 			cfg.OnRound(round, dense, res.Out)
 		}
 		// The models are dead: the filter's output is its own buffer and
 		// SetParams copied it. Their frames' buffers go back to the
 		// connections for the next round's models.
-		for i, r := range results {
-			if r.model {
-				conns[i].Release(r.msg)
+		for _, r := range results {
+			for _, m := range r.frames {
+				r.conn.Release(m)
 			}
 		}
 

@@ -51,11 +51,6 @@ import (
 // Timeout zero.
 const DefaultTimeout = 10 * time.Second
 
-// maxBadFrames bounds how many consecutive corrupt or stale frames a
-// tolerant reader skips before declaring the peer missing for the
-// round, so a flood of garbage cannot stall a round forever.
-const maxBadFrames = 8
-
 // DefaultHelloDeadline bounds a new connection's hello handshake when
 // PSConfig.HelloDeadline is zero. It is deliberately much shorter than
 // DefaultTimeout: a peer that cannot produce a tiny hello within a
@@ -223,9 +218,6 @@ type PS struct {
 	// v2ok[id] records whether client id's hello advertised v2 codec
 	// frames; only those clients may receive an encoded downlink.
 	v2ok []bool
-	// parked[id] holds a future-round frame read early from client id by
-	// a sync barrier (see recvRound); it never outlives its connection.
-	parked []*transport.Message
 
 	// om is where this server counts: Stats reads every PSStats field
 	// from it. It lives on cfg.Obs, or on a private registry when Obs is
@@ -518,7 +510,6 @@ func (p *PS) Serve() error {
 	}()
 
 	conns := make([]*transport.Conn, p.cfg.Clients)
-	p.parked = make([]*transport.Message, p.cfg.Clients)
 	p.v2ok = make([]bool, p.cfg.Clients)
 	defer func() {
 		for _, c := range conns {
@@ -843,178 +834,6 @@ func (p *PS) drainAccepts(results <-chan acceptResult, handshakes *sync.WaitGrou
 	}
 }
 
-// roundRecv is one connection's contribution to a round: the uploads
-// admitted up to (and including) its round marker — the frame tagged
-// with the current round — plus the spill records of any future-round
-// models that prove the marker lost. Everything fully received before a
-// failure is reported, so a connection that delivers valid stale
-// uploads and then dies still has them admitted and its bytes tallied.
-type roundRecv struct {
-	client  int
-	conn    *transport.Conn
-	entries []sched.Entry
-	// frames are the messages entries view, released to conn once the
-	// round's aggregate is computed.
-	frames   []*transport.Message
-	deferred []spill.Record
-	bytes    int // model payload bytes on the wire
-	floats   int // float64-equivalent wire elements (ModelWireFloats)
-	dropped  int // models past the staleness bound
-	// missed marks a round whose marker never arrived (timeout, too much
-	// corruption, a malformed marker payload, or a client already a
-	// round ahead); the connection stays live. expired narrows that to a
-	// window-deadline hit.
-	missed, expired bool
-	// dead marks an unrecoverable connection; err says why.
-	dead bool
-	err  error
-}
-
-func (r *roundRecv) tally(m *transport.Message) {
-	r.bytes += m.ModelWireBytes()
-	r.floats += m.ModelWireFloats()
-}
-
-// recvRound reads client id's frames for the current round until its
-// round marker arrives, the deadline passes, or the connection fails.
-// The scheduler rules on every frame: stale ones within the bound are
-// admitted down-weighted, a future-round one means this round's marker
-// was lost, and anything older is inadmissible. A zero deadline is the
-// sync barrier — every frame gets the connection's own Timeout, and a
-// timeout is a client fault; a non-zero one is the async window — the
-// reader narrows the per-frame timeout toward it before each Recv
-// (Recv re-arms conn.Timeout itself; see transport.Conn), and hitting
-// it is an expiry, the expected face of a straggler, never a fault.
-func (p *PS) recvRound(id int, conn *transport.Conn, deadline time.Time) roundRecv {
-	out := roundRecv{client: id, conn: conn}
-	windowed := !deadline.IsZero()
-	saved := conn.Timeout
-	defer func() { conn.Timeout = saved }()
-	// skip counts one unreadable or inadmissible frame against
-	// maxBadFrames and reports whether the reader should give up on
-	// this round's marker.
-	bad := 0
-	skip := func() bool {
-		p.om.framesSkipped.Inc()
-		bad++
-		return bad >= maxBadFrames
-	}
-	for {
-		// A frame parked by an earlier barrier (see Defer below) is
-		// consumed before the socket is read again.
-		m := p.parked[id]
-		p.parked[id] = nil
-		var err error
-		if m == nil {
-			if windowed {
-				remain := time.Until(deadline)
-				if remain <= 0 {
-					out.missed, out.expired = true, true
-					return out
-				}
-				if saved > 0 {
-					remain = min(remain, saved)
-				}
-				conn.Timeout = remain
-			}
-			m, err = conn.Recv()
-		}
-		if err != nil {
-			switch {
-			case isUnreadable(err) && p.cfg.Tolerant:
-				// The stream is still frame-aligned: skip the mangled
-				// frame and keep reading.
-				if !skip() {
-					continue
-				}
-				out.missed = true
-			case isTimeout(err) && windowed:
-				out.missed, out.expired = true, true
-			case isTimeout(err) && p.cfg.Tolerant:
-				out.missed = true
-			default:
-				out.dead, out.err = true, err
-			}
-			return out
-		}
-		d := p.sc.Decide(int(m.Round))
-		// Outside the current round only a window or a tolerant barrier
-		// has a use for the frame; the strict barrier is the paper's
-		// synchronous model, where it is a protocol violation.
-		if m.Type != transport.TypeUpload || (d.Outcome != sched.Accept && !windowed && !p.cfg.Tolerant) {
-			out.dead = true
-			out.err = fmt.Errorf("unexpected %s (round %d) from client %d", m.Type, m.Round, id)
-			return out
-		}
-		model := m.Flag == 1
-		switch d.Outcome {
-		case sched.Accept, sched.AcceptStale:
-			marker := d.Outcome == sched.Accept
-			if model {
-				pl, perr := m.ModelPayload()
-				switch {
-				case perr == nil:
-					out.entries = append(out.entries, sched.Entry{
-						Client: id, Origin: int(m.Round), Stale: d.Staleness, Weight: d.Weight, View: pl,
-					})
-					out.frames = append(out.frames, m)
-					out.tally(m)
-				case !p.cfg.Tolerant:
-					out.dead, out.err = true, perr
-					return out
-				default:
-					// The frame checksummed, so a malformed codec payload
-					// is a sender lying on the wire, not line noise.
-					// Tolerant mode degrades it to a miss (the marker is
-					// consumed) or one more skipped stale frame.
-					if giveUp := skip(); marker || giveUp {
-						out.missed = true
-						return out
-					}
-				}
-			}
-			if marker {
-				return out // the marker closes this connection's round
-			}
-		case sched.Defer:
-			// This round's marker was lost and the client has moved on.
-			// With a spill buffer the model is parked there for replay
-			// when its round opens; without one the frame itself is kept
-			// — it is the marker of a later barrier.
-			if p.spill == nil {
-				p.parked[id] = m
-			} else if model {
-				rec := spill.Record{Client: id, Server: p.cfg.ID, Origin: int(m.Round), Due: int(m.Round)}
-				if m.Payload != nil {
-					rec.Enc, rec.Data = byte(m.Enc), m.Payload
-				} else {
-					rec.Enc, rec.Data = byte(compress.EncDense), compress.DenseWire(m.Vec)
-				}
-				out.deferred = append(out.deferred, rec)
-				out.tally(m)
-			}
-			out.missed = true
-			return out
-		case sched.DropStale:
-			conn.Release(m) // only counted, never read
-			if windowed {
-				// A late upload the client counted as sent; the window
-				// deadline bounds how many of these a round can read.
-				if model {
-					out.tally(m)
-					out.dropped++
-				}
-			} else if skip() {
-				// Under a barrier a past-round frame is a duplicated or
-				// delayed one, and each re-arms the per-frame timeout —
-				// so it counts against the garbage bound.
-				out.missed = true
-				return out
-			}
-		}
-	}
-}
-
 // serveRound is one round of the lifecycle, the same pipeline in both
 // modes: replay the spill, read every connection up to its round
 // marker (receive), let the scheduler rule on each frame (decide), park
@@ -1048,6 +867,10 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	if w := p.sc.Window(); w > 0 {
 		deadline = time.Now().Add(w)
 	}
+	rr := &roundReader{
+		want: transport.TypeUpload, tolerant: p.cfg.Tolerant, decide: p.sc.Decide,
+		spill: p.spill != nil, server: p.cfg.ID, skipped: p.om.framesSkipped,
+	}
 	live := 0
 	results := make(chan roundRecv, len(conns))
 	waiting := make([]bool, len(conns))
@@ -1058,7 +881,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		live++
 		waiting[id] = true
 		go func(id int, conn *transport.Conn) {
-			results <- p.recvRound(id, conn, deadline)
+			results <- readRound(rr, id, conn, deadline)
 		}(id, conn)
 	}
 	if live == 0 {
@@ -1073,7 +896,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	capped := make([]bool, len(conns))
 	for i := 0; i < live; i++ {
 		r := <-results
-		waiting[r.client] = false
+		waiting[r.peer] = false
 		if i == 0 && p.cfg.Tolerant && deadline.IsZero() {
 			// Straggler cap of the tolerant barrier. The first result
 			// proves this round's uploads are flowing, so holdouts — in
@@ -1101,13 +924,12 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		switch {
 		case r.dead && !p.cfg.Tolerant:
 			if firstErr == nil {
-				firstErr = fail("client %d: %w", r.client, r.err)
+				firstErr = fail("client %d: %w", r.peer, r.err)
 			}
 			continue
 		case r.dead:
-			_ = conns[r.client].Close()
-			conns[r.client] = nil
-			p.parked[r.client] = nil
+			_ = conns[r.peer].Close()
+			conns[r.peer] = nil
 			t.lost++
 			t.missed++
 		case r.missed:
@@ -1376,19 +1198,4 @@ func (p *PS) disseminate(round int, conns []*transport.Conn, t roundTally) error
 			obs.Event{Round: round, Node: fmt.Sprintf("ps%d", p.cfg.ID), Name: "ps_round", Fields: fields})
 	}
 	return nil
-}
-
-// isUnreadable reports whether err rejected one mangled frame (bad
-// checksum, MAC or payload) on a stream that is still frame-aligned,
-// so a tolerant reader can skip the frame and keep reading.
-func isUnreadable(err error) bool {
-	return errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadMAC) ||
-		errors.Is(err, transport.ErrBadPayload)
-}
-
-// isTimeout reports whether err is a network timeout (deadline
-// exceeded), as opposed to a dead connection.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -37,7 +37,6 @@ func pipePS(t *testing.T, cfg PSConfig, seed []float64) (p *PS, srv, cli []*tran
 	})
 	p.srv = p.newServer(seed)
 	p.v2ok = make([]bool, cfg.Clients)
-	p.parked = make([]*transport.Message, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		s, c := net.Pipe()
 		sc, cc := transport.NewConn(s), transport.NewConn(c)
@@ -458,4 +457,231 @@ func TestPSOneMemberAggregateSurvivesBufferReuse(t *testing.T) {
 	if st := p.Stats(); st.UploadsReceived != 2 || st.UploadsMissed != 0 {
 		t.Fatalf("stats = %+v, want 2 uploads received and none missed", st)
 	}
+}
+
+// TestPSSyncBarrierReadAhead pins the PS half of the sync barrier's
+// one-frame read-ahead: client 0's round-0 upload is lost and the
+// barrier reads its round-1 upload instead. Round 0 counts that client
+// missed without dropping its connection, and round 1 admits the frame
+// it already holds — client 0 never sends it again.
+func TestPSSyncBarrierReadAhead(t *testing.T) {
+	a := []float64{1, 2, 3, 4}
+	b := []float64{5, 6, 7, 8}
+	p, srv, cli := pipePS(t, PSConfig{
+		ID: 0, Clients: 2, Rounds: 2, Tolerant: true, Timeout: 5 * time.Second,
+	}, make([]float64, len(a)))
+	upload := func(r int, vec []float64) *transport.Message {
+		return &transport.Message{Type: transport.TypeUpload, Round: uint32(r), Flag: 1, Vec: vec}
+	}
+	// Each client sends its script, receiving after every marker; the
+	// models it receives land in got, one per round.
+	got := [2][][]float64{}
+	var wg sync.WaitGroup
+	play := func(id int, ups ...*transport.Message) {
+		defer wg.Done()
+		for r := 0; r < 2; r++ {
+			if r < len(ups) && ups[r] != nil {
+				if err := cli[id].Send(ups[r]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			m, err := cli[id].Recv()
+			if err != nil || m.Round != uint32(r) {
+				t.Errorf("client %d round %d: got %v, %v", id, r, m, err)
+				return
+			}
+			got[id] = append(got[id], m.Vec)
+		}
+	}
+	wg.Add(2)
+	go play(0, upload(1, a)) // round 0's upload lost; round 1's sent once
+	go play(1, upload(0, b), upload(1, b))
+
+	if err := p.serveRound(0, srv); err != nil {
+		t.Fatalf("round 0: %v", err)
+	}
+	if st := p.Stats(); st.UploadsReceived != 1 || st.UploadsMissed != 1 || st.ClientsLost != 0 || srv[0] == nil {
+		t.Fatalf("round 0 stats = %+v, want 1 received, 1 missed, none lost", st)
+	}
+	p.sc.Advance()
+	if err := p.serveRound(1, srv); err != nil {
+		t.Fatalf("round 1: %v", err)
+	}
+	wg.Wait()
+	if st := p.Stats(); st.UploadsReceived != 3 || st.UploadsMissed != 1 {
+		t.Fatalf("stats = %+v, want 3 received, 1 missed: round 1 lost the frame read ahead", st)
+	}
+	for id := range got {
+		if len(got[id]) != 2 || !slices.Equal(got[id][0], b) {
+			t.Fatalf("client %d models %v, want round 0 = %v", id, got[id], b)
+		}
+		for j, x := range got[id][1] {
+			if want := (a[j] + b[j]) / 2; x != want {
+				t.Fatalf("client %d round 1 [%d] = %v, want %v", id, j, x, want)
+			}
+		}
+	}
+}
+
+// TestClientSyncBarrierReadAhead is the client half: a PS whose
+// round-0 model was lost has already broadcast round 1's when the
+// client reads it. The tolerant client counts that PS missing in round
+// 0, keeps the connection, and receives the held frame as its round-1
+// model.
+func TestClientSyncBarrierReadAhead(t *testing.T) {
+	const p = 3
+	learner := makeLearners(t, 1, 43)[0]
+	dim := len(learner.Params())
+	servers, wait := fakeServers(t, p, 2, func(ps, round int) []*transport.Message {
+		if ps == p-1 {
+			if round == 0 {
+				return []*transport.Message{globalModel(1, dim, ps)}
+			}
+			return nil // round 1's model already went out
+		}
+		return []*transport.Message{globalModel(round, dim, ps)}
+	})
+	reg := obs.NewRegistry()
+	arrived := make([][]int, 2)
+	stats, err := RunClient(ClientConfig{
+		ID: 0, Learner: learner, Servers: servers, Rounds: 2, LocalSteps: 1,
+		Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
+		Timeout: 5 * time.Second, MinModels: p - 1, Obs: reg,
+		OnRound: func(round int, received map[int][]float64, _ []float64) {
+			for ps := range received {
+				arrived[round] = append(arrived[round], ps)
+			}
+			slices.Sort(arrived[round])
+		},
+	})
+	wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].ModelsReceived != p-1 || !stats[0].Degraded || !slices.Equal(arrived[0], []int{0, 1}) {
+		t.Fatalf("round 0: %d models from %v, want PSs [0 1]", stats[0].ModelsReceived, arrived[0])
+	}
+	if stats[1].ModelsReceived != p || !slices.Equal(arrived[1], []int{0, 1, 2}) {
+		t.Fatalf("round 1: %d models from %v, want all %d: the frame read ahead was lost", stats[1].ModelsReceived, arrived[1], p)
+	}
+	if n := reg.Counter(`fedms_client_frames_skipped_total{client="0"}`).Value(); n != 0 {
+		t.Fatalf("frames_skipped = %d, want 0", n)
+	}
+	for j, x := range learner.Params() {
+		if x != 2 { // the mean of PS values 1, 2, 3
+			t.Fatalf("round 1 filtered[%d] = %v, want 2", j, x)
+		}
+	}
+}
+
+// TestClientUnusableModelEndsPeersRound: a PS sends a checksummed model
+// the client cannot use — the wrong dimension, or a malformed codec
+// payload — and then stays silent, as an honest PS would after its one
+// broadcast. The frame is that PS's round marker: a tolerant client
+// uses it up, counts the PS missed for the round and keeps the
+// connection, instead of waiting out its Timeout for a second model.
+func TestClientUnusableModelEndsPeersRound(t *testing.T) {
+	const p, liar, timeout = 4, 3, 4 * time.Second
+	for _, kind := range []string{"dimension", "payload"} {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			learner := makeLearners(t, 1, 47)[0]
+			dim := len(learner.Params())
+			servers, wait := fakeServers(t, p, 2, func(ps, round int) []*transport.Message {
+				m := globalModel(round, dim, ps)
+				if ps == liar && round == 0 {
+					if kind == "dimension" {
+						m = globalModel(round, dim+5, ps)
+					} else {
+						m.Vec, m.Enc, m.Payload = nil, compress.EncDense, make([]byte, 8*dim-3)
+					}
+				}
+				return []*transport.Message{m}
+			})
+			reg := obs.NewRegistry()
+			start := time.Now()
+			var firstRound time.Duration
+			stats, err := RunClient(ClientConfig{
+				ID: 0, Learner: learner, Servers: servers, Rounds: 2, LocalSteps: 1,
+				Filter: aggregate.TrimmedMean{Beta: 0.25}, Schedule: nn.ConstantLR(0.1),
+				Timeout: timeout, MinModels: p - 1, Obs: reg,
+				OnRound: func(round int, _ map[int][]float64, _ []float64) {
+					if round == 0 {
+						firstRound = time.Since(start)
+					}
+				},
+			})
+			wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if firstRound >= timeout/2 {
+				t.Fatalf("round 0 took %v, want under %v: the client waited for a second model", firstRound, timeout/2)
+			}
+			if n := reg.Counter(`fedms_client_frames_skipped_total{client="0"}`).Value(); n != 1 {
+				t.Fatalf("frames_skipped = %d, want 1", n)
+			}
+			if stats[0].ModelsReceived != p-1 || stats[1].ModelsReceived != p {
+				t.Fatalf("models received %d then %d, want %d then %d (connection kept)",
+					stats[0].ModelsReceived, stats[1].ModelsReceived, p-1, p)
+			}
+		})
+	}
+}
+
+// globalModel is PS ps's round-r model: dim coordinates, each ps+1.
+func globalModel(round, dim, ps int) *transport.Message {
+	vec := make([]float64, dim)
+	for j := range vec {
+		vec[j] = float64(ps + 1)
+	}
+	return &transport.Message{Type: transport.TypeGlobalModel, Round: uint32(round), Sender: uint32(ps), Vec: vec}
+}
+
+// fakeServers starts p scripted PSs for one client and returns their
+// addresses and a wait for them to finish. Each reads the client's two
+// hello frames, then per round one upload, answered with reply(ps,
+// round); after the last round it stays connected and silent until the
+// client hangs up.
+func fakeServers(t *testing.T, p, rounds int, reply func(ps, round int) []*transport.Message) ([]string, func()) {
+	t.Helper()
+	servers := make([]string, p)
+	var wg sync.WaitGroup
+	for i := range servers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = ln.Addr().String()
+		wg.Add(1)
+		go func(ps int) {
+			defer wg.Done()
+			defer ln.Close()
+			raw, err := ln.Accept()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn := transport.NewConn(raw)
+			defer conn.Close()
+			conn.Timeout = 30 * time.Second
+			for i := 0; i < 2+rounds; i++ {
+				if _, err := conn.Recv(); err != nil {
+					t.Errorf("PS %d: %v", ps, err)
+					return
+				}
+				if round := i - 2; round >= 0 {
+					for _, m := range reply(ps, round) {
+						if err := conn.Send(m); err != nil {
+							t.Errorf("PS %d: %v", ps, err)
+							return
+						}
+					}
+				}
+			}
+			_, _ = conn.Recv() // silent until the client hangs up
+		}(i)
+	}
+	return servers, wg.Wait
 }

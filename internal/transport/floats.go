@@ -69,7 +69,7 @@ type vecPool struct {
 // pooledVecs bounds a Conn's free list. One is the steady state of
 // both roles — a client releases each PS's model before the next
 // round's arrives, a PS releases a round's uploads before reading the
-// next — and the second absorbs a frame read while one is parked.
+// next — and the second covers a frame held back by Conn.Unread.
 const pooledVecs = 2
 
 // get returns a vector of length n: a released one with room, else a

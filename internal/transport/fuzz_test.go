@@ -3,13 +3,20 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"net"
 	"testing"
+	"time"
 
 	"fedms/internal/compress"
 )
 
 // FuzzDecode asserts the wire decoder never panics and never returns a
-// frame that fails invariants, no matter what bytes arrive.
+// frame that fails invariants, no matter what bytes arrive — and that a
+// Conn, whose dense models decode into recycled buffers, reads every
+// input exactly as DecodeBounded does.
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(&Message{Type: TypeUpload}))
 	f.Add(Encode(&Message{Type: TypeUpload, Round: 3, Sender: 1, Flag: 1, Vec: []float64{1, 2, 3}}))
@@ -102,6 +109,7 @@ func FuzzDecode(f *testing.F) {
 		// maxima after). Fuzzing the bounded path keeps a forged 512 MB
 		// length claim from being materialized on every mutation.
 		m, err := DecodeBounded(bytes.NewReader(data), fuzzCap)
+		recvPooled(t, data, fuzzCap, m, err)
 		if err != nil {
 			return
 		}
@@ -120,4 +128,74 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("v2 payload not idempotent across decode/encode/decode")
 		}
 	})
+}
+
+// recvPooled reads data through a Conn under the same body cap, after a
+// primer frame whose model buffer was released: a dense model of up to
+// 64 coordinates is decoded into recycled memory full of sentinel NaNs.
+// The Conn must accept or reject exactly as DecodeBounded did (want,
+// wantErr), with bit-identical fields and nothing left over from the
+// recycled buffer. A frame handed back with Unread must come out of the
+// next Recv as the same message, without a read or a deadline.
+func recvPooled(t *testing.T, data []byte, maxBody int, want *Message, wantErr error) {
+	primer := make([]float64, 64)
+	for i := range primer {
+		primer[i] = math.Float64frombits(0x7FF8DEAD00000000 | uint64(i))
+	}
+	nc := &countingNetConn{r: io.MultiReader(
+		bytes.NewReader(Encode(&Message{Type: TypeGlobalModel, Vec: primer})), bytes.NewReader(data))}
+	c := NewConn(nc)
+	c.Timeout = time.Minute
+	old, err := c.Recv()
+	if err != nil {
+		t.Fatalf("primer frame: %v", err)
+	}
+	c.Release(old)
+	c.SetMaxBodyLen(maxBody)
+	got, err := c.Recv()
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("Conn.Recv error %v, DecodeBounded error %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if got.Type != want.Type || got.Round != want.Round || got.Sender != want.Sender ||
+		got.Flag != want.Flag || got.Text != want.Text || got.Stale != want.Stale ||
+		got.Enc != want.Enc || !bytes.Equal(got.Payload, want.Payload) ||
+		(got.Payload == nil) != (want.Payload == nil) || len(got.Vec) != len(want.Vec) {
+		t.Fatalf("Conn.Recv read %+v, DecodeBounded %+v", got, want)
+	}
+	for i := range got.Vec {
+		if math.Float64bits(got.Vec[i]) != math.Float64bits(want.Vec[i]) {
+			t.Fatalf("Vec[%d] bits %#x, want %#x: recycled buffer leaked through",
+				i, math.Float64bits(got.Vec[i]), math.Float64bits(want.Vec[i]))
+		}
+	}
+	reads, arms := nc.reads, nc.arms
+	c.Unread(got)
+	again, err := c.Recv()
+	if err != nil || again != got {
+		t.Fatalf("Recv after Unread = %p, %v; want the unread message %p", again, err, got)
+	}
+	if nc.reads != reads || nc.arms != arms {
+		t.Fatalf("Recv after Unread did I/O: %d reads, %d deadlines", nc.reads-reads, nc.arms-arms)
+	}
+}
+
+// countingNetConn is a net.Conn whose reads come from r; it counts
+// every Read and every read deadline armed.
+type countingNetConn struct {
+	net.Conn
+	r           io.Reader
+	reads, arms int
+}
+
+func (c *countingNetConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+func (c *countingNetConn) SetReadDeadline(time.Time) error {
+	c.arms++
+	return nil
 }

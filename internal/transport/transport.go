@@ -177,6 +177,13 @@ func (m *Message) ModelPayload() (compress.Payload, error) {
 	return p, nil
 }
 
+// CarriesModel reports whether the frame carries a model: a global
+// model always does, an upload only with flag 1 (flag 0 is the sparse
+// barrier's empty skip frame).
+func (m *Message) CarriesModel() bool {
+	return m.Type == TypeGlobalModel || (m.Type == TypeUpload && m.Flag == 1)
+}
+
 // ModelWireBytes reports the bytes the model occupied on the wire
 // (dense vectors count 8 per coordinate, v2 frames their payload size).
 func (m *Message) ModelWireBytes() int {
@@ -504,6 +511,7 @@ type Conn struct {
 	maxBody int           // per-frame body cap for Recv (see SetMaxBodyLen)
 	scratch frameScratch  // per-conn header and checksum scratch (one alloc/frame saved)
 	vecs    vecPool       // dense model buffers handed back by Release
+	unread  *Message      // a frame handed back by Unread, the next Recv's result
 
 	sendMu sync.Mutex
 	recvMu sync.Mutex
@@ -556,12 +564,16 @@ func (c *Conn) Send(m *Message) error {
 }
 
 // Recv reads one frame (verifying its HMAC tag when a key is
-// configured). A dense model may be decoded into a buffer an earlier
+// configured), or returns the frame Unread handed back. A dense model may be decoded into a buffer an earlier
 // message handed back through Release; a message that is never
 // released keeps its buffer for good.
 func (c *Conn) Recv() (*Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
+	if m := c.unread; m != nil {
+		c.unread = nil
+		return m, nil
+	}
 	if err := c.armRecv(); err != nil {
 		return nil, err
 	}
@@ -597,6 +609,18 @@ func (c *Conn) Release(m *Message) {
 	}
 	c.vecs.put(m.Vec)
 	m.Vec = nil
+}
+
+// Unread hands m, a message Recv returned on c, back to the
+// connection: the next Recv returns m itself without reading the wire,
+// arming a deadline or counting the frame again. It is a one-frame
+// read-ahead — a reader that took a frame meant for a later caller
+// puts it back — so the slot holds one message, and the message goes
+// away with the connection.
+func (c *Conn) Unread(m *Message) {
+	c.recvMu.Lock()
+	c.unread = m
+	c.recvMu.Unlock()
 }
 
 // SetMaxBodyLen caps the body bytes (text + model + checksum) a single
