@@ -73,7 +73,11 @@ test:
 # tenth: both runtimes run the same core.Server and core.Client, so the
 # role tests and the engine ≡ distributed legs that drive a Byzantine
 # server's history, an idle server, a Byzantine client and an upload
-# codec through them fail by name. The
+# codec through them fail by name. The barrier tier runs eleventh: both
+# roles gather a round through one barrier (a reader goroutine per
+# connection, the straggler cap, the read-ahead slot), so its
+# read-ahead, late-death, unusable-model, straggler-cap and
+# lowest-failing-peer tests fail by name under the race detector. The
 # final full-suite stage skips the union of the named race stages'
 # patterns, so every test runs under -race exactly once.
 RACE_GEMM    = Gemm|TestFor$$
@@ -89,7 +93,8 @@ RACE_CLI     = FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNode
 RACE_DERIVE  = TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin
 RACE_FILTER  = TestDistributedMatchesEngine(Clean|UnderNoiseAttack|EquivocatingAttack)$$|TestDistributedDownlinkCodecMatchesEngine|TestEngineFiltersEachReceivedSetOnce
 RACE_ROLES   = TestRole|TestDistributedHistoryAttackParity|TestDistributedIdleServerMatchesEngine|TestDistributedByzantineClientParity|TestDistributedUploadCodecMatchesEngine
-RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_PART)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)|$(RACE_ROLES)
+RACE_BARRIER = TestPSSyncBarrierReadAhead|TestClientSyncBarrierReadAhead|TestPSLateDeathKeepsAdmittedFrames|TestClientUnusableModelEndsPeersRound|TestPSDeadPeerDoesNotArmStragglerCap|TestPSStrictBarrierNamesLowestFailingClient|TestClientBarrierIsNeverCapped
+RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_PART)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)|$(RACE_ROLES)|$(RACE_BARRIER)
 
 verify:
 	$(GO) vet ./...
@@ -107,6 +112,7 @@ verify:
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/
 	$(GO) test -race -run '$(RACE_ROLES)' ./internal/core/ ./internal/node/
+	$(GO) test -race -run '$(RACE_BARRIER)' ./internal/node/
 	$(GO) test -race -skip '$(RACE_STAGES)' ./...
 
 # The paper's figures as a golden: regenerate every committed file in

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"fedms/internal/aggregate"
@@ -421,62 +420,65 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			}
 		}
 
+		// send puts one upload frame on PS i's connection and reports
+		// whether it went out: a failed send is fatal to a strict client
+		// and retires the PS on a tolerant one.
+		send := func(i int, msg *transport.Message) (bool, error) {
+			if conns[i] == nil {
+				return false, nil
+			}
+			if err := conns[i].Send(msg); err != nil {
+				if !tolerant {
+					return false, fmt.Errorf("node: client %d round %d upload to PS %d: %w", cfg.ID, round, i, err)
+				}
+				markDead(i)
+				return false, nil
+			}
+			if msg.Flag == 1 {
+				st.UploadBytes += msg.ModelWireBytes()
+			}
+			return true, nil
+		}
+
 		// Deliver backlog entries that have come due, before this round's
 		// markers so each PS reads stale frames first and the marker still
 		// closes its connection's round. The PS rules on admission (the
 		// staleness bound lives there); a due entry whose every target
 		// died is abandoned.
-		if cfg.Async && len(backlog) > 0 {
-			kept := backlog[:0]
-			for _, b := range backlog {
-				if b.due > round {
-					kept = append(kept, b)
+		kept := backlog[:0]
+		for _, b := range backlog {
+			if b.due > round {
+				kept = append(kept, b)
+				continue
+			}
+			sent := false
+			for i := range conns {
+				if b.to >= 0 && i != b.to {
 					continue
 				}
-				stale := round - b.origin
-				if stale > 255 {
-					stale = 255
+				ok, err := send(i, &transport.Message{
+					Type: transport.TypeUpload, Round: uint32(b.origin), Sender: uint32(cfg.ID),
+					Flag: 1, Stale: uint8(min(round-b.origin, 255)), Enc: b.enc, Payload: b.data,
+				})
+				if err != nil {
+					return stats, err
 				}
-				sent := false
-				for i, conn := range conns {
-					if conn == nil || (b.to >= 0 && i != b.to) {
-						continue
-					}
-					msg := &transport.Message{
-						Type:    transport.TypeUpload,
-						Round:   uint32(b.origin),
-						Sender:  uint32(cfg.ID),
-						Flag:    1,
-						Stale:   uint8(stale),
-						Enc:     b.enc,
-						Payload: b.data,
-					}
-					if err := conn.Send(msg); err != nil {
-						if !tolerant {
-							return stats, fmt.Errorf("node: client %d round %d stale upload to PS %d: %w", cfg.ID, round, i, err)
-						}
-						markDead(i)
-						continue
-					}
+				if ok {
 					sent = true
-					st.UploadBytes += msg.ModelWireBytes()
 					st.StaleUploads++
 					cm.staleSent.Inc()
 				}
-				if !sent {
-					st.DroppedUploads++
-					cm.uploadsDropped.Inc()
-				}
 			}
-			backlog = kept
+			if !sent {
+				st.DroppedUploads++
+				cm.uploadsDropped.Inc()
+			}
 		}
+		backlog = kept
 
 		// Model aggregation stage: one real upload (sparse) or P (full);
 		// empty skip frames complete the PS-side barrier.
-		for i, conn := range conns {
-			if conn == nil {
-				continue
-			}
+		for i := range conns {
 			msg := &transport.Message{
 				Type:   transport.TypeUpload,
 				Round:  uint32(round),
@@ -490,46 +492,27 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 					msg.Vec = params
 				}
 			}
-			if err := conn.Send(msg); err != nil {
-				if !tolerant {
-					return stats, fmt.Errorf("node: client %d round %d upload to PS %d: %w", cfg.ID, round, i, err)
-				}
-				markDead(i)
-				continue
-			}
-			if msg.Flag == 1 {
-				st.UploadBytes += msg.ModelWireBytes()
+			if _, err := send(i, msg); err != nil {
+				return stats, err
 			}
 		}
 
 		// Model dissemination stage: receive one global model per live
-		// PS, in parallel so a slow or silent server costs one timeout,
-		// not P of them. Each PS's model is its round marker, read by the
-		// barrier reader a PS runs on its uploads, under the sync rules: a
-		// past-round frame is skipped, a future-round one stays on its
-		// connection for the next round, and a strict client fails on
-		// either.
+		// PS through the barrier a PS runs on its uploads, so a slow or
+		// silent server costs one timeout, not P of them. Each PS's model
+		// is its round marker, read under the sync rules: a past-round
+		// frame is skipped, a future-round one stays on its connection
+		// for the next round, and a strict client fails on either. The
+		// client never caps its stragglers.
 		rr := &roundReader{
 			want: transport.TypeGlobalModel, tolerant: tolerant, skipped: cm.framesSkipped,
 			decide: func(origin int) sched.Decision { return sched.DecideAt(sched.Sync, round, origin, 0) },
 		}
-		results := make([]roundRecv, p)
 		var recvStart time.Time
 		if obsOn {
 			recvStart = time.Now()
 		}
-		var wg sync.WaitGroup
-		for i, conn := range conns {
-			if conn == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, conn *transport.Conn) {
-				defer wg.Done()
-				results[i] = readRound(rr, i, conn, time.Time{})
-			}(i, conn)
-		}
-		wg.Wait()
+		results := barrier(rr, conns, time.Time{})
 		var recvWait time.Duration
 		if obsOn {
 			recvWait = time.Since(recvStart)
@@ -548,7 +531,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		received := make([]compress.Payload, 0, p)
 		from := make([]int, 0, p) // the PS each received model came from
 		for i, r := range results {
-			if conns[i] == nil || (!r.dead && len(r.entries) == 0) {
+			if r.conn == nil || (!r.dead && len(r.entries) == 0) {
 				continue // no connection, or a missed model: the frame was lost, not the peer
 			}
 			err := r.err
@@ -588,11 +571,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		// The models are dead: the filter's output is its own buffer and
 		// SetParams copied it. Their frames' buffers go back to the
 		// connections for the next round's models.
-		for _, r := range results {
-			for _, m := range r.frames {
-				r.conn.Release(m)
-			}
-		}
+		release(results)
 
 		if cfg.EvalEvery > 0 && (round%cfg.EvalEvery == cfg.EvalEvery-1 || round == cfg.Rounds-1) {
 			st.TestLoss, st.TestAcc = cfg.Learner.Evaluate()

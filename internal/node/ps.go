@@ -859,10 +859,11 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		return fail("%w", err)
 	}
 
-	// One reader per connection, all bounded by the same deadline when
-	// the round has a window. In a clean run every marker lands well
-	// inside it and the deadline never fires — wall clock only bounds
-	// the faulty case, keeping seeded runs deterministic.
+	// One barrier over every live connection, bounded by the same
+	// deadline when the round has a window. In a clean run every marker
+	// lands well inside it and the deadline never fires — wall clock only
+	// bounds the faulty case, keeping seeded runs deterministic. Only a
+	// tolerant sync barrier caps its stragglers (see barrier).
 	var deadline time.Time
 	if w := p.sc.Window(); w > 0 {
 		deadline = time.Now().Add(w)
@@ -871,65 +872,29 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		want: transport.TypeUpload, tolerant: p.cfg.Tolerant, decide: p.sc.Decide,
 		spill: p.spill != nil, server: p.cfg.ID, skipped: p.om.framesSkipped,
 	}
-	live := 0
-	results := make(chan roundRecv, len(conns))
-	waiting := make([]bool, len(conns))
-	for id, conn := range conns {
-		if conn == nil {
-			continue
-		}
-		live++
-		waiting[id] = true
-		go func(id int, conn *transport.Conn) {
-			results <- readRound(rr, id, conn, deadline)
-		}(id, conn)
+	if p.cfg.Tolerant && deadline.IsZero() {
+		rr.capAfter = p.cfg.Timeout / 2
 	}
-	if live == 0 {
+	if !slices.ContainsFunc(conns, func(c *transport.Conn) bool { return c != nil }) {
 		return fail("no live clients")
 	}
+	recvs := barrier(rr, conns, deadline)
 
 	t := roundTally{dropped: dropped}
-	recvs := make([]roundRecv, 0, live)
+	if p.obsOn {
+		t.barrierWait = time.Since(barrierStart)
+	}
 	var floatsIn int
 	var deferRecs []spill.Record
-	var firstErr error
-	capped := make([]bool, len(conns))
-	for i := 0; i < live; i++ {
-		r := <-results
-		waiting[r.peer] = false
-		if i == 0 && p.cfg.Tolerant && deadline.IsZero() {
-			// Straggler cap of the tolerant barrier. The first result
-			// proves this round's uploads are flowing, so holdouts — in
-			// practice frames the fault layer dropped — get only
-			// Timeout/2 more before they count as missed. Without this,
-			// a dropped frame stalls the round by the full Timeout,
-			// which is exactly the receive window the OTHER servers
-			// armed for the next round: honest uploads then land on the
-			// deadline to the scheduler's whim, and seeded reruns
-			// diverge. Capping the stall at half the window restores a
-			// Timeout/2 margin, keeping the injected fault schedule the
-			// only source of misses. (A window needs no cap: its
-			// deadline already bounds every reader.) The cap holds for
-			// every Recv until it is dropped below, so a reader that
-			// has not reached Recv yet cannot re-arm the full Timeout
-			// over it.
-			dl := time.Now().Add(p.cfg.Timeout / 2)
-			for id, w := range waiting {
-				if w {
-					_ = conns[id].SetRecvDeadline(dl)
-					capped[id] = true
-				}
-			}
-		}
+	for id, r := range recvs {
 		switch {
+		case r.conn == nil:
+			continue // retired before the round
 		case r.dead && !p.cfg.Tolerant:
-			if firstErr == nil {
-				firstErr = fail("client %d: %w", r.peer, r.err)
-			}
-			continue
+			return fail("client %d: %w", id, r.err)
 		case r.dead:
-			_ = conns[r.peer].Close()
-			conns[r.peer] = nil
+			_ = conns[id].Close()
+			conns[id] = nil
 			t.lost++
 			t.missed++
 		case r.missed:
@@ -938,32 +903,16 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 		if r.expired {
 			t.expired++
 		}
-		recvs = append(recvs, r)
 		entries = append(entries, r.entries...)
 		deferRecs = append(deferRecs, r.deferred...)
 		t.dropped += r.dropped
 		t.bytesIn += r.bytes
 		floatsIn += r.floats
 	}
-	// Every reader has returned: next round's Recvs arm the per-frame
-	// Timeout again.
-	for id, c := range capped {
-		if c && conns[id] != nil {
-			_ = conns[id].SetRecvDeadline(time.Time{})
-		}
-	}
-	if p.obsOn {
-		t.barrierWait = time.Since(barrierStart)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	// Deferred records enter the spill in canonical order, not
+	// Deferred records enter the spill in canonical order — peer order,
+	// as a reader stops at its first future-round model — not
 	// reader-completion order, so the segment content — and the
 	// mem-vs-disk split under a tight MemLimit — is reproducible.
-	slices.SortFunc(deferRecs, func(a, b spill.Record) int {
-		return sched.Compare(a.Client, a.Origin, b.Client, b.Origin)
-	})
 	for _, rec := range deferRecs {
 		if err := p.spill.Add(rec); err != nil {
 			return fail("spill: %w", err)
@@ -1013,11 +962,7 @@ func (p *PS) serveRound(round int, conns []*transport.Conn) error {
 	// The uploads are dead: the aggregate is the server's own buffer,
 	// never a member view. Their frames' buffers go back to the
 	// connections for the next round's uploads.
-	for _, r := range recvs {
-		for _, m := range r.frames {
-			r.conn.Release(m)
-		}
-	}
+	release(recvs)
 	p.om.rounds.Inc()
 	p.om.uploadsRecv.Add(int64(t.members))
 	p.om.uploadsMissed.Add(int64(t.missed))

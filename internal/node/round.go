@@ -33,6 +33,9 @@ type roundReader struct {
 	spill   bool
 	server  int
 	skipped *obs.Counter // frames_skipped of the reading node
+	// capAfter, when positive, is the straggler cap of barrier: the
+	// holdouts' read deadline once the first live connection delivers.
+	capAfter time.Duration
 }
 
 // roundRecv is one connection's contribution to a round: the models
@@ -42,7 +45,6 @@ type roundReader struct {
 // failure is reported, so a connection that delivers valid stale
 // uploads and then dies still has them admitted and its bytes tallied.
 type roundRecv struct {
-	peer    int
 	conn    *transport.Conn
 	entries []sched.Entry // Client is the peer, a server id on a client
 	// frames are the messages entries view, released to conn once the
@@ -67,6 +69,78 @@ func (r *roundRecv) tally(m *transport.Message) {
 	r.floats += m.ModelWireFloats()
 }
 
+// barrier is one round of Algorithm 1's barrier over conns (a nil
+// connection is a retired peer): one readRound per live connection, all
+// bounded by deadline (see readRound), gathered by peer. The result is
+// indexed like conns; a retired peer's entry is zero (conn nil), so a
+// caller walking it meets failures in peer order and a strict node
+// names the lowest failing peer, whatever order the readers finished in.
+//
+// rr.capAfter is the straggler cap of a tolerant sync barrier. Once the
+// first connection that is not dead delivers, this round's frames are
+// provably flowing, so the holdouts — in practice frames the fault layer
+// dropped — get only capAfter more before they count as missed. Without
+// it, a dropped frame stalls the round by the full Timeout, which is
+// exactly the receive window the OTHER servers armed for the next
+// round: honest frames then land on that deadline at the scheduler's
+// whim, and seeded reruns diverge. A dead connection proves nothing
+// about the others, so it never arms the cap. The cap holds for every
+// Recv until all readers have returned (Conn.SetRecvDeadline), so a
+// reader that has not reached Recv yet cannot re-arm the full Timeout
+// over it. A window needs no cap: its deadline already bounds every
+// reader.
+func barrier(rr *roundReader, conns []*transport.Conn, deadline time.Time) []roundRecv {
+	out := make([]roundRecv, len(conns))
+	done := make(chan int, len(conns))
+	waiting := make([]bool, len(conns))
+	live := 0
+	for id, conn := range conns {
+		if conn == nil {
+			continue
+		}
+		live++
+		waiting[id] = true
+		go func() {
+			out[id] = readRound(rr, id, conn, deadline)
+			done <- id
+		}()
+	}
+	capped := false
+	for range live {
+		id := <-done
+		waiting[id] = false
+		if rr.capAfter > 0 && !capped && !out[id].dead {
+			capped = true
+			dl := time.Now().Add(rr.capAfter)
+			for j, w := range waiting {
+				if w {
+					_ = conns[j].SetRecvDeadline(dl)
+				}
+			}
+		}
+	}
+	if capped {
+		// Every reader has returned: the next round's Recvs arm the
+		// per-frame Timeout again.
+		for _, c := range conns {
+			if c != nil {
+				_ = c.SetRecvDeadline(time.Time{})
+			}
+		}
+	}
+	return out
+}
+
+// release hands every frame a round's models viewed back to its
+// connection, once those models are dead.
+func release(rs []roundRecv) {
+	for _, r := range rs {
+		for _, m := range r.frames {
+			r.conn.Release(m)
+		}
+	}
+}
+
 // readRound reads peer id's frames for the current round until its
 // round marker arrives, the deadline passes, or the connection fails.
 // rr.decide rules on every frame: stale ones within the bound are
@@ -78,7 +152,7 @@ func (r *roundRecv) tally(m *transport.Message) {
 // (Recv re-arms conn.Timeout itself; see transport.Conn), and hitting
 // it is an expiry, the expected face of a straggler, never a fault.
 func readRound(rr *roundReader, id int, conn *transport.Conn, deadline time.Time) roundRecv {
-	out := roundRecv{peer: id, conn: conn}
+	out := roundRecv{conn: conn}
 	windowed := !deadline.IsZero()
 	saved := conn.Timeout
 	defer func() { conn.Timeout = saved }()

@@ -397,6 +397,72 @@ func TestPSStrictSendNamesLowestFailingClient(t *testing.T) {
 	}
 }
 
+// TestPSStrictBarrierNamesLowestFailingClient is the barrier twin of
+// TestPSStrictSendNamesLowestFailingClient: when several uploads fail,
+// a strict PS reports the lowest failing client id, not the first
+// reader to finish.
+func TestPSStrictBarrierNamesLowestFailingClient(t *testing.T) {
+	p, srv, cli := pipePS(t, PSConfig{
+		ID: 0, Clients: 3, Rounds: 1, Timeout: 5 * time.Second,
+	}, make([]float64, 4))
+	_ = cli[2].Close()
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		_ = cli[0].Close()
+	}()
+	go func() {
+		_ = cli[1].Send(&transport.Message{Type: transport.TypeUpload, Round: 0, Sender: 1, Flag: 1, Vec: []float64{1, 2, 3, 4}})
+	}()
+	err := p.serveRound(0, srv)
+	if err == nil || !strings.Contains(err.Error(), "client 0:") {
+		t.Fatalf("serveRound = %v, want client 0 named", err)
+	}
+}
+
+// TestPSDeadPeerDoesNotArmStragglerCap: a tolerant sync barrier caps
+// its holdouts at Timeout/2 once this round's uploads are provably
+// flowing, and a dead connection proves nothing of the kind. Client 0's
+// connection closes as the round opens and client 1 uploads past the
+// cap that death would have armed, but inside its own Timeout: the
+// upload must be admitted, not counted missed.
+func TestPSDeadPeerDoesNotArmStragglerCap(t *testing.T) {
+	const timeout, late = 2 * time.Second, 1500 * time.Millisecond
+	up := []float64{1, 2, 3, 4}
+	p, srv, cli := pipePS(t, PSConfig{
+		ID: 0, Clients: 2, Rounds: 1, Tolerant: true, Timeout: timeout,
+	}, make([]float64, len(up)))
+	_ = cli[0].Close()
+	got := make(chan []float64, 1)
+	go func() { // drains its model, so the PS's downlink send never blocks
+		time.Sleep(late)
+		if err := cli[1].Send(&transport.Message{Type: transport.TypeUpload, Round: 0, Sender: 1, Flag: 1, Vec: up}); err != nil {
+			got <- nil
+			return
+		}
+		m, err := cli[1].Recv()
+		if err != nil {
+			got <- nil
+			return
+		}
+		got <- m.Vec
+	}()
+	start := time.Now()
+	if err := p.serveRound(0, srv); err != nil {
+		t.Fatalf("serveRound: %v", err)
+	}
+	elapsed := time.Since(start)
+	if st := p.Stats(); st.UploadsReceived != 1 || st.UploadsMissed != 1 {
+		t.Fatalf("received %d and missed %d uploads, want 1 and 1: the dead client armed the straggler cap",
+			st.UploadsReceived, st.UploadsMissed)
+	}
+	if elapsed < late || elapsed >= timeout {
+		t.Fatalf("round took %v, want between %v and %v", elapsed, late, timeout)
+	}
+	if m := <-got; !slices.Equal(m, up) {
+		t.Fatalf("client 1 got %v, want its own upload %v", m, up)
+	}
+}
+
 // TestPSOneMemberAggregateSurvivesBufferReuse: the PS hands a round's
 // upload buffers back to their connections once the aggregate is
 // computed, so the next frame on that connection is decoded into the
@@ -627,6 +693,39 @@ func TestClientUnusableModelEndsPeersRound(t *testing.T) {
 					stats[0].ModelsReceived, stats[1].ModelsReceived, p-1, p)
 			}
 		})
+	}
+}
+
+// TestClientBarrierIsNeverCapped pins that the straggler cap is the
+// PS's alone: a tolerant client waits its full Timeout for every model,
+// so a PS answering at 0.75 × Timeout, well after its peer, still
+// counts and the round is not degraded.
+func TestClientBarrierIsNeverCapped(t *testing.T) {
+	const p, timeout = 2, 2 * time.Second
+	learner := makeLearners(t, 1, 53)[0]
+	dim := len(learner.Params())
+	servers, wait := fakeServers(t, p, 1, func(ps, round int) []*transport.Message {
+		if ps == 1 {
+			time.Sleep(timeout * 3 / 4)
+		}
+		return []*transport.Message{globalModel(round, dim, ps)}
+	})
+	stats, err := RunClient(ClientConfig{
+		ID: 0, Learner: learner, Servers: servers, Rounds: 1, LocalSteps: 1,
+		Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
+		Timeout: timeout, MinModels: 1,
+	})
+	wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := stats[0]; st.ModelsReceived != p || st.Degraded {
+		t.Fatalf("stats = %+v, want both models received, not degraded", st)
+	}
+	for j, x := range learner.Params() {
+		if x != 1.5 { // the mean of PS values 1 and 2
+			t.Fatalf("filtered[%d] = %v, want 1.5", j, x)
+		}
 	}
 }
 
