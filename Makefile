@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify reproduce race chaos trace fuzz defense scale straggler
+.PHONY: build test verify reproduce node-smoke race chaos trace fuzz defense scale straggler
 
 build:
 	$(GO) build ./...
@@ -122,6 +122,13 @@ verify:
 reproduce:
 	$(GO) run ./cmd/fedms-bench -exp all -csvdir results > results/bench_all.txt
 	git diff --exit-code results/
+
+# fedms-node as separate processes: three `-role ps` and three
+# `-role client` processes over loopback, which every other test runs
+# in one process. Fails unless all six exit 0 within the script's bound
+# (cmd/fedms-node/smoke.sh).
+node-smoke:
+	GO=$(GO) bash cmd/fedms-node/smoke.sh
 
 # Just the fault-injection surface under the race detector.
 race:

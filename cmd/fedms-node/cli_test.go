@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fedms"
 	"fedms/cmd/internal/fedflags"
 	"fedms/cmd/internal/fedflags/flagtest"
 	"fedms/internal/core"
@@ -90,40 +91,73 @@ func TestNodeRunSurfacesSpecErrorsBeforeListening(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsBadDeploymentFlags covers the checks fedms-node keeps
-// for its own flags; like the shared ones they fire before any listener
-// is bound.
+// TestNodeRejectsBadDeploymentFlags: a bad deployment flag is rejected
+// before any listener is bound, under its flag. fedms-node states only
+// the fault-rate and -client-attack rules itself; every other case is
+// node's rejection of the configuration the local role would run
+// (NewLocal under the same deployment), which run must return verbatim
+// behind the flag, so no restated check can drift from node's.
 func TestNodeRejectsBadDeploymentFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string
+		node bool // want is the flag node's rejection is reported under
 	}{
-		{"checkpoint without async", []string{"-checkpoint", "ps.ckpt"}, "-checkpoint"},
-		{"latency scale without async", []string{"-latency-scale", "1s"}, "-latency-scale"},
-		{"negative latency scale", []string{"-async", "-latency-scale", "-1s"}, "-latency-scale"},
-		{"negative hello deadline", []string{"-hello-deadline", "-1s"}, "-hello-deadline"},
-		{"negative accept rate", []string{"-accept-rate", "-1"}, "-accept-rate"},
-		{"negative accept burst", []string{"-accept-burst", "-1"}, "-accept-burst"},
-		{"accept burst without rate", []string{"-accept-burst", "4"}, "-accept-rate"},
-		{"connect token without key", []string{"-connect-token"}, "-key"},
-		{"fault rate above one", []string{"-fault-drop", "1.5"}, "fault rates"},
-		{"negative fault rate", []string{"-fault-delay", "-0.1"}, "fault rates"},
-		{"quorum above P", []string{"-min-models", "3"}, "-min-models"},
-		{"negative quorum", []string{"-min-models", "-1"}, "-min-models"},
-		{"unknown client attack", []string{"-byzantine-clients", "1", "-client-attack", "nonsense"}, "-client-attack"},
-		{"round-robin upload", []string{"-upload", "round_robin"}, "no round_robin upload"},
+		{"checkpoint without async", []string{"-checkpoint", "ps.ckpt"}, "-checkpoint", true},
+		{"latency scale without async", []string{"-latency-scale", "1s"}, "-latency-scale", true},
+		{"negative latency scale", []string{"-async", "-latency-scale", "-1s"}, "-latency-scale", true},
+		{"negative hello deadline", []string{"-hello-deadline", "-1s"}, "-hello-deadline", true},
+		{"negative accept rate", []string{"-accept-rate", "-1"}, "-accept-rate", true},
+		{"negative accept burst", []string{"-accept-burst", "-1"}, "-accept-burst", true},
+		{"accept burst without rate", []string{"-accept-burst", "4"}, "-accept-rate", true},
+		{"connect token without key", []string{"-connect-token"}, "-key", true},
+		{"negative crash round", []string{"-fault-crash", "-1"}, "-fault-crash", true},
+		{"quorum above P", []string{"-min-models", "3"}, "-min-models", true},
+		{"negative quorum", []string{"-min-models", "-1"}, "-min-models", true},
+		// Trimming 1 of 3 per side needs 3 models a round; this run used
+		// to start and abort every client at round 2.
+		{"quorum below the filter floor", []string{"-servers", "3", "-byzantine", "1", "-attack", "noise",
+			"-fault-crash", "2", "-min-models", "2", "-timeout", "5s"}, "-min-models", true},
+		{"round-robin upload", []string{"-upload", "round_robin"}, "-upload", true},
+		{"fault rate above one", []string{"-fault-drop", "1.5"}, "fault rates", false},
+		{"negative fault rate", []string{"-fault-delay", "-0.1"}, "fault rates", false},
+		{"unknown client attack", []string{"-byzantine-clients", "1", "-client-attack", "nonsense"}, "-client-attack", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append([]string{"-role", "local", "-clients", "3", "-servers", "2", "-rounds", "1",
-				"-metrics-addr", occupied(t)}, tc.args...)
+				"-samples", "600", "-metrics-addr", occupied(t)}, tc.args...)
 			err := run(args)
 			if err == nil {
 				t.Fatalf("%v accepted, want error", tc.args)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if !tc.node {
+				return
+			}
+			o, perr := parseFlags(args)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			cfg, rerr := o.spec.Resolve()
+			if rerr != nil {
+				t.Fatalf("the spec itself was rejected: %v", rerr)
+			}
+			learners, lerr := fedms.BuildLearners(o.spec.Config)
+			if lerr != nil {
+				t.Fatal(lerr)
+			}
+			_, nerr := node.NewLocal(cfg, learners,
+				func(pc *node.PSConfig) { o.deployPS(pc, nil) },
+				func(cc *node.ClientConfig) { o.deployClient(cc, nil) })
+			if nerr == nil {
+				t.Fatalf("node accepted the deployment run rejected: %v", err)
+			}
+			if want := tc.want + ": " + nerr.Error(); err.Error() != want {
+				t.Fatalf("run error\n  %q\nwant node's rejection under the flag\n  %q", err, want)
 			}
 		})
 	}
@@ -161,8 +195,8 @@ func TestNodeDeploymentFlagsParsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.ckptPath != "ps.ckpt" || o.latencyScale != 3*time.Second || o.helloDeadline != time.Second ||
-		o.acceptRate != 5 || o.acceptBurst != 2 || !o.connectToken || o.key != "k" {
+	if o.ps.CheckpointPath != "ps.ckpt" || o.client.LatencyScale != 3*time.Second || o.ps.HelloDeadline != time.Second ||
+		o.ps.AcceptRate != 5 || o.ps.AcceptBurst != 2 || !o.ps.RequireToken || o.key != "k" {
 		t.Fatalf("deployment flags not captured: %+v", o)
 	}
 	if _, err := o.resolve(o.newObs()); err != nil {

@@ -56,22 +56,12 @@ type options struct {
 	key       string
 	timeout   time.Duration
 
-	helloDeadline time.Duration
-	acceptRate    float64
-	acceptBurst   int
-	connectToken  bool
-
-	faultDrop     float64
-	faultCorrupt  float64
-	faultDup      float64
-	faultDelay    float64
-	faultMaxDelay time.Duration
-	faultSeed     uint64
-	faultCrash    int
-	minModels     int
-
-	ckptPath     string
-	latencyScale time.Duration
+	// ps and client hold the deployment settings their flags write in
+	// the node configs' own fields (deployPS and deployClient copy them
+	// onto each derived configuration); faults holds the fault flags.
+	ps     node.PSConfig
+	client node.ClientConfig
+	faults transport.FaultConfig
 
 	metricsAddr string
 	logRounds   bool
@@ -104,22 +94,22 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.peers, "peers", "", "comma-separated PS addresses in server-id order (client role)")
 	fs.StringVar(&o.clientAtk, o.spec.Flag("client-attack", "ClientAttack"), "", "Byzantine client upload attack (upload_signflip|upload_noise|upload_random|upload_scaled)")
 	fs.IntVar(&spec.NumByzantineClients, o.spec.Flag("byzantine-clients", "NumByzantineClients"), 0, "number of Byzantine clients")
-	fs.StringVar(&o.key, "key", "", "shared secret enabling per-frame HMAC authentication")
+	fs.StringVar(&o.key, o.spec.Flag("key", "Key"), "", "shared secret enabling per-frame HMAC authentication")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-frame network timeout")
-	fs.DurationVar(&o.helloDeadline, "hello-deadline", 0, "PS per-frame deadline for a new connection's hello handshake (0 = default; slow-loris sockets are cut here)")
-	fs.Float64Var(&o.acceptRate, "accept-rate", 0, "PS per-source accept rate limit in connections/second (0 = unlimited)")
-	fs.IntVar(&o.acceptBurst, "accept-burst", 0, "per-source accept token-bucket size (requires -accept-rate; 0 = default)")
-	fs.BoolVar(&o.connectToken, "connect-token", false, "PS admits only hellos presenting a valid connect token derived from -key (clients mint theirs automatically)")
-	fs.Float64Var(&o.faultDrop, "fault-drop", 0, "per-frame probability a sent frame is silently dropped")
-	fs.Float64Var(&o.faultCorrupt, "fault-corrupt", 0, "per-frame probability one bit of a sent frame is flipped")
-	fs.Float64Var(&o.faultDup, "fault-duplicate", 0, "per-frame probability a sent frame is written twice")
-	fs.Float64Var(&o.faultDelay, "fault-delay", 0, "per-frame probability a sent frame is delayed")
-	fs.DurationVar(&o.faultMaxDelay, "fault-max-delay", 20*time.Millisecond, "upper bound on injected frame delay")
-	fs.Uint64Var(&o.faultSeed, "fault-seed", 0, "fault schedule seed (0 = derive from -seed)")
-	fs.IntVar(&o.faultCrash, "fault-crash", 0, "crash this PS after serving N rounds (ps role; local role crashes the last PS)")
-	fs.IntVar(&o.minModels, "min-models", 0, "tolerant client: accept a round with >= this many global models (0 = strict, require all P)")
-	fs.StringVar(&o.ckptPath, "checkpoint", "", "PS checkpoint file persisting the round horizon and spill manifest each window; resumes after restart (requires -async)")
-	fs.DurationVar(&o.latencyScale, "latency-scale", 0, "client virtual upload-latency scale; an upload arrives floor(U[0,scale)/window) rounds after its origin (0 = default; requires -async)")
+	fs.DurationVar(&o.ps.HelloDeadline, o.spec.Flag("hello-deadline", "HelloDeadline"), 0, "PS per-frame deadline for a new connection's hello handshake (0 = default; slow-loris sockets are cut here)")
+	fs.Float64Var(&o.ps.AcceptRate, o.spec.Flag("accept-rate", "AcceptRate"), 0, "PS per-source accept rate limit in connections/second (0 = unlimited)")
+	fs.IntVar(&o.ps.AcceptBurst, o.spec.Flag("accept-burst", "AcceptBurst"), 0, "per-source accept token-bucket size (requires -accept-rate; 0 = default)")
+	fs.BoolVar(&o.ps.RequireToken, "connect-token", false, "PS admits only hellos presenting a valid connect token derived from -key (clients mint theirs automatically)")
+	fs.Float64Var(&o.faults.Drop, "fault-drop", 0, "per-frame probability a sent frame is silently dropped")
+	fs.Float64Var(&o.faults.Corrupt, "fault-corrupt", 0, "per-frame probability one bit of a sent frame is flipped")
+	fs.Float64Var(&o.faults.Duplicate, "fault-duplicate", 0, "per-frame probability a sent frame is written twice")
+	fs.Float64Var(&o.faults.Delay, "fault-delay", 0, "per-frame probability a sent frame is delayed")
+	fs.DurationVar(&o.faults.MaxDelay, "fault-max-delay", 20*time.Millisecond, "upper bound on injected frame delay")
+	fs.Uint64Var(&o.faults.Seed, "fault-seed", 0, "fault schedule seed (0 = derive from -seed)")
+	fs.IntVar(&o.ps.CrashAfterRound, o.spec.Flag("fault-crash", "CrashAfterRound"), 0, "crash this PS after serving N rounds (ps role; local role crashes the last PS)")
+	fs.IntVar(&o.client.MinModels, o.spec.Flag("min-models", "MinModels"), 0, "tolerant client: accept a round with >= this many global models (0 = strict, require all P)")
+	fs.StringVar(&o.ps.CheckpointPath, o.spec.Flag("checkpoint", "CheckpointPath"), "", "PS checkpoint file persisting the round horizon and spill manifest each window; resumes after restart (requires -async)")
+	fs.DurationVar(&o.client.LatencyScale, o.spec.Flag("latency-scale", "LatencyScale"), 0, "client virtual upload-latency scale; an upload arrives floor(U[0,scale)/window) rounds after its origin (0 = default; requires -async)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus metrics at /metrics and pprof at /debug/pprof/ on this address (e.g. 127.0.0.1:9090)")
 	fs.BoolVar(&o.logRounds, "log", false, "structured per-round logging (log/slog) to stderr")
 	return o
@@ -127,10 +117,11 @@ func declareFlags(fs *flag.FlagSet) *options {
 
 // resolve turns the parsed flags into the validated federation spec —
 // fedms.Resolve, by way of the binding that names the offending flag —
-// after folding in this command's own spec-shaping flags, and checks
-// the deployment flags against it. It opens no socket; run() calls it
-// before any, the metrics listener included, so a bad flag never leaves
-// a half-started node behind.
+// after folding in this command's own spec-shaping flags, and has node
+// check the deployment flags against it (checkDeployment), reported
+// under the flag too. It opens no socket; run() calls it before any,
+// the metrics listener included, so a bad flag never leaves a
+// half-started node behind.
 func (o *options) resolve(st *obsState) (core.Config, error) {
 	spec := &o.spec.Config
 	if o.clientAtk != "" {
@@ -145,66 +136,46 @@ func (o *options) resolve(st *obsState) (core.Config, error) {
 		return cfg, err
 	}
 	cfg.Logger = st.logger
-	// The wire protocol has no round-robin upload. The derivation
-	// rejects it; asking here, not in the role, keeps that rejection
-	// before the metrics listener binds.
-	if _, err := node.PSConfigFor(cfg, 0); err != nil {
-		return cfg, fmt.Errorf("-upload: %w", err)
+	if err := o.checkDeployment(cfg); err != nil {
+		return cfg, o.spec.UnderFlag(err)
 	}
-
-	// Reject an unsatisfiable quorum before any server starts listening:
-	// a client failing this check after the PSs are up would leave them
-	// blocked in Accept with nobody left to connect.
-	if o.minModels < 0 {
-		return cfg, fmt.Errorf("-min-models %d is negative", o.minModels)
-	}
-	if o.minModels > cfg.Servers {
-		return cfg, fmt.Errorf("-min-models %d exceeds -servers %d", o.minModels, cfg.Servers)
-	}
-	if o.faultDrop < 0 || o.faultDrop > 1 || o.faultCorrupt < 0 || o.faultCorrupt > 1 ||
-		o.faultDup < 0 || o.faultDup > 1 || o.faultDelay < 0 || o.faultDelay > 1 {
+	if f := o.faults; f.Drop < 0 || f.Drop > 1 || f.Corrupt < 0 || f.Corrupt > 1 ||
+		f.Duplicate < 0 || f.Duplicate > 1 || f.Delay < 0 || f.Delay > 1 {
 		return cfg, fmt.Errorf("fault rates must be in [0, 1]")
 	}
-	if !cfg.Async && o.ckptPath != "" {
-		return cfg, fmt.Errorf("-checkpoint requires -async")
-	}
-	if !cfg.Async && o.latencyScale != 0 {
-		return cfg, fmt.Errorf("-latency-scale requires -async")
-	}
-	if o.latencyScale < 0 {
-		return cfg, fmt.Errorf("-latency-scale: must be non-negative, got %v", o.latencyScale)
-	}
-	// Ingest knobs mirror node.NewPS validation but name the flag.
-	if o.helloDeadline < 0 {
-		return cfg, fmt.Errorf("-hello-deadline: must be non-negative, got %v", o.helloDeadline)
-	}
-	if o.acceptRate < 0 {
-		return cfg, fmt.Errorf("-accept-rate: must be non-negative, got %v", o.acceptRate)
-	}
-	if o.acceptBurst < 0 {
-		return cfg, fmt.Errorf("-accept-burst: must be non-negative, got %d", o.acceptBurst)
-	}
-	if o.acceptBurst > 0 && o.acceptRate == 0 {
-		return cfg, fmt.Errorf("-accept-burst requires -accept-rate")
-	}
-	if o.connectToken && o.key == "" {
-		return cfg, fmt.Errorf("-connect-token requires -key (tokens are derived from the shared secret)")
-	}
 	return cfg, nil
+}
+
+// checkDeployment derives one server's and one client's configuration
+// from cfg, applies the deployment flags as the roles do, and returns
+// node's own rejection of either: the wire's missing round-robin
+// upload, or a deployment flag NewPS or RunClient would refuse. Asking
+// before any listener binds matters most for the client: one failing
+// after the PSs are up would leave them blocked in Accept.
+func (o *options) checkDeployment(cfg core.Config) error {
+	pc, err := node.PSConfigFor(cfg, 0)
+	if err != nil {
+		return err
+	}
+	o.deployPS(&pc, nil)
+	if _, err := pc.Validate(); err != nil {
+		return err
+	}
+	cc, err := node.ClientConfigFor(cfg, 0, nil)
+	if err != nil {
+		return err
+	}
+	cc.Servers = make([]string, cfg.Servers) // only their count is checked
+	o.deployClient(&cc, nil)
+	_, err = cc.Validate()
+	return err
 }
 
 // faultInjector builds the process-wide fault injector, or nil when no
 // fault rate is configured. All nodes of a chaos run must share the
 // same fault seed to agree on the schedule they are rehearsing.
 func (o *options) faultInjector() *transport.FaultInjector {
-	cfg := transport.FaultConfig{
-		Seed:      o.faultSeed,
-		Drop:      o.faultDrop,
-		Corrupt:   o.faultCorrupt,
-		Duplicate: o.faultDup,
-		Delay:     o.faultDelay,
-		MaxDelay:  o.faultMaxDelay,
-	}
+	cfg := o.faults
 	if !cfg.Enabled() {
 		return nil
 	}
@@ -217,7 +188,7 @@ func (o *options) faultInjector() *transport.FaultInjector {
 // tolerant reports whether the node runtime should survive faults
 // rather than fail fast on the first one.
 func (o *options) tolerant() bool {
-	return o.minModels > 0 || o.faultCrash > 0 || o.faultInjector() != nil
+	return o.client.MinModels > 0 || o.ps.CrashAfterRound > 0 || o.faults.Enabled()
 }
 
 // psTimeout is the upload-barrier timeout for parameter servers. In
@@ -333,29 +304,21 @@ func (st *obsState) close() {
 }
 
 // deployPS applies the deployment flags to a server's derived
-// configuration (node.PSConfigFor). Where it listens, what it
-// checkpoints to and whether it crashes are the role's to add.
+// configuration (node.PSConfigFor). Where it listens is the role's to
+// add; the local role also narrows the crash and checkpoint hooks.
 func (o *options) deployPS(ps *node.PSConfig, fi *transport.FaultInjector) {
-	ps.Key = []byte(o.key)
-	ps.Timeout = o.psTimeout()
-	ps.Tolerant = o.tolerant()
-	ps.HelloDeadline = o.helloDeadline
-	ps.AcceptRate = o.acceptRate
-	ps.AcceptBurst = o.acceptBurst
-	ps.RequireToken = o.connectToken
-	ps.Faults = fi
+	d := o.ps
+	ps.Key, ps.Timeout, ps.Tolerant, ps.Faults = []byte(o.key), o.psTimeout(), o.tolerant(), fi
+	ps.HelloDeadline, ps.AcceptRate, ps.AcceptBurst, ps.RequireToken = d.HelloDeadline, d.AcceptRate, d.AcceptBurst, d.RequireToken
+	ps.CheckpointPath, ps.CrashAfterRound = d.CheckpointPath, d.CrashAfterRound
 }
 
 // deployClient applies them to a client's (node.ClientConfigFor), in
 // both the client and the local role.
 func (o *options) deployClient(cl *node.ClientConfig, fi *transport.FaultInjector) {
-	cl.LatencyScale = o.latencyScale
-	cl.Key = []byte(o.key)
-	cl.Timeout = o.timeout
-	cl.EvalEvery = 5
-	cl.MinModels = o.minModels
-	cl.Faults = fi
-	cl.Redial = o.minModels > 0
+	d := o.client
+	cl.Key, cl.Timeout, cl.Faults, cl.EvalEvery = []byte(o.key), o.timeout, fi, 5
+	cl.MinModels, cl.Redial, cl.LatencyScale = d.MinModels, d.MinModels > 0, d.LatencyScale
 }
 
 // runClient and newLocal are node.RunClient and node.NewLocal; the tests
@@ -380,7 +343,7 @@ func runPS(o *options, cfg core.Config) error {
 		return err
 	}
 	o.deployPS(&pc, o.faultInjector())
-	pc.ListenAddr, pc.CheckpointPath, pc.CrashAfterRound = o.listen, o.ckptPath, o.faultCrash
+	pc.ListenAddr = o.listen
 	ps, err := node.NewPS(pc)
 	if err != nil {
 		return err
@@ -435,13 +398,13 @@ func runLocal(o *options, cfg core.Config) error {
 	roles := make([]string, cfg.Servers)
 	l, err := newLocal(cfg, learners, func(pc *node.PSConfig) {
 		o.deployPS(pc, fi)
-		if pc.ID == last {
-			pc.CrashAfterRound = o.faultCrash
+		if pc.ID != last {
+			pc.CrashAfterRound = 0
 		}
 		// Every local PS gets its own checkpoint file: they would
 		// otherwise race on the shared path and spill segment.
-		if o.ckptPath != "" {
-			pc.CheckpointPath = fmt.Sprintf("%s.ps%d", o.ckptPath, pc.ID)
+		if pc.CheckpointPath != "" {
+			pc.CheckpointPath = fmt.Sprintf("%s.ps%d", pc.CheckpointPath, pc.ID)
 		}
 		roles[pc.ID] = psRole(*pc)
 	}, func(cc *node.ClientConfig) { o.deployClient(cc, fi) })
@@ -453,8 +416,8 @@ func runLocal(o *options, cfg core.Config) error {
 	}
 	clientStats, psStats, err := l.Run()
 	// A scheduled crash is the experiment, not a failure.
-	if o.faultCrash > 0 && psStats[last].RoundsServed == o.faultCrash {
-		fmt.Printf("fedms-node: PS crashed after %d rounds (scheduled)\n", o.faultCrash)
+	if crash := o.ps.CrashAfterRound; crash > 0 && psStats[last].RoundsServed == crash {
+		fmt.Printf("fedms-node: PS crashed after %d rounds (scheduled)\n", crash)
 	}
 	if err != nil {
 		return err

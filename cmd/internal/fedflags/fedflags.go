@@ -3,7 +3,11 @@
 // once, onto a fedms.Config, and Resolve turns the parsed flags into
 // the validated spec both commands run from. A rejection is reported
 // under the flag that set the offending field, so neither command
-// restates a rule about a shared flag.
+// restates a rule about a shared flag. The binding names node
+// rejections the same way: a command registers its deployment flags
+// with Flag under the node.PSConfig or node.ClientConfig field each
+// sets, and UnderFlag reports a node Validate rejection under that
+// flag.
 package fedflags
 
 import (
@@ -44,7 +48,7 @@ type Binding struct {
 	TracePath string
 
 	attack, upload string
-	flagOf         map[string]string // Config / EngineConfig field → flag name
+	flagOf         map[string]string // spec or node config field → flag name
 }
 
 // Bind declares the shared federation flags on fs.
@@ -77,10 +81,10 @@ func Bind(fs *flag.FlagSet, defaults fedms.Config) *Binding {
 	return b
 }
 
-// Flag records that the flag called name sets the given spec fields and
+// Flag records that the flag called name sets the given fields and
 // returns name, for use as the name argument of a flag declaration. A
-// command calls it for the spec fields its own flags set, so Resolve
-// attributes those rejections too.
+// command calls it for the spec and node config fields its own flags
+// set, so Resolve and UnderFlag attribute those rejections too.
 func (b *Binding) Flag(name string, fields ...string) string {
 	for _, f := range fields {
 		b.flagOf[f] = name
@@ -95,7 +99,7 @@ func (b *Binding) Resolve() (fedms.EngineConfig, error) {
 		return fedms.EngineConfig{}, err
 	}
 	ecfg, err := fedms.Resolve(b.Config)
-	return ecfg, b.underFlag(err)
+	return ecfg, b.UnderFlag(err)
 }
 
 // BuildEngine is fedms.BuildEngine on the parsed flags, reporting
@@ -106,7 +110,7 @@ func (b *Binding) BuildEngine() (*fedms.Engine, error) {
 		return nil, err
 	}
 	eng, err := fedms.BuildEngine(b.Config)
-	return eng, b.underFlag(err)
+	return eng, b.UnderFlag(err)
 }
 
 // finish completes Config from the flags that are not plain fields.
@@ -139,7 +143,10 @@ var uploads = map[string]fedms.UploadStrategy{
 	"sparse": fedms.SparseUpload, "full": fedms.FullUpload, "round_robin": fedms.RoundRobinUpload,
 }
 
-func (b *Binding) underFlag(err error) error {
+// UnderFlag prefixes a rejection attributed to a field (a
+// *fedms.FieldError, which node Validate rejections are too) with the
+// flag registered for that field; any other error is returned as is.
+func (b *Binding) UnderFlag(err error) error {
 	var fe *fedms.FieldError
 	if errors.As(err, &fe) && b.flagOf[fe.Field] != "" {
 		return fmt.Errorf("-%s: %w", b.flagOf[fe.Field], err)

@@ -312,6 +312,21 @@ func (sp Spec) String() string {
 // IsDense reports whether the spec is the identity codec.
 func (sp Spec) IsDense() bool { return sp.Kind == "" || sp.Kind == "dense" }
 
+// ValidateBroadcast checks the spec as a broadcast (downlink) codec: one
+// encoding of a global model serves every receiver, so the codec must
+// be a deterministic function of the vector. That rules out error
+// feedback (a broadcast has no per-stream residual) and randk (a random
+// support per call); every spec it admits ignores NewCodec's seed.
+func (sp Spec) ValidateBroadcast() error {
+	switch {
+	case sp.EF:
+		return fmt.Errorf("compress: spec %q: error feedback is per-stream state and cannot be used on the broadcast downlink", sp)
+	case sp.Kind == "randk":
+		return fmt.Errorf("compress: spec %q: a broadcast codec must be a deterministic function of the vector, and randk draws a random support", sp)
+	}
+	return sp.Validate()
+}
+
 // NewCodec builds a fresh codec instance for the spec. seed drives
 // stochastic codecs (randk); deterministic specs ignore it. Each client
 // must get its own instance: error-feedback residuals and scratch

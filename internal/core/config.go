@@ -177,9 +177,7 @@ type Config struct {
 	UploadCodec compress.Spec
 	// DownlinkCodec compresses the disseminated global models the same
 	// way. Dense by default so the trimmed-mean filter sees exact
-	// aggregates. A broadcast codec must be a deterministic function of
-	// the vector, so error feedback (a broadcast has no per-stream
-	// residual) and randk (a random support per call) are rejected.
+	// aggregates. It must pass Spec.ValidateBroadcast.
 	DownlinkCodec compress.Spec
 	// Logger, when non-nil, receives one "fedms round" record per round,
 	// derived from the round's trace event (obs.Publish): node, round
@@ -330,14 +328,8 @@ func (c Config) Validate() (Config, error) {
 	if err := c.UploadCodec.Validate(); err != nil {
 		return c, fieldErr("UploadCodec", "UploadCodec: %w", err)
 	}
-	if err := c.DownlinkCodec.Validate(); err != nil {
+	if err := c.DownlinkCodec.ValidateBroadcast(); err != nil {
 		return c, fieldErr("DownlinkCodec", "DownlinkCodec: %w", err)
-	}
-	if c.DownlinkCodec.EF {
-		return c, fieldErr("DownlinkCodec", "DownlinkCodec %q: error feedback is per-stream state and cannot be used on the broadcast downlink", c.DownlinkCodec)
-	}
-	if c.DownlinkCodec.Kind == "randk" {
-		return c, fieldErr("DownlinkCodec", "DownlinkCodec %q: a broadcast codec must be a deterministic function of the vector, and randk draws a random support", c.DownlinkCodec)
 	}
 	if c.EvalEvery == 0 {
 		c.EvalEvery = 1

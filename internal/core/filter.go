@@ -33,8 +33,18 @@ type Filter struct {
 // apply unchanged to whatever arrived. The rule aggregates on up to
 // workers goroutines.
 func NewFilter(rule aggregate.Rule, oracle aggregate.LossEval, servers, quorum, workers int) *Filter {
-	rule, trim := fixTrim(rule, servers)
-	return &Filter{rule: rule, oracle: oracle, servers: servers, workers: workers, need: max(quorum, 2*trim+1)}
+	fixed, _ := fixTrim(rule, servers)
+	return &Filter{rule: fixed, oracle: oracle, servers: servers, workers: workers, need: max(quorum, FilterFloor(rule, servers))}
+}
+
+// FilterFloor is the fewest global models rule can filter in a
+// federation with servers parameter servers: more than twice the
+// per-side trim NewFilter fixes (2B+1 for the paper's β = B/P, the
+// bound of Lemma 2), and 1 for a rule that does not trim. A filter
+// never accepts a round below it, whatever its quorum.
+func FilterFloor(rule aggregate.Rule, servers int) int {
+	_, trim := fixTrim(rule, servers)
+	return 2*trim + 1
 }
 
 // fixTrim resolves a TrimmedMean's trim count against n inputs and

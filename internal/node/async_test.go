@@ -27,7 +27,7 @@ func asyncChaosOpts(seed uint64) chaosOpts {
 	return chaosOpts{
 		k: 8, p: 3, rounds: 6, seed: seed,
 		filter:        aggregate.TrimmedMean{Beta: 0.2},
-		minModels:     2,
+		minModels:     3,
 		psTolerant:    true,
 		async:         true,
 		window:        3 * time.Second,

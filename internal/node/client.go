@@ -74,8 +74,9 @@ type ClientConfig struct {
 	// least MinModels global models arrive, and a short round (P' < P)
 	// filters the survivors under core.Filter's trim rule — the per-side
 	// trim stays ⌈β·P⌉ = B, so up to B Byzantine models are still
-	// discarded. Keep it ≥ 2B+1 or the degraded filter loses its
-	// guarantee. Zero is the strict protocol: all P models required, any
+	// discarded. It may not be below core.FilterFloor (2B+1 for a
+	// trimmed mean): Validate rejects a quorum the filter would refuse
+	// mid-run. Zero is the strict protocol: all P models required, any
 	// fault fatal.
 	MinModels int
 	// Faults, when non-nil, injects deterministic transport faults into
@@ -101,16 +102,11 @@ type ClientConfig struct {
 	// decoded into, and filtered is the filter's reused output buffer.
 	OnRound func(round int, received map[int][]float64, filtered []float64)
 	// Codec compresses this client's uploads into v2 codec frames (nil
-	// or the dense codec keeps the pre-codec v1 dense frames). Stateful
-	// codecs — error feedback — keep their residual in the instance, so
-	// it persists across the client's rounds; instances must not be
-	// shared between clients.
+	// keeps the pre-codec v1 dense frames; ClientConfigFor leaves it nil
+	// for a dense spec). Stateful codecs — error feedback — keep their
+	// residual in the instance, so it persists across the client's
+	// rounds; instances must not be shared between clients.
 	Codec compress.Codec
-	// AcceptEncodedDownlink advertises v2 decoding support in the hello
-	// handshake, letting a PS configured with a downlink codec compress
-	// this client's global-model frames. Off by default: the downlink
-	// stays dense and the trimmed-mean filter sees exact aggregates.
-	AcceptEncodedDownlink bool
 
 	// Async switches the client to the windowed lifecycle: each round's
 	// model draws a deterministic virtual arrival delay (see
@@ -213,9 +209,11 @@ func dialPS(cfg *ClientConfig, i int, addr string, hello []float64, tm *transpor
 		}
 		conn.SetKey(cfg.Key)
 		conn.SetMetrics(tm)
-		// The connect token lets a restarted PS re-admit this client
+		// Every client decodes v2 frames, so every hello advertises
+		// them; the PS encodes the downlink only if it has a codec. The
+		// connect token lets a restarted PS re-admit this client
 		// statelessly when a key is shared.
-		info := transport.HelloInfo{CodecV2: cfg.AcceptEncodedDownlink}
+		info := transport.HelloInfo{CodecV2: true}
 		if len(cfg.Key) > 0 {
 			info.Token = transport.ConnectToken(cfg.Key, cfg.Seed, cfg.ID)
 		}
@@ -250,51 +248,72 @@ func sendHello(conn *transport.Conn, id int, text string, seed []float64) error 
 	})
 }
 
+// Validate checks the configuration and returns a normalized copy with
+// the defaults applied (Timeout, DialAttempts, DialBackoff, Window,
+// LatencyScale). Every rejection is a *core.FieldError naming the field
+// it is about. The Learner is not a setting and is not checked here;
+// RunClient checks it after calling Validate.
+func (c ClientConfig) Validate() (ClientConfig, error) {
+	who := fmt.Sprintf("client %d", c.ID)
+	if c.Filter == nil {
+		return c, fieldErr(who, "Filter", "Filter is required")
+	}
+	if c.Schedule == nil {
+		return c, fieldErr(who, "Schedule", "Schedule is required")
+	}
+	p := len(c.Servers)
+	if p == 0 {
+		return c, fieldErr(who, "Servers", "no servers")
+	}
+	if c.MinModels < 0 || c.MinModels > p {
+		return c, fieldErr(who, "MinModels", "MinModels %d is outside [0, P=%d]", c.MinModels, p)
+	}
+	if floor := core.FilterFloor(c.Filter, p); c.MinModels > 0 && c.MinModels < floor {
+		return c, fieldErr(who, "MinModels", "MinModels %d is below filter %s's floor of %d models at P=%d (more than twice its per-side trim)", c.MinModels, c.Filter.Name(), floor, p)
+	}
+	if c.Participation < 0 || c.Participation > 1 {
+		return c, fieldErr(who, "Participation", "Participation must be in [0, 1], got %v", c.Participation)
+	}
+	if c.sampled() && c.Clients <= c.ID {
+		return c, fieldErr(who, "Clients", "Clients must exceed ID to sample participation, got %d", c.Clients)
+	}
+	if c.Timeout == 0 {
+		c.Timeout = DefaultTimeout
+	}
+	if c.DialAttempts <= 0 {
+		c.DialAttempts = 3
+	}
+	if c.DialBackoff <= 0 {
+		c.DialBackoff = 50 * time.Millisecond
+	}
+	var kerr *sched.KnobError
+	if c.Window, kerr = sched.Knobs(c.Async, c.Window, c.Staleness); kerr != nil {
+		return c, fieldErr(who, kerr.Knob, "%w", kerr)
+	}
+	if c.LatencyScale < 0 || (!c.Async && c.LatencyScale != 0) {
+		return c, fieldErr(who, "LatencyScale", "LatencyScale must be non-negative and requires Async mode, got %v", c.LatencyScale)
+	}
+	if c.Async && c.LatencyScale == 0 {
+		c.LatencyScale = sched.DefaultLatencyScale
+	}
+	return c, nil
+}
+
+// sampled reports whether Participation samples this client's rounds.
+func (c ClientConfig) sampled() bool { return c.Participation > 0 && c.Participation < 1 }
+
 // RunClient executes the client side of the protocol to completion and
 // returns per-round statistics.
 func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
-	if cfg.Learner == nil || cfg.Filter == nil || cfg.Schedule == nil {
-		return nil, fmt.Errorf("node: client %d missing learner, filter or schedule", cfg.ID)
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Servers) == 0 {
-		return nil, fmt.Errorf("node: client %d has no servers", cfg.ID)
+	if cfg.Learner == nil {
+		return nil, fmt.Errorf("node: client %d has no learner", cfg.ID)
 	}
 	p := len(cfg.Servers)
-	if cfg.MinModels < 0 || cfg.MinModels > p {
-		return nil, fmt.Errorf("node: client %d MinModels %d is outside [0, P=%d]", cfg.ID, cfg.MinModels, p)
-	}
-	if cfg.Participation < 0 || cfg.Participation > 1 {
-		return nil, fmt.Errorf("node: client %d Participation must be in [0, 1], got %v", cfg.ID, cfg.Participation)
-	}
-	sampled := cfg.Participation > 0 && cfg.Participation < 1
-	if sampled && cfg.Clients <= cfg.ID {
-		return nil, fmt.Errorf("node: client %d needs Clients > ID to sample participation, got %d", cfg.ID, cfg.Clients)
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 3
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 50 * time.Millisecond
-	}
-	var kerr *sched.KnobError
-	if cfg.Window, kerr = sched.Knobs(cfg.Async, cfg.Window, cfg.Staleness); kerr != nil {
-		return nil, fmt.Errorf("node: client %d: %w", cfg.ID, kerr)
-	}
-	if cfg.LatencyScale < 0 || (!cfg.Async && cfg.LatencyScale != 0) {
-		return nil, fmt.Errorf("node: client %d LatencyScale must be non-negative and requires Async mode, got %v", cfg.ID, cfg.LatencyScale)
-	}
-	if cfg.Async && cfg.LatencyScale == 0 {
-		cfg.LatencyScale = sched.DefaultLatencyScale
-	}
 	tolerant := cfg.MinModels > 0
-	if cfg.Codec != nil && cfg.Codec.Name() == "dense" {
-		// The identity codec is the nil fast path: uploads stay v1 dense
-		// frames, bit-identical to the pre-codec wire.
-		cfg.Codec = nil
-	}
 	// role trains, tampers and encodes: the same core.Client the engine
 	// runs per client id.
 	role := core.NewClient(cfg.ID, cfg.Seed, cfg.Learner, cfg.UploadAttack, cfg.Codec)
@@ -373,7 +392,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		// over the identical sampled index set (the shared seed makes
 		// ActiveClients a pure function both runtimes agree on).
 		st.Active = true
-		if sampled {
+		if cfg.sampled() {
 			st.Active = false
 			for _, id := range core.ActiveClients(cfg.Seed, round, cfg.Clients, cfg.Participation) {
 				if id == cfg.ID {

@@ -1,12 +1,17 @@
 package node
 
 import (
+	"bytes"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"fedms/internal/aggregate"
 	"fedms/internal/compress"
 	"fedms/internal/core"
 	"fedms/internal/nn"
+	"fedms/internal/transport"
 )
 
 // runDistributedCodec is runDistributed with the codec layer enabled:
@@ -134,6 +139,81 @@ func TestDistributedDownlinkCodecMatchesEngine(t *testing.T) {
 				t.Fatalf("PS BytesOut %d != client DownloadBytes %d", psOut, distDown)
 			}
 		})
+	}
+}
+
+// TestPSDownlinkGatedByHelloAdvertisement: a PS encodes the downlink
+// only for clients whose hello advertised v2 frames. Every client of
+// this package advertises them, so two hand-rolled clients drive both
+// branches: the one that did not advertise receives dense v1 global
+// models, the one that did receives the codec's payload, and BytesOut
+// counts exactly what the two were sent.
+func TestPSDownlinkGatedByHelloAdvertisement(t *testing.T) {
+	q8 := mustSpec(t, "q8")
+	ps, err := NewPS(PSConfig{
+		ID: 0, ListenAddr: "127.0.0.1:0", Clients: 2, Rounds: 1,
+		Timeout: 5 * time.Second, DownlinkCodec: q8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ps.Serve() }()
+
+	// Both clients upload model, so the mean they receive is model.
+	model := []float64{1, -2, 3, 0.5, 8, -4}
+	got := make([]*transport.Message, 2)
+	var wg sync.WaitGroup
+	for id, text := range []string{"", transport.HelloCodecV2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := transport.Dial(ps.Addr(), 5*time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			conn.Timeout = 5 * time.Second
+			if err := sendHello(conn, id, text, model); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := conn.Send(&transport.Message{Type: transport.TypeUpload, Sender: uint32(id), Flag: 1, Vec: model}); err != nil {
+				t.Error(err)
+				return
+			}
+			m, err := conn.Recv()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[id] = &transport.Message{Enc: m.Enc, Payload: bytes.Clone(m.Payload), Vec: slices.Clone(m.Vec)}
+		}()
+	}
+	wg.Wait()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	plain, coded := got[0], got[1]
+	if plain.Payload != nil || !slices.Equal(plain.Vec, model) {
+		t.Fatalf("client without enc:v2 got enc %v payload %d bytes vec %v, want the dense v1 model %v",
+			plain.Enc, len(plain.Payload), plain.Vec, model)
+	}
+	c, err := q8.NewCodec(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, payload := c.AppendEncode(nil, model)
+	if coded.Vec != nil || coded.Enc != enc || !bytes.Equal(coded.Payload, payload) {
+		t.Fatalf("client with enc:v2 got enc %v payload %d bytes vec %v, want the %s payload (%d bytes)",
+			coded.Enc, len(coded.Payload), coded.Vec, q8, len(payload))
+	}
+	if st, want := ps.Stats(), 8*len(model)+len(payload); st.BytesOut != want {
+		t.Fatalf("BytesOut = %d, want %d (dense %d + q8 %d)", st.BytesOut, want, 8*len(model), len(payload))
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"fedms/internal/aggregate"
-	"fedms/internal/compress"
 	"fedms/internal/core"
-	"fedms/internal/randx"
 )
 
 // PSConfigFor and ClientConfigFor derive one node's configuration from
@@ -31,27 +29,26 @@ func PSConfigFor(cfg core.Config, id int) (PSConfig, error) {
 		return PSConfig{}, fmt.Errorf("node: server id %d is outside [0, P=%d)", id, cfg.Servers)
 	}
 	ps := PSConfig{
-		ID:         id,
-		Clients:    cfg.Clients,
-		Rounds:     cfg.Rounds,
-		ServerRule: cfg.ServerFilter,
-		LossOracle: cfg.LossOracle,
-		Async:      cfg.Async,
-		Window:     cfg.Window,
-		Staleness:  cfg.Staleness,
-		SpillDir:   cfg.SpillDir,
-		SpillMem:   cfg.SpillMem,
-		Seed:       cfg.Seed,
-		Logger:     cfg.Logger,
-		Obs:        cfg.Obs,
-		TraceSink:  cfg.TraceSink,
+		ID:            id,
+		Clients:       cfg.Clients,
+		Rounds:        cfg.Rounds,
+		ServerRule:    cfg.ServerFilter,
+		LossOracle:    cfg.LossOracle,
+		DownlinkCodec: cfg.DownlinkCodec,
+		Async:         cfg.Async,
+		Window:        cfg.Window,
+		Staleness:     cfg.Staleness,
+		SpillDir:      cfg.SpillDir,
+		SpillMem:      cfg.SpillMem,
+		Seed:          cfg.Seed,
+		Logger:        cfg.Logger,
+		Obs:           cfg.Obs,
+		TraceSink:     cfg.TraceSink,
 	}
 	if cfg.IsByzantine(id) {
 		ps.Attack = cfg.Attack
 	}
-	var err error
-	ps.DownlinkCodec, err = newCodec(cfg.DownlinkCodec, randx.Derive(cfg.Seed, fmt.Sprintf("downlink/ps%d", id)))
-	return ps, err
+	return ps, nil
 }
 
 // ClientConfigFor returns client id's configuration under cfg, training
@@ -65,30 +62,32 @@ func ClientConfigFor(cfg core.Config, id int, learner core.Learner) (ClientConfi
 		return ClientConfig{}, fmt.Errorf("node: client id %d is outside [0, K=%d)", id, cfg.Clients)
 	}
 	cl := ClientConfig{
-		ID:                    id,
-		Learner:               learner,
-		Rounds:                cfg.Rounds,
-		LocalSteps:            cfg.LocalSteps,
-		Clients:               cfg.Clients,
-		Participation:         cfg.Participation,
-		FullUpload:            cfg.Upload == core.FullUpload,
-		Filter:                cfg.Filter,
-		LossOracle:            cfg.LossOracle,
-		Schedule:              cfg.Schedule,
-		AcceptEncodedDownlink: !cfg.DownlinkCodec.IsDense(),
-		Async:                 cfg.Async,
-		Window:                cfg.Window,
-		Staleness:             cfg.Staleness,
-		Seed:                  cfg.Seed,
-		Logger:                cfg.Logger,
-		Obs:                   cfg.Obs,
-		TraceSink:             cfg.TraceSink,
+		ID:            id,
+		Learner:       learner,
+		Rounds:        cfg.Rounds,
+		LocalSteps:    cfg.LocalSteps,
+		Clients:       cfg.Clients,
+		Participation: cfg.Participation,
+		FullUpload:    cfg.Upload == core.FullUpload,
+		Filter:        cfg.Filter,
+		LossOracle:    cfg.LossOracle,
+		Schedule:      cfg.Schedule,
+		Async:         cfg.Async,
+		Window:        cfg.Window,
+		Staleness:     cfg.Staleness,
+		Seed:          cfg.Seed,
+		Logger:        cfg.Logger,
+		Obs:           cfg.Obs,
+		TraceSink:     cfg.TraceSink,
 	}
 	if cfg.IsByzantineClient(id) {
 		cl.UploadAttack = cfg.ClientAttack
 	}
+	if cfg.UploadCodec.IsDense() {
+		return cl, nil
+	}
 	var err error
-	cl.Codec, err = newCodec(cfg.UploadCodec, core.ClientCodecSeed(cfg.Seed, id))
+	cl.Codec, err = cfg.UploadCodec.NewCodec(core.ClientCodecSeed(cfg.Seed, id))
 	return cl, err
 }
 
@@ -104,11 +103,12 @@ type Local struct {
 }
 
 // NewLocal validates cfg, derives every node's configuration, hands each
-// to the caller's deployment callback (ps, client; either may be nil)
-// and binds every server on 127.0.0.1:0 — before any goroutine starts.
-// learners[k] is client k's. A client callback sees Servers already
-// filled with Addrs. If a server fails to bind, the listeners already
-// bound are closed.
+// to the caller's deployment callback (ps, client; either may be nil),
+// binds every server on 127.0.0.1:0 and validates every client's
+// configuration — before any goroutine starts. learners[k] is client
+// k's. A client callback sees Servers already filled with Addrs. If a
+// server fails to bind or a client's configuration is rejected, the
+// listeners already bound are closed.
 func NewLocal(cfg core.Config, learners []core.Learner, ps func(*PSConfig), client func(*ClientConfig)) (*Local, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
@@ -144,6 +144,11 @@ func NewLocal(cfg core.Config, learners []core.Learner, ps func(*PSConfig), clie
 		cc.Servers = l.Addrs
 		if client != nil {
 			client(&cc)
+		}
+		// A client rejected only once Run starts would leave every
+		// server blocked in Accept.
+		if _, err := cc.Validate(); err != nil {
+			return nil, l.close(err)
 		}
 		l.clients = append(l.clients, cc)
 	}
@@ -199,15 +204,7 @@ func (l *Local) Run() ([][]ClientRoundStats, []PSStats, error) {
 // counterpart for.
 func distributable(cfg core.Config) error {
 	if cfg.Upload == core.RoundRobinUpload {
-		return fmt.Errorf("node: the distributed runtime has no %s upload", cfg.Upload)
+		return &core.FieldError{Field: "Upload", Err: fmt.Errorf("node: the distributed runtime has no %s upload", cfg.Upload)}
 	}
 	return nil
-}
-
-// newCodec instantiates spec, or returns nil for dense (the v1 wire).
-func newCodec(spec compress.Spec, seed uint64) (compress.Codec, error) {
-	if spec.IsDense() {
-		return nil, nil
-	}
-	return spec.NewCodec(seed)
 }

@@ -39,7 +39,7 @@ func TestClientHelloGolden(t *testing.T) {
 		wire <- b
 	}()
 	cfg := ClientConfig{
-		ID: id, Seed: seed, Key: key, AcceptEncodedDownlink: true,
+		ID: id, Seed: seed, Key: key,
 		Timeout: 5 * time.Second, DialAttempts: 1,
 	}
 	conn, err := dialPS(&cfg, 0, ln.Addr().String(), w0, nil)

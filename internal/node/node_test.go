@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -165,11 +166,7 @@ func TestPSRejectsBadConfig(t *testing.T) {
 	}
 	// A broadcast codec must be a deterministic function of the vector.
 	for _, spec := range []string{"ef+topk:0.1", "randk:0.5"} {
-		c, err := mustSpec(t, spec).NewCodec(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ps, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 1, DownlinkCodec: c}); err == nil {
+		if ps, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 1, DownlinkCodec: mustSpec(t, spec)}); err == nil {
 			_ = ps.Close()
 			t.Fatalf("downlink codec %s accepted", spec)
 		}
@@ -192,6 +189,46 @@ func TestClientRejectsBadConfig(t *testing.T) {
 		Servers: []string{"127.0.0.1:1"}, Timeout: 100 * time.Millisecond, MinModels: -1,
 	}); err == nil || !strings.Contains(err.Error(), "MinModels -1") {
 		t.Fatalf("expected negative-MinModels error, got %v", err)
+	}
+}
+
+// TestClientQuorumBelowFilterFloorRejected: a MinModels below
+// core.FilterFloor, which the filter would refuse in the first short
+// round, is a configuration error on MinModels. RunClient raises it
+// before dialing any server, and NewLocal before any server is left
+// waiting in Accept for clients that will never come.
+func TestClientQuorumBelowFilterFloorRejected(t *testing.T) {
+	const p = 3
+	filter := aggregate.TrimmedMean{Beta: 0.2} // trims 1 of 3 per side: floor 3
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := ClientConfig{
+		ID: 0, Learner: makeLearners(t, 1, 5)[0], Servers: []string{ln.Addr().String(), ln.Addr().String(), ln.Addr().String()},
+		Rounds: 1, LocalSteps: 1, Filter: filter, Schedule: nn.ConstantLR(0.1),
+		Timeout: time.Second, MinModels: p - 1,
+	}
+	var fe *core.FieldError
+	if _, err := RunClient(cfg); !errors.As(err, &fe) || fe.Field != "MinModels" {
+		t.Fatalf("RunClient with MinModels %d under %s = %v, want a MinModels FieldError", cfg.MinModels, filter.Name(), err)
+	}
+	// A dial would have left a connection in the listener's backlog.
+	_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(100 * time.Millisecond))
+	if c, err := ln.Accept(); err == nil {
+		_ = c.Close()
+		t.Fatal("RunClient dialed a server before rejecting its quorum")
+	}
+	cfg.MinModels = core.FilterFloor(filter, p)
+	if _, err := cfg.Validate(); err != nil {
+		t.Fatalf("MinModels at the floor rejected: %v", err)
+	}
+
+	_, err = NewLocal(testSpec(3, p, 1, filter, 5), makeLearners(t, 3, 5), nil,
+		func(cc *ClientConfig) { cc.MinModels = p - 1 })
+	if !errors.As(err, &fe) || fe.Field != "MinModels" {
+		t.Fatalf("NewLocal = %v, want a MinModels FieldError", err)
 	}
 }
 

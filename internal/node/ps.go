@@ -31,7 +31,6 @@ import (
 	"net"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,14 +144,11 @@ type PSConfig struct {
 	// that many rounds. The deterministic crash hook of the chaos
 	// tests; Serve returns ErrCrashed.
 	CrashAfterRound int
-	// DownlinkCodec, when non-nil, compresses global-model frames to
-	// clients that advertised v2 support in their hello; everyone else
-	// keeps dense v1 frames. A broadcast codec must be a deterministic
-	// function of the vector, so NewPS rejects error feedback (a
-	// broadcast shares one codec across clients, so a per-stream residual
-	// would be wrong for all of them) and randk (a random support per
-	// send, which the engine's per-set roundtrip cannot reproduce).
-	DownlinkCodec compress.Codec
+	// DownlinkCodec, unless dense (the zero value), compresses
+	// global-model frames to clients that advertised v2 support in their
+	// hello; everyone else keeps dense v1 frames. It must pass
+	// compress.Spec.ValidateBroadcast.
+	DownlinkCodec compress.Spec
 	// Async switches this server from the K-frame barrier to the
 	// windowed round lifecycle (DESIGN.md §7): each round closes when
 	// every connection has delivered its round marker or the Window
@@ -218,6 +214,8 @@ type PS struct {
 	// v2ok[id] records whether client id's hello advertised v2 codec
 	// frames; only those clients may receive an encoded downlink.
 	v2ok []bool
+	// down encodes the downlink under cfg.DownlinkCodec (nil for dense).
+	down compress.Codec
 
 	// om is where this server counts: Stats reads every PSStats field
 	// from it. It lives on cfg.Obs, or on a private registry when Obs is
@@ -289,67 +287,87 @@ type PSStats struct {
 	SpillPeakBytes int64
 }
 
-// NewPS binds the listener and returns the node; call Serve to run the
-// protocol.
-func NewPS(cfg PSConfig) (*PS, error) {
-	if cfg.Clients <= 0 || cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("node: PS %d needs positive Clients and Rounds", cfg.ID)
+// Validate checks the configuration and returns a normalized copy with
+// the defaults applied (Timeout, HelloDeadline, AcceptBurst, ServerRule,
+// Window). Every rejection is a *core.FieldError naming the field it is
+// about. NewPS calls it first.
+func (c PSConfig) Validate() (PSConfig, error) {
+	who := fmt.Sprintf("PS %d", c.ID)
+	if c.Clients <= 0 {
+		return c, fieldErr(who, "Clients", "Clients must be positive, got %d", c.Clients)
 	}
-	if cfg.CrashAfterRound < 0 {
-		return nil, fmt.Errorf("node: PS %d CrashAfterRound must be non-negative", cfg.ID)
+	if c.Rounds <= 0 {
+		return c, fieldErr(who, "Rounds", "Rounds must be positive, got %d", c.Rounds)
 	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultTimeout
+	if c.CrashAfterRound < 0 {
+		return c, fieldErr(who, "CrashAfterRound", "CrashAfterRound must be non-negative, got %d", c.CrashAfterRound)
 	}
-	if cfg.HelloDeadline < 0 {
-		return nil, fmt.Errorf("node: PS %d HelloDeadline must be non-negative, got %v", cfg.ID, cfg.HelloDeadline)
+	if c.Timeout == 0 {
+		c.Timeout = DefaultTimeout
 	}
-	if cfg.HelloDeadline == 0 {
-		cfg.HelloDeadline = DefaultHelloDeadline
-		if cfg.Timeout < cfg.HelloDeadline {
-			cfg.HelloDeadline = cfg.Timeout
-		}
+	if c.HelloDeadline < 0 {
+		return c, fieldErr(who, "HelloDeadline", "HelloDeadline must be non-negative, got %v", c.HelloDeadline)
 	}
-	if cfg.AcceptRate < 0 {
-		return nil, fmt.Errorf("node: PS %d AcceptRate must be non-negative, got %v", cfg.ID, cfg.AcceptRate)
+	if c.HelloDeadline == 0 {
+		c.HelloDeadline = min(DefaultHelloDeadline, c.Timeout)
 	}
-	if cfg.AcceptBurst < 0 {
-		return nil, fmt.Errorf("node: PS %d AcceptBurst must be non-negative, got %d", cfg.ID, cfg.AcceptBurst)
+	if c.AcceptRate < 0 {
+		return c, fieldErr(who, "AcceptRate", "AcceptRate must be non-negative, got %v", c.AcceptRate)
 	}
-	if cfg.AcceptBurst > 0 && cfg.AcceptRate == 0 {
-		return nil, fmt.Errorf("node: PS %d AcceptBurst requires AcceptRate", cfg.ID)
+	if c.AcceptBurst < 0 {
+		return c, fieldErr(who, "AcceptBurst", "AcceptBurst must be non-negative, got %d", c.AcceptBurst)
 	}
-	if cfg.AcceptRate > 0 && cfg.AcceptBurst == 0 {
-		cfg.AcceptBurst = DefaultAcceptBurst
+	// The two pairings below are rejected under the field that is
+	// missing, not the one that needs it.
+	if c.AcceptBurst > 0 && c.AcceptRate == 0 {
+		return c, fieldErr(who, "AcceptRate", "AcceptBurst requires AcceptRate")
 	}
-	if cfg.RequireToken && len(cfg.Key) == 0 {
-		return nil, fmt.Errorf("node: PS %d RequireToken needs a Key to derive tokens from", cfg.ID)
+	if c.AcceptRate > 0 && c.AcceptBurst == 0 {
+		c.AcceptBurst = DefaultAcceptBurst
 	}
-	if cfg.ServerRule == nil {
-		cfg.ServerRule = aggregate.Mean{}
+	if c.RequireToken && len(c.Key) == 0 {
+		return c, fieldErr(who, "Key", "RequireToken needs a Key to derive tokens from")
 	}
-	if cfg.DownlinkCodec != nil {
-		if cfg.DownlinkCodec.Name() == "dense" {
-			cfg.DownlinkCodec = nil
-		} else if strings.HasPrefix(cfg.DownlinkCodec.Name(), "ef+") {
-			return nil, fmt.Errorf("node: PS %d: error feedback is per-stream state and cannot be used on the broadcast downlink (codec %q)", cfg.ID, cfg.DownlinkCodec.Name())
-		} else if strings.HasPrefix(cfg.DownlinkCodec.Name(), "randk") {
-			return nil, fmt.Errorf("node: PS %d: a broadcast codec must be a deterministic function of the vector, and randk draws a random support (codec %q)", cfg.ID, cfg.DownlinkCodec.Name())
-		}
+	if c.ServerRule == nil {
+		c.ServerRule = aggregate.Mean{}
 	}
-
+	if err := c.DownlinkCodec.ValidateBroadcast(); err != nil {
+		return c, fieldErr(who, "DownlinkCodec", "DownlinkCodec: %w", err)
+	}
 	// The window knobs follow the rule core.Config.Validate applies
 	// (sched.Knobs), and the rule must carry a weighted kernel so
 	// staleness down-weights reach the aggregate.
 	var kerr *sched.KnobError
-	if cfg.Window, kerr = sched.Knobs(cfg.Async, cfg.Window, cfg.Staleness); kerr != nil {
-		return nil, fmt.Errorf("node: PS %d: %w", cfg.ID, kerr)
+	if c.Window, kerr = sched.Knobs(c.Async, c.Window, c.Staleness); kerr != nil {
+		return c, fieldErr(who, kerr.Knob, "%w", kerr)
 	}
-	if cfg.Async && !aggregate.Coordinatewise(cfg.ServerRule) {
-		return nil, fmt.Errorf("node: PS %d: rule %q has no weighted kernel; async staleness down-weighting requires one", cfg.ID, cfg.ServerRule.Name())
+	if c.Async && !aggregate.Coordinatewise(c.ServerRule) {
+		return c, fieldErr(who, "ServerRule", "rule %q has no weighted kernel; async staleness down-weighting requires one", c.ServerRule.Name())
 	}
-	if !cfg.Async && (cfg.SpillDir != "" || cfg.SpillMem != 0 || cfg.CheckpointPath != "") {
-		return nil, fmt.Errorf("node: PS %d: spill/checkpoint knobs require Async mode", cfg.ID)
+	if !c.Async {
+		switch {
+		case c.SpillDir != "":
+			return c, fieldErr(who, "SpillDir", "SpillDir requires Async")
+		case c.SpillMem != 0:
+			return c, fieldErr(who, "SpillMem", "SpillMem requires Async")
+		case c.CheckpointPath != "":
+			return c, fieldErr(who, "CheckpointPath", "CheckpointPath requires Async")
+		}
+	}
+	return c, nil
+}
+
+// fieldErr is a Validate rejection of field, worded as node who's.
+func fieldErr(who, field, format string, args ...any) error {
+	return &core.FieldError{Field: field, Err: fmt.Errorf("node: "+who+": "+format, args...)}
+}
+
+// NewPS binds the listener and returns the node; call Serve to run the
+// protocol.
+func NewPS(cfg PSConfig) (*PS, error) {
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return nil, err
 	}
 
 	// Checkpoint restore: a restarted async server resumes at the
@@ -422,6 +440,10 @@ func NewPS(cfg PSConfig) (*PS, error) {
 		return nil, fmt.Errorf("node: PS %d listen: %w", cfg.ID, err)
 	}
 	p := &PS{cfg: cfg, ln: ln, sc: sc, spill: spillBuf}
+	if !cfg.DownlinkCodec.IsDense() {
+		// Validate checked the spec, and a broadcast codec takes no seed.
+		p.down, _ = cfg.DownlinkCodec.NewCodec(0)
+	}
 	p.srv = p.newServer(resume)
 	p.om = newPSMetrics(cfg.Obs, cfg.ID, cfg.ServerRule.Name())
 	p.tm = transport.NewMetrics(cfg.Obs, fmt.Sprintf("ps%d", cfg.ID))
@@ -1074,11 +1096,11 @@ func (p *PS) disseminate(round int, conns []*transport.Conn, t roundTally) error
 			Sender: uint32(p.cfg.ID),
 			Vec:    out,
 		}
-		if p.cfg.DownlinkCodec != nil && p.v2ok[id] {
+		if p.down != nil && p.v2ok[id] {
 			// Encode here, serially: the codec's scratch buffers are not
 			// safe under the concurrent sends below, and each client may
 			// receive a different (equivocated) vector anyway.
-			enc, payload := p.cfg.DownlinkCodec.AppendEncode(nil, out)
+			enc, payload := p.down.AppendEncode(nil, out)
 			msg.Enc, msg.Payload, msg.Vec = enc, payload, nil
 		}
 		outcomes[id].msg = msg

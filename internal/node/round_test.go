@@ -249,7 +249,7 @@ func TestClientWrongDimensionDownlink(t *testing.T) {
 				cfg := ClientConfig{
 					ID: 0, Learner: learner, Servers: servers, Rounds: 1, LocalSteps: 1,
 					Filter: aggregate.TrimmedMean{Beta: 0.25}, Schedule: nn.ConstantLR(0.1),
-					Timeout: 5 * time.Second, AcceptEncodedDownlink: codec, Obs: reg,
+					Timeout: 5 * time.Second, Obs: reg,
 				}
 				if tolerant {
 					cfg.MinModels = p - 1

@@ -23,12 +23,14 @@
 // many rounds old the carried model is, saturating at 255; 0 on every
 // synchronous frame), textLen uint32, payLen uint32 (payload BYTES),
 // then text, payload, crc. Dense models always travel as v1 frames, so
-// a dense-only deployment's wire bytes are byte-identical to the
-// pre-codec protocol; v2 is only emitted for peers that advertised
-// support via HelloCodecV2 in their Hello. The staleness tag is
-// diagnostic — the authoritative staleness is the round field, which
-// the scheduler compares against its own cursor — so async mode works
-// over v1 frames too.
+// a dense-only deployment's model frames are byte-identical to the
+// pre-codec protocol. v2 is only emitted for peers that advertised
+// support via HelloCodecV2 in their Hello: every internal/node client
+// advertises it, and a PS still gates its encoded downlink on the
+// advertisement, so a peer that omits it gets v1 frames. The staleness
+// tag is diagnostic — the authoritative staleness is the round field,
+// which the scheduler compares against its own cursor — so async mode
+// works over v1 frames too.
 //
 // The checksum protects against framing bugs and torn writes, which in
 // a model-exchange protocol would otherwise corrupt training silently.
