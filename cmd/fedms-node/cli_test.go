@@ -119,6 +119,13 @@ func TestNodeRejectsBadDeploymentFlags(t *testing.T) {
 		// to start and abort every client at round 2.
 		{"quorum below the filter floor", []string{"-servers", "3", "-byzantine", "1", "-attack", "noise",
 			"-fault-crash", "2", "-min-models", "2", "-timeout", "5s"}, "-min-models", true},
+		// After the crash only P-1 = 2 servers remain: a quorum of 3
+		// aborted every client at round 2, and strict clients (no
+		// -min-models) failed on the dead server's EOF.
+		{"crash leaves fewer servers than the quorum", []string{"-servers", "3", "-byzantine", "1", "-attack", "noise",
+			"-rounds", "4", "-samples", "800", "-fault-crash", "2", "-min-models", "3", "-timeout", "5s"}, "-fault-crash", true},
+		{"crash with strict clients", []string{"-servers", "3", "-byzantine", "1", "-attack", "noise",
+			"-rounds", "4", "-samples", "800", "-fault-crash", "2", "-timeout", "5s"}, "-fault-crash", true},
 		{"round-robin upload", []string{"-upload", "round_robin"}, "-upload", true},
 		{"fault rate above one", []string{"-fault-drop", "1.5"}, "fault rates", false},
 		{"negative fault rate", []string{"-fault-delay", "-0.1"}, "fault rates", false},

@@ -149,7 +149,9 @@ func (o *options) resolve(st *obsState) (core.Config, error) {
 // checkDeployment derives one server's and one client's configuration
 // from cfg, applies the deployment flags as the roles do, and returns
 // node's own rejection of either: the wire's missing round-robin
-// upload, or a deployment flag NewPS or RunClient would refuse. Asking
+// upload, or a deployment flag NewPS or RunClient would refuse — and,
+// in the local role, a scheduled crash the client's quorum cannot
+// survive, as NewLocal would refuse it. Asking
 // before any listener binds matters most for the client: one failing
 // after the PSs are up would leave them blocked in Accept.
 func (o *options) checkDeployment(cfg core.Config) error {
@@ -167,8 +169,13 @@ func (o *options) checkDeployment(cfg core.Config) error {
 	}
 	cc.Servers = make([]string, cfg.Servers) // only their count is checked
 	o.deployClient(&cc, nil)
-	_, err = cc.Validate()
-	return err
+	if _, err := cc.Validate(); err != nil {
+		return err
+	}
+	if o.role != "local" {
+		return nil // a crashing PS's clients run in other processes
+	}
+	return node.CheckCrashQuorum(pc, cc)
 }
 
 // faultInjector builds the process-wide fault injector, or nil when no

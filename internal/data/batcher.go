@@ -14,6 +14,12 @@ type Batcher struct {
 	batchSize int
 	rng       *randx.RNG
 	scratch   []int
+
+	// Reused by every Next: the partial Fisher-Yates index map and the
+	// batch it returns.
+	seen map[int]int
+	x    *tensor.Dense
+	y    []int
 }
 
 // NewBatcher constructs a batcher over ds. batchSize is clamped to the
@@ -25,18 +31,25 @@ func NewBatcher(ds *Dataset, batchSize int, rng *randx.RNG) *Batcher {
 	if batchSize > ds.Len() {
 		batchSize = ds.Len()
 	}
+	shape := ds.X.Shape()
+	shape[0] = batchSize
 	return &Batcher{
 		ds:        ds,
 		batchSize: batchSize,
 		rng:       rng,
 		scratch:   make([]int, batchSize),
+		seen:      make(map[int]int, 2*batchSize),
+		x:         tensor.New(shape...),
+		y:         make([]int, batchSize),
 	}
 }
 
 // BatchSize returns the effective batch size.
 func (b *Batcher) BatchSize() int { return b.batchSize }
 
-// Next returns one random mini-batch.
+// Next returns one random mini-batch. The batch tensor and label slice
+// are the batcher's own and the next call overwrites them: a batch is
+// valid until the next Next.
 func (b *Batcher) Next() (*tensor.Dense, []int) {
 	n := b.ds.Len()
 	if b.batchSize == n {
@@ -46,7 +59,8 @@ func (b *Batcher) Next() (*tensor.Dense, []int) {
 	} else {
 		// Sample without replacement within the batch via partial
 		// Fisher-Yates over a lazily materialized index set.
-		seen := make(map[int]int, b.batchSize)
+		seen := b.seen
+		clear(seen)
 		for i := 0; i < b.batchSize; i++ {
 			j := i + b.rng.IntN(n-i)
 			vi, oki := seen[i]
@@ -62,5 +76,6 @@ func (b *Batcher) Next() (*tensor.Dense, []int) {
 			seen[i] = vj
 		}
 	}
-	return b.ds.Batch(b.scratch)
+	b.ds.gather(b.x.Data(), b.y, b.scratch)
+	return b.x, b.y
 }

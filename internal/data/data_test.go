@@ -7,6 +7,7 @@ import (
 
 	"fedms/internal/nn"
 	"fedms/internal/randx"
+	"fedms/internal/tensor"
 )
 
 func TestSynthImageShapeAndBalance(t *testing.T) {
@@ -265,6 +266,51 @@ func TestBatcherDeterministic(t *testing.T) {
 		for j := range y1 {
 			if y1[j] != y2[j] {
 				t.Fatal("labels diverged")
+			}
+		}
+	}
+}
+
+// TestBatcherNextReusesBuffers: Next returns the batcher's own tensor
+// and label slice every call, and draws exactly the batches the
+// allocate-per-call sampler did (a fresh index map each call, the batch
+// built by Dataset.Batch).
+func TestBatcherNextReusesBuffers(t *testing.T) {
+	ds := Blobs(BlobsConfig{Samples: 90, Features: 5, Seed: 23})
+	b := NewBatcher(ds, 12, randx.New(24))
+	rng := randx.New(24)
+	idx := make([]int, 12)
+	var firstX *tensor.Dense
+	for step := 0; step < 6; step++ {
+		seen := make(map[int]int, 12)
+		for i := range idx {
+			j := i + rng.IntN(ds.Len()-i)
+			vi, oki := seen[i]
+			if !oki {
+				vi = i
+			}
+			vj, okj := seen[j]
+			if !okj {
+				vj = j
+			}
+			idx[i] = vj
+			seen[j] = vi
+			seen[i] = vj
+		}
+		wantX, wantY := ds.Batch(idx)
+
+		x, y := b.Next()
+		if step == 0 {
+			firstX = x
+		} else if x != firstX {
+			t.Fatalf("step %d: Next returned a new batch tensor", step)
+		}
+		if !x.AllClose(wantX, 0) {
+			t.Fatalf("step %d: batch differs from the per-call sampler's", step)
+		}
+		for i := range wantY {
+			if y[i] != wantY[i] {
+				t.Fatalf("step %d: label %d = %d, want %d", step, i, y[i], wantY[i])
 			}
 		}
 	}

@@ -43,17 +43,23 @@ func (d *Dataset) Subset(indices []int) *Dataset {
 	shape := d.X.Shape()
 	shape[0] = len(indices)
 	sub := tensor.New(shape...)
-	sampleLen := d.SampleLen()
-	srcData, dstData := d.X.Data(), sub.Data()
 	y := make([]int, len(indices))
+	d.gather(sub.Data(), y, indices)
+	return &Dataset{X: sub, Y: y, NumClasses: d.NumClasses}
+}
+
+// gather copies the samples at indices into x and their labels into y,
+// in order.
+func (d *Dataset) gather(x []float64, y []int, indices []int) {
+	sampleLen := d.SampleLen()
+	src := d.X.Data()
 	for i, idx := range indices {
 		if idx < 0 || idx >= d.Len() {
 			panic(fmt.Sprintf("data: subset index %d out of range [0,%d)", idx, d.Len()))
 		}
-		copy(dstData[i*sampleLen:(i+1)*sampleLen], srcData[idx*sampleLen:(idx+1)*sampleLen])
+		copy(x[i*sampleLen:(i+1)*sampleLen], src[idx*sampleLen:(idx+1)*sampleLen])
 		y[i] = d.Y[idx]
 	}
-	return &Dataset{X: sub, Y: y, NumClasses: d.NumClasses}
 }
 
 // Batch copies the samples at the given indices into a contiguous batch

@@ -1,6 +1,10 @@
 package nn
 
-import "fedms/internal/tensor"
+import (
+	"math"
+
+	"fedms/internal/tensor"
+)
 
 // ReLU is the rectified linear activation, optionally clipped at a cap
 // (cap = 6 gives the ReLU6 used throughout MobileNet V2; cap <= 0 means
@@ -28,84 +32,70 @@ func (l *ReLU) Name() string { return l.name }
 // Params implements Layer.
 func (l *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer. Both loops are branch-free: each value's
+// bits are AND-ed with an all-ones or all-zero mask (ones), so the cost
+// does not depend on the activations' signs.
 func (l *ReLU) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	out := l.outB.like(x)
-	d := out.Data()
 	xd := x.Data()
+	d := out.Data()[:len(xd)]
 	var mask []bool
 	if train {
-		l.maskBuf = growB(l.maskBuf, len(d))
+		l.maskBuf = growB(l.maskBuf, len(xd))
 		mask = l.maskBuf
-	}
-	// Four specialized loops (capped × masked) keep the per-element work
-	// to the comparisons alone on this hot path.
-	switch {
-	case l.cap > 0 && mask != nil:
-		for i, v := range xd {
-			if v <= 0 {
-				d[i] = 0
-				mask[i] = false
-			} else if v >= l.cap {
-				d[i] = l.cap
-				mask[i] = false
-			} else {
-				d[i] = v
-				mask[i] = true
-			}
-		}
-	case l.cap > 0:
-		for i, v := range xd {
-			if v <= 0 {
-				d[i] = 0
-			} else if v >= l.cap {
-				d[i] = l.cap
-			} else {
-				d[i] = v
-			}
-		}
-	case mask != nil:
-		for i, v := range xd {
-			if v > 0 {
-				d[i] = v
-				mask[i] = true
-			} else {
-				d[i] = 0
-				mask[i] = false
-			}
-		}
-	default:
-		for i, v := range xd {
-			if v > 0 {
-				d[i] = v
-			} else {
-				d[i] = 0
-			}
-		}
-	}
-	if train {
 		l.mask = mask
+	}
+	if l.cap > 0 {
+		// v ≤ 0 (−0 included) → +0, v ≥ cap → cap, anything else (NaN
+		// included) passes through and is marked.
+		capBits := math.Float64bits(l.cap)
+		for i, v := range xd {
+			keep := ones(!(v <= 0))
+			clip := ones(v >= l.cap)
+			d[i] = math.Float64frombits(math.Float64bits(v)&keep&^clip | capBits&clip)
+			if mask != nil {
+				mask[i] = keep&^clip != 0
+			}
+		}
+		return out
+	}
+	// v > 0 passes through and is marked; anything else (−0 and NaN
+	// included) → +0.
+	for i, v := range xd {
+		pos := v > 0
+		d[i] = math.Float64frombits(math.Float64bits(v) & ones(pos))
+		if mask != nil {
+			mask[i] = pos
+		}
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the gradient where the mask is set, +0
+// elsewhere.
 func (l *ReLU) Backward(grad *tensor.Dense) *tensor.Dense {
 	if l.mask == nil {
 		panic("nn: ReLU.Backward before Forward(train)")
 	}
 	out := l.dxB.like(grad)
-	d := out.Data()
 	gd := grad.Data()
+	d := out.Data()[:len(gd)]
+	mask := l.mask[:len(gd)]
 	for i, g := range gd {
-		if l.mask[i] {
-			d[i] = g
-		} else {
-			d[i] = 0
-		}
+		d[i] = math.Float64frombits(math.Float64bits(g) & ones(mask[i]))
 	}
 	l.mask = nil
 	return out
+}
+
+// ones returns all 64 bits set if b holds and none otherwise; the
+// compiler turns it into a conditional move, not a branch.
+func ones(b bool) uint64 {
+	var m uint64
+	if b {
+		m = ^uint64(0)
+	}
+	return m
 }
 
 // Flatten reshapes [N, ...] inputs to [N, features]. It is shape

@@ -9,9 +9,14 @@ import (
 
 // BenchmarkTrainStep times one ZeroGrads → TrainBatch → SGD step, the
 // local-SGD hot path each client runs E times per round, on an MLP
-// batch and a MobileNet V2 inverted-residual block, so it can be
-// profiled in isolation (go test -bench TrainStep -cpuprofile ...).
+// batch, the engine_paper benchmark's blobs MLP and a MobileNet V2
+// inverted-residual block, so it can be profiled in isolation
+// (go test -bench TrainStep -cpuprofile ...).
 func BenchmarkTrainStep(b *testing.B) {
+	b.Run("blobs_mlp", func(b *testing.B) {
+		net := NewMLP(MLPConfig{In: 32, Hidden: []int{128, 64}, NumClasses: 10, Seed: 1})
+		benchTrainStep(b, net, 32, 32, randx.New(13))
+	})
 	b.Run("mlp", func(b *testing.B) {
 		r := randx.New(11)
 		net := NewNetwork(

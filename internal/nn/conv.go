@@ -26,6 +26,9 @@ type Conv2D struct {
 	b *Param // [outC], nil when useBias is false
 
 	lastX *tensor.Dense
+	// skipDX: Backward returns nil instead of the input gradient (see
+	// markInputLayer). A depthwise layer's fused kernel still writes it.
+	skipDX bool
 
 	// Scratch arena (see scratch.go): the batched im2col matrix, the
 	// gathered/scattered per-group GEMM operand, its backward dual, and
@@ -220,6 +223,9 @@ func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 		tensor.DepthwiseBackward(xd, gd, n, c.inC, h, w, wv, c.kh, c.kw, c.stride, c.pad, c.workers, wg, dxd)
 		c.accumBiasGrad(gd, n, l)
 		c.lastX = nil
+		if c.skipDX {
+			return nil
+		}
 		return dx
 	}
 
@@ -239,6 +245,9 @@ func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 
 		// dW[g] += gbuf · colsᵀ, both operands already patch-major.
 		tensor.GemmTBAcc(wg[g*outCg*patch:(g+1)*outCg*patch], c.gbuf, c.cols, outCg, patch, nl, c.workers)
+		if c.skipDX {
+			continue
+		}
 
 		// dcols = W[g]ᵀ · gbuf, then scatter into dx (Col2ImBatch zeroes
 		// each image region of this group before accumulating).
@@ -247,6 +256,9 @@ func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 	}
 	c.accumBiasGrad(gd, n, l)
 	c.lastX = nil
+	if c.skipDX {
+		return nil
+	}
 	return dx
 }
 

@@ -17,6 +17,9 @@ type Dense struct {
 	b    *Param // [out]
 
 	lastX *tensor.Dense
+	// skipDX: Backward returns nil instead of the input gradient (see
+	// markInputLayer).
+	skipDX bool
 
 	workers int
 	outB    outCache
@@ -81,10 +84,13 @@ func (d *Dense) Backward(grad *tensor.Dense) *tensor.Dense {
 	for i := 0; i < n; i++ {
 		tensor.VecAdd(bg, grad.Row(i))
 	}
+	d.lastX = nil
+	if d.skipDX {
+		return nil
+	}
 	// dx = g·Wᵀ, with W read row-wise as logical columns [in×out].
 	dx := d.dxB.get(n, d.in)
 	tensor.GemmTB(dx.Data(), grad.Data(), d.w.Value.Data(), n, d.in, d.out, d.workers)
-	d.lastX = nil
 	return dx
 }
 

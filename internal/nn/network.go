@@ -12,9 +12,39 @@ type Network struct {
 }
 
 // NewNetwork constructs a network from a body layer (usually a
-// Sequential) and a loss.
+// Sequential) and a loss. It marks the body's input layer (see
+// markInputLayer), so the layers must not be shared with a network
+// that needs its input gradient.
 func NewNetwork(body Layer, loss Loss) *Network {
+	markInputLayer(body)
 	return &Network{body: body, loss: loss, params: body.Params()}
+}
+
+// markInputLayer marks the first parametric leaf of l — reached through
+// Sequentials' first elements, past parameter-free layers such as
+// Flatten — to skip its input gradient: that is the gradient with
+// respect to the network's input, which TrainBatch discards, and no
+// layer before it has parameters to update. Only a Dense or Conv2D is
+// marked; any other first parametric layer (a Residual, a BatchNorm2D)
+// leaves the network unmarked. It reports whether a parametric layer
+// was reached.
+func markInputLayer(l Layer) bool {
+	switch v := l.(type) {
+	case *Sequential:
+		for _, inner := range v.layers {
+			if markInputLayer(inner) {
+				return true
+			}
+		}
+		return false
+	case *Dense:
+		v.skipDX = true
+		return true
+	case *Conv2D:
+		v.skipDX = true
+		return true
+	}
+	return len(l.Params()) > 0
 }
 
 // Params returns the network's parameters in stable order.

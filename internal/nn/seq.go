@@ -42,9 +42,11 @@ func (s *Sequential) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	return x
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A layer that returns nil (the network's
+// input layer, see markInputLayer) ends the pass: nothing before it has
+// parameters.
 func (s *Sequential) Backward(grad *tensor.Dense) *tensor.Dense {
-	for i := len(s.layers) - 1; i >= 0; i-- {
+	for i := len(s.layers) - 1; i >= 0 && grad != nil; i-- {
 		grad = s.layers[i].Backward(grad)
 	}
 	return grad

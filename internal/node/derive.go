@@ -105,7 +105,8 @@ type Local struct {
 // NewLocal validates cfg, derives every node's configuration, hands each
 // to the caller's deployment callback (ps, client; either may be nil),
 // binds every server on 127.0.0.1:0 and validates every client's
-// configuration — before any goroutine starts. learners[k] is client
+// configuration, and its quorum against every scheduled server crash
+// (CheckCrashQuorum) — before any goroutine starts. learners[k] is client
 // k's. A client callback sees Servers already filled with Addrs. If a
 // server fails to bind or a client's configuration is rejected, the
 // listeners already bound are closed.
@@ -150,9 +151,35 @@ func NewLocal(cfg core.Config, learners []core.Learner, ps func(*PSConfig), clie
 		if _, err := cc.Validate(); err != nil {
 			return nil, l.close(err)
 		}
+		for _, s := range l.servers {
+			if err := CheckCrashQuorum(s.cfg, cc); err != nil {
+				return nil, l.close(err)
+			}
+		}
 		l.clients = append(l.clients, cc)
 	}
 	return l, nil
+}
+
+// CheckCrashQuorum returns the rejection NewLocal gives client cc when
+// server ps schedules a crash (CrashAfterRound) before the run's last
+// round: from then on at most P−1 models arrive a round, so the client
+// must degrade to a quorum (MinModels > 0) the survivors can meet. A
+// strict client (MinModels 0) needs all P and would abort at the crash.
+// The rejection is a *core.FieldError on CrashAfterRound.
+func CheckCrashQuorum(ps PSConfig, cc ClientConfig) error {
+	if ps.CrashAfterRound <= 0 || ps.CrashAfterRound >= cc.Rounds {
+		return nil
+	}
+	p := len(cc.Servers)
+	if cc.MinModels > 0 && cc.MinModels <= p-1 {
+		return nil
+	}
+	who := fmt.Sprintf("client %d", cc.ID)
+	if cc.MinModels == 0 {
+		return fieldErr(who, "CrashAfterRound", "a server crashes after round %d of %d, but MinModels 0 waits for all P=%d models every round (MinModels lets a client degrade to the %d left)", ps.CrashAfterRound, cc.Rounds, p, p-1)
+	}
+	return fieldErr(who, "CrashAfterRound", "a server crashes after round %d of %d, leaving %d of P=%d servers, fewer than MinModels %d", ps.CrashAfterRound, cc.Rounds, p-1, p, cc.MinModels)
 }
 
 // close shuts every bound listener and returns err.

@@ -182,6 +182,37 @@ func TestNewLocalScheduledCrashIsNotAnError(t *testing.T) {
 	}
 }
 
+// TestNewLocalRejectsCrashWithoutQuorum: a crash before the last round
+// leaves P−1 servers, so NewLocal refuses clients that are strict or
+// whose quorum exceeds P−1, on CrashAfterRound; a crash at or after the
+// last round, or a quorum of P−1, is accepted.
+func TestNewLocalRejectsCrashWithoutQuorum(t *testing.T) {
+	cases := []struct {
+		crash, minModels int
+		ok               bool
+	}{
+		{1, 0, false}, {1, 3, false}, {1, 2, true}, {3, 0, true},
+	}
+	for _, tc := range cases {
+		l, err := NewLocal(testSpec(2, 3, 3, aggregate.Mean{}, 64), makeLearners(t, 2, 64), func(pc *PSConfig) {
+			if pc.ID == 2 {
+				pc.CrashAfterRound = tc.crash
+			}
+		}, func(cc *ClientConfig) { cc.MinModels = tc.minModels })
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("crash %d, MinModels %d rejected: %v", tc.crash, tc.minModels, err)
+			}
+			_ = l.close(nil)
+			continue
+		}
+		var fe *core.FieldError
+		if !errors.As(err, &fe) || fe.Field != "CrashAfterRound" {
+			t.Fatalf("crash %d, MinModels %d: got %v, want a CrashAfterRound rejection", tc.crash, tc.minModels, err)
+		}
+	}
+}
+
 // TestNewLocalNamesFailedNodes: an unscheduled server failure and the
 // client failures it causes come back joined, each naming its node.
 func TestNewLocalNamesFailedNodes(t *testing.T) {

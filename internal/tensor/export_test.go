@@ -1,0 +1,12 @@
+package tensor
+
+// HaveAVX2 and SetAVX2 reach the kernel switch from the external test
+// package: SetAVX2 turns the AVX2 pass on or off and returns the
+// function that restores the previous setting.
+func HaveAVX2() bool { return haveAVX2 }
+
+func SetAVX2(on bool) (restore func()) {
+	saved := gemmAVX2
+	gemmAVX2 = on && haveAVX2
+	return func() { gemmAVX2 = saved }
+}

@@ -14,11 +14,10 @@ package tensor
 // re-associate each element's sum), so the kernel blocks over M and N
 // only and always runs the full k dimension per output element.
 //
-// Kernel shape: packed register-tiled micro-kernels were tried first and
-// lost — a 4×4 float64 tile needs 16 accumulators plus operand
-// temporaries and spills amd64's 16 floating-point registers every
-// iteration, and even a fitting 2×4 tile pays packing traffic for a
-// ~1.4× win. The shipped kernels instead stream C through memory:
+// Kernel shape: the rows stream C through memory rather than holding a
+// register tile — in Go a 4×4 float64 tile needs 16 accumulators plus
+// operand temporaries and spills amd64's 16 scalar registers every
+// iteration.
 //
 //   - NN/TA: four C rows are updated per pass, two k steps at a time.
 //     For each l pair the eight A values sit in registers while two B
@@ -26,10 +25,23 @@ package tensor
 //     two sequential adds (two statements — a single fused expression
 //     would re-associate the sum), and stored once. N is chunked by
 //     gemmNC so the four active C row segments stay L1-resident for the
-//     whole k loop.
+//     whole k loop. TA is NN with A read through swapped strides.
 //   - TB: logical B columns are stored rows of b, so C elements are
 //     plain dot products over contiguous memory; a 2×2 tile of dots
 //     shares the four operand loads across four accumulators.
+//
+// On amd64 CPUs with AVX2 the four-row pass runs in assembly
+// (gemm_amd64.s), four columns per instruction: the eight A values are
+// broadcast into eight YMM registers, and each C vector takes VMULPD
+// then VADDPD per l, the same two roundings in the same order as the Go
+// statements, so every lane holds exactly the scalar kernel's value. The
+// kernel never emits a fused multiply-add (one rounding instead of two)
+// and never splits the l sum. Column tails (n mod 4), an odd last l and
+// row tails (m mod 4) stay in Go, in ascending l. TB packs Bᵀ once per
+// call, before any fan-out, and runs the NN pass over the packed panel:
+// each element is still its own sum in ascending l. The pure-Go kernel
+// is the only one elsewhere, and the reference the tests hold the
+// assembly to.
 //
 // The old naive kernel skipped a_il == 0 terms; this one does not. For
 // finite inputs the results are still bit-identical: an accumulator that
@@ -38,7 +50,11 @@ package tensor
 // value is exact. Only non-finite inputs (0·Inf = NaN) could diverge,
 // and no layer produces those.
 
-import "fedms/internal/par"
+import (
+	"sync"
+
+	"fedms/internal/par"
+)
 
 const (
 	// gemmNC is the number of C columns a row pass updates per chunk.
@@ -57,6 +73,11 @@ const (
 	// are multiples of four rows so every worker runs full quad passes.
 	gemmRowQuad = 4
 )
+
+// gemmAVX2 selects the assembly four-row pass inside gemmRowsAB. It is
+// the CPU's answer at init; tests switch it off to hold the assembly to
+// the pure-Go kernel.
+var gemmAVX2 = haveAVX2
 
 // gemmOp selects which operand is logically transposed. Operands are
 // always stored row-major; the transposed variants read the same buffer
@@ -117,6 +138,30 @@ func gemmDispatch(c, a, b []float64, m, n, k int, op gemmOp, acc bool, workers i
 		}
 		return
 	}
+	// The assembly pass reads through raw pointers, so the operands'
+	// lengths are checked here once instead of by every slice expression.
+	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
+		panic("tensor: GEMM operand shorter than its shape")
+	}
+	if op == opTB && gemmAVX2 && m >= 4 && n >= 4 && k >= 2 {
+		// Workers share the packed Bᵀ read-only; it goes back to the
+		// pool once every row range is done.
+		p := packPool.Get().(*[]float64)
+		if cap(*p) < k*n {
+			*p = make([]float64, k*n)
+		}
+		bt := (*p)[:k*n]
+		packTranspose(bt, b, n, k)
+		gemmRowsFanOut(c, a, bt, m, n, k, opNN, acc, workers)
+		packPool.Put(p)
+		return
+	}
+	gemmRowsFanOut(c, a, b, m, n, k, op, acc, workers)
+}
+
+// gemmRowsFanOut runs gemmRows over all m rows, split into row quads
+// across up to workers goroutines once the volume pays for the handoff.
+func gemmRowsFanOut(c, a, b []float64, m, n, k int, op gemmOp, acc bool, workers int) {
 	units := (m + gemmRowQuad - 1) / gemmRowQuad
 	if workers > 1 && units > 1 && m*n*k >= gemmParallelVolume {
 		par.For(units, workers, func(u0, u1 int) {
@@ -129,29 +174,55 @@ func gemmDispatch(c, a, b []float64, m, n, k int, op gemmOp, acc bool, workers i
 	gemmRows(c, a, b, m, n, k, 0, m, op, acc)
 }
 
+// packPool holds the Bᵀ panels a TB product is packed into on the AVX2
+// path; a panel is owned by one GEMM call from Get to Put.
+var packPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// packTranspose writes the transpose of b [n×k] into bt [k×n], four b
+// rows at a time so that each bt row is written four contiguous values
+// per step instead of one value per cache line.
+func packTranspose(bt, b []float64, n, k int) {
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		r0 := b[j*k : (j+1)*k]
+		r1 := b[(j+1)*k : (j+2)*k][:len(r0)]
+		r2 := b[(j+2)*k : (j+3)*k][:len(r0)]
+		r3 := b[(j+3)*k : (j+4)*k][:len(r0)]
+		for l, v := range r0 {
+			d := bt[l*n+j : l*n+j+4]
+			d[0], d[1], d[2], d[3] = v, r1[l], r2[l], r3[l]
+		}
+	}
+	for ; j < n; j++ {
+		for l, v := range b[j*k : (j+1)*k] {
+			bt[l*n+j] = v
+		}
+	}
+}
+
 // gemmRows computes C rows [i0, i1). Workers call it with disjoint row
 // ranges; the serial path calls it once with the full range.
 func gemmRows(c, a, b []float64, m, n, k, i0, i1 int, op gemmOp, acc bool) {
 	switch op {
 	case opNN:
-		gemmRowsNN(c, a, b, n, k, i0, i1, acc)
+		gemmRowsAB(c, a, b, n, k, i0, i1, k, 1, acc)
 	case opTA:
-		gemmRowsTA(c, a, b, m, n, k, i0, i1, acc)
+		gemmRowsAB(c, a, b, n, k, i0, i1, 1, m, acc)
 	case opTB:
 		gemmRowsTB(c, a, b, n, k, i0, i1, acc)
 	}
 }
 
-// gemmRowsNN streams four C rows at a time: per l, four A values are held
-// in registers against one pass over a B row segment. Re-slicing the C
-// rows to the B segment's length lets the compiler drop the inner bounds
-// checks.
-func gemmRowsNN(c, a, b []float64, n, k, i0, i1 int, acc bool) {
+// gemmRowsAB streams four C rows at a time: per l pair, eight A values
+// are held in registers against one pass over two B row segments. The
+// logical A element (i, l) is a[i*ars+l*als], so NN passes strides
+// (k, 1) and TA, whose a is stored [k×m], passes (1, m). Re-slicing the
+// C rows to the B segment's length lets the compiler drop the inner
+// bounds checks. With gemmAVX2 the first nc&^3 columns of every l pair
+// run in gemmQuadAVX2 and the loops below finish the rest.
+func gemmRowsAB(c, a, b []float64, n, k, i0, i1, ars, als int, acc bool) {
 	for j0 := 0; j0 < n; j0 += gemmNC {
-		nc := n - j0
-		if nc > gemmNC {
-			nc = gemmNC
-		}
+		nc := min(n-j0, gemmNC)
 		i := i0
 		for ; i+4 <= i1; i += 4 {
 			c0 := c[i*n+j0 : i*n+j0+nc]
@@ -172,23 +243,24 @@ func gemmRowsNN(c, a, b []float64, n, k, i0, i1 int, acc bool) {
 					c3[j] = 0
 				}
 			}
-			a0 := a[i*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			a2 := a[(i+2)*k : (i+3)*k]
-			a3 := a[(i+3)*k : (i+4)*k]
-			l := 0
-			for ; l+2 <= k; l += 2 {
-				bl0 := b[l*n+j0 : l*n+j0+nc]
-				bl1 := b[(l+1)*n+j0 : (l+1)*n+j0+nc]
+			js := 0 // columns [0, js) of every l pair are done in assembly
+			if gemmAVX2 && k >= 2 && nc >= 4 {
+				js = nc &^ 3
+				gemmQuadAVX2(&c0[0], n, &a[i*ars], ars, als, &b[j0], n, js, k/2)
+			}
+			for l := 0; js < nc && l+2 <= k; l += 2 {
+				bl0 := b[l*n+j0+js : l*n+j0+nc]
+				bl1 := b[(l+1)*n+j0+js : (l+1)*n+j0+nc]
 				bl1 = bl1[:len(bl0)]
-				av00, av01 := a0[l], a0[l+1]
-				av10, av11 := a1[l], a1[l+1]
-				av20, av21 := a2[l], a2[l+1]
-				av30, av31 := a3[l], a3[l+1]
-				u0 := c0[:len(bl0)]
-				u1 := c1[:len(bl0)]
-				u2 := c2[:len(bl0)]
-				u3 := c3[:len(bl0)]
+				p := i*ars + l*als
+				av00, av01 := a[p], a[p+als]
+				av10, av11 := a[p+ars], a[p+ars+als]
+				av20, av21 := a[p+2*ars], a[p+2*ars+als]
+				av30, av31 := a[p+3*ars], a[p+3*ars+als]
+				u0 := c0[js:][:len(bl0)]
+				u1 := c1[js:][:len(bl0)]
+				u2 := c2[js:][:len(bl0)]
+				u3 := c3[js:][:len(bl0)]
 				for j, bv0 := range bl0 {
 					bv1 := bl1[j]
 					s0 := u0[j]
@@ -209,108 +281,11 @@ func gemmRowsNN(c, a, b []float64, n, k, i0, i1 int, acc bool) {
 					u3[j] = s3
 				}
 			}
-			for ; l < k; l++ {
+			if k%2 == 1 {
+				l := k - 1
 				bl := b[l*n+j0 : l*n+j0+nc]
-				av0, av1, av2, av3 := a0[l], a1[l], a2[l], a3[l]
-				u0 := c0[:len(bl)]
-				u1 := c1[:len(bl)]
-				u2 := c2[:len(bl)]
-				u3 := c3[:len(bl)]
-				for j, bv := range bl {
-					u0[j] += av0 * bv
-					u1[j] += av1 * bv
-					u2[j] += av2 * bv
-					u3[j] += av3 * bv
-				}
-			}
-		}
-		for ; i < i1; i++ {
-			crow := c[i*n+j0 : i*n+j0+nc]
-			if !acc {
-				for j := range crow {
-					crow[j] = 0
-				}
-			}
-			arow := a[i*k : (i+1)*k]
-			for l := 0; l < k; l++ {
-				bl := b[l*n+j0 : l*n+j0+nc]
-				av := arow[l]
-				u := crow[:len(bl)]
-				for j, bv := range bl {
-					u[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// gemmRowsTA is the NN row pass with A read column-wise: a is [k×m], so
-// the four row values for each l are the contiguous a[l*m+i .. l*m+i+3].
-func gemmRowsTA(c, a, b []float64, m, n, k, i0, i1 int, acc bool) {
-	for j0 := 0; j0 < n; j0 += gemmNC {
-		nc := n - j0
-		if nc > gemmNC {
-			nc = gemmNC
-		}
-		i := i0
-		for ; i+4 <= i1; i += 4 {
-			c0 := c[i*n+j0 : i*n+j0+nc]
-			c1 := c[(i+1)*n+j0 : (i+1)*n+j0+nc]
-			c2 := c[(i+2)*n+j0 : (i+2)*n+j0+nc]
-			c3 := c[(i+3)*n+j0 : (i+3)*n+j0+nc]
-			if !acc {
-				for j := range c0 {
-					c0[j] = 0
-				}
-				for j := range c1 {
-					c1[j] = 0
-				}
-				for j := range c2 {
-					c2[j] = 0
-				}
-				for j := range c3 {
-					c3[j] = 0
-				}
-			}
-			l := 0
-			for ; l+2 <= k; l += 2 {
-				bl0 := b[l*n+j0 : l*n+j0+nc]
-				bl1 := b[(l+1)*n+j0 : (l+1)*n+j0+nc]
-				bl1 = bl1[:len(bl0)]
-				as0 := a[l*m+i : l*m+i+4]
-				as1 := a[(l+1)*m+i : (l+1)*m+i+4]
-				av00, av01 := as0[0], as1[0]
-				av10, av11 := as0[1], as1[1]
-				av20, av21 := as0[2], as1[2]
-				av30, av31 := as0[3], as1[3]
-				u0 := c0[:len(bl0)]
-				u1 := c1[:len(bl0)]
-				u2 := c2[:len(bl0)]
-				u3 := c3[:len(bl0)]
-				for j, bv0 := range bl0 {
-					bv1 := bl1[j]
-					s0 := u0[j]
-					s0 += av00 * bv0
-					s0 += av01 * bv1
-					u0[j] = s0
-					s1 := u1[j]
-					s1 += av10 * bv0
-					s1 += av11 * bv1
-					u1[j] = s1
-					s2 := u2[j]
-					s2 += av20 * bv0
-					s2 += av21 * bv1
-					u2[j] = s2
-					s3 := u3[j]
-					s3 += av30 * bv0
-					s3 += av31 * bv1
-					u3[j] = s3
-				}
-			}
-			for ; l < k; l++ {
-				bl := b[l*n+j0 : l*n+j0+nc]
-				as := a[l*m+i : l*m+i+4]
-				av0, av1, av2, av3 := as[0], as[1], as[2], as[3]
+				p := i*ars + l*als
+				av0, av1, av2, av3 := a[p], a[p+ars], a[p+2*ars], a[p+3*ars]
 				u0 := c0[:len(bl)]
 				u1 := c1[:len(bl)]
 				u2 := c2[:len(bl)]
@@ -332,7 +307,7 @@ func gemmRowsTA(c, a, b []float64, m, n, k, i0, i1 int, acc bool) {
 			}
 			for l := 0; l < k; l++ {
 				bl := b[l*n+j0 : l*n+j0+nc]
-				av := a[l*m+i]
+				av := a[i*ars+l*als]
 				u := crow[:len(bl)]
 				for j, bv := range bl {
 					u[j] += av * bv

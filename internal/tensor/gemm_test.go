@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"fedms/internal/randx"
@@ -38,7 +39,11 @@ func refGemm(c, a, b []float64, m, n, k int, op gemmOp, acc bool) {
 
 // gemmTestShapes covers tiny and large volumes, all row-quad and
 // dot-tile fringe cases (m and n ≡ 0..3 mod 4), k=1, and n spanning
-// multiple gemmNC chunks with a ragged tail.
+// multiple gemmNC chunks with a ragged tail. The rows after {32, 256,
+// 50} aim at the AVX2 pass's tails: column tails n mod 4 ∈ {1, 2, 3}
+// next to vector columns, odd k (the last l runs in Go), row tails
+// m mod 4 ≠ 0 under full quads, the smallest shapes the assembly takes,
+// and n > gemmNC with a vector-plus-tail second chunk.
 var gemmTestShapes = []struct{ m, n, k int }{
 	{1, 1, 1},
 	{3, 5, 7},
@@ -55,6 +60,16 @@ var gemmTestShapes = []struct{ m, n, k int }{
 	{7, 1030, 12},
 	{96, 160, 16},
 	{32, 256, 50},
+	{4, 4, 2},
+	{4, 5, 2},
+	{4, 6, 3},
+	{8, 7, 5},
+	{32, 10, 64},
+	{13, 10, 33},
+	{6, 14, 2},
+	{9, 1, 8},
+	{21, 1027, 11},
+	{12, 1028, 4},
 }
 
 func randGemmOperands(r *randx.RNG, m, n, k int, op gemmOp) (a, b, c []float64) {
@@ -73,6 +88,25 @@ func randGemmOperands(r *randx.RNG, m, n, k int, op gemmOp) (a, b, c []float64) 
 		b[i] = 0
 	}
 	return a, b, c
+}
+
+// forEachKernel runs f once per GEMM kernel this CPU can run: the
+// pure-Go kernel always, and the AVX2 pass where the CPU has it.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	kernels := []bool{false}
+	if haveAVX2 {
+		kernels = append(kernels, true)
+	}
+	for _, on := range kernels {
+		name := "go"
+		if on {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			defer SetAVX2(on)()
+			f(t)
+		})
+	}
 }
 
 func requireBitIdentical(t *testing.T, got, want []float64, label string) {
@@ -104,20 +138,22 @@ func TestGemmBitIdenticalToReference(t *testing.T) {
 		{"GemmTB", opTB, false, GemmTB},
 		{"GemmTBAcc", opTB, true, GemmTBAcc},
 	}
-	r := randx.New(2024)
-	for _, sh := range gemmTestShapes {
-		for _, v := range variants {
-			a, b, c := randGemmOperands(r, sh.m, sh.n, sh.k, v.op)
-			want := append([]float64(nil), c...)
-			refGemm(want, a, b, sh.m, sh.n, sh.k, v.op, v.acc)
-			for _, workers := range []int{1, 2, 8} {
-				got := append([]float64(nil), c...)
-				v.run(got, a, b, sh.m, sh.n, sh.k, workers)
-				label := fmt.Sprintf("%s m=%d n=%d k=%d workers=%d", v.name, sh.m, sh.n, sh.k, workers)
-				requireBitIdentical(t, got, want, label)
+	forEachKernel(t, func(t *testing.T) {
+		r := randx.New(2024)
+		for _, sh := range gemmTestShapes {
+			for _, v := range variants {
+				a, b, c := randGemmOperands(r, sh.m, sh.n, sh.k, v.op)
+				want := append([]float64(nil), c...)
+				refGemm(want, a, b, sh.m, sh.n, sh.k, v.op, v.acc)
+				for _, workers := range []int{1, 2, 8} {
+					got := append([]float64(nil), c...)
+					v.run(got, a, b, sh.m, sh.n, sh.k, workers)
+					label := fmt.Sprintf("%s m=%d n=%d k=%d workers=%d", v.name, sh.m, sh.n, sh.k, workers)
+					requireBitIdentical(t, got, want, label)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestGemmWorkerCountsAgree pins the parallel path against the serial
@@ -125,15 +161,56 @@ func TestGemmBitIdenticalToReference(t *testing.T) {
 // split: any worker count must leave C bit-identical.
 func TestGemmWorkerCountsAgree(t *testing.T) {
 	const m, n, k = 61, 530, 37
-	r := randx.New(7)
-	a, b, c := randGemmOperands(r, m, n, k, opNN)
-	serial := append([]float64(nil), c...)
-	GemmWorkers(serial, a, b, m, n, k, 1)
-	for _, workers := range []int{2, 3, 5, 8, 64} {
-		got := append([]float64(nil), c...)
-		GemmWorkers(got, a, b, m, n, k, workers)
-		requireBitIdentical(t, got, serial, fmt.Sprintf("workers=%d", workers))
+	forEachKernel(t, func(t *testing.T) {
+		r := randx.New(7)
+		a, b, c := randGemmOperands(r, m, n, k, opNN)
+		serial := append([]float64(nil), c...)
+		GemmWorkers(serial, a, b, m, n, k, 1)
+		for _, workers := range []int{2, 3, 5, 8, 64} {
+			got := append([]float64(nil), c...)
+			GemmWorkers(got, a, b, m, n, k, workers)
+			requireBitIdentical(t, got, serial, fmt.Sprintf("workers=%d", workers))
+		}
+		// TB packs Bᵀ once and shares it across the workers.
+		bt := make([]float64, n*k)
+		randx.Normal(r, bt, 0, 1)
+		GemmTB(serial, a, bt, m, n, k, 1)
+		for _, workers := range []int{2, 3, 5, 8, 64} {
+			got := make([]float64, m*n)
+			GemmTB(got, a, bt, m, n, k, workers)
+			requireBitIdentical(t, got, serial, fmt.Sprintf("GemmTB workers=%d", workers))
+		}
+	})
+}
+
+// TestGemmTBConcurrentCalls runs TB products of several shapes from
+// several goroutines at once: each call packs Bᵀ into its own pooled
+// panel, so under -race no two calls may share one, and every result
+// must still match the reference.
+func TestGemmTBConcurrentCalls(t *testing.T) {
+	shapes := []struct{ m, n, k int }{{32, 128, 64}, {32, 64, 10}, {8, 7, 5}, {61, 530, 37}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := randx.New(uint64(100 + g))
+			for it := 0; it < 20; it++ {
+				sh := shapes[(g+it)%len(shapes)]
+				a, b, c := randGemmOperands(r, sh.m, sh.n, sh.k, opTB)
+				want := append([]float64(nil), c...)
+				refGemm(want, a, b, sh.m, sh.n, sh.k, opTB, true)
+				GemmTBAcc(c, a, b, sh.m, sh.n, sh.k, 1+g%2)
+				for i := range want {
+					if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
+						t.Errorf("goroutine %d shape %v: element %d = %v, want %v", g, sh, i, c[i], want[i])
+						return
+					}
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
 }
 
 // TestGemmMatchesOldNaiveSemantics pins the compatibility claim made in
@@ -217,32 +294,40 @@ func TestGemmZeroK(t *testing.T) {
 }
 
 // BenchmarkGemm tracks the kernel at the GEMM shapes of the internal/nn
-// layers: the MLP's fc1 forward and weight gradient, a SmallCNN-style
-// 3x3 conv lowering and a MobileNet-style 1x1 expansion, both over a
-// batch of 8 16x16 feature maps.
+// layers, in GFLOP/s: the MLP's fc1 forward and weight gradient, a
+// SmallCNN-style 3x3 conv lowering and a MobileNet-style 1x1 expansion,
+// both over a batch of 8 16x16 feature maps, then the eight products of
+// one engine_paper local step (the 32→128→64→10 MLP on a batch of 32:
+// three forward NN, three weight-gradient TA and the two input
+// gradients past the first layer as TB).
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range []struct {
 		name    string
+		op      gemmOp
 		m, n, k int
 	}{
-		{"dense_fwd_32x256x784", 32, 256, 784},
-		{"dense_dw_784x256x32", 784, 256, 32},
-		{"conv3x3_32x2048x144", 32, 2048, 144},
-		{"conv_pointwise_96x2048x16", 96, 2048, 16},
+		{"dense_fwd_32x256x784", opNN, 32, 256, 784},
+		{"dense_dw_784x256x32", opNN, 784, 256, 32},
+		{"conv3x3_32x2048x144", opNN, 32, 2048, 144},
+		{"conv_pointwise_96x2048x16", opNN, 96, 2048, 16},
+		{"paper_fc0_fwd_32x128x32", opNN, 32, 128, 32},
+		{"paper_fc1_fwd_32x64x128", opNN, 32, 64, 128},
+		{"paper_out_fwd_32x10x64", opNN, 32, 10, 64},
+		{"paper_fc0_dw_32x128x32", opTA, 32, 128, 32},
+		{"paper_fc1_dw_128x64x32", opTA, 128, 64, 32},
+		{"paper_out_dw_64x10x32", opTA, 64, 10, 32},
+		{"paper_fc1_dx_32x128x64", opTB, 32, 128, 64},
+		{"paper_out_dx_32x64x10", opTB, 32, 64, 10},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			r := randx.New(1)
-			a := make([]float64, sh.m*sh.k)
-			bb := make([]float64, sh.k*sh.n)
-			c := make([]float64, sh.m*sh.n)
-			randx.Normal(r, a, 0, 1)
-			randx.Normal(r, bb, 0, 1)
-			b.SetBytes(int64(8 * sh.m * sh.n * sh.k))
+			a, bb, c := randGemmOperands(r, sh.m, sh.n, sh.k, sh.op)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Gemm(c, a, bb, sh.m, sh.n, sh.k)
+				gemmDispatch(c, a, bb, sh.m, sh.n, sh.k, sh.op, sh.op == opTA, 1)
 			}
+			b.ReportMetric(2*float64(sh.m*sh.n*sh.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }
