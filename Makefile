@@ -13,6 +13,8 @@ test:
 	$(GO) test ./...
 
 # Tier-1 plus the race-clean tier: everything must pass with -race.
+# Before anything builds, no assembly kernel may contain a fused
+# multiply-add (FMA_MNEMONIC below).
 # The fork-join (par.For's partition) and GEMM determinism contract runs
 # first on its own — every worker-parallel loop goes through par.For
 # and the GEMM kernels underpin every training result, so their races
@@ -51,7 +53,8 @@ test:
 # again, so a steady-state frame allocates nothing that scales with d),
 # the top-k encode allocation gate (a steady-state topk/ef+topk encode at
 # d = 1e5 allocates nothing), par.For's (nothing serial, at most two
-# objects per fan-out), the client filter's (a steady-state trimmed
+# objects per fan-out), a steady-state blobs-MLP training step's
+# (nothing), the client filter's (a steady-state trimmed
 # mean over 5 dense views at d = 1e5 allocates at most 3 objects),
 # Bulyan's (its allocations do not grow with d) and the flat gather's
 # memory bound (a cold aggregation of n views stages n·tile values per
@@ -94,9 +97,17 @@ RACE_DERIVE  = TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobi
 RACE_FILTER  = TestDistributedMatchesEngine(Clean|UnderNoiseAttack|EquivocatingAttack)$$|TestDistributedDownlinkCodecMatchesEngine|TestEngineFiltersEachReceivedSetOnce
 RACE_ROLES   = TestRole|TestDistributedHistoryAttackParity|TestDistributedIdleServerMatchesEngine|TestDistributedByzantineClientParity|TestDistributedUploadCodecMatchesEngine
 RACE_BARRIER = TestPSSyncBarrierReadAhead|TestClientSyncBarrierReadAhead|TestPSLateDeathKeepsAdmittedFrames|TestClientUnusableModelEndsPeersRound|TestPSDeadPeerDoesNotArmStragglerCap|TestPSStrictBarrierNamesLowestFailingClient|TestClientBarrierIsNeverCapped
+# An instruction line (no comment before it) naming VFMADD*, VFMSUB*,
+# VFNMADD* or VFNMSUB*. Both assembly kernels (the GEMM quad pass and
+# the trimmed mean's tile) are bit-identical to their pure-Go kernels
+# only because every multiply and add rounds on its own; a fused
+# multiply-add rounds once and would move every model_hash.
+FMA_MNEMONIC = ^[^/]*\bVFN?M(ADD|SUB)
 RACE_STAGES  = $(RACE_GEMM)|$(RACE_OBS)|$(RACE_PAYLOAD)|$(RACE_LOSS)|$(RACE_LOSSD)|$(RACE_PART)|$(RACE_ASYNCD)|$(RACE_ASYNC)|$(RACE_FLOOD)|$(RACE_CLI)|$(RACE_DERIVE)|$(RACE_FILTER)|$(RACE_ROLES)|$(RACE_BARRIER)
 
 verify:
+	@! grep -rnE --include='*.s' '$(FMA_MNEMONIC)' internal/ || \
+		{ echo 'verify: fused multiply-add in an assembly kernel (see FMA_MNEMONIC)'; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -run '$(RACE_GEMM)' ./internal/tensor/ ./internal/par/
 	$(GO) test -race -run '$(RACE_OBS)' ./internal/node/ ./internal/core/
@@ -107,7 +118,7 @@ verify:
 	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
 	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestConnRecvSteadyStateAllocs|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestConnRecvSteadyStateAllocs|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound|TestTrainStepAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/ ./internal/nn/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/

@@ -200,7 +200,10 @@ func benchName(variant string, d int) string {
 // normal, so each column arrives in random order, and "consensus" has
 // P−1 identical rows plus one outlier, so every column arrives in the
 // same order. Together they show how far the kernel's cost depends on
-// its data.
+// its data. Each row runs on the tile kernel this CPU selects (AVX2
+// where it has it) and, under "/go", pinned to the pure-Go paths: the
+// sortTile network through networkMaxN members, the per-column
+// insertion sort past it.
 func BenchmarkFilter(b *testing.B) {
 	for _, shape := range []struct {
 		name    string
@@ -223,13 +226,19 @@ func BenchmarkFilter(b *testing.B) {
 		}{{"spread", spread}, {"consensus", consensus}} {
 			q := Request{Rule: TrimmedMean{Trim: shape.trim}, Views: denseViews(cols.vecs),
 				Dst: make([]float64, shape.d), Workers: 1}
-			b.Run(shape.name+"/"+cols.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					benchSink = Run(q).Out
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.d), "ns/coord")
-			})
+			for _, kern := range []struct {
+				suffix string
+				vec    bool
+			}{{"", true}, {"/go", false}} {
+				b.Run(shape.name+"/"+cols.name+kern.suffix, func(b *testing.B) {
+					defer SetTileAVX2(kern.vec)()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						benchSink = Run(q).Out
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.d), "ns/coord")
+				})
+			}
 		}
 	}
 }

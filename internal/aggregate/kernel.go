@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"fedms/internal/cpu"
 )
 
 // coordinateRule is a rule that aggregates coordinate by coordinate:
@@ -19,15 +21,17 @@ import (
 //     reduces a column no view touches: it keeps +0.0, which is what
 //     every kernel returns for an all-zero column.
 //   - One permutation per column. The unweighted trimmed mean of up
-//     to networkMaxN members reduces a staged tile at once
-//     (kernel.tile): an insertion network of adjacent compare-exchanges
-//     sorts every lane of the tile without a data-dependent branch,
-//     swapping only on a strict >, so each lane ends in exactly the
-//     permutation the per-column insertion sort produces — ties and ±0
-//     in input order — and the row-by-row reduction repeats the
-//     per-column operation order. The tile form is therefore
+//     to networkMaxN members — tileVecMaxN on a CPU with AVX2 —
+//     reduces a staged tile at once (kernel.tile): an insertion network
+//     of adjacent compare-exchanges sorts every lane of the tile
+//     without a data-dependent branch, swapping only on a strict >, so
+//     each lane ends in exactly the permutation the per-column
+//     insertion sort produces — ties and ±0 in input order — and the
+//     reduction repeats the per-column operation order. The AVX2 kernel
+//     runs that same network and arithmetic four lanes at a time, each
+//     operation rounding on its own. The tile form is therefore
 //     bit-identical to reduce, and the path choice is a pure function
-//     of (n, m, weighted).
+//     of (n, m, weighted) and the CPU, which the output cannot show.
 //   - Weight ≡ 1 identity. nil weights weigh every member 1, and the
 //     weighted arithmetic is the unweighted arithmetic with explicit
 //     weights: same scan and summation order, same path choice (a pure
@@ -110,8 +114,13 @@ func (t TrimmedMean) kernel(n int, weights []float64) kernel {
 		},
 		winLen: 2 * m,
 	}
-	if weights == nil && m > 0 && !useSelection(n, m) && n <= networkMaxN {
-		k.tile = tileForm{n: n, m: m}
+	if weights == nil && m > 0 && !useSelection(n, m) {
+		switch {
+		case tileAVX2 && n <= tileVecMaxN:
+			k.tile = tileForm{n: n, m: m, vec: true}
+		case n <= networkMaxN:
+			k.tile = tileForm{n: n, m: m}
+		}
 	}
 	return k
 }
@@ -309,33 +318,65 @@ func sortColumn(col []float64) {
 	}
 }
 
-// networkMaxN is the largest member count whose tile form sorts with
-// the insertion network. The network always does n(n−1)/2
-// compare-exchanges per lane, while insertion sort pays per move and
-// per mispredicted branch. Sweeping BenchmarkFilter's two column
-// shapes over n on a 2-vCPU 2.1 GHz Xeon (median ns/coord, insertion
-// → network): on "spread" columns, which arrive in random order, the
-// network wins at every n swept (n = 6: 144 → 56, 10: 277 → 155,
-// 16: 490 → 374); on "consensus" columns, whose order insertion sort
-// predicts perfectly, it keeps up only through n = 6 (63 → 55) and
-// falls behind from n = 7 (69 → 71) and n = 8 (84 → 100) on. Like
+// networkMaxN is the largest member count whose pure-Go tile form
+// sorts with the insertion network; on a CPU with AVX2 the vector
+// kernel takes every n up to tileVecMaxN instead. The network always
+// does n(n−1)/2 compare-exchanges per lane, while insertion sort pays
+// per move and per mispredicted branch. Sweeping BenchmarkFilter's two
+// column shapes over n at d = 13 000, trim β = 0.2, on a 2-vCPU Xeon
+// (median of 5 runs, ns/coord, insertion → network, pure Go): on
+// "spread" columns, which arrive in random order, the network wins at
+// every n swept (n = 5: 65 → 33, 6: 105 → 47, 10: 205 → 105,
+// 16: 368 → 333); on "consensus" columns, whose order insertion sort
+// predicts perfectly, it wins at n = 5 (38 → 34), falls slightly
+// behind at n = 6 (36 → 41) and further from n = 7 (46 → 54) and
+// n = 8 (48 → 69) on. n = 6 stays in: there the network gains 58 on
+// spread columns for the 5 it loses on consensus ones. Like
 // useSelection, the gate depends on n alone, never on the data or the
 // worker count.
 const networkMaxN = 6
+
+// tileVecMaxN is the largest member count the AVX2 tile kernel takes:
+// its n rows, the compare mask, the swap temporary, +Inf and the
+// divisor fill the 16 YMM registers.
+const tileVecMaxN = 12
+
+// tileAVX2 selects the AVX2 tile kernel (trimTileAVX2) for tiles of up
+// to tileVecMaxN members. It is the CPU's answer at init; tests switch
+// it off to hold the kernel to sortTile.
+var tileAVX2 = cpu.AVX2
 
 // tileForm is an unweighted trimmed mean's (m > 0, outside the
 // selection path) reduction of one staged gather tile.
 type tileForm struct {
 	n int // members: rows in the tile; 0 means no tile form
 	m int // rows trimmed per side
+	// vec selects the AVX2 kernel, which only reads the rows;
+	// otherwise sortTile sorts them in place.
+	vec bool
 }
 
-// reduce writes the aggregates of a tile's columns into out: rows[i]
-// holds member i's values for them, len(out) of each, and is scratch.
-// It sorts every lane with sortTile, then reduces row by row in the
-// per-column kernel's exact operation order: the kept ranks m … n−m−1
-// added in rank order to +0.0 and divided by their count.
-func (f tileForm) reduce(rows [][]float64, out []float64) {
+// reduce writes the aggregates of a tile's leading columns into out
+// and returns how many it reduced; the staged gather reduces the rest
+// column by column. rows[i] holds member i's values for the columns,
+// at least len(out) of each. With vec, trimTileAVX2 reduces every
+// whole group of four lanes without writing the rows. Otherwise the
+// rows are scratch and every lane is reduced: sortTile sorts them, and
+// the row-by-row reduction repeats the per-column kernel's exact
+// operation order, the kept ranks m … n−m−1 added in rank order to
+// +0.0 and divided by their count, which is also the AVX2 kernel's.
+func (f tileForm) reduce(rows [][]float64, out []float64) (done int) {
+	if f.vec {
+		done = len(out) &^ 3
+		if done > 0 {
+			var ptrs [tileVecMaxN]*float64
+			for i, r := range rows {
+				ptrs[i] = &r[:done][0]
+			}
+			trimTileAVX2(&out[0], &ptrs, f.n, f.m, done, float64(f.n-2*f.m))
+		}
+		return done
+	}
 	sortTile(rows)
 	clear(out)
 	for _, r := range rows[f.m : f.n-f.m] {
@@ -347,6 +388,7 @@ func (f tileForm) reduce(rows [][]float64, out []float64) {
 	for j := range out {
 		out[j] /= c
 	}
+	return len(out)
 }
 
 // sortTile sorts every lane j of a tile — the column rows[0][j],

@@ -1,12 +1,15 @@
 package aggregate
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"fedms/internal/compress"
+	"fedms/internal/cpu"
 	"fedms/internal/randx"
 )
 
@@ -44,11 +47,15 @@ func wireView(t testing.TB, v []float64) compress.Payload {
 // that drives its kernel: the flat gather over DensePayload views
 // ("dense"), EncDense bytes, sparse views and a sparse/EncDense mix;
 // and the weighted kernels at weight ≡ 1 over dense and sparse views (run,
-// not Run, so the ones are not dropped). A "reference" arm, computed by
+// not Run, so the ones are not dropped). On a CPU with AVX2 the three
+// staged gathers run again on the pure-Go tile ("go/dense", …), so
+// both tile kernels meet on every input. A "reference" arm, computed by
 // referenceAggregate without any kernel code, joins them wherever the
-// reduction is a rank statistic.
+// reduction is a rank statistic. The tile kernel reads dense views in
+// place, so every member must leave byte-unchanged.
 func kernelPaths(t testing.TB, rule Rule, vecs [][]float64) map[string][]float64 {
 	t.Helper()
+	defer requireUnchanged(t, vecs, cloneVecs(vecs))
 	n := len(vecs)
 	wire := make([]compress.Payload, n)
 	sparse := make([]compress.Payload, n)
@@ -70,10 +77,36 @@ func kernelPaths(t testing.TB, rule Rule, vecs [][]float64) map[string][]float64
 		"weighted/dense":  Request{Rule: rule, Views: dense, Weights: ones}.run().Out,
 		"weighted/sparse": Request{Rule: rule, Views: sparse, Weights: ones}.run().Out,
 	}
+	if cpu.AVX2 {
+		defer SetTileAVX2(false)()
+		paths["go/dense"] = Run(Request{Rule: rule, Views: dense}).Out
+		paths["go/encdense"] = Run(Request{Rule: rule, Views: wire}).Out
+		paths["go/mixed"] = Run(Request{Rule: rule, Views: mixed}).Out
+	}
 	if ref := referenceAggregate(rule, vecs); ref != nil {
 		paths["reference"] = ref
 	}
 	return paths
+}
+
+func cloneVecs(vecs [][]float64) [][]float64 {
+	c := make([][]float64, len(vecs))
+	for i, v := range vecs {
+		c[i] = slices.Clone(v)
+	}
+	return c
+}
+
+// requireUnchanged fails unless every vecs[i] holds before[i]'s bits.
+func requireUnchanged(t testing.TB, vecs, before [][]float64) {
+	t.Helper()
+	for i, v := range vecs {
+		for j := range v {
+			if math.Float64bits(v[j]) != math.Float64bits(before[i][j]) {
+				t.Fatalf("member %d coord %d: %v after aggregating, was %v", i, j, v[j], before[i][j])
+			}
+		}
+	}
 }
 
 // referenceAggregate is the kernels' oracle: each column is copied,
@@ -234,8 +267,9 @@ func sameBits(a, b float64) bool {
 // coordinates (crossing the 256-coordinate gather tile), then every
 // value from kernelPalette. For the mean, the trimmed mean (β = 0.2 and
 // an explicit trim that reaches the selection path) and the median,
-// every kernelPaths path must match the reference arm bit for bit, or,
-// on the selection path, which has none, the dense path.
+// every kernelPaths path, the AVX2 and the pure-Go tile alike, must
+// match the reference arm bit for bit, or, on the selection path,
+// which has none, the dense path.
 // With the members at most TrimCount(n) of which draw arbitrary values
 // (the rest finite), the trimmed mean and the median must stay inside
 // the benign span.
@@ -367,6 +401,100 @@ func TestKernelsMatchReference(t *testing.T) {
 						t.Fatalf("%s n=%d %s coord %d: %v != reference %v", rule.Name(), n, path, j, got[j], want[j])
 					}
 				}
+			}
+		}
+	}
+}
+
+// tileInputs draws n members of dimension d whose values mix i.i.d.
+// normals with kernelPalette's NaN, ±Inf, ±0, subnormals and small
+// integers, and whose every 7th column is one palette value in all
+// members, a column of ties.
+func tileInputs(r *randx.RNG, n, d int) [][]float64 {
+	vecs := randomVecs(r, n, d)
+	for j := 0; j < d; j++ {
+		tie := j%7 == 3
+		p := kernelPalette[r.IntN(len(kernelPalette))]
+		for i := range vecs {
+			if !tie && r.IntN(3) > 0 {
+				continue
+			}
+			if !tie {
+				p = kernelPalette[r.IntN(len(kernelPalette))]
+			}
+			vecs[i][j] = p
+		}
+	}
+	return vecs
+}
+
+// requireSameBits fails unless got and want agree bit for bit.
+func requireSameBits(t *testing.T, got, want []float64, label string) {
+	t.Helper()
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s coord %d: %v (%#x), want %v (%#x)", label, j,
+				got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// TestTileKernelBitIdentical holds the AVX2 tile kernel to the pure-Go
+// paths bit for bit, for every n = 3 … tileVecMaxN and every trim m
+// with 2m < n, on tileInputs' columns. The tile itself is compared to
+// sortTile's at every width from 1 to 9 lanes and a full gather tile:
+// it must reduce exactly the whole groups of four. Run, whose staged
+// gather reduces the lanes past them per column, is compared on both
+// kernels at lengths of every residue mod 4, and past the parallel
+// work volume at Workers 1, 2 and 3, whose chunks start off the 4-lane
+// grid; it reads DensePayload members in place, and they must leave
+// byte-unchanged.
+func TestTileKernelBitIdentical(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("no AVX2 on this CPU: the pure-Go tile is the only one")
+	}
+	r := randx.New(46)
+	for n := 3; n <= tileVecMaxN; n++ {
+		// big crosses minParallelWork, with chunk starts ⌈big/2⌉ and
+		// ⌈big/3⌉ off the 4-lane grid.
+		big := minParallelWork/n + 1
+		for big%4 == 0 || (big+1)/2%4 == 0 || (big+2)/3%4 == 0 {
+			big++
+		}
+		for m := 1; 2*m < n; m++ {
+			vecs := tileInputs(r, n, payloadGatherTile)
+			for w := 1; w <= payloadGatherTile; w++ {
+				if w > 9 && w < payloadGatherTile {
+					continue
+				}
+				rows := make([][]float64, n)
+				for i, v := range vecs {
+					rows[i] = slices.Clone(v[:w])
+				}
+				want, got := make([]float64, w), make([]float64, w)
+				tileForm{n: n, m: m}.reduce(rows, want)
+				done := tileForm{n: n, m: m, vec: true}.reduce(vecs, got)
+				if done != w&^3 {
+					t.Fatalf("tile n=%d m=%d width %d: reduced %d lanes, want %d", n, m, w, done, w&^3)
+				}
+				requireSameBits(t, got[:done], want[:done], fmt.Sprintf("tile n=%d m=%d width %d", n, m, w))
+			}
+
+			for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 517, 518, 519, 520, big} {
+				vecs := tileInputs(r, n, d)
+				before := cloneVecs(vecs)
+				for workers := 1; workers <= 3; workers++ {
+					if workers > 1 && d != big {
+						break
+					}
+					q := Request{Rule: TrimmedMean{Trim: m}, Views: denseViews(vecs), Workers: workers}
+					got := Run(q).Out
+					restore := SetTileAVX2(false)
+					want := Run(q).Out
+					restore()
+					requireSameBits(t, got, want, fmt.Sprintf("Run n=%d m=%d d=%d workers=%d", n, m, d, workers))
+				}
+				requireUnchanged(t, vecs, before)
 			}
 		}
 	}

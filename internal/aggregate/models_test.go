@@ -1,0 +1,101 @@
+package aggregate_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+	"time"
+
+	"fedms"
+	"fedms/internal/aggregate"
+	"fedms/internal/core"
+	"fedms/internal/cpu"
+	"fedms/internal/node"
+)
+
+// TestModelsIndependentOfTileKernel runs two short federations with
+// the AVX2 tile kernel on and off: the engine at the engine_paper
+// benchmark's shape (K = 50, P = 10, B = 2, E = 3, the 32→128→64→10
+// MLP), whose P = 10, m = 2 filter is the widest the kernel takes, and
+// a loopback federation of 8 clients and P = 5 servers, whose clients
+// filter the v1 dense frames they receive in place. The hash of all
+// final models must not depend on the kernel.
+func TestModelsIndependentOfTileKernel(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("no AVX2 on this CPU: the pure-Go tile is the only one")
+	}
+	engine := func(t *testing.T) []core.Learner {
+		eng, err := fedms.BuildEngine(fedms.Config{
+			Clients: 50, Servers: 10, NumByzantine: 2, Attack: fedms.NoiseAttack{},
+			Rounds: 3, LocalSteps: 3, FilterRule: "trim:0.2",
+			Dataset: fedms.DatasetSpec{Kind: fedms.DatasetBlobs, Samples: 10_000, Alpha: 1},
+			Model:   fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{128, 64}},
+			Seed:    1, EvalEvery: -1, Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3; r++ {
+			eng.RunRound()
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Learners()
+	}
+	loopback := func(t *testing.T) []core.Learner {
+		spec := fedms.Config{
+			Clients: 8, Servers: 5, ByzantineIDs: []int{2}, Attack: fedms.BackwardAttack{},
+			Rounds: 3, LocalSteps: 3, FilterRule: "trim:0.2", LearningRate: 0.2,
+			Dataset: fedms.DatasetSpec{Samples: 3000, Alpha: 10, Noise: 2.0},
+			Seed:    7, EvalEvery: -1,
+		}
+		cfg, err := fedms.Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		learners, err := fedms.BuildLearners(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed, err := node.NewLocal(cfg, learners,
+			func(pc *node.PSConfig) { pc.Timeout = 10 * time.Second },
+			func(cc *node.ClientConfig) { cc.Timeout = 10 * time.Second })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fed.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return learners
+	}
+	for _, fed := range []struct {
+		name string
+		run  func(*testing.T) []core.Learner
+	}{{"engine_P=10", engine}, {"loopback_P=5", loopback}} {
+		t.Run(fed.name, func(t *testing.T) {
+			hash := func(on bool) string {
+				defer aggregate.SetTileAVX2(on)()
+				return modelsHash(fed.run(t))
+			}
+			if on, off := hash(true), hash(false); on != off {
+				t.Fatalf("final models hash %s with the AVX2 tile kernel, %s without", on, off)
+			}
+		})
+	}
+}
+
+// modelsHash is the SHA-256 of every learner's parameters in order.
+func modelsHash(learners []core.Learner) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, l := range learners {
+		for _, v := range l.Params() {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}

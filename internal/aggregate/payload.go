@@ -42,11 +42,12 @@ const payloadGatherTile = 256
 //     materialized and out[j] keeps its +0.0, which every kernel maps
 //     the all-zero column to (see coordinateRule);
 //   - staged: every other set — dense, EncDense bytes, quantized or
-//     mixed — stages each tile of every view as one row (copied into a
-//     row buffer bounded by n·tile, never n·d), and every column
-//     reduces: the whole tile at once through the kernel's tile form
-//     (the insertion network across the tile's lanes) when it has one,
-//     column by column otherwise.
+//     mixed — presents each tile of every view as one row (a DensePayload
+//     read in place unless the pure-Go tile sorts it, any other view
+//     copied into a row buffer bounded by n·tile, never n·d), and every
+//     column reduces: the whole tile at once through the kernel's tile
+//     form (the insertion network across the tile's lanes) when it has
+//     one, column by column otherwise.
 func gatherPayloadColumns(ps []compress.Payload, d int, out []float64, k kernel, workers int) {
 	n := len(ps)
 	allSparse := true
@@ -121,11 +122,13 @@ func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 }
 
 // gatherStagedChunk processes [lo, hi) of a set that is not all
-// sparse, one tile at a time: rows[i] holds member i's tile. A kernel
-// with a tile form reorders its rows, so every view is copied into the
-// row buffer (bounded n·tile, never n·d) with Payload.GatherInto. The
-// per-column fallback only reads them, so a DensePayload's row aliases
-// its vector and only the other views are copied.
+// sparse, one tile at a time: rows[i] holds member i's tile. The AVX2
+// tile kernel and the per-column fallback only read their rows, so a
+// DensePayload's row aliases its vector — every v1 dense downlink frame
+// is filtered where it was received — and only the other views are
+// copied into the row buffer (bounded n·tile, never n·d) with
+// Payload.GatherInto. The pure-Go tile sorts its rows in place, so
+// under it every view is copied.
 func gatherStagedChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
 	n := len(ps)
 	buf, rows := grown(s.rowBuf, n*payloadGatherTile), grown(s.rows, n)
@@ -133,30 +136,31 @@ func gatherStagedChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 	for tlo := lo; tlo < hi; tlo += payloadGatherTile {
 		thi := min(tlo+payloadGatherTile, hi)
 		for i := range ps {
-			if v, ok := ps[i].Vec(); ok && k.tile.n == 0 {
+			if v, ok := ps[i].Vec(); ok && (k.tile.n == 0 || k.tile.vec) {
 				rows[i] = v[tlo:thi]
 				continue
 			}
 			rows[i] = buf[i*payloadGatherTile : i*payloadGatherTile+thi-tlo]
 			ps[i].GatherInto(rows[i], tlo, thi)
 		}
+		done := 0
 		if k.tile.n > 0 {
-			k.tile.reduce(rows, out[tlo:thi])
-		} else {
-			reduceColumns(rows, out[tlo:thi], k, s)
+			done = k.tile.reduce(rows, out[tlo:thi])
 		}
+		reduceColumns(rows, out[tlo:thi], done, k, s)
 	}
 	clear(rows) // the pool must not pin the caller's vectors
 }
 
-// reduceColumns is the staged gather's per-column fallback: out[j] is
-// the kernel's reduction of the column rows[0][j], rows[1][j], … It is
-// its own function so that its loop indices stay in registers: inlined
+// reduceColumns is the staged gather's per-column fallback: out[j],
+// for j from the first lane the tile form left (from) on, is the
+// kernel's reduction of the column rows[0][j], rows[1][j], … It is its
+// own function so that its loop indices stay in registers: inlined
 // into gatherStagedChunk's tile loop, the member index spilled to the
 // stack, which cost the P = 10 filter about 8 %.
-func reduceColumns(rows [][]float64, out []float64, k kernel, s *chunkScratch) {
+func reduceColumns(rows [][]float64, out []float64, from int, k kernel, s *chunkScratch) {
 	col := s.col[:len(rows)]
-	for j := range out {
+	for j := from; j < len(out); j++ {
 		for i := range col {
 			col[i] = rows[i][j]
 		}

@@ -1,0 +1,12 @@
+package aggregate
+
+//go:generate go test . -run ^TestTrimTileAsmIsGenerated$ -update
+
+// trimTileAVX2 writes the trimmed means of lanes columns (a positive
+// multiple of 4) into out: column j is rows[0][j], …, rows[n−1][j],
+// 3 ≤ n ≤ tileVecMaxN, trimmed m per side (2m < n), and div is n−2m.
+// It only reads the rows. The caller has bounds-checked every element
+// it reaches.
+//
+//go:noescape
+func trimTileAVX2(out *float64, rows *[tileVecMaxN]*float64, n, m, lanes int, div float64)

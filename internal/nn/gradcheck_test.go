@@ -14,8 +14,7 @@ func lossOf(layer Layer, x *tensor.Dense, labels []int, train bool) float64 {
 	out := layer.Forward(x, train)
 	n := out.Dim(0)
 	out = out.Reshape(n, out.Len()/n)
-	loss, _ := SoftmaxCrossEntropy{}.Forward(out, labels)
-	return loss
+	return SoftmaxCrossEntropy{}.Forward(out, labels, nil)
 }
 
 // analyticGrads runs forward+backward once and returns (input grad,
@@ -25,7 +24,8 @@ func analyticGrads(layer Layer, x *tensor.Dense, labels []int) (*tensor.Dense, [
 	out := layer.Forward(x, true)
 	n := out.Dim(0)
 	flatOut := out.Reshape(n, out.Len()/n)
-	_, g := SoftmaxCrossEntropy{}.Forward(flatOut, labels)
+	g := tensor.New(flatOut.Shape()...)
+	SoftmaxCrossEntropy{}.Forward(flatOut, labels, g)
 	dx := layer.Backward(g.Reshape(out.Shape()...))
 	var pg []float64
 	for _, p := range layer.Params() {

@@ -7,11 +7,13 @@ import (
 	"fedms/internal/tensor"
 )
 
-// Loss maps model outputs and integer labels to a scalar loss and the
-// gradient of that loss with respect to the outputs.
+// Loss maps model outputs and integer labels to a scalar loss and, when
+// grad is non-nil, writes the gradient of that loss with respect to the
+// outputs into grad, which has output's shape. The caller owns grad, so
+// a training loop reuses one buffer across steps.
 type Loss interface {
 	Name() string
-	Forward(output *tensor.Dense, labels []int) (loss float64, grad *tensor.Dense)
+	Forward(output *tensor.Dense, labels []int, grad *tensor.Dense) (loss float64)
 }
 
 // SoftmaxCrossEntropy is the standard classification loss: softmax over
@@ -22,7 +24,7 @@ type SoftmaxCrossEntropy struct{}
 func (SoftmaxCrossEntropy) Name() string { return "softmax_cross_entropy" }
 
 // Forward implements Loss. output must be [N, classes].
-func (SoftmaxCrossEntropy) Forward(output *tensor.Dense, labels []int) (float64, *tensor.Dense) {
+func (SoftmaxCrossEntropy) Forward(output *tensor.Dense, labels []int, grad *tensor.Dense) float64 {
 	if output.Rank() != 2 {
 		panic(fmt.Sprintf("nn: cross entropy expects [N, classes], got %v", output.Shape()))
 	}
@@ -30,8 +32,13 @@ func (SoftmaxCrossEntropy) Forward(output *tensor.Dense, labels []int) (float64,
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
 	}
-	grad := tensor.New(n, classes)
-	gd := grad.Data()
+	var gd []float64
+	if grad != nil {
+		if !grad.SameShape(output) {
+			panic(fmt.Sprintf("nn: cross entropy gradient %v for output %v", grad.Shape(), output.Shape()))
+		}
+		gd = grad.Data()
+	}
 	loss := 0.0
 	invN := 1 / float64(n)
 	for i := 0; i < n; i++ {
@@ -53,11 +60,14 @@ func (SoftmaxCrossEntropy) Forward(output *tensor.Dense, labels []int) (float64,
 		}
 		logZ := maxv + math.Log(sum)
 		loss += (logZ - row[y]) * invN
+		if gd == nil {
+			continue
+		}
 		g := gd[i*classes : (i+1)*classes]
 		for j, v := range row {
 			g[j] = math.Exp(v-logZ) * invN
 		}
 		g[y] -= invN
 	}
-	return loss, grad
+	return loss
 }

@@ -7,6 +7,7 @@ import "fedms/internal/tensor"
 type Network struct {
 	body    Layer
 	loss    Loss
+	grad    outCache // the loss gradient TrainBatch back-propagates
 	params  []*Param
 	workers int
 }
@@ -76,7 +77,8 @@ func (n *Network) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 // Callers zero gradients (ZeroGrads) and step an optimizer around it.
 func (n *Network) TrainBatch(x *tensor.Dense, labels []int) float64 {
 	out := n.body.Forward(x, true)
-	loss, grad := n.loss.Forward(out, labels)
+	grad := n.grad.like(out)
+	loss := n.loss.Forward(out, labels, grad)
 	n.body.Backward(grad)
 	return loss
 }
@@ -85,7 +87,7 @@ func (n *Network) TrainBatch(x *tensor.Dense, labels []int) float64 {
 // a batch without touching gradients or training-time state.
 func (n *Network) EvalBatch(x *tensor.Dense, labels []int) (loss float64, correct int) {
 	out := n.body.Forward(x, false)
-	loss, _ = n.loss.Forward(out, labels)
+	loss = n.loss.Forward(out, labels, nil)
 	classes := out.Dim(1)
 	for i := 0; i < out.Dim(0); i++ {
 		row := out.Row(i)

@@ -78,7 +78,8 @@ func TestDeterministicInit(t *testing.T) {
 func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	// Zero logits: loss = ln(C).
 	out := tensor.New(2, 4)
-	loss, grad := SoftmaxCrossEntropy{}.Forward(out, []int{0, 3})
+	grad := tensor.New(2, 4)
+	loss := SoftmaxCrossEntropy{}.Forward(out, []int{0, 3}, grad)
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln4 = %v", loss, math.Log(4))
 	}
@@ -99,15 +100,16 @@ func TestSoftmaxCrossEntropyGradFiniteDiff(t *testing.T) {
 	out := tensor.New(3, 5)
 	out.FillNormal(r, 0, 1)
 	labels := []int{1, 4, 0}
-	_, grad := SoftmaxCrossEntropy{}.Forward(out, labels)
+	grad := tensor.New(3, 5)
+	SoftmaxCrossEntropy{}.Forward(out, labels, grad)
 	const eps = 1e-6
 	d := out.Data()
 	for i := range d {
 		orig := d[i]
 		d[i] = orig + eps
-		up, _ := SoftmaxCrossEntropy{}.Forward(out, labels)
+		up := SoftmaxCrossEntropy{}.Forward(out, labels, nil)
 		d[i] = orig - eps
-		down, _ := SoftmaxCrossEntropy{}.Forward(out, labels)
+		down := SoftmaxCrossEntropy{}.Forward(out, labels, nil)
 		d[i] = orig
 		want := (up - down) / (2 * eps)
 		if math.Abs(grad.Data()[i]-want) > 1e-6 {
@@ -323,4 +325,33 @@ func TestClipGradNormPanics(t *testing.T) {
 		}
 	}()
 	ClipGradNorm(nil, 0)
+}
+
+// TestTrainStepAllocs: a steady-state training step on the blobs MLP
+// (the engine_paper benchmark's 32→128→64→10 network on batches of
+// 32) — ZeroGrads, TrainBatch, SGD step — allocates nothing. Every
+// layer reuses its outputs and the network its loss gradient, so a
+// per-step tensor header or variadic shape slice fails it.
+func TestTrainStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	r := randx.New(13)
+	net := NewMLP(MLPConfig{In: 32, Hidden: []int{128, 64}, NumClasses: 10, Seed: 1})
+	x := tensor.New(32, 32)
+	x.FillNormal(r, 0, 1)
+	labels := make([]int, 32)
+	for i := range labels {
+		labels[i] = r.IntN(10)
+	}
+	opt := NewSGD(0, 0)
+	step := func() {
+		net.ZeroGrads()
+		net.TrainBatch(x, labels)
+		opt.Step(net.Params(), 0.05)
+	}
+	step() // size every layer's buffers
+	if a := testing.AllocsPerRun(20, step); a != 0 {
+		t.Fatalf("a training step allocates %v objects, want 0", a)
+	}
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "fedms/internal/tensor"
+import (
+	"slices"
+
+	"fedms/internal/tensor"
+)
 
 // Per-layer scratch arenas. Every layer owns the buffers it writes during
 // Forward/Backward and reuses them across training steps, so a steady
@@ -58,6 +62,10 @@ type outCache struct {
 	buf []float64
 }
 
+// get returns the cached tensor, re-wrapped on a shape change. shape
+// must not escape, or every call would allocate its variadic slice: a
+// miss hands tensor.FromSlice (whose panic message retains its shape
+// argument) a copy, so a hit allocates nothing.
 func (oc *outCache) get(shape ...int) *tensor.Dense {
 	if oc.t != nil && shapeEq(oc.t, shape) {
 		return oc.t
@@ -67,7 +75,7 @@ func (oc *outCache) get(shape ...int) *tensor.Dense {
 		vol *= d
 	}
 	oc.buf = growF(oc.buf, vol)
-	oc.t = tensor.FromSlice(oc.buf, shape...)
+	oc.t = tensor.FromSlice(oc.buf, slices.Clone(shape)...)
 	return oc.t
 }
 
@@ -94,7 +102,7 @@ func (vc *viewCache) get(data []float64, shape ...int) *tensor.Dense {
 		return vc.view
 	}
 	vc.src = data
-	vc.view = tensor.FromSlice(data, shape...)
+	vc.view = tensor.FromSlice(data, slices.Clone(shape)...) // as in outCache.get
 	return vc.view
 }
 

@@ -53,6 +53,7 @@ package tensor
 import (
 	"sync"
 
+	"fedms/internal/cpu"
 	"fedms/internal/par"
 )
 
@@ -77,7 +78,7 @@ const (
 // gemmAVX2 selects the assembly four-row pass inside gemmRowsAB. It is
 // the CPU's answer at init; tests switch it off to hold the assembly to
 // the pure-Go kernel.
-var gemmAVX2 = haveAVX2
+var gemmAVX2 = cpu.AVX2
 
 // gemmOp selects which operand is logically transposed. Operands are
 // always stored row-major; the transposed variants read the same buffer

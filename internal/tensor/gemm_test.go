@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"fedms/internal/cpu"
 	"fedms/internal/randx"
 )
 
@@ -94,7 +95,7 @@ func randGemmOperands(r *randx.RNG, m, n, k int, op gemmOp) (a, b, c []float64) 
 // pure-Go kernel always, and the AVX2 pass where the CPU has it.
 func forEachKernel(t *testing.T, f func(t *testing.T)) {
 	kernels := []bool{false}
-	if haveAVX2 {
+	if cpu.AVX2 {
 		kernels = append(kernels, true)
 	}
 	for _, on := range kernels {
