@@ -352,7 +352,7 @@ func BenchmarkGemm64(b *testing.B) {
 	randx.Normal(r, bb, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Gemm(c, a, bb, 64, 64, 64)
+		tensor.Gemm(c, a, bb, 64, 64, 64, 1)
 	}
 }
 

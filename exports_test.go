@@ -18,11 +18,6 @@ import (
 // of live code compare against or build on.
 var testOracles = map[string]string{
 	"internal/compress.DecodePayload":  "reference decoder the fused payload paths and the fuzz targets compare against",
-	"internal/tensor.MatMul":           "naive product the blocked GEMM kernels are checked against",
-	"internal/tensor.MatVec":           "naive matrix-vector reference kept beside the GEMM kernels; the tensor tests pin MatVecInto through it",
-	"internal/tensor.Transpose":        "builds the explicit transposes the GemmTA/GemmTB kernels are checked against",
-	"internal/tensor.Im2Col":           "allocating im2col the fused conv lowering is checked against",
-	"internal/tensor.Col2Im":           "allocating col2im the conv gradient is checked against",
 	"internal/transport.Encode":        "allocating frame encoder the wire, golden and fuzz tests build frames with",
 	"internal/transport.Decode":        "unbounded frame decoder the wire and fuzz tests read frames with",
 	"internal/transport.DecodeBounded": "bounded decoder the oversize-claim and allocation gates call directly",

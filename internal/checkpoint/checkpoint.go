@@ -253,13 +253,15 @@ func Load(r io.Reader) (*State, error) {
 	if dim > maxDim {
 		return nil, ErrCorrupt
 	}
-	params := make([]float64, dim)
-	for i := range params {
+	// params grows as values arrive, so a corrupt dim claims no more
+	// memory than the bytes actually present back it.
+	params := make([]float64, 0, min(dim, 1<<16))
+	for i := uint64(0); i < dim; i++ {
 		bits, err := readU64()
 		if err != nil {
 			return nil, err
 		}
-		params[i] = math.Float64frombits(bits)
+		params = append(params, math.Float64frombits(bits))
 	}
 	gotCRC := cr.crc
 	if _, err := io.ReadFull(br, scratch[:4]); err != nil {

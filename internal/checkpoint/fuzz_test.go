@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -32,4 +34,25 @@ func FuzzLoad(f *testing.F) {
 			t.Fatal("save/load not idempotent")
 		}
 	})
+}
+
+// TestLoadLyingDimAllocatesLittle: a header that claims 2^29 parameters
+// over a few bytes of body is rejected without the 4 GiB allocation the
+// claim asks for.
+func TestLoadLyingDimAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	_ = Save(&buf, &State{Params: []float64{1}})
+	data := buf.Bytes()
+	// The dimension is the u64 before the one parameter and the CRC.
+	dimAt := len(data) - 4 - 8 - 8
+	binary.LittleEndian.PutUint64(data[dimAt:], 1<<29)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Load(bytes.NewReader(data)); err == nil {
+		t.Fatal("Load accepted a truncated parameter vector")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<22 {
+		t.Fatalf("Load allocated %d bytes for a %d-byte checkpoint", got, len(data))
+	}
 }

@@ -197,12 +197,10 @@ func (e *Engine) Dim() int { return e.dim }
 // Learners returns the client learners (index = client id).
 func (e *Engine) Learners() []Learner { return e.learners }
 
-// Run executes cfg.Rounds rounds and returns their statistics.
+// Run executes the rounds left of cfg.Rounds and returns their
+// statistics: RunContext without cancellation.
 func (e *Engine) Run() []RoundStats {
-	stats := make([]RoundStats, 0, e.cfg.Rounds)
-	for t := 0; t < e.cfg.Rounds; t++ {
-		stats = append(stats, e.RunRound())
-	}
+	stats, _ := e.RunContext(context.Background())
 	return stats
 }
 

@@ -719,6 +719,31 @@ func TestRunContextCompletes(t *testing.T) {
 	}
 }
 
+// TestRunFinishesAfterManualRounds: Run after a RunRound prefix runs
+// only the rounds left of cfg.Rounds, as RunContext does.
+func TestRunFinishesAfterManualRounds(t *testing.T) {
+	learners, _ := testFixture(t, 4, 39)
+	cfg := baseConfig(4, 3, 0, attack.None{}, aggregate.Mean{})
+	cfg.Rounds = 5
+	cfg.EvalEvery = -1
+	eng, err := NewEngine(cfg, learners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunRound()
+	eng.RunRound()
+	var rounds []int
+	for _, st := range eng.Run() {
+		rounds = append(rounds, st.Round)
+	}
+	if fmt.Sprint(rounds) != "[2 3 4]" {
+		t.Fatalf("Run after 2 manual rounds ran rounds %v, want [2 3 4]", rounds)
+	}
+	if more := eng.Run(); len(more) != 0 {
+		t.Fatalf("Run on a finished engine ran %d more rounds", len(more))
+	}
+}
+
 func TestRoundRobinUploadBalanced(t *testing.T) {
 	learners, _ := testFixture(t, 12, 39)
 	cfg := baseConfig(12, 4, 0, attack.None{}, aggregate.Mean{})

@@ -110,8 +110,11 @@ func (l *NNLearner) Params() []float64 { return l.net.FlatParams() }
 func (l *NNLearner) SetParams(flat []float64) { l.net.SetFlatParams(flat) }
 
 // LocalTrain implements Learner: E steps of mini-batch SGD, as in lines
-// 8-10 of Algorithm 1.
+// 8-10 of Algorithm 1. The optimizer is reset first: the model the
+// filter installed restarts local training, so no momentum carries over
+// from the previous round.
 func (l *NNLearner) LocalTrain(steps, globalStep int, sched nn.Schedule) float64 {
+	l.opt.Reset()
 	total := 0.0
 	for i := 0; i < steps; i++ {
 		x, y := l.batcher.Next()

@@ -9,20 +9,21 @@ import (
 )
 
 // Conv2D is a 2-D convolution over [N, C, H, W] inputs with symmetric
-// zero padding and optional channel groups. groups == 1 is a standard
-// convolution; groups == inC with outC == inC is the depthwise
-// convolution used by MobileNet V2.
+// zero padding. It is either a standard convolution, lowered over the
+// whole batch into one GEMM per pass, or the depthwise convolution of
+// MobileNet V2's inverted residual blocks (every channel plane filtered
+// on its own, inC == outC), which runs the direct depthwise kernels.
 type Conv2D struct {
-	name    string
-	inC     int
-	outC    int
-	kh, kw  int
-	stride  int
-	pad     int
-	groups  int
-	useBias bool
+	name      string
+	inC       int
+	outC      int
+	kh, kw    int
+	stride    int
+	pad       int
+	depthwise bool
+	useBias   bool
 
-	w *Param // [outC, inC/groups * kh * kw]
+	w *Param // [outC, inC*kh*kw], or [channels, kh*kw] when depthwise
 	b *Param // [outC], nil when useBias is false
 
 	lastX *tensor.Dense
@@ -31,8 +32,8 @@ type Conv2D struct {
 	skipDX bool
 
 	// Scratch arena (see scratch.go): the batched im2col matrix, the
-	// gathered/scattered per-group GEMM operand, its backward dual, and
-	// the cached output/input-gradient tensors.
+	// [outC, N*L] GEMM output or gathered output gradient, the column
+	// gradient, and the cached output/input-gradient tensors.
 	workers int
 	cols    []float64
 	gbuf    []float64
@@ -45,51 +46,47 @@ type Conv2D struct {
 type ConvOpts struct {
 	Stride int  // default 1
 	Pad    int  // default 0
-	Groups int  // default 1
 	NoBias bool // convolutions followed by batch norm typically skip bias
 }
 
-// NewConv2D constructs a convolution layer with He-normal initialization.
+// NewConv2D constructs a standard convolution layer with He-normal
+// initialization.
 func NewConv2D(name string, inC, outC, kernel int, opts ConvOpts, r *randx.RNG) *Conv2D {
+	return newConv2D(name, inC, outC, kernel, opts, false, r)
+}
+
+// NewDepthwiseConv2D constructs the depthwise convolution used inside
+// inverted residual blocks: one kernel×kernel filter per channel.
+func NewDepthwiseConv2D(name string, channels, kernel int, stride, pad int, r *randx.RNG) *Conv2D {
+	return newConv2D(name, channels, channels, kernel, ConvOpts{Stride: stride, Pad: pad, NoBias: true}, true, r)
+}
+
+func newConv2D(name string, inC, outC, kernel int, opts ConvOpts, depthwise bool, r *randx.RNG) *Conv2D {
 	if opts.Stride == 0 {
 		opts.Stride = 1
 	}
-	if opts.Groups == 0 {
-		opts.Groups = 1
+	fanIn := inC * kernel * kernel
+	if depthwise {
+		fanIn = kernel * kernel
 	}
-	if inC%opts.Groups != 0 || outC%opts.Groups != 0 {
-		panic(fmt.Sprintf("nn: %s: channels (%d in, %d out) not divisible by groups %d", name, inC, outC, opts.Groups))
-	}
-	fanIn := (inC / opts.Groups) * kernel * kernel
 	w := tensor.New(outC, fanIn)
 	w.FillNormal(r, 0, math.Sqrt(2.0/float64(fanIn)))
 	c := &Conv2D{
-		name:    name,
-		inC:     inC,
-		outC:    outC,
-		kh:      kernel,
-		kw:      kernel,
-		stride:  opts.Stride,
-		pad:     opts.Pad,
-		groups:  opts.Groups,
-		useBias: !opts.NoBias,
-		w:       newParam(name+".w", w, true),
+		name:      name,
+		inC:       inC,
+		outC:      outC,
+		kh:        kernel,
+		kw:        kernel,
+		stride:    opts.Stride,
+		pad:       opts.Pad,
+		depthwise: depthwise,
+		useBias:   !opts.NoBias,
+		w:         newParam(name+".w", w, true),
 	}
 	if c.useBias {
 		c.b = newParam(name+".b", tensor.New(outC), true)
 	}
 	return c
-}
-
-// NewDepthwiseConv2D constructs the depthwise (groups == channels)
-// convolution used inside inverted residual blocks.
-func NewDepthwiseConv2D(name string, channels, kernel int, stride, pad int, r *randx.RNG) *Conv2D {
-	return NewConv2D(name, channels, channels, kernel, ConvOpts{
-		Stride: stride,
-		Pad:    pad,
-		Groups: channels,
-		NoBias: true,
-	}, r)
 }
 
 // Name implements Layer.
@@ -108,13 +105,13 @@ func (c *Conv2D) OutShape(h, w int) (int, int) {
 	return tensor.ConvOutSize(h, c.kh, c.stride, c.pad), tensor.ConvOutSize(w, c.kw, c.stride, c.pad)
 }
 
-// setWorkers implements workersSetter: the per-group GEMMs fan out over
-// up to w goroutines.
+// setWorkers implements workersSetter: the GEMMs and the depthwise
+// kernels fan out over up to w goroutines.
 func (c *Conv2D) setWorkers(w int) { c.workers = w }
 
-// Forward implements Layer. The whole batch is lowered once per group
-// (Im2ColBatch) and convolved with a single GEMM per group, instead of N
-// small GEMMs; the result lands in a [outCg, N*L] buffer whose rows are
+// Forward implements Layer. A standard layer lowers the whole batch once
+// (Im2ColBatch) and convolves it with a single GEMM, instead of N small
+// GEMMs; the result lands in a [outC, N*L] buffer whose rows are
 // scattered back into the [N, outC, L] output. Per output element the
 // arithmetic — a dot over the patch dimension, then a bias add — is the
 // same as the per-image lowering's, in the same order, so results are
@@ -126,36 +123,24 @@ func (c *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.OutShape(h, w)
 	l := outH * outW
-	nl := n * l
-	inCg := c.inC / c.groups
-	outCg := c.outC / c.groups
-	patch := inCg * c.kh * c.kw
 
 	out := c.outB.get(n, c.outC, outH, outW)
 	xd := x.Data()
 	od := out.Data()
 	wv := c.w.Value.Data()
-	if c.depthwise() {
-		// groups == channels: convolve each plane directly — no lowering,
-		// no per-group GEMM dispatch. Bit-identical to the lowered path.
+	if c.depthwise {
 		tensor.DepthwiseForward(xd, n, c.inC, h, w, wv, c.kh, c.kw, c.stride, c.pad, c.workers, od)
-		c.addBias(od, n, l)
-		if train {
-			c.lastX = x
-		}
-		return out
-	}
-	c.cols = growF(c.cols, patch*nl)
-	c.gbuf = growF(c.gbuf, outCg*nl)
-	for g := 0; g < c.groups; g++ {
-		tensor.Im2ColBatch(xd[g*inCg*h*w:], c.inC*h*w, n, inCg, h, w, c.kh, c.kw, c.stride, c.pad, c.cols)
-		wBlock := wv[g*outCg*patch : (g+1)*outCg*patch]
-		tensor.GemmWorkers(c.gbuf, wBlock, c.cols, outCg, nl, patch, c.workers)
-		for ch := 0; ch < outCg; ch++ {
+	} else {
+		nl := n * l
+		patch := c.inC * c.kh * c.kw
+		c.cols = growF(c.cols, patch*nl)
+		c.gbuf = growF(c.gbuf, c.outC*nl)
+		tensor.Im2ColBatch(xd, n, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, c.cols)
+		tensor.Gemm(c.gbuf, wv, c.cols, c.outC, nl, patch, c.workers)
+		for ch := 0; ch < c.outC; ch++ {
 			grow := c.gbuf[ch*nl : (ch+1)*nl]
-			oc := g*outCg + ch
 			for i := 0; i < n; i++ {
-				copy(od[(i*c.outC+oc)*l:(i*c.outC+oc+1)*l], grow[i*l:(i+1)*l])
+				copy(od[(i*c.outC+ch)*l:(i*c.outC+ch+1)*l], grow[i*l:(i+1)*l])
 			}
 		}
 	}
@@ -164,13 +149,6 @@ func (c *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 		c.lastX = x
 	}
 	return out
-}
-
-// depthwise reports whether this layer is a depthwise convolution
-// (groups == inC == outC), which takes the direct per-plane path instead
-// of im2col lowering.
-func (c *Conv2D) depthwise() bool {
-	return c.groups == c.inC && c.outC == c.inC
 }
 
 // addBias adds the per-channel bias to an [n, outC, l] output buffer.
@@ -191,14 +169,13 @@ func (c *Conv2D) addBias(od []float64, n, l int) {
 	}
 }
 
-// Backward implements Layer. The forward lowering is recomputed (batched
-// im2col is cheaper than caching N column matrices), the per-image output
-// gradients are gathered into the same [outCg, N*L] layout, and each
-// group then needs exactly two GEMMs: an accumulating A·Bᵀ for dW and an
-// Aᵀ·B for the column gradients, which Col2ImBatch scatters straight
-// into this group's disjoint slices of dx. Accumulation orders match the
-// per-image lowering (batched columns are image-major), so gradients are
-// bit-identical to it.
+// Backward implements Layer. A standard layer recomputes the forward
+// lowering (batched im2col is cheaper than caching it), gathers the
+// per-image output gradients into the same [outC, N*L] layout, and then
+// needs exactly two GEMMs: an accumulating A·Bᵀ for dW and an Aᵀ·B for
+// the column gradients, which Col2ImBatch scatters straight into dx.
+// Accumulation orders match the per-image lowering (batched columns are
+// image-major), so gradients are bit-identical to it.
 func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 	if c.lastX == nil {
 		panic(fmt.Sprintf("nn: %s.Backward before Forward(train)", c.name))
@@ -207,10 +184,6 @@ func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.OutShape(h, w)
 	l := outH * outW
-	nl := n * l
-	inCg := c.inC / c.groups
-	outCg := c.outC / c.groups
-	patch := inCg * c.kh * c.kw
 
 	dx := c.dxB.get(n, c.inC, h, w)
 	xd := x.Data()
@@ -219,40 +192,29 @@ func (c *Conv2D) Backward(grad *tensor.Dense) *tensor.Dense {
 	wv := c.w.Value.Data()
 	wg := c.w.Grad.Data()
 
-	if c.depthwise() {
+	if c.depthwise {
 		tensor.DepthwiseBackward(xd, gd, n, c.inC, h, w, wv, c.kh, c.kw, c.stride, c.pad, c.workers, wg, dxd)
-		c.accumBiasGrad(gd, n, l)
-		c.lastX = nil
-		if c.skipDX {
-			return nil
-		}
-		return dx
-	}
-
-	c.cols = growF(c.cols, patch*nl)
-	c.dcols = growF(c.dcols, patch*nl)
-	c.gbuf = growF(c.gbuf, outCg*nl)
-
-	for g := 0; g < c.groups; g++ {
-		tensor.Im2ColBatch(xd[g*inCg*h*w:], c.inC*h*w, n, inCg, h, w, c.kh, c.kw, c.stride, c.pad, c.cols)
-		for ch := 0; ch < outCg; ch++ {
+	} else {
+		nl := n * l
+		patch := c.inC * c.kh * c.kw
+		c.cols = growF(c.cols, patch*nl)
+		c.gbuf = growF(c.gbuf, c.outC*nl)
+		tensor.Im2ColBatch(xd, n, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, c.cols)
+		for ch := 0; ch < c.outC; ch++ {
 			grow := c.gbuf[ch*nl : (ch+1)*nl]
-			oc := g*outCg + ch
 			for i := 0; i < n; i++ {
-				copy(grow[i*l:(i+1)*l], gd[(i*c.outC+oc)*l:(i*c.outC+oc+1)*l])
+				copy(grow[i*l:(i+1)*l], gd[(i*c.outC+ch)*l:(i*c.outC+ch+1)*l])
 			}
 		}
-
-		// dW[g] += gbuf · colsᵀ, both operands already patch-major.
-		tensor.GemmTBAcc(wg[g*outCg*patch:(g+1)*outCg*patch], c.gbuf, c.cols, outCg, patch, nl, c.workers)
-		if c.skipDX {
-			continue
+		// dW += gbuf · colsᵀ, both operands already patch-major.
+		tensor.GemmTBAcc(wg, c.gbuf, c.cols, c.outC, patch, nl, c.workers)
+		if !c.skipDX {
+			// dcols = Wᵀ · gbuf, then scatter into dx (Col2ImBatch
+			// zeroes it before accumulating).
+			c.dcols = growF(c.dcols, patch*nl)
+			tensor.GemmTA(c.dcols, wv, c.gbuf, patch, nl, c.outC, c.workers)
+			tensor.Col2ImBatch(c.dcols, n, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, dxd)
 		}
-
-		// dcols = W[g]ᵀ · gbuf, then scatter into dx (Col2ImBatch zeroes
-		// each image region of this group before accumulating).
-		tensor.GemmTA(c.dcols, wv[g*outCg*patch:(g+1)*outCg*patch], c.gbuf, patch, nl, outCg, c.workers)
-		tensor.Col2ImBatch(c.dcols, c.inC*h*w, n, inCg, h, w, c.kh, c.kw, c.stride, c.pad, dxd[g*inCg*h*w:])
 	}
 	c.accumBiasGrad(gd, n, l)
 	c.lastX = nil

@@ -8,15 +8,27 @@ import (
 	"fedms/internal/tensor"
 )
 
+// refGroups is the number of channel groups the reference lowers a
+// layer in: one for a standard convolution, one per channel for a
+// depthwise one.
+func refGroups(c *Conv2D) int {
+	if c.depthwise {
+		return c.inC
+	}
+	return 1
+}
+
 // refConvForward is the per-image reference lowering the batched Conv2D
-// paths (Im2ColBatch GEMMs, and the direct depthwise kernel) must agree
-// with: one Im2Col and one naive matrix multiply per (image, group).
+// paths (the whole-batch Im2ColBatch GEMM, and the direct depthwise
+// kernel) must agree with: one single-image lowering and one naive
+// matrix multiply per (image, group).
 func refConvForward(c *Conv2D, x *tensor.Dense) *tensor.Dense {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.OutShape(h, w)
 	l := outH * outW
-	inCg := c.inC / c.groups
-	outCg := c.outC / c.groups
+	groups := refGroups(c)
+	inCg := c.inC / groups
+	outCg := c.outC / groups
 	patch := inCg * c.kh * c.kw
 
 	out := tensor.New(n, c.outC, outH, outW)
@@ -26,8 +38,8 @@ func refConvForward(c *Conv2D, x *tensor.Dense) *tensor.Dense {
 	cols := make([]float64, patch*l)
 	for i := 0; i < n; i++ {
 		img := xd[i*c.inC*h*w : (i+1)*c.inC*h*w]
-		for g := 0; g < c.groups; g++ {
-			tensor.Im2Col(img[g*inCg*h*w:(g+1)*inCg*h*w], inCg, h, w, c.kh, c.kw, c.stride, c.pad, cols)
+		for g := 0; g < groups; g++ {
+			tensor.Im2ColBatch(img[g*inCg*h*w:(g+1)*inCg*h*w], 1, inCg, h, w, c.kh, c.kw, c.stride, c.pad, cols)
 			for oc := 0; oc < outCg; oc++ {
 				wRow := wv[(g*outCg+oc)*patch : (g*outCg+oc+1)*patch]
 				dst := od[(i*c.outC+g*outCg+oc)*l : (i*c.outC+g*outCg+oc+1)*l]
@@ -60,8 +72,9 @@ func refConvBackward(c *Conv2D, x, grad *tensor.Dense) (*tensor.Dense, []float64
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH, outW := c.OutShape(h, w)
 	l := outH * outW
-	inCg := c.inC / c.groups
-	outCg := c.outC / c.groups
+	groups := refGroups(c)
+	inCg := c.inC / groups
+	outCg := c.outC / groups
 	patch := inCg * c.kh * c.kw
 
 	dx := tensor.New(n, c.inC, h, w)
@@ -79,8 +92,8 @@ func refConvBackward(c *Conv2D, x, grad *tensor.Dense) (*tensor.Dense, []float64
 	dimg := make([]float64, inCg*h*w)
 	for i := 0; i < n; i++ {
 		img := xd[i*c.inC*h*w : (i+1)*c.inC*h*w]
-		for g := 0; g < c.groups; g++ {
-			tensor.Im2Col(img[g*inCg*h*w:(g+1)*inCg*h*w], inCg, h, w, c.kh, c.kw, c.stride, c.pad, cols)
+		for g := 0; g < groups; g++ {
+			tensor.Im2ColBatch(img[g*inCg*h*w:(g+1)*inCg*h*w], 1, inCg, h, w, c.kh, c.kw, c.stride, c.pad, cols)
 			for p := range dcols {
 				dcols[p] = 0
 			}
@@ -99,7 +112,7 @@ func refConvBackward(c *Conv2D, x, grad *tensor.Dense) (*tensor.Dense, []float64
 					}
 				}
 			}
-			tensor.Col2Im(dcols, inCg, h, w, c.kh, c.kw, c.stride, c.pad, dimg)
+			tensor.Col2ImBatch(dcols, 1, inCg, h, w, c.kh, c.kw, c.stride, c.pad, dimg)
 			copy(dxd[(i*c.inC+g*inCg)*h*w:(i*c.inC+(g+1)*inCg)*h*w], dimg)
 		}
 		if c.useBias {
@@ -115,11 +128,11 @@ func refConvBackward(c *Conv2D, x, grad *tensor.Dense) (*tensor.Dense, []float64
 }
 
 // TestConvMatchesPerImageReference: the production Conv2D paths — the
-// whole-batch Im2ColBatch lowering with one GEMM per group, and the
-// direct depthwise kernel — must agree with the per-image reference
-// lowering to 1e-10 on output, input gradient, and parameter gradients,
-// across grouped, strided-with-padding, depthwise, and biased
-// configurations, at every worker count.
+// whole-batch Im2ColBatch lowering with one GEMM, and the direct
+// depthwise kernel — must agree with the per-image reference lowering
+// to 1e-10 on output, input gradient, and parameter gradients, across
+// padded, strided-with-padding, depthwise, and biased configurations,
+// at every worker count.
 func TestConvMatchesPerImageReference(t *testing.T) {
 	const tol = 1e-10
 	cases := []struct {
@@ -127,11 +140,11 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 		layer func(r *randx.RNG) *Conv2D
 		inC   int
 	}{
-		{"grouped_pad", func(r *randx.RNG) *Conv2D {
-			return NewConv2D("g", 4, 6, 3, ConvOpts{Pad: 1, Groups: 2}, r)
+		{"pad", func(r *randx.RNG) *Conv2D {
+			return NewConv2D("p", 4, 6, 3, ConvOpts{Pad: 1}, r)
 		}, 4},
-		{"grouped_stride2_pad", func(r *randx.RNG) *Conv2D {
-			return NewConv2D("gs", 6, 4, 3, ConvOpts{Stride: 2, Pad: 1, Groups: 2, NoBias: true}, r)
+		{"stride2_pad_nobias", func(r *randx.RNG) *Conv2D {
+			return NewConv2D("s", 6, 4, 3, ConvOpts{Stride: 2, Pad: 1, NoBias: true}, r)
 		}, 6},
 		{"depthwise", func(r *randx.RNG) *Conv2D {
 			return NewDepthwiseConv2D("dw", 5, 3, 1, 1, r)

@@ -55,7 +55,7 @@ func (d *Dense) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	x = as2D(x, d.in, d.name)
 	n := x.Dim(0)
 	out := d.outB.get(n, d.out)
-	tensor.GemmWorkers(out.Data(), x.Data(), d.w.Value.Data(), n, d.out, d.in, d.workers)
+	tensor.Gemm(out.Data(), x.Data(), d.w.Value.Data(), n, d.out, d.in, d.workers)
 	bias := d.b.Value.Data()
 	for i := 0; i < n; i++ {
 		row := out.Row(i)

@@ -118,12 +118,6 @@ func TestDepthwiseConvGradients(t *testing.T) {
 	checkGradients(t, layer, randInput(r, 2, 3, 4, 4), randLabels(r, 2, 48), 1e-4)
 }
 
-func TestGroupedConvGradients(t *testing.T) {
-	r := randx.New(5)
-	layer := NewConv2D("gconv", 4, 6, 3, ConvOpts{Pad: 1, Groups: 2}, r)
-	checkGradients(t, layer, randInput(r, 2, 4, 4, 4), randLabels(r, 2, 96), 1e-4)
-}
-
 func TestBatchNormGradients(t *testing.T) {
 	r := randx.New(6)
 	layer := NewBatchNorm2D("bn", 3)

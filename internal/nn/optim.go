@@ -78,11 +78,14 @@ func (s *SGD) Step(params []*Param, lr float64) {
 	}
 }
 
-// Reset clears momentum state. Fed-MS clients reset their optimizer at
-// the start of each round since the filtered global model restarts local
-// training.
+// Reset clears momentum state, zeroing the velocity buffers in place so
+// that a reset allocates nothing. Fed-MS clients reset their optimizer
+// at the start of each round since the filtered global model restarts
+// local training.
 func (s *SGD) Reset() {
-	s.velocity = make(map[*Param][]float64)
+	for _, v := range s.velocity {
+		clear(v)
+	}
 }
 
 // ClipGradNorm rescales all trainable-parameter gradients so their

@@ -2,10 +2,11 @@ package tensor
 
 import "fedms/internal/par"
 
-// Convolution support: im2col/col2im lowering used by the nn package's
-// Conv2D layers. Image layout is CHW for a single image; the batched
-// variants lower every image of an [N, C, H, W] batch into one wide
-// column matrix so a whole convolution becomes a single GEMM per group.
+// Convolution support for the nn package's Conv2D layers, over
+// [N, C, H, W] batches. A standard convolution lowers every image of the
+// batch into one wide column matrix (Im2ColBatch), so the whole layer is
+// a single GEMM; a depthwise one convolves each channel plane directly
+// (DepthwiseForward/DepthwiseBackward).
 
 // ConvOutSize returns the output spatial size for an input of size in with
 // the given kernel, stride and symmetric zero padding.
@@ -101,62 +102,17 @@ func col2imPatchRow(in []float64, h, w, ky, kx, stride, pad, outH, outW int, img
 	}
 }
 
-// Im2Col lowers a CHW image into a [C*kh*kw, outH*outW] column matrix,
-// written into dst (which must have length C*kh*kw*outH*outW). Zero
-// padding is applied implicitly.
-func Im2Col(src []float64, c, h, w, kh, kw, stride, pad int, dst []float64) {
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
-	cols := outH * outW
-	if len(dst) != c*kh*kw*cols {
-		panic("tensor: Im2Col dst has wrong length")
-	}
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		img := src[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				im2colPatchRow(img, h, w, ky, kx, stride, pad, outH, outW, dst[row*cols:(row+1)*cols])
-				row++
-			}
-		}
-	}
-}
-
-// Col2Im scatters a [C*kh*kw, outH*outW] column matrix back into a CHW
-// image buffer, accumulating overlapping contributions. dst must have
-// length c*h*w and is zeroed first.
-func Col2Im(cols []float64, c, h, w, kh, kw, stride, pad int, dst []float64) {
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
-	ncols := outH * outW
-	if len(dst) != c*h*w {
-		panic("tensor: Col2Im dst has wrong length")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		img := dst[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				col2imPatchRow(cols[row*ncols:(row+1)*ncols], h, w, ky, kx, stride, pad, outH, outW, img)
-				row++
-			}
-		}
-	}
-}
-
 // DepthwiseForward convolves every channel plane of an [n, c, h, w]
-// batch with its own kh×kw filter (the groups == channels case), writing
-// an [n, c, outH, outW] batch. f holds one filter per channel, [c, kh*kw].
-// Results are bit-identical to the im2col-lowered GEMM path: each output
-// element accumulates its taps in ascending (ky, kx) order from a +0
-// start, and the skipped padding taps are the lowered path's exact-zero
-// products, whose elision cannot change a sum that starts at +0. workers
-// bounds the goroutine fan-out; channels are partitioned, so any worker
-// count produces identical bits.
+// batch with its own kh×kw filter, writing an [n, c, outH, outW] batch.
+// f holds one filter per channel, [c, kh*kw]. No production path lowers
+// a depthwise layer; its results are bit-identical to the per-image
+// reference lowering of nn's conv_ref_test.go (one channel per group,
+// one im2col and naive product per plane): each output element
+// accumulates its taps in ascending (ky, kx) order from a +0 start, and
+// the skipped padding taps are the lowering's exact-zero products, whose
+// elision cannot change a sum that starts at +0. workers bounds the
+// goroutine fan-out; channels are partitioned, so any worker count
+// produces identical bits.
 func DepthwiseForward(x []float64, n, c, h, w int, f []float64, kh, kw, stride, pad int, workers int, out []float64) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
@@ -178,9 +134,9 @@ func DepthwiseForward(x []float64, n, c, h, w int, f []float64, kh, kw, stride, 
 
 // DepthwiseBackward is the gradient of DepthwiseForward: it accumulates
 // the filter gradient into df ([c, kh*kw]) and overwrites dx with the
-// input gradient. Accumulation orders match the im2col-lowered path
-// (image-major over the batch, ascending taps), so both gradients are
-// bit-identical to it.
+// input gradient. Accumulation orders match the same per-image
+// reference lowering (image-major over the batch, ascending taps), so
+// both gradients are bit-identical to it.
 func DepthwiseBackward(x, grad []float64, n, c, h, w int, f []float64, kh, kw, stride, pad int, workers int, df, dx []float64) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
@@ -285,7 +241,7 @@ func depthwisePlaneFwd(img []float64, h, w int, f []float64, kh, kw, stride, pad
 // depthwisePlaneBwd scatters one channel plane's output gradient back
 // through the filter: dplane is zeroed, then dplane[iy,ix] += f[t]·g[oy,ox]
 // for every in-range tap, in the same row-major tap order Col2ImBatch
-// uses, so the result is bit-identical to lowering.
+// uses, so the result is bit-identical to the reference lowering.
 func depthwisePlaneBwd(g []float64, h, w int, f []float64, kh, kw, stride, pad, outH, outW int, dplane []float64) {
 	for i := range dplane {
 		dplane[i] = 0
@@ -322,12 +278,11 @@ func depthwisePlaneBwd(g []float64, h, w int, f []float64, kh, kw, stride, pad, 
 	}
 }
 
-// Im2ColBatch lowers n images into one [c*kh*kw, n*outH*outW] column
-// matrix: image i occupies columns [i*outH*outW, (i+1)*outH*outW) of
-// every row, so a whole batch (or one channel group of it) feeds a
-// single GEMM. Image i's channels start at src[i*imgStride]; passing the
-// full-image stride with a group-offset src lowers just that group.
-func Im2ColBatch(src []float64, imgStride, n, c, h, w, kh, kw, stride, pad int, dst []float64) {
+// Im2ColBatch lowers an [n, c, h, w] batch into one
+// [c*kh*kw, n*outH*outW] column matrix: image i occupies columns
+// [i*outH*outW, (i+1)*outH*outW) of every row, so a whole batch feeds a
+// single GEMM. Zero padding is applied implicitly.
+func Im2ColBatch(src []float64, n, c, h, w, kh, kw, stride, pad int, dst []float64) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
 	l := outH * outW
@@ -336,7 +291,7 @@ func Im2ColBatch(src []float64, imgStride, n, c, h, w, kh, kw, stride, pad int, 
 		panic("tensor: Im2ColBatch dst has wrong length")
 	}
 	for i := 0; i < n; i++ {
-		img := src[i*imgStride:]
+		img := src[i*c*h*w : (i+1)*c*h*w]
 		row := 0
 		for ch := 0; ch < c; ch++ {
 			plane := img[ch*h*w : (ch+1)*h*w]
@@ -351,11 +306,10 @@ func Im2ColBatch(src []float64, imgStride, n, c, h, w, kh, kw, stride, pad int, 
 }
 
 // Col2ImBatch scatters a batched [c*kh*kw, n*outH*outW] column matrix
-// back into n CHW image regions, zeroing each region first and
-// accumulating overlapping taps. Image i's region starts at
-// dst[i*imgStride] and spans c*h*w values, so per-group calls write
-// disjoint slices of a shared [N, C, H, W] gradient buffer directly.
-func Col2ImBatch(cols []float64, imgStride, n, c, h, w, kh, kw, stride, pad int, dst []float64) {
+// back into an [n, c, h, w] batch, which it zeroes first, accumulating
+// overlapping taps. Padding positions are dropped. It is the adjoint of
+// Im2ColBatch.
+func Col2ImBatch(cols []float64, n, c, h, w, kh, kw, stride, pad int, dst []float64) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
 	l := outH * outW
@@ -364,7 +318,7 @@ func Col2ImBatch(cols []float64, imgStride, n, c, h, w, kh, kw, stride, pad int,
 		panic("tensor: Col2ImBatch cols has wrong length")
 	}
 	for i := 0; i < n; i++ {
-		img := dst[i*imgStride : i*imgStride+c*h*w]
+		img := dst[i*c*h*w : (i+1)*c*h*w]
 		for j := range img {
 			img[j] = 0
 		}

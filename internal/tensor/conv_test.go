@@ -28,10 +28,10 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	// A 1x1 kernel with stride 1, pad 0 reproduces the image.
 	img := []float64{1, 2, 3, 4}
 	dst := make([]float64, 4)
-	Im2Col(img, 1, 2, 2, 1, 1, 1, 0, dst)
+	Im2ColBatch(img, 1, 1, 2, 2, 1, 1, 1, 0, dst)
 	for i := range img {
 		if dst[i] != img[i] {
-			t.Fatalf("1x1 Im2Col = %v", dst)
+			t.Fatalf("1x1 Im2ColBatch = %v", dst)
 		}
 	}
 }
@@ -44,7 +44,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 		7, 8, 9,
 	}
 	dst := make([]float64, 4*4) // C*kh*kw=4 rows, outH*outW=4 cols
-	Im2Col(img, 1, 3, 3, 2, 2, 1, 0, dst)
+	Im2ColBatch(img, 1, 1, 3, 3, 2, 2, 1, 0, dst)
 	// Row 0 is the kernel position (0,0) across patches: 1,2,4,5.
 	wantRow0 := []float64{1, 2, 4, 5}
 	for i, w := range wantRow0 {
@@ -66,7 +66,7 @@ func TestIm2ColPadding(t *testing.T) {
 	img := []float64{1, 2, 3, 4}
 	outDim := ConvOutSize(2, 3, 1, 1) // = 2
 	dst := make([]float64, 9*outDim*outDim)
-	Im2Col(img, 1, 2, 2, 3, 3, 1, 1, dst)
+	Im2ColBatch(img, 1, 1, 2, 2, 3, 3, 1, 1, dst)
 	if dst[0] != 0 {
 		t.Fatalf("padded corner should be 0, got %v", dst[0])
 	}
@@ -111,11 +111,11 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		outH := ConvOutSize(h, kh, cfg.stride, cfg.pad)
 		outW := ConvOutSize(w, kw, cfg.stride, cfg.pad)
 		cols := make([]float64, kh*kw*outH*outW)
-		Im2Col(img, 1, h, w, kh, kw, cfg.stride, cfg.pad, cols)
+		Im2ColBatch(img, 1, 1, h, w, kh, kw, cfg.stride, cfg.pad, cols)
 
 		// Conv as GEMM: [1 x kh*kw] x [kh*kw x outH*outW].
 		got := make([]float64, outH*outW)
-		Gemm(got, ker, cols, 1, outH*outW, kh*kw)
+		Gemm(got, ker, cols, 1, outH*outW, kh*kw, 1)
 
 		want := naiveConv(img, h, w, ker, kh, kw, cfg.stride, cfg.pad)
 		for i := range want {
@@ -128,26 +128,27 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 }
 
 func TestCol2ImIsIm2ColAdjoint(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> must hold for the backward pass to
-	// be a correct gradient (adjoint property of the linear lowering).
+	// <Im2ColBatch(x), y> == <x, Col2ImBatch(y)> must hold for the
+	// backward pass to be a correct gradient (adjoint property of the
+	// linear lowering), over a batch of two images.
 	r := randx.New(7)
-	c, h, w, kh, kw, stride, pad := 2, 5, 5, 3, 3, 2, 1
+	n, c, h, w, kh, kw, stride, pad := 2, 2, 5, 5, 3, 3, 2, 1
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
-	nCols := c * kh * kw * outH * outW
+	nCols := c * kh * kw * n * outH * outW
 
-	x := make([]float64, c*h*w)
+	x := make([]float64, n*c*h*w)
 	y := make([]float64, nCols)
 	randx.Normal(r, x, 0, 1)
 	randx.Normal(r, y, 0, 1)
 
 	fx := make([]float64, nCols)
-	Im2Col(x, c, h, w, kh, kw, stride, pad, fx)
-	fty := make([]float64, c*h*w)
-	Col2Im(y, c, h, w, kh, kw, stride, pad, fty)
+	Im2ColBatch(x, n, c, h, w, kh, kw, stride, pad, fx)
+	fty := make([]float64, n*c*h*w)
+	Col2ImBatch(y, n, c, h, w, kh, kw, stride, pad, fty)
 
-	lhs := VecDot(fx, y)
-	rhs := VecDot(x, fty)
+	lhs := dot(fx, y)
+	rhs := dot(x, fty)
 	if d := lhs - rhs; d > 1e-9 || d < -1e-9 {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
 	}

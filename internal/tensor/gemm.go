@@ -92,14 +92,9 @@ const (
 )
 
 // Gemm computes C = A·B for row-major flat buffers with A [m×k], B [k×n],
-// C [m×n], on the calling goroutine.
-func Gemm(c, a, b []float64, m, n, k int) {
-	gemmDispatch(c, a, b, m, n, k, opNN, false, 1)
-}
-
-// GemmWorkers is Gemm with the row loop spread over up to workers
-// goroutines. Output is bit-identical to Gemm for any worker count.
-func GemmWorkers(c, a, b []float64, m, n, k, workers int) {
+// C [m×n], with the row loop spread over up to workers goroutines.
+// Output is bit-identical for any worker count.
+func Gemm(c, a, b []float64, m, n, k, workers int) {
 	gemmDispatch(c, a, b, m, n, k, opNN, false, workers)
 }
 

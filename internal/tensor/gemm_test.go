@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"fedms/internal/cpu"
 	"fedms/internal/randx"
@@ -120,6 +121,56 @@ func requireBitIdentical(t *testing.T, got, want []float64, label string) {
 	}
 }
 
+func TestMatMulSmall(t *testing.T) {
+	got := make([]float64, 4)
+	Gemm(got, []float64{1, 2, 3, 4, 5, 6}, []float64{7, 8, 9, 10, 11, 12}, 2, 2, 3, 1)
+	want := []float64{58, 64, 139, 154}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Gemm = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestMatMulAgainstNaive holds Gemm to the textbook product over random
+// small shapes, read through Dense.At.
+func TestMatMulAgainstNaive(t *testing.T) {
+	err := quick.Check(func(seed uint64, mr, nr, kr uint8) bool {
+		m, n, k := 1+int(mr)%7, 1+int(nr)%7, 1+int(kr)%7
+		r := randx.New(seed)
+		a, b := New(m, k), New(k, n)
+		a.FillNormal(r, 0, 1)
+		b.FillNormal(r, 0, 1)
+		got := New(m, n)
+		Gemm(got.Data(), a.Data(), b.Data(), m, n, k, 1)
+		want := New(m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				s := 0.0
+				for l := 0; l < k; l++ {
+					s += a.At(i, l) * b.At(l, j)
+				}
+				want.Set(s, i, j)
+			}
+		}
+		return got.AllClose(want, 1e-9)
+	}, &quick.Config{MaxCount: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMatMulDimMismatchPanics: a [2×3] A claimed as [2×4] is shorter
+// than its shape, and Gemm refuses it before any kernel reads past it.
+func TestMatMulDimMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	Gemm(make([]float64, 4), make([]float64, 6), make([]float64, 8), 2, 2, 4, 1)
+}
+
 // TestGemmBitIdenticalToReference is the kernel's contract test: every
 // exported variant, over shapes that exercise the naive path, the
 // blocked path, edge tiles and multi-chunk N, at Workers ∈ {1, 2, 8},
@@ -132,8 +183,7 @@ func TestGemmBitIdenticalToReference(t *testing.T) {
 		run  func(c, a, b []float64, m, n, k, workers int)
 	}
 	variants := []variant{
-		{"Gemm", opNN, false, func(c, a, b []float64, m, n, k, _ int) { Gemm(c, a, b, m, n, k) }},
-		{"GemmWorkers", opNN, false, GemmWorkers},
+		{"Gemm", opNN, false, Gemm},
 		{"GemmTA", opTA, false, GemmTA},
 		{"GemmTAAcc", opTA, true, GemmTAAcc},
 		{"GemmTB", opTB, false, GemmTB},
@@ -166,10 +216,10 @@ func TestGemmWorkerCountsAgree(t *testing.T) {
 		r := randx.New(7)
 		a, b, c := randGemmOperands(r, m, n, k, opNN)
 		serial := append([]float64(nil), c...)
-		GemmWorkers(serial, a, b, m, n, k, 1)
+		Gemm(serial, a, b, m, n, k, 1)
 		for _, workers := range []int{2, 3, 5, 8, 64} {
 			got := append([]float64(nil), c...)
-			GemmWorkers(got, a, b, m, n, k, workers)
+			Gemm(got, a, b, m, n, k, workers)
 			requireBitIdentical(t, got, serial, fmt.Sprintf("workers=%d", workers))
 		}
 		// TB packs Bᵀ once and shares it across the workers.
@@ -243,7 +293,7 @@ func TestGemmMatchesOldNaiveSemantics(t *testing.T) {
 		want := append([]float64(nil), c...)
 		oldGemm(want, a, b, sh.m, sh.n, sh.k)
 		got := append([]float64(nil), c...)
-		Gemm(got, a, b, sh.m, sh.n, sh.k)
+		Gemm(got, a, b, sh.m, sh.n, sh.k, 1)
 		requireBitIdentical(t, got, want, fmt.Sprintf("m=%d n=%d k=%d", sh.m, sh.n, sh.k))
 	}
 }
@@ -259,9 +309,8 @@ func TestGemmTransposedVariantsMatchExplicitTranspose(t *testing.T) {
 	b := make([]float64, k*n)
 	randx.Normal(r, at, 0, 1)
 	randx.Normal(r, b, 0, 1)
-	aT := Transpose(FromSlice(at, k, m)) // [m×k]
 	want := make([]float64, m*n)
-	Gemm(want, aT.Data(), b, m, n, k)
+	Gemm(want, transposed(at, k, m), b, m, n, k, 1)
 	got := make([]float64, m*n)
 	GemmTA(got, at, b, m, n, k, 2)
 	requireBitIdentical(t, got, want, "GemmTA vs explicit transpose")
@@ -271,17 +320,28 @@ func TestGemmTransposedVariantsMatchExplicitTranspose(t *testing.T) {
 	bt := make([]float64, n*k)
 	randx.Normal(r, a, 0, 1)
 	randx.Normal(r, bt, 0, 1)
-	bT := Transpose(FromSlice(bt, n, k)) // [k×n]
-	Gemm(want, a, bT.Data(), m, n, k)
+	Gemm(want, a, transposed(bt, n, k), m, n, k, 1)
 	GemmTB(got, a, bt, m, n, k, 2)
 	requireBitIdentical(t, got, want, "GemmTB vs explicit transpose")
+}
+
+// transposed returns the transpose of the row-major [rows×cols] matrix
+// a, as a new [cols×rows] matrix.
+func transposed(a []float64, rows, cols int) []float64 {
+	t := make([]float64, len(a))
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			t[j*rows+i] = a[i*cols+j]
+		}
+	}
+	return t
 }
 
 // TestGemmZeroK preserves the k=0 edge semantics: Gemm zeroes C, the
 // accumulating variants leave it untouched.
 func TestGemmZeroK(t *testing.T) {
 	c := []float64{1, 2, 3, 4}
-	Gemm(c, nil, nil, 2, 2, 0)
+	Gemm(c, nil, nil, 2, 2, 0, 1)
 	for i, v := range c {
 		if v != 0 {
 			t.Fatalf("Gemm k=0: c[%d] = %v, want 0", i, v)
@@ -330,38 +390,5 @@ func BenchmarkGemm(b *testing.B) {
 			}
 			b.ReportMetric(2*float64(sh.m*sh.n*sh.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
-	}
-}
-
-func TestTransposeInto(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	out := New(3, 2)
-	TransposeInto(out, a)
-	want := []float64{1, 4, 2, 5, 3, 6}
-	for i, v := range out.Data() {
-		if v != want[i] {
-			t.Fatalf("TransposeInto[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	// Shape mismatch must panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TransposeInto with wrong out shape should panic")
-		}
-	}()
-	TransposeInto(New(2, 2), a)
-}
-
-func TestMatVecInto(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := []float64{1, 0, -1}
-	y := make([]float64, 2)
-	MatVecInto(y, a, x)
-	if y[0] != -2 || y[1] != -2 {
-		t.Fatalf("MatVecInto = %v, want [-2 -2]", y)
-	}
-	got := MatVec(a, x)
-	if got[0] != y[0] || got[1] != y[1] {
-		t.Fatalf("MatVec = %v, want %v", got, y)
 	}
 }

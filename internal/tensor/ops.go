@@ -118,18 +118,6 @@ func VecScale(dst []float64, a float64) {
 	}
 }
 
-// VecDot returns the inner product of a and b.
-func VecDot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: VecDot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // VecNorm2 returns the L2 norm of v.
 func VecNorm2(v []float64) float64 {
 	s := 0.0

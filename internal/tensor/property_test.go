@@ -28,9 +28,11 @@ func TestGemmDistributesOverAddition(t *testing.T) {
 		c.FillNormal(r, 0, 1)
 
 		sum := b.Clone().Add(c)
-		lhs := MatMul(a, sum)
-		rhs := MatMul(a, b).Add(MatMul(a, c))
-		return lhs.AllClose(rhs, 1e-9)
+		lhs, ab, ac := New(m, n), New(m, n), New(m, n)
+		Gemm(lhs.Data(), a.Data(), sum.Data(), m, n, k, 1)
+		Gemm(ab.Data(), a.Data(), b.Data(), m, n, k, 1)
+		Gemm(ac.Data(), a.Data(), c.Data(), m, n, k, 1)
+		return lhs.AllClose(ab.Add(ac), 1e-9)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -45,13 +47,23 @@ func TestTransposeReversesMatMul(t *testing.T) {
 		a, b := New(m, k), New(k, n)
 		a.FillNormal(r, 0, 1)
 		b.FillNormal(r, 0, 1)
-		lhs := Transpose(MatMul(a, b))
-		rhs := MatMul(Transpose(b), Transpose(a))
-		return lhs.AllClose(rhs, 1e-9)
+		ab := make([]float64, m*n)
+		Gemm(ab, a.Data(), b.Data(), m, n, k, 1)
+		rhs := make([]float64, n*m)
+		Gemm(rhs, transposed(b.Data(), k, n), transposed(a.Data(), m, k), n, m, k, 1)
+		return FromSlice(transposed(ab, m, n), n, m).AllClose(FromSlice(rhs, n, m), 1e-9)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dot is the inner product as the GEMM kernel computes it: a [1×n] by
+// [n×1] product.
+func dot(a, b []float64) float64 {
+	var s [1]float64
+	Gemm(s[:], a, b, 1, 1, len(a), 1)
+	return s[0]
 }
 
 func TestDotSymmetryAndCauchySchwarz(t *testing.T) {
@@ -59,11 +71,11 @@ func TestDotSymmetryAndCauchySchwarz(t *testing.T) {
 		n := 1 + int(nr)%32
 		a := randVec(seed, n)
 		b := randVec(seed+1, n)
-		if math.Abs(VecDot(a, b)-VecDot(b, a)) > 1e-9 {
+		if math.Abs(dot(a, b)-dot(b, a)) > 1e-9 {
 			return false
 		}
 		// |<a,b>| <= ‖a‖‖b‖.
-		return math.Abs(VecDot(a, b)) <= VecNorm2(a)*VecNorm2(b)+1e-9
+		return math.Abs(dot(a, b)) <= VecNorm2(a)*VecNorm2(b)+1e-9
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +127,8 @@ func TestTriangleInequality(t *testing.T) {
 }
 
 func TestIm2ColIsLinear(t *testing.T) {
-	// Im2Col(x+y) == Im2Col(x) + Im2Col(y): the lowering is linear,
-	// which is what makes conv-as-GEMM valid.
+	// Im2ColBatch(x+y) == Im2ColBatch(x) + Im2ColBatch(y): the lowering
+	// is linear, which is what makes conv-as-GEMM valid.
 	const c, h, w, kh, kw, stride, pad = 2, 5, 5, 3, 3, 1, 1
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
@@ -132,9 +144,9 @@ func TestIm2ColIsLinear(t *testing.T) {
 		fx := make([]float64, cols)
 		fy := make([]float64, cols)
 		fsum := make([]float64, cols)
-		Im2Col(x, c, h, w, kh, kw, stride, pad, fx)
-		Im2Col(y, c, h, w, kh, kw, stride, pad, fy)
-		Im2Col(sum, c, h, w, kh, kw, stride, pad, fsum)
+		Im2ColBatch(x, 1, c, h, w, kh, kw, stride, pad, fx)
+		Im2ColBatch(y, 1, c, h, w, kh, kw, stride, pad, fy)
+		Im2ColBatch(sum, 1, c, h, w, kh, kw, stride, pad, fsum)
 		for i := range fsum {
 			if math.Abs(fsum[i]-(fx[i]+fy[i])) > 1e-9 {
 				return false

@@ -242,17 +242,18 @@ func (l *FaultLink) draw(frameLen int) FaultEvent {
 }
 
 // Mutate draws the next event and applies it to the frame bytes as the
-// wire would see them: nil for a dropped frame, a prefix for a
-// truncated one, a bit-flipped copy for a corrupted one, the frame
-// twice for a duplicate. Used to generate fuzz corpus entries and to
-// test schedule determinism without sockets.
+// wire sees them: nil for a dropped frame, a prefix for a truncated one,
+// a bit-flipped copy for a corrupted one, the frame twice for a
+// duplicate, and the frame itself otherwise (a delay only postpones it).
+// Only the corrupted and duplicated results are new buffers; the others
+// alias frame. faultConn writes exactly what Mutate returns.
 func (l *FaultLink) Mutate(frame []byte) ([]byte, FaultEvent) {
 	ev := l.Next(len(frame))
 	switch ev.Kind {
 	case FaultDrop:
 		return nil, ev
 	case FaultTruncate:
-		return append([]byte(nil), frame[:ev.Offset]...), ev
+		return frame[:ev.Offset], ev
 	case FaultCorrupt:
 		out := append([]byte(nil), frame...)
 		if ev.Offset < len(out) {
@@ -263,8 +264,7 @@ func (l *FaultLink) Mutate(frame []byte) ([]byte, FaultEvent) {
 		out := append([]byte(nil), frame...)
 		return append(out, frame...), ev
 	default:
-		out := append([]byte(nil), frame...)
-		return out, ev
+		return frame, ev
 	}
 }
 
@@ -278,43 +278,21 @@ type faultConn struct {
 	link *FaultLink
 }
 
-// Write applies one fault event to the frame. Dropped frames report
-// success — the sender cannot tell, exactly like a lossy network.
+// Write applies one fault event to the frame: it sleeps out a delay,
+// then makes one write of what Mutate returns. It reports len(p) on
+// success even when the frame was dropped or cut short — the sender
+// cannot tell, exactly like a lossy network.
 func (f *faultConn) Write(p []byte) (int, error) {
-	ev := f.link.Next(len(p))
-	switch ev.Kind {
-	case FaultDrop:
-		return len(p), nil
-	case FaultTruncate:
-		if ev.Offset > 0 {
-			if _, err := f.Conn.Write(p[:ev.Offset]); err != nil {
-				return 0, err
-			}
-		}
-		return len(p), nil
-	case FaultCorrupt:
-		q := append([]byte(nil), p...)
-		if ev.Offset < len(q) {
-			q[ev.Offset] ^= 1 << ev.Bit
-		}
-		if _, err := f.Conn.Write(q); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	case FaultDuplicate:
-		if _, err := f.Conn.Write(p); err != nil {
-			return 0, err
-		}
-		if _, err := f.Conn.Write(p); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	case FaultDelay:
+	out, ev := f.link.Mutate(p)
+	if ev.Kind == FaultDelay {
 		time.Sleep(ev.Delay)
-		return f.Conn.Write(p)
-	default:
-		return f.Conn.Write(p)
 	}
+	if len(out) > 0 {
+		if _, err := f.Conn.Write(out); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
 }
 
 // SetFaults routes this connection's outgoing frames through the given

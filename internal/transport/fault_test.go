@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -146,6 +147,41 @@ func TestFaultMutateShapes(t *testing.T) {
 			out, ev := NewFaultInjector(tc.cfg).Link("l").Mutate(frame)
 			tc.check(t, out, ev)
 		})
+	}
+}
+
+// recordConn is a net.Conn stand-in that records every Write.
+type recordConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (r *recordConn) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestFaultConnWritesMutate: under a schedule with every fault kind
+// live, faultConn reports every frame as written and puts on the wire,
+// in one write per surviving frame, exactly the bytes Mutate returns
+// from a twin link.
+func TestFaultConnWritesMutate(t *testing.T) {
+	cfg := chaosConfig(3)
+	rec := &recordConn{}
+	fc := &faultConn{Conn: rec, link: NewFaultInjector(cfg).Link("a->b")}
+	twin := NewFaultInjector(cfg).Link("a->b")
+	var want [][]byte
+	for i := 0; i < 200; i++ {
+		frame := Encode(&Message{Type: TypeUpload, Round: uint32(i), Vec: []float64{float64(i), 2, 3}})
+		if n, err := fc.Write(frame); n != len(frame) || err != nil {
+			t.Fatalf("frame %d: Write = %d, %v; want %d, nil", i, n, err, len(frame))
+		}
+		if out, _ := twin.Mutate(frame); len(out) > 0 {
+			want = append(want, out)
+		}
+	}
+	if !reflect.DeepEqual(rec.writes, want) {
+		t.Fatalf("faultConn made %d writes, Mutate returned %d non-empty frames, or their bytes differ", len(rec.writes), len(want))
 	}
 }
 
