@@ -117,8 +117,15 @@ func BenchmarkMean(b *testing.B) {
 
 // BenchmarkPayloadAggregation prices the fused payload kernels against
 // densify-first (NoFuse) over n = 10 topk:0.01 uploads, the sparse
-// operating point where fusing matters most.
+// operating point where fusing matters most. The "server" row times the
+// fused trimmed mean at dist_wide_topk's server shape: n = 8 topk:0.1
+// uploads at d = 1e5, trim:0.2, one worker, a reused Dst.
 func BenchmarkPayloadAggregation(b *testing.B) {
+	server, _ := encodeViews(b, "topk:0.1", benchInputs(b, 8, 100_000), 7)
+	dst := make([]float64, 100_000)
+	benchAggregate(b, "server/n=8/topk:0.1/trimmed_mean/fused/d=1e5", func() []float64 {
+		return Run(Request{Rule: TrimmedMean{Beta: 0.2}, Views: server, Dst: dst, Workers: 1}).Out
+	})
 	for _, d := range benchDims {
 		views, _ := encodeViews(b, "topk:0.01", benchInputs(b, 10, d), 7)
 		for _, rule := range []struct {

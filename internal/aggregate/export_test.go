@@ -10,3 +10,13 @@ func SetTileAVX2(on bool) (restore func()) {
 	tileAVX2 = on && cpu.AVX2
 	return func() { tileAVX2 = saved }
 }
+
+// SetSparseTileMin sets the entries per member from which an
+// all-sparse tile takes the tile arm, for both tile kernels — 0 sends
+// every tile there, more than payloadGatherTile none — and returns the
+// function that restores the previous gate.
+func SetSparseTileMin(perMember int) (restore func()) {
+	saved := sparseTileMin
+	sparseTileMin.vec, sparseTileMin.network = perMember, perMember
+	return func() { sparseTileMin = saved }
+}

@@ -16,10 +16,11 @@ import (
 //
 //   - Bit-identity across gathers. A column is gathered in member order
 //     whatever its source, and the kernel sees the same floats in the
-//     same order, so both gather modes (sparse and staged) and every
-//     worker count return the same bits. An all-sparse gather never
-//     reduces a column no view touches: it keeps +0.0, which is what
-//     every kernel returns for an all-zero column.
+//     same order, so both gather modes (sparse and staged), both arms
+//     of the sparse one and every worker count return the same bits.
+//     The all-sparse gather's column arm never reduces a column no view
+//     touches: it keeps +0.0, which is what every kernel returns for an
+//     all-zero column, and what its tile arm computes for one.
 //   - One permutation per column. The unweighted trimmed mean of up
 //     to networkMaxN members — tileVecMaxN on a CPU with AVX2 —
 //     reduces a staged tile at once (kernel.tile): an insertion network
@@ -30,8 +31,10 @@ import (
 //     reduction repeats the per-column operation order. The AVX2 kernel
 //     runs that same network and arithmetic four lanes at a time, each
 //     operation rounding on its own. The tile form is therefore
-//     bit-identical to reduce, and the path choice is a pure function
-//     of (n, m, weighted) and the CPU, which the output cannot show.
+//     bit-identical to reduce. Whether it runs is a function of
+//     (n, m, weighted) and the CPU and, in an all-sparse gather, of how
+//     many entries the views hold in the tile (sparseTileMin); the
+//     output cannot show which path ran.
 //   - Weight ≡ 1 identity. nil weights weigh every member 1, and the
 //     weighted arithmetic is the unweighted arithmetic with explicit
 //     weights: same scan and summation order, same path choice (a pure
@@ -63,8 +66,9 @@ type kernel struct {
 	reduce func(col []float64, s *chunkScratch) float64
 	winLen int
 	// tile, when tile.n > 0, is the kernel's tile form: it reduces a
-	// whole staged gather tile at once, bit-identical to reduce over
-	// each of its columns.
+	// whole gather tile at once (every staged tile, and the all-sparse
+	// tiles that clear sparseTileMin), bit-identical to reduce over each
+	// of its columns.
 	tile tileForm
 }
 
@@ -347,7 +351,7 @@ const tileVecMaxN = 12
 var tileAVX2 = cpu.AVX2
 
 // tileForm is an unweighted trimmed mean's (m > 0, outside the
-// selection path) reduction of one staged gather tile.
+// selection path) reduction of one gather tile.
 type tileForm struct {
 	n int // members: rows in the tile; 0 means no tile form
 	m int // rows trimmed per side
@@ -357,8 +361,8 @@ type tileForm struct {
 }
 
 // reduce writes the aggregates of a tile's leading columns into out
-// and returns how many it reduced; the staged gather reduces the rest
-// column by column. rows[i] holds member i's values for the columns,
+// and returns how many it reduced; the gather reduces the rest column
+// by column. rows[i] holds member i's values for the columns,
 // at least len(out) of each. With vec, trimTileAVX2 reduces every
 // whole group of four lanes without writing the rows. Otherwise the
 // rows are scratch and every lane is reduced: sortTile sorts them, and

@@ -47,9 +47,12 @@ func wireView(t testing.TB, v []float64) compress.Payload {
 // that drives its kernel: the flat gather over DensePayload views
 // ("dense"), EncDense bytes, sparse views and a sparse/EncDense mix;
 // and the weighted kernels at weight ≡ 1 over dense and sparse views (run,
-// not Run, so the ones are not dropped). On a CPU with AVX2 the three
-// staged gathers run again on the pure-Go tile ("go/dense", …), so
-// both tile kernels meet on every input. A "reference" arm, computed by
+// not Run, so the ones are not dropped). The sparse views also run with
+// every tile forced onto the all-sparse gather's tile arm
+// ("sparse/tile") and onto its column arm ("sparse/column"). On a CPU
+// with AVX2 the three staged gathers and the forced tile arm run again
+// on the pure-Go tile ("go/dense", …, "go/sparse"), so both tile
+// kernels meet on every input. A "reference" arm, computed by
 // referenceAggregate without any kernel code, joins them wherever the
 // reduction is a rank statistic. The tile kernel reads dense views in
 // place, so every member must leave byte-unchanged.
@@ -77,11 +80,18 @@ func kernelPaths(t testing.TB, rule Rule, vecs [][]float64) map[string][]float64
 		"weighted/dense":  Request{Rule: rule, Views: dense, Weights: ones}.run().Out,
 		"weighted/sparse": Request{Rule: rule, Views: sparse, Weights: ones}.run().Out,
 	}
+	sparseArm := func(tileMin int) []float64 {
+		defer SetSparseTileMin(tileMin)()
+		return Run(Request{Rule: rule, Views: sparse}).Out
+	}
+	paths["sparse/tile"] = sparseArm(0)
+	paths["sparse/column"] = sparseArm(payloadGatherTile + 1)
 	if cpu.AVX2 {
 		defer SetTileAVX2(false)()
 		paths["go/dense"] = Run(Request{Rule: rule, Views: dense}).Out
 		paths["go/encdense"] = Run(Request{Rule: rule, Views: wire}).Out
 		paths["go/mixed"] = Run(Request{Rule: rule, Views: mixed}).Out
+		paths["go/sparse"] = sparseArm(0)
 	}
 	if ref := referenceAggregate(rule, vecs); ref != nil {
 		paths["reference"] = ref
@@ -283,6 +293,13 @@ func FuzzCoordinateKernels(f *testing.F) {
 	f.Add([]byte{9, 0x07, 0x02, 1, 0, 9, 4, 12, 10, 0, 3, 1})   // n = 10, d = 520
 	f.Add([]byte{31, 0x00, 0x01, 0, 1, 1, 0, 4, 11, 2, 3, 2})   // n = 32, d = 257: one lane past the tile
 	f.Add([]byte{32, 0x00, 0x02, 1, 0, 0, 1, 9, 4, 3, 12, 11})  // n = 33, d = 513: library sort
+	// n = 8, d = 600 over 301 value bytes, all +0.0 but two below the
+	// first 301 coordinates: the first tile holds about two entries per
+	// member, below the sparse gather's gate, the next two are dense,
+	// above it, all in one chunk.
+	gated := append([]byte{7, 0x57, 0x02}, make([]byte, 301)...)
+	gated[3+50], gated[3+150] = 4, 9
+	f.Add(gated)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -497,6 +514,66 @@ func TestTileKernelBitIdentical(t *testing.T) {
 				requireUnchanged(t, vecs, before)
 			}
 		}
+	}
+}
+
+// TestSparseTileArmsBitIdentical holds the all-sparse gather's tile
+// arm to its column arm and to the reference bit for bit, on both tile
+// kernels, for every n = 3 … tileVecMaxN and every trim m with 2m < n.
+// The inputs are tileInputs' — NaN, ±Inf, ±0, subnormals, ties — thinned
+// tile by tile to between 0 and 256 entries per member, so the default
+// gate also sends the tiles of one chunk down both arms; d is a
+// multiple of neither 4 nor the tile. At n = 8, past the parallel work
+// volume, the arms are compared at Workers 1, 2 and 3 too, whose chunks
+// start off the tile grid.
+func TestSparseTileArmsBitIdentical(t *testing.T) {
+	keep := []int{0, 1, 3, 4, 6, 16, 64, 256} // entries per member in tile t, about
+	thin := func(r *randx.RNG, vecs [][]float64) {
+		for j := range vecs[0] {
+			k := keep[j/payloadGatherTile%len(keep)]
+			tie := j%7 == 3 // tileInputs' tie columns thin whole
+			drop := r.IntN(payloadGatherTile) >= k
+			for _, v := range vecs {
+				if !tie {
+					drop = r.IntN(payloadGatherTile) >= k
+				}
+				if drop {
+					v[j] = 0
+				}
+			}
+		}
+	}
+	r := randx.New(48)
+	for n := 3; n <= tileVecMaxN; n++ {
+		for m := 1; 2*m < n; m++ {
+			vecs := tileInputs(r, n, len(keep)*payloadGatherTile+3)
+			thin(r, vecs)
+			paths := kernelPaths(t, TrimmedMean{Trim: m}, vecs)
+			want := paths["reference"]
+			for path, got := range paths {
+				for j := range want {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("n=%d m=%d %s coord %d: %v != reference %v", n, m, path, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+	const n = 8
+	vecs := tileInputs(r, n, minParallelWork/n+1)
+	thin(r, vecs)
+	views := make([]compress.Payload, n)
+	for i, v := range vecs {
+		views[i] = sparseView(t, v)
+	}
+	want := Run(Request{Rule: TrimmedMean{Trim: 2}, Views: denseViews(vecs)}).Out
+	for _, tileMin := range []int{0, payloadGatherTile + 1} {
+		restore := SetSparseTileMin(tileMin)
+		for workers := 1; workers <= 3; workers++ {
+			got := Run(Request{Rule: TrimmedMean{Trim: 2}, Views: views, Workers: workers}).Out
+			requireSameBits(t, got, want, fmt.Sprintf("n=%d gate %d workers=%d", n, tileMin, workers))
+		}
+		restore()
 	}
 }
 

@@ -15,13 +15,17 @@ import (
 	"fedms/internal/node"
 )
 
-// TestModelsIndependentOfTileKernel runs two short federations with
+// TestModelsIndependentOfTileKernel runs three short federations with
 // the AVX2 tile kernel on and off: the engine at the engine_paper
 // benchmark's shape (K = 50, P = 10, B = 2, E = 3, the 32→128→64→10
-// MLP), whose P = 10, m = 2 filter is the widest the kernel takes, and
-// a loopback federation of 8 clients and P = 5 servers, whose clients
-// filter the v1 dense frames they receive in place. The hash of all
-// final models must not depend on the kernel.
+// MLP), whose P = 10, m = 2 filter is the widest the kernel takes; a
+// loopback federation of 8 clients and P = 5 servers, whose clients
+// filter the v1 dense frames they receive in place; and the same
+// federation at dist_wide_topk's shape (ef+topk:0.1 uploads to every
+// server, a trim:0.2 server rule), whose servers reduce their n = 8
+// sparse uploads through the all-sparse gather's tile arm with the
+// kernel on and column by column without it. The hash of all final
+// models must not depend on the kernel.
 func TestModelsIndependentOfTileKernel(t *testing.T) {
 	if !cpu.AVX2 {
 		t.Skip("no AVX2 on this CPU: the pure-Go tile is the only one")
@@ -45,36 +49,21 @@ func TestModelsIndependentOfTileKernel(t *testing.T) {
 		}
 		return eng.Learners()
 	}
-	loopback := func(t *testing.T) []core.Learner {
-		spec := fedms.Config{
-			Clients: 8, Servers: 5, ByzantineIDs: []int{2}, Attack: fedms.BackwardAttack{},
-			Rounds: 3, LocalSteps: 3, FilterRule: "trim:0.2", LearningRate: 0.2,
-			Dataset: fedms.DatasetSpec{Samples: 3000, Alpha: 10, Noise: 2.0},
-			Seed:    7, EvalEvery: -1,
-		}
-		cfg, err := fedms.Resolve(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		learners, err := fedms.BuildLearners(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fed, err := node.NewLocal(cfg, learners,
-			func(pc *node.PSConfig) { pc.Timeout = 10 * time.Second },
-			func(cc *node.ClientConfig) { cc.Timeout = 10 * time.Second })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := fed.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return learners
+	loopbackSpec := fedms.Config{
+		Clients: 8, Servers: 5, ByzantineIDs: []int{2}, Attack: fedms.BackwardAttack{},
+		Rounds: 3, LocalSteps: 3, FilterRule: "trim:0.2", LearningRate: 0.2,
+		Dataset: fedms.DatasetSpec{Samples: 3000, Alpha: 10, Noise: 2.0},
+		Seed:    7, EvalEvery: -1,
+	}
+	topkSpec := loopbackSpec
+	topkSpec.UploadCodec, topkSpec.Upload, topkSpec.ServerRule = "ef+topk:0.1", fedms.FullUpload, "trim:0.2"
+	loopback := func(spec fedms.Config) func(*testing.T) []core.Learner {
+		return func(t *testing.T) []core.Learner { return runLoopback(t, spec) }
 	}
 	for _, fed := range []struct {
 		name string
 		run  func(*testing.T) []core.Learner
-	}{{"engine_P=10", engine}, {"loopback_P=5", loopback}} {
+	}{{"engine_P=10", engine}, {"loopback_P=5", loopback(loopbackSpec)}, {"loopback_topk_P=5", loopback(topkSpec)}} {
 		t.Run(fed.name, func(t *testing.T) {
 			hash := func(on bool) string {
 				defer aggregate.SetTileAVX2(on)()
@@ -85,6 +74,29 @@ func TestModelsIndependentOfTileKernel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runLoopback runs spec as a loopback federation and returns its
+// learners.
+func runLoopback(t *testing.T, spec fedms.Config) []core.Learner {
+	cfg, err := fedms.Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learners, err := fedms.BuildLearners(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := node.NewLocal(cfg, learners,
+		func(pc *node.PSConfig) { pc.Timeout = 10 * time.Second },
+		func(cc *node.ClientConfig) { cc.Timeout = 10 * time.Second })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fed.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return learners
 }
 
 // modelsHash is the SHA-256 of every learner's parameters in order.

@@ -40,9 +40,8 @@ type chunkScratch struct {
 	col, win []float64
 	wcol     []float64   // weighted kernels: per-column mutable weight copy
 	pairs    []wpair     // weighted kernels: stable value/weight co-sort
-	rows     [][]float64 // staged payload gather: each member's tile
-	rowBuf   []float64   // staged payload gather: n × tile row buffer
-	entVal   []float64   // sparse payload gather: tile entry values
+	rows     [][]float64 // payload gather: each member's tile
+	rowBuf   []float64   // payload gather: n × tile rows, or sparse entry values
 	cnt      []int32     // sparse payload gather: per-column entry counts
 	entOwner []int32     // sparse payload gather: tile entry owners
 	cur      []int       // sparse payload gather: per-view cursors

@@ -26,11 +26,26 @@ func zeroVec(dst []float64, d int) []float64 {
 }
 
 // payloadGatherTile is how many consecutive coordinates a gather
-// worker stages at once. The tile keeps the per-worker scratch —
-// entry lists in the all-sparse mode, a row buffer in the staged mode
-// — cache-resident instead of allocating d-sized vectors, which is
+// worker stages at once. The tile keeps the per-worker scratch — a row
+// buffer, which the all-sparse mode's column arm fills with entry
+// lists — cache-resident instead of allocating d-sized vectors, which is
 // the whole point of the fused path.
 const payloadGatherTile = 256
+
+// sparseTileMin is how many entries per member an all-sparse gather
+// tile must hold, on average, to reduce through the kernel's tile form
+// rather than column by column (see gatherSparseChunk). The tile form
+// pays for every lane and the column arm for every touched column, so
+// the break-even is a density, and it depends on the tile kernel.
+// Sweeping topk uploads of trim:0.2 and trim:1 at d = 10⁵ on a 2-vCPU
+// Xeon (ns per tile, tile arm vs column arm), the AVX2 kernel breaks
+// even at about 2.5 entries per member at n = 3 … 5, 3.5–4.5 at
+// n = 6 … 10 and 6 at n = 12 (n = 8: 4 300 vs 3 000 at 2.5 per member,
+// 4 500 vs 4 700 at 5, 5 600 vs 21 200 at 25.6, dist_wide_topk's
+// servers); the pure-Go network at about 13 (n = 3), 20 (n = 4),
+// 24 (n = 5) and 30 (n = 6). The choice cannot show in the output; the
+// gate is a variable only so that tests can force either arm.
+var sparseTileMin = struct{ vec, network int }{vec: 4, network: 20}
 
 // gatherPayloadColumns writes the kernel's aggregate of every
 // coordinate j into out[j], gathering each column across the payload
@@ -38,9 +53,13 @@ const payloadGatherTile = 256
 // over (d, n, workers), so the output is bit-identical for every worker
 // count. There are two gather modes:
 //
-//   - all-sparse: columns outside the union support are never
+//   - all-sparse: each tile takes one of two arms by how many entries
+//     the views hold in it (see gatherSparseChunk). A dense enough tile
+//     is scattered into rows and reduced through the kernel's tile
+//     form; in any other, columns outside the union support are never
 //     materialized and out[j] keeps its +0.0, which every kernel maps
-//     the all-zero column to (see coordinateRule);
+//     the all-zero column to (see coordinateRule). Both arms hand the
+//     kernel the same columns, so the output cannot show which ran;
 //   - staged: every other set — dense, EncDense bytes, quantized or
 //     mixed — presents each tile of every view as one row (a DensePayload
 //     read in place unless the pure-Go tile sorts it, any other view
@@ -67,41 +86,65 @@ func gatherPayloadColumns(ps []compress.Payload, d int, out []float64, k kernel,
 }
 
 // gatherSparseChunk processes [lo, hi) of an all-sparse payload set
-// tile by tile. Each tile scatters the views' in-range entries into
-// per-column entry lists (one cursor per view — supports are strictly
-// increasing, so each view is consumed in one forward pass), then
-// reduces only the columns at least one view touched.
+// tile by tile, with one cursor per view: supports are strictly
+// increasing, so each view is consumed in one forward pass. Each tile
+// takes one of two arms, chosen by how many entries the views hold in
+// it, and both hand the kernel the same columns — member order, +0.0
+// where a view has no entry — so the output cannot show which ran:
+//
+//   - tile arm (a kernel with a tile form, and at least sparseTileMin
+//     entries per member): each view is scattered into its row of the
+//     zeroed row buffer and the whole tile reduces at once, as in the
+//     staged mode;
+//   - column arm (otherwise): the entries go to per-column entry lists
+//     and only the columns at least one view touched reduce. The others
+//     keep out's +0.0, which every kernel returns for an all-zero
+//     column, so a sparse tile pays per touched column, not per lane.
 func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out []float64, k kernel) {
 	n := len(ps)
 	col := s.col
 	cnt := grown(s.cnt, payloadGatherTile)
 	entOwner := grown(s.entOwner, payloadGatherTile*n)
-	entVal := grown(s.entVal, payloadGatherTile*n)
+	buf := grown(s.rowBuf, payloadGatherTile*n) // entry values, or the tile arm's rows
+	rows := grown(s.rows, n)
 	cur := grown(s.cur, n)
-	s.cnt, s.entOwner, s.entVal, s.cur = cnt, entOwner, entVal, cur
+	s.cnt, s.entOwner, s.rowBuf, s.rows, s.cur = cnt, entOwner, buf, rows, cur
 	for i := range ps {
 		idx, _, _ := ps[i].Sparse()
 		cur[i] = sort.Search(len(idx), func(j int) bool { return int(idx[j]) >= lo })
 	}
+	tileMin := sparseTileMin.network * n
+	if k.tile.vec {
+		tileMin = sparseTileMin.vec * n
+	}
 	for tlo := lo; tlo < hi; tlo += payloadGatherTile {
-		thi := tlo + payloadGatherTile
-		if thi > hi {
-			thi = hi
-		}
+		thi := min(tlo+payloadGatherTile, hi)
 		w := thi - tlo
-		for j := 0; j < w; j++ {
-			cnt[j] = 0
+		if k.tile.n > 0 && sparseEntriesReach(ps, cur, thi, tileMin) {
+			for i := range ps {
+				idx, val, _ := ps[i].Sparse()
+				row := buf[i*payloadGatherTile : i*payloadGatherTile+w]
+				clear(row)
+				c := cur[i]
+				for ; c < len(idx) && int(idx[c]) < thi; c++ {
+					row[int(idx[c])-tlo] = val[c]
+				}
+				cur[i], rows[i] = c, row
+			}
+			done := k.tile.reduce(rows, out[tlo:thi])
+			reduceColumns(rows, out[tlo:thi], done, k, s)
+			continue
 		}
+		clear(cnt[:w])
 		for i := range ps {
 			idx, val, _ := ps[i].Sparse()
 			c := cur[i]
-			for c < len(idx) && int(idx[c]) < thi {
+			for ; c < len(idx) && int(idx[c]) < thi; c++ {
 				j := int(idx[c]) - tlo
 				e := j*n + int(cnt[j])
 				entOwner[e] = int32(i)
-				entVal[e] = val[c]
+				buf[e] = val[c]
 				cnt[j]++
-				c++
 			}
 			cur[i] = c
 		}
@@ -109,16 +152,31 @@ func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 			if cnt[j] == 0 {
 				continue // untouched column: out[tlo+j] stays +0.0
 			}
-			for i := range col {
-				col[i] = 0
-			}
+			clear(col)
 			base := j * n
 			for e := 0; e < int(cnt[j]); e++ {
-				col[entOwner[base+e]] = entVal[base+e]
+				col[entOwner[base+e]] = buf[base+e]
 			}
 			out[tlo+j] = k.reduce(col, s)
 		}
 	}
+}
+
+// sparseEntriesReach reports whether the views hold at least want
+// entries between their cursors and thi, counting no further than it
+// must.
+func sparseEntriesReach(ps []compress.Payload, cur []int, thi, want int) bool {
+	entries := 0
+	for i := range ps {
+		idx, _, _ := ps[i].Sparse()
+		for c := cur[i]; c < len(idx) && int(idx[c]) < thi; c++ {
+			entries++
+		}
+		if entries >= want {
+			return true
+		}
+	}
+	return false
 }
 
 // gatherStagedChunk processes [lo, hi) of a set that is not all
