@@ -54,7 +54,8 @@ test:
 # the top-k encode allocation gate (a steady-state topk/ef+topk encode at
 # d = 1e5 allocates nothing), par.For's (nothing serial, at most two
 # objects per fan-out), a steady-state blobs-MLP training step's
-# (nothing), the client filter's (a steady-state trimmed
+# (nothing), a steady-state quadratic local step's (nothing, the
+# loopback workloads' learner), the client filter's (a steady-state trimmed
 # mean over 5 dense views at d = 1e5 allocates at most 3 objects),
 # Bulyan's (its allocations do not grow with d) and the flat gather's
 # memory bound (a cold aggregation of n views stages n·tile values per
@@ -118,7 +119,7 @@ verify:
 	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
 	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestConnRecvSteadyStateAllocs|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound|TestTrainStepAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/ ./internal/nn/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestConnRecvSteadyStateAllocs|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound|TestTrainStepAllocs|TestQuadLocalTrainAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/ ./internal/nn/ ./internal/theory/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/

@@ -120,7 +120,7 @@ func DecodePayloadInto(dst []float64, enc Encoding, payload []byte) error {
 		}
 		return nil
 	case EncSparse:
-		return decodeSparseInto(dst, payload)
+		return scatterSparse(dst, payload, false)
 	case EncQuantized:
 		return decodeQuantizedInto(dst, payload)
 	}
@@ -157,8 +157,10 @@ func sparseIndexErr(idx, prev, dim int) error {
 	return fmt.Errorf("%w: sparse index %d out of range %d", ErrPayload, idx, dim)
 }
 
-// decodeSparseInto scatters a sparse payload into dst, zeroing the rest.
-func decodeSparseInto(dst []float64, buf []byte) error {
+// scatterSparse validates a sparse payload against len(dst) and writes
+// its values into dst at their indices after zeroing dst, or, with sub,
+// subtracts them there and leaves the rest of dst as it is.
+func scatterSparse(dst []float64, buf []byte, sub bool) error {
 	dim, n, err := sparseHeader(buf)
 	if err != nil {
 		return err
@@ -166,8 +168,8 @@ func decodeSparseInto(dst []float64, buf []byte) error {
 	if dim != len(dst) {
 		return fmt.Errorf("%w: sparse dim %d, want %d", ErrPayload, dim, len(dst))
 	}
-	for i := range dst {
-		dst[i] = 0
+	if !sub {
+		clear(dst)
 	}
 	idxOff, valOff := 8, 8+4*n
 	prev := -1
@@ -177,7 +179,12 @@ func decodeSparseInto(dst []float64, buf []byte) error {
 			return sparseIndexErr(idx, prev, dim)
 		}
 		prev = idx
-		dst[idx] = math.Float64frombits(binary.LittleEndian.Uint64(buf[valOff+8*i:]))
+		x := math.Float64frombits(binary.LittleEndian.Uint64(buf[valOff+8*i:]))
+		if sub {
+			dst[idx] -= x
+		} else {
+			dst[idx] = x
+		}
 	}
 	return nil
 }
@@ -500,6 +507,15 @@ func (c *quantCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 // then keep the reconstruction error for the next round (Stich et al.,
 // 2018). The residual persists for the codec's lifetime, i.e. across a
 // client's rounds.
+//
+// When the inner payload is sparse the reconstruction is zero off its
+// support, so the residual is the corrected vector with the payload's
+// values subtracted at their indices: the two buffers swap and only the
+// kept entries are touched. That is bit-identical to the dense
+// self-decode, corrected − recon at every coordinate: corrected is a
+// sum, so it holds no signalling NaN, and x − (+0) is x for every other
+// float64 (−0 included). Dense and quantized inner codecs keep the
+// self-decode into recon.
 type efCodec struct {
 	name      string
 	inner     Codec
@@ -514,7 +530,6 @@ func (c *efCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 	if c.residual == nil {
 		c.residual = make([]float64, len(v))
 		c.corrected = make([]float64, len(v))
-		c.recon = make([]float64, len(v))
 	}
 	if len(c.residual) != len(v) {
 		panic("compress: error-feedback codec dimension changed")
@@ -524,9 +539,19 @@ func (c *efCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 	}
 	enc, out := c.inner.AppendEncode(dst, c.corrected)
 	payload := out[len(dst):]
+	if enc == EncSparse {
+		c.residual, c.corrected = c.corrected, c.residual
+		if err := scatterSparse(c.residual, payload, true); err != nil {
+			// The inner codec produced the payload; failing to re-read it
+			// is a bug, not a wire condition.
+			panic(fmt.Sprintf("compress: error-feedback self-decode: %v", err))
+		}
+		return enc, out
+	}
+	if c.recon == nil {
+		c.recon = make([]float64, len(v))
+	}
 	if err := DecodePayloadInto(c.recon, enc, payload); err != nil {
-		// The inner codec produced the payload; failing to re-read it is
-		// a bug, not a wire condition.
 		panic(fmt.Sprintf("compress: error-feedback self-decode: %v", err))
 	}
 	for i := range v {

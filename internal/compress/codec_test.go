@@ -254,6 +254,65 @@ func TestErrorFeedbackResidualBounded(t *testing.T) {
 	}
 }
 
+// TestErrorFeedbackSparseResidualMatchesSelfDecode holds the error
+// feedback residual to the dense self-decode it replaced for sparse
+// inner codecs — corrected minus the decoded reconstruction at every
+// coordinate — bit for bit over 5 successive encodes of inputs with
+// ±0, NaN, ±Inf, subnormals and ties. The payloads must match too, and
+// ef+q8 must still decode densely.
+func TestErrorFeedbackSparseResidualMatchesSelfDecode(t *testing.T) {
+	const d = 300
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 2.2250738585072009e-308, 1, -1, 1, -1}
+	for _, spec := range []string{"ef+topk:0.1", "ef+topk:0.5", "ef+randk:0.1", "ef+q8"} {
+		c := newTestCodec(t, spec, 4)
+		ef := c.(*efCodec)
+		sp, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.EF = false
+		inner := newTestCodec(t, sp.String(), 4)
+		residual := make([]float64, d)
+		corrected := make([]float64, d)
+		recon := make([]float64, d)
+		rng := randx.New(8)
+		v := make([]float64, d)
+		for round := 0; round < 5; round++ {
+			for i := range v {
+				if rng.IntN(3) == 0 {
+					v[i] = specials[rng.IntN(len(specials))]
+				} else {
+					v[i] = math.Round(4*rng.NormFloat64()) / 4
+				}
+			}
+			_, got := c.AppendEncode(nil, v)
+			for i := range v {
+				corrected[i] = v[i] + residual[i]
+			}
+			enc, want := inner.AppendEncode(nil, corrected)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s round %d: payload differs from the inner codec's", spec, round)
+			}
+			if err := DecodePayloadInto(recon, enc, want); err != nil {
+				t.Fatal(err)
+			}
+			for i := range residual {
+				residual[i] = corrected[i] - recon[i]
+			}
+			for i, x := range ef.Residual() {
+				if math.Float64bits(x) != math.Float64bits(residual[i]) {
+					t.Fatalf("%s round %d: residual[%d] = %v (%#x), want %v (%#x)",
+						spec, round, i, x, math.Float64bits(x), residual[i], math.Float64bits(residual[i]))
+				}
+			}
+		}
+		if dense := ef.recon != nil; dense != (spec == "ef+q8") {
+			t.Errorf("%s: dense self-decode %v, want %v", spec, dense, spec == "ef+q8")
+		}
+	}
+}
+
 // TestErrorFeedbackMeanConvergesToDense: recon_t = v + r_{t-1} - r_t
 // telescopes, so the time-average of ef+topk reconstructions of a fixed
 // vector converges to the vector itself — the property that makes EF
@@ -373,7 +432,8 @@ func TestDenseWireRoundTrips(t *testing.T) {
 // DecodePayloadInto a reused vector at d = 1e5, and reports each
 // spec's frame size. encode/topk:0.1/all-ties encodes a vector of one
 // repeated value, the input that turns a top-k selection without a
-// three-way partition quadratic.
+// three-way partition quadratic; encode/topk:0.1/sample-miss encodes
+// sampleMissVec, which costs the sampled threshold its fallback.
 func BenchmarkCodec(b *testing.B) {
 	const d = 100_000
 	v := make([]float64, d)
@@ -393,6 +453,19 @@ func BenchmarkCodec(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_, buf = c.AppendEncode(buf[:0], ties)
+		}
+	})
+	b.Run("encode/topk:0.1/sample-miss", func(b *testing.B) {
+		miss := sampleMissVec(d)
+		c, err := Spec{Kind: "topk", Ratio: 0.1}.NewCodec(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, buf := c.AppendEncode(nil, miss)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, buf = c.AppendEncode(buf[:0], miss)
 		}
 	})
 	for _, spec := range []string{"dense", "topk:0.1", "q8", "ef+topk:0.1"} {

@@ -40,38 +40,49 @@ func oracleTopK(order []int, k int) []int {
 
 // checkTopK runs both callers of the selection — TopKIndices and the
 // buffer-reusing codec path (c carries buffers across calls) — against
-// the oracle's pick.
+// the oracle's pick, once with the size gate lowered so that the
+// threshold comes from the sampled bracket and once with it raised so
+// that the full introselect finds it.
 func checkTopK(t *testing.T, c *topkCodec, v []float64, k int, want []int) {
 	t.Helper()
-	if got := TopKIndices(v, k); !slices.Equal(got, want) {
-		t.Fatalf("TopKIndices(d=%d, k=%d) = %v, want %v\nv = %v", len(v), k, got, want, v)
-	}
-	c.sparsify(v, k, nil)
-	for i, idx := range want {
-		if int(c.s.Indices[i]) != idx {
-			t.Fatalf("d=%d k=%d: codec picked %v, want %v", len(v), k, c.s.Indices, want)
+	defer func(gate int) { topkSampleMin = gate }(topkSampleMin)
+	for _, gate := range []int{0, math.MaxInt} {
+		topkSampleMin = gate
+		if got := TopKIndices(v, k); !slices.Equal(got, want) {
+			t.Fatalf("gate %d: TopKIndices(d=%d, k=%d) = %v, want %v\nv = %v", gate, len(v), k, got, want, v)
 		}
-		if math.Float64bits(c.s.Values[i]) != math.Float64bits(v[idx]) {
-			t.Fatalf("d=%d k=%d: value at %d is %v, want %v", len(v), k, idx, c.s.Values[i], v[idx])
+		c.sparsify(v, k, nil)
+		for i, idx := range want {
+			if int(c.s.Indices[i]) != idx {
+				t.Fatalf("gate %d: d=%d k=%d: codec picked %v, want %v", gate, len(v), k, c.s.Indices, want)
+			}
+			if math.Float64bits(c.s.Values[i]) != math.Float64bits(v[idx]) {
+				t.Fatalf("gate %d: d=%d k=%d: value at %d is %v, want %v", gate, len(v), k, idx, c.s.Values[i], v[idx])
+			}
 		}
 	}
 }
 
-// TestTopKMatchesStableSort draws random d in [1, 300] and k in [1, d]
-// over the value distributions that stress the order: continuous,
-// heavy ties, signed zeros and infinities, subnormals, and quantised.
-func TestTopKMatchesStableSort(t *testing.T) {
-	rng := randx.New(11)
+// topkDists are the value distributions that stress the order:
+// continuous, heavy ties, signed zeros and infinities, subnormals, and
+// quantised.
+func topkDists(rng *randx.RNG) []func() float64 {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1}
-	dists := []func() float64{
+	return []func() float64{
 		rng.NormFloat64,
 		func() float64 { return float64(rng.IntN(7) - 3) },
 		func() float64 { return specials[rng.IntN(len(specials))] },
 		func() float64 { return float64(rng.IntN(5)-2) * 5e-324 },
 		func() float64 { return math.Round(4*rng.NormFloat64()) / 4 },
 	}
+}
+
+// TestTopKMatchesStableSort draws random d in [1, 300] and k in [1, d]
+// over topkDists.
+func TestTopKMatchesStableSort(t *testing.T) {
+	rng := randx.New(11)
 	var c topkCodec
-	for _, draw := range dists {
+	for _, draw := range topkDists(rng) {
 		for trial := 0; trial < 200; trial++ {
 			v := make([]float64, 1+rng.IntN(300))
 			for i := range v {
@@ -81,6 +92,59 @@ func TestTopKMatchesStableSort(t *testing.T) {
 			checkTopK(t, &c, v, k, oracleTopK(stableOrder(v), k))
 		}
 	}
+}
+
+// TestTopKMatchesStableSortWide runs topkDists at the workloads'
+// d = 1e5, where the default gate takes the sampled arm, at k from one
+// to all of d.
+func TestTopKMatchesStableSortWide(t *testing.T) {
+	const d = 100_000
+	rng := randx.New(12)
+	var c topkCodec
+	for di, draw := range topkDists(rng) {
+		v := make([]float64, d)
+		for i := range v {
+			v[i] = draw()
+		}
+		order := stableOrder(v)
+		for _, k := range []int{1, d / 100, d / 10, d / 2, d} {
+			t.Run(fmt.Sprintf("dist%d/k=%d", di, k), func(t *testing.T) {
+				checkTopK(t, &c, v, k, oracleTopK(order, k))
+			})
+		}
+	}
+}
+
+// sampleMissVec is a d-vector whose sampled positions all hold its
+// largest magnitude and whose other coordinates are standard normals,
+// so for any k above the sample size the sample's bracket holds too few
+// keys to contain the k-th largest.
+func sampleMissVec(d int) []float64 {
+	v := make([]float64, d)
+	randx.Normal(randx.New(6), v, 0, 1)
+	m := min(topkSample, d)
+	for i := 0; i < m; i++ {
+		v[i*d/m] = -100
+	}
+	return v
+}
+
+// TestTopKSampleMissFallsBack: when the sample's bracket misses the
+// k-th largest key, the selection falls back to the full introselect
+// and still keeps the oracle's pick.
+func TestTopKSampleMissFallsBack(t *testing.T) {
+	const d, k = 100_000, 10_000
+	v := sampleMissVec(d)
+	want := oracleTopK(stableOrder(v), k)
+	before := topkSampleMisses.Load()
+	if got := TopKIndices(v, k); !slices.Equal(got, want) {
+		t.Fatalf("TopKIndices on the sample-miss vector differs from the oracle")
+	}
+	if misses := topkSampleMisses.Load() - before; misses != 1 {
+		t.Fatalf("%d sample misses, want 1", misses)
+	}
+	var c topkCodec
+	checkTopK(t, &c, v, k, want)
 }
 
 // TestTopKAdversarialShapes checks the inputs that push a naive

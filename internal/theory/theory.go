@@ -19,7 +19,6 @@ import (
 	"fedms/internal/core"
 	"fedms/internal/nn"
 	"fedms/internal/randx"
-	"fedms/internal/tensor"
 )
 
 // ProblemConfig parameterizes a federated quadratic problem.
@@ -182,18 +181,39 @@ func (l *QuadLearner) SetParams(flat []float64) {
 	copy(l.w, flat)
 }
 
+// stepChunk is how many noise draws LocalTrain buffers on the stack
+// before one fused loop consumes them.
+const stepChunk = 256
+
 // LocalTrain implements core.Learner: E steps of noisy gradient
-// descent on F_k.
+// descent on F_k. Each step is one pass over the coordinates that forms
+// the noisy gradient g_j = a_j(w_j − c_j) + σz_j, applies w_j += −η·g_j
+// and sums F_k at the updated w, with the noise drawn in coordinate
+// order; the bits are those of a separate gradient pass, axpy and
+// ClientLoss.
 func (l *QuadLearner) LocalTrain(steps, globalStep int, sched nn.Schedule) float64 {
+	diag, opt, noise := l.p.diag[l.k], l.p.opt[l.k], l.p.cfg.NoiseStd
 	total := 0.0
-	grad := make([]float64, len(l.w))
+	var z [stepChunk]float64
 	for i := 0; i < steps; i++ {
-		for j := range l.w {
-			grad[j] = l.p.diag[l.k][j]*(l.w[j]-l.p.opt[l.k][j]) + l.p.cfg.NoiseStd*l.rng.NormFloat64()
+		a := -sched.LR(globalStep + i)
+		loss := 0.0
+		for lo := 0; lo < len(l.w); lo += stepChunk {
+			w := l.w[lo:min(lo+stepChunk, len(l.w))]
+			zc := z[:len(w)]
+			for j := range zc {
+				zc[j] = l.rng.NormFloat64()
+			}
+			dc, oc := diag[lo:lo+len(w)], opt[lo:lo+len(w)]
+			for j, wj := range w {
+				g := dc[j]*(wj-oc[j]) + noise*zc[j]
+				wj += a * g
+				w[j] = wj
+				d := wj - oc[j]
+				loss += 0.5 * dc[j] * d * d
+			}
 		}
-		lr := sched.LR(globalStep + i)
-		tensor.VecAxpy(l.w, -lr, grad)
-		total += l.p.ClientLoss(l.k, l.w)
+		total += loss
 	}
 	if steps == 0 {
 		return 0

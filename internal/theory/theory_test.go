@@ -8,6 +8,7 @@ import (
 	"fedms/internal/attack"
 	"fedms/internal/core"
 	"fedms/internal/nn"
+	"fedms/internal/tensor"
 )
 
 func newProblem(t *testing.T, cfg ProblemConfig) *Problem {
@@ -128,6 +129,90 @@ func TestQuadLearnerDeterministic(t *testing.T) {
 		if pa[i] != pb[i] {
 			t.Fatal("learners with same seed diverged")
 		}
+	}
+}
+
+// threePassLocalTrain is LocalTrain's body before it became one loop:
+// a gradient pass into a fresh buffer, an axpy, then ClientLoss. It is
+// the oracle the fused step must match bit for bit.
+func threePassLocalTrain(l *QuadLearner, steps, globalStep int, sched nn.Schedule) float64 {
+	total := 0.0
+	grad := make([]float64, len(l.w))
+	for i := 0; i < steps; i++ {
+		for j := range l.w {
+			grad[j] = l.p.diag[l.k][j]*(l.w[j]-l.p.opt[l.k][j]) + l.p.cfg.NoiseStd*l.rng.NormFloat64()
+		}
+		lr := sched.LR(globalStep + i)
+		tensor.VecAxpy(l.w, -lr, grad)
+		total += l.p.ClientLoss(l.k, l.w)
+	}
+	if steps == 0 {
+		return 0
+	}
+	return total / float64(steps)
+}
+
+// TestQuadLocalTrainMatchesThreePass holds the fused step to the
+// three-pass oracle bit for bit — parameters, returned loss and the
+// noise stream, over two successive calls — on dimensions around the
+// chunk boundary, with and without noise, under the Theorem 1 schedule.
+func TestQuadLocalTrainMatchesThreePass(t *testing.T) {
+	for _, d := range []int{1, 255, 256, 257, 1000} {
+		for _, noise := range []float64{0, 0.3} {
+			cfg := defaultCfg()
+			cfg.Dim, cfg.NoiseStd = d, noise
+			p := newProblem(t, cfg)
+			sched := p.TheorySchedule(3)
+			for _, steps := range []int{0, 1, 3} {
+				got, want := p.Learner(1), p.Learner(1)
+				for call := 0; call < 2; call++ {
+					gl := got.LocalTrain(steps, call*steps, sched)
+					wl := threePassLocalTrain(want, steps, call*steps, sched)
+					if math.Float64bits(gl) != math.Float64bits(wl) {
+						t.Fatalf("d=%d noise=%v steps=%d call %d: loss %v, want %v", d, noise, steps, call, gl, wl)
+					}
+					for j := range want.w {
+						if math.Float64bits(got.w[j]) != math.Float64bits(want.w[j]) {
+							t.Fatalf("d=%d noise=%v steps=%d call %d: w[%d] = %v, want %v", d, noise, steps, call, j, got.w[j], want.w[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuadLocalTrainAllocs: a steady-state local step allocates nothing.
+func TestQuadLocalTrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	cfg := defaultCfg()
+	cfg.Dim = 100_000
+	p := newProblem(t, cfg)
+	l := p.Learner(0)
+	sched := p.TheorySchedule(2)
+	l.LocalTrain(2, 0, sched)
+	if allocs := testing.AllocsPerRun(5, func() { l.LocalTrain(2, 2, sched) }); allocs != 0 {
+		t.Errorf("%v allocs per LocalTrain, want 0", allocs)
+	}
+}
+
+// BenchmarkQuadLocalTrain times one local step at d = 1e5, the
+// loopback workloads' learner.
+func BenchmarkQuadLocalTrain(b *testing.B) {
+	cfg := defaultCfg()
+	cfg.Dim = 100_000
+	p, err := NewProblem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := p.Learner(0)
+	sched := p.TheorySchedule(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.LocalTrain(1, i, sched)
 	}
 }
 
