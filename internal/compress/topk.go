@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
 
 // Top-k selection: the one order every magnitude top-k in the tree
@@ -58,10 +57,6 @@ const (
 
 var topkSampleMin = 1 << 12
 
-// topkSampleMisses counts the sampled arm's fallbacks to the full
-// introselect, for tests.
-var topkSampleMisses atomic.Uint64
-
 // selectTopK fills pick with the indices of the len(pick) largest
 // coordinates of v under magKey, ties by index, in ascending index
 // order, and returns it. keys is len(v) scratch. The threshold comes
@@ -73,25 +68,17 @@ func selectTopK(pick []int, keys []uint64, v []float64) []int {
 	if k == 0 {
 		return pick
 	}
-	t, above, equal, ok := sampledThreshold(keys, v, k)
+	t, above, ok := sampledThreshold(keys, v, k)
 	if !ok {
 		for i, x := range v {
 			keys[i] = magKey(x)
 		}
 		t = nthLargest(keys, k-1)
-		above, equal = countAbove(keys, t)
+		above = countAbove(keys, t)
 	}
 	// Keep every key above the threshold and the lowest-indexed of the
-	// keys equal to it, up to k in all. Usually that is every key equal
-	// to it, and the pass needs no tie count.
+	// keys equal to it, up to k in all.
 	ties := k - above
-	if ties == equal {
-		for i, j := 0, 0; j < k; i++ {
-			pick[j] = i
-			j += b2i(magKey(v[i]) >= t)
-		}
-		return pick
-	}
 	for i, j := 0, 0; j < k; i++ {
 		key := magKey(v[i])
 		tie := b2i(key == t) & b2i(ties > 0)
@@ -102,22 +89,21 @@ func selectTopK(pick []int, keys []uint64, v []float64) []int {
 	return pick
 }
 
-// countAbove returns how many keys exceed t and how many equal it.
-func countAbove(keys []uint64, t uint64) (above, equal int) {
+// countAbove returns how many keys exceed t.
+func countAbove(keys []uint64, t uint64) (above int) {
 	for _, key := range keys {
 		above += b2i(key > t)
-		equal += b2i(key == t)
 	}
-	return above, equal
+	return above
 }
 
-// sampledThreshold returns the k-th largest key t of v, how many keys
-// exceed it and how many equal it, using keys as scratch, with ok false
-// when v is below the size gate or the sample's bracket misses t.
-func sampledThreshold(keys []uint64, v []float64, k int) (t uint64, above, equal int, ok bool) {
+// sampledThreshold returns the k-th largest key t of v and how many
+// keys exceed it, using keys as scratch, with ok false when v is below
+// the size gate or the sample's bracket misses t.
+func sampledThreshold(keys []uint64, v []float64, k int) (t uint64, above int, ok bool) {
 	n := len(v)
 	if n < topkSampleMin {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	m := min(topkSample, n)
 	sample := keys[:m]
@@ -145,15 +131,13 @@ func sampledThreshold(keys []uint64, v []float64, k int) (t uint64, above, equal
 		c += b2i(key-lo <= span)
 	}
 	if above >= k || above+c < k {
-		topkSampleMisses.Add(1)
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	if lo == hi {
-		return lo, above, c, true
+		return lo, above, true
 	}
 	t = nthLargest(keys[:c], k-1-above)
-	a, e := countAbove(keys[:c], t)
-	return t, above + a, e, true
+	return t, above + countAbove(keys[:c], t), true
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag
