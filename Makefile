@@ -56,11 +56,10 @@ test:
 # objects per fan-out), a steady-state blobs-MLP training step's
 # (nothing), a steady-state quadratic local step's (nothing, the
 # loopback workloads' learner), the client filter's (a steady-state trimmed
-# mean over 5 dense views at d = 1e5 allocates at most 3 objects),
-# Bulyan's (its allocations do not grow with d) and the flat gather's
-# memory bound (a cold aggregation of n views stages n·tile values per
-# worker, never the n·d matrix) ride in the same stage for the same
-# reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
+# mean over 5 dense views at d = 1e5 allocates at most 3 objects) and
+# the flat gather's memory bound (a cold aggregation of n views stages
+# n·tile values per worker, never the n·d matrix) ride in the same stage
+# for the same reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to
 # core.Config) is bound to flags once and every node's configuration is
 # derived from it, so the CLI contract (the pinned flag surface, the
 # one table of rejections, both commands surfacing it before any
@@ -119,7 +118,7 @@ verify:
 	$(GO) test -race -run '$(RACE_ASYNCD)' ./internal/node/
 	$(GO) test -race -run '$(RACE_ASYNC)' ./internal/core/
 	$(GO) test -race -run '$(RACE_FLOOD)' ./internal/node/
-	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestConnRecvSteadyStateAllocs|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestBulyanAllocs|TestGatherMemoryBound|TestTrainStepAllocs|TestQuadLocalTrainAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/ ./internal/nn/ ./internal/theory/
+	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestConnRecvSteadyStateAllocs|TestHelloPrefilterRejectZeroAlloc|TestTopKEncodeZeroAlloc|TestForAllocs|TestFilterAllocs|TestGatherMemoryBound|TestTrainStepAllocs|TestQuadLocalTrainAllocs' ./internal/transport/ ./internal/compress/ ./internal/par/ ./internal/aggregate/ ./internal/nn/ ./internal/theory/
 	$(GO) test -race -run '$(RACE_CLI)' ./cmd/...
 	$(GO) test -race -run '$(RACE_DERIVE)' ./internal/node/
 	$(GO) test -race -run '$(RACE_FILTER)' ./internal/node/ ./internal/core/

@@ -122,12 +122,12 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 
 		{"trim rate one half", []string{"-filter", "trim:0.5"}, []string{"-filter", "out of [0, 0.5)"}},
 		{"trim rate above one half", []string{"-filter", "trim:0.7"}, []string{"-filter", "out of [0, 0.5)"}},
-		{"non-finite filter parameter", []string{"-filter", "clip:NaN"}, []string{"-filter", "finite"}},
+		{"non-finite filter parameter", []string{"-filter", "trim:NaN"}, []string{"-filter", "finite"}},
 		{"unknown filter", []string{"-filter", "bogus"}, []string{"-filter"}},
 		{"filter parameter out of range", []string{"-filter", "trim:0.9"}, []string{"-filter"}},
 		{"filter excess arguments", []string{"-filter", "fedgreed:1"}, []string{"-filter"}},
 		{"unknown server rule", []string{"-server-rule", "nope"}, []string{"-server-rule"}},
-		{"server rule bad parameter", []string{"-server-rule", "clip:-1"}, []string{"-server-rule"}},
+		{"server rule bad parameter", []string{"-server-rule", "krum:-1"}, []string{"-server-rule"}},
 
 		{"zero participation", []string{"-participation", "0"}, []string{"-participation"}},
 		{"negative participation", []string{"-participation", "-0.5"}, []string{"-participation"}},

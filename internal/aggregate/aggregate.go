@@ -12,6 +12,7 @@ package aggregate
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"fedms/internal/tensor"
 )
@@ -129,9 +130,36 @@ func (k Krum) Aggregate(vecs [][]float64) []float64 {
 	return out
 }
 
-// Select returns the index of the Krum-chosen vector: the first of
-// krumRank's order.
-func (k Krum) Select(vecs [][]float64) int { return krumRank(vecs, k.F)[0] }
+// Select returns the index of the Krum-chosen vector: the lowest
+// score, equal scores to the lexicographically smaller vector, equal
+// vectors to the first index. Scores genuinely tie (with nb = 1 the two
+// mutually closest vectors share their min distance), and an index
+// tie-break alone would make the pick depend on input order.
+func (k Krum) Select(vecs [][]float64) int {
+	n := len(vecs)
+	nb := min(max(n-k.F-2, 1), n-1)
+	d2 := make([]float64, n*n)
+	for i := range n {
+		for j := i + 1; j < n; j++ {
+			d2[i*n+j] = tensor.VecSqDist(vecs[i], vecs[j])
+			d2[j*n+i] = d2[i*n+j]
+		}
+	}
+	best, bestScore := 0, 0.0
+	row := make([]float64, 0, n)
+	for i, v := range vecs {
+		row = append(append(row[:0], d2[i*n:i*n+i]...), d2[i*n+i+1:(i+1)*n]...)
+		sort.Float64s(row)
+		score := 0.0
+		for _, x := range row[:nb] {
+			score += x
+		}
+		if i == 0 || score < bestScore || (score == bestScore && lexLess(v, vecs[best])) {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
 
 // lexLess orders vectors lexicographically — a permutation-invariant
 // tie-breaker for selection rules.
@@ -144,55 +172,43 @@ func lexLess(a, b []float64) bool {
 	return false
 }
 
+// Weiszfeld's constants for GeoMedian.
+const (
+	geoMaxIters = 50
+	// geoEps is the smoothing added to each distance: it shapes the
+	// objective, not the stopping rule.
+	geoEps = 1e-8
+	// geoTol is the convergence threshold on the iterate's movement.
+	geoTol = 1e-8
+)
+
 // GeoMedian approximates the geometric median with Weiszfeld's
 // iteration (the smoothed-median aggregation of Pillutla et al.).
-type GeoMedian struct {
-	// MaxIters bounds the Weiszfeld iterations (default 50).
-	MaxIters int
-	// Eps is the Weiszfeld smoothing constant added to each distance
-	// (default 1e-8). It shapes the objective, not the stopping rule.
-	Eps float64
-	// Tol is the convergence threshold on the iterate's movement
-	// (default 1e-8). Eps and Tol are independent: loosening the
-	// smoothing no longer silently loosens convergence.
-	Tol float64
-}
+type GeoMedian struct{}
 
 // Name implements Rule.
 func (GeoMedian) Name() string { return "geo_median" }
 
 // Aggregate implements Rule.
-func (g GeoMedian) Aggregate(vecs [][]float64) []float64 {
+func (GeoMedian) Aggregate(vecs [][]float64) []float64 {
 	d := checkInputs(vecs, "geo_median")
-	iters := g.MaxIters
-	if iters <= 0 {
-		iters = 50
-	}
-	eps := g.Eps
-	if eps <= 0 {
-		eps = 1e-8
-	}
-	tol := g.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
 	// Start from the coordinate-wise mean.
 	z := make([]float64, d)
 	tensor.VecMean(z, vecs)
 	next := make([]float64, d)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < geoMaxIters; it++ {
 		var wsum float64
 		for i := range next {
 			next[i] = 0
 		}
 		for _, v := range vecs {
 			dist := tensor.VecDist2(z, v)
-			w := 1 / (dist + eps)
+			w := 1 / (dist + geoEps)
 			wsum += w
 			tensor.VecAxpy(next, w, v)
 		}
 		tensor.VecScale(next, 1/wsum)
-		if tensor.VecDist2(z, next) < tol {
+		if tensor.VecDist2(z, next) < geoTol {
 			copy(z, next)
 			break
 		}

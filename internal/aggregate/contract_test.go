@@ -18,10 +18,7 @@ func allRules() []Rule {
 		TrimmedMean{Beta: 0.2},
 		CoordinateMedian{},
 		Krum{F: 2},
-		MultiKrum{F: 2},
-		Bulyan{F: 1},
 		GeoMedian{},
-		CenteredClipping{},
 		// Loss rules run their geometry-only fallback here (no oracle
 		// through the plain Rule interface); the oracle path has its own
 		// contract tests in loss_test.go.

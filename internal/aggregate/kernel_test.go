@@ -367,6 +367,15 @@ func FuzzCoordinateKernels(f *testing.F) {
 	})
 }
 
+func TestMedianOf(t *testing.T) {
+	if medianOf([]float64{3, 1, 2}, nil, nil) != 2 {
+		t.Fatal("odd median wrong")
+	}
+	if medianOf([]float64{4, 1, 2, 3}, nil, nil) != 2.5 {
+		t.Fatal("even median wrong")
+	}
+}
+
 // TestMedianKeepsStableZeroOrder: the median of the column [+0, −0, 1]
 // is −0 on every path, the stable order's middle rank; so is that of
 // [+0, 1, −0], and [−0, 1, +0]'s is +0. A sort that ranks −0 below

@@ -149,7 +149,7 @@ func TestPayloadAggregationDispatch(t *testing.T) {
 		assertBitIdentical(t, "nofuse/"+rule.Name(), wrapped, got)
 	}
 
-	for _, rule := range []Rule{Krum{F: 2}, Bulyan{F: 1}, GeoMedian{}} {
+	for _, rule := range []Rule{Krum{F: 2}, GeoMedian{}} {
 		res := Run(Request{Rule: rule, Views: views})
 		got, fused := res.Out, res.Fused
 		if fused {

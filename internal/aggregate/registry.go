@@ -7,24 +7,23 @@ import (
 	"strings"
 )
 
-// RuleGrammar is the one-line spec grammar, for CLI usage strings.
-// It mirrors the codec grammar of compress.ParseSpec: a rule name,
-// optionally followed by colon-separated numeric parameters.
-const RuleGrammar = "mean | trim:<beta> | median | krum[:f] | multikrum[:f[:m]] | bulyan[:f] | geomedian | clip[:tau] | fedgreed | losscluster"
+// RuleGrammar is the one-line spec grammar, for CLI usage strings: one
+// head per rule RuleNames lists, in the same order. It mirrors the
+// codec grammar of compress.ParseSpec: a rule name, optionally followed
+// by colon-separated numeric parameters. README's grammar block and
+// rule table list the same heads (TestReadmeRuleTableMatchesRegistry).
+const RuleGrammar = "mean | trim:<beta> | median | krum[:f] | geomedian | fedgreed | losscluster"
 
 // ParseRule resolves a rule spec string to a Rule. The grammar (see
 // RuleGrammar):
 //
-//	mean              plain averaging (vanilla FL)
-//	trim:<beta>       Fed-MS trimmed mean, beta ∈ [0, 0.5)
-//	median            coordinate-wise median
-//	krum[:f]          Krum with f assumed Byzantine (default 0)
-//	multikrum[:f[:m]] Multi-Krum (m defaults to n−f−2 at runtime)
-//	bulyan[:f]        Bulyan with f assumed Byzantine (default 0)
-//	geomedian         smoothed geometric median (Weiszfeld)
-//	clip[:tau]        centered clipping (tau omitted = per-call auto)
-//	fedgreed          greedy lowest-holdout-loss prefix average
-//	losscluster       two-cluster holdout-loss split
+//	mean          plain averaging (vanilla FL)
+//	trim:<beta>   Fed-MS trimmed mean, beta ∈ [0, 0.5)
+//	median        coordinate-wise median
+//	krum[:f]      Krum with f assumed Byzantine (default 0)
+//	geomedian     smoothed geometric median (Weiszfeld)
+//	fedgreed      greedy lowest-holdout-loss prefix average
+//	losscluster   two-cluster holdout-loss split
 //
 // fedgreed and losscluster need a holdout-loss oracle to differ from
 // their geometry fallback (coordinate median); the runtimes wire one
@@ -64,7 +63,7 @@ func ParseRule(spec string) (Rule, error) {
 			return nil, err
 		}
 		return Mean{}, nil
-	case "trim", "trmean":
+	case "trim":
 		if err := wantArgs(1, 1); err != nil {
 			return nil, err
 		}
@@ -93,55 +92,11 @@ func ParseRule(spec string) (Rule, error) {
 			}
 		}
 		return Krum{F: f}, nil
-	case "multikrum":
-		if err := wantArgs(0, 2); err != nil {
-			return nil, err
-		}
-		var f, m int
-		var err error
-		if len(args) >= 1 {
-			if f, err = intArg(0); err != nil {
-				return nil, err
-			}
-		}
-		if len(args) == 2 {
-			if m, err = intArg(1); err != nil {
-				return nil, err
-			}
-		}
-		return MultiKrum{F: f, M: m}, nil
-	case "bulyan":
-		if err := wantArgs(0, 1); err != nil {
-			return nil, err
-		}
-		f := 0
-		if len(args) == 1 {
-			var err error
-			if f, err = intArg(0); err != nil {
-				return nil, err
-			}
-		}
-		return Bulyan{F: f}, nil
 	case "geomedian":
 		if err := wantArgs(0, 0); err != nil {
 			return nil, err
 		}
 		return GeoMedian{}, nil
-	case "clip":
-		if err := wantArgs(0, 1); err != nil {
-			return nil, err
-		}
-		tau := 0.0
-		if len(args) == 1 {
-			var err error
-			if tau, err = floatArg(0); err != nil {
-				return nil, err
-			}
-			if tau <= 0 {
-				return nil, fmt.Errorf("aggregate: clip radius %g must be positive in %q", tau, spec)
-			}
-		}
-		return CenteredClipping{Tau: tau}, nil
 	case "fedgreed":
 		if err := wantArgs(0, 0); err != nil {
 			return nil, err
@@ -160,7 +115,7 @@ func ParseRule(spec string) (Rule, error) {
 // round-trip test feeds each through ParseRule.
 func RuleNames() []string {
 	return []string{
-		"mean", "trim:0.2", "median", "krum:1", "multikrum:1:3",
-		"bulyan:1", "geomedian", "clip", "fedgreed", "losscluster",
+		"mean", "trim:0.2", "median", "krum:1", "geomedian", "fedgreed",
+		"losscluster",
 	}
 }

@@ -1,6 +1,9 @@
 package aggregate
 
 import (
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,16 +40,10 @@ func TestParseRuleDefaults(t *testing.T) {
 	}{
 		{"mean", Mean{}},
 		{"trim:0.2", TrimmedMean{Beta: 0.2}},
-		{"trmean:0.1", TrimmedMean{Beta: 0.1}}, // historical alias
 		{"median", CoordinateMedian{}},
 		{"krum", Krum{}},
 		{"krum:3", Krum{F: 3}},
-		{"multikrum:2", MultiKrum{F: 2}},
-		{"multikrum:2:4", MultiKrum{F: 2, M: 4}},
-		{"bulyan:1", Bulyan{F: 1}},
 		{"geomedian", GeoMedian{}},
-		{"clip", CenteredClipping{}},
-		{"clip:0.5", CenteredClipping{Tau: 0.5}},
 		{"fedgreed", FedGreed{}},
 		{"losscluster", LossCluster{}},
 		{"  mean  ", Mean{}}, // surrounding whitespace is trimmed
@@ -75,15 +72,11 @@ func TestParseRuleRejects(t *testing.T) {
 		"trim:-0.1", // and non-negative
 		"trim:x",
 		"trim:NaN", // NaN passes every range comparison
-		"clip:NaN",
-		"clip:Inf",
+		"trim:Inf",
+		"trim:-Inf",
 		"krum:-1",
 		"krum:1:2", // too many args
-		"multikrum:1:2:3",
-		"bulyan:-2",
-		"clip:0",  // tau must be positive
-		"clip:-1", //
-		"mean:1",  // mean takes no args
+		"mean:1",   // mean takes no args
 		"fedgreed:1",
 		"losscluster:0.5",
 		"median:2",
@@ -92,6 +85,14 @@ func TestParseRuleRejects(t *testing.T) {
 	for _, spec := range bad {
 		if _, err := ParseRule(spec); err == nil {
 			t.Errorf("ParseRule(%q) accepted, want error", spec)
+		}
+	}
+	// Removed rules and the old trim alias are unknown rules, not
+	// rules with bad parameters.
+	for _, spec := range []string{"trmean:0.1", "multikrum", "multikrum:1:3", "bulyan:1", "clip", "clip:0.5"} {
+		_, err := ParseRule(spec)
+		if err == nil || !strings.Contains(err.Error(), "unknown rule") || !strings.Contains(err.Error(), RuleGrammar) {
+			t.Errorf("ParseRule(%q) = %v, want the unknown-rule error naming %q", spec, err, RuleGrammar)
 		}
 	}
 }
@@ -106,6 +107,64 @@ func TestParseRuleErrorNamesGrammar(t *testing.T) {
 	for _, word := range []string{"mean", "krum", "fedgreed", "losscluster"} {
 		if !strings.Contains(err.Error(), word) {
 			t.Errorf("unknown-rule error %q does not mention %q", err, word)
+		}
+	}
+}
+
+// specHead is a spec's rule name: the text before its first parameter
+// or optional-parameter bracket.
+func specHead(spec string) string {
+	return strings.TrimSpace(spec[:strings.IndexAny(spec+":", ":[")])
+}
+
+var readmeRuleRow = regexp.MustCompile("^\\| `([^`]+)` \\|")
+
+// TestReadmeRuleTableMatchesRegistry: README's defense-roster grammar
+// block and rule table name the rules RuleNames and RuleGrammar name,
+// in the same order, so a rule added to or removed from the registry
+// without its documentation (or the other way round) fails here.
+func TestReadmeRuleTableMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(data), "\n## Defense roster — aggregation rules\n")
+	if !found {
+		t.Fatal("README.md has no defense-roster section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	_, grammar, _ := strings.Cut(section, "```\n")
+	grammar, _, found = strings.Cut(grammar, "```")
+	if !found {
+		t.Fatal("README.md's defense roster has no grammar block")
+	}
+	var table []string
+	for _, line := range strings.Split(section, "\n") {
+		if m := readmeRuleRow.FindStringSubmatch(line); m != nil {
+			table = append(table, specHead(m[1]))
+		}
+	}
+	heads := func(grammar string) []string {
+		var out []string
+		for _, spec := range strings.Split(grammar, "|") {
+			out = append(out, specHead(spec))
+		}
+		return out
+	}
+	var names []string
+	for _, spec := range RuleNames() {
+		names = append(names, specHead(spec))
+	}
+	for _, c := range []struct {
+		what string
+		got  []string
+	}{
+		{"RuleGrammar", heads(RuleGrammar)},
+		{"README grammar block", heads(grammar)},
+		{"README rule table", table},
+	} {
+		if !slices.Equal(c.got, names) {
+			t.Errorf("%s lists %v; RuleNames() lists %v", c.what, c.got, names)
 		}
 	}
 }

@@ -91,16 +91,6 @@ func VecAdd(dst, src []float64) {
 	}
 }
 
-// VecSub computes dst[i] -= src[i].
-func VecSub(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("tensor: VecSub length mismatch")
-	}
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
 // VecAxpy computes dst[i] += a*src[i].
 func VecAxpy(dst []float64, a float64, src []float64) {
 	if len(dst) != len(src) {
