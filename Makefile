@@ -55,8 +55,9 @@ test:
 # d = 1e5 allocates nothing), par.For's (nothing serial, at most two
 # objects per fan-out), a steady-state blobs-MLP training step's
 # (nothing), a steady-state quadratic local step's (nothing, the
-# loopback workloads' learner), the client filter's (a steady-state trimmed
-# mean over 5 dense views at d = 1e5 allocates at most 3 objects) and
+# loopback workloads' learner), the client filter's and the async server
+# rule's (a steady-state trimmed mean over 5 dense views, or over 8
+# staleness-weighted topk views, at d = 1e5 allocates at most 3 objects) and
 # the flat gather's memory bound (a cold aggregation of n views stages
 # n·tile values per worker, never the n·d matrix) ride in the same stage
 # for the same reason. The federation-spec tier runs eighth: one spec (fedms.Config resolved to

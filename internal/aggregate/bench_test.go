@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fedms/internal/randx"
+	"fedms/internal/sched"
 )
 
 // benchInputs builds the ISSUE benchmark setting: n=10 servers' models
@@ -117,14 +118,19 @@ func BenchmarkMean(b *testing.B) {
 
 // BenchmarkPayloadAggregation prices the fused payload kernels against
 // densify-first (NoFuse) over n = 10 topk:0.01 uploads, the sparse
-// operating point where fusing matters most. The "server" row times the
+// operating point where fusing matters most. The "server" rows time the
 // fused trimmed mean at dist_wide_topk's server shape: n = 8 topk:0.1
-// uploads at d = 1e5, trim:0.2, one worker, a reused Dst.
+// uploads at d = 1e5, trim:0.2, one worker, a reused Dst; the weighted
+// row is dist_wide_async's, the same views down-weighted by staleness.
 func BenchmarkPayloadAggregation(b *testing.B) {
 	server, _ := encodeViews(b, "topk:0.1", benchInputs(b, 8, 100_000), 7)
 	dst := make([]float64, 100_000)
 	benchAggregate(b, "server/n=8/topk:0.1/trimmed_mean/fused/d=1e5", func() []float64 {
 		return Run(Request{Rule: TrimmedMean{Beta: 0.2}, Views: server, Dst: dst, Workers: 1}).Out
+	})
+	weights := serverStaleWeights()
+	benchAggregate(b, "server/n=8/topk:0.1/trimmed_mean/weighted/d=1e5", func() []float64 {
+		return Run(Request{Rule: TrimmedMean{Beta: 0.2}, Views: server, Weights: weights, Dst: dst, Workers: 1}).Out
 	})
 	for _, d := range benchDims {
 		views, _ := encodeViews(b, "topk:0.01", benchInputs(b, 10, d), 7)
@@ -142,6 +148,17 @@ func BenchmarkPayloadAggregation(b *testing.B) {
 			}
 		}
 	}
+}
+
+// serverStaleWeights is an async server's member weights at
+// dist_wide_async's shape: eight uploads, three of them admitted 1 or 2
+// rounds stale, w = sched.Weight(s).
+func serverStaleWeights() []float64 {
+	weights := make([]float64, 8)
+	for i, s := range []int{0, 1, 0, 0, 2, 0, 1, 0} {
+		weights[i] = sched.Weight(s)
+	}
+	return weights
 }
 
 // BenchmarkLossRule times FedGreed and LossCluster through the oracle

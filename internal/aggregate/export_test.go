@@ -12,11 +12,11 @@ func SetTileAVX2(on bool) (restore func()) {
 }
 
 // SetSparseTileMin sets the entries per member from which an
-// all-sparse tile takes the tile arm, for both tile kernels — 0 sends
+// all-sparse tile takes the tile arm, for every tile kernel — 0 sends
 // every tile there, more than payloadGatherTile none — and returns the
 // function that restores the previous gate.
 func SetSparseTileMin(perMember int) (restore func()) {
 	saved := sparseTileMin
-	sparseTileMin.vec, sparseTileMin.network = perMember, perMember
+	sparseTileMin.vec, sparseTileMin.weighted, sparseTileMin.network = perMember, perMember, perMember
 	return func() { sparseTileMin = saved }
 }

@@ -21,16 +21,22 @@ import (
 //     The all-sparse gather's column arm never reduces a column no view
 //     touches: it keeps +0.0, which is what every kernel returns for an
 //     all-zero column, and what its tile arm computes for one.
-//   - One permutation per column. The unweighted trimmed mean of up
-//     to networkMaxN members — tileVecMaxN on a CPU with AVX2 —
-//     reduces a staged tile at once (kernel.tile): an insertion network
-//     of adjacent compare-exchanges sorts every lane of the tile
-//     without a data-dependent branch, swapping only on a strict >, so
-//     each lane ends in exactly the permutation the per-column
-//     insertion sort produces — ties and ±0 in input order — and the
-//     reduction repeats the per-column operation order. The AVX2 kernel
-//     runs that same network and arithmetic four lanes at a time, each
-//     operation rounding on its own. The tile form is therefore
+//   - One permutation per column. The trimmed mean of up to
+//     tileVecMaxN members on a CPU with AVX2, weighted or not, and the
+//     unweighted one of up to networkMaxN members on any CPU, reduce a
+//     whole tile at once (kernel.tile): an insertion network of
+//     adjacent compare-exchanges sorts every lane of the tile without a
+//     data-dependent branch, swapping only on a strict >, so each lane
+//     ends in exactly the permutation the per-column insertion sort
+//     produces — ties and ±0 in input order — and the reduction repeats
+//     the per-column operation order. The AVX2 kernel runs that same
+//     network and arithmetic four lanes at a time, each operation
+//     rounding on its own. Its weighted form carries each member's
+//     weight beside its value, and the mask that exchanges two values
+//     exchanges their weights, so a weight stays with its value and
+//     tied values of unequal weight keep their input order, which is
+//     sortColumnPairs' permutation; the kept ranks add w·v and w onto
+//     +0.0 in rank order and divide once. The tile form is therefore
 //     bit-identical to reduce. Whether it runs is a function of
 //     (n, m, weighted) and the CPU and, in an all-sparse gather, of how
 //     many entries the views hold in the tile (sparseTileMin); the
@@ -118,11 +124,11 @@ func (t TrimmedMean) kernel(n int, weights []float64) kernel {
 		},
 		winLen: 2 * m,
 	}
-	if weights == nil && m > 0 && !useSelection(n, m) {
+	if m > 0 && !useSelection(n, m) {
 		switch {
 		case tileAVX2 && n <= tileVecMaxN:
-			k.tile = tileForm{n: n, m: m, vec: true}
-		case n <= networkMaxN:
+			k.tile = tileForm{n: n, m: m, vec: true, weights: weights}
+		case weights == nil && n <= networkMaxN:
 			k.tile = tileForm{n: n, m: m}
 		}
 	}
@@ -162,10 +168,12 @@ func trimmedMeanOf(col, weights []float64, m int, s *chunkScratch) float64 {
 		} else {
 			weights = sortColumnPairs(col, weights, s)
 		}
+		// The product rounds before the add (no fused multiply-add),
+		// as in the AVX2 tile's VMULPD then VADDPD.
 		sum, wsum := 0.0, 0.0
 		for i := m; i < n-m; i++ {
 			w := weightAt(weights, i)
-			sum += w * col[i]
+			sum += float64(w * col[i])
 			wsum += w
 		}
 		return sum / wsum
@@ -287,12 +295,12 @@ func medianOf(col, weights []float64, s *chunkScratch) float64 {
 
 // sortColumn orders one gathered coordinate column: the per-column
 // fallback behind the tile form's network (see sortTile), which takes
-// the unweighted trimmed mean's short columns of staged tiles. Columns are short (one value per input vector), where
-// insertion sort beats the general sort, and it is the permutation the
-// network reproduces; longer columns fall back to the library sort,
-// which is not stable: -0 and +0 compare equal and may land in either
-// order, so its run of zeros is rewritten -0s first, the order
-// sortColumnPairs uses.
+// the unweighted trimmed mean's short columns of staged tiles. Columns
+// are short (one value per input vector), where insertion sort beats
+// the general sort, and it is the permutation the network reproduces;
+// longer columns fall back to the library sort, which is not stable:
+// -0 and +0 compare equal and may land in either order, so its run of
+// zeros is rewritten -0s first, the order sortColumnPairs uses.
 func sortColumn(col []float64) {
 	if len(col) > 32 {
 		sort.Float64s(col)
@@ -342,33 +350,41 @@ const networkMaxN = 6
 
 // tileVecMaxN is the largest member count the AVX2 tile kernel takes:
 // its n rows, the compare mask, the swap temporary, +Inf and the
-// divisor fill the 16 YMM registers.
+// divisor fill the 16 YMM registers. The weighted form keeps its n
+// weight rows and +Inf in a stack tile, and its two last registers
+// exchange the weight rows.
 const tileVecMaxN = 12
 
-// tileAVX2 selects the AVX2 tile kernel (trimTileAVX2) for tiles of up
-// to tileVecMaxN members. It is the CPU's answer at init; tests switch
+// tileAVX2 selects the AVX2 tile kernel (trimTileAVX2, and
+// trimTileWeightedAVX2 for weighted members) for tiles of up to
+// tileVecMaxN members. It is the CPU's answer at init; tests switch
 // it off to hold the kernel to sortTile.
 var tileAVX2 = cpu.AVX2
 
-// tileForm is an unweighted trimmed mean's (m > 0, outside the
-// selection path) reduction of one gather tile.
+// tileForm is a trimmed mean's (m > 0, outside the selection path)
+// reduction of one gather tile: weighted or not on the AVX2 kernel,
+// unweighted only on the pure-Go one.
 type tileForm struct {
 	n int // members: rows in the tile; 0 means no tile form
 	m int // rows trimmed per side
 	// vec selects the AVX2 kernel, which only reads the rows;
 	// otherwise sortTile sorts them in place.
 	vec bool
+	// weights, when non-nil, weighs member i's row by weights[i]; only
+	// the AVX2 kernel has a weighted form.
+	weights []float64
 }
 
 // reduce writes the aggregates of a tile's leading columns into out
 // and returns how many it reduced; the gather reduces the rest column
 // by column. rows[i] holds member i's values for the columns,
-// at least len(out) of each. With vec, trimTileAVX2 reduces every
-// whole group of four lanes without writing the rows. Otherwise the
-// rows are scratch and every lane is reduced: sortTile sorts them, and
-// the row-by-row reduction repeats the per-column kernel's exact
-// operation order, the kept ranks m … n−m−1 added in rank order to
-// +0.0 and divided by their count, which is also the AVX2 kernel's.
+// at least len(out) of each. With vec, trimTileAVX2 — or, with
+// weights, trimTileWeightedAVX2 — reduces every whole group of four
+// lanes without writing the rows. Otherwise the rows are scratch and
+// every lane is reduced: sortTile sorts them, and the row-by-row
+// reduction repeats the per-column kernel's exact operation order, the
+// kept ranks m … n−m−1 added in rank order to +0.0 and divided by their
+// count, which is also the unweighted AVX2 kernel's.
 func (f tileForm) reduce(rows [][]float64, out []float64) (done int) {
 	if f.vec {
 		done = len(out) &^ 3
@@ -377,7 +393,11 @@ func (f tileForm) reduce(rows [][]float64, out []float64) (done int) {
 			for i, r := range rows {
 				ptrs[i] = &r[:done][0]
 			}
-			trimTileAVX2(&out[0], &ptrs, f.n, f.m, done, float64(f.n-2*f.m))
+			if f.weights != nil {
+				trimTileWeightedAVX2(&out[0], &ptrs, &f.weights[:f.n][0], f.n, f.m, done)
+			} else {
+				trimTileAVX2(&out[0], &ptrs, f.n, f.m, done, float64(f.n-2*f.m))
+			}
 		}
 		return done
 	}

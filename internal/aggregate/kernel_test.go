@@ -11,6 +11,7 @@ import (
 	"fedms/internal/compress"
 	"fedms/internal/cpu"
 	"fedms/internal/randx"
+	"fedms/internal/sched"
 )
 
 // sparseView encodes v as a sparse payload whose support is every
@@ -97,6 +98,60 @@ func kernelPaths(t testing.TB, rule Rule, vecs [][]float64) map[string][]float64
 		paths["reference"] = ref
 	}
 	return paths
+}
+
+// weightedKernelPaths aggregates vecs under a coordinate rule with
+// arbitrary weights along every weighted path: the flat gather over
+// DensePayload views ("weighted/dense") and over sparse views with
+// every tile forced onto the all-sparse gather's tile arm
+// ("weighted/sparse/tile") and onto its column arm
+// ("weighted/sparse/column"); on a CPU with AVX2 all three run again
+// with the AVX2 tile kernel switched off ("go/…"), where a weighted
+// set reduces column by column. A "column" arm reduces each column
+// with the rule's per-column kernel on its own — trimmedMeanOf for the
+// trimmed mean — without any gather. Every member must leave
+// byte-unchanged.
+func weightedKernelPaths(t testing.TB, rule Rule, vecs [][]float64, weights []float64) map[string][]float64 {
+	t.Helper()
+	defer requireUnchanged(t, vecs, cloneVecs(vecs))
+	n := len(vecs)
+	dense, sparse := denseViews(vecs), make([]compress.Payload, n)
+	for i, v := range vecs {
+		sparse[i] = sparseView(t, v)
+	}
+	sparseArm := func(tileMin int) []float64 {
+		defer SetSparseTileMin(tileMin)()
+		return Request{Rule: rule, Views: sparse, Weights: weights}.run().Out
+	}
+	paths := map[string][]float64{}
+	arms := func(prefix string) {
+		paths[prefix+"weighted/dense"] = Request{Rule: rule, Views: dense, Weights: weights}.run().Out
+		paths[prefix+"weighted/sparse/tile"] = sparseArm(0)
+		paths[prefix+"weighted/sparse/column"] = sparseArm(payloadGatherTile + 1)
+	}
+	arms("")
+	if cpu.AVX2 {
+		defer SetTileAVX2(false)()
+		arms("go/")
+	}
+	paths["column"] = reduceEachColumn(rule.(coordinateRule).kernel(n, weights), vecs, len(vecs[0]))
+	return paths
+}
+
+// reduceEachColumn reduces each of the first w columns of rows on its
+// own with the kernel's per-column reduce (trimmedMeanOf for the
+// trimmed mean), over a copy of the column.
+func reduceEachColumn(k kernel, rows [][]float64, w int) []float64 {
+	s := getChunkScratch(len(rows), k.winLen)
+	defer putChunkScratch(s)
+	col, out := make([]float64, len(rows)), make([]float64, w)
+	for j := range out {
+		for i, r := range rows {
+			col[i] = r[j]
+		}
+		out[j] = k.reduce(col, s)
+	}
+	return out
 }
 
 func cloneVecs(vecs [][]float64) [][]float64 {
@@ -202,9 +257,10 @@ func benignSpan(vecs [][]float64, byz map[int]bool, j int) (lo, hi float64) {
 // TestByzantineNaNStaysTrimmed is Lemma 2 against arbitrary values:
 // with B ≤ TrimCount(n) Byzantine members sending NaN, +Inf or -Inf,
 // the trimmed mean and the median stay inside the benign span on every
-// path — flat dense, sparse and mixed gathers, the weighted kernels — across the trimmed mean's insertion network over
-// staged tiles, the per-column insertion sort, the library sort past
-// 32 inputs and the selection path. Byzantine members sit mid-column,
+// path — flat dense, sparse and mixed gathers, the weighted kernels —
+// across the trimmed mean's insertion network over staged tiles, the
+// per-column insertion sort, the library sort past 32 inputs and the
+// selection path. Byzantine members sit mid-column,
 // where a NaN left in place by the sort would land in the kept ranks.
 func TestByzantineNaNStaysTrimmed(t *testing.T) {
 	const d = 64
@@ -279,7 +335,11 @@ func sameBits(a, b float64) bool {
 // an explicit trim that reaches the selection path) and the median,
 // every kernelPaths path, the AVX2 and the pure-Go tile alike, must
 // match the reference arm bit for bit, or, on the selection path,
-// which has none, the dense path.
+// which has none, the dense path. Under non-unit weights — member i
+// weighs weightPalette[(i+data[1]) mod 10], so no two adjacent members
+// weigh the same and every tie between them is one of unequal weight —
+// every weightedKernelPaths path, the AVX2 weighted tile included,
+// must match the per-column kernel bit for bit.
 // With the members at most TrimCount(n) of which draw arbitrary values
 // (the rest finite), the trimmed mean and the median must stay inside
 // the benign span.
@@ -300,6 +360,11 @@ func FuzzCoordinateKernels(f *testing.F) {
 	gated := append([]byte{7, 0x57, 0x02}, make([]byte, 301)...)
 	gated[3+50], gated[3+150] = 4, 9
 	f.Add(gated)
+	// Ties between members of unequal weight: palette entries 8 and 10
+	// are both 1, 11 is 2, 0 and 1 are ±0.
+	f.Add([]byte{7, 0x2b, 0x01, 8, 10, 8, 11, 10, 8, 0, 1, 10}) // n = 8, d = 300: the async server shape
+	f.Add([]byte{4, 0x05, 0x01, 8, 10, 11, 10, 8, 1, 0})        // P = 5, d = 262
+	f.Add([]byte{11, 0x07, 0x02, 10, 8, 8, 10, 11, 0, 11, 8})   // n = 12, d = 520
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -332,6 +397,23 @@ func FuzzCoordinateKernels(f *testing.F) {
 					if !sameBits(got[j], want[j]) {
 						t.Fatalf("%s n=%d d=%d %s coord %d: %v (%#x) != %s %v (%#x)", rule.Name(), n, d, path, j,
 							got[j], math.Float64bits(got[j]), ref, want[j], math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = weightPalette[(i+int(data[1]))%len(weightPalette)]
+		}
+		for _, rule := range rules {
+			paths := weightedKernelPaths(t, rule, vecs, weights)
+			want := paths["column"]
+			for path, got := range paths {
+				for j := range want {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("%s n=%d d=%d weights %v %s coord %d: %v (%#x) != column %v (%#x)", rule.Name(), n, d, weights, path, j,
+							got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 					}
 				}
 			}
@@ -526,15 +608,112 @@ func TestTileKernelBitIdentical(t *testing.T) {
 	}
 }
 
+// weightPalette is the arbitrary positive finite weights the weighted
+// tile is tested under besides sched.Weight's staleness down-weights:
+// the smallest subnormal, the largest weight Run admits, and values
+// whose products and sums round.
+var weightPalette = []float64{1, 0.5, 1.0 / 3, 0.1, 2, 3, 7.25, 1e-3, 5e-324, 1e300}
+
+// weightedTileInputs is tileInputs with every 5th column drawn from
+// {−0, +0, 1, 2} member by member, so most of those columns hold ties
+// between members of unequal weight, which trim in input order.
+func weightedTileInputs(r *randx.RNG, n, d int) [][]float64 {
+	vecs := tileInputs(r, n, d)
+	few := []float64{math.Copysign(0, -1), 0, 1, 2}
+	for j := 1; j < d; j += 5 {
+		for _, v := range vecs {
+			v[j] = few[r.IntN(len(few))]
+		}
+	}
+	return vecs
+}
+
+// TestWeightedTileBitIdentical holds the AVX2 kernel's weighted form to
+// the per-column trimmedMeanOf bit for bit, for every n = 3 …
+// tileVecMaxN and every trim m with 2m < n, on weightedTileInputs'
+// columns — NaN, ±Inf, ±0, subnormals, every 7th column a tie across
+// all members and every 5th a few values tied between members — under
+// three kinds of weights: staleness down-weights sched.Weight(0 … 3),
+// arbitrary positive finite weights drawn from weightPalette (which
+// mixes the extremes into one member set) and all ones. The tile is
+// compared at every width from 1 to 9 lanes and a full gather tile; at
+// all-ones weights it must also equal the unweighted tile. Run's
+// weighted path is held to the pure-Go one at lengths of every residue
+// mod 4, past the parallel work volume at Workers 1, 2 and 3, and must
+// leave its DensePayload members byte-unchanged.
+func TestWeightedTileBitIdentical(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("no AVX2 on this CPU: weighted tiles reduce column by column")
+	}
+	r := randx.New(52)
+	for n := 3; n <= tileVecMaxN; n++ {
+		big := minParallelWork/n + 1
+		for big%4 == 0 || (big+1)/2%4 == 0 || (big+2)/3%4 == 0 {
+			big++
+		}
+		stale, arbitrary := make([]float64, n), make([]float64, n)
+		for i := range stale {
+			stale[i] = sched.Weight(r.IntN(4))
+			arbitrary[i] = weightPalette[r.IntN(len(weightPalette))]
+		}
+		stale[r.IntN(n)] = 0.5 // never all ones
+		for m := 1; 2*m < n; m++ {
+			for _, ws := range []struct {
+				name    string
+				weights []float64
+			}{{"staleness", stale}, {"arbitrary", arbitrary}, {"ones", onesWeights(n)}} {
+				label := fmt.Sprintf("n=%d m=%d %s weights %v", n, m, ws.name, ws.weights)
+				vecs := weightedTileInputs(r, n, payloadGatherTile)
+				for w := 1; w <= payloadGatherTile; w++ {
+					if w > 9 && w < payloadGatherTile {
+						continue
+					}
+					got := make([]float64, w)
+					done := tileForm{n: n, m: m, vec: true, weights: ws.weights}.reduce(vecs, got)
+					if done != w&^3 {
+						t.Fatalf("%s width %d: reduced %d lanes, want %d", label, w, done, w&^3)
+					}
+					want := reduceEachColumn(TrimmedMean{Trim: m}.kernel(n, ws.weights), vecs, done)
+					requireSameBits(t, got[:done], want, fmt.Sprintf("%s width %d", label, w))
+					if ws.name == "ones" {
+						tileForm{n: n, m: m, vec: true}.reduce(vecs, want)
+						requireSameBits(t, got[:done], want, fmt.Sprintf("%s width %d against the unweighted tile", label, w))
+					}
+				}
+				if ws.name == "ones" {
+					continue
+				}
+				for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 517, 518, 519, 520, big} {
+					vecs := weightedTileInputs(r, n, d)
+					before := cloneVecs(vecs)
+					for workers := 1; workers <= 3; workers++ {
+						if workers > 1 && d != big {
+							break
+						}
+						q := Request{Rule: TrimmedMean{Trim: m}, Views: denseViews(vecs), Weights: ws.weights, Workers: workers}
+						got := Run(q).Out
+						restore := SetTileAVX2(false)
+						want := Run(q).Out
+						restore()
+						requireSameBits(t, got, want, fmt.Sprintf("Run %s d=%d workers=%d", label, d, workers))
+					}
+					requireUnchanged(t, vecs, before)
+				}
+			}
+		}
+	}
+}
+
 // TestSparseTileArmsBitIdentical holds the all-sparse gather's tile
 // arm to its column arm and to the reference bit for bit, on both tile
-// kernels, for every n = 3 … tileVecMaxN and every trim m with 2m < n.
-// The inputs are tileInputs' — NaN, ±Inf, ±0, subnormals, ties — thinned
-// tile by tile to between 0 and 256 entries per member, so the default
-// gate also sends the tiles of one chunk down both arms; d is a
-// multiple of neither 4 nor the tile. At n = 8, past the parallel work
-// volume, the arms are compared at Workers 1, 2 and 3 too, whose chunks
-// start off the tile grid.
+// kernels, for every n = 3 … tileVecMaxN and every trim m with 2m < n,
+// unweighted and under staleness weights (there against the per-column
+// kernel). The inputs are tileInputs' — NaN, ±Inf, ±0, subnormals,
+// ties — thinned tile by tile to between 0 and 256 entries per member,
+// so the default gates also send the tiles of one chunk down both
+// arms; d is a multiple of neither 4 nor the tile. At n = 8, past the
+// parallel work volume, the arms are compared at Workers 1, 2 and 3
+// too, whose chunks start off the tile grid.
 func TestSparseTileArmsBitIdentical(t *testing.T) {
 	keep := []int{0, 1, 3, 4, 6, 16, 64, 256} // entries per member in tile t, about
 	thin := func(r *randx.RNG, vecs [][]float64) {
@@ -566,6 +745,15 @@ func TestSparseTileArmsBitIdentical(t *testing.T) {
 					}
 				}
 			}
+			paths = weightedKernelPaths(t, TrimmedMean{Trim: m}, vecs, stalenessWeights(r, n, 2))
+			want = paths["column"]
+			for path, got := range paths {
+				for j := range want {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("n=%d m=%d %s coord %d: %v != column %v", n, m, path, j, got[j], want[j])
+					}
+				}
+			}
 		}
 	}
 	const n = 8
@@ -590,17 +778,24 @@ func TestSparseTileArmsBitIdentical(t *testing.T) {
 // TrimmedMean{Trim: 1} over 5 DensePayload views at d = 1e5, reusing
 // Dst — allocates at most 3 objects (2 when this gate was written), so
 // a tile scratch that escapes the chunk pool, one allocation per 256
-// coordinates, fails it by hundreds.
+// coordinates, fails it by hundreds. So does a steady-state async
+// server round at dist_wide_async's shape: trim:0.2 over 8 topk:0.1
+// views at d = 1e5 weighted by staleness, reusing Dst.
 func TestFilterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	const d = 100_000
-	q := Request{Rule: TrimmedMean{Trim: 1}, Views: denseViews(randomVecs(randx.New(5), 5, d)),
-		Dst: make([]float64, d), Workers: 1}
-	Run(q) // fill the chunk pool
-	if a := testing.AllocsPerRun(20, func() { Run(q) }); a > 3 {
-		t.Fatalf("filter allocates %v objects per Run, want <= 3", a)
+	server, _ := encodeViews(t, "topk:0.1", randomVecs(randx.New(6), 8, d), 7)
+	for _, q := range []Request{
+		{Rule: TrimmedMean{Trim: 1}, Views: denseViews(randomVecs(randx.New(5), 5, d))},
+		{Rule: TrimmedMean{Beta: 0.2}, Views: server, Weights: serverStaleWeights()},
+	} {
+		q.Dst, q.Workers = make([]float64, d), 1
+		Run(q) // fill the chunk pool
+		if a := testing.AllocsPerRun(20, func() { Run(q) }); a > 3 {
+			t.Fatalf("%d views, weights %v: Run allocates %v objects, want <= 3", len(q.Views), q.Weights, a)
+		}
 	}
 }
 

@@ -15,17 +15,21 @@ import (
 	"fedms/internal/node"
 )
 
-// TestModelsIndependentOfTileKernel runs three short federations with
+// TestModelsIndependentOfTileKernel runs four short federations with
 // the AVX2 tile kernel on and off: the engine at the engine_paper
 // benchmark's shape (K = 50, P = 10, B = 2, E = 3, the 32→128→64→10
 // MLP), whose P = 10, m = 2 filter is the widest the kernel takes; a
 // loopback federation of 8 clients and P = 5 servers, whose clients
-// filter the v1 dense frames they receive in place; and the same
+// filter the v1 dense frames they receive in place; the same
 // federation at dist_wide_topk's shape (ef+topk:0.1 uploads to every
 // server, a trim:0.2 server rule), whose servers reduce their n = 8
 // sparse uploads through the all-sparse gather's tile arm with the
-// kernel on and column by column without it. The hash of all final
-// models must not depend on the kernel.
+// kernel on and column by column without it; and that federation at
+// dist_wide_async's shape (Async, Staleness 2, a virtual latency scale
+// four windows wide), whose servers admit uploads up to two rounds
+// stale, down-weighted, so their member sets reduce through the
+// weighted tile. The async leg fails unless some upload was admitted
+// stale. The hash of all final models must not depend on the kernel.
 func TestModelsIndependentOfTileKernel(t *testing.T) {
 	if !cpu.AVX2 {
 		t.Skip("no AVX2 on this CPU: the pure-Go tile is the only one")
@@ -57,13 +61,28 @@ func TestModelsIndependentOfTileKernel(t *testing.T) {
 	}
 	topkSpec := loopbackSpec
 	topkSpec.UploadCodec, topkSpec.Upload, topkSpec.ServerRule = "ef+topk:0.1", fedms.FullUpload, "trim:0.2"
+	asyncSpec := topkSpec
+	asyncSpec.Async, asyncSpec.Window, asyncSpec.Staleness = true, 2*time.Second, 2
 	loopback := func(spec fedms.Config) func(*testing.T) []core.Learner {
-		return func(t *testing.T) []core.Learner { return runLoopback(t, spec) }
+		return func(t *testing.T) []core.Learner {
+			learners, stats := runLoopback(t, spec, 4*spec.Window)
+			stale := 0
+			for _, st := range stats {
+				stale += st.UploadsStale
+			}
+			if spec.Async && stale == 0 {
+				t.Fatal("no upload was admitted stale: the weighted kernels never ran")
+			}
+			return learners
+		}
 	}
 	for _, fed := range []struct {
 		name string
 		run  func(*testing.T) []core.Learner
-	}{{"engine_P=10", engine}, {"loopback_P=5", loopback(loopbackSpec)}, {"loopback_topk_P=5", loopback(topkSpec)}} {
+	}{
+		{"engine_P=10", engine}, {"loopback_P=5", loopback(loopbackSpec)},
+		{"loopback_topk_P=5", loopback(topkSpec)}, {"loopback_async_P=5", loopback(asyncSpec)},
+	} {
 		t.Run(fed.name, func(t *testing.T) {
 			hash := func(on bool) string {
 				defer aggregate.SetTileAVX2(on)()
@@ -77,8 +96,9 @@ func TestModelsIndependentOfTileKernel(t *testing.T) {
 }
 
 // runLoopback runs spec as a loopback federation and returns its
-// learners.
-func runLoopback(t *testing.T, spec fedms.Config) []core.Learner {
+// learners and its servers' stats. An async spec's clients draw their
+// virtual upload latencies on latencyScale.
+func runLoopback(t *testing.T, spec fedms.Config, latencyScale time.Duration) ([]core.Learner, []node.PSStats) {
 	cfg, err := fedms.Resolve(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -89,14 +109,20 @@ func runLoopback(t *testing.T, spec fedms.Config) []core.Learner {
 	}
 	fed, err := node.NewLocal(cfg, learners,
 		func(pc *node.PSConfig) { pc.Timeout = 10 * time.Second },
-		func(cc *node.ClientConfig) { cc.Timeout = 10 * time.Second })
+		func(cc *node.ClientConfig) {
+			cc.Timeout = 10 * time.Second
+			if spec.Async {
+				cc.LatencyScale = latencyScale
+			}
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fed.Run(); err != nil {
+	_, stats, err := fed.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return learners
+	return learners, stats
 }
 
 // modelsHash is the SHA-256 of every learner's parameters in order.

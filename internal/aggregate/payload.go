@@ -43,9 +43,18 @@ const payloadGatherTile = 256
 // n = 6 … 10 and 6 at n = 12 (n = 8: 4 300 vs 3 000 at 2.5 per member,
 // 4 500 vs 4 700 at 5, 5 600 vs 21 200 at 25.6, dist_wide_topk's
 // servers); the pure-Go network at about 13 (n = 3), 20 (n = 4),
-// 24 (n = 5) and 30 (n = 6). The choice cannot show in the output; the
-// gate is a variable only so that tests can force either arm.
-var sparseTileMin = struct{ vec, network int }{vec: 4, network: 20}
+// 24 (n = 5) and 30 (n = 6). The weighted AVX2 kernel also exchanges
+// a weight row with every value row, so it breaks even later, although
+// its column arm is slower too. Sweeping sparse views of uniform random
+// support at d = 10⁵ under trim:0.2 (trim:1 at n = 3) and weights
+// {1, ½, ⅓} on the same box (median of 5 runs, ns per tile, tile arm
+// vs column arm), it breaks even at about 3.5 entries per member at
+// n = 3 (935 vs 1 077 at 4), 5.5 at n = 5, 6 at n = 8 (4 900 vs 3 300
+// at 4, 4 900 vs 5 100 at 6, 5 000 vs 8 500 at 10), 7 at n = 10 and
+// 10 at n = 12 (11 700 vs 10 000 at 8). The choice cannot show in the
+// output; the gate is a variable only so that tests can force either
+// arm.
+var sparseTileMin = struct{ vec, weighted, network int }{vec: 4, weighted: 6, network: 20}
 
 // gatherPayloadColumns writes the kernel's aggregate of every
 // coordinate j into out[j], gathering each column across the payload
@@ -114,7 +123,10 @@ func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 		cur[i] = sort.Search(len(idx), func(j int) bool { return int(idx[j]) >= lo })
 	}
 	tileMin := sparseTileMin.network * n
-	if k.tile.vec {
+	switch {
+	case k.tile.weights != nil:
+		tileMin = sparseTileMin.weighted * n
+	case k.tile.vec:
 		tileMin = sparseTileMin.vec * n
 	}
 	for tlo := lo; tlo < hi; tlo += payloadGatherTile {

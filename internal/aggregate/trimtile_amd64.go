@@ -10,3 +10,10 @@ package aggregate
 //
 //go:noescape
 func trimTileAVX2(out *float64, rows *[tileVecMaxN]*float64, n, m, lanes int, div float64)
+
+// trimTileWeightedAVX2 is trimTileAVX2 with weights[i] (n of them,
+// positive and finite) weighing every value of row i: each column's
+// kept ranks reduce to Σw·v / Σw.
+//
+//go:noescape
+func trimTileWeightedAVX2(out *float64, rows *[tileVecMaxN]*float64, weights *float64, n, m, lanes int)

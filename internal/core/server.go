@@ -6,6 +6,7 @@ import (
 
 	"fedms/internal/aggregate"
 	"fedms/internal/attack"
+	"fedms/internal/compress"
 	"fedms/internal/sched"
 )
 
@@ -32,15 +33,20 @@ type Server struct {
 	// buf is a benign server's reused output buffer: nothing retains a
 	// benign aggregate past its round, so the rule writes in place.
 	buf []float64
+	// views and weights are the member slices Aggregate hands the rule,
+	// reused across rounds: Run retains neither.
+	views   []compress.Payload
+	weights []float64
 	// history holds a Byzantine server's honest aggregates, this round's
 	// last; only the attack reads it, so a benign server keeps none.
 	history [][]float64
 }
 
 // NewServer returns server id of a federation seeded with seed, whose
-// rule aggregates on up to workers goroutines. atk nil makes it benign. last, when non-empty, is copied as the aggregate an
-// empty first round falls back to (the shared initial model, or a
-// restarted server's checkpoint).
+// rule aggregates on up to workers goroutines. atk nil makes it benign.
+// last, when non-empty, is copied as the aggregate an empty first round
+// falls back to (the shared initial model, or a restarted server's
+// checkpoint).
 func NewServer(id int, seed uint64, rule aggregate.Rule, oracle aggregate.LossEval, workers int, atk attack.Attack, last []float64) *Server {
 	s := &Server{id: id, seed: seed, rule: rule, oracle: oracle, workers: workers, attack: atk}
 	if len(last) > 0 {
@@ -66,11 +72,13 @@ func (s *Server) Aggregate(members []sched.Entry) (aggregate.Result, error) {
 		res.Out = slices.Clone(s.last)
 	} else {
 		req := aggregate.Request{Rule: s.rule, Oracle: s.oracle, Workers: s.workers}
-		req.Views, req.Weights = sched.Members(members)
+		s.views, s.weights = sched.Members(s.views, s.weights, members)
+		req.Views, req.Weights = s.views, s.weights
 		if s.attack == nil {
 			req.Dst = s.buf
 		}
 		res = aggregate.Run(req)
+		clear(s.views) // the views alias this round's uploads
 		if s.attack == nil {
 			s.buf = res.Out
 		}

@@ -225,11 +225,12 @@ func Sort(entries []Entry) {
 
 // Members returns the aligned views and weights the aggregation call
 // consumes, in the order the entries are given (canonical, after Sort).
-func Members(entries []Entry) (views []compress.Payload, weights []float64) {
-	views = make([]compress.Payload, len(entries))
-	weights = make([]float64, len(entries))
-	for i, e := range entries {
-		views[i], weights[i] = e.View, e.Weight
+// It appends them to views[:0] and weights[:0], so a caller that keeps
+// both slices across rounds reuses their storage.
+func Members(views []compress.Payload, weights []float64, entries []Entry) ([]compress.Payload, []float64) {
+	views, weights = views[:0], weights[:0]
+	for _, e := range entries {
+		views, weights = append(views, e.View), append(weights, e.Weight)
 	}
 	return views, weights
 }

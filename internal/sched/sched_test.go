@@ -154,9 +154,16 @@ func TestSortIsCanonicalMemberOrder(t *testing.T) {
 			t.Fatalf("entry %d = (client %d, origin %d), want %v", i, e.Client, e.Origin, want[i])
 		}
 	}
-	views, weights := Members(entries)
+	// The previous round's slices are reused: one stale entry longer
+	// than this round, so Members must truncate them first.
+	views, weights := Members(nil, nil, append(entries, Entry{Weight: 9}))
+	keep := &weights[0]
+	views, weights = Members(views, weights, entries)
 	if len(views) != len(entries) || len(weights) != len(entries) {
 		t.Fatalf("Members returned %d views, %d weights for %d entries", len(views), len(weights), len(entries))
+	}
+	if &weights[0] != keep {
+		t.Fatal("Members reallocated the caller's weights slice")
 	}
 	for i, e := range entries {
 		if weights[i] != e.Weight {
