@@ -94,7 +94,7 @@ RACE_ASYNCD  = TestAsyncDeterminismChaos|TestAsyncWideWindowMatchesSyncDistribut
 RACE_ASYNC   = TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical
 RACE_FLOOD   = TestChaosFloodJunkStorm
 RACE_CLI     = FlagSurface|TestRejectsBadSharedFlags|SurfacesSpecErrors|TestNodeRejectsBadDeploymentFlags|TestNodeClientRoleRunsTheLocalClient
-RACE_DERIVE  = TestDerivedFederationMatchesEngine|TestDerivationRejectsRoundRobin
+RACE_DERIVE  = TestDerivedFederationMatchesEngine
 RACE_FILTER  = TestDistributedMatchesEngine(Clean|UnderNoiseAttack|EquivocatingAttack)$$|TestDistributedDownlinkCodecMatchesEngine|TestEngineFiltersEachReceivedSetOnce
 RACE_ROLES   = TestRole|TestDistributedHistoryAttackParity|TestDistributedIdleServerMatchesEngine|TestDistributedByzantineClientParity|TestDistributedUploadCodecMatchesEngine
 RACE_BARRIER = TestPSSyncBarrierReadAhead|TestClientSyncBarrierReadAhead|TestPSLateDeathKeepsAdmittedFrames|TestClientUnusableModelEndsPeersRound|TestPSDeadPeerDoesNotArmStragglerCap|TestPSStrictBarrierNamesLowestFailingClient|TestClientBarrierIsNeverCapped
@@ -158,10 +158,27 @@ trace:
 		-rounds 5 -samples 800 -fault-drop 0.1 -fault-seed 7 \
 		-min-models 1 -timeout 5s -trace chaos_trace.jsonl
 
-# Short fuzz pass over the wire decoder (corpus includes injector-
-# damaged frames).
+# Every fuzz target in the tree, one after another, each for FUZZTIME
+# (CI's 10 s unless overridden: make fuzz FUZZTIME=1m). FUZZ_TARGETS is
+# the one list, package directory:target; TestFuzzTargetsListed fails
+# when a Fuzz function is missing from it or it names one that is gone.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	./internal/aggregate/:FuzzCoordinateKernels \
+	./internal/checkpoint/:FuzzAsyncMeta \
+	./internal/checkpoint/:FuzzLoad \
+	./internal/compress/:FuzzDecodeQuantized \
+	./internal/compress/:FuzzDecodeSparse \
+	./internal/compress/:FuzzParsePayload \
+	./internal/compress/:FuzzTopKOrder \
+	./internal/spill/:FuzzOpen \
+	./internal/transport/:FuzzDecode
+
 fuzz:
-	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/transport/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:} ($${t%%:*}) for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}"; \
+	done
 
 # Defense-matrix smoke: the rules × attacks table at -quick scale,
 # written to defense_matrix.txt — CI uploads it as a build artifact so

@@ -360,7 +360,7 @@ func BenchmarkMLPTrainStep(b *testing.B) {
 	net := nn.NewMLP(nn.MLPConfig{In: 32, Hidden: []int{64}, NumClasses: 10, Seed: 1})
 	ds := data.Blobs(data.BlobsConfig{Samples: 256, Seed: 1})
 	batcher := data.NewBatcher(ds, 32, randx.New(2))
-	opt := nn.NewSGD(0, 0)
+	opt := nn.NewSGD(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x, y := batcher.Next()

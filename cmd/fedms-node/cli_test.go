@@ -126,10 +126,18 @@ func TestNodeRejectsBadDeploymentFlags(t *testing.T) {
 			"-rounds", "4", "-samples", "800", "-fault-crash", "2", "-min-models", "3", "-timeout", "5s"}, "-fault-crash", true},
 		{"crash with strict clients", []string{"-servers", "3", "-byzantine", "1", "-attack", "noise",
 			"-rounds", "4", "-samples", "800", "-fault-crash", "2", "-timeout", "5s"}, "-fault-crash", true},
-		{"round-robin upload", []string{"-upload", "round_robin"}, "-upload", true},
+		{"NaN accept rate", []string{"-accept-rate", "NaN"}, "-accept-rate", true},
+		{"round-robin upload", []string{"-upload", "round_robin"}, "-upload: unknown upload strategy", false},
 		{"fault rate above one", []string{"-fault-drop", "1.5"}, "fault rates", false},
 		{"negative fault rate", []string{"-fault-delay", "-0.1"}, "fault rates", false},
+		{"NaN drop rate", []string{"-fault-drop", "NaN"}, "fault rates", false},
+		{"NaN corrupt rate", []string{"-fault-corrupt", "NaN"}, "fault rates", false},
+		{"NaN duplicate rate", []string{"-fault-duplicate", "NaN"}, "fault rates", false},
+		{"NaN delay rate", []string{"-fault-delay", "NaN"}, "fault rates", false},
 		{"unknown client attack", []string{"-byzantine-clients", "1", "-client-attack", "nonsense"}, "-client-attack", false},
+		{"deleted upload_signflip attack", []string{"-byzantine-clients", "1", "-client-attack", "upload_signflip"}, "-client-attack: attack: unknown upload attack", false},
+		{"deleted upload_noise attack", []string{"-byzantine-clients", "1", "-client-attack", "upload_noise"}, "-client-attack: attack: unknown upload attack", false},
+		{"deleted upload_scaled attack", []string{"-byzantine-clients", "1", "-client-attack", "upload_scaled"}, "-client-attack: attack: unknown upload attack", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,6 +176,23 @@ func TestNodeRejectsBadDeploymentFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNodeListedClientAttacksParse: -client-attack lists, in its usage
+// string and README row alike, exactly the upload attacks resolve
+// accepts (the deleted ones are rows of
+// TestNodeRejectsBadDeploymentFlags).
+func TestNodeListedClientAttacksParse(t *testing.T) {
+	fs := flag.NewFlagSet("fedms-node", flag.ContinueOnError)
+	declareFlags(fs)
+	flagtest.CheckValues(t, fs, "../../README.md", "`fedms-node` flags", "client-attack", func(v string) error {
+		o, err := parseFlags([]string{"-byzantine-clients", "1", "-client-attack", v})
+		if err != nil {
+			return err
+		}
+		_, err = o.resolve(o.newObs())
+		return err
+	}, "nonsense")
 }
 
 // TestNodeRejectsOutOfRangeID: -id must name one of the role's P
@@ -221,7 +246,7 @@ func TestNodeClientRoleRunsTheLocalClient(t *testing.T) {
 	federation := []string{
 		"-clients", "3", "-servers", "2", "-rounds", "1", "-samples", "600", "-seed", "9",
 		"-upload", "full", "-codec", "ef+topk:0.1", "-server-rule", "trim:0.2", "-downlink-codec", "q8",
-		"-participation", "0.7", "-byzantine-clients", "1", "-client-attack", "upload_signflip",
+		"-participation", "0.7", "-byzantine-clients", "1", "-client-attack", "upload_random",
 		"-min-models", "2", "-key", "secret", "-timeout", "10s",
 	}
 	// ran records client id's configuration and its model before any

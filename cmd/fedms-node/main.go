@@ -92,7 +92,7 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.id, "id", 0, "node id (server index for ps, client index for client)")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "listen address (ps role)")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated PS addresses in server-id order (client role)")
-	fs.StringVar(&o.clientAtk, o.spec.Flag("client-attack", "ClientAttack"), "", "Byzantine client upload attack (upload_signflip|upload_noise|upload_random|upload_scaled)")
+	fs.StringVar(&o.clientAtk, o.spec.Flag("client-attack", "ClientAttack"), "", "Byzantine client upload attack: "+strings.Join(attack.UploadNames(), "|"))
 	fs.IntVar(&spec.NumByzantineClients, o.spec.Flag("byzantine-clients", "NumByzantineClients"), 0, "number of Byzantine clients")
 	fs.StringVar(&o.key, o.spec.Flag("key", "Key"), "", "shared secret enabling per-frame HMAC authentication")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-frame network timeout")
@@ -139,21 +139,21 @@ func (o *options) resolve(st *obsState) (core.Config, error) {
 	if err := o.checkDeployment(cfg); err != nil {
 		return cfg, o.spec.UnderFlag(err)
 	}
-	if f := o.faults; f.Drop < 0 || f.Drop > 1 || f.Corrupt < 0 || f.Corrupt > 1 ||
-		f.Duplicate < 0 || f.Duplicate > 1 || f.Delay < 0 || f.Delay > 1 {
-		return cfg, fmt.Errorf("fault rates must be in [0, 1]")
+	for _, rate := range []float64{o.faults.Drop, o.faults.Corrupt, o.faults.Duplicate, o.faults.Delay} {
+		if !(rate >= 0 && rate <= 1) { // NaN fails too
+			return cfg, fmt.Errorf("fault rates must be in [0, 1]")
+		}
 	}
 	return cfg, nil
 }
 
 // checkDeployment derives one server's and one client's configuration
 // from cfg, applies the deployment flags as the roles do, and returns
-// node's own rejection of either: the wire's missing round-robin
-// upload, or a deployment flag NewPS or RunClient would refuse — and,
-// in the local role, a scheduled crash the client's quorum cannot
-// survive, as NewLocal would refuse it. Asking
-// before any listener binds matters most for the client: one failing
-// after the PSs are up would leave them blocked in Accept.
+// node's own rejection of either: a deployment flag NewPS or RunClient
+// would refuse — and, in the local role, a scheduled crash the client's
+// quorum cannot survive, as NewLocal would refuse it. Asking before any
+// listener binds matters most for the client: one failing after the PSs
+// are up would leave them blocked in Accept.
 func (o *options) checkDeployment(cfg core.Config) error {
 	pc, err := node.PSConfigFor(cfg, 0)
 	if err != nil {

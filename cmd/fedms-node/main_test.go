@@ -27,7 +27,7 @@ func TestNodeLocalByzantine(t *testing.T) {
 func TestNodeLocalTwoSidedWithAuth(t *testing.T) {
 	err := run([]string{
 		"-role", "local", "-clients", "5", "-servers", "2",
-		"-byzantine-clients", "1", "-client-attack", "upload_signflip",
+		"-byzantine-clients", "1", "-client-attack", "upload_random",
 		"-server-rule", "trim:0.2", "-upload", "full", "-key", "secret",
 		"-rounds", "3", "-samples", "800", "-timeout", "10s",
 	})

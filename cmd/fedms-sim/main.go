@@ -39,10 +39,10 @@ type options struct {
 func declareFlags(fs *flag.FlagSet) *options {
 	o := &options{spec: fedflags.Bind(fs, fedflags.SimDefaults)}
 	cfg := &o.spec.Config
-	fs.StringVar((*string)(&cfg.Dataset.Kind), "dataset", "blobs", "dataset: blobs|synthimage|cifar10|mnist")
-	fs.StringVar(&cfg.Dataset.Dir, "data-dir", "", "data directory (cifar10 or mnist datasets)")
+	fs.StringVar((*string)(&cfg.Dataset.Kind), "dataset", "blobs", "dataset: blobs|synthimage|cifar10")
+	fs.StringVar(&cfg.Dataset.Dir, "data-dir", "", "data directory (cifar10 dataset)")
 	fs.Float64Var(&cfg.Dataset.Noise, "noise", 0, "within-class noise level (0 = dataset default)")
-	fs.StringVar((*string)(&cfg.Model.Kind), "model", "mlp", "model: logistic|mlp|smallcnn|mobilenetv2")
+	fs.StringVar((*string)(&cfg.Model.Kind), "model", "mlp", "model: mlp|smallcnn|mobilenetv2")
 	fs.IntVar(&cfg.EvalEvery, "eval", 5, "evaluate every N rounds")
 	fs.StringVar(&o.ckptPath, "ckpt", "", "save the final consensus model to this checkpoint file")
 	fs.BoolVar(&o.plot, "plot", false, "render the accuracy curve as an ASCII chart at the end")

@@ -82,6 +82,41 @@ func TestRunRejectsUnknownDataset(t *testing.T) {
 	}
 }
 
+// TestSimListedValuesParse: -dataset and -model list, in their usage
+// strings and README rows alike, exactly the kinds the engine build
+// knows. A listed kind parses when the build raises no unknown-kind
+// error (cifar10 still fails here, on its missing -data-dir).
+func TestSimListedValuesParse(t *testing.T) {
+	fs := flag.NewFlagSet("fedms-sim", flag.ContinueOnError)
+	declareFlags(fs)
+	for _, tc := range []struct {
+		name, unknown string
+		base          []string
+		unlisted      []string
+	}{
+		{"dataset", "unknown dataset kind", []string{"-model", "mlp"}, []string{"nonsense", "mnist"}},
+		{"model", "unknown model kind", []string{"-dataset", "synthimage"}, []string{"nonsense", "logistic"}},
+	} {
+		flagtest.CheckValues(t, fs, "../../README.md", "`fedms-sim` flags", tc.name, func(v string) error {
+			args := append([]string{"-clients", "2", "-servers", "1", "-byzantine", "0", "-rounds", "1",
+				"-samples", "40", "-" + tc.name, v}, tc.base...)
+			sfs := flag.NewFlagSet("fedms-sim", flag.ContinueOnError)
+			o := declareFlags(sfs)
+			if err := sfs.Parse(args); err != nil {
+				return err
+			}
+			eng, err := o.spec.BuildEngine()
+			if err == nil {
+				return eng.Close()
+			}
+			if strings.Contains(err.Error(), tc.unknown) {
+				return err
+			}
+			return nil
+		}, tc.unlisted...)
+	}
+}
+
 func TestRunVanillaMode(t *testing.T) {
 	err := run([]string{
 		"-clients", "4", "-servers", "3", "-byzantine", "1",

@@ -64,7 +64,7 @@ func Bind(fs *flag.FlagSet, defaults fedms.Config) *Binding {
 	fs.StringVar(&c.FilterRule, b.Flag("filter", "FilterRule", "Filter"), "", "client filter rule spec ("+aggregate.RuleGrammar+"); empty = trim:B/P, mean = vanilla FL")
 	fs.StringVar(&c.ServerRule, b.Flag("server-rule", "ServerRule", "ServerFilter"), "", "benign servers' aggregation rule spec (same grammar; empty = mean)")
 	fs.StringVar(&b.attack, b.Flag("attack", "Attack"), "none", "Byzantine server attack: "+strings.Join(attack.Names(), "|"))
-	fs.StringVar(&b.upload, b.Flag("upload", "Upload"), "sparse", "upload strategy: sparse|full|round_robin")
+	fs.StringVar(&b.upload, b.Flag("upload", "Upload"), "sparse", "upload strategy: sparse|full")
 	fs.Float64Var(&c.LearningRate, b.Flag("lr", "LearningRate"), 0.1, "constant learning rate")
 	fs.Float64Var(&c.Dataset.Alpha, "alpha", 10, "Dirichlet D_alpha (<=0 for an IID split)")
 	fs.IntVar(&c.Dataset.Samples, "samples", c.Dataset.Samples, "total dataset samples")
@@ -140,7 +140,7 @@ func (b *Binding) finish() error {
 
 // uploads maps each -upload value to its strategy (its String).
 var uploads = map[string]fedms.UploadStrategy{
-	"sparse": fedms.SparseUpload, "full": fedms.FullUpload, "round_robin": fedms.RoundRobinUpload,
+	"sparse": fedms.SparseUpload, "full": fedms.FullUpload,
 }
 
 // UnderFlag prefixes a rejection attributed to a field (a

@@ -71,7 +71,7 @@ func TestFlagsReachTheirFields(t *testing.T) {
 	b := bind(t, NodeDefaults,
 		"-clients", "6", "-servers", "5", "-byzantine", "2", "-rounds", "7", "-steps", "4",
 		"-batch", "16", "-filter", "median", "-server-rule", "trim:0.2", "-upload", "full",
-		"-attack", "signflip", "-lr", "0.05", "-alpha", "0.5", "-samples", "900", "-seed", "42",
+		"-attack", "backward", "-lr", "0.05", "-alpha", "0.5", "-samples", "900", "-seed", "42",
 		"-participation", "0.5", "-async", "-window", "750ms", "-staleness", "3",
 		"-spill-dir", "/tmp/spill", "-spill-mem", "4096", "-codec", "EF+TopK:0.1",
 		"-downlink-codec", "q8", "-trace", "out.jsonl")
@@ -88,7 +88,7 @@ func TestFlagsReachTheirFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(ecfg.Attack.Name(), "signflip") || ecfg.TraceSink == nil || ecfg.Filter.Name() != "median" ||
+	if !strings.HasPrefix(ecfg.Attack.Name(), "backward") || ecfg.TraceSink == nil || ecfg.Filter.Name() != "median" ||
 		ecfg.Upload != fedms.FullUpload || ecfg.UploadCodec.String() != "ef+topk:0.1" || len(ecfg.ByzantineIDs) != 2 {
 		t.Fatalf("resolved spec: %+v", ecfg)
 	}
@@ -133,9 +133,13 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 		{"negative participation", []string{"-participation", "-0.5"}, []string{"-participation"}},
 		{"participation above one", []string{"-participation", "1.5"}, []string{"-participation"}},
 		{"participation activating nobody", []string{"-participation", "0.1"}, []string{"-participation"}},
+		{"NaN participation", []string{"-participation", "NaN"}, []string{"-participation", "must be in (0,1]"}},
 		{"Byzantine majority", []string{"-servers", "4", "-byzantine", "2"}, []string{"-byzantine", "B < P/2"}},
 		{"unknown attack", []string{"-attack", "nonsense"}, []string{"-attack"}},
+		{"deleted signflip attack", []string{"-attack", "signflip"}, []string{"-attack", "unknown attack"}},
+		{"deleted zero attack", []string{"-attack", "zero"}, []string{"-attack", "unknown attack"}},
 		{"unknown upload", []string{"-upload", "nonsense"}, []string{"-upload", "unknown upload strategy"}},
+		{"round-robin upload", []string{"-upload", "round_robin"}, []string{"-upload", "unknown upload strategy"}},
 		{"negative rounds", []string{"-rounds", "-1"}, []string{"-rounds"}},
 	}
 	for cmd, defaults := range commands {
@@ -156,5 +160,19 @@ func TestRejectsBadSharedFlags(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestListedValuesParse: -attack and -upload list, in their usage
+// strings and README rows alike, exactly the values the binding
+// accepts (the deleted values are rows of TestRejectsBadSharedFlags).
+func TestListedValuesParse(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Bind(fs, NodeDefaults)
+	for _, name := range []string{"attack", "upload"} {
+		flagtest.CheckValues(t, fs, "../../../README.md", "Shared federation flags", name, func(v string) error {
+			_, err := bind(t, NodeDefaults, "-servers", "3", "-byzantine", "1", "-"+name, v).Resolve()
+			return err
+		}, "nonsense")
 	}
 }

@@ -58,7 +58,7 @@ func ExampleRun() {
 		Attack:       fedms.RandomAttack{},
 		LearningRate: 0.2,
 		Dataset:      fedms.DatasetSpec{Samples: 1500, Features: 16, NumClasses: 4},
-		Model:        fedms.ModelSpec{Kind: fedms.ModelLogistic},
+		Model:        fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{16}},
 		Seed:         1,
 		EvalEvery:    10,
 	})
@@ -83,7 +83,7 @@ func ExampleConfig_vanilla() {
 		Attack:       fedms.RandomAttack{},
 		LearningRate: 0.2,
 		Dataset:      fedms.DatasetSpec{Samples: 1500, Features: 16, NumClasses: 4},
-		Model:        fedms.ModelSpec{Kind: fedms.ModelLogistic},
+		Model:        fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{16}},
 		Seed:         1,
 		EvalEvery:    10,
 	}

@@ -56,10 +56,6 @@ type (
 	SafeguardAttack = attack.Safeguard
 	// BackwardAttack replays the aggregate from T rounds ago.
 	BackwardAttack = attack.Backward
-	// SignFlipAttack disseminates the negated aggregate.
-	SignFlipAttack = attack.SignFlip
-	// ZeroAttack disseminates an all-zeros model.
-	ZeroAttack = attack.Zero
 	// ALIEAttack is the "a little is enough" colluding attack.
 	ALIEAttack = attack.ALIE
 	// IPMAttack is the inner-product-manipulation colluding attack.
@@ -71,14 +67,8 @@ type (
 	// UploadAttack is a Byzantine *client* behaviour (the two-sided
 	// threat model the paper lists as future work).
 	UploadAttack = attack.UploadAttack
-	// UploadSignFlip uploads the negated local model.
-	UploadSignFlip = attack.UploadSignFlip
-	// UploadNoise adds Gaussian noise to the upload.
-	UploadNoise = attack.UploadNoise
 	// UploadRandom replaces the upload with uniform random values.
 	UploadRandom = attack.UploadRandom
-	// UploadScaled amplifies the local update (model replacement).
-	UploadScaled = attack.UploadScaled
 
 	// Rule is a model filter / aggregation rule, as Resolve selects it
 	// from a registry spec (see Config.FilterRule).
@@ -123,9 +113,6 @@ const (
 	SparseUpload = core.SparseUpload
 	// FullUpload: each client uploads to every PS.
 	FullUpload = core.FullUpload
-	// RoundRobinUpload: deterministic rotation with exactly balanced
-	// server loads (ablation of the random choice).
-	RoundRobinUpload = core.RoundRobinUpload
 )
 
 // DatasetKind selects the training dataset.
@@ -143,16 +130,13 @@ const (
 	// DatasetSpec.Dir — the paper's actual dataset, for environments
 	// that have it on disk.
 	DatasetCIFAR10 DatasetKind = "cifar10"
-	// DatasetMNIST loads an MNIST-layout IDX directory (MNIST or
-	// Fashion-MNIST, plain or gzipped) from DatasetSpec.Dir.
-	DatasetMNIST DatasetKind = "mnist"
 )
 
 // DatasetSpec configures the dataset and its partition across clients.
 type DatasetSpec struct {
 	Kind DatasetKind
-	// Samples is the total dataset size before the train/test split
-	// (default 10000).
+	// Samples is the total dataset size before the 80/20 train/test
+	// split (default 10000).
 	Samples int
 	// NumClasses defaults to 10 (the CIFAR-10 class count).
 	NumClasses int
@@ -170,8 +154,6 @@ type DatasetSpec struct {
 	// Alpha is the Dirichlet heterogeneity parameter D_alpha; 0 or
 	// negative selects an IID split.
 	Alpha float64
-	// TrainFrac is the train split fraction (default 0.8).
-	TrainFrac float64
 	// Dir is the cifar-10-batches-bin directory (cifar10 only).
 	Dir string
 }
@@ -181,9 +163,6 @@ type ModelKind string
 
 // Supported models.
 const (
-	// ModelLogistic is multinomial logistic regression (strongly
-	// convex; matches the convergence theory's assumptions).
-	ModelLogistic ModelKind = "logistic"
 	// ModelMLP is a ReLU multilayer perceptron.
 	ModelMLP ModelKind = "mlp"
 	// ModelSmallCNN is a compact conv-BN-ReLU classifier.
@@ -259,15 +238,8 @@ type Config struct {
 	ServerRule          string
 	// LearningRate is the clients' constant learning rate (default 0.1).
 	LearningRate float64
-	// Momentum and WeightDecay configure the clients' local SGD.
-	Momentum    float64
-	WeightDecay float64
-	// ClipNorm, when positive, clips the global gradient norm of each
-	// local SGD step.
-	ClipNorm float64
-	// Augment enables pad-and-crop + horizontal-flip augmentation for
-	// image datasets (ignored for feature datasets).
-	Augment bool
+	// Momentum configures the clients' local SGD.
+	Momentum float64
 
 	Dataset DatasetSpec
 	Model   ModelSpec
@@ -508,29 +480,13 @@ func (s *split) learners() ([]Learner, error) {
 		if err != nil {
 			return nil, err
 		}
-		var aug *data.Augmenter
-		if cfg.Augment && cfg.Dataset.Kind != DatasetBlobs {
-			// Standard CIFAR-style augmentation, padding scaled to the
-			// input resolution.
-			pad := 4
-			if cfg.Dataset.Kind == DatasetSynthImage && cfg.Dataset.Resolution < 32 {
-				pad = cfg.Dataset.Resolution / 8
-			}
-			if pad < 1 {
-				pad = 1
-			}
-			aug = data.NewAugmenter(pad, 0.5, randx.Derive(cfg.Seed, fmt.Sprintf("augment/%d", k)))
-		}
 		learners[k] = core.NewNNLearner(core.NNLearnerConfig{
-			Net:         net,
-			Train:       s.train.Subset(parts[k]),
-			Test:        s.test,
-			BatchSize:   cfg.BatchSize,
-			Momentum:    cfg.Momentum,
-			WeightDecay: cfg.WeightDecay,
-			Augment:     aug,
-			ClipNorm:    cfg.ClipNorm,
-			Seed:        randx.Derive(cfg.Seed, fmt.Sprintf("client/%d", k)),
+			Net:       net,
+			Train:     s.train.Subset(parts[k]),
+			Test:      s.test,
+			BatchSize: cfg.BatchSize,
+			Momentum:  cfg.Momentum,
+			Seed:      randx.Derive(cfg.Seed, fmt.Sprintf("client/%d", k)),
 		})
 	}
 	return learners, nil
@@ -576,9 +532,6 @@ func withDefaults(cfg Config) Config {
 	if cfg.Dataset.Channels == 0 {
 		cfg.Dataset.Channels = 3
 	}
-	if cfg.Dataset.TrainFrac == 0 {
-		cfg.Dataset.TrainFrac = 0.8
-	}
 	if cfg.Model.Kind == "" {
 		cfg.Model.Kind = ModelMLP
 	}
@@ -591,14 +544,16 @@ func withDefaults(cfg Config) Config {
 	return cfg
 }
 
+// trainFrac is the train share of a generated dataset's train/test
+// split.
+const trainFrac = 0.8
+
 func buildDataset(spec DatasetSpec, seed uint64) (train, test *data.Dataset, err error) {
 	var ds *data.Dataset
 	switch spec.Kind {
 	case DatasetCIFAR10:
 		// The binary distribution ships with its own train/test split.
 		return data.LoadCIFAR10(spec.Dir)
-	case DatasetMNIST:
-		return data.LoadMNIST(spec.Dir)
 	case DatasetBlobs:
 		ds = data.Blobs(data.BlobsConfig{
 			Samples:    spec.Samples,
@@ -620,7 +575,7 @@ func buildDataset(spec DatasetSpec, seed uint64) (train, test *data.Dataset, err
 	default:
 		return nil, nil, fmt.Errorf("fedms: unknown dataset kind %q", spec.Kind)
 	}
-	train, test = ds.Split(spec.TrainFrac)
+	train, test = ds.Split(trainFrac)
 	return train, test, nil
 }
 
@@ -635,18 +590,13 @@ func buildPartition(train *data.Dataset, spec DatasetSpec, clients int, seed uin
 func buildModel(spec ModelSpec, ds DatasetSpec, seed uint64) (*nn.Network, error) {
 	mseed := randx.Derive(seed, "model")
 	switch spec.Kind {
-	case ModelLogistic, ModelMLP:
+	case ModelMLP:
 		in := ds.Features
 		switch ds.Kind {
 		case DatasetSynthImage:
 			in = ds.Channels * ds.Resolution * ds.Resolution
 		case DatasetCIFAR10:
 			in = 3 * 32 * 32
-		case DatasetMNIST:
-			in = 28 * 28
-		}
-		if spec.Kind == ModelLogistic {
-			return nn.NewLogistic(in, ds.NumClasses, mseed), nil
 		}
 		return nn.NewMLP(nn.MLPConfig{In: in, Hidden: spec.Hidden, NumClasses: ds.NumClasses, Seed: mseed}), nil
 	case ModelSmallCNN, ModelMobileNetV2:
@@ -656,10 +606,8 @@ func buildModel(spec ModelSpec, ds DatasetSpec, seed uint64) (*nn.Network, error
 		case DatasetSynthImage:
 		case DatasetCIFAR10:
 			channels, resolution, classes = 3, 32, 10
-		case DatasetMNIST:
-			channels, resolution, classes = 1, 28, 10
 		default:
-			return nil, fmt.Errorf("fedms: %s requires an image dataset (synthimage, cifar10 or mnist)", spec.Kind)
+			return nil, fmt.Errorf("fedms: %s requires an image dataset (synthimage or cifar10)", spec.Kind)
 		}
 		if spec.Kind == ModelSmallCNN {
 			return nn.NewSmallCNN(nn.SmallCNNConfig{

@@ -122,6 +122,8 @@ func BenchmarkMean(b *testing.B) {
 // fused trimmed mean at dist_wide_topk's server shape: n = 8 topk:0.1
 // uploads at d = 1e5, trim:0.2, one worker, a reused Dst; the weighted
 // row is dist_wide_async's, the same views down-weighted by staleness.
+// The n = 12 weighted row sits near that kernel's sparse-tile
+// break-even: 8 entries per member in each 256-coordinate tile.
 func BenchmarkPayloadAggregation(b *testing.B) {
 	server, _ := encodeViews(b, "topk:0.1", benchInputs(b, 8, 100_000), 7)
 	dst := make([]float64, 100_000)
@@ -131,6 +133,14 @@ func BenchmarkPayloadAggregation(b *testing.B) {
 	weights := serverStaleWeights()
 	benchAggregate(b, "server/n=8/topk:0.1/trimmed_mean/weighted/d=1e5", func() []float64 {
 		return Run(Request{Rule: TrimmedMean{Beta: 0.2}, Views: server, Weights: weights, Dst: dst, Workers: 1}).Out
+	})
+	wide, _ := encodeViews(b, "topk:0.03125", benchInputs(b, 12, 100_000), 7)
+	wideWeights := make([]float64, len(wide))
+	for i := range wideWeights {
+		wideWeights[i] = sched.Weight(i % 3)
+	}
+	benchAggregate(b, "server/n=12/topk:0.03125/trimmed_mean/weighted/d=1e5", func() []float64 {
+		return Run(Request{Rule: TrimmedMean{Beta: 0.2}, Views: wide, Weights: wideWeights, Dst: dst, Workers: 1}).Out
 	})
 	for _, d := range benchDims {
 		views, _ := encodeViews(b, "topk:0.01", benchInputs(b, 10, d), 7)

@@ -17,6 +17,9 @@ func SetTileAVX2(on bool) (restore func()) {
 // function that restores the previous gate.
 func SetSparseTileMin(perMember int) (restore func()) {
 	saved := sparseTileMin
-	sparseTileMin.vec, sparseTileMin.weighted, sparseTileMin.network = perMember, perMember, perMember
+	sparseTileMin.vec, sparseTileMin.network = perMember, perMember
+	for n := range sparseTileMin.weighted {
+		sparseTileMin.weighted[n] = perMember
+	}
 	return func() { sparseTileMin = saved }
 }

@@ -44,17 +44,23 @@ const payloadGatherTile = 256
 // 4 500 vs 4 700 at 5, 5 600 vs 21 200 at 25.6, dist_wide_topk's
 // servers); the pure-Go network at about 13 (n = 3), 20 (n = 4),
 // 24 (n = 5) and 30 (n = 6). The weighted AVX2 kernel also exchanges
-// a weight row with every value row, so it breaks even later, although
-// its column arm is slower too. Sweeping sparse views of uniform random
-// support at d = 10⁵ under trim:0.2 (trim:1 at n = 3) and weights
-// {1, ½, ⅓} on the same box (median of 5 runs, ns per tile, tile arm
-// vs column arm), it breaks even at about 3.5 entries per member at
-// n = 3 (935 vs 1 077 at 4), 5.5 at n = 5, 6 at n = 8 (4 900 vs 3 300
-// at 4, 4 900 vs 5 100 at 6, 5 000 vs 8 500 at 10), 7 at n = 10 and
-// 10 at n = 12 (11 700 vs 10 000 at 8). The choice cannot show in the
-// output; the gate is a variable only so that tests can force either
-// arm.
-var sparseTileMin = struct{ vec, weighted, network int }{vec: 4, weighted: 6, network: 20}
+// a weight row with every value row, so it breaks even later, and the
+// later the more members it sorts, although its column arm is slower
+// too: its gate is one entry per n. Sweeping sparse views of uniform
+// random support at d = 10⁵ under trim:0.2 (trim:1 at n < 5) and
+// weights {1, ½, ⅓} on the same box (ns per tile, tile arm vs column
+// arm, the arms interleaved, median of 15), it breaks even at about
+// 3.5 entries per member at n = 3, 5.5 at n = 5, 6.5 at n = 8 (5 100
+// vs 4 900 at 6, 5 700 vs 6 400 at 7), 8 at n = 10 and 10 at n = 12
+// (12 600 vs 6 600 at 5, 10 000 vs 8 400 at 8, 9 900 vs 11 700 at 11);
+// an earlier sweep, median of 5, read 3.5, 5.5, 6, 7 and 10. The
+// entries round those up and interpolate the n between them. The
+// choice cannot show in the output; the gate is a variable only so
+// that tests can force either arm.
+var sparseTileMin = struct {
+	vec, network int
+	weighted     [tileVecMaxN + 1]int // by n, for 3 ≤ n ≤ tileVecMaxN
+}{vec: 4, network: 20, weighted: [...]int{3: 4, 4: 5, 5: 6, 6: 6, 7: 7, 8: 7, 9: 8, 10: 8, 11: 9, 12: 10}}
 
 // gatherPayloadColumns writes the kernel's aggregate of every
 // coordinate j into out[j], gathering each column across the payload
@@ -125,7 +131,7 @@ func gatherSparseChunk(ps []compress.Payload, lo, hi int, s *chunkScratch, out [
 	tileMin := sparseTileMin.network * n
 	switch {
 	case k.tile.weights != nil:
-		tileMin = sparseTileMin.weighted * n
+		tileMin = sparseTileMin.weighted[n] * n
 	case k.tile.vec:
 		tileMin = sparseTileMin.vec * n
 	}

@@ -1,7 +1,7 @@
 // Package attack implements the Byzantine parameter-server behaviours
 // evaluated in §VI of the Fed-MS paper — Noise, Random, Safeguard and
-// Backward (from the Blades benchmark suite) — plus SignFlip and Zero as
-// extensions.
+// Backward (from the Blades benchmark suite) — plus the colluding ALIE
+// and IPM attacks and the codec-aware CodecPoison.
 //
 // An attack tampers with the *dissemination* step of a Byzantine PS: the
 // server first computes its honest aggregate (it received genuine client
@@ -210,51 +210,6 @@ func (a Backward) Tamper(ctx *Context) []float64 {
 	return clone(ctx.History[idx])
 }
 
-// SignFlip disseminates the negated, scaled aggregate: ã = −s·a.
-// A classic extension attack (not in the paper's evaluated four).
-type SignFlip struct {
-	// Scale multiplies the negated aggregate (default 1).
-	Scale float64
-}
-
-// Name implements Attack.
-func (a SignFlip) Name() string { return fmt.Sprintf("signflip(scale=%g)", a.scale()) }
-
-func (a SignFlip) scale() float64 {
-	if a.Scale == 0 {
-		return 1
-	}
-	return a.Scale
-}
-
-// Equivocates implements Attack.
-func (SignFlip) Equivocates() bool { return false }
-
-// Tamper implements Attack.
-func (a SignFlip) Tamper(ctx *Context) []float64 {
-	out := clone(ctx.TrueAgg)
-	s := -a.scale()
-	for i := range out {
-		out[i] *= s
-	}
-	return out
-}
-
-// Zero disseminates the all-zeros model, erasing progress for clients
-// that trust it.
-type Zero struct{}
-
-// Name implements Attack.
-func (Zero) Name() string { return "zero" }
-
-// Equivocates implements Attack.
-func (Zero) Equivocates() bool { return false }
-
-// Tamper implements Attack.
-func (Zero) Tamper(ctx *Context) []float64 {
-	return make([]float64, len(ctx.TrueAgg))
-}
-
 // ByName returns the attack registered under the given name with default
 // parameters; it powers the CLI tools. Names lists every registered
 // name; ByName and Names must stay in lockstep (round-trip tested).
@@ -270,10 +225,6 @@ func ByName(name string) (Attack, error) {
 		return Safeguard{}, nil
 	case "backward":
 		return Backward{}, nil
-	case "signflip":
-		return SignFlip{}, nil
-	case "zero":
-		return Zero{}, nil
 	case "alie":
 		return ALIE{}, nil
 	case "ipm":
@@ -290,7 +241,7 @@ func ByName(name string) (Attack, error) {
 func Names() []string {
 	return []string{
 		"none", "noise", "random", "safeguard", "backward",
-		"signflip", "zero", "alie", "ipm", "codecpoison",
+		"alie", "ipm", "codecpoison",
 	}
 }
 
@@ -306,8 +257,6 @@ var (
 	_ Attack = Random{}
 	_ Attack = Safeguard{}
 	_ Attack = Backward{}
-	_ Attack = SignFlip{}
-	_ Attack = Zero{}
 	_ Attack = ALIE{}
 	_ Attack = IPM{}
 	_ Attack = CodecPoison{}

@@ -147,22 +147,8 @@ func TestBackwardCustomLag(t *testing.T) {
 	}
 }
 
-func TestSignFlip(t *testing.T) {
-	out := SignFlip{Scale: 2}.Tamper(ctx(0, []float64{1, -3}, nil, 12))
-	if out[0] != -2 || out[1] != 6 {
-		t.Fatalf("SignFlip = %v", out)
-	}
-}
-
-func TestZero(t *testing.T) {
-	out := Zero{}.Tamper(ctx(0, []float64{1, 2}, nil, 13))
-	if out[0] != 0 || out[1] != 0 {
-		t.Fatalf("Zero = %v", out)
-	}
-}
-
 func TestByName(t *testing.T) {
-	for _, name := range []string{"none", "noise", "random", "safeguard", "backward", "signflip", "zero"} {
+	for _, name := range []string{"none", "noise", "random", "safeguard", "backward"} {
 		a, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -171,8 +157,10 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q) returned nil", name)
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("ByName must reject unknown attacks")
+	for _, name := range []string{"bogus", "signflip", "zero"} {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("ByName must reject unknown attack %q", name)
+		}
 	}
 }
 
@@ -205,7 +193,7 @@ func TestDeterministicGivenRNG(t *testing.T) {
 // TestAttacksNeverMutateState is the shared contract: TrueAgg and
 // History must be left untouched by every attack.
 func TestAttacksNeverMutateState(t *testing.T) {
-	attacks := []Attack{None{}, Noise{}, Random{}, Safeguard{}, Backward{}, SignFlip{}, Zero{}}
+	attacks := []Attack{None{}, Noise{}, Random{}, Safeguard{}, Backward{}}
 	agg := []float64{1, 2, 3}
 	hist := [][]float64{{0, 0, 0}, {0.5, 0.5, 0.5}}
 	for _, a := range attacks {

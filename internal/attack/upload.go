@@ -37,58 +37,6 @@ type UploadAttack interface {
 	TamperUpload(ctx *UploadContext) []float64
 }
 
-// UploadSignFlip uploads the negated, scaled local model: w̃ = −s·w.
-type UploadSignFlip struct {
-	// Scale multiplies the negated model (default 1).
-	Scale float64
-}
-
-// Name implements UploadAttack.
-func (a UploadSignFlip) Name() string { return fmt.Sprintf("upload_signflip(scale=%g)", a.scale()) }
-
-func (a UploadSignFlip) scale() float64 {
-	if a.Scale == 0 {
-		return 1
-	}
-	return a.Scale
-}
-
-// TamperUpload implements UploadAttack.
-func (a UploadSignFlip) TamperUpload(ctx *UploadContext) []float64 {
-	out := clone(ctx.Params)
-	s := -a.scale()
-	for i := range out {
-		out[i] *= s
-	}
-	return out
-}
-
-// UploadNoise adds Gaussian noise to the honest upload.
-type UploadNoise struct {
-	// Sigma is the noise standard deviation (default 1).
-	Sigma float64
-}
-
-// Name implements UploadAttack.
-func (a UploadNoise) Name() string { return fmt.Sprintf("upload_noise(sigma=%g)", a.sigma()) }
-
-func (a UploadNoise) sigma() float64 {
-	if a.Sigma == 0 {
-		return 1
-	}
-	return a.Sigma
-}
-
-// TamperUpload implements UploadAttack.
-func (a UploadNoise) TamperUpload(ctx *UploadContext) []float64 {
-	out := clone(ctx.Params)
-	s := a.sigma()
-	for i := range out {
-		out[i] += s * ctx.RNG.NormFloat64()
-	}
-	return out
-}
-
 // UploadRandom replaces the upload with uniform random values.
 type UploadRandom struct {
 	// Lo, Hi bound the uniform interval (defaults -10, 10).
@@ -116,55 +64,21 @@ func (a UploadRandom) TamperUpload(ctx *UploadContext) []float64 {
 	return out
 }
 
-// UploadScaled amplifies the local update: w̃ = g + F·(w − g) where g
-// is the round's starting global model — the classic model-replacement
-// / boosting attack used for backdoors (Bagdasaryan et al., 2020).
-type UploadScaled struct {
-	// Factor is the update amplification (default 10).
-	Factor float64
-}
-
-// Name implements UploadAttack.
-func (a UploadScaled) Name() string { return fmt.Sprintf("upload_scaled(factor=%g)", a.factor()) }
-
-func (a UploadScaled) factor() float64 {
-	if a.Factor == 0 {
-		return 10
-	}
-	return a.Factor
-}
-
-// TamperUpload implements UploadAttack.
-func (a UploadScaled) TamperUpload(ctx *UploadContext) []float64 {
-	out := make([]float64, len(ctx.Params))
-	f := a.factor()
-	for i := range out {
-		out[i] = ctx.Global[i] + f*(ctx.Params[i]-ctx.Global[i])
-	}
-	return out
-}
-
 // ByUploadName returns the client-side attack registered under the
-// given name with default parameters. Known names: upload_signflip,
-// upload_noise, upload_random, upload_scaled.
+// given name with default parameters; UploadNames lists every name it
+// accepts, in lockstep (round-trip tested).
 func ByUploadName(name string) (UploadAttack, error) {
 	switch name {
-	case "upload_signflip":
-		return UploadSignFlip{}, nil
-	case "upload_noise":
-		return UploadNoise{}, nil
 	case "upload_random":
 		return UploadRandom{}, nil
-	case "upload_scaled":
-		return UploadScaled{}, nil
 	default:
 		return nil, fmt.Errorf("attack: unknown upload attack %q", name)
 	}
 }
 
-var (
-	_ UploadAttack = UploadSignFlip{}
-	_ UploadAttack = UploadNoise{}
-	_ UploadAttack = UploadRandom{}
-	_ UploadAttack = UploadScaled{}
-)
+// UploadNames lists every name ByUploadName accepts, in registration
+// order — the -client-attack usage string and the registry round-trip
+// test consume it.
+func UploadNames() []string { return []string{"upload_random"} }
+
+var _ UploadAttack = UploadRandom{}

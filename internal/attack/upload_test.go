@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"math"
 	"testing"
 
 	"fedms/internal/randx"
@@ -14,32 +13,6 @@ func upCtx(params, global []float64, seed uint64) *UploadContext {
 		Params: params,
 		Global: global,
 		RNG:    randx.New(seed),
-	}
-}
-
-func TestUploadSignFlip(t *testing.T) {
-	out := UploadSignFlip{Scale: 2}.TamperUpload(upCtx([]float64{1, -3}, nil, 1))
-	if out[0] != -2 || out[1] != 6 {
-		t.Fatalf("UploadSignFlip = %v", out)
-	}
-}
-
-func TestUploadNoiseStats(t *testing.T) {
-	params := make([]float64, 20000)
-	out := UploadNoise{Sigma: 3}.TamperUpload(upCtx(params, nil, 2))
-	var sum float64
-	for _, v := range out {
-		sum += v
-	}
-	mean := sum / float64(len(out))
-	var sq float64
-	for _, v := range out {
-		d := v - mean
-		sq += d * d
-	}
-	std := math.Sqrt(sq / float64(len(out)))
-	if math.Abs(mean) > 0.1 || math.Abs(std-3) > 0.1 {
-		t.Fatalf("UploadNoise stats mean=%v std=%v", mean, std)
 	}
 }
 
@@ -56,36 +29,23 @@ func TestUploadRandomIgnoresParams(t *testing.T) {
 	}
 }
 
-func TestUploadScaledAmplifiesUpdate(t *testing.T) {
-	global := []float64{1, 1}
-	params := []float64{1.5, 0.5} // update = (+0.5, -0.5)
-	out := UploadScaled{Factor: 4}.TamperUpload(upCtx(params, global, 4))
-	if out[0] != 3 || out[1] != -1 {
-		t.Fatalf("UploadScaled = %v, want [3 -1]", out)
-	}
-}
-
-func TestUploadScaledDefaultFactor(t *testing.T) {
-	if (UploadScaled{}).factor() != 10 {
-		t.Fatal("default factor should be 10")
-	}
-}
-
 func TestByUploadName(t *testing.T) {
-	for _, name := range []string{"upload_signflip", "upload_noise", "upload_random", "upload_scaled"} {
+	for _, name := range UploadNames() {
 		if _, err := ByUploadName(name); err != nil {
 			t.Fatalf("ByUploadName(%q): %v", name, err)
 		}
 	}
-	if _, err := ByUploadName("nope"); err == nil {
-		t.Fatal("unknown names must error")
+	for _, name := range []string{"nope", "upload_signflip", "upload_noise", "upload_scaled"} {
+		if _, err := ByUploadName(name); err == nil {
+			t.Fatalf("unknown name %q must error", name)
+		}
 	}
 }
 
 func TestUploadAttacksDoNotMutate(t *testing.T) {
 	params := []float64{1, 2}
 	global := []float64{0.5, 0.5}
-	for _, a := range []UploadAttack{UploadSignFlip{}, UploadNoise{}, UploadRandom{}, UploadScaled{}} {
+	for _, a := range []UploadAttack{UploadRandom{}} {
 		ctx := upCtx(append([]float64(nil), params...), append([]float64(nil), global...), 9)
 		a.TamperUpload(ctx)
 		if ctx.Params[0] != 1 || ctx.Params[1] != 2 || ctx.Global[0] != 0.5 {

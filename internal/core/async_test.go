@@ -98,7 +98,7 @@ func TestAsyncDeterminism(t *testing.T) {
 // the async lifecycle's trajectory is bit-identical to the sync
 // barrier's — same train losses, same aggregates, same final models.
 func TestAsyncWideWindowMatchesSync(t *testing.T) {
-	sync := baseConfig(8, 3, 1, attack.SignFlip{}, aggregate.TrimmedMean{Beta: 0.34})
+	sync := baseConfig(8, 3, 1, attack.Backward{}, aggregate.TrimmedMean{Beta: 0.34})
 	sync.Rounds = 6
 
 	async := sync

@@ -11,7 +11,7 @@ func TestConfigByzantineClientValidation(t *testing.T) {
 	base := func() Config {
 		c := baseConfig(10, 5, 0, attack.None{}, aggregate.Mean{})
 		c.NumByzantineClients = 2
-		c.ClientAttack = attack.UploadSignFlip{}
+		c.ClientAttack = attack.UploadRandom{}
 		return c
 	}
 	if _, err := base().Validate(); err != nil {
@@ -46,7 +46,7 @@ func TestConfigByzantineClientValidation(t *testing.T) {
 func TestConfigDerivesByzantineClientIDs(t *testing.T) {
 	c := baseConfig(10, 5, 0, attack.None{}, aggregate.Mean{})
 	c.NumByzantineClients = 3
-	c.ClientAttack = attack.UploadNoise{}
+	c.ClientAttack = attack.UploadRandom{}
 	resolved, err := c.Validate()
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestBothSidesByzantine(t *testing.T) {
 	cfg.Rounds = 20
 	cfg.Upload = FullUpload
 	cfg.NumByzantineClients = 2
-	cfg.ClientAttack = attack.UploadSignFlip{}
+	cfg.ClientAttack = attack.UploadRandom{}
 	cfg.ServerFilter = aggregate.TrimmedMean{Beta: 2.0 / 12.0}
 	eng, err := NewEngine(cfg, learners)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestByzantineClientsDeterministic(t *testing.T) {
 		cfg := baseConfig(8, 3, 0, attack.None{}, aggregate.Mean{})
 		cfg.Rounds = 5
 		cfg.NumByzantineClients = 2
-		cfg.ClientAttack = attack.UploadNoise{}
+		cfg.ClientAttack = attack.UploadRandom{}
 		eng, err := NewEngine(cfg, learners)
 		if err != nil {
 			t.Fatal(err)

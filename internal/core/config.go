@@ -27,14 +27,6 @@ const (
 	// FullUpload sends every client's model to every PS, costing K×P
 	// uploads per round; the trivial baseline discussed in §IV-A.
 	FullUpload
-	// RoundRobinUpload deterministically rotates each client's target
-	// PS: client k uploads to (k + t) mod P in round t. Same K-upload
-	// cost as SparseUpload but with exactly balanced server loads,
-	// which removes the sampling-variance term of Lemma 3 — an
-	// ablation of the paper's "uniformly random" choice. (Not part of
-	// the paper; a deterministic schedule is also easier for an
-	// adaptive adversary to anticipate.)
-	RoundRobinUpload
 )
 
 // String implements fmt.Stringer.
@@ -44,8 +36,6 @@ func (u UploadStrategy) String() string {
 		return "sparse"
 	case FullUpload:
 		return "full"
-	case RoundRobinUpload:
-		return "round_robin"
 	default:
 		return fmt.Sprintf("UploadStrategy(%d)", int(u))
 	}
@@ -229,13 +219,13 @@ func (c Config) Validate() (Config, error) {
 	if c.Upload == 0 {
 		c.Upload = SparseUpload
 	}
-	if c.Upload != SparseUpload && c.Upload != FullUpload && c.Upload != RoundRobinUpload {
+	if c.Upload != SparseUpload && c.Upload != FullUpload {
 		return c, fieldErr("Upload", "unknown upload strategy %d", c.Upload)
 	}
 	if c.Participation == 0 {
 		c.Participation = 1
 	}
-	if c.Participation <= 0 || c.Participation > 1 {
+	if !(c.Participation > 0 && c.Participation <= 1) { // NaN fails too
 		return c, fieldErr("Participation", "Participation must be in (0,1], got %v", c.Participation)
 	}
 	if int(c.Participation*float64(c.Clients)) < 1 {

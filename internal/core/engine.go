@@ -544,11 +544,6 @@ func (e *Engine) uploadAssignment(t int, active []int) [][]int {
 		for i := range assign {
 			assign[i] = active
 		}
-	case RoundRobinUpload:
-		for _, k := range active {
-			i := (k + t) % e.cfg.Servers
-			assign[i] = append(assign[i], k)
-		}
 	default: // SparseUpload
 		for _, k := range active {
 			i := SparseUploadChoice(e.cfg.Seed, t, k, e.cfg.Servers)

@@ -41,13 +41,11 @@ type Learner interface {
 // NNLearner adapts an nn.Network plus a local dataset to the Learner
 // interface. Each Fed-MS client owns one.
 type NNLearner struct {
-	net      *nn.Network
-	opt      *nn.SGD
-	batcher  *data.Batcher
-	test     *data.Dataset
-	evalBS   int
-	augment  *data.Augmenter
-	clipNorm float64
+	net     *nn.Network
+	opt     *nn.SGD
+	batcher *data.Batcher
+	test    *data.Dataset
+	evalBS  int
 }
 
 // NNLearnerConfig configures NewNNLearner.
@@ -61,16 +59,9 @@ type NNLearnerConfig struct {
 	Test *data.Dataset
 	// BatchSize is the mini-batch size for local SGD.
 	BatchSize int
-	// Momentum and WeightDecay configure the local optimizer; the
-	// paper's analysis assumes plain SGD (both zero).
-	Momentum    float64
-	WeightDecay float64
-	// Augment, when non-nil, applies image augmentation to every
-	// training batch (image-shaped datasets only).
-	Augment *data.Augmenter
-	// ClipNorm, when positive, clips the global gradient norm before
-	// each optimizer step.
-	ClipNorm float64
+	// Momentum configures the local optimizer; the paper's analysis
+	// assumes plain SGD (zero).
+	Momentum float64
 	// Seed derives the mini-batch sampling stream.
 	Seed uint64
 }
@@ -78,13 +69,11 @@ type NNLearnerConfig struct {
 // NewNNLearner constructs a client learner.
 func NewNNLearner(cfg NNLearnerConfig) *NNLearner {
 	return &NNLearner{
-		net:      cfg.Net,
-		opt:      nn.NewSGD(cfg.Momentum, cfg.WeightDecay),
-		batcher:  data.NewBatcher(cfg.Train, cfg.BatchSize, randx.New(cfg.Seed)),
-		test:     cfg.Test,
-		evalBS:   256,
-		augment:  cfg.Augment,
-		clipNorm: cfg.ClipNorm,
+		net:     cfg.Net,
+		opt:     nn.NewSGD(cfg.Momentum),
+		batcher: data.NewBatcher(cfg.Train, cfg.BatchSize, randx.New(cfg.Seed)),
+		test:    cfg.Test,
+		evalBS:  256,
 	}
 }
 
@@ -118,14 +107,8 @@ func (l *NNLearner) LocalTrain(steps, globalStep int, sched nn.Schedule) float64
 	total := 0.0
 	for i := 0; i < steps; i++ {
 		x, y := l.batcher.Next()
-		if l.augment != nil {
-			x = l.augment.Apply(x)
-		}
 		l.net.ZeroGrads()
 		total += l.net.TrainBatch(x, y)
-		if l.clipNorm > 0 {
-			nn.ClipGradNorm(l.net.Params(), l.clipNorm)
-		}
 		l.opt.Step(l.net.Params(), sched.LR(globalStep+i))
 	}
 	if steps == 0 {

@@ -18,7 +18,7 @@ func TestNNLearnerResetsMomentumEachRound(t *testing.T) {
 	train, test := ds.Split(0.8)
 	learner := func(momentum float64) *NNLearner {
 		return NewNNLearner(NNLearnerConfig{
-			Net: nn.NewLogistic(features, 4, 3), Train: train, Test: test,
+			Net: nn.NewMLP(nn.MLPConfig{In: features, NumClasses: 4, Seed: 3}), Train: train, Test: test,
 			BatchSize: 16, Momentum: momentum, Seed: 5,
 		})
 	}

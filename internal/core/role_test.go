@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"slices"
 	"testing"
 
@@ -148,7 +147,7 @@ func TestRoleClient(t *testing.T) {
 		honestL, _ := testFixture(t, 1, 5)
 		byzL, _ := testFixture(t, 1, 5)
 		honest := NewClient(0, 5, honestL[0], nil, nil)
-		byz := NewClient(0, 5, byzL[0], attack.UploadSignFlip{}, nil)
+		byz := NewClient(0, 5, byzL[0], attack.UploadRandom{}, nil)
 		for r := 0; r < 3; r++ {
 			if a, b := honest.Train(r, steps, schedule), byz.Train(r, steps, schedule); a != b {
 				t.Fatalf("round %d: losses %v and %v differ", r, a, b)
@@ -158,8 +157,9 @@ func TestRoleClient(t *testing.T) {
 			if !slices.Equal(hp, honestL[0].Params()) || !slices.Equal(byzL[0].Params(), honestL[0].Params()) {
 				t.Fatalf("round %d: the Byzantine client's training state diverged from the honest one", r)
 			}
-			if payload != nil || math.Float64bits(bp[0]) != math.Float64bits(-hp[0]) {
-				t.Fatalf("round %d: upload %v is not the dense sign flip of %v", r, bp[:1], hp[:1])
+			lie := attack.UploadRandom{}.TamperUpload(&attack.UploadContext{Round: r, Params: hp, RNG: uploadAttackRNG(5, r, 0)})
+			if payload != nil || !slices.Equal(bp, lie) || slices.Equal(bp, hp) {
+				t.Fatalf("round %d: upload %v is not the dense seeded random draw %v", r, bp[:1], lie[:1])
 			}
 		}
 	})

@@ -49,7 +49,7 @@ func TestSynthImageLearnable(t *testing.T) {
 	ds := SynthImage(SynthImageConfig{Samples: 600, NumClasses: 4, Resolution: 8, Seed: 3})
 	train, test := ds.Split(0.8)
 	net := nn.NewSmallCNN(nn.SmallCNNConfig{NumClasses: 4, InChannels: 3, Resolution: 8, Seed: 1})
-	opt := nn.NewSGD(0.9, 1e-4)
+	opt := nn.NewSGD(0.9)
 	b := NewBatcher(train, 32, randx.New(2))
 	for step := 0; step < 150; step++ {
 		x, y := b.Next()
@@ -67,8 +67,8 @@ func TestSynthImageLearnable(t *testing.T) {
 func TestBlobsLearnableByLogistic(t *testing.T) {
 	ds := Blobs(BlobsConfig{Samples: 2000, Seed: 4})
 	train, test := ds.Split(0.8)
-	net := nn.NewLogistic(32, 10, 1)
-	opt := nn.NewSGD(0, 0)
+	net := nn.NewMLP(nn.MLPConfig{In: 32, NumClasses: 10, Seed: 1})
+	opt := nn.NewSGD(0)
 	b := NewBatcher(train, 64, randx.New(5))
 	for step := 0; step < 400; step++ {
 		x, y := b.Next()
@@ -85,7 +85,7 @@ func TestBlobsLearnableByLogistic(t *testing.T) {
 
 func TestBlobsChanceLevelUntrained(t *testing.T) {
 	ds := Blobs(BlobsConfig{Samples: 1000, Seed: 6})
-	net := nn.NewLogistic(32, 10, 2)
+	net := nn.NewMLP(nn.MLPConfig{In: 32, NumClasses: 10, Seed: 2})
 	_, correct := net.EvalBatch(ds.X, ds.Y)
 	acc := float64(correct) / float64(ds.Len())
 	if acc > 0.3 {

@@ -259,10 +259,10 @@ func TestRoundTimes(t *testing.T) {
 }
 
 func TestUploadStrategiesComparable(t *testing.T) {
-	// All three upload strategies should train to similar accuracy in a
-	// clean run — round robin removes sampling variance, full sees all.
+	// Both upload strategies should train to similar accuracy in a clean
+	// run — full upload sees every model, sparse one per client.
 	accs := map[string]float64{}
-	for _, up := range []fedms.UploadStrategy{fedms.SparseUpload, fedms.FullUpload, fedms.RoundRobinUpload} {
+	for _, up := range []fedms.UploadStrategy{fedms.SparseUpload, fedms.FullUpload} {
 		cfg := baseConfig(quick(), 10)
 		cfg.Rounds = 10
 		cfg.FilterRule = "trim:0.2"

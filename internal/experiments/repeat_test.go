@@ -18,7 +18,7 @@ func repeatCfg() fedms.Config {
 		Attack:       fedms.NoiseAttack{},
 		LearningRate: 0.2,
 		Dataset:      fedms.DatasetSpec{Samples: 1500, Features: 16, NumClasses: 4},
-		Model:        fedms.ModelSpec{Kind: fedms.ModelLogistic},
+		Model:        fedms.ModelSpec{Kind: fedms.ModelMLP, Hidden: []int{16}},
 		EvalEvery:    3,
 	}
 }

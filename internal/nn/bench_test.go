@@ -48,7 +48,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		for i := range labels {
 			labels[i] = r.IntN(10)
 		}
-		opt := NewSGD(0, 0)
+		opt := NewSGD(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -66,7 +66,7 @@ func benchTrainStep(b *testing.B, net *Network, batch, features int, r *randx.RN
 	for i := range labels {
 		labels[i] = r.IntN(10)
 	}
-	opt := NewSGD(0, 0)
+	opt := NewSGD(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

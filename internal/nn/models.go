@@ -178,11 +178,3 @@ func NewMLP(cfg MLPConfig) *Network {
 	seq.Add(NewDense("out", in, cfg.NumClasses, r))
 	return NewNetwork(seq, SoftmaxCrossEntropy{})
 }
-
-// NewLogistic builds a multinomial logistic regression model — the
-// strongly convex case matching the convergence theory's assumptions.
-func NewLogistic(in, numClasses int, seed uint64) *Network {
-	r := randx.Split(seed, "logistic")
-	seq := NewSequential("logistic", NewDense("out", in, numClasses, r))
-	return NewNetwork(seq, SoftmaxCrossEntropy{})
-}

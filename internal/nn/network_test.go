@@ -63,7 +63,7 @@ func TestMarkedNetworkTrainsBitIdentically(t *testing.T) {
 			r := randx.New(9)
 			x := tensor.New(tc.shape...)
 			labels := make([]int, tc.shape[0])
-			optM, optU := NewSGD(0.9, 1e-4), NewSGD(0.9, 1e-4)
+			optM, optU := NewSGD(0.9), NewSGD(0.9)
 			for step := 0; step < 5; step++ {
 				x.FillNormal(r, 0, 1)
 				for i := range labels {

@@ -27,7 +27,7 @@ func TestFlattenSetFlatRoundTrip(t *testing.T) {
 }
 
 func TestSetFlatLengthMismatchPanics(t *testing.T) {
-	net := NewLogistic(4, 2, 1)
+	net := NewMLP(MLPConfig{In: 4, NumClasses: 2, Seed: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -122,7 +122,7 @@ func TestSGDPlainStep(t *testing.T) {
 	p := newParam("w", tensor.FromSlice([]float64{1, 2}, 2), true)
 	p.Grad.Data()[0] = 0.5
 	p.Grad.Data()[1] = -1
-	NewSGD(0, 0).Step([]*Param{p}, 0.1)
+	NewSGD(0).Step([]*Param{p}, 0.1)
 	if math.Abs(p.Value.At(0)-0.95) > 1e-12 || math.Abs(p.Value.At(1)-2.1) > 1e-12 {
 		t.Fatalf("SGD step: %v", p.Value.Data())
 	}
@@ -131,7 +131,7 @@ func TestSGDPlainStep(t *testing.T) {
 func TestSGDSkipsNonTrainable(t *testing.T) {
 	p := newParam("state", tensor.FromSlice([]float64{1}, 1), false)
 	p.Grad.Data()[0] = 10
-	NewSGD(0, 0).Step([]*Param{p}, 1)
+	NewSGD(0).Step([]*Param{p}, 1)
 	if p.Value.At(0) != 1 {
 		t.Fatal("non-trainable param was updated")
 	}
@@ -139,7 +139,7 @@ func TestSGDSkipsNonTrainable(t *testing.T) {
 
 func TestSGDMomentumAccumulates(t *testing.T) {
 	p := newParam("w", tensor.New(1), true)
-	opt := NewSGD(0.9, 0)
+	opt := NewSGD(0.9)
 	// Constant gradient 1, lr 1: velocities 1, 1.9, 2.71...
 	p.Grad.Data()[0] = 1
 	opt.Step([]*Param{p}, 1)
@@ -156,15 +156,6 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	opt.Step([]*Param{p}, 1)
 	if math.Abs(p.Value.At(0)-(-3.9)) > 1e-12 {
 		t.Fatalf("after reset: %v", p.Value.At(0))
-	}
-}
-
-func TestSGDWeightDecay(t *testing.T) {
-	p := newParam("w", tensor.FromSlice([]float64{2}, 1), true)
-	NewSGD(0, 0.5).Step([]*Param{p}, 0.1)
-	// g = 0 + 0.5*2 = 1; w = 2 - 0.1 = 1.9.
-	if math.Abs(p.Value.At(0)-1.9) > 1e-12 {
-		t.Fatalf("weight decay step: %v", p.Value.At(0))
 	}
 }
 
@@ -238,7 +229,7 @@ func TestMobileNetV2TrainStepReducesLoss(t *testing.T) {
 	r := randx.New(51)
 	x := randInput(r, 8, 3, 16, 16)
 	labels := randLabels(r, 8, 4)
-	opt := NewSGD(0.9, 0)
+	opt := NewSGD(0.9)
 	first := -1.0
 	last := 0.0
 	for i := 0; i < 15; i++ {
@@ -260,7 +251,7 @@ func TestSmallCNNOverfitsTinyDataset(t *testing.T) {
 	r := randx.New(52)
 	x := randInput(r, 9, 1, 8, 8)
 	labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
-	opt := NewSGD(0.9, 0)
+	opt := NewSGD(0.9)
 	for i := 0; i < 60; i++ {
 		net.ZeroGrads()
 		net.TrainBatch(x, labels)
@@ -277,7 +268,7 @@ func TestMLPOverfitsTinyDataset(t *testing.T) {
 	r := randx.New(53)
 	x := randInput(r, 16, 10)
 	labels := randLabels(r, 16, 4)
-	opt := NewSGD(0.9, 0)
+	opt := NewSGD(0.9)
 	for i := 0; i < 300; i++ {
 		net.ZeroGrads()
 		net.TrainBatch(x, labels)
@@ -287,44 +278,6 @@ func TestMLPOverfitsTinyDataset(t *testing.T) {
 	if correct < 15 {
 		t.Fatalf("MLP failed to overfit: %d/16 correct", correct)
 	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	p := newParam("w", tensor.New(2), true)
-	p.Grad.Data()[0] = 3
-	p.Grad.Data()[1] = 4 // norm 5
-	pre := ClipGradNorm([]*Param{p}, 1)
-	if math.Abs(pre-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %v", pre)
-	}
-	g := p.Grad.Data()
-	if math.Abs(g[0]-0.6) > 1e-12 || math.Abs(g[1]-0.8) > 1e-12 {
-		t.Fatalf("clipped grads = %v", g)
-	}
-	// Norm already under the cap: unchanged.
-	before := g[0]
-	pre2 := ClipGradNorm([]*Param{p}, 10)
-	if math.Abs(pre2-1) > 1e-9 || g[0] != before {
-		t.Fatalf("under-cap clip altered grads: %v (pre %v)", g, pre2)
-	}
-}
-
-func TestClipGradNormSkipsState(t *testing.T) {
-	state := newParam("rm", tensor.New(1), false)
-	state.Grad.Data()[0] = 100
-	ClipGradNorm([]*Param{state}, 1)
-	if state.Grad.Data()[0] != 100 {
-		t.Fatal("state grads must be untouched")
-	}
-}
-
-func TestClipGradNormPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ClipGradNorm(nil, 0)
 }
 
 // TestTrainStepAllocs: a steady-state training step on the blobs MLP
@@ -344,7 +297,7 @@ func TestTrainStepAllocs(t *testing.T) {
 	for i := range labels {
 		labels[i] = r.IntN(10)
 	}
-	opt := NewSGD(0, 0)
+	opt := NewSGD(0)
 	step := func() {
 		net.ZeroGrads()
 		net.TrainBatch(x, labels)

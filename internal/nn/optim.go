@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // Schedule yields the learning rate for a given global SGD step index.
 // The paper's convergence theory uses the inverse-decay schedule
 // η_t = φ/(γ+t); practice commonly uses a constant rate.
@@ -27,22 +25,20 @@ func (s InverseDecayLR) LR(step int) float64 {
 	return s.Phi / (s.Gamma + float64(step))
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay. Velocity buffers are keyed per parameter, so one optimizer
-// instance must stay attached to one model.
+// SGD is stochastic gradient descent with optional momentum. Velocity
+// buffers are keyed per parameter, so one optimizer instance must stay
+// attached to one model.
 type SGD struct {
-	Momentum    float64
-	WeightDecay float64
+	Momentum float64
 
 	velocity map[*Param][]float64
 }
 
 // NewSGD constructs an SGD optimizer.
-func NewSGD(momentum, weightDecay float64) *SGD {
+func NewSGD(momentum float64) *SGD {
 	return &SGD{
-		Momentum:    momentum,
-		WeightDecay: weightDecay,
-		velocity:    make(map[*Param][]float64),
+		Momentum: momentum,
+		velocity: make(map[*Param][]float64),
 	}
 }
 
@@ -55,11 +51,6 @@ func (s *SGD) Step(params []*Param, lr float64) {
 		}
 		w := p.Value.Data()
 		g := p.Grad.Data()
-		if s.WeightDecay != 0 {
-			for i := range g {
-				g[i] += s.WeightDecay * w[i]
-			}
-		}
 		if s.Momentum != 0 {
 			v := s.velocity[p]
 			if v == nil {
@@ -86,36 +77,4 @@ func (s *SGD) Reset() {
 	for _, v := range s.velocity {
 		clear(v)
 	}
-}
-
-// ClipGradNorm rescales all trainable-parameter gradients so their
-// global L2 norm is at most maxNorm, returning the pre-clip norm.
-// Standard practice for stabilizing federated local training.
-func ClipGradNorm(params []*Param, maxNorm float64) float64 {
-	if maxNorm <= 0 {
-		panic("nn: ClipGradNorm needs positive maxNorm")
-	}
-	total := 0.0
-	for _, p := range params {
-		if !p.Trainable {
-			continue
-		}
-		for _, g := range p.Grad.Data() {
-			total += g * g
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm > maxNorm {
-		scale := maxNorm / norm
-		for _, p := range params {
-			if !p.Trainable {
-				continue
-			}
-			d := p.Grad.Data()
-			for i := range d {
-				d[i] *= scale
-			}
-		}
-	}
-	return norm
 }

@@ -12,14 +12,14 @@ import (
 )
 
 // TestDistributedByzantineClientParity runs the two-sided threat model
-// over TCP — Byzantine clients uploading sign-flipped models, benign
+// over TCP — a Byzantine client uploading seeded random models, benign
 // servers aggregating with a robust rule — and checks bitwise parity
 // with the in-process engine.
 func TestDistributedByzantineClientParity(t *testing.T) {
 	const k, p, rounds, seed = 6, 3, 4, 41
 	cfg := testSpec(k, p, rounds, aggregate.TrimmedMean{Beta: 1.0 / 3.0}, seed)
 	cfg.Upload, cfg.ServerFilter = core.FullUpload, aggregate.TrimmedMean{Beta: 1.0 / 6.0}
-	cfg.ByzantineClientIDs, cfg.ClientAttack = []int{4}, attack.UploadSignFlip{}
+	cfg.ByzantineClientIDs, cfg.ClientAttack = []int{4}, attack.UploadRandom{}
 
 	dist, _, _ := launch(t, cfg, makeLearners(t, k, seed), nil, nil)
 	eng := runEngineCfg(t, makeLearners(t, k, seed), cfg)

@@ -271,7 +271,7 @@ func (c ClientConfig) Validate() (ClientConfig, error) {
 	if floor := core.FilterFloor(c.Filter, p); c.MinModels > 0 && c.MinModels < floor {
 		return c, fieldErr(who, "MinModels", "MinModels %d is below filter %s's floor of %d models at P=%d (more than twice its per-side trim)", c.MinModels, c.Filter.Name(), floor, p)
 	}
-	if c.Participation < 0 || c.Participation > 1 {
+	if !(c.Participation >= 0 && c.Participation <= 1) { // NaN fails too
 		return c, fieldErr(who, "Participation", "Participation must be in [0, 1], got %v", c.Participation)
 	}
 	if c.sampled() && c.Clients <= c.ID {

@@ -22,9 +22,6 @@ import (
 // PSConfigFor returns server id's configuration under cfg; id must be
 // one of cfg's P servers.
 func PSConfigFor(cfg core.Config, id int) (PSConfig, error) {
-	if err := distributable(cfg); err != nil {
-		return PSConfig{}, err
-	}
 	if id < 0 || id >= cfg.Servers {
 		return PSConfig{}, fmt.Errorf("node: server id %d is outside [0, P=%d)", id, cfg.Servers)
 	}
@@ -55,9 +52,6 @@ func PSConfigFor(cfg core.Config, id int) (PSConfig, error) {
 // learner; id must be one of cfg's K clients. Servers is the caller's
 // to fill.
 func ClientConfigFor(cfg core.Config, id int, learner core.Learner) (ClientConfig, error) {
-	if err := distributable(cfg); err != nil {
-		return ClientConfig{}, err
-	}
 	if id < 0 || id >= cfg.Clients {
 		return ClientConfig{}, fmt.Errorf("node: client id %d is outside [0, K=%d)", id, cfg.Clients)
 	}
@@ -225,13 +219,4 @@ func (l *Local) Run() ([][]ClientRoundStats, []PSStats, error) {
 		psStats[i] = s.Stats()
 	}
 	return clientStats, psStats, errors.Join(errs...)
-}
-
-// distributable rejects the one engine setting the wire protocol has no
-// counterpart for.
-func distributable(cfg core.Config) error {
-	if cfg.Upload == core.RoundRobinUpload {
-		return &core.FieldError{Field: "Upload", Err: fmt.Errorf("node: the distributed runtime has no %s upload", cfg.Upload)}
-	}
-	return nil
 }

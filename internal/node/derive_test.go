@@ -101,7 +101,7 @@ func TestDerivedFederationMatchesEngine(t *testing.T) {
 		"ef+topk full upload and trim server rule": func(c *core.Config) {
 			c.UploadCodec, c.Upload = up, core.FullUpload
 			c.ServerFilter, c.Participation = aggregate.TrimmedMean{Beta: 0.2}, 0.67
-			c.NumByzantineClients, c.ClientAttack = 1, attack.UploadSignFlip{}
+			c.NumByzantineClients, c.ClientAttack = 1, attack.UploadRandom{}
 		},
 	}
 	for name, shape := range cases {
@@ -114,23 +114,6 @@ func TestDerivedFederationMatchesEngine(t *testing.T) {
 			eng := runEngineCfg(t, makeLearners(t, k, seed), cfg)
 			assertSameParams(t, dist, eng, name)
 		})
-	}
-}
-
-// TestDerivationRejectsRoundRobin: the wire protocol has no rotation
-// schedule, so the engine-only ablation must not silently run sparse.
-func TestDerivationRejectsRoundRobin(t *testing.T) {
-	cfg := testSpec(2, 2, 1, aggregate.Mean{}, 1)
-	cfg.Upload = core.RoundRobinUpload
-	cfg, err := cfg.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PSConfigFor(cfg, 0); err == nil {
-		t.Fatal("PSConfigFor accepted round-robin upload")
-	}
-	if _, err := ClientConfigFor(cfg, 0, nil); err == nil {
-		t.Fatal("ClientConfigFor accepted round-robin upload")
 	}
 }
 

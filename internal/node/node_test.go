@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func makeLearners(t *testing.T, k int, seed uint64) []core.Learner {
 	learners := make([]core.Learner, k)
 	for i := 0; i < k; i++ {
 		learners[i] = core.NewNNLearner(core.NNLearnerConfig{
-			Net:       nn.NewLogistic(12, 4, seed),
+			Net:       nn.NewMLP(nn.MLPConfig{In: 12, NumClasses: 4, Seed: seed}),
 			Train:     train.Subset(parts[i]),
 			Test:      test,
 			BatchSize: 16,
@@ -164,6 +165,10 @@ func TestPSRejectsBadConfig(t *testing.T) {
 	if _, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 0}); err == nil {
 		t.Fatal("expected config error")
 	}
+	if ps, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 1, AcceptRate: math.NaN()}); err == nil {
+		_ = ps.Close()
+		t.Fatal("NaN AcceptRate accepted")
+	}
 	// A broadcast codec must be a deterministic function of the vector.
 	for _, spec := range []string{"ef+topk:0.1", "randk:0.5"} {
 		if ps, err := NewPS(PSConfig{ID: 0, ListenAddr: "127.0.0.1:0", Clients: 1, Rounds: 1, DownlinkCodec: mustSpec(t, spec)}); err == nil {
@@ -285,11 +290,14 @@ func TestClientRejectsBadParticipation(t *testing.T) {
 		Rounds: 1, Filter: aggregate.Mean{}, Schedule: nn.ConstantLR(0.1),
 	}
 
-	bad := base
-	bad.Participation = 1.5
-	if _, err := RunClient(bad); err == nil {
-		t.Fatal("expected participation range error")
+	for _, p := range []float64{1.5, math.NaN()} {
+		bad := base
+		bad.Participation = p
+		if _, err := RunClient(bad); err == nil || !strings.Contains(err.Error(), "Participation must be in [0, 1]") {
+			t.Fatalf("Participation %v: got %v, want the range error", p, err)
+		}
 	}
+	bad := base
 	bad = base
 	bad.Participation = 0.5 // Clients unset: population unknown
 	if _, err := RunClient(bad); err == nil {

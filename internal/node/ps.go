@@ -311,7 +311,7 @@ func (c PSConfig) Validate() (PSConfig, error) {
 	if c.HelloDeadline == 0 {
 		c.HelloDeadline = min(DefaultHelloDeadline, c.Timeout)
 	}
-	if c.AcceptRate < 0 {
+	if !(c.AcceptRate >= 0) { // NaN fails too
 		return c, fieldErr(who, "AcceptRate", "AcceptRate must be non-negative, got %v", c.AcceptRate)
 	}
 	if c.AcceptBurst < 0 {

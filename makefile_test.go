@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,20 @@ var (
 	makeRef  = regexp.MustCompile(`\$\(([A-Z_]+)\)`)
 	runFlag  = regexp.MustCompile(`-run '([^']*)'`)
 	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	fuzzDecl = regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`)
 )
+
+// makeVars returns the variables makefile assigns with = or ?=, a
+// backslash-continued value joined into one line.
+func makeVars(makefile string) map[string]string {
+	vars := map[string]string{}
+	for _, line := range strings.Split(strings.ReplaceAll(makefile, "\\\n", " "), "\n") {
+		if m := makeVar.FindStringSubmatch(line); m != nil {
+			vars[m[1]] = m[2]
+		}
+	}
+	return vars
+}
 
 // runStage is one `go test -run '<re>'` line of a make target, with its
 // variables expanded: the -run pattern and the package patterns.
@@ -27,13 +41,8 @@ type runStage struct {
 // with every $(VAR) expanded and $$ turned into $.
 func runStages(t *testing.T, makefile, target string) []runStage {
 	t.Helper()
-	vars := map[string]string{}
+	vars := makeVars(makefile)
 	lines := strings.Split(makefile, "\n")
-	for _, line := range lines {
-		if m := makeVar.FindStringSubmatch(line); m != nil {
-			vars[m[1]] = m[2]
-		}
-	}
 	var expand func(string, int) string
 	expand = func(s string, depth int) string {
 		if depth > 10 {
@@ -198,5 +207,63 @@ func TestVerifyStagesCheckCatchesRenames(t *testing.T) {
 	missing := unmatchedAlternatives(t, stages[0])
 	if len(missing) != 1 || missing[0] != "TestNoSuchTest" {
 		t.Fatalf("unmatched alternatives = %q, want [TestNoSuchTest]", missing)
+	}
+}
+
+// TestFuzzTargetsListed: FUZZ_TARGETS, the list `make fuzz` (and so
+// CI) fuzzes, names every Fuzz function declared in the module's test
+// files, as package directory:name, and nothing else — a new target is
+// fuzzed from the day it is written, and a renamed one cannot leave the
+// list fuzzing nothing.
+func TestFuzzTargetsListed(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^fuzz:\n(\t.*\n)*\t.*\$\(FUZZ_TARGETS\)`).Match(src) {
+		t.Fatal("make fuzz does not run $(FUZZ_TARGETS)")
+	}
+	listed := strings.Fields(makeVars(string(src))["FUZZ_TARGETS"])
+	var declared []string
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir // another module: go test from here cannot reach it
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzDecl.FindAllStringSubmatch(string(src), -1) {
+			declared = append(declared, "./"+filepath.ToSlash(filepath.Dir(p))+"/:"+m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range declared {
+		if !slices.Contains(listed, d) {
+			t.Errorf("FUZZ_TARGETS lacks %s", d)
+		}
+	}
+	for _, l := range listed {
+		if !slices.Contains(declared, l) {
+			t.Errorf("FUZZ_TARGETS names %s, which no test file declares", l)
+		}
 	}
 }
